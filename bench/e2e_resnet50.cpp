@@ -12,14 +12,16 @@
 //   * joint-vs-greedy margin — the whole-net joint {Mc, Kc, Nc} search must
 //     never be worse than the per-layer-greedy seed under the chained
 //     cache-replay objective, and the aggregate margin is reported.
-//   * cycle regression gate — the summed joint modeled cycles are compared
-//     against the committed bench/baselines/BENCH_e2e.json; the run fails
-//     past 1.05x. Refresh after a deliberate change with:
+//   * exact regression gate — every modeled quantity is deterministic, so
+//     each row (fused/unfused seconds, fusion counts, joint/greedy cycles)
+//     must match the committed bench/baselines/BENCH_e2e.json exactly, as
+//     printed there. Refresh after a deliberate change with:
 //       LBC_BENCH_JSON=bench/baselines/BENCH_e2e.json build/bench/e2e_resnet50
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,25 @@ core::QnnGraph build_densenet_block(int bits) {
   return g;
 }
 
+constexpr const char* kRefreshCommand =
+    "LBC_BENCH_JSON=bench/baselines/BENCH_e2e.json build/bench/e2e_resnet50";
+
+/// One record as BENCH_e2e.json stores it — the writer and the exact gate
+/// share this text, so "matches the baseline" means "prints identically".
+std::string record_json(const E2eRecord& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{\"graph\": \"%s\", \"bits\": %d, "
+                "\"fused_seconds\": %.9f, \"unfused_seconds\": %.9f, "
+                "\"fused_convs\": %d, \"fused_adds\": %d, "
+                "\"joint_cycles\": %.1f, \"greedy_cycles\": %.1f, "
+                "\"bitexact\": %s}",
+                r.graph.c_str(), r.bits, r.fused_s, r.unfused_s,
+                r.fused_convs, r.fused_adds, r.joint_cycles, r.greedy_cycles,
+                r.bitexact ? "true" : "false");
+  return buf;
+}
+
 bool write_e2e_json(const std::string& path,
                     const std::vector<E2eRecord>& records,
                     double joint_total, double greedy_total,
@@ -88,23 +109,13 @@ bool write_e2e_json(const std::string& path,
                "{\n  \"bench\": \"e2e_resnet50\",\n"
                "  \"unit\": \"modeled-cycles\",\n"
                "  \"note\": \"Whole-net GraphPlan: fused epilogues + joint "
-               "blocking vs the unfused per-layer path, bits 2-8. Gate: "
-               "e2e_joint_cycles <= 1.05x baseline. Refresh: "
-               "LBC_BENCH_JSON=bench/baselines/BENCH_e2e.json "
-               "build/bench/e2e_resnet50\",\n  \"records\": [\n");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const E2eRecord& r = records[i];
-    std::fprintf(f,
-                 "    {\"graph\": \"%s\", \"bits\": %d, "
-                 "\"fused_seconds\": %.9f, \"unfused_seconds\": %.9f, "
-                 "\"fused_convs\": %d, \"fused_adds\": %d, "
-                 "\"joint_cycles\": %.1f, \"greedy_cycles\": %.1f, "
-                 "\"bitexact\": %s}%s\n",
-                 r.graph.c_str(), r.bits, r.fused_s, r.unfused_s,
-                 r.fused_convs, r.fused_adds, r.joint_cycles,
-                 r.greedy_cycles, r.bitexact ? "true" : "false",
+               "blocking vs the unfused per-layer path, bits 2-8. Gate: every "
+               "record must match exactly. Refresh: %s\",\n"
+               "  \"records\": [\n",
+               kRefreshCommand);
+  for (size_t i = 0; i < records.size(); ++i)
+    std::fprintf(f, "    %s%s\n", record_json(records[i]).c_str(),
                  i + 1 < records.size() ? "," : "");
-  }
   std::fprintf(f,
                "  ],\n  \"totals\": {\"e2e_joint_cycles\": %.1f, "
                "\"e2e_greedy_cycles\": %.1f, \"joint_margin_pct\": %.4f}\n}\n",
@@ -115,29 +126,45 @@ bool write_e2e_json(const std::string& path,
   return true;
 }
 
-int run_e2e_gate(double joint_total) {
+/// Exact gate: every record must appear in the baseline verbatim (keyed by
+/// graph and bits). Modeled cycles are deterministic, so any difference is
+/// a behaviour change — either a regression or a deliberate change whose
+/// baseline needs the refresh command.
+int run_e2e_gate(const std::vector<E2eRecord>& records) {
   const char* baseline_path = std::getenv("LBC_BENCH_BASELINE");
   if (baseline_path == nullptr || baseline_path[0] == '\0') return 0;
-  const double baseline =
-      bench::read_json_number_field(baseline_path, "e2e_joint_cycles");
-  if (baseline <= 0) {
-    std::fprintf(stderr, "e2e gate: no e2e_joint_cycles in %s\n",
-                 baseline_path);
+  const std::optional<std::string> file = bench::read_text_file(baseline_path);
+  if (!file) {
+    std::fprintf(stderr, "e2e gate: cannot read %s\n", baseline_path);
     return 1;
   }
-  const double limit = baseline * 1.05;
-  const double ratio = joint_total / baseline;
-  if (joint_total > limit) {
+  const std::string& text = *file;
+
+  int mismatches = 0;
+  for (const E2eRecord& r : records) {
+    const std::string want = record_json(r);
+    const std::string key =
+        want.substr(0, want.find(", \"fused_seconds\"") + 1);
+    const size_t pos = text.find(key);
+    const std::string have =
+        pos == std::string::npos
+            ? std::string("(no row)")
+            : text.substr(pos, text.find('}', pos) + 1 - pos);
+    if (have == want) continue;
+    ++mismatches;
+    std::fprintf(stderr, "e2e gate: %s at %d bits differs\n  baseline %s\n"
+                 "  this run %s\n",
+                 r.graph.c_str(), r.bits, have.c_str(), want.c_str());
+  }
+  if (mismatches > 0) {
     std::fprintf(stderr,
-                 "e2e gate FAIL: %.0f joint modeled cycles vs baseline %.0f "
-                 "(%.3fx > 1.05x allowed)\n",
-                 joint_total, baseline, ratio);
+                 "e2e gate FAIL: %d of %zu rows differ from %s. If the change "
+                 "is deliberate, refresh with:\n  %s\n",
+                 mismatches, records.size(), baseline_path, kRefreshCommand);
     return 1;
   }
-  std::fprintf(stderr,
-               "e2e gate PASS: %.0f joint modeled cycles vs baseline %.0f "
-               "(%.3fx <= 1.05x)\n",
-               joint_total, baseline, ratio);
+  std::fprintf(stderr, "e2e gate PASS: all %zu rows match %s exactly\n",
+               records.size(), baseline_path);
   return 0;
 }
 
@@ -249,6 +276,6 @@ int main() {
       !write_e2e_json(json_path, records, joint_total, greedy_total,
                       margin_pct))
     return 1;
-  const int gate_rc = run_e2e_gate(joint_total);
+  const int gate_rc = run_e2e_gate(records);
   return rc != 0 ? rc : gate_rc;
 }

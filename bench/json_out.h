@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,18 +131,26 @@ inline bool write_arm_gemm_json(const std::string& path,
   return true;
 }
 
-/// Scan a JSON file for `"key": <number>` and return the number, or a
-/// negative value when the file or key is missing. Good enough for the flat
-/// documents this header writes.
-inline double read_json_number_field(const std::string& path,
-                                     const std::string& key) {
+/// Whole contents of a text file, or std::nullopt when it cannot be opened.
+inline std::optional<std::string> read_text_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return -1.0;
+  if (f == nullptr) return std::nullopt;
   std::string text;
   char buf[4096];
   size_t got;
   while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
   std::fclose(f);
+  return text;
+}
+
+/// Scan a JSON file for `"key": <number>` and return the number, or a
+/// negative value when the file or key is missing. Good enough for the flat
+/// documents this header writes.
+inline double read_json_number_field(const std::string& path,
+                                     const std::string& key) {
+  const std::optional<std::string> file = read_text_file(path);
+  if (!file) return -1.0;
+  const std::string& text = *file;
   const std::string needle = "\"" + key + "\":";
   const size_t pos = text.find(needle);
   if (pos == std::string::npos) return -1.0;

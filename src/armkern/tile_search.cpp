@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "armkern/conv_arm.h"
 #include "armkern/micro.h"
 #include "armsim/cache.h"
 #include "armsim/cost_model.h"
@@ -416,36 +417,60 @@ double score_locked(const ConvShape& s, int bits, ArmKernel kernel,
   return CostModel::cortex_a53().cycles_for(counts, /*interleaved=*/true);
 }
 
-// Chained whole-net objective: one shared cache sim walked through the
-// layer sequence. Layer i reads its gather from the region layer i-1's
-// epilogue wrote, and the pack-block / C scratch bases are shared across
-// layers (recycled buffers). No memoization — the misses depend on the
-// whole assignment.
+// One layer of the chained whole-net objective: layer i's issue cycles
+// under `blocking` plus the misses its replay sees starting from `r`'s
+// state, which the replay advances to the state entering layer i + 1.
+// Layer i reads its gather from the region layer i-1's epilogue wrote, and
+// the pack-block / C scratch bases are shared across layers (recycled
+// buffers). Both the plain scorer and the incremental search go through
+// this one function.
+double score_graph_layer(Replay& r, const std::vector<GraphSearchLayer>& layers,
+                         size_t i, const GemmBlocking& blocking) {
+  const GraphSearchLayer& gl = layers[i];
+  const BlockedLayout lay =
+      layout_for(gl.shape.gemm_m(), gl.shape.gemm_n(), gl.shape.gemm_k(),
+                 blocking, gl.kernel, gl.bits);
+  ReplayBases bases;
+  bases.a = kBaseA + static_cast<u64>(i) * kLayerStride;
+  bases.in = kBaseIn + static_cast<u64>(i) * kLayerStride;
+  bases.out = kBaseIn + static_cast<u64>(i + 1) * kLayerStride;
+  Counters counts =
+      issue_counts(gl.shape, gl.bits, gl.kernel, lay, /*fused_epilogue=*/true);
+  const ReplayMisses misses = replay_schedule_at(r, gl.shape, lay, bases);
+  counts[Op::kL1Miss] += misses.l1;
+  counts[Op::kL2Miss] += misses.l2;
+  return CostModel::cortex_a53().cycles_for(counts, /*interleaved=*/true);
+}
+
+// Per-layer scores summed left to right in layer order. Every objective
+// value the search compares is this same sum, so the incremental search's
+// values are bit-identical to score_graph's.
+double sum_in_order(const std::vector<double>& cycles) {
+  double total = 0;
+  for (const double c : cycles) total += c;
+  return total;
+}
+
+// Whole-net objective of a full assignment. No memoization — the misses
+// depend on the whole assignment.
 double score_graph(const std::vector<GraphSearchLayer>& layers,
                    const std::vector<GemmBlocking>& blocking) {
   LBC_CHECK_MSG(layers.size() == blocking.size(),
                 "score_graph: one blocking per layer required");
   Replay r;
-  double total = 0;
-  const CostModel cm = CostModel::cortex_a53();
-  for (size_t i = 0; i < layers.size(); ++i) {
-    const GraphSearchLayer& gl = layers[i];
-    const BlockedLayout lay =
-        layout_for(gl.shape.gemm_m(), gl.shape.gemm_n(), gl.shape.gemm_k(),
-                   blocking[i], gl.kernel, gl.bits);
-    ReplayBases bases;
-    bases.a = kBaseA + static_cast<u64>(i) * kLayerStride;
-    bases.in = kBaseIn + static_cast<u64>(i) * kLayerStride;
-    bases.out = kBaseIn + static_cast<u64>(i + 1) * kLayerStride;
-    Counters counts =
-        issue_counts(gl.shape, gl.bits, gl.kernel, lay, /*fused_epilogue=*/true);
-    const ReplayMisses misses = replay_schedule_at(r, gl.shape, lay, bases);
-    counts[Op::kL1Miss] += misses.l1;
-    counts[Op::kL2Miss] += misses.l2;
-    total += cm.cycles_for(counts, /*interleaved=*/true);
-  }
-  return total;
+  std::vector<double> cycles(layers.size());
+  for (size_t i = 0; i < layers.size(); ++i)
+    cycles[i] = score_graph_layer(r, layers, i, blocking[i]);
+  return sum_in_order(cycles);
 }
+
+// The chained replay of one full assignment, kept so a trial that changes
+// one layer re-scores only what the change can reach: entry[i] is the
+// replay state entering layer i, cycles[i] layer i's score.
+struct ChainReplay {
+  std::vector<Replay> entry;
+  std::vector<double> cycles;
+};
 
 }  // namespace
 
@@ -554,6 +579,16 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel) {
   return best;
 }
 
+ArmKernel choose_gemm_kernel(const ConvShape& s, int bits) {
+  if (!tbl_eligible_for(bits)) return ArmKernel::kOursGemm;
+  const GemmBlocking mla = search_blocking(s, bits, ArmKernel::kOursGemm);
+  const GemmBlocking tbl = search_blocking(s, bits, ArmKernel::kTblGemm);
+  return score_blocking(s, bits, ArmKernel::kTblGemm, tbl) <
+                 score_blocking(s, bits, ArmKernel::kOursGemm, mla)
+             ? ArmKernel::kTblGemm
+             : ArmKernel::kOursGemm;
+}
+
 TileSearchStats tile_search_stats() {
   std::lock_guard<std::mutex> lock(g_mu);
   return g_stats;
@@ -618,27 +653,67 @@ GraphSearchResult search_graph_blocking(
     }
   }
 
-  res.greedy_cycles = score_graph(layers, current);
+  const size_t n_layers = layers.size();
+  ChainReplay cur{std::vector<Replay>(n_layers),
+                  std::vector<double>(n_layers)};
+  {
+    Replay r;
+    for (size_t i = 0; i < n_layers; ++i) {
+      cur.entry[i] = r;
+      cur.cycles[i] = score_graph_layer(r, layers, i, current[i]);
+    }
+  }
+  res.greedy_cycles = sum_in_order(cur.cycles);
   double best = res.greedy_cycles;
   // Coordinate descent under the chained objective: two passes over the
   // layers, each trying the layer's candidates with the rest held fixed.
   // Monotone by construction, so the joint plan never loses to the seed.
+  //
+  // A trial that changes layer i resumes from the snapshot entering layer
+  // i; layers before it score as stored. After each re-scored layer, once
+  // the trial's cache state equals the current assignment's state at that
+  // boundary, every later layer replays identically, so the trial stops
+  // and takes their stored scores. The summed objective is the same value,
+  // bit for bit, that a full score_graph of the trial returns.
+  // Declared once: every resume copy-assigns into storage they already own.
+  ChainReplay trial{std::vector<Replay>(n_layers),
+                    std::vector<double>(n_layers)};
+  Replay r;
+  i64 early_exits = 0;
   for (int pass = 0; pass < 2; ++pass) {
     bool improved = false;
-    for (size_t i = 0; i < layers.size(); ++i) {
+    for (size_t i = 0; i < n_layers; ++i) {
       for (const GemmBlocking& cand : cands[i]) {
         if (cand == current[i]) continue;
-        std::vector<GemmBlocking> trial = current;
-        trial[i] = cand;
-        const double sc = score_graph(layers, trial);
+        r = cur.entry[i];
+        trial.cycles = cur.cycles;
+        size_t j = i;
+        while (true) {
+          trial.cycles[j] =
+              score_graph_layer(r, layers, j, j == i ? cand : current[j]);
+          if (++j == n_layers) break;
+          if (r.sim.same_state(cur.entry[j].sim)) {
+            ++early_exits;
+            break;
+          }
+          trial.entry[j] = r;
+        }
+        const double sc = sum_in_order(trial.cycles);
         if (sc < best) {
           best = sc;
-          current = std::move(trial);
+          current[i] = cand;
+          std::swap(cur.cycles, trial.cycles);
+          for (size_t b = i + 1; b < j; ++b)
+            std::swap(cur.entry[b], trial.entry[b]);
           improved = true;
         }
       }
     }
     if (!improved) break;
+  }
+  {
+    std::lock_guard<std::mutex> lock(g_mu);
+    g_stats.joint_early_exits += early_exits;
   }
   res.blocking = std::move(current);
   res.joint_cycles = best;

@@ -51,9 +51,23 @@ int blocking_scheme_id(ArmKernel kernel, int bits);
 TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
                                       bool weights_ternary);
 
+/// The blocked-GEMM kernel a conv at `bits` should run, decided by price:
+/// kTblGemm when TBL's memoized per-layer winner scores below MLA's
+/// (kOursGemm at <= 3 bit) under score_blocking, else kOursGemm — always
+/// kOursGemm above 3 bit, where TBL is ineligible. Both sides are priced
+/// without weight values (non-ternary 3-bit TBL groups, the conservative
+/// mode), so a ternary-weight pack can only beat the price. Deterministic;
+/// thread-safe; the per-layer searches it runs are memoized.
+ArmKernel choose_gemm_kernel(const ConvShape& s, int bits);
+
 struct TileSearchStats {
   i64 searches = 0;   ///< cold searches (full candidate sweeps)
   i64 memo_hits = 0;  ///< served from the in-process memo
+  /// Joint-search trials that stopped early because their replay state
+  /// matched the current assignment's at a later layer boundary. Exists
+  /// for tests, which use it to confirm a chain exercises the exit; the
+  /// search adds its total once, under one lock, when it returns.
+  i64 joint_early_exits = 0;
 };
 TileSearchStats tile_search_stats();
 
@@ -69,6 +83,10 @@ TileSearchStats tile_search_stats();
 // on top. search_graph_blocking seeds from the memoized per-layer winners
 // and runs a small coordinate-descent over per-layer candidates under that
 // chained objective; the result never scores worse than the greedy seed.
+// The search is incremental — a trial resumes from a snapshot of the
+// replay state entering the layer it changes and stops once its state
+// rejoins the current assignment's — yet every objective value it
+// compares is bit-identical to score_graph_blocking of that assignment.
 
 /// One conv layer of the chain, in execution order.
 struct GraphSearchLayer {

@@ -14,10 +14,16 @@
 //
 // A one-line MRU filter keeps the common streaming case (four 16-byte
 // loads per line) off the LRU bookkeeping path.
+//
+// Each level is a fixed pool of line slots: a doubly-linked recency list
+// threaded through slot indices plus an open-addressing index from line id
+// to slot. Nothing allocates after a level's first insert, and the storage
+// is only allocated then — every armsim::Ctx embeds a CacheSim, and most
+// (probes, tally contexts) never touch it. The class is copyable, which is
+// what lets the tile search snapshot a replay mid-stream (tile_search.cpp).
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.h"
 
@@ -42,20 +48,45 @@ class CacheSim {
   };
   const Stats& stats() const { return stats_; }
 
+  /// True when both simulators hold the same lines in the same recency
+  /// order at both levels — then every future access stream sees identical
+  /// hit levels in both. Stats are not compared.
+  bool same_state(const CacheSim& o) const;
+
  private:
   MemLevel access_line(u64 line);
 
-  struct Level {
-    i64 capacity = 0;
-    std::list<u64> lru;  // front = most recent
-    std::unordered_map<u64, std::list<u64>::iterator> where;
-
+  class Level {
+   public:
+    explicit Level(i32 capacity) : capacity_(capacity) {}
     bool touch(u64 line);   // true if present (moves to front)
     void insert(u64 line);  // inserts at front, evicting LRU if full
+    bool same_order(const Level& o) const;
+
+   private:
+    struct Slot {
+      u64 line;
+      i32 prev, next;  // recency neighbours (slot indices), -1 at the ends
+    };
+    size_t home(u64 line) const {
+      return static_cast<size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    i32 find(u64 line) const;  // slot index, -1 when absent
+    void index_erase(u64 line);
+    void unlink(i32 s);
+    void push_front(i32 s);
+
+    i32 capacity_;
+    i32 used_ = 0;
+    i32 head_ = -1;  // most recent
+    i32 tail_ = -1;  // least recent
+    int shift_ = 64;
+    std::vector<Slot> slots_;
+    std::vector<i32> index_;  // slot + 1 per bucket, 0 = empty
   };
 
-  Level l1_{kL1Lines, {}, {}};
-  Level l2_{kL2Lines, {}, {}};
+  Level l1_{static_cast<i32>(kL1Lines)};
+  Level l2_{static_cast<i32>(kL2Lines)};
   u64 mru_line_ = ~u64{0};
   Stats stats_;
 };

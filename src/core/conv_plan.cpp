@@ -100,17 +100,15 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
   }
   LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan plan,
                        armkern::plan_conv(s, weight, opt));
-  // Static proof gate: the instruction scheme the RESOLVED kernel
-  // dispatches to (the planner may have degraded the request) must
-  // discharge its overflow obligations for this GEMM's reduction depth —
-  // a failed proof rejects the configuration before anything executes.
-  // Non-GEMM rungs (winograd/bitserial/direct) stay under the PR-4
-  // dynamic verifier.
-  if (plan.algo == armkern::ConvAlgo::kGemm)
-    LBC_RETURN_IF_ERROR(
-        check::prove_arm_kernel(plan.kernel, plan.requested.bits,
-                                s.gemm_k()));
+  // A failed proof rejects the configuration before anything executes.
+  LBC_RETURN_IF_ERROR(prove_arm_plan(plan));
   return ConvPlan(impl, std::move(plan));
+}
+
+Status prove_arm_plan(const armkern::ArmConvPlan& plan) {
+  if (plan.algo != armkern::ConvAlgo::kGemm) return Status();
+  return check::prove_arm_kernel(plan.kernel, plan.requested.bits,
+                                 plan.shape.gemm_k());
 }
 
 StatusOr<ConvPlan> plan_native_conv(const ConvShape& s,

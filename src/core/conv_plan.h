@@ -118,6 +118,14 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
                                  const armkern::GemmBlocking* blocking =
                                      nullptr);
 
+/// Static proof gate (check/kernel_prover.h) for a resolved ARM plan: on
+/// the GEMM rung, the instruction scheme the RESOLVED kernel dispatches to
+/// (the planner may have degraded the request) must discharge its overflow
+/// obligations at the plan's reduction depth. Non-GEMM rungs pass — they
+/// stay under the dynamic verifier. Errors: kInvariantViolation naming the
+/// failed obligation. plan_arm_conv and GraphPlan::compile both apply it.
+Status prove_arm_plan(const armkern::ArmConvPlan& plan);
+
 /// Compile a native-host plan (hal/): registry-selected backend (AVX2 or
 /// scalar), weights prepacked in the scheme's layout, {rb, cb} blocking
 /// from the measured-ns search — persisted per (GEMM view, bits, scheme)

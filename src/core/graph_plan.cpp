@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "armsim/cost_model.h"
 #include "check/plan_audit.h"
 #include "common/status.h"
+#include "core/conv_plan.h"
 
 namespace lbc::core {
 namespace {
@@ -36,6 +38,15 @@ bool fuse_eligible(const armkern::ArmConvPlan& p) {
          p.kernel != armkern::ArmKernel::kTraditional && p.shape.batch == 1;
 }
 
+// A conv the planner resolved to the blocked MLA GEMM at <= 3 bit — the
+// plans whose kernel is decided by pricing TBL against MLA. Reference,
+// winograd and bitserial rungs are never priced.
+bool tbl_contender(const armkern::ArmConvPlan& p) {
+  return p.algo == armkern::ConvAlgo::kGemm && p.blocking.enabled() &&
+         p.kernel == armkern::ArmKernel::kOursGemm &&
+         armkern::tbl_eligible_for(p.requested.bits);
+}
+
 bool same_blocking(const armkern::GemmBlocking& a,
                    const armkern::GemmBlocking& b) {
   return a.mc == b.mc && a.kc == b.kc && a.nc == b.nc;
@@ -52,10 +63,12 @@ i64 packed_backing_bytes(const armkern::ArmConvPlan& p) {
       return p.bitplanes.packed_bytes();
     default:
       // GEMM family; kTraditional (and direct/reference) consume the raw
-      // weight tensor, so both containers are empty and this returns 0 —
+      // weight tensor, so every container is empty and this returns 0 —
       // matching the plan's packed_weight_bytes accounting.
       return static_cast<i64>(p.sdot_a.data.size()) +
-             static_cast<i64>(p.gemm_a.data.size());
+             static_cast<i64>(p.gemm_a.data.size()) +
+             static_cast<i64>(p.tbl_a.idx.size()) +
+             static_cast<i64>(p.tbl_a.tables.size());
   }
 }
 
@@ -107,6 +120,17 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         copt.threads = opt.threads;
         LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
                              armkern::plan_conv(n.conv, n.weight_q, copt));
+        if (tbl_contender(cp) &&
+            armkern::choose_gemm_kernel(n.conv, n.bits) ==
+                armkern::ArmKernel::kTblGemm) {
+          copt.kernel = armkern::ArmKernel::kTblGemm;
+          LBC_ASSIGN_OR_RETURN(cp,
+                               armkern::plan_conv(n.conv, n.weight_q, copt));
+        }
+        // Same static proof gate as core::plan_arm_conv, on the kernel that
+        // will execute (the joint pass below changes only the blocking).
+        LBC_RETURN_IF_ERROR(prove_arm_plan(cp).with_context(
+            "GraphPlan::compile conv node " + std::to_string(i)));
         p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
         p.gemm_m = n.conv.gemm_m();
         p.gemm_n = n.conv.gemm_n();
@@ -318,6 +342,12 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         "GraphPlan::compile audit"));
   }
   return plan;
+}
+
+const armkern::ArmConvPlan* GraphPlan::conv_plan(i64 node) const {
+  if (node < 0 || node >= node_count()) return nullptr;
+  const NodePlan& p = nodes_[static_cast<size_t>(node)];
+  return p.kind == NodeKind::kConv ? p.conv.get() : nullptr;
 }
 
 StatusOr<QnnGraph::RunResult> GraphPlan::forward(const Tensor<float>& x,

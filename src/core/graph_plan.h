@@ -16,6 +16,11 @@
 //    operand's activation is already resident in the arena), and the conv
 //    writes the add node's slot directly. Bit-exact vs the unfused path:
 //    both run the same fixed-point requant multipliers in the same order.
+//  * Per-conv kernel pricing — a conv that resolves to the blocked GEMM
+//    rung at <= 3 bit runs TBL or MLA, whichever scores cheaper at its
+//    memoized per-layer winner (armkern::choose_gemm_kernel). Every conv's
+//    resolved kernel passes the same static proof gate as
+//    core::plan_arm_conv (core::prove_arm_plan).
 //  * Joint whole-net blocking — armkern::search_graph_blocking picks every
 //    fused layer's {Mc, Kc, Nc} under one chained cache-replay objective
 //    (seeded from the memoized per-layer winners, persisted as TuningCache
@@ -71,7 +76,10 @@ class GraphPlan {
   /// weights), run the joint blocking search, pair fusable epilogues, and
   /// lay out the activation arena by liveness. The graph must be
   /// calibrated. The plan snapshots the graph — later push()/calibrate()
-  /// calls on `g` do not affect a compiled plan.
+  /// calls on `g` do not affect a compiled plan. Errors: kInvalidArgument /
+  /// kFailedPrecondition for a bad graph or options, kInvariantViolation
+  /// naming the obligation when a conv's resolved kernel fails the static
+  /// proof gate, and any plan_conv error.
   static StatusOr<GraphPlan> compile(const QnnGraph& g,
                                      const GraphPlanOptions& opt = {});
 
@@ -85,6 +93,9 @@ class GraphPlan {
                                         Workspace& scratch) const;
 
   i64 node_count() const { return static_cast<i64>(nodes_.size()); }
+  /// The resolved plan conv node `node` executes (kernel, blocking,
+  /// prepacked weights); null for a non-conv node or an id out of range.
+  const armkern::ArmConvPlan* conv_plan(i64 node) const;
   /// Liveness-planned bytes of the activation slot region (the arena's
   /// base allocation; scratch grows above it per node).
   i64 activation_bytes() const { return activation_bytes_; }

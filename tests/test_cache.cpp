@@ -1,8 +1,11 @@
 // Tests for the A53 cache model: LRU mechanics, capacity behaviour,
 // rename invariance (the property that makes simulation deterministic),
-// and its integration with the convolution kernels.
+// exactness against a reference LRU, copy/snapshot semantics, and its
+// integration with the convolution kernels.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
 #include <vector>
 
 #include "armkern/conv_arm.h"
@@ -88,6 +91,150 @@ TEST(CacheSim, StreamingLoadsHitAfterLineFill) {
   for (int i = 0; i < 64; ++i) c.access(&buf[static_cast<size_t>(i) * 16], 16);
   EXPECT_EQ(c.stats().l2_misses, 16u);
   EXPECT_EQ(c.stats().accesses, 64u);
+}
+
+// Reference two-level exact LRU kept as plain recency lists (front = most
+// recent) — the straightforward model CacheSim's flat slot pools must
+// reproduce access for access. No MRU filter: re-touching the most recent
+// line is a no-op in exact LRU, which is what makes the filter safe.
+class ReferenceLru {
+ public:
+  MemLevel access(u64 addr, u64 bytes) {
+    const u64 first = addr / CacheSim::kLineBytes;
+    const u64 last = (addr + (bytes ? bytes - 1 : 0)) / CacheSim::kLineBytes;
+    MemLevel worst = MemLevel::kL1;
+    for (u64 line = first; line <= last; ++line) {
+      MemLevel lv = MemLevel::kL1;
+      ++stats.accesses;
+      if (!l1_.touch(line)) {
+        ++stats.l1_misses;
+        lv = MemLevel::kL2;
+        if (!l2_.touch(line)) {
+          ++stats.l2_misses;
+          lv = MemLevel::kDram;
+          l2_.insert(line);
+        }
+        l1_.insert(line);
+      }
+      if (static_cast<int>(lv) > static_cast<int>(worst)) worst = lv;
+    }
+    return worst;
+  }
+  CacheSim::Stats stats;
+
+ private:
+  struct Level {
+    size_t capacity;
+    std::list<u64> order;
+    std::unordered_map<u64, std::list<u64>::iterator> where;
+    bool touch(u64 line) {
+      const auto it = where.find(line);
+      if (it == where.end()) return false;
+      order.splice(order.begin(), order, it->second);
+      return true;
+    }
+    void insert(u64 line) {
+      if (order.size() >= capacity) {
+        where.erase(order.back());
+        order.pop_back();
+      }
+      order.push_front(line);
+      where[line] = order.begin();
+    }
+  };
+  Level l1_{static_cast<size_t>(CacheSim::kL1Lines), {}, {}};
+  Level l2_{static_cast<size_t>(CacheSim::kL2Lines), {}, {}};
+};
+
+TEST(CacheSim, MatchesReferenceLruOnEveryAccess) {
+  // A long seeded stream over three regions: one just past L1's capacity
+  // and one just past L2's, where the eviction order decides most hits,
+  // and a cold range far larger than L2. Each access either continues its
+  // region's sequential scan (walking the LRU end of each level) or picks
+  // a random line, and spans 1-200 bytes from an arbitrary offset, so
+  // many cross one or more line boundaries. Every access's level and the
+  // final stats must agree exactly.
+  CacheSim sim;
+  ReferenceLru ref;
+  Rng rng(2024);
+  struct Region {
+    u64 first_line, lines, cursor;
+  };
+  Region regions[] = {{u64{1} << 30, 576, 0},
+                      {u64{2} << 30, 8704, 0},
+                      {u64{3} << 30, u64{1} << 20, 0}};
+  for (int i = 0; i < 400000; ++i) {
+    const u64 pick = rng.next_u64() % 10;
+    Region& rg = regions[pick < 5 ? 0 : pick < 9 ? 1 : 2];
+    u64 line = rng.next_u64() % rg.lines;
+    if (rng.next_u64() % 2 == 0) {
+      line = rg.cursor;
+      rg.cursor = (rg.cursor + 1) % rg.lines;
+    }
+    const u64 addr = (rg.first_line + line) * CacheSim::kLineBytes +
+                     rng.next_u64() % CacheSim::kLineBytes;
+    const u64 bytes = 1 + rng.next_u64() % 200;
+    const MemLevel got =
+        sim.access(reinterpret_cast<const void*>(addr), bytes);
+    const MemLevel want = ref.access(addr, bytes);
+    ASSERT_EQ(got, want) << "access " << i;
+  }
+  EXPECT_EQ(sim.stats().accesses, ref.stats.accesses);
+  EXPECT_EQ(sim.stats().l1_misses, ref.stats.l1_misses);
+  EXPECT_EQ(sim.stats().l2_misses, ref.stats.l2_misses);
+  EXPECT_GT(ref.stats.l2_misses, 10000u);
+  EXPECT_GT(ref.stats.l1_misses - ref.stats.l2_misses, 10000u);
+}
+
+const void* line_addr(u64 line) {
+  return reinterpret_cast<const void*>((line + 4096) * CacheSim::kLineBytes);
+}
+
+TEST(CacheSim, CopiesDivergeIndependently) {
+  CacheSim a;
+  Rng rng(5);
+  for (int i = 0; i < 50000; ++i) a.access(line_addr(rng.next_u64() % 20000), 8);
+  const CacheSim snapshot = a;
+  CacheSim b = a;
+  ASSERT_TRUE(a.same_state(b));
+
+  // Drive the two copies with different streams...
+  Rng ra(6), rb(7);
+  for (int i = 0; i < 50000; ++i) {
+    a.access(line_addr(ra.next_u64() % 20000), 8);
+    b.access(line_addr(30000 + rb.next_u64() % 20000), 8);
+  }
+  EXPECT_FALSE(a.same_state(b));
+  // ...then replay a's stream on a fresh copy of the snapshot: it must
+  // land on a's state and stats, untouched by everything b did.
+  CacheSim c = snapshot;
+  Rng rc(6);
+  for (int i = 0; i < 50000; ++i) c.access(line_addr(rc.next_u64() % 20000), 8);
+  EXPECT_TRUE(c.same_state(a));
+  EXPECT_EQ(c.stats().accesses, a.stats().accesses);
+  EXPECT_EQ(c.stats().l1_misses, a.stats().l1_misses);
+  EXPECT_EQ(c.stats().l2_misses, a.stats().l2_misses);
+}
+
+TEST(CacheSim, SameStateComparesRecencyOrderNotHistory) {
+  // Different histories, same resulting orders: L1 {0, 1}, L2 {1, 0}.
+  CacheSim x, y;
+  for (u64 line : {0, 1, 0}) x.access(line_addr(line), 1);
+  for (u64 line : {0, 1, 1, 0}) y.access(line_addr(line), 1);
+  EXPECT_TRUE(x.same_state(y));
+  EXPECT_NE(x.stats().accesses, y.stats().accesses);
+
+  // Same lines in a different order are a different state.
+  CacheSim z;
+  for (u64 line : {1, 0}) z.access(line_addr(line), 1);
+  EXPECT_FALSE(x.same_state(z));
+
+  // One differing access breaks equality.
+  CacheSim w = x;
+  ASSERT_TRUE(w.same_state(x));
+  w.access(line_addr(1), 1);
+  EXPECT_FALSE(w.same_state(x));
+  EXPECT_TRUE(CacheSim{}.same_state(CacheSim{}));
 }
 
 TEST(CtxMem, TallysMissOps) {

@@ -1,12 +1,16 @@
 // Whole-net graph compiler tests: fused-vs-unfused bit-exactness, residual
-// add fusion, joint-vs-greedy blocking, arena steady state, TuningCache v4
-// persistence, and the serve-tier graph-model surface (registry plan
-// sharing + budget eviction, ModelServer submit_graph contract).
+// add fusion, joint-vs-greedy blocking (and the incremental search's
+// exactness), per-conv TBL-vs-MLA pricing, the prover gate, arena steady
+// state, TuningCache v4 persistence, and the serve-tier graph-model surface
+// (registry plan sharing + budget eviction, ModelServer submit_graph
+// contract).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "common/workspace.h"
@@ -126,6 +130,136 @@ TEST(GraphPlan, JointSearchNeverLosesToGreedy) {
   const GraphPlan plan = GraphPlan::compile(g, fused_options()).value();
   ASSERT_GT(plan.greedy_cycles(), 0) << "joint search did not run";
   EXPECT_LE(plan.joint_cycles(), plan.greedy_cycles() * (1 + 1e-9));
+}
+
+ConvShape conv_shape(i64 in_c, i64 hw, i64 out_c, int kernel) {
+  ConvShape s;
+  s.batch = 1;
+  s.in_c = in_c;
+  s.in_h = s.in_w = hw;
+  s.out_c = out_c;
+  s.kernel = kernel;
+  s.stride = 1;
+  s.pad = kernel / 2;
+  return s;
+}
+
+TEST(GraphPlan, IncrementalJointSearchIsBitIdenticalToFullScoring) {
+  // A 2-bit TBL bottleneck chain at 28x28, on which trials' cache states
+  // rejoin the current assignment's at a later layer boundary, so the
+  // search stops them early (checked below). The objective values it
+  // reports must still equal full chained scoring of the same
+  // assignments, bit for bit.
+  using armkern::ArmKernel;
+  const std::vector<armkern::GraphSearchLayer> layers = {
+      {conv_shape(64, 28, 32, 1), 2, ArmKernel::kTblGemm},
+      {conv_shape(32, 28, 32, 3), 2, ArmKernel::kTblGemm},
+      {conv_shape(32, 28, 128, 1), 2, ArmKernel::kTblGemm},
+      {conv_shape(64, 28, 128, 1), 2, ArmKernel::kTblGemm},
+  };
+  const i64 exits_before = armkern::tile_search_stats().joint_early_exits;
+  const armkern::GraphSearchResult r = armkern::search_graph_blocking(layers);
+  EXPECT_GT(armkern::tile_search_stats().joint_early_exits, exits_before)
+      << "no trial stopped early; the chain does not exercise the exit";
+
+  std::vector<armkern::GemmBlocking> greedy;
+  for (const armkern::GraphSearchLayer& gl : layers)
+    greedy.push_back(armkern::search_blocking(gl.shape, gl.bits, gl.kernel));
+  EXPECT_EQ(std::bit_cast<u64>(r.joint_cycles),
+            std::bit_cast<u64>(armkern::score_graph_blocking(layers,
+                                                             r.blocking)));
+  EXPECT_EQ(std::bit_cast<u64>(r.greedy_cycles),
+            std::bit_cast<u64>(armkern::score_graph_blocking(layers, greedy)));
+  EXPECT_LT(r.joint_cycles, r.greedy_cycles) << "the search moved nothing";
+}
+
+/// One bottleneck block at a size where the kernel price is decisive.
+QnnGraph sized_bottleneck(int bits, i64 c, i64 hw, const Tensor<float>& x) {
+  QnnGraph g;
+  const auto in = g.add_input(c, hw);
+  add_bottleneck_block(g, in, c, c / 2, c * 2, 1, bits, 42);
+  EXPECT_TRUE(g.calibrate(x).ok());
+  return g;
+}
+
+// Default options plus the post-compile audit, which checks each plan's
+// declared packed-weight bytes against its containers (TBL's included).
+GraphPlanOptions audited() {
+  GraphPlanOptions o;
+  o.audit = true;
+  return o;
+}
+
+std::vector<armkern::ArmKernel> conv_kernels(const GraphPlan& plan) {
+  std::vector<armkern::ArmKernel> out;
+  for (i64 i = 0; i < plan.node_count(); ++i)
+    if (const armkern::ArmConvPlan* cp = plan.conv_plan(i))
+      out.push_back(cp->kernel);
+  return out;
+}
+
+// The compiled plan's output must memcmp-match a plan of the same graph
+// with every conv on the scalar reference rung.
+void expect_matches_reference(const QnnGraph& g, const GraphPlan& plan,
+                              const Tensor<float>& x) {
+  GraphPlanOptions ro;
+  ro.fusion = FusionMode::kOff;
+  ro.joint_search = false;
+  ro.algo = armkern::ConvAlgo::kReference;
+  const GraphPlan ref = GraphPlan::compile(g, ro).value();
+  Workspace a1, s1, a2, s2;
+  EXPECT_TRUE(same_bits(plan.forward(x, a1, s1).value().out,
+                        ref.forward(x, a2, s2).value().out));
+}
+
+TEST(GraphPlan, TwoBitConvsPriceToTbl) {
+  // 2-bit operands are always ternary, so TBL's pair path prices below
+  // MLA on every conv of the block.
+  const Tensor<float> x = random_ftensor(Shape4{1, 16, 14, 14}, -1, 1, 7);
+  const QnnGraph g = sized_bottleneck(2, 16, 14, x);
+  const GraphPlan plan = GraphPlan::compile(g, audited()).value();
+  const std::vector<armkern::ArmKernel> kernels = conv_kernels(plan);
+  ASSERT_EQ(kernels.size(), 4u);
+  for (size_t i = 0; i < kernels.size(); ++i)
+    EXPECT_EQ(kernels[i], armkern::ArmKernel::kTblGemm) << "conv " << i;
+  EXPECT_EQ(plan.fused_convs(), 4);
+  EXPECT_EQ(plan.conv_plan(0), nullptr) << "the input node is not a conv";
+  EXPECT_EQ(plan.conv_plan(-1), nullptr);
+  EXPECT_EQ(plan.conv_plan(plan.node_count()), nullptr);
+  expect_matches_reference(g, plan, x);
+}
+
+TEST(GraphPlan, ThreeBitNonTernaryConvsKeepMla) {
+  // Random 3-bit weights span -3..3, so TBL runs its one-value groups and
+  // loses to MLA on every conv of this block.
+  const Tensor<float> x = random_ftensor(Shape4{1, 32, 14, 14}, -1, 1, 7);
+  const QnnGraph g = sized_bottleneck(3, 32, 14, x);
+  const GraphPlan plan = GraphPlan::compile(g, audited()).value();
+  const std::vector<armkern::ArmKernel> kernels = conv_kernels(plan);
+  ASSERT_EQ(kernels.size(), 4u);
+  for (size_t i = 0; i < kernels.size(); ++i)
+    EXPECT_EQ(kernels[i], armkern::ArmKernel::kOursGemm) << "conv " << i;
+  expect_matches_reference(g, plan, x);
+}
+
+TEST(GraphPlan, CompileRunsTheProverGateOnEveryConv) {
+  // An 8-bit 1x1 conv deep enough to break SMLAL's i32 depth headroom:
+  // 127 * 127 * K > INT32_MAX once K > 133,144. core::plan_arm_conv rejects
+  // the layer; a graph holding it must not compile either.
+  constexpr i64 kDepth = 133'145;
+  QnnGraph g;
+  const auto in = g.add_input(kDepth, 1);
+  const Tensor<float> w =
+      random_ftensor(Shape4{4, kDepth, 1, 1}, -0.1f, 0.1f, 5);
+  g.add_conv(in, 4, 1, 1, 0, 8, w, {}, /*relu=*/false);
+  ASSERT_TRUE(
+      g.calibrate(random_ftensor(Shape4{1, kDepth, 1, 1}, -1, 1, 6)).ok());
+  const StatusOr<GraphPlan> plan = GraphPlan::compile(g);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvariantViolation);
+  EXPECT_NE(plan.status().to_string().find("smlal.i32-depth-headroom"),
+            std::string::npos)
+      << plan.status().to_string();
 }
 
 TEST(GraphPlan, ArenaReachesSteadyStateAfterFirstForward) {

@@ -146,22 +146,29 @@ TEST(PlanAuditMutation, AllFindingsCollectedAndStatusNamesFirst) {
 // ---------------------------------------------------------------------------
 
 TEST(PlanAudit, CompiledBottleneckGraphAuditsClean) {
-  core::QnnGraph g;
-  const auto in = g.add_input(8, 8);
-  core::add_bottleneck_block(g, in, 8, 4, 16, 1, /*bits=*/4, /*seed=*/42);
-  const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
-  ASSERT_TRUE(g.calibrate(x).ok());
+  // At 2 bit the first two convs of this block price to TBL, whose weights
+  // live in index and table containers rather than MLA panels; a graph
+  // mixing both kernels must audit clean.
+  for (const int bits : {2, 4}) {
+    SCOPED_TRACE(bits);
+    core::QnnGraph g;
+    const auto in = g.add_input(8, 8);
+    core::add_bottleneck_block(g, in, 8, 4, 16, 1, bits, /*seed=*/42);
+    const Tensor<float> x =
+        random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
+    ASSERT_TRUE(g.calibrate(x).ok());
 
-  core::GraphPlanOptions opt;
-  opt.fusion = core::FusionMode::kOn;
-  opt.algo = armkern::ConvAlgo::kGemm;
-  opt.audit = true;
-  const auto plan = core::GraphPlan::compile(g, opt);
-  ASSERT_TRUE(plan.ok()) << plan.status().message();
+    core::GraphPlanOptions opt;
+    opt.fusion = core::FusionMode::kOn;
+    opt.algo = armkern::ConvAlgo::kGemm;
+    opt.audit = true;
+    const auto plan = core::GraphPlan::compile(g, opt);
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
 
-  // The audited plan still executes (the audit is a read-only gate).
-  Workspace arena, scratch;
-  EXPECT_TRUE(plan.value().forward(x, arena, scratch).ok());
+    // The audited plan still executes (the audit is a read-only gate).
+    Workspace arena, scratch;
+    EXPECT_TRUE(plan.value().forward(x, arena, scratch).ok());
+  }
 }
 
 }  // namespace

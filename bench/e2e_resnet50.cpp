@@ -2,13 +2,16 @@
 // joint blocking) vs the per-layer unfused path on a shrunk ResNet-50
 // bottleneck stack and a DenseNet-style block graph, bits 2-8.
 //
-// Three things are checked per (graph, bits) row:
+// Four things are checked per (graph, bits) row:
 //
 //   * bit-exactness — the fused forward (FusionMode::kOn) must produce the
 //     IDENTICAL dequantized output as the unfused per-layer path
 //     (FusionMode::kOff): both run the same fixed-point requant arithmetic
 //     in the same order, so any difference is a fusion bug, not noise. The
 //     bench exits nonzero on the first mismatch.
+//   * fused <= unfused — fusion elides the i32 accumulator round trip, so
+//     the fused forward's modeled time must not exceed the per-layer
+//     path's.
 //   * joint-vs-greedy margin — the whole-net joint {Mc, Kc, Nc} search must
 //     never be worse than the per-layer-greedy seed under the chained
 //     cache-replay objective, and the aggregate margin is reported.
@@ -237,6 +240,13 @@ int main() {
                      "BIT-EXACT FAIL: %s at %d bits — fused output differs "
                      "from the unfused per-layer path\n",
                      gc.name, bits);
+        rc = 1;
+      }
+      if (rec.fused_s > rec.unfused_s) {
+        std::fprintf(stderr,
+                     "FUSION FAIL: %s at %d bits — fused %.9f s slower than "
+                     "unfused %.9f s\n",
+                     gc.name, bits, rec.fused_s, rec.unfused_s);
         rc = 1;
       }
       if (rec.joint_cycles > rec.greedy_cycles * (1 + 1e-9)) {

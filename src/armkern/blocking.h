@@ -108,6 +108,11 @@ struct BlockedLayout {
     return round_up(blk.nc, kNr) * (sdot ? round_up(blk.kc, 4) : blk.kc);
   }
   i64 block_bytes() const { return block_elems(); }
+  /// i32 elements of one worker's C band under a fused epilogue: the
+  /// partial-K sums of its current jc column block (m rows x Nc, row stride
+  /// Nc), reused across the worker's jc blocks. 0 when one K block covers
+  /// K: the epilogue then reads each finished micro tile directly.
+  i64 fused_band_elems() const { return k_blocks == 1 ? 0 : m * blk.nc; }
 };
 
 inline BlockedLayout blocked_layout(

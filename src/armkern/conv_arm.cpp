@@ -53,6 +53,15 @@ void tally_reference(Ctx& ctx, const ConvShape& s) {
 /// extension — see bench/ext_multicore_arm).
 constexpr double kThreadSyncCycles = 20000.0;
 
+// Blocked-driver geometry of a blocked GEMM plan at batch sb.batch.
+BlockedLayout plan_layout(const ArmConvPlan& p, const ConvShape& sb) {
+  const bool tbl = p.kernel == ArmKernel::kTblGemm;
+  return blocked_layout(sb.gemm_m(), sb.gemm_n(), sb.gemm_k(), p.blocking,
+                        p.kernel == ArmKernel::kSdotExt,
+                        tbl ? p.tbl_a.group : 0,
+                        tbl ? p.tbl_a.orient : TblOrientation::kActTables);
+}
+
 std::string shape4_str(const Shape4& sh) {
   std::ostringstream os;
   os << sh.n << 'x' << sh.c << 'x' << sh.h << 'x' << sh.w;
@@ -104,11 +113,7 @@ i64 ArmConvPlan::workspace_bytes(i64 batch) const {
     // Fused blocked path: no materialized im2col and no full packed-B
     // copy — only one live (Kc x Nc) block buffer per modeled worker,
     // plus the batch > 1 C staging.
-    const bool tbl = kernel == ArmKernel::kTblGemm;
-    const BlockedLayout lay = blocked_layout(
-        m, n, k, blocking, kernel == ArmKernel::kSdotExt,
-        tbl ? tbl_a.group : 0,
-        tbl ? tbl_a.orient : TblOrientation::kActTables);
+    const BlockedLayout lay = plan_layout(*this, sb);
     const int workers =
         blocked_threads(lay, requested.threads, requested.verify);
     i64 total = workers * workspace_rounded(lay.block_bytes());
@@ -127,6 +132,15 @@ i64 ArmConvPlan::workspace_bytes(i64 batch) const {
     total += workspace_rounded(packed_b_bytes(k, n));
   // kTraditional keeps its column-major B copy on its own heap block.
   return total;
+}
+
+i64 ArmConvPlan::fused_band_elems() const {
+  if (!blocking.enabled() || algo != ConvAlgo::kGemm ||
+      kernel == ArmKernel::kTraditional)
+    return 0;
+  const BlockedLayout lay = plan_layout(*this, shape);
+  return blocked_threads(lay, requested.threads, requested.verify) *
+         lay.fused_band_elems();
 }
 
 StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
@@ -382,7 +396,7 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
     // never materialized — each (Kc x Nc) B block is gathered straight
     // from the input tensor inside the blocked loop nest, so the live
     // activation scratch is one block buffer per modeled worker.
-    const i64 m = sb.gemm_m(), n = sb.gemm_n(), k = sb.gemm_k();
+    const i64 m = sb.gemm_m(), n = sb.gemm_n();
     res.out = Tensor<i32>(Shape4{sb.batch, sb.out_c, sb.out_h(), sb.out_w()});
     i32* cptr = res.out.data();
     if (sb.batch > 1) cptr = ws.alloc_n<i32>(m * n);
@@ -394,11 +408,7 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
         verifier->add_region(cptr, m * n * static_cast<i64>(sizeof(i32)),
                              "conv C staging");
     }
-    const bool tbl = kernel == ArmKernel::kTblGemm;
-    const BlockedLayout lay = blocked_layout(
-        m, n, k, plan.blocking, kernel == ArmKernel::kSdotExt,
-        tbl ? plan.tbl_a.group : 0,
-        tbl ? plan.tbl_a.orient : TblOrientation::kActTables);
+    const BlockedLayout lay = plan_layout(plan, sb);
     // Fig. 13 / 15 accounting: what the fused path holds instead of the
     // k x n im2col matrix.
     res.space.im2col_elems =
@@ -537,10 +547,11 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
 
 StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
                                              const i8* input, i32* c,
+                                             i64 c_elems,
                                              const TileEpilogue& epi,
                                              Workspace& ws) {
-  LBC_VALIDATE(input != nullptr && c != nullptr && epi.fn != nullptr,
-               kInvalidArgument, "execute_conv_fused: null operand");
+  LBC_VALIDATE(input != nullptr && epi.fn != nullptr, kInvalidArgument,
+               "execute_conv_fused: null operand");
   LBC_VALIDATE(plan.shape.batch == 1, kFailedPrecondition,
                "graph-fused execute is batch-1 (planned batch "
                    << plan.shape.batch << ")");
@@ -550,17 +561,35 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
                "plan's resolved rung (" << algo_name(plan.algo) << "/"
                    << (plan.blocking.enabled() ? "blocked" : "unblocked")
                    << ") is not the blocked fused-pack GEMM");
+  const i64 band = plan.fused_band_elems();
+  LBC_VALIDATE(c_elems >= band && (band == 0 || c != nullptr),
+               kInvalidArgument,
+               "execute_conv_fused: C band holds "
+                   << (c == nullptr ? 0 : c_elems)
+                   << " i32 elements, the plan needs " << band);
 
   const ConvShape& sb = plan.shape;
+  const int bits = plan.requested.bits;
   const CostModel cm = CostModel::cortex_a53();
   FusedConvResult res;
   res.space.baseline_elems = sb.activation_elems() + sb.weight_elems();
 
+  // Checked execution: the driver registers the packed operands, the C
+  // band, the epilogue output and the micro tile with this verifier.
+  std::unique_ptr<Verifier> verifier;
+  if (plan.requested.verify) {
+    verifier = std::make_unique<Verifier>();
+    const i32 q = qmax_for_bits(bits);
+    verifier->add_region(input, sb.activation_elems(), "conv input", -q, q,
+                         /*overread_slack=*/16);
+  }
+
   GemmOptions gopt;
-  gopt.bits = plan.requested.bits;
+  gopt.bits = bits;
   gopt.kernel = plan.kernel;
   gopt.threads = plan.requested.threads;
   gopt.workspace = &ws;
+  gopt.verifier = verifier.get();  // forces threads = 1 when set
   gopt.blocking = plan.blocking;
   gopt.epilogue = &epi;
   GemmStats gs;
@@ -571,13 +600,9 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
   else
     gs = gemm_s8s32_conv_fused(plan.gemm_a.view(), sb, input, c, gopt);
 
-  const bool tbl = plan.kernel == ArmKernel::kTblGemm;
-  const BlockedLayout lay = blocked_layout(
-      sb.gemm_m(), sb.gemm_n(), sb.gemm_k(), plan.blocking,
-      plan.kernel == ArmKernel::kSdotExt, tbl ? plan.tbl_a.group : 0,
-      tbl ? plan.tbl_a.orient : TblOrientation::kActTables);
+  const BlockedLayout lay = plan_layout(plan, sb);
   res.space.im2col_elems =
-      blocked_threads(lay, plan.requested.threads, /*verify=*/false) *
+      blocked_threads(lay, plan.requested.threads, plan.requested.verify) *
       lay.block_elems();
   res.space.pack_extra_elems = gs.pack_extra_elems;
   res.counts.merge(gs.counts);
@@ -589,6 +614,14 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
                cm.cycles_for(gs.serial_counts, gs.interleaved) +
                (gs.thread_counts.size() > 1 ? kThreadSyncCycles : 0.0);
   res.seconds = res.cycles / cm.freq_hz;
+
+  if (verifier != nullptr) {
+    Status vstatus = verifier->to_status();
+    if (!vstatus.ok())
+      return vstatus.with_context(
+          std::string("checked execution of fused ") +
+          algo_name(plan.algo) + " conv, bits=" + std::to_string(bits));
+  }
   return res;
 }
 

@@ -145,6 +145,11 @@ struct ArmConvPlan {
   /// Exact Workspace bytes one execute_conv at batch `batch` consumes
   /// (cache-line-rounded, matching Workspace accounting).
   i64 workspace_bytes(i64 batch) const;
+  /// i32 elements of the C band storage execute_conv_fused needs: one
+  /// gemm_m x Nc band per modeled worker, or 0 when one K block covers K
+  /// (the epilogue reads the micro tiles directly). 0 for plans that are
+  /// not on the blocked GEMM rung.
+  i64 fused_band_elems() const;
 };
 
 /// Resolve the ladder and prepack the weights. Errors:
@@ -178,17 +183,24 @@ struct FusedConvResult {
 /// Graph-fusion execute: run a blocked-GEMM plan against a raw NCHW i8
 /// activation buffer with `epi` applied to every C row segment right after
 /// its final Kc accumulation (requantize/ReLU/residual-add while the rows
-/// are cache-resident). `c` is caller-provided i32 scratch of gemm_m *
-/// gemm_n elements — after the call it holds the raw accumulators but is
-/// free to recycle. Unlike execute_conv, the Workspace is NOT reset: the
-/// graph runner owns the arena layout (liveness-planned activation slots
-/// below, per-node scratch above — released by Workspace::rewind).
-/// Errors: kFailedPrecondition when the plan's resolved rung is not the
-/// blocked fused-pack GEMM (winograd/bitserial/direct/reference/unblocked
-/// plans execute unfused via execute_conv), or when the planned batch != 1
-/// (graph forward is batch-1).
+/// are cache-resident). No gemm_m x gemm_n i32 tensor exists: `c` is
+/// caller-provided scratch of `c_elems` i32 elements holding the partial-K
+/// C bands, of which the plan needs fused_band_elems() (0 when one K block
+/// covers K; `c` may then be null). Its contents after the call are
+/// unspecified. Unlike execute_conv, the Workspace is NOT reset: the graph
+/// runner owns the arena layout (liveness-planned activation slots below,
+/// per-node scratch above — released by Workspace::rewind). With
+/// plan.requested.verify the run is checked: input, C band, epilogue
+/// output and micro tile are registered with one verifier.
+/// Errors: kInvalidArgument for a null operand or a band smaller than
+/// fused_band_elems(); kFailedPrecondition when the plan's resolved rung is
+/// not the blocked fused-pack GEMM (winograd/bitserial/direct/reference/
+/// unblocked plans execute unfused via execute_conv), or when the planned
+/// batch != 1 (graph forward is batch-1); kInvariantViolation when checked
+/// execution finds a violation.
 StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
                                              const i8* input, i32* c,
+                                             i64 c_elems,
                                              const TileEpilogue& epi,
                                              Workspace& ws);
 

@@ -17,6 +17,12 @@
 // block's stores ride on the micro kernel's ST1s exactly like the
 // unblocked scatter.
 //
+// With a fused epilogue there is no m x n C matrix. Each worker keeps the
+// partial-K sums of its current jc block in an m x Nc band, reused across
+// its jc blocks, and hands each row segment to the epilogue after the last
+// K block. When one K block covers K there is no band either: the epilogue
+// reads the finished micro tile directly.
+//
 // Under checked execution the per-(jc, kcb) B block is re-registered with
 // the verifier before each pack (same-start registration replaces), so
 // bounds always describe the live block extent.
@@ -53,11 +59,69 @@ struct BSource {
   const i8* input = nullptr;
 };
 
+// Where the C row segments of one jc block live: the full m x n matrix
+// (standalone), the worker's m x Nc band indexed from the block's first
+// column (fused, k_blocks > 1), or nowhere (fused, one K block: base is
+// null and the epilogue reads the tile).
+struct CTarget {
+  i32* base = nullptr;
+  i64 ld = 0;    ///< row stride in elements
+  i64 col0 = 0;  ///< C column stored at band column 0
+  i32* at(i64 row, i64 col) const { return base + row * ld + (col - col0); }
+};
+
+// Hand one finished micro tile to C: element (ii, jj) is tile[ii * rs +
+// jj * cs], C row row0 + ii, column col0 + jj. Assigns on the first K
+// block and accumulates after it (re-loading and adding `vecs` i32x4
+// vectors per row); after the last K block each row segment goes straight
+// on to the fused epilogue, if any, while it is cache-resident.
+void write_tile(Ctx& ctx, const BlockedLayout& lay, const GemmOptions& opt,
+                const CTarget& c, const i32* tile, i64 rs, i64 cs, u64 vecs,
+                i64 row0, i64 col0, i64 rows, i64 cols, i64 kcb) {
+  const TileEpilogue* epi =
+      kcb == lay.k_blocks - 1 ? opt.epilogue : nullptr;
+  alignas(64) i32 direct[16] = {};  // a tile row, when there is no C
+  for (i64 ii = 0; ii < rows; ++ii) {
+    const i64 row = row0 + ii;
+    const i32* acc = direct;
+    if (c.base != nullptr) {
+      i32* crow = c.at(row, col0);
+      ctx.mem(crow, static_cast<u64>(cols) * 4);
+      if (kcb == 0)
+        for (i64 jj = 0; jj < cols; ++jj) crow[jj] = tile[ii * rs + jj * cs];
+      else
+        for (i64 jj = 0; jj < cols; ++jj) crow[jj] += tile[ii * rs + jj * cs];
+      acc = crow;
+    } else if (epi != nullptr) {
+      for (i64 jj = 0; jj < cols; ++jj) direct[jj] = tile[ii * rs + jj * cs];
+    }
+    if (epi != nullptr) {
+      epi->fn(row, col0, cols, acc);
+      if (epi->out_base != nullptr)
+        ctx.mem(epi->out_base + row * epi->row_stride + col0,
+                static_cast<u64>(cols));
+    }
+  }
+  if (c.base != nullptr && kcb > 0 && rows > 0) {
+    // Accumulating a partial-K tile re-loads the C rows and adds them in
+    // (the first K block's stores come free with the micro kernel's ST1s,
+    // same as the unblocked scatter).
+    ctx.tally(Op::kLd1, static_cast<u64>(rows) * vecs);
+    ctx.tally(Op::kAdd, static_cast<u64>(rows) * vecs);
+  }
+  if (epi != nullptr) {
+    // Fused epilogue cost: the fixed-point multiply + clamp per element and
+    // the narrow i8 store per row.
+    ctx.tally(Op::kScalar, static_cast<u64>(rows * cols) * 2);
+    ctx.tally(Op::kSt1, static_cast<u64>(rows));
+  }
+}
+
 // kWeightTables inner sweep for one packed (jc, kcb) block: 4 x 16
 // row-major tiles (a slot is a C row, a lane a C column) against the
 // offline weight tables, with the same assign/accumulate + fused-epilogue
 // discipline as the column-major sweep below.
-void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, i32* c,
+void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, const CTarget& c,
                       const BlockedLayout& lay, const GemmOptions& opt,
                       const i8* buf, i32* tile, i64 n0, i64 nc, i64 k0,
                       i64 kcb) {
@@ -81,32 +145,13 @@ void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, i32* c,
         const i64 row0 = p * 4;
         const i64 col0 = n0 + q * 16;
         const i64 rows = std::min<i64>(4, lay.m - row0);
-        const i64 cols = std::min<i64>(16, lay.n - col0);
-        for (i64 ii = 0; ii < rows; ++ii) {
-          i32* crow = &c[(row0 + ii) * lay.n + col0];
-          ctx.mem(crow, static_cast<u64>(cols) * 4);
-          if (kcb == 0)
-            for (i64 jj = 0; jj < cols; ++jj) crow[jj] = tile[ii * 16 + jj];
-          else
-            for (i64 jj = 0; jj < cols; ++jj) crow[jj] += tile[ii * 16 + jj];
-        }
-        if (kcb > 0 && rows > 0) {
-          // Re-load + add of a 16-col i32 row span is four vectors.
-          ctx.tally(Op::kLd1, static_cast<u64>(rows) * 4);
-          ctx.tally(Op::kAdd, static_cast<u64>(rows) * 4);
-        }
-        if (kcb == lay.k_blocks - 1 && opt.epilogue != nullptr) {
-          const TileEpilogue& epi = *opt.epilogue;
-          for (i64 ii = 0; ii < rows; ++ii) {
-            const i64 row = row0 + ii;
-            epi.fn(row, col0, cols, &c[row * lay.n + col0]);
-            if (epi.out_base != nullptr)
-              ctx.mem(epi.out_base + row * epi.row_stride + col0,
-                      static_cast<u64>(cols));
-          }
-          ctx.tally(Op::kScalar, static_cast<u64>(rows * cols) * 2);
-          ctx.tally(Op::kSt1, static_cast<u64>(rows));
-        }
+        // Clip at the band end, not at n: when Nc % 16 != 0 the band's last
+        // tile is partly padding, and the columns past n0 + nc belong to the
+        // next band (another worker's, or the next rows of a fused band).
+        const i64 cols = std::min<i64>(16, n0 + nc - col0);
+        // A 16-col i32 row span re-loads as four vectors.
+        write_tile(ctx, lay, opt, c, tile, 16, 1, 4, row0, col0, rows, cols,
+                   kcb);
       }
     }
   }
@@ -130,6 +175,9 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
     const i64 n0 = jc * lay.blk.nc;
     const i64 nc = lay.nc_eff(jc);
     const i64 nc_pad = round_up(nc, kNr);
+    CTarget ct{c, lay.n, 0};
+    if (opt.epilogue != nullptr)
+      ct = lay.k_blocks > 1 ? CTarget{c, lay.blk.nc, n0} : CTarget{};
     for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb) {
       const i64 k0 = kcb * lay.blk.kc;
       const i64 kc = lay.kc_eff(kcb);
@@ -167,7 +215,7 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
           else
             pack_tbl_b_idx_from_conv(&ctx, bits, lay.tbl_group, *src.shape,
                                      src.input, k0, kc, n0, nc, idx_dst);
-          run_tbl_wt_block(ctx, *ta, c, lay, opt, buf, tile, n0, nc, k0,
+          run_tbl_wt_block(ctx, *ta, ct, lay, opt, buf, tile, n0, nc, k0,
                            kcb);
           continue;
         }
@@ -234,40 +282,10 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
             const i64 row0 = p * kMr;
             const i64 col0 = n0 + q * kNr;
             const i64 rows = std::min<i64>(kMr, lay.m - row0);
-            const i64 cols = std::min<i64>(kNr, lay.n - col0);
-            for (i64 ii = 0; ii < rows; ++ii) {
-              i32* crow = &c[(row0 + ii) * lay.n + col0];
-              ctx.mem(crow, static_cast<u64>(cols) * 4);
-              if (kcb == 0)
-                for (i64 jj = 0; jj < cols; ++jj) crow[jj] = tile[jj * kMr + ii];
-              else
-                for (i64 jj = 0; jj < cols; ++jj)
-                  crow[jj] += tile[jj * kMr + ii];
-            }
-            if (kcb > 0 && rows > 0) {
-              // Accumulating a partial-K tile re-loads the C rows and adds
-              // them in (the first K block's stores come free with the
-              // micro kernel's ST1s, same as the unblocked scatter).
-              ctx.tally(Op::kLd1, static_cast<u64>(rows));
-              ctx.tally(Op::kAdd, static_cast<u64>(rows));
-            }
-            if (kcb == lay.k_blocks - 1 && opt.epilogue != nullptr) {
-              // Fused epilogue: this segment just received its final Kc
-              // accumulation and is still cache-resident — requantize /
-              // ReLU / residual-add here instead of round-tripping the i32
-              // tensor through memory. Cost: the fixed-point multiply +
-              // clamp per element and the narrow i8 store per row.
-              const TileEpilogue& epi = *opt.epilogue;
-              for (i64 ii = 0; ii < rows; ++ii) {
-                const i64 row = row0 + ii;
-                epi.fn(row, col0, cols, &c[row * lay.n + col0]);
-                if (epi.out_base != nullptr)
-                  ctx.mem(epi.out_base + row * epi.row_stride + col0,
-                          static_cast<u64>(cols));
-              }
-              ctx.tally(Op::kScalar, static_cast<u64>(rows * cols) * 2);
-              ctx.tally(Op::kSt1, static_cast<u64>(rows));
-            }
+            const i64 cols = std::min<i64>(kNr, n0 + nc - col0);
+            // Column-major tile; a 4-col i32 row span is one vector.
+            write_tile(ctx, lay, opt, ct, tile, 1, kMr, 1, row0, col0, rows,
+                       cols, kcb);
           }
         }
       }
@@ -289,6 +307,10 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
   LBC_CHECK_MSG(!lay.tbl() || lay.k_blocks == 1 ||
                     lay.blk.kc % lay.tbl_group == 0,
                 "TBL blocked Kc must be a multiple of the pair group");
+
+  // With a fused epilogue `c` holds one C band per worker (none when one K
+  // block covers K); otherwise it is the m x n matrix all workers share.
+  const i64 band = opt.epilogue != nullptr ? lay.fused_band_elems() : 0;
 
   GemmStats stats;
   // Padding accounting matches the unblocked drivers: block partitioning
@@ -326,8 +348,12 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
                                -qa, qa);
     if (src.b != nullptr)
       opt.verifier->add_region(src.b, k * n, "gemm B", -qb, qb);
-    opt.verifier->add_region(c, m * n * static_cast<i64>(sizeof(i32)),
-                             "gemm C");
+    if (opt.epilogue == nullptr)
+      opt.verifier->add_region(c, m * n * static_cast<i64>(sizeof(i32)),
+                               "gemm C");
+    else if (band > 0)  // checked execution runs one worker, so one band
+      opt.verifier->add_region(c, band * static_cast<i64>(sizeof(i32)),
+                               "fused C band");
     if (opt.epilogue != nullptr && opt.epilogue->out_base != nullptr)
       opt.verifier->add_region(
           opt.epilogue->out_base,
@@ -366,8 +392,8 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
             const i64 jc1 = std::min<i64>(lay.n_blocks, jc0 + per);
             if (jc0 < jc1)
               run_block_range(ctxs[static_cast<size_t>(t)], pa, sa, ta, src,
-                              c, lay, opt, bufs[static_cast<size_t>(t)], jc0,
-                              jc1);
+                              band > 0 ? c + t * band : c, lay, opt,
+                              bufs[static_cast<size_t>(t)], jc0, jc1);
           }
         });
     for (const auto& cx : ctxs) {

@@ -42,15 +42,17 @@ enum class ArmKernel {
 /// Epilogue hook of the blocked driver (the ARM twin of gpukern/fusion):
 /// after a C row segment receives its final Kc accumulation, the driver
 /// hands the still-cache-resident i32 accumulators to `fn` so requantize /
-/// ReLU / residual-add can run before the rows are ever evicted — the
-/// intermediate i32 tensor never round-trips through memory. `fn(row,
-/// col0, cols, acc)` sees the final values C[row][col0 .. col0+cols);
-/// it must not touch C outside that segment. Under multi-threaded runs
-/// segments from disjoint jc column bands are delivered concurrently, so
-/// `fn` must only write per-(row, col) outputs. The driver tallies the
-/// epilogue's fixed-point math and i8 stores into the calling worker's
-/// counters; the bytes written to `out_base` (when set) go through the
-/// cache model so the fused traffic is measured, not asserted.
+/// ReLU / residual-add can run before the rows are ever evicted — no m x n
+/// i32 tensor exists at all. `fn(row, col0, cols, acc)` sees the final
+/// values C[row][col0 .. col0+cols) in `acc`: a row of the calling
+/// worker's C band (GemmOptions::epilogue), or a row gathered from the
+/// micro tile when one K block covers K. `acc` is valid only during the
+/// call and must not be written. Under multi-threaded runs segments from
+/// disjoint jc column bands are delivered concurrently, so `fn` must only
+/// write per-(row, col) outputs. The driver tallies the epilogue's
+/// fixed-point math and i8 stores into the calling worker's counters; the
+/// bytes written to `out_base` (when set) go through the cache model so the
+/// fused traffic is measured, not asserted.
 struct TileEpilogue {
   std::function<void(i64 row, i64 col0, i64 cols, const i32* acc)> fn;
   /// i8 output buffer the epilogue writes, laid out out[row * row_stride +
@@ -96,7 +98,11 @@ struct GemmOptions {
   /// C — bit-exact with the unblocked sweep. Ignored by kTraditional.
   GemmBlocking blocking;
   /// Fused epilogue (blocked driver only): invoked on each C row segment
-  /// right after its final Kc accumulation. nullptr = no epilogue.
+  /// right after its final Kc accumulation. nullptr = no epilogue. When
+  /// set, the `c` argument of the GEMM entry is not the m x n matrix but
+  /// the C bands: blocked_threads() x BlockedLayout::fused_band_elems()
+  /// i32 elements (one m x Nc band per worker; none, and `c` may be null,
+  /// when one K block covers K).
   const TileEpilogue* epilogue = nullptr;
 };
 

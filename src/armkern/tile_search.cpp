@@ -135,6 +135,34 @@ struct ReplayBases {
   u64 out = 0;  ///< fused-epilogue i8 output; 0 = not modeled
 };
 
+// Byte address of C element (row, col) of jc block n0 under `schedule`,
+// mirroring gemm_blocked.cpp: the m x n matrix (standalone), the worker's
+// m x Nc band (fused, k_blocks > 1), or 0 — no C at all (fused, one K
+// block: the epilogue reads the micro tile).
+u64 c_addr(const BlockedLayout& lay, BlockedSchedule schedule, u64 base,
+           i64 n0, i64 row, i64 col) {
+  if (schedule == BlockedSchedule::kStandalone)
+    return base + static_cast<u64>((row * lay.n + col) * 4);
+  if (lay.k_blocks == 1) return 0;
+  return base + static_cast<u64>((row * lay.blk.nc + col - n0) * 4);
+}
+
+// The writeback of one finished micro tile, in the driver's order: per
+// row, the C row segment (unless there is no C), then on the last K block
+// the epilogue's i8 output row (when modeled).
+void replay_writeback(Replay& r, const BlockedLayout& lay,
+                      BlockedSchedule schedule, const ReplayBases& bases,
+                      i64 n0, i64 kcb, i64 row0, i64 col0, i64 rows,
+                      i64 cols) {
+  for (i64 ii = 0; ii < rows; ++ii) {
+    const u64 c = c_addr(lay, schedule, bases.c, n0, row0 + ii, col0);
+    if (c != 0) r.touch(c, static_cast<u64>(cols) * 4);
+    if (kcb == lay.k_blocks - 1 && bases.out != 0)
+      r.touch(bases.out + static_cast<u64>((row0 + ii) * lay.n + col0),
+              static_cast<u64>(cols));
+  }
+}
+
 // Touch the input spans the fused gather of block (k0..k0+kc) x
 // (n0..n0+nc) reads — same span logic as pack.cpp's touch_conv_gather,
 // against the synthetic input base.
@@ -176,7 +204,8 @@ void replay_gather(Replay& r, const ConvShape& s, u64 base_in, i64 k0, i64 kc,
 // graph replay); the per-block deltas are measured against it.
 ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
                                 const BlockedLayout& lay,
-                                const ReplayBases& bases) {
+                                const ReplayBases& bases,
+                                BlockedSchedule schedule) {
   const bool tbl_wt =
       lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
   const i64 k_groups_total =
@@ -221,17 +250,9 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
             r.touch(kBaseTile, kMr * kNr * 4);  // micro ST1s into the tile
             const i64 row0 = p * 4;
             const i64 col0 = n0 + q * 16;
-            const i64 rows = std::min<i64>(4, lay.m - row0);
-            const i64 cols = std::min<i64>(16, lay.n - col0);
-            for (i64 ii = 0; ii < rows; ++ii) {
-              r.touch(bases.c +
-                          static_cast<u64>(((row0 + ii) * lay.n + col0) * 4),
-                      static_cast<u64>(cols) * 4);
-              if (kcb == lay.k_blocks - 1 && bases.out != 0)
-                r.touch(
-                    bases.out + static_cast<u64>((row0 + ii) * lay.n + col0),
-                    static_cast<u64>(cols));
-            }
+            replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
+                             std::min<i64>(4, lay.m - row0),
+                             std::min<i64>(16, n0 + nc - col0));
           }
         }
         continue;
@@ -270,18 +291,11 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
           r.touch(kBaseTile, kMr * kNr * 4);  // micro ST1s into the tile
           const i64 row0 = p * kMr;
           const i64 col0 = n0 + q * kNr;
-          const i64 rows = std::min<i64>(kMr, lay.m - row0);
-          const i64 cols = std::min<i64>(kNr, lay.n - col0);
-          for (i64 ii = 0; ii < rows; ++ii) {
-            r.touch(bases.c + static_cast<u64>(((row0 + ii) * lay.n + col0) * 4),
-                    static_cast<u64>(cols) * 4);
-            // Fused epilogue: the final-Kc writeback also stores the
-            // requantized i8 row segment — those lines are what the next
-            // layer's gather finds warm.
-            if (kcb == lay.k_blocks - 1 && bases.out != 0)
-              r.touch(bases.out + static_cast<u64>((row0 + ii) * lay.n + col0),
-                      static_cast<u64>(cols));
-          }
+          // The epilogue's i8 output lines are what the next layer's gather
+          // finds warm.
+          replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
+                           std::min<i64>(kMr, lay.m - row0),
+                           std::min<i64>(kNr, n0 + nc - col0));
         }
       }
     }
@@ -301,22 +315,28 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
   return misses;
 }
 
-ReplayMisses replay_schedule(const ConvShape& s, const BlockedLayout& lay) {
-  Replay r;
-  return replay_schedule_at(r, s, lay, ReplayBases{});
-}
-
-ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay) {
+// Cold-cache replay of one layer under `schedule` (the fused schedule
+// also writes the epilogue's output), memoized.
+ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
+                             BlockedSchedule schedule) {
+  const bool fused = schedule == BlockedSchedule::kFused;
   std::ostringstream os;
   os << geometry_key(s) << "|kc" << lay.blk.kc << "nc" << lay.blk.nc
      << (lay.sdot ? "|sdot" : "");
   if (lay.tbl())
     os << (lay.tbl_orient == TblOrientation::kActTables ? "|tblA" : "|tblB")
        << lay.tbl_group;
+  if (fused) os << "|fused";
   const std::string key = os.str();
   const auto it = g_replays.find(key);
   if (it != g_replays.end()) return it->second;
-  const ReplayMisses m = replay_schedule(s, lay);
+  // The fused replay writes the epilogue's output where a chain's layer 0
+  // does, so the cold per-layer fused score equals a one-layer chained
+  // score.
+  ReplayBases bases;
+  if (fused) bases.out = kBaseIn + kLayerStride;
+  Replay r;
+  const ReplayMisses m = replay_schedule_at(r, s, lay, bases, schedule);
   g_replays.emplace(key, m);
   return m;
 }
@@ -405,13 +425,13 @@ Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
 
 // Assumes g_mu is held (the replay memo is shared).
 double score_locked(const ConvShape& s, int bits, ArmKernel kernel,
-                    const GemmBlocking& blocking) {
+                    const GemmBlocking& blocking, BlockedSchedule schedule) {
   const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
   const BlockedLayout lay = layout_for(m, n, k, blocking, kernel, bits);
 
-  Counters counts =
-      issue_counts(s, bits, kernel, lay, /*fused_epilogue=*/false);
-  const ReplayMisses misses = replay_memoized(s, lay);
+  Counters counts = issue_counts(s, bits, kernel, lay,
+                                 schedule == BlockedSchedule::kFused);
+  const ReplayMisses misses = replay_memoized(s, lay, schedule);
   counts[Op::kL1Miss] += misses.l1;
   counts[Op::kL2Miss] += misses.l2;
   return CostModel::cortex_a53().cycles_for(counts, /*interleaved=*/true);
@@ -425,7 +445,8 @@ double score_locked(const ConvShape& s, int bits, ArmKernel kernel,
 // buffers). Both the plain scorer and the incremental search go through
 // this one function.
 double score_graph_layer(Replay& r, const std::vector<GraphSearchLayer>& layers,
-                         size_t i, const GemmBlocking& blocking) {
+                         size_t i, const GemmBlocking& blocking,
+                         BlockedSchedule schedule) {
   const GraphSearchLayer& gl = layers[i];
   const BlockedLayout lay =
       layout_for(gl.shape.gemm_m(), gl.shape.gemm_n(), gl.shape.gemm_k(),
@@ -436,7 +457,8 @@ double score_graph_layer(Replay& r, const std::vector<GraphSearchLayer>& layers,
   bases.out = kBaseIn + static_cast<u64>(i + 1) * kLayerStride;
   Counters counts =
       issue_counts(gl.shape, gl.bits, gl.kernel, lay, /*fused_epilogue=*/true);
-  const ReplayMisses misses = replay_schedule_at(r, gl.shape, lay, bases);
+  const ReplayMisses misses =
+      replay_schedule_at(r, gl.shape, lay, bases, schedule);
   counts[Op::kL1Miss] += misses.l1;
   counts[Op::kL2Miss] += misses.l2;
   return CostModel::cortex_a53().cycles_for(counts, /*interleaved=*/true);
@@ -454,13 +476,14 @@ double sum_in_order(const std::vector<double>& cycles) {
 // Whole-net objective of a full assignment. No memoization — the misses
 // depend on the whole assignment.
 double score_graph(const std::vector<GraphSearchLayer>& layers,
-                   const std::vector<GemmBlocking>& blocking) {
+                   const std::vector<GemmBlocking>& blocking,
+                   BlockedSchedule schedule) {
   LBC_CHECK_MSG(layers.size() == blocking.size(),
                 "score_graph: one blocking per layer required");
   Replay r;
   std::vector<double> cycles(layers.size());
   for (size_t i = 0; i < layers.size(); ++i)
-    cycles[i] = score_graph_layer(r, layers, i, blocking[i]);
+    cycles[i] = score_graph_layer(r, layers, i, blocking[i], schedule);
   return sum_in_order(cycles);
 }
 
@@ -507,12 +530,13 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
 }
 
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
-                      const GemmBlocking& blocking) {
+                      const GemmBlocking& blocking, BlockedSchedule schedule) {
   std::lock_guard<std::mutex> lock(g_mu);
-  return score_locked(s, bits, kernel, blocking);
+  return score_locked(s, bits, kernel, blocking, schedule);
 }
 
-GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel) {
+GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
+                             BlockedSchedule schedule) {
   const bool sdot = kernel == ArmKernel::kSdotExt;
   const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
   const int tblg =
@@ -524,6 +548,7 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel) {
   std::ostringstream os;
   os << geometry_key(s) << "|b" << bits << "|sch"
      << blocking_scheme_id(kernel, bits);
+  if (schedule == BlockedSchedule::kFused) os << "|fused";
   const std::string key = os.str();
 
   std::lock_guard<std::mutex> lock(g_mu);
@@ -537,16 +562,17 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel) {
   // Kc x Nc bounds the L1-resident B block (<= 32 KB for every candidate);
   // Mc bounds the A rows swept per L2 refill.
   std::vector<GemmBlocking> candidates;
+  const auto add = [&](i64 mc, i64 kc, i64 nc) {
+    const GemmBlocking cand =
+        clamp_blocking(GemmBlocking{mc, kc, nc}, m, n, k, sdot, tblg);
+    if (std::find(candidates.begin(), candidates.end(), cand) ==
+        candidates.end())
+      candidates.push_back(cand);
+  };
   candidates.push_back(default_blocking(m, n, k, sdot));
   for (const i64 mc : {64, 128})
     for (const i64 kc : {64, 128, 256})
-      for (const i64 nc : {32, 64, 128}) {
-        const GemmBlocking cand =
-            clamp_blocking(GemmBlocking{mc, kc, nc}, m, n, k, sdot, tblg);
-        if (std::find(candidates.begin(), candidates.end(), cand) ==
-            candidates.end())
-          candidates.push_back(cand);
-      }
+      for (const i64 nc : {32, 64, 128}) add(mc, kc, nc);
   if (tblg != 0) {
     // TBL-specific extensions. The weight-tables orientation streams its
     // offline table set once per column pass, so wide Nc (up to the full
@@ -557,19 +583,25 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel) {
     // schemes' memoized winners (and the baselines built on them) stable.
     for (const i64 mc : {64, 128})
       for (const i64 kc : {96, 128, 192, 256})
-        for (const i64 nc : {i64{32}, i64{256}, i64{512}, n}) {
-          const GemmBlocking cand =
-              clamp_blocking(GemmBlocking{mc, kc, nc}, m, n, k, sdot, tblg);
-          if (std::find(candidates.begin(), candidates.end(), cand) ==
-              candidates.end())
-            candidates.push_back(cand);
-        }
+        for (const i64 nc : {i64{32}, i64{256}, i64{512}, n}) add(mc, kc, nc);
+  }
+  if (schedule == BlockedSchedule::kFused) {
+    // Deep Kc / narrow Nc. Under the standalone schedule these pay for an
+    // m x n C matrix swept once per Kc block; the fused driver has no such
+    // matrix — a single K block (Kc = K) skips C altogether, and a narrow
+    // band keeps the partial sums of a deep Kc L1/L2-resident. A deep Kc
+    // with a wider Nc outgrows the 32 KB L1; the replay prices that. Kc
+    // stops at 4096, the largest block dimension a TuningCache row
+    // accepts, so every joint pick persists.
+    for (const i64 mc : {64, 128})
+      for (const i64 kc : {std::min<i64>(k, 4096), i64{384}, i64{512}})
+        for (const i64 nc : {4, 8, 16, 32, 64}) add(mc, kc, nc);
   }
 
   GemmBlocking best = candidates.front();
-  double best_score = score_locked(s, bits, kernel, best);
+  double best_score = score_locked(s, bits, kernel, best, schedule);
   for (size_t i = 1; i < candidates.size(); ++i) {
-    const double sc = score_locked(s, bits, kernel, candidates[i]);
+    const double sc = score_locked(s, bits, kernel, candidates[i], schedule);
     if (sc < best_score) {
       best_score = sc;
       best = candidates[i];
@@ -579,12 +611,15 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel) {
   return best;
 }
 
-ArmKernel choose_gemm_kernel(const ConvShape& s, int bits) {
+ArmKernel choose_gemm_kernel(const ConvShape& s, int bits,
+                             BlockedSchedule schedule) {
   if (!tbl_eligible_for(bits)) return ArmKernel::kOursGemm;
-  const GemmBlocking mla = search_blocking(s, bits, ArmKernel::kOursGemm);
-  const GemmBlocking tbl = search_blocking(s, bits, ArmKernel::kTblGemm);
-  return score_blocking(s, bits, ArmKernel::kTblGemm, tbl) <
-                 score_blocking(s, bits, ArmKernel::kOursGemm, mla)
+  const GemmBlocking mla =
+      search_blocking(s, bits, ArmKernel::kOursGemm, schedule);
+  const GemmBlocking tbl =
+      search_blocking(s, bits, ArmKernel::kTblGemm, schedule);
+  return score_blocking(s, bits, ArmKernel::kTblGemm, tbl, schedule) <
+                 score_blocking(s, bits, ArmKernel::kOursGemm, mla, schedule)
              ? ArmKernel::kTblGemm
              : ArmKernel::kOursGemm;
 }
@@ -595,8 +630,9 @@ TileSearchStats tile_search_stats() {
 }
 
 double score_graph_blocking(const std::vector<GraphSearchLayer>& layers,
-                            const std::vector<GemmBlocking>& blocking) {
-  return score_graph(layers, blocking);
+                            const std::vector<GemmBlocking>& blocking,
+                            BlockedSchedule schedule) {
+  return score_graph(layers, blocking, schedule);
 }
 
 u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
@@ -607,6 +643,10 @@ u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
       h *= 1099511628211ull;
     }
   };
+  // Revision of the fused schedule the joint rows are priced for: 2 since
+  // the driver keeps per-worker C bands (or none) instead of the m x n C.
+  constexpr i64 kFusedScheduleRevision = 2;
+  mix(kFusedScheduleRevision);
   mix(static_cast<i64>(layers.size()));
   for (const GraphSearchLayer& gl : layers) {
     const ConvShape& s = gl.shape;
@@ -621,7 +661,7 @@ u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
 }
 
 GraphSearchResult search_graph_blocking(
-    const std::vector<GraphSearchLayer>& layers) {
+    const std::vector<GraphSearchLayer>& layers, BlockedSchedule schedule) {
   GraphSearchResult res;
   if (layers.empty()) return res;
 
@@ -639,7 +679,8 @@ GraphSearchResult search_graph_blocking(
             ? tbl_group_for(choose_tbl_orientation(m, n, k, gl.bits, false),
                             gl.bits, false)
             : 0;
-    const GemmBlocking greedy = search_blocking(gl.shape, gl.bits, gl.kernel);
+    const GemmBlocking greedy =
+        search_blocking(gl.shape, gl.bits, gl.kernel, schedule);
     current.push_back(greedy);
     std::vector<GemmBlocking>& cc = cands[i];
     cc.push_back(greedy);
@@ -660,7 +701,7 @@ GraphSearchResult search_graph_blocking(
     Replay r;
     for (size_t i = 0; i < n_layers; ++i) {
       cur.entry[i] = r;
-      cur.cycles[i] = score_graph_layer(r, layers, i, current[i]);
+      cur.cycles[i] = score_graph_layer(r, layers, i, current[i], schedule);
     }
   }
   res.greedy_cycles = sum_in_order(cur.cycles);
@@ -689,8 +730,8 @@ GraphSearchResult search_graph_blocking(
         trial.cycles = cur.cycles;
         size_t j = i;
         while (true) {
-          trial.cycles[j] =
-              score_graph_layer(r, layers, j, j == i ? cand : current[j]);
+          trial.cycles[j] = score_graph_layer(
+              r, layers, j, j == i ? cand : current[j], schedule);
           if (++j == n_layers) break;
           if (r.sim.same_state(cur.entry[j].sim)) {
             ++early_exits;

@@ -26,17 +26,34 @@
 
 namespace lbc::armkern {
 
-/// Modeled total cycles of one clamped blocking candidate for the fused
-/// conv GEMM (exposed for tests and the ablation bench).
+/// The blocked driver's two schedules (gemm_blocked.cpp), which a blocking
+/// is priced for.
+enum class BlockedSchedule {
+  /// No epilogue (execute_conv): partial-K sums accumulate in the m x n
+  /// i32 C matrix.
+  kStandalone,
+  /// With a TileEpilogue (execute_conv_fused): C is one m x Nc band per
+  /// worker, or absent when Kc covers K, and the epilogue writes the i8
+  /// output. Its grid adds deep-Kc / narrow-Nc candidates, which pay only
+  /// once the C matrix is gone.
+  kFused,
+};
+
+/// Modeled total cycles of one clamped blocking candidate for the
+/// fused-pack conv GEMM under `schedule`, replayed against a cold cache
+/// (exposed for tests and the ablation bench).
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
-                      const GemmBlocking& blocking);
+                      const GemmBlocking& blocking,
+                      BlockedSchedule schedule = BlockedSchedule::kStandalone);
 
 /// Pick the best {Mc, Kc, Nc} for the shape's GEMM view. Deterministic:
-/// a fixed candidate grid scored with score_blocking, ties broken by
-/// candidate order. Falls back to default_blocking geometry when the
-/// problem is degenerate. Thread-safe; memoized per (geometry, bits,
-/// scheme).
-GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel);
+/// a fixed candidate grid (per schedule) scored with score_blocking, ties
+/// broken by candidate order. Falls back to default_blocking geometry when
+/// the problem is degenerate. Thread-safe; memoized per (geometry, bits,
+/// scheme, schedule).
+GemmBlocking search_blocking(
+    const ConvShape& s, int bits, ArmKernel kernel,
+    BlockedSchedule schedule = BlockedSchedule::kStandalone);
 
 /// Stable scheme id of the micro kernel that would execute (0 = SMLAL,
 /// 1 = MLA, 2 = ncnn, 3 = SDOT, 4 = TBL) — the persistent tuning cache
@@ -51,14 +68,17 @@ int blocking_scheme_id(ArmKernel kernel, int bits);
 TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
                                       bool weights_ternary);
 
-/// The blocked-GEMM kernel a conv at `bits` should run, decided by price:
-/// kTblGemm when TBL's memoized per-layer winner scores below MLA's
-/// (kOursGemm at <= 3 bit) under score_blocking, else kOursGemm — always
-/// kOursGemm above 3 bit, where TBL is ineligible. Both sides are priced
-/// without weight values (non-ternary 3-bit TBL groups, the conservative
-/// mode), so a ternary-weight pack can only beat the price. Deterministic;
-/// thread-safe; the per-layer searches it runs are memoized.
-ArmKernel choose_gemm_kernel(const ConvShape& s, int bits);
+/// The blocked-GEMM kernel a conv at `bits` should run under `schedule`,
+/// decided by price: kTblGemm when TBL's memoized per-layer winner scores
+/// below MLA's (kOursGemm at <= 3 bit) under score_blocking, else
+/// kOursGemm — always kOursGemm above 3 bit, where TBL is ineligible. Both
+/// sides are priced without weight values (non-ternary 3-bit TBL groups,
+/// the conservative mode), so a ternary-weight pack can only beat the
+/// price. Deterministic; thread-safe; the per-layer searches it runs are
+/// memoized.
+ArmKernel choose_gemm_kernel(
+    const ConvShape& s, int bits,
+    BlockedSchedule schedule = BlockedSchedule::kStandalone);
 
 struct TileSearchStats {
   i64 searches = 0;   ///< cold searches (full candidate sweeps)
@@ -81,8 +101,10 @@ TileSearchStats tile_search_stats();
 // layer — so the right objective is the whole net: one shared cache-sim
 // replay walked through the layer sequence, per-layer issue cycles summed
 // on top. search_graph_blocking seeds from the memoized per-layer winners
-// and runs a small coordinate-descent over per-layer candidates under that
-// chained objective; the result never scores worse than the greedy seed.
+// of the same schedule and runs a small coordinate-descent over per-layer
+// candidates under that chained objective; the result never scores worse
+// than the greedy seed. GraphPlan searches the fused schedule; run_model,
+// whose layers execute standalone, the standalone one.
 // The search is incremental — a trial resumes from a snapshot of the
 // replay state entering the layer it changes and stops once its state
 // rejoins the current assignment's — yet every objective value it
@@ -106,19 +128,24 @@ struct GraphSearchResult {
 };
 
 /// Price a full per-layer blocking assignment under the chained whole-net
-/// objective (exposed for tests and the e2e bench). `blocking` must have
-/// one entry per layer.
+/// objective of `schedule` (exposed for tests and the e2e bench).
+/// `blocking` must have one entry per layer.
 double score_graph_blocking(const std::vector<GraphSearchLayer>& layers,
-                            const std::vector<GemmBlocking>& blocking);
+                            const std::vector<GemmBlocking>& blocking,
+                            BlockedSchedule schedule);
 
-/// Joint whole-net search. Deterministic; thread-safe. Degenerate inputs
-/// (empty layer list) return an empty result.
+/// Joint whole-net search under `schedule`, seeded from (and reporting
+/// greedy_cycles for) search_blocking(..., schedule) winners.
+/// Deterministic; thread-safe. Degenerate inputs (empty layer list) return
+/// an empty result.
 GraphSearchResult search_graph_blocking(
-    const std::vector<GraphSearchLayer>& layers);
+    const std::vector<GraphSearchLayer>& layers, BlockedSchedule schedule);
 
-/// Stable FNV-1a hash over the chain's (geometry, bits, scheme) sequence —
-/// the TuningCache v4 `graph` rows and the serve-side graph-plan registry
-/// key joint results by it.
+/// Stable FNV-1a hash over the chain's (geometry, bits, scheme) sequence
+/// and the fused schedule's revision — the TuningCache v4 `graph` rows and
+/// the serve-side graph-plan registry key joint results by it. Rows saved
+/// under an earlier fused schedule hash differently, so they miss and are
+/// re-searched instead of reusing picks tuned for that schedule.
 u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers);
 
 }  // namespace lbc::armkern

@@ -97,6 +97,7 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
 
   // ---- per-node plans (convs planned with the memoized per-layer search
   // first; the joint pass below replans the layers it moves) --------------
+  const bool fusion = opt.fusion == FusionMode::kOn;
   for (size_t i = 0; i < n_nodes; ++i) {
     const QnnGraph::Node& n = g.nodes_[i];
     NodePlan& p = plan.nodes_[i];
@@ -118,12 +119,25 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         copt.bits = n.bits;
         copt.algo = opt.algo;
         copt.threads = opt.threads;
+        // Under fusion a blocked GEMM conv takes its kernel and blocking
+        // from the fused-schedule search, so the first plan only resolves
+        // the rung: an explicit blocking skips the standalone search. Other
+        // rungs ignore the blocking, so for them that plan is final.
+        if (fusion) copt.blocking = armkern::BlockingPolicy::kExplicit;
         LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
                              armkern::plan_conv(n.conv, n.weight_q, copt));
-        if (tbl_contender(cp) &&
-            armkern::choose_gemm_kernel(n.conv, n.bits) ==
-                armkern::ArmKernel::kTblGemm) {
-          copt.kernel = armkern::ArmKernel::kTblGemm;
+        const bool fused = fusion && fuse_eligible(cp);
+        const armkern::BlockedSchedule sched =
+            fused ? armkern::BlockedSchedule::kFused
+                  : armkern::BlockedSchedule::kStandalone;
+        const bool tbl = tbl_contender(cp) &&
+                         armkern::choose_gemm_kernel(n.conv, n.bits, sched) ==
+                             armkern::ArmKernel::kTblGemm;
+        if (tbl) copt.kernel = armkern::ArmKernel::kTblGemm;
+        if (fused)
+          copt.explicit_blocking = armkern::search_blocking(
+              n.conv, n.bits, tbl ? copt.kernel : cp.kernel, sched);
+        if (tbl || fused) {
           LBC_ASSIGN_OR_RETURN(cp,
                                armkern::plan_conv(n.conv, n.weight_q, copt));
         }
@@ -184,11 +198,12 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
   plan.graph_hash_ =
       layers.empty() ? 0 : armkern::graph_blocking_hash(layers);
 
-  if (opt.joint_search && opt.fusion == FusionMode::kOn && !layers.empty()) {
+  constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
+  if (opt.joint_search && fusion && !layers.empty()) {
     std::vector<gpukern::ArmBlocking> rows;
     const auto run_search = [&layers] {
       const armkern::GraphSearchResult r =
-          armkern::search_graph_blocking(layers);
+          armkern::search_graph_blocking(layers, kFused);
       std::vector<gpukern::ArmBlocking> out;
       out.reserve(r.blocking.size());
       for (const armkern::GemmBlocking& b : r.blocking)
@@ -209,12 +224,13 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
       joint.push_back(
           armkern::GemmBlocking{rows[j].mc, rows[j].kc, rows[j].nc});
       greedy.push_back(armkern::search_blocking(
-          layers[j].shape, layers[j].bits, layers[j].kernel));
+          layers[j].shape, layers[j].bits, layers[j].kernel, kFused));
     }
     // Both assignments priced under the SAME chained objective, so
     // greedy - joint is exactly the margin graph-level planning buys.
-    plan.joint_cycles_ = armkern::score_graph_blocking(layers, joint);
-    plan.greedy_cycles_ = armkern::score_graph_blocking(layers, greedy);
+    plan.joint_cycles_ = armkern::score_graph_blocking(layers, joint, kFused);
+    plan.greedy_cycles_ =
+        armkern::score_graph_blocking(layers, greedy, kFused);
 
     for (size_t j = 0; j < chain.size(); ++j) {
       NodePlan& p = plan.nodes_[static_cast<size_t>(chain[j])];
@@ -230,7 +246,7 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
   }
 
   // ---- epilogue fusion pairing ------------------------------------------
-  if (opt.fusion == FusionMode::kOn) {
+  if (fusion) {
     for (NodePlan& p : plan.nodes_)
       if (p.kind == NodeKind::kConv && fuse_eligible(*p.conv)) {
         p.fused = true;
@@ -294,12 +310,16 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         std::max(plan.activation_bytes_, off + bytes);
   }
 
+  // A fused conv's scratch: its C bands (none when one K block covers K),
+  // then the driver's pack-block buffers — allocated in forward's order.
   i64 peak_scratch = 0;
   for (const NodePlan& p : plan.nodes_)
     if (p.kind == NodeKind::kConv && p.fused)
       peak_scratch = std::max(
-          peak_scratch, p.conv->workspace_bytes(1) +
-                            workspace_rounded(p.gemm_m * p.gemm_n * 4));
+          peak_scratch,
+          workspace_rounded(p.conv->fused_band_elems() *
+                            static_cast<i64>(sizeof(i32))) +
+              p.conv->workspace_bytes(1));
   plan.arena_reserve_bytes_ = plan.activation_bytes_ + peak_scratch;
   for (const NodePlan& p : plan.nodes_)
     if (p.kind == NodeKind::kConv)
@@ -375,7 +395,8 @@ StatusOr<QnnGraph::RunResult> GraphPlan::forward(const Tensor<float>& x,
         const i8* in = base + src.out_offset;
         if (n.fused) {
           const Workspace::Mark m = arena.mark();
-          i32* c = arena.alloc_n<i32>(n.gemm_m * n.gemm_n);
+          const i64 band = n.conv->fused_band_elems();
+          i32* c = band > 0 ? arena.alloc_n<i32>(band) : nullptr;
           i8* dst = out;
           const i8* other = nullptr;
           quant::FixedPointMultiplier m_self{}, m_other{};
@@ -421,7 +442,7 @@ StatusOr<QnnGraph::RunResult> GraphPlan::forward(const Tensor<float>& x,
           }
           LBC_ASSIGN_OR_RETURN(
               const armkern::FusedConvResult r,
-              armkern::execute_conv_fused(*n.conv, in, c, epi, arena));
+              armkern::execute_conv_fused(*n.conv, in, c, band, epi, arena));
           res.node_seconds[i] = r.seconds;
           res.seconds += r.seconds;
           arena.rewind(m);

@@ -11,24 +11,31 @@
 //    the blocked ARM GEMM's C writeback through armkern::TileEpilogue (the
 //    ARM twin of gpukern/fusion's in-register epilogue, Sec. 4.3/4.4): the
 //    requantized int8 activation is produced while the accumulator rows
-//    are cache-resident, and the intermediate i32 tensor round trip is
-//    elided. A residual add fuses into its LATER conv operand (the other
-//    operand's activation is already resident in the arena), and the conv
-//    writes the add node's slot directly. Bit-exact vs the unfused path:
-//    both run the same fixed-point requant multipliers in the same order.
+//    are cache-resident, and no gemm_m x gemm_n i32 tensor exists — the
+//    driver keeps partial-K sums in one gemm_m x Nc C band per worker, or
+//    none when one K block covers K. A residual add fuses into its LATER
+//    conv operand (the other operand's activation is already resident in
+//    the arena), and the conv writes the add node's slot directly.
+//    Bit-exact vs the unfused path: both run the same fixed-point requant
+//    multipliers in the same order.
 //  * Per-conv kernel pricing — a conv that resolves to the blocked GEMM
 //    rung at <= 3 bit runs TBL or MLA, whichever scores cheaper at its
-//    memoized per-layer winner (armkern::choose_gemm_kernel). Every conv's
-//    resolved kernel passes the same static proof gate as
-//    core::plan_arm_conv (core::prove_arm_plan).
+//    memoized per-layer winner (armkern::choose_gemm_kernel), priced for
+//    the schedule it executes: a fused conv's kernel and blocking come
+//    from the fused-schedule search (BlockedSchedule::kFused), an unfused
+//    conv's from the standalone one. Every conv's resolved kernel passes
+//    the same static proof gate as core::plan_arm_conv
+//    (core::prove_arm_plan).
 //  * Joint whole-net blocking — armkern::search_graph_blocking picks every
 //    fused layer's {Mc, Kc, Nc} under one chained cache-replay objective
-//    (seeded from the memoized per-layer winners, persisted as TuningCache
-//    v4 "graph" rows keyed by graph_blocking_hash).
+//    of the fused schedule (seeded from the fused per-layer winners,
+//    persisted as TuningCache v4 "graph" rows keyed by
+//    graph_blocking_hash).
 //  * One arena — every activation slot gets a liveness-assigned offset in
 //    a single lbc::Workspace (first-fit over [def, last-use] intervals);
-//    per-node conv scratch is taken above a Workspace mark and released by
-//    rewind, so activations chain between layers with no Tensor copies.
+//    per-node conv scratch (C bands, pack blocks) is taken above a
+//    Workspace mark and released by rewind, so activations chain between
+//    layers with no Tensor copies.
 //
 // Non-fuseable rungs (winograd, bitserial, direct, reference, unblocked
 // GEMM) still execute through the per-layer driver; their separate requant
@@ -99,8 +106,9 @@ class GraphPlan {
   /// Liveness-planned bytes of the activation slot region (the arena's
   /// base allocation; scratch grows above it per node).
   i64 activation_bytes() const { return activation_bytes_; }
-  /// Total arena reservation: activation slots + the peak per-node fused
-  /// scratch (accumulator block + pack buffers).
+  /// Total arena reservation, and the arena's exact high water after a
+  /// forward: activation slots + the peak per-node fused scratch (C bands
+  /// + pack buffers).
   i64 arena_reserve_bytes() const { return arena_reserve_bytes_; }
   /// armkern::graph_blocking_hash over the fused conv chain (0 when the
   /// chain is empty) — the TuningCache v4 / serve registry key.

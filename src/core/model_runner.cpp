@@ -67,7 +67,10 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
         }
         gs.push_back(armkern::GraphSearchLayer{s, aopt.bits, kern});
       }
-      if (!gs.empty()) joint = armkern::search_graph_blocking(gs).blocking;
+      if (!gs.empty())
+        joint = armkern::search_graph_blocking(
+                    gs, armkern::BlockedSchedule::kStandalone)
+                    .blocking;
     }
   }
 

@@ -5,6 +5,7 @@
 // plan-level clamping, and checked execution of the blocked schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "armkern/conv_arm.h"
@@ -237,6 +238,137 @@ TEST(GemmBlocked, BlockedConvPassesVerifier) {
   const Tensor<i32> ref = ref::conv2d_s32(s, in, w);
   for (i64 i = 0; i < ref.elems(); ++i)
     ASSERT_EQ(r.value().out.data()[i], ref.data()[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Fused execute: C bands, direct tiles, checked execution
+// ---------------------------------------------------------------------------
+
+struct FusedCase {
+  const char* name;
+  int bits;
+  ArmKernel kernel;
+  ConvShape s;
+  TblOrientation orient = TblOrientation::kActTables;  ///< TBL cases only
+};
+
+// Every blocked kernel, and TBL in both orientations: few rows pick weight
+// tables, many rows over a table set too big for L2 pick activation tables.
+std::vector<FusedCase> fused_cases() {
+  return {
+      {"smlal", 8, ArmKernel::kOursGemm, shape(16, 12, 24, 3, 1, 1)},
+      {"mla", 3, ArmKernel::kOursGemm, shape(16, 12, 24, 3, 1, 1)},
+      {"ncnn", 8, ArmKernel::kNcnn, shape(16, 12, 24, 3, 1, 1)},
+      {"sdot", 8, ArmKernel::kSdotExt, shape(16, 12, 24, 3, 1, 1)},
+      {"tbl-weight-tables", 2, ArmKernel::kTblGemm, shape(8, 12, 8, 3, 1, 1),
+       TblOrientation::kWeightTables},
+      {"tbl-act-tables", 2, ArmKernel::kTblGemm, shape(64, 5, 96, 3, 1, 1),
+       TblOrientation::kActTables},
+  };
+}
+
+// Accumulators and status of one execute_conv_fused run whose epilogue
+// records every C element it is handed (and stores a clamped i8 copy
+// through out_base, so the output region is exercised too).
+struct FusedRun {
+  Status status;
+  std::vector<i32> acc;
+};
+
+FusedRun run_fused(const ArmConvPlan& plan, const Tensor<i8>& in,
+                   i64 band_elems) {
+  const i64 m = plan.shape.gemm_m(), n = plan.shape.gemm_n();
+  FusedRun r;
+  r.acc.assign(static_cast<size_t>(m * n), -7);
+  std::vector<i8> out(static_cast<size_t>(m * n));
+  TileEpilogue epi;
+  epi.fn = [&r, &out, n](i64 row, i64 col0, i64 cols, const i32* acc) {
+    for (i64 j = 0; j < cols; ++j) {
+      r.acc[static_cast<size_t>(row * n + col0 + j)] = acc[j];
+      out[static_cast<size_t>(row * n + col0 + j)] =
+          static_cast<i8>(std::clamp<i32>(acc[j], -127, 127));
+    }
+  };
+  epi.out_base = out.data();
+  epi.row_stride = n;
+  epi.out_rows = m;
+  std::vector<i32> band(static_cast<size_t>(band_elems));
+  Workspace ws;
+  r.status = execute_conv_fused(plan, in.data(),
+                                band.empty() ? nullptr : band.data(),
+                                band_elems, epi, ws)
+                 .status();
+  return r;
+}
+
+ArmConvPlan fused_plan(const FusedCase& fc, const Tensor<i8>& w,
+                       GemmBlocking blk, int threads, bool verify) {
+  ArmConvOptions o;
+  o.bits = fc.bits;
+  o.kernel = fc.kernel;
+  o.threads = threads;
+  o.verify = verify;
+  o.blocking = BlockingPolicy::kExplicit;
+  o.explicit_blocking = blk;
+  return plan_conv(fc.s, w, o).value();
+}
+
+// Kc covering K (no C band: the epilogue reads the tiles) and a split K
+// (one m x Nc band per worker), both with Nc % 16 != 0 so TBL's 16-column
+// weight-table tiles end mid-band.
+const GemmBlocking kDirectTile{16, i64{1} << 20, 12};
+const GemmBlocking kBanded{16, 40, 12};
+
+TEST(GemmBlocked, FusedExecuteMatchesReferenceForEveryKernel) {
+  // Checked execution (one worker), then three workers with a band each:
+  // a tile that overran its band's Nc columns would corrupt the next
+  // row's partial sums.
+  for (const FusedCase& fc : fused_cases()) {
+    const ConvShape& s = fc.s;
+    const Tensor<i8> in =
+        random_qtensor(Shape4{1, s.in_c, s.in_h, s.in_w}, fc.bits, 61);
+    const Tensor<i8> w =
+        random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, fc.bits,
+                       62);
+    const Tensor<i32> ref = ref::conv2d_s32(s, in, w);
+    for (const GemmBlocking& blk : {kDirectTile, kBanded})
+      for (const int threads : {1, 3}) {
+        const bool verify = threads == 1;
+        const ArmConvPlan plan = fused_plan(fc, w, blk, threads, verify);
+        ASSERT_EQ(plan.kernel, fc.kernel) << fc.name;
+        if (fc.kernel == ArmKernel::kTblGemm) {
+          EXPECT_EQ(plan.tbl_a.orient, fc.orient) << fc.name;
+        }
+        const BlockedLayout lay = blocked_layout(
+            s.gemm_m(), s.gemm_n(), s.gemm_k(), plan.blocking,
+            fc.kernel == ArmKernel::kSdotExt, plan.tbl_a.group,
+            plan.tbl_a.orient);
+        const bool direct = blk == kDirectTile;
+        EXPECT_EQ(lay.k_blocks == 1, direct) << fc.name;
+        EXPECT_GE(lay.n_blocks, 3) << fc.name;
+        EXPECT_EQ(plan.fused_band_elems(),
+                  direct ? 0 : threads * s.gemm_m() * 12)
+            << fc.name;
+        const FusedRun r = run_fused(plan, in, plan.fused_band_elems());
+        ASSERT_TRUE(r.status.ok()) << fc.name << ": " << r.status.to_string();
+        EXPECT_TRUE(std::equal(r.acc.begin(), r.acc.end(), ref.data()))
+            << fc.name << (direct ? " direct tile" : " banded")
+            << ", threads=" << threads;
+      }
+  }
+}
+
+TEST(GemmBlocked, FusedExecuteRejectsAShortBand) {
+  const FusedCase fc = fused_cases()[0];
+  const Tensor<i8> w = random_qtensor(Shape4{24, 16, 3, 3}, 8, 81);
+  const Tensor<i8> in = random_qtensor(Shape4{1, 16, 12, 12}, 8, 82);
+  const ArmConvPlan plan = fused_plan(fc, w, kBanded, 1, false);
+  ASSERT_GT(plan.fused_band_elems(), 0);
+  EXPECT_EQ(run_fused(plan, in, plan.fused_band_elems() - 1).status.code(),
+            StatusCode::kInvalidArgument);
+  // A plan with one K block needs no band at all: a null one is accepted.
+  const ArmConvPlan direct = fused_plan(fc, w, kDirectTile, 1, false);
+  EXPECT_TRUE(run_fused(direct, in, 0).status.ok());
 }
 
 TEST(GemmBlocked, WorkspaceHighWaterMatchesPlanEstimate) {

@@ -145,31 +145,37 @@ ConvShape conv_shape(i64 in_c, i64 hw, i64 out_c, int kernel) {
 }
 
 TEST(GraphPlan, IncrementalJointSearchIsBitIdenticalToFullScoring) {
-  // A 2-bit TBL bottleneck chain at 28x28, on which trials' cache states
-  // rejoin the current assignment's at a later layer boundary, so the
-  // search stops them early (checked below). The objective values it
-  // reports must still equal full chained scoring of the same
-  // assignments, bit for bit.
+  // A 2-bit TBL bottleneck chain at 14x14 (256 -> 64 -> 64 -> 256, plus a
+  // 256 -> 256 projection), on which trials' cache states rejoin the
+  // current assignment's at a later layer boundary, so the search stops
+  // them early (checked below). The objective values it reports must
+  // still equal full chained scoring of the same assignments, bit for bit.
   using armkern::ArmKernel;
   const std::vector<armkern::GraphSearchLayer> layers = {
-      {conv_shape(64, 28, 32, 1), 2, ArmKernel::kTblGemm},
-      {conv_shape(32, 28, 32, 3), 2, ArmKernel::kTblGemm},
-      {conv_shape(32, 28, 128, 1), 2, ArmKernel::kTblGemm},
-      {conv_shape(64, 28, 128, 1), 2, ArmKernel::kTblGemm},
+      {conv_shape(256, 14, 64, 1), 2, ArmKernel::kTblGemm},
+      {conv_shape(64, 14, 64, 3), 2, ArmKernel::kTblGemm},
+      {conv_shape(64, 14, 256, 1), 2, ArmKernel::kTblGemm},
+      {conv_shape(256, 14, 256, 1), 2, ArmKernel::kTblGemm},
   };
+  constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
   const i64 exits_before = armkern::tile_search_stats().joint_early_exits;
-  const armkern::GraphSearchResult r = armkern::search_graph_blocking(layers);
+  const armkern::GraphSearchResult r =
+      armkern::search_graph_blocking(layers, kFused);
   EXPECT_GT(armkern::tile_search_stats().joint_early_exits, exits_before)
       << "no trial stopped early; the chain does not exercise the exit";
 
+  // The greedy reference is what GraphPlan seeds from: the per-layer
+  // winners of the fused schedule.
   std::vector<armkern::GemmBlocking> greedy;
   for (const armkern::GraphSearchLayer& gl : layers)
-    greedy.push_back(armkern::search_blocking(gl.shape, gl.bits, gl.kernel));
+    greedy.push_back(
+        armkern::search_blocking(gl.shape, gl.bits, gl.kernel, kFused));
   EXPECT_EQ(std::bit_cast<u64>(r.joint_cycles),
-            std::bit_cast<u64>(armkern::score_graph_blocking(layers,
-                                                             r.blocking)));
+            std::bit_cast<u64>(
+                armkern::score_graph_blocking(layers, r.blocking, kFused)));
   EXPECT_EQ(std::bit_cast<u64>(r.greedy_cycles),
-            std::bit_cast<u64>(armkern::score_graph_blocking(layers, greedy)));
+            std::bit_cast<u64>(
+                armkern::score_graph_blocking(layers, greedy, kFused)));
   EXPECT_LT(r.joint_cycles, r.greedy_cycles) << "the search moved nothing";
 }
 
@@ -240,6 +246,87 @@ TEST(GraphPlan, ThreeBitNonTernaryConvsKeepMla) {
   for (size_t i = 0; i < kernels.size(); ++i)
     EXPECT_EQ(kernels[i], armkern::ArmKernel::kOursGemm) << "conv " << i;
   expect_matches_reference(g, plan, x);
+}
+
+/// Three fused convs, a residual add and a pool, sized so that at 2 bit
+/// the two 14x14 convs price to TBL with weight tables (few rows, many
+/// columns) and the 7x7 one to TBL with activation tables (many rows over
+/// a table set too big for L2). Conv node ids: 1, 2, 5.
+QnnGraph band_graph(int bits, const Tensor<float>& x) {
+  QnnGraph g;
+  const auto in = g.add_input(16, 14);
+  const auto c1 = g.add_conv(
+      in, 32, 1, 1, 0, bits,
+      random_ftensor(Shape4{32, 16, 1, 1}, -0.4f, 0.4f, 201), {}, true);
+  const auto c2 = g.add_conv(
+      c1, 32, 1, 1, 0, bits,
+      random_ftensor(Shape4{32, 32, 1, 1}, -0.3f, 0.3f, 202), {}, false);
+  const auto sum = g.add_add(c1, c2, /*relu=*/true);
+  g.add_conv(g.add_maxpool2(sum), 176, 3, 1, 1, bits,
+             random_ftensor(Shape4{176, 32, 3, 3}, -0.1f, 0.1f, 203), {},
+             true);
+  EXPECT_TRUE(g.calibrate(x).ok());
+  return g;
+}
+
+TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
+  // The fused driver keeps no m x n C: one C band per worker when K is
+  // split, none when one K block covers K. Pin each conv's blocking
+  // through the joint search's TuningCache rows — split K with Nc = 12,
+  // Kc = K, split K with Nc = 8, so the banded TBL convs' last 16-column
+  // tiles end mid-band — and run three workers per conv.
+  const Tensor<float> x = random_ftensor(Shape4{1, 16, 14, 14}, -1, 1, 204);
+  using armkern::ArmKernel;
+  using armkern::TblOrientation;
+  struct Case {
+    int bits;
+    ArmKernel kernel;
+  };
+  const std::vector<gpukern::ArmBlocking> pinned = {
+      {16, 8, 12}, {16, 4096, 12}, {16, 40, 8}};
+  const i64 conv_nodes[] = {1, 2, 5};
+  for (const Case c : {Case{8, ArmKernel::kOursGemm},
+                       Case{3, ArmKernel::kOursGemm},
+                       Case{2, ArmKernel::kTblGemm}}) {
+    const QnnGraph g = band_graph(c.bits, x);
+    GraphPlanOptions opt = fused_options();
+    opt.threads = 3;
+    gpukern::TuningCache cache;
+    opt.tuning = &cache;
+    const u64 hash = GraphPlan::compile(g, opt).value().graph_hash();
+    cache.put_graph(hash, pinned);
+    const GraphPlan fused = GraphPlan::compile(g, opt).value();
+    ASSERT_EQ(fused.graph_hash(), hash);
+    ASSERT_EQ(fused.fused_convs(), 3);
+    ASSERT_EQ(fused.fused_adds(), 1);
+    for (size_t j = 0; j < pinned.size(); ++j) {
+      const armkern::ArmConvPlan& cp = *fused.conv_plan(conv_nodes[j]);
+      const bool banded = j != 1;
+      EXPECT_EQ(cp.kernel, c.kernel) << c.bits << " bits, conv " << j;
+      EXPECT_EQ(cp.blocking.nc, pinned[j].nc) << c.bits << " bits, conv " << j;
+      EXPECT_EQ(cp.blocking.kc < cp.shape.gemm_k(), banded)
+          << c.bits << " bits, conv " << j;
+      EXPECT_EQ(cp.fused_band_elems(),
+                banded ? 3 * cp.shape.gemm_m() * cp.blocking.nc : 0)
+          << c.bits << " bits, conv " << j;
+    }
+    if (c.kernel == ArmKernel::kTblGemm) {
+      EXPECT_EQ(fused.conv_plan(1)->tbl_a.orient,
+                TblOrientation::kWeightTables);
+      EXPECT_EQ(fused.conv_plan(2)->tbl_a.orient,
+                TblOrientation::kWeightTables);
+      EXPECT_EQ(fused.conv_plan(5)->tbl_a.orient, TblOrientation::kActTables);
+    }
+
+    Workspace arena, scratch, a2, s2;
+    const Tensor<float> out = fused.forward(x, arena, scratch).value().out;
+    EXPECT_EQ(arena.high_water(), fused.arena_reserve_bytes())
+        << c.bits << " bits: the reservation is not the exact high water";
+    const GraphPlan plain = GraphPlan::compile(g, unfused_options()).value();
+    EXPECT_TRUE(same_bits(out, plain.forward(x, a2, s2).value().out))
+        << c.bits << " bits: fused output differs from the per-layer path";
+    expect_matches_reference(g, fused, x);
+  }
 }
 
 TEST(GraphPlan, CompileRunsTheProverGateOnEveryConv) {

@@ -196,6 +196,36 @@ TEST(TblConv, MatchesReferenceUnderVerifier) {
   }
 }
 
+TEST(TblConv, WeightTablesTilesStayInsideTheirBandWhenThreaded) {
+  // 2-bit 64 -> 64 1x1 at 14x14: weight tables, and the thread refinement
+  // cuts Nc to 100 (2 threads) / 52 (4 threads), so each band's last
+  // 16-column tile is partly padding. Clipping that tile at n instead of
+  // at the band end let it write the next band's columns, which another
+  // worker owns — a race that corrupted the output.
+  const ConvShape s = conv_shape(64, 14, 64, 1, 1, 0);
+  const Tensor<i8> in =
+      random_qtensor(Shape4{s.batch, s.in_c, s.in_h, s.in_w}, 2, 51);
+  const Tensor<i8> w =
+      random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 2, 52);
+  const Tensor<i32> ref = ref::conv2d_s32(s, in, w);
+  for (const int threads : {2, 4}) {
+    ArmConvOptions opt;
+    opt.bits = 2;
+    opt.kernel = ArmKernel::kTblGemm;
+    opt.threads = threads;
+    const ArmConvPlan plan = plan_conv(s, w, opt).value();
+    ASSERT_EQ(plan.kernel, ArmKernel::kTblGemm);
+    ASSERT_EQ(plan.tbl_a.orient, TblOrientation::kWeightTables);
+    ASSERT_NE(plan.blocking.nc % 16, 0) << "threads=" << threads;
+    ASSERT_LT(plan.blocking.nc, s.gemm_n()) << "threads=" << threads;
+    Workspace ws;
+    for (int rep = 0; rep < 20; ++rep) {
+      const ArmConvResult r = execute_conv(plan, in, ws).value();
+      ASSERT_TRUE(r.out == ref) << "threads=" << threads << " rep " << rep;
+    }
+  }
+}
+
 TEST(TblConv, WideBitsDegradeToOurs) {
   const ConvShape s = conv_shape(8, 10, 12, 3, 1, 1);
   const Tensor<i8> in =

@@ -9,8 +9,8 @@
 // Also emits BENCH_arm_gemm.json (path override: env LBC_BENCH_JSON) with
 // modeled cycles, the cost-model stall breakdown, and cache miss rates per
 // (layer, bits, impl), and — when env LBC_BENCH_BASELINE names a committed
-// baseline JSON — gates the run: exit 1 if the blocked GEMM's total modeled
-// cycles exceed 1.05x the baseline.
+// baseline JSON — gates the run: exit 1 unless the blocked GEMM's total
+// modeled cycles match the baseline exactly.
 #include <cstdlib>
 
 #include "bench_common.h"
@@ -31,5 +31,8 @@ int main() {
   double total_blocked = 0;
   for (const bench::ArmGemmRecord& r : records)
     if (r.impl == "ours") total_blocked += r.cycles;
-  return bench::run_cycle_gate(total_blocked);
+  return bench::run_cycle_gate(
+      total_blocked,
+      "LBC_BENCH_JSON=bench/baselines/BENCH_arm_gemm.json "
+      "build/bench/fig07_arm_resnet50");
 }

@@ -10,8 +10,8 @@
 // (exit 1 otherwise), emits BENCH_tbl.json (path override: env
 // LBC_BENCH_JSON) with the per-layer cycle/stall/miss records for all
 // three impls, and — when env LBC_BENCH_BASELINE names the committed
-// bench/baselines/BENCH_tbl.json — exits nonzero if the TBL total modeled
-// cycles exceed 1.05x the baseline.
+// bench/baselines/BENCH_tbl.json — exits nonzero unless the TBL total
+// modeled cycles match the baseline exactly.
 #include <cstdlib>
 
 #include "bench_common.h"
@@ -72,5 +72,8 @@ int main() {
   double total_tbl = 0;
   for (const bench::ArmGemmRecord& r : records)
     if (r.impl == "ours") total_tbl += r.cycles;
-  return bench::run_cycle_gate(total_tbl);
+  return bench::run_cycle_gate(
+      total_tbl,
+      "LBC_BENCH_JSON=bench/baselines/BENCH_tbl.json "
+      "build/bench/fig09_arm_bitserial");
 }

@@ -158,9 +158,13 @@ inline double read_json_number_field(const std::string& path,
 }
 
 /// Bench-smoke regression gate. When env `LBC_BENCH_BASELINE` names a
-/// committed BENCH_arm_gemm.json, fail (return nonzero) if this run's
-/// blocked-GEMM cycles exceed 1.05x the baseline's total_blocked_cycles.
-inline int run_cycle_gate(double current_total_blocked_cycles) {
+/// committed baseline written by write_arm_gemm_json, fail (return nonzero)
+/// unless this run's total_blocked_cycles prints exactly as the baseline's.
+/// Modeled cycles are deterministic, so any difference is a behaviour
+/// change: a regression, or a deliberate change whose baseline needs
+/// `refresh_command`, which a mismatch prints.
+inline int run_cycle_gate(double current_total_blocked_cycles,
+                          const char* refresh_command) {
   const char* baseline_path = std::getenv("LBC_BENCH_BASELINE");
   if (baseline_path == nullptr || baseline_path[0] == '\0') return 0;
   const double baseline =
@@ -170,19 +174,22 @@ inline int run_cycle_gate(double current_total_blocked_cycles) {
                  baseline_path);
     return 1;
   }
-  const double limit = baseline * 1.05;
-  const double ratio = current_total_blocked_cycles / baseline;
-  if (current_total_blocked_cycles > limit) {
+  // Compared as written: the JSON stores the total with one decimal.
+  char have[64], want[64];
+  std::snprintf(have, sizeof have, "%.1f", current_total_blocked_cycles);
+  std::snprintf(want, sizeof want, "%.1f", baseline);
+  if (std::strcmp(have, want) != 0) {
     std::fprintf(stderr,
-                 "cycle gate FAIL: %.0f modeled cycles vs baseline %.0f "
-                 "(%.3fx > 1.05x allowed)\n",
-                 current_total_blocked_cycles, baseline, ratio);
+                 "cycle gate FAIL: %s modeled cycles vs baseline %s in %s "
+                 "(%.6fx; the gate requires an exact match). After a "
+                 "deliberate change refresh the baseline: %s\n",
+                 have, want, baseline_path,
+                 current_total_blocked_cycles / baseline, refresh_command);
     return 1;
   }
   std::fprintf(stderr,
-               "cycle gate PASS: %.0f modeled cycles vs baseline %.0f "
-               "(%.3fx <= 1.05x)\n",
-               current_total_blocked_cycles, baseline, ratio);
+               "cycle gate PASS: %s modeled cycles, baseline %s (exact)\n",
+               have, want);
   return 0;
 }
 

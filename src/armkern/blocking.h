@@ -60,6 +60,14 @@ inline GemmBlocking clamp_blocking(GemmBlocking b, i64 m, i64 n, i64 k,
   return b;
 }
 
+/// Panels one TBL micro call covers at panel `i` of a run ending at `end`
+/// (the row panels of an Mc block under kActTables, the 16-column index
+/// panels of an Nc band under kWeightTables): 2 — the 32x4 tile, sharing
+/// each table load — while a neighbour remains in the run, else 1 (the
+/// 16x4 tile). A run of c panels thus costs c / 2 paired calls and c % 2
+/// single ones; the blocked driver and the tile search both follow it.
+constexpr i64 tbl_call_panels(i64 i, i64 end) { return i + 1 < end ? 2 : 1; }
+
 /// Heuristic fallback when no search result is available: a B block of
 /// Kc x Nc = 256 x 64 (16 KB) stays under half the modeled 32 KB L1, and
 /// Mc = 128 keeps the per-Kc A slice well inside the 512 KB L2.

@@ -9,6 +9,11 @@
 //         from L2 instead of DRAM
 //   p,q — 16 x 4 micro tiles
 //
+// TBL pairs panels into the 32 x 4 tile (micro_tbl_32x4), where one table
+// load serves two index vectors: adjacent row panels inside an Mc block
+// under kActTables, adjacent 16-column index panels inside a band under
+// kWeightTables. An odd last panel keeps the 16 x 4 tile.
+//
 // The micro kernels are unchanged: they zero their accumulators and
 // overwrite the column-major scratch tile, so the driver scatter assigns
 // on the first K block and accumulates (plain i32 adds) afterwards —
@@ -27,6 +32,7 @@
 // the verifier before each pack (same-start registration replaces), so
 // bounds always describe the live block extent.
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "armkern/gemm_blocked.h"
@@ -120,38 +126,48 @@ void write_tile(Ctx& ctx, const BlockedLayout& lay, const GemmOptions& opt,
 // kWeightTables inner sweep for one packed (jc, kcb) block: 4 x 16
 // row-major tiles (a slot is a C row, a lane a C column) against the
 // offline weight tables, with the same assign/accumulate + fused-epilogue
-// discipline as the column-major sweep below.
+// discipline as the column-major sweep below. Adjacent 16-column index
+// panels of the band share each table load (the 32 x 4 tile).
 void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, const CTarget& c,
                       const BlockedLayout& lay, const GemmOptions& opt,
                       const i8* buf, i32* tile, i64 n0, i64 nc, i64 k0,
                       i64 kcb) {
   const i64 groups_c = lay.tbl_groups(kcb);
-  const i64 nc_pad16 = round_up(nc, i64{16});
+  const int flush =
+      tbl_flush_interval(opt.bits, lay.tbl_group == kTblPairGroup);
+  const i64 q_total = round_up(nc, i64{16}) / 16;
   const i64 p4_total = ceil_div(lay.m, i64{4});
   const i64 panels4_per_mc = lay.blk.mc / 4;
+  const u8* idx = reinterpret_cast<const u8*>(buf);
   for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
     const i64 p0 = icb * panels4_per_mc;
     const i64 p1 = std::min<i64>(p4_total, p0 + panels4_per_mc);
     for (i64 p = p0; p < p1; ++p) {
       const i8* tbl_slice =
           ta.table_panel(p) + (k0 / lay.tbl_group) * 4 * 16;
-      for (i64 q = 0; q < nc_pad16 / 16; ++q) {
-        const u8* idx_panel =
-            reinterpret_cast<const u8*>(buf) + q * groups_c * 16;
-        micro_tbl_16x4(
-            ctx, idx_panel, tbl_slice, groups_c,
-            tbl_flush_interval(opt.bits, lay.tbl_group == kTblPairGroup),
-            tile);
-        const i64 row0 = p * 4;
-        const i64 col0 = n0 + q * 16;
-        const i64 rows = std::min<i64>(4, lay.m - row0);
-        // Clip at the band end, not at n: when Nc % 16 != 0 the band's last
-        // tile is partly padding, and the columns past n0 + nc belong to the
-        // next band (another worker's, or the next rows of a fused band).
-        const i64 cols = std::min<i64>(16, n0 + nc - col0);
-        // A 16-col i32 row span re-loads as four vectors.
-        write_tile(ctx, lay, opt, c, tile, 16, 1, 4, row0, col0, rows, cols,
-                   kcb);
+      i64 pair = 0;
+      for (i64 q = 0; q < q_total; q += pair) {
+        pair = tbl_call_panels(q, q_total);
+        if (pair == 2)
+          micro_tbl_32x4(ctx, idx + q * groups_c * 16,
+                         idx + (q + 1) * groups_c * 16, tbl_slice, groups_c,
+                         flush, tile);
+        else
+          micro_tbl_16x4(ctx, idx + q * groups_c * 16, tbl_slice, groups_c,
+                         flush, tile);
+        for (i64 h = 0; h < pair; ++h) {
+          const i64 row0 = p * 4;
+          const i64 col0 = n0 + (q + h) * 16;
+          const i64 rows = std::min<i64>(4, lay.m - row0);
+          // Clip at the band end, not at n: when Nc % 16 != 0 the band's
+          // last tile is partly padding, and the columns past n0 + nc belong
+          // to the next band (another worker's, or the next rows of a fused
+          // band).
+          const i64 cols = std::min<i64>(16, n0 + nc - col0);
+          // A 16-col i32 row span re-loads as four vectors.
+          write_tile(ctx, lay, opt, c, tile + h * kMr * kNr, 16, 1, 4, row0,
+                     col0, rows, cols, kcb);
+        }
       }
     }
   }
@@ -164,10 +180,20 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
                      const BlockedLayout& lay, const GemmOptions& opt,
                      i8* buf, i64 jc0, i64 jc1) {
   const int bits = opt.bits;
-  alignas(64) i32 tile[kMr * kNr] = {};
-  if (ctx.verifier != nullptr)
-    ctx.verifier->add_region(tile, sizeof(tile), "gemm C tile");
+  // Two 16 x 4 tiles: the paired TBL tile fills both, other kernels the
+  // first.
+  alignas(64) i32 tile[2 * kMr * kNr] = {};
+  const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(bits);
   const i32 qb = opt.b_max_abs > 0 ? opt.b_max_abs : qmax_for_bits(bits);
+  if (ctx.verifier != nullptr) {
+    // Tile values are partial dot products over at most K depth; the 32 x 4
+    // TBL tile re-loads its own i32 sums after a second-level flush, and
+    // the verifier seeds those loads from this bound.
+    const i64 bound =
+        std::min<i64>(lay.k * qa * qb, std::numeric_limits<i32>::max());
+    ctx.verifier->add_region(tile, sizeof(tile), "gemm C tile", -bound,
+                             bound);
+  }
   const bool tbl_wt =
       lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
   const i64 panels_per_mc = lay.blk.mc / kMr;
@@ -236,7 +262,12 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
       for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
         const i64 p0 = icb * panels_per_mc;
         const i64 p1 = std::min<i64>(lay.m_panels(), p0 + panels_per_mc);
-        for (i64 p = p0; p < p1; ++p) {
+        // kActTables pairs adjacent row panels of the Mc block into the
+        // 32 x 4 tile; every other kernel runs one panel at a time.
+        i64 pair = 0;
+        for (i64 p = p0; p < p1; p += pair) {
+          pair = opt.kernel == ArmKernel::kTblGemm ? tbl_call_panels(p, p1)
+                                                    : 1;
           // The packed-A K slice at depth k0 needs no repack: panel layout
           // is [K][kMr] (and [K4/4][kMr][4] for SDOT with k0 % 4 == 0, or
           // [groups][kMr] index bytes for TBL with k0 % group == 0), so
@@ -265,27 +296,35 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
               case ArmKernel::kSdotExt:
                 micro_sdot_16x4(ctx, a_slice, b_panel, kstride, tile);
                 break;
-              case ArmKernel::kTblGemm:
+              case ArmKernel::kTblGemm: {
                 // kActTables: weight indices from the offline pack, product
                 // tables from the online block pack; a lane is a C row and
                 // a slot a C column, matching the scatter below.
-                micro_tbl_16x4(
-                    ctx, ta->idx_panel(p) + (k0 / lay.tbl_group) * kMr,
-                    b_panel, lay.tbl_groups(kcb),
-                    tbl_flush_interval(bits, lay.tbl_group == kTblPairGroup),
-                    tile);
+                const i64 idx_off = (k0 / lay.tbl_group) * kMr;
+                const int flush =
+                    tbl_flush_interval(bits, lay.tbl_group == kTblPairGroup);
+                if (pair == 2)
+                  micro_tbl_32x4(ctx, ta->idx_panel(p) + idx_off,
+                                 ta->idx_panel(p + 1) + idx_off, b_panel,
+                                 lay.tbl_groups(kcb), flush, tile);
+                else
+                  micro_tbl_16x4(ctx, ta->idx_panel(p) + idx_off, b_panel,
+                                 lay.tbl_groups(kcb), flush, tile);
                 break;
+              }
               case ArmKernel::kTraditional:
                 LBC_CHECK_MSG(false, "kernel has its own entry point");
                 break;
             }
-            const i64 row0 = p * kMr;
             const i64 col0 = n0 + q * kNr;
-            const i64 rows = std::min<i64>(kMr, lay.m - row0);
             const i64 cols = std::min<i64>(kNr, n0 + nc - col0);
-            // Column-major tile; a 4-col i32 row span is one vector.
-            write_tile(ctx, lay, opt, ct, tile, 1, kMr, 1, row0, col0, rows,
-                       cols, kcb);
+            for (i64 h = 0; h < pair; ++h) {
+              const i64 row0 = (p + h) * kMr;
+              const i64 rows = std::min<i64>(kMr, lay.m - row0);
+              // Column-major tile; a 4-col i32 row span is one vector.
+              write_tile(ctx, lay, opt, ct, tile + h * kMr * kNr, 1, kMr, 1,
+                         row0, col0, rows, cols, kcb);
+            }
           }
         }
       }

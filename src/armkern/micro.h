@@ -12,6 +12,11 @@
 //   second-level SADDW (16->32) every kSecondLevelRounds flushes.
 // micro_ncnn_16x4 — the ncnn 8-bit baseline (Sec. 5.2): inputs widened to
 //   16-bit registers (SSHLL), SMLAL on 16-bit lanes straight into 32-bit.
+// micro_tbl_16x4 / micro_tbl_32x4 — the TBL lookup-table scheme (2-3 bit,
+//   DESIGN.md Sec. 16). The 32x4 tile runs two 16-lane index vectors
+//   against one LD1x4 of four tables (8 TBL+ADD per 3 loads instead of
+//   4 per 2); the blocked driver pairs panels into it and keeps the 16x4
+//   tile for an odd last panel.
 #pragma once
 
 #include <algorithm>
@@ -48,5 +53,17 @@ void micro_sdot_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
 /// tbl_flush_interval(bits, pair) so the byte lanes cannot wrap.
 void micro_tbl_16x4(armsim::Ctx& ctx, const u8* idx_panel,
                     const i8* table_panel, i64 groups, int flush, i32* c);
+
+/// Register-blocked TBL tile: two index panels (idx_panel0, idx_panel1,
+/// each [groups][16] u8) share every table load, so one LD1x4 serves 8
+/// TBL+ADD. c holds two of micro_tbl_16x4's tiles back to back: c[0..64)
+/// for idx_panel0 and c[64..128) for idx_panel1, same slot/lane layout.
+/// Byte sums widen into i16 accumulators held in registers (2 idx + 4
+/// tables + 1 product + 8 i8 + 16 i16 = 31 of 32); the one free register
+/// widens i16 into the i32 tile at the end of the call and after every
+/// kTblSecondLevelRounds byte-lane flushes.
+void micro_tbl_32x4(armsim::Ctx& ctx, const u8* idx_panel0,
+                    const u8* idx_panel1, const i8* table_panel, i64 groups,
+                    int flush, i32* c);
 
 }  // namespace lbc::armkern

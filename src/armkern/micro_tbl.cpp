@@ -60,4 +60,92 @@ void micro_tbl_16x4(Ctx& ctx, const u8* idx_panel, const i8* table_panel,
     for (int q = 0; q < 4; ++q) st1_s32(ctx, acc32[s][q], c + s * 16 + q * 4);
 }
 
+void micro_tbl_32x4(Ctx& ctx, const u8* idx_panel0, const u8* idx_panel1,
+                    const i8* table_panel, i64 groups, int flush, i32* c) {
+  // Three-level accumulation: one TBL + ADD.16B per (slot, index vector)
+  // and group step into byte lanes; every `flush` steps SADDW/SADDW2 widen
+  // the bytes into i16 accumulators; every kTblSecondLevelRounds of those
+  // (and at the end of the call) SADDW.4S widens the i16 sums into the i32
+  // tile. Checked-execution contract: both flush cadences and the 8 TBL :
+  // 3 load CAL/LD ratio (2.67). Every register is declared once here, so
+  // the verifier counts exactly the plan: 2 idx + 4 tables + 1 product +
+  // 8 i8 + 16 i16 + 1 i32 = 32, no spills.
+  const VerifyScope vs(ctx, KernelSpec{.name = "micro_tbl_32x4",
+                                       .acc16_flush = kTblSecondLevelRounds,
+                                       .acc8_flush = flush,
+                                       .cal_ld_min = 2.2,
+                                       .cal_ld_max = 3.1});
+  const u8* idx_panel[2] = {idx_panel0, idx_panel1};
+  uint8x16 idx[2];
+  int8x16 tables[4];
+  int8x16 prod;
+  int8x16 acc8[2][4];
+  int16x8 acc16[2][4][2];
+  int32x4 wide;
+  for (int h = 0; h < 2; ++h)
+    for (int s = 0; s < 4; ++s) {
+      movi_zero(ctx, acc8[h][s]);
+      movi_zero(ctx, acc16[h][s][0]);
+      movi_zero(ctx, acc16[h][s][1]);
+    }
+
+  auto flush_8_to_16 = [&] {
+    for (int h = 0; h < 2; ++h)
+      for (int s = 0; s < 4; ++s) {
+        saddw_s8(ctx, acc16[h][s][0], acc8[h][s]);
+        saddw2_s8(ctx, acc16[h][s][1], acc8[h][s]);
+        movi_zero(ctx, acc8[h][s]);
+      }
+  };
+
+  // The i32 sums live in the tile itself: the first second-level flush of
+  // the call assigns, later ones (deep calls only) re-load and add.
+  bool stored = false;
+  auto flush_16_to_32 = [&] {
+    for (int h = 0; h < 2; ++h)
+      for (int s = 0; s < 4; ++s) {
+        for (int v = 0; v < 2; ++v)
+          for (int half = 0; half < 2; ++half) {
+            i32* dst = c + h * 64 + s * 16 + v * 8 + half * 4;
+            if (stored)
+              ld1_s32(ctx, dst, wide);
+            else
+              movi_zero(ctx, wide);
+            if (half == 0)
+              saddw_s16(ctx, wide, acc16[h][s][v]);
+            else
+              saddw2_s16(ctx, wide, acc16[h][s][v]);
+            st1_s32(ctx, wide, dst);
+          }
+        movi_zero(ctx, acc16[h][s][0]);
+        movi_zero(ctx, acc16[h][s][1]);
+      }
+    stored = true;
+  };
+
+  i64 g = 0;
+  int rounds = 0;
+  while (g < groups) {
+    const i64 steps = std::min<i64>(flush, groups - g);
+    for (i64 s = 0; s < steps; ++s) {
+      for (int h = 0; h < 2; ++h)
+        ld1_u8(ctx, idx_panel[h] + (g + s) * 16, idx[h]);
+      ld1x4_s8(ctx, table_panel + (g + s) * 64, tables);
+      for (int slot = 0; slot < 4; ++slot)
+        for (int h = 0; h < 2; ++h) {
+          tbl_s8(ctx, prod, tables[slot], idx[h]);
+          add_s8(ctx, acc8[h][slot], prod);
+        }
+    }
+    ctx.tally(Op::kLoop);
+    g += steps;
+    flush_8_to_16();
+    if (++rounds == kTblSecondLevelRounds) {
+      flush_16_to_32();
+      rounds = 0;
+    }
+  }
+  if (rounds != 0 || !stored) flush_16_to_32();
+}
+
 }  // namespace lbc::armkern

@@ -157,6 +157,17 @@ static_assert(tbl_flush_interval(3, false) == 14);
 static_assert(tbl_flush_interval(2, true) * tbl_entry_bound(2, true) <= 127);
 static_assert(tbl_flush_interval(3, false) * tbl_entry_bound(3, false) <= 127);
 
+/// Byte-lane flushes (8->16) between 16->32-bit flushes in the 32x4 TBL
+/// tile, which keeps its partial sums in i16 registers: each flush deposits
+/// at most flush * entry <= 127 into an i16 lane, and 256 * 127 <= 32767.
+constexpr int kTblSecondLevelRounds = 256;
+static_assert(kTblSecondLevelRounds * tbl_flush_interval(2, true) *
+                  tbl_entry_bound(2, true) <= 32767);
+static_assert(kTblSecondLevelRounds * tbl_flush_interval(3, true) *
+                  tbl_entry_bound(3, true) <= 32767);
+static_assert(kTblSecondLevelRounds * tbl_flush_interval(3, false) *
+                  tbl_entry_bound(3, false) <= 32767);
+
 /// Build one 16-entry product table for broadcast operands (b0, b1) of the
 /// non-index side: in pair mode out[idx] = d0(idx)*b0 + d1(idx)*b1 over the
 /// decoded ternary pair (d0, d1); in generic mode out[idx] = (idx-qmax)*b0

@@ -1,6 +1,7 @@
 #include "armkern/tile_search.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -39,14 +40,16 @@ std::string geometry_key(const ConvShape& s) {
 // Instruction mix of ONE micro-kernel call at depth kc, measured by
 // running the emulated kernel on dummy zeroed buffers with the cache
 // model off (issue cost only; stalls come from the replay). For the TBL
-// kernel `tbl_groups` is the per-call group-step count and `tbl_group` the
+// kernel `tbl_groups` is the per-call group-step count, `tbl_group` the
 // depth positions per group (both orientations issue the identical
-// pattern; the group size sets the byte-lane flush cadence).
+// pattern; the group size sets the byte-lane flush cadence) and
+// `tbl_paired` selects the 32x4 tile over the 16x4 one.
 Counters probe_micro(ArmKernel kernel, int bits, i64 kc, i64 kstride,
-                     i64 tbl_groups = 0, int tbl_group = 0) {
+                     i64 tbl_groups = 0, int tbl_group = 0,
+                     bool tbl_paired = false) {
   AlignedVector<i8> a(static_cast<size_t>(std::max<i64>(kstride, 1) * kMr));
   AlignedVector<i8> b(static_cast<size_t>(std::max<i64>(kstride, 1) * kNr));
-  alignas(64) i32 tile[kMr * kNr];
+  alignas(64) i32 tile[2 * kMr * kNr];
   Ctx ctx;
   ctx.model_cache = false;
   switch (kernel) {
@@ -68,9 +71,12 @@ Counters probe_micro(ArmKernel kernel, int bits, i64 kc, i64 kstride,
       const i64 g = std::max<i64>(tbl_groups, 1);
       AlignedVector<u8> idx(static_cast<size_t>(g * 16));  // index 0: valid
       AlignedVector<i8> tbl(static_cast<size_t>(g * 64));
-      micro_tbl_16x4(ctx, idx.data(), tbl.data(), g,
-                     tbl_flush_interval(bits, tbl_group == kTblPairGroup),
-                     tile);
+      const int flush = tbl_flush_interval(bits, tbl_group == kTblPairGroup);
+      if (tbl_paired)
+        micro_tbl_32x4(ctx, idx.data(), idx.data(), tbl.data(), g, flush,
+                       tile);
+      else
+        micro_tbl_16x4(ctx, idx.data(), tbl.data(), g, flush, tile);
       break;
     }
     case ArmKernel::kTraditional:
@@ -113,12 +119,14 @@ constexpr u64 kBaseA = u64{1} << 40;
 constexpr u64 kBaseB = u64{2} << 40;
 constexpr u64 kBaseC = u64{3} << 40;
 constexpr u64 kBaseIn = u64{4} << 40;
-// The driver's per-thread 16x4 i32 micro-kernel scratch tile. Only 1 KB,
-// but it is written through ST1 on every micro call, so it permanently
-// holds 16 L1 lines — near the L1 capacity cliff that residency decides
-// whether a schedule's table/panel set survives between row panels, and
-// omitting it made the replay optimistic exactly where reality thrashes.
+// The driver's per-thread i32 micro-kernel scratch tile: 256 B (4 L1
+// lines) per 16x4 tile, both halves (512 B) for a paired TBL call. It is
+// written through ST1 on every micro call, so those lines stay resident —
+// near the L1 capacity cliff that residency decides whether a schedule's
+// table/panel set survives between row panels, and omitting it made the
+// replay optimistic exactly where reality thrashes.
 constexpr u64 kBaseTile = u64{5} << 40;
+constexpr u64 kTileBytes = kMr * kNr * 4;
 // Per-layer spacing inside a region for the chained graph replay: layers
 // get disjoint weight/activation sub-regions 16 GiB apart.
 constexpr u64 kLayerStride = u64{1} << 34;
@@ -230,72 +238,91 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
       replay_gather(r, s, bases.in, k0, lay.kc_eff(kcb), n0, nc);
       if (tbl_wt) {
         const i64 groups_c = lay.tbl_groups(kcb);
-        const i64 nc_pad16 = round_up(nc, i64{16});
-        r.touch(bases.b, static_cast<u64>(nc_pad16 * kstride));
+        const i64 q_total = round_up(nc, i64{16}) / 16;
+        r.touch(bases.b, static_cast<u64>(q_total * 16 * kstride));
         for (i64 p = 0; p < ceil_div(lay.m, i64{4}); ++p) {
           const u64 a_slice =
               bases.a + static_cast<u64>(p * a_panel_stride +
                                          (k0 / lay.tbl_group) * 64);
-          for (i64 q = 0; q < nc_pad16 / 16; ++q) {
+          i64 pair = 0;
+          for (i64 q = 0; q < q_total; q += pair) {
+            pair = tbl_call_panels(q, q_total);
             const u64 idx_panel = bases.b + static_cast<u64>(q * kstride * 16);
             // Per group step: one 64-byte table line, one 16-byte index
-            // vector (a line per four steps).
+            // vector per panel (a line per four steps).
             for (i64 gs = 0; gs < groups_c; ++gs) {
               r.touch(a_slice + static_cast<u64>(gs * 64),
                       CacheSim::kLineBytes);
               if (gs % 4 == 0)
-                r.touch(idx_panel + static_cast<u64>(gs * 16),
-                        CacheSim::kLineBytes);
+                for (i64 h = 0; h < pair; ++h)
+                  r.touch(idx_panel + static_cast<u64>((h * kstride + gs) * 16),
+                          CacheSim::kLineBytes);
             }
-            r.touch(kBaseTile, kMr * kNr * 4);  // micro ST1s into the tile
-            const i64 row0 = p * 4;
-            const i64 col0 = n0 + q * 16;
-            replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
-                             std::min<i64>(4, lay.m - row0),
-                             std::min<i64>(16, n0 + nc - col0));
+            // micro ST1s into the tile
+            r.touch(kBaseTile, static_cast<u64>(pair) * kTileBytes);
+            for (i64 h = 0; h < pair; ++h) {
+              const i64 row0 = p * 4;
+              const i64 col0 = n0 + (q + h) * 16;
+              replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
+                               std::min<i64>(4, lay.m - row0),
+                               std::min<i64>(16, n0 + nc - col0));
+            }
           }
         }
         continue;
       }
       r.touch(bases.b, static_cast<u64>(nc_pad * kstride));
-      for (i64 p = 0; p < lay.m_panels(); ++p) {
-        const u64 a_slice =
-            bases.a +
-            static_cast<u64>(p * a_panel_stride +
-                             (lay.tbl() ? (k0 / lay.tbl_group) * 16
-                                        : k0 * kMr));
-        for (i64 q = 0; q < nc_pad / kNr; ++q) {
-          const u64 b_panel = bases.b + static_cast<u64>(q * kstride * kNr);
-          if (lay.tbl()) {
-            // kActTables: one 64-byte table line per group step, one
-            // 16-byte weight-index vector (a line per four steps).
-            const i64 groups_c = lay.tbl_groups(kcb);
-            for (i64 gs = 0; gs < groups_c; ++gs) {
-              r.touch(b_panel + static_cast<u64>(gs * 64),
-                      CacheSim::kLineBytes);
-              if (gs % 4 == 0)
-                r.touch(a_slice + static_cast<u64>(gs * 16),
+      const i64 panels_per_mc = lay.blk.mc / kMr;
+      for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
+        const i64 p0 = icb * panels_per_mc;
+        const i64 p1 = std::min<i64>(lay.m_panels(), p0 + panels_per_mc);
+        i64 pair = 0;
+        for (i64 p = p0; p < p1; p += pair) {
+          pair = lay.tbl() ? tbl_call_panels(p, p1) : 1;
+          const u64 a_slice =
+              bases.a +
+              static_cast<u64>(p * a_panel_stride +
+                               (lay.tbl() ? (k0 / lay.tbl_group) * 16
+                                          : k0 * kMr));
+          for (i64 q = 0; q < nc_pad / kNr; ++q) {
+            const u64 b_panel = bases.b + static_cast<u64>(q * kstride * kNr);
+            if (lay.tbl()) {
+              // kActTables: one 64-byte table line per group step, one
+              // 16-byte weight-index vector per panel (a line per four
+              // steps).
+              const i64 groups_c = lay.tbl_groups(kcb);
+              for (i64 gs = 0; gs < groups_c; ++gs) {
+                r.touch(b_panel + static_cast<u64>(gs * 64),
                         CacheSim::kLineBytes);
+                if (gs % 4 == 0)
+                  for (i64 h = 0; h < pair; ++h)
+                    r.touch(a_slice +
+                                static_cast<u64>(h * a_panel_stride + gs * 16),
+                            CacheSim::kLineBytes);
+              }
+            } else {
+              // The micro kernel's load pattern at line granularity: one A
+              // line per four depth steps, one B line per sixteen.
+              for (i64 kk = 0; kk < kstride; kk += 4) {
+                r.touch(a_slice + static_cast<u64>(kk * kMr),
+                        CacheSim::kLineBytes);
+                if (kk % 16 == 0)
+                  r.touch(b_panel + static_cast<u64>(kk * kNr),
+                          CacheSim::kLineBytes);
+              }
             }
-          } else {
-            // The micro kernel's load pattern at line granularity: one A
-            // line per four depth steps, one B line per sixteen.
-            for (i64 kk = 0; kk < kstride; kk += 4) {
-              r.touch(a_slice + static_cast<u64>(kk * kMr),
-                      CacheSim::kLineBytes);
-              if (kk % 16 == 0)
-                r.touch(b_panel + static_cast<u64>(kk * kNr),
-                        CacheSim::kLineBytes);
+            // micro ST1s into the tile
+            r.touch(kBaseTile, static_cast<u64>(pair) * kTileBytes);
+            const i64 col0 = n0 + q * kNr;
+            // The epilogue's i8 output lines are what the next layer's
+            // gather finds warm.
+            for (i64 h = 0; h < pair; ++h) {
+              const i64 row0 = (p + h) * kMr;
+              replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
+                               std::min<i64>(kMr, lay.m - row0),
+                               std::min<i64>(kNr, n0 + nc - col0));
             }
           }
-          r.touch(kBaseTile, kMr * kNr * 4);  // micro ST1s into the tile
-          const i64 row0 = p * kMr;
-          const i64 col0 = n0 + q * kNr;
-          // The epilogue's i8 output lines are what the next layer's gather
-          // finds warm.
-          replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
-                           std::min<i64>(kMr, lay.m - row0),
-                           std::min<i64>(kNr, n0 + nc - col0));
         }
       }
     }
@@ -366,6 +393,29 @@ Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
       q_total += round_up(lay.nc_eff(jc), i64{16}) / 16;
   }
   const i64 row_panels = tbl_wt ? ceil_div(lay.m, i64{4}) : lay.m_panels();
+  // Micro calls per K block, split into single-panel calls and paired TBL
+  // calls (32x4) by tbl_call_panels over each run: the row panels of each
+  // Mc block under kActTables, the 16-column index panels of each band
+  // under kWeightTables.
+  i64 singles = row_panels * q_total, pairs = 0;
+  if (lay.tbl()) {
+    singles = 0;
+    if (tbl_wt) {
+      for (i64 jc = 0; jc < lay.n_blocks; ++jc) {
+        const i64 q = round_up(lay.nc_eff(jc), i64{16}) / 16;
+        pairs += row_panels * (q / 2);
+        singles += row_panels * (q % 2);
+      }
+    } else {
+      const i64 panels_per_mc = lay.blk.mc / kMr;
+      for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
+        const i64 p = std::min<i64>(panels_per_mc,
+                                    lay.m_panels() - icb * panels_per_mc);
+        pairs += q_total * (p / 2);
+        singles += q_total * (p % 2);
+      }
+    }
+  }
   // Distinct Kc depths: every non-final block shares blk.kc, the final one
   // may be a tail — probe each depth once and scale by call counts.
   const i64 tail_kc = lay.kc_eff(lay.k_blocks - 1);
@@ -383,10 +433,20 @@ Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
     const i64 kstride = sdot ? round_up(g.kc, 4) : g.kc;
     const i64 tbl_groups =
         lay.tbl() ? ceil_div(g.kc, static_cast<i64>(lay.tbl_group)) : 0;
-    const Counters per_call = probe_micro(kernel, bits, g.kc, kstride,
-                                          tbl_groups, lay.tbl_group);
-    const u64 scale = static_cast<u64>(row_panels * q_total * g.blocks);
-    for (size_t i = 0; i < kNumOps; ++i) counts.n[i] += per_call.n[i] * scale;
+    if (singles > 0) {
+      const Counters per_call = probe_micro(kernel, bits, g.kc, kstride,
+                                            tbl_groups, lay.tbl_group);
+      const u64 scale = static_cast<u64>(singles * g.blocks);
+      for (size_t i = 0; i < kNumOps; ++i)
+        counts.n[i] += per_call.n[i] * scale;
+    }
+    if (pairs > 0) {
+      const Counters per_pair = probe_micro(kernel, bits, g.kc, kstride,
+                                            tbl_groups, lay.tbl_group, true);
+      const u64 pair_scale = static_cast<u64>(pairs * g.blocks);
+      for (size_t i = 0; i < kNumOps; ++i)
+        counts.n[i] += per_pair.n[i] * pair_scale;
+    }
   }
   // Per-(jc, kcb) B-block pack: fused gather (plain/SDOT), gather + online
   // table build (TBL kActTables), or index encode (TBL kWeightTables).
@@ -495,10 +555,38 @@ struct ChainReplay {
   std::vector<double> cycles;
 };
 
+// Issue cycles of one group step of the paired 32x4 TBL tile (two index
+// vectors against one table load, 128 * group MACs), flushes included:
+// the difference of two probe_micro calls 8 byte-lane flushes apart, so
+// the per-call tail (the i16 -> i32 widen and tile stores) cancels.
+// Probed once per (bits, group) mode.
+double tbl_pair_step_cycles(int bits, int group) {
+  static const std::array<double, 4> steps = [] {
+    std::array<double, 4> out{};
+    const CostModel cm = CostModel::cortex_a53();
+    for (int b = 2; b <= 3; ++b)
+      for (int g = 1; g <= kTblPairGroup; ++g) {
+        const i64 lo = 8 * tbl_flush_interval(b, g == kTblPairGroup);
+        const auto cycles = [&](i64 groups) {
+          return cm.cycles_for(
+              probe_micro(ArmKernel::kTblGemm, b, groups * g, groups, groups,
+                          g, /*tbl_paired=*/true),
+              /*interleaved=*/true);
+        };
+        out[static_cast<size_t>((b - 2) * 2 + g - 1)] =
+            (cycles(2 * lo) - cycles(lo)) / static_cast<double>(lo);
+      }
+    return out;
+  }();
+  return steps[static_cast<size_t>((bits - 2) * 2 + group - 1)];
+}
+
 }  // namespace
 
 int blocking_scheme_id(ArmKernel kernel, int bits) {
-  if (kernel == ArmKernel::kTblGemm) return 4;
+  // TBL's id is revised with its tile: 4 keyed rows searched for the 16x4
+  // tile alone; they miss now and are re-searched for the paired schedule.
+  if (kernel == ArmKernel::kTblGemm) return 5;
   if (kernel == ArmKernel::kSdotExt) return 3;
   if (kernel == ArmKernel::kNcnn) return 2;
   return bits <= 3 ? 1 : 0;
@@ -506,8 +594,9 @@ int blocking_scheme_id(ArmKernel kernel, int bits) {
 
 TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
                                       bool weights_ternary) {
-  // Per-MAC issue cost of one TBL group step is ~12.1 cycles (1x ld1 idx,
-  // 1x ld1x4 tables, 4x tbl+2xsaddw) serving 64*g MACs. kActTables adds
+  // Per-MAC issue cost: one group step of the paired tile (measured by
+  // tbl_pair_step_cycles) serves 128*g MACs; both orientations pair, so at
+  // equal group sizes the term is the same on both sides. kActTables adds
   // the online table build: ~10 cycles per (column, group) amortized over
   // the m rows sharing the tables. kWeightTables builds nothing online but
   // streams round_up(m,4)*ceil(k/g)*64 bytes of offline tables once per
@@ -517,16 +606,26 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
                                weights_ternary);
   const int gb = tbl_group_for(TblOrientation::kWeightTables, bits,
                                weights_ternary);
-  const double cost_a = 12.1 / (64.0 * ga) + 10.0 / (double(ga) * double(m));
+  const double cost_a = tbl_pair_step_cycles(bits, ga) / (128.0 * ga) +
+                        10.0 / (double(ga) * double(m));
   const double table_bytes =
       double(round_up(m, i64{4})) * double(ceil_div(k, i64{gb})) * 16.0;
   const double miss = table_bytes <= 384.0 * 1024.0 ? 8.0 : 58.0;
   const double passes = double(ceil_div(n, i64{256}));
   const double cost_b =
-      12.1 / (64.0 * gb) +
+      tbl_pair_step_cycles(bits, gb) / (128.0 * gb) +
       miss * (table_bytes / 64.0) * passes / (double(m) * double(k) * double(n));
   return cost_a <= cost_b ? TblOrientation::kActTables
                           : TblOrientation::kWeightTables;
+}
+
+Counters blocking_issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
+                               const GemmBlocking& blocking,
+                               BlockedSchedule schedule) {
+  const BlockedLayout lay = layout_for(s.gemm_m(), s.gemm_n(), s.gemm_k(),
+                                       blocking, kernel, bits);
+  return issue_counts(s, bits, kernel, lay,
+                      schedule == BlockedSchedule::kFused);
 }
 
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
@@ -644,8 +743,9 @@ u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
     }
   };
   // Revision of the fused schedule the joint rows are priced for: 2 since
-  // the driver keeps per-worker C bands (or none) instead of the m x n C.
-  constexpr i64 kFusedScheduleRevision = 2;
+  // the driver keeps per-worker C bands (or none) instead of the m x n C,
+  // 3 since TBL pairs panels into the 32x4 tile.
+  constexpr i64 kFusedScheduleRevision = 3;
   mix(kFusedScheduleRevision);
   mix(static_cast<i64>(layers.size()));
   for (const GraphSearchLayer& gl : layers) {

@@ -46,6 +46,16 @@ double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
                       const GemmBlocking& blocking,
                       BlockedSchedule schedule = BlockedSchedule::kStandalone);
 
+/// The issue side of score_blocking: the instruction counts (no cache
+/// misses) the search charges the blocked schedule — micro-kernel probes
+/// scaled by call counts, pack and C-accumulate tallies, and the
+/// epilogue's under kFused. Exposed so tests can hold it to an executed
+/// run's counts.
+armsim::Counters blocking_issue_counts(
+    const ConvShape& s, int bits, ArmKernel kernel,
+    const GemmBlocking& blocking,
+    BlockedSchedule schedule = BlockedSchedule::kStandalone);
+
 /// Pick the best {Mc, Kc, Nc} for the shape's GEMM view. Deterministic:
 /// a fixed candidate grid (per schedule) scored with score_blocking, ties
 /// broken by candidate order. Falls back to default_blocking geometry when
@@ -56,15 +66,18 @@ GemmBlocking search_blocking(
     BlockedSchedule schedule = BlockedSchedule::kStandalone);
 
 /// Stable scheme id of the micro kernel that would execute (0 = SMLAL,
-/// 1 = MLA, 2 = ncnn, 3 = SDOT, 4 = TBL) — the persistent tuning cache
-/// keys ARM entries by it (gpukern::ArmTuningKey::scheme).
+/// 1 = MLA, 2 = ncnn, 3 = SDOT, 5 = TBL) — the persistent tuning cache
+/// keys ARM entries by it (gpukern::ArmTuningKey::scheme). TBL rows keyed
+/// 4 were searched for its 16x4 tile alone and are no longer looked up.
 int blocking_scheme_id(ArmKernel kernel, int bits);
 
 /// TBL orientation pricing (schemes.h TblOrientation), decided from
 /// geometry alone: kActTables pays the online table build amortized over
 /// the m rows it serves; kWeightTables pays nothing online but streams an
 /// 8x-inflated offline table set whose misses scale with the number of
-/// C column-block passes. Deterministic and cheap (no replay).
+/// C column-block passes. The per-MAC kernel cost of each side is the
+/// paired 32x4 tile's step cost, probed once per mode. Deterministic and
+/// cheap (no replay).
 TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
                                       bool weights_ternary);
 

@@ -49,6 +49,7 @@ struct Combo {
   ArmKernel kernel;
   ConvAlgo algo;
   BlockingPolicy blocking = BlockingPolicy::kAuto;
+  GemmBlocking explicit_blocking{};  ///< consulted under kExplicit
 };
 
 std::vector<Combo> combos_for_bits(int bits) {
@@ -73,9 +74,15 @@ std::vector<Combo> combos_for_bits(int bits) {
         {ArmKernel::kSdotExt, ConvAlgo::kGemm, BlockingPolicy::kOff});
   }
   // TBL ships blocked-only (kOff degrades to kOursGemm at plan time, a
-  // rung already swept above), so only the kAuto schedule is new coverage.
-  if (tbl_eligible_for(bits))
+  // rung already swept above). Besides the searched blocking, an explicit
+  // Mc = Nc = 32 holds two row panels per Mc block and two 16-column index
+  // panels per band, so the 32x4 tile (micro_tbl_32x4, its own KernelSpec)
+  // runs in either orientation, next to the 16x4 tile of odd panels.
+  if (tbl_eligible_for(bits)) {
     cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm});
+    cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
+                  BlockingPolicy::kExplicit, GemmBlocking{32, 64, 32}});
+  }
   return cs;
 }
 
@@ -126,6 +133,7 @@ KernelVerifyReport verify_all_kernels() {
         opt.algo = combo.algo;
         opt.kernel = combo.kernel;
         opt.blocking = combo.blocking;
+        opt.explicit_blocking = combo.explicit_blocking;
         opt.verify = true;
 
         KernelVerifyEntry entry;

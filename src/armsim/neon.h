@@ -104,6 +104,16 @@ inline void ld4r_s8(Ctx& ctx, const i8* p, int8x16 out[4]) {
     for (int i = 0; i < 16; ++i) out[r].v[i] = p[r];
 }
 
+/// LD1 {Vt.4S}, [Xn] — four i32 lanes (a kernel re-loading its own partial
+/// sums; the verifier seeds the lanes from the region's value range).
+inline void ld1_s32(Ctx& ctx, const i32* p, int32x4& r) {
+  ctx.tally(Op::kLd1);
+  if (ctx.verifier != nullptr)
+    ctx.verifier->on_load(Op::kLd1, &r, VType::kS32, p, /*half=*/false);
+  ctx.mem(p, 16);
+  for (int i = 0; i < 4; ++i) r.v[i] = p[i];
+}
+
 /// ST1 {Vt.4S}, [Xn].
 inline void st1_s32(Ctx& ctx, const int32x4& v, i32* p) {
   ctx.tally(Op::kSt1);

@@ -153,6 +153,19 @@ void prove_tbl(ProofResult& r, const SchemeModel& m) {
   const int cadence = armkern::tbl_flush_interval(m.bits, m.tbl_pair);
   add(r, "tbl.flush-covers-kernel", m.acc8_flush >= cadence,
       ineq(cadence, m.acc8_flush, "kernel flush cadence", "declared flush"));
+  // Second level (the 32x4 tile): each byte-lane flush deposits at most
+  // flush * entry into an i16 lane; the 16->32 flush must come before
+  // those deposits overflow.
+  add(r, "tbl.rounds-cover-kernel",
+      m.second_level_rounds >= armkern::kTblSecondLevelRounds,
+      ineq(armkern::kTblSecondLevelRounds, m.second_level_rounds,
+           "kernel 16->32 cadence", "declared rounds"));
+  add(r, "tbl.i16-second-level-headroom",
+      m.second_level_rounds > 0 &&
+          static_cast<i64>(m.second_level_rounds) * m.acc8_flush * entry <=
+              kI16Max,
+      ineq(static_cast<i64>(m.second_level_rounds) * m.acc8_flush * entry,
+           kI16Max, "rounds * flush * entry bound", "i16 headroom"));
   // The SADDW path has no range clamp after the table lookup, so the
   // headroom bounds above only hold if the builder NEVER emits an entry
   // outside them — including 0 at every invalid/neutral index, which is
@@ -345,6 +358,7 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
       // pack detects ternary weights (prove_arm_kernel covers both).
       m.tbl_pair = bits == 2;
       m.acc8_flush = armkern::tbl_flush_interval(bits, m.tbl_pair);
+      m.second_level_rounds = armkern::kTblSecondLevelRounds;
       m.tbl_build = &armkern::tbl_build_table;
       break;
     case ProofScheme::kNativeLut:

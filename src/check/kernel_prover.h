@@ -22,8 +22,9 @@
 //  * ARM SDOT / ncnn-style / traditional: direct-i32 (or single-flush)
 //    variants of the same argument.
 //  * ARM TBL (2-3 bit): every product-table entry fits the signed-byte TBL
-//    lane, every index stays inside the 16-entry window, i16 lanes hold
-//    through the declared flush, and the shipping table builder produces
+//    lane, every index stays inside the 16-entry window, i8 lanes hold
+//    through the declared flush, the 32x4 tile's i16 lanes hold across
+//    kTblSecondLevelRounds flushes, and the shipping table builder produces
 //    exactly the decoded pair/generic products (checked exhaustively).
 //  * AVX2 LUT (2-4 bit): products fit the signed-byte pshufb table, i16
 //    lanes cannot overflow before the 256-step flush, every table index
@@ -80,7 +81,8 @@ struct SchemeModel {
   int acc16_flush = 0;
   /// Declared 8-bit-lane flush interval (MLA first level).
   int acc8_flush = 0;
-  /// Declared first-level rounds between 16->32-bit flushes (MLA).
+  /// Declared first-level rounds between 16->32-bit flushes (MLA, and the
+  /// 32x4 TBL tile's byte-lane flushes).
   int second_level_rounds = 0;
   /// Total reduction depth (GEMM K) the proof must cover.
   i64 depth = 0;

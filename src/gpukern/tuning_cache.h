@@ -59,8 +59,10 @@ struct TuningKey {
 };
 
 /// Key of an ARM blocked-GEMM entry. `scheme` is the micro-kernel scheme
-/// id (armkern: 0 = SMLAL, 1 = MLA, 2 = ncnn, 3 = SDOT) — the winner
-/// depends on the kernel's load pattern, not just the GEMM view.
+/// id (armkern::blocking_scheme_id: 0 = SMLAL, 1 = MLA, 2 = ncnn, 3 = SDOT,
+/// 5 = TBL; 4 = TBL rows searched for its retired 16x4-only schedule,
+/// still parsed but never looked up) — the winner depends on the kernel's
+/// load pattern, not just the GEMM view.
 struct ArmTuningKey {
   i64 m = 0, n = 0, k = 0;
   int bits = 8;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "armkern/conv_arm.h"
@@ -356,6 +357,67 @@ TEST(GemmBlocked, FusedExecuteMatchesReferenceForEveryKernel) {
             << ", threads=" << threads;
       }
   }
+}
+
+TEST(GemmBlocked, PairedTblTileMatchesReferenceAtEveryPanelEdge) {
+  // TBL pairs adjacent panels into the 32x4 tile and keeps the 16x4 tile
+  // for an odd last one. Act tables (m = 48, three row panels): Mc = 64
+  // pairs two and runs one alone, Mc = 32 pairs only in the first block,
+  // Mc = 16 pairs nothing. Weight tables (8 rows, n = 144): Nc = 48 and 40
+  // hold a 16-column index pair and an odd panel (40: a partial one),
+  // Nc = 32 exactly one pair, Nc = 12 nothing. Each blocking runs with
+  // Kc = K and with split-K bands, standalone and fused, checked at one
+  // thread and banded across three.
+  struct Case {
+    const char* name;
+    ConvShape s;
+    TblOrientation orient;
+    std::vector<i64> mc, nc;
+  };
+  const Case cases[] = {
+      {"act-tables", shape(128, 5, 48, 3, 1, 1), TblOrientation::kActTables,
+       {64, 32, 16}, {8}},
+      {"weight-tables", shape(8, 12, 8, 3, 1, 1),
+       TblOrientation::kWeightTables, {16}, {48, 40, 32, 12}},
+  };
+  for (const int bits : {2, 3})
+    for (const Case& c : cases) {
+      const ConvShape& s = c.s;
+      const Tensor<i8> in =
+          random_qtensor(Shape4{1, s.in_c, s.in_h, s.in_w}, bits, 71);
+      const Tensor<i8> w = random_qtensor(
+          Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 72);
+      const Tensor<i32> ref = ref::conv2d_s32(s, in, w);
+      const FusedCase fc{c.name, bits, ArmKernel::kTblGemm, s, c.orient};
+      for (const i64 mc : c.mc)
+        for (const i64 nc : c.nc)
+          for (const i64 kc : {i64{1} << 20, i64{96}})
+            for (const int threads : {1, 3}) {
+              const bool verify = threads == 1;
+              const ArmConvPlan plan =
+                  fused_plan(fc, w, GemmBlocking{mc, kc, nc}, threads, verify);
+              const std::string where =
+                  std::string(c.name) + " bits=" + std::to_string(bits) +
+                  " mc=" + std::to_string(mc) + " kc=" + std::to_string(kc) +
+                  " nc=" + std::to_string(nc) +
+                  " threads=" + std::to_string(threads);
+              ASSERT_EQ(plan.kernel, ArmKernel::kTblGemm) << where;
+              ASSERT_EQ(plan.tbl_a.orient, c.orient) << where;
+              ASSERT_EQ(plan.blocking.nc, nc) << where;
+              Workspace ws;
+              const StatusOr<ArmConvResult> alone = execute_conv(plan, in, ws);
+              ASSERT_TRUE(alone.ok()) << where << ": "
+                                      << alone.status().to_string();
+              EXPECT_TRUE(alone.value().out == ref) << where << " standalone";
+              const FusedRun fused = run_fused(plan, in,
+                                               plan.fused_band_elems());
+              ASSERT_TRUE(fused.status.ok()) << where << ": "
+                                             << fused.status.to_string();
+              EXPECT_TRUE(std::equal(fused.acc.begin(), fused.acc.end(),
+                                     ref.data()))
+                  << where << " fused";
+            }
+    }
 }
 
 TEST(GemmBlocked, FusedExecuteRejectsAShortBand) {

@@ -1,22 +1,32 @@
 // TBL lookup-table scheme (DESIGN.md Sec. 16): bit-exactness of both
-// orientations vs the reference GEMM, ternary pack detection and its edge
-// cases, plan-level eligibility degrades, checked execution under the
-// invariant verifier, orientation pricing, and the prover's TBL obligations
-// with mutation tests that must fail at the exact named obligation.
+// orientations vs the reference GEMM, the paired 32x4 tile in every mode,
+// ternary pack detection and its edge cases, plan-level eligibility
+// degrades, checked execution under the invariant verifier, orientation
+// pricing, tuning rows of the retired 16x4-only schedule, and the prover's
+// TBL obligations with mutation tests that must fail at the exact named
+// obligation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "armkern/conv_arm.h"
 #include "armkern/gemm_blocked.h"
 #include "armkern/gemm_lowbit.h"
+#include "armkern/micro.h"
 #include "armkern/pack.h"
 #include "armkern/schemes.h"
 #include "armkern/tile_search.h"
 #include "armkern/verify_kernels.h"
 #include "check/kernel_prover.h"
+#include "common/align.h"
 #include "common/rng.h"
 #include "common/workspace.h"
+#include "core/conv_plan.h"
+#include "gpukern/tuning_cache.h"
 #include "refconv/conv_ref.h"
 #include "refconv/gemm_ref.h"
 
@@ -172,6 +182,227 @@ TEST(TblPack, OddDepthPairTailIsNeutral) {
 }
 
 // ---------------------------------------------------------------------------
+// The paired 32x4 tile: one table load serves two index vectors
+// ---------------------------------------------------------------------------
+
+// A checked conv plan at an explicit blocking; its orientation follows the
+// geometry (choose_tbl_orientation), which each caller asserts.
+ArmConvPlan tbl_plan(const ConvShape& s, const Tensor<i8>& w, int bits,
+                     const GemmBlocking& blk) {
+  ArmConvOptions opt;
+  opt.bits = bits;
+  opt.kernel = ArmKernel::kTblGemm;
+  opt.blocking = BlockingPolicy::kExplicit;
+  opt.explicit_blocking = blk;
+  opt.verify = true;
+  return plan_conv(s, w, opt).value();
+}
+
+TEST(TblPairedTile, MatchesReferenceInEveryModeAndOrientation) {
+  // Act tables: 96 rows, Mc = 64: two row-panel pairs in the first block,
+  // one in the second.
+  // Weight tables: 8 rows, and each 48-column band holds a 16-column index
+  // panel pair plus an odd one. Weights: random 2-bit (pair mode), ternary
+  // 3-bit (pair mode on the act-tables index side; weight tables index the
+  // non-ternary activations, so generic) and random 3-bit (generic).
+  struct Case {
+    ConvShape s;
+    TblOrientation orient;
+    GemmBlocking blk;
+  };
+  const Case cases[] = {
+      {conv_shape(64, 5, 96, 3, 1, 1), TblOrientation::kActTables,
+       GemmBlocking{64, 96, 8}},
+      {conv_shape(8, 12, 8, 3, 1, 1), TblOrientation::kWeightTables,
+       GemmBlocking{16, 40, 48}},
+  };
+  for (const Case& c : cases) {
+    const ConvShape& s = c.s;
+    const Shape4 wshape{s.out_c, s.in_c, s.kernel, s.kernel};
+    struct Mode {
+      const char* name;
+      int bits;
+      Tensor<i8> w;
+      int act_group;  ///< index-side group under kActTables
+    };
+    const Mode modes[] = {
+        {"2-bit pair", 2, random_qtensor(wshape, 2, 101), kTblPairGroup},
+        {"3-bit pair", 3, ternary_tensor(wshape, 102), kTblPairGroup},
+        {"3-bit generic", 3, random_qtensor(wshape, 3, 103), 1},
+    };
+    for (const Mode& md : modes) {
+      const Tensor<i8> in = extreme_qtensor(
+          Shape4{s.batch, s.in_c, s.in_h, s.in_w}, md.bits, 104);
+      const ArmConvPlan plan = tbl_plan(s, md.w, md.bits, c.blk);
+      ASSERT_EQ(plan.kernel, ArmKernel::kTblGemm) << md.name;
+      ASSERT_EQ(plan.tbl_a.orient, c.orient) << md.name;
+      EXPECT_EQ(plan.tbl_a.group,
+                c.orient == TblOrientation::kActTables
+                    ? md.act_group
+                    : tbl_group_for(c.orient, md.bits, false))
+          << md.name;
+      Workspace ws;
+      const StatusOr<ArmConvResult> r = execute_conv(plan, in, ws);
+      ASSERT_TRUE(r.ok()) << md.name << ": " << r.status().to_string();
+      EXPECT_TRUE(r.value().out == ref::conv2d_s32(s, in, md.w))
+          << md.name << " orient=" << static_cast<int>(c.orient);
+    }
+  }
+}
+
+TEST(TblPairedTile, DeepGenericCallCrossesTheI16SecondLevel) {
+  // 3-bit generic, K = 4096 with Kc = K: 4096 group steps per call, past
+  // the 256 * 14 = 3584 a call covers before its i16 sums must widen into
+  // the i32 tile, so the tile re-loads and adds its own partial sums once.
+  // Checked execution: the verifier's interval analysis follows the i32
+  // re-load from the tile region. Both orientations pair: 32 rows (act
+  // tables) and 36 columns (weight tables: a pair and an odd panel).
+  const GemmBlocking blk{32, i64{1} << 20, 64};
+  const std::pair<ConvShape, TblOrientation> cases[] = {
+      {conv_shape(4096, 2, 32, 1, 1, 0), TblOrientation::kActTables},
+      {conv_shape(4096, 6, 4, 1, 1, 0), TblOrientation::kWeightTables},
+  };
+  static_assert(kTblSecondLevelRounds * 14 == 3584);
+  ASSERT_EQ(tbl_flush_interval(3, false), 14);
+  for (const auto& [s, orient] : cases) {
+    const Tensor<i8> w = extreme_qtensor(
+        Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 3, 111);
+    const Tensor<i8> in =
+        extreme_qtensor(Shape4{s.batch, s.in_c, s.in_h, s.in_w}, 3, 112);
+    const ArmConvPlan plan = tbl_plan(s, w, 3, blk);
+    ASSERT_EQ(plan.tbl_a.orient, orient);
+    ASSERT_EQ(plan.tbl_a.group, 1);
+    ASSERT_EQ(plan.blocking.kc, 4096);
+    Workspace ws;
+    const StatusOr<ArmConvResult> r = execute_conv(plan, in, ws);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_TRUE(r.value().out == ref::conv2d_s32(s, in, w))
+        << "orient=" << static_cast<int>(orient);
+  }
+}
+
+TEST(TblPairedTile, EqualsTwoUnpairedTilesUnderItsKernelSpec) {
+  // The kernel alone under a verifier: every group step's table line is
+  // shared by both index vectors, the result is two 16x4 tiles bit for
+  // bit, and the declared contract holds — both flush cadences (across a
+  // second-level flush: 3-bit generic, 4000 > 3584 steps), the CAL/LD band
+  // around 8 TBL / 3 loads and the 32-entry register file, no spills.
+  const i64 groups = 4000;
+  const int flush = tbl_flush_interval(3, false);
+  const i32 bound = tbl_entry_bound(3, false);
+  AlignedVector<u8> idx0(static_cast<size_t>(groups * 16));
+  AlignedVector<u8> idx1(static_cast<size_t>(groups * 16));
+  AlignedVector<i8> tables(static_cast<size_t>(groups * 64));
+  for (i64 i = 0; i < groups * 16; ++i) {
+    idx0[static_cast<size_t>(i)] = static_cast<u8>(i % 7);
+    idx1[static_cast<size_t>(i)] = static_cast<u8>((i * 5 + 3) % 7);
+  }
+  for (i64 i = 0; i < groups * 64; ++i)
+    tables[static_cast<size_t>(i)] =
+        static_cast<i8>((i % 3 == 0 ? 1 : -1) * (i % (bound + 1)));
+
+  alignas(64) i32 want[2 * kMr * kNr];
+  armsim::Ctx plain;
+  micro_tbl_16x4(plain, idx0.data(), tables.data(), groups, flush, want);
+  micro_tbl_16x4(plain, idx1.data(), tables.data(), groups, flush,
+                 want + kMr * kNr);
+
+  armsim::Verifier v;
+  v.add_region(idx0.data(), groups * 16, "idx0", 0, 15);
+  v.add_region(idx1.data(), groups * 16, "idx1", 0, 15);
+  v.add_region(tables.data(), groups * 64, "tables", -bound, bound);
+  alignas(64) i32 tile[2 * kMr * kNr];
+  const i64 tile_bound = groups * bound;
+  v.add_region(tile, sizeof(tile), "tile", -tile_bound, tile_bound);
+  armsim::Ctx ctx;
+  ctx.verifier = &v;
+  micro_tbl_32x4(ctx, idx0.data(), idx1.data(), tables.data(), groups, flush,
+                 tile);
+  EXPECT_TRUE(v.ok()) << v.to_status().to_string();
+  EXPECT_EQ(v.max_live_regs(), 32);
+  EXPECT_TRUE(std::equal(tile, tile + 2 * kMr * kNr, want));
+  // One LD1x4 per step instead of two.
+  EXPECT_EQ(ctx.counts[armsim::Op::kLd1x4], static_cast<u64>(groups));
+  EXPECT_EQ(plain.counts[armsim::Op::kLd1x4], static_cast<u64>(2 * groups));
+}
+
+TEST(TblPairedTile, SearchPricesTheExecutedInstructionMix) {
+  // The tile search's issue side (micro probes scaled by paired and single
+  // call counts, pack, accumulate and epilogue tallies) must equal what the
+  // driver executes, instruction for instruction; only the cache misses
+  // come from the replay. Blockings: pairs plus an odd panel, pairs only,
+  // and nothing paired, under both orientations and both schedules.
+  struct Case {
+    ConvShape s;
+    TblOrientation orient;
+    GemmBlocking blk;
+  };
+  const Case cases[] = {
+      {conv_shape(128, 5, 48, 3, 1, 1), TblOrientation::kActTables,
+       GemmBlocking{64, 96, 8}},
+      {conv_shape(64, 5, 96, 3, 1, 1), TblOrientation::kActTables,
+       GemmBlocking{64, i64{1} << 20, 8}},
+      {conv_shape(64, 5, 96, 3, 1, 1), TblOrientation::kActTables,
+       GemmBlocking{16, 96, 8}},
+      {conv_shape(8, 12, 8, 3, 1, 1), TblOrientation::kWeightTables,
+       GemmBlocking{16, 40, 48}},
+      {conv_shape(8, 12, 8, 3, 1, 1), TblOrientation::kWeightTables,
+       GemmBlocking{16, i64{1} << 20, 32}},
+      {conv_shape(8, 12, 8, 3, 1, 1), TblOrientation::kWeightTables,
+       GemmBlocking{16, 40, 12}},
+  };
+  const auto expect_same_issue = [](const armsim::Counters& priced,
+                                    const armsim::Counters& ran,
+                                    const std::string& where) {
+    for (size_t i = 0; i < armsim::kNumOps; ++i) {
+      const auto op = static_cast<armsim::Op>(i);
+      if (op == armsim::Op::kL1Miss || op == armsim::Op::kL2Miss) continue;
+      EXPECT_EQ(priced.n[i], ran.n[i]) << where << " " << armsim::op_name(op);
+    }
+  };
+  for (const int bits : {2, 3})
+    for (const Case& c : cases) {
+      const ConvShape& s = c.s;
+      const Tensor<i8> w = random_qtensor(
+          Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 131);
+      const Tensor<i8> in =
+          random_qtensor(Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, 132);
+      ArmConvOptions opt;
+      opt.bits = bits;
+      opt.kernel = ArmKernel::kTblGemm;
+      opt.blocking = BlockingPolicy::kExplicit;
+      opt.explicit_blocking = c.blk;
+      const ArmConvPlan plan = plan_conv(s, w, opt).value();
+      ASSERT_EQ(plan.tbl_a.orient, c.orient);
+      const std::string where = "bits=" + std::to_string(bits) + " mc=" +
+                                std::to_string(c.blk.mc) + " kc=" +
+                                std::to_string(plan.blocking.kc) + " nc=" +
+                                std::to_string(c.blk.nc);
+      Workspace ws;
+      expect_same_issue(
+          blocking_issue_counts(s, bits, ArmKernel::kTblGemm, plan.blocking),
+          execute_conv(plan, in, ws).value().counts, where + " standalone");
+
+      const i64 m = s.gemm_m(), n = s.gemm_n();
+      std::vector<i8> out(static_cast<size_t>(m * n));
+      TileEpilogue epi;
+      epi.fn = [](i64, i64, i64, const i32*) {};
+      epi.out_base = out.data();
+      epi.row_stride = n;
+      epi.out_rows = m;
+      std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
+      const FusedConvResult fused =
+          execute_conv_fused(plan, in.data(), band.data(),
+                             plan.fused_band_elems(), epi, ws)
+              .value();
+      expect_same_issue(
+          blocking_issue_counts(s, bits, ArmKernel::kTblGemm, plan.blocking,
+                                BlockedSchedule::kFused),
+          fused.counts, where + " fused");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Conv plan: eligibility degrades, checked execution, space accounting
 // ---------------------------------------------------------------------------
 
@@ -282,7 +513,40 @@ TEST(TblSearch, BlockingSearchIsDeterministicAndClamped) {
   EXPECT_TRUE(b1.enabled());
   const double score = score_blocking(s, 2, ArmKernel::kTblGemm, b1);
   EXPECT_GT(score, 0);
-  EXPECT_EQ(blocking_scheme_id(ArmKernel::kTblGemm, 2), 4);
+  EXPECT_EQ(blocking_scheme_id(ArmKernel::kTblGemm, 2), 5);
+}
+
+TEST(TblSearch, RowsKeyedForTheUnpairedTileAreNotReturned) {
+  // A persisted TBL row under scheme id 4 was searched for the 16x4 tile
+  // alone. Planning through the cache must miss it, search the paired
+  // schedule and store that winner under the current id; the old row
+  // still parses (a file holding it loads).
+  const ConvShape s = conv_shape(16, 14, 32, 3, 1, 1);
+  const Tensor<i8> w =
+      random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 2, 121);
+  const gpukern::ArmTuningKey old_key{s.gemm_m(), s.gemm_n(), s.gemm_k(), 2,
+                                      4};
+  const gpukern::ArmBlocking stale{16, 8, 4};
+  const GemmBlocking searched = search_blocking(s, 2, ArmKernel::kTblGemm);
+  ASSERT_NE(searched, (GemmBlocking{stale.mc, stale.kc, stale.nc}));
+  gpukern::TuningCache cache;
+  cache.put_arm(old_key, stale);
+  gpukern::TuningCache reloaded;
+  ASSERT_TRUE(reloaded.deserialize(cache.serialize()).ok());
+
+  const core::ConvPlan plan =
+      core::plan_arm_conv(s, w, 2, core::ArmImpl::kTblLut,
+                          ConvAlgo::kGemm, 1, false, &reloaded)
+          .value();
+  ASSERT_EQ(plan.impl_plan().kernel, ArmKernel::kTblGemm);
+  EXPECT_EQ(plan.impl_plan().blocking, searched);
+  gpukern::ArmTuningKey key = old_key;
+  key.scheme = blocking_scheme_id(ArmKernel::kTblGemm, 2);
+  const std::optional<gpukern::ArmBlocking> row = reloaded.lookup_arm(key);
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(*row, (gpukern::ArmBlocking{searched.mc, searched.kc,
+                                        searched.nc}));
+  EXPECT_EQ(reloaded.lookup_arm(old_key), stale);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,6 +563,17 @@ TEST(TblProver, ShippingModelsProve) {
       check::prove_arm_kernel(ArmKernel::kTblGemm, 2, 8192).ok());
   EXPECT_TRUE(
       check::prove_arm_kernel(ArmKernel::kTblGemm, 3, 8192).ok());
+  // The 32x4 tile's i16 level is part of every TBL proof.
+  const check::ProofResult r = check::prove(
+      check::shipping_model(check::ProofScheme::kArmTbl, 3, 4608));
+  for (const char* name :
+       {"tbl.rounds-cover-kernel", "tbl.i16-second-level-headroom"}) {
+    const auto it = std::find_if(
+        r.obligations.begin(), r.obligations.end(),
+        [name](const check::Obligation& o) { return o.name == name; });
+    ASSERT_NE(it, r.obligations.end()) << name;
+    EXPECT_TRUE(it->proved) << it->statement;
+  }
 }
 
 TEST(TblProver, SweepsIncludeTblAndMatchDerivedCounts) {
@@ -320,6 +595,19 @@ TEST(TblProverMutation, ShrunkFlushFailsAtFlushCoversKernel) {
   EXPECT_FALSE(r.proved());
   ASSERT_NE(r.first_failed(), nullptr);
   EXPECT_EQ(r.first_failed()->name, "tbl.flush-covers-kernel");
+}
+
+TEST(TblProverMutation, RoundsPastI16HeadroomFailAtSecondLevelHeadroom) {
+  // Declared 16->32 cadence twice the kernel's: it still covers the kernel
+  // (rounds-cover-kernel holds), but 512 byte-lane flushes of up to 126
+  // each overrun an i16 lane.
+  check::SchemeModel m =
+      check::shipping_model(check::ProofScheme::kArmTbl, 2, 576);
+  m.second_level_rounds = 2 * kTblSecondLevelRounds;
+  const check::ProofResult r = check::prove(m);
+  EXPECT_FALSE(r.proved());
+  ASSERT_NE(r.first_failed(), nullptr);
+  EXPECT_EQ(r.first_failed()->name, "tbl.i16-second-level-headroom");
 }
 
 void corrupted_build(int bits, bool ternary_pairs, i8 b0, i8 b1, i8 out[16]) {
@@ -361,8 +649,9 @@ TEST(TblVerify, SweepCoversTblAndMatchesDerivedCount) {
   int tbl_rows = 0;
   for (const KernelVerifyEntry& e : rep.entries)
     if (e.kernel == ArmKernel::kTblGemm) ++tbl_rows;
-  // bits 2-3, one blocked combo, three shapes each.
-  EXPECT_EQ(tbl_rows, 2 * 3);
+  // bits 2-3, two blocked combos (searched, and an explicit blocking that
+  // pairs panels into the 32x4 tile), three shapes each.
+  EXPECT_EQ(tbl_rows, 2 * 2 * 3);
 }
 
 }  // namespace

@@ -271,7 +271,7 @@ TEST(TuningCacheV2, RejectsCorruptArmLines) {
   const char* bad_bodies[] = {
       "arm 64 3136 576 4 0 128 64\n",          // truncated
       "arm 64 3136 576 4 0 128 64 256 9\n",    // trailing field
-      "arm 64 3136 576 4 5 128 64 256\n",      // scheme out of range
+      "arm 64 3136 576 4 6 128 64 256\n",      // scheme out of range
       "arm 64 3136 576 4 0 100 64 256\n",      // Mc not multiple of 16
       "arm 64 3136 576 4 0 128 64 30\n",       // Nc not multiple of 4
       "arm 64 3136 576 4 0 -16 64 256\n",      // negative Mc

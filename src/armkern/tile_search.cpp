@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -483,18 +484,36 @@ Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
   return counts;
 }
 
-// Assumes g_mu is held (the replay memo is shared).
-double score_locked(const ConvShape& s, int bits, ArmKernel kernel,
-                    const GemmBlocking& blocking, BlockedSchedule schedule) {
-  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
-  const BlockedLayout lay = layout_for(m, n, k, blocking, kernel, bits);
+// One candidate priced up to its replay: the layout and issue counts, and
+// their cycles. Misses only add stall cycles (CostModel::breakdown sums
+// them after the issue terms), so `issue` is a lower bound on the full
+// score, exact in floating point.
+struct IssuePriced {
+  BlockedLayout lay;
+  Counters counts;
+  double issue = 0;
+};
 
-  Counters counts = issue_counts(s, bits, kernel, lay,
-                                 schedule == BlockedSchedule::kFused);
-  const ReplayMisses misses = replay_memoized(s, lay, schedule);
-  counts[Op::kL1Miss] += misses.l1;
-  counts[Op::kL2Miss] += misses.l2;
-  return CostModel::cortex_a53().cycles_for(counts, /*interleaved=*/true);
+IssuePriced price_issue(const ConvShape& s, int bits, ArmKernel kernel,
+                        const GemmBlocking& blocking,
+                        BlockedSchedule schedule) {
+  IssuePriced p;
+  p.lay = layout_for(s.gemm_m(), s.gemm_n(), s.gemm_k(), blocking, kernel,
+                     bits);
+  p.counts = issue_counts(s, bits, kernel, p.lay,
+                          schedule == BlockedSchedule::kFused);
+  p.issue = CostModel::cortex_a53().cycles_for(p.counts, /*interleaved=*/true);
+  return p;
+}
+
+// The full score: the issue counts plus the misses of the cold replay.
+// Assumes g_mu is held (the replay memo is shared).
+double score_with_replay(const ConvShape& s, IssuePriced p,
+                         BlockedSchedule schedule) {
+  const ReplayMisses misses = replay_memoized(s, p.lay, schedule);
+  p.counts[Op::kL1Miss] += misses.l1;
+  p.counts[Op::kL2Miss] += misses.l2;
+  return CostModel::cortex_a53().cycles_for(p.counts, /*interleaved=*/true);
 }
 
 // One layer of the chained whole-net objective: layer i's issue cycles
@@ -622,20 +641,19 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
 Counters blocking_issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
                                const GemmBlocking& blocking,
                                BlockedSchedule schedule) {
-  const BlockedLayout lay = layout_for(s.gemm_m(), s.gemm_n(), s.gemm_k(),
-                                       blocking, kernel, bits);
-  return issue_counts(s, bits, kernel, lay,
-                      schedule == BlockedSchedule::kFused);
+  return price_issue(s, bits, kernel, blocking, schedule).counts;
 }
 
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
                       const GemmBlocking& blocking, BlockedSchedule schedule) {
+  const IssuePriced p = price_issue(s, bits, kernel, blocking, schedule);
   std::lock_guard<std::mutex> lock(g_mu);
-  return score_locked(s, bits, kernel, blocking, schedule);
+  return score_with_replay(s, p, schedule);
 }
 
-GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
-                             BlockedSchedule schedule) {
+std::vector<GemmBlocking> blocking_candidates(const ConvShape& s, int bits,
+                                              ArmKernel kernel,
+                                              BlockedSchedule schedule) {
   const bool sdot = kernel == ArmKernel::kSdotExt;
   const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
   const int tblg =
@@ -643,20 +661,6 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
           ? tbl_group_for(choose_tbl_orientation(m, n, k, bits, false), bits,
                           false)
           : 0;
-
-  std::ostringstream os;
-  os << geometry_key(s) << "|b" << bits << "|sch"
-     << blocking_scheme_id(kernel, bits);
-  if (schedule == BlockedSchedule::kFused) os << "|fused";
-  const std::string key = os.str();
-
-  std::lock_guard<std::mutex> lock(g_mu);
-  if (const auto it = g_winners.find(key); it != g_winners.end()) {
-    ++g_stats.memo_hits;
-    return it->second;
-  }
-  ++g_stats.searches;
-
   // Fixed candidate grid, clamped to the problem and de-duplicated.
   // Kc x Nc bounds the L1-resident B block (<= 32 KB for every candidate);
   // Mc bounds the A rows swept per L2 refill.
@@ -696,14 +700,41 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
       for (const i64 kc : {std::min<i64>(k, 4096), i64{384}, i64{512}})
         for (const i64 nc : {4, 8, 16, 32, 64}) add(mc, kc, nc);
   }
+  return candidates;
+}
 
+GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
+                             BlockedSchedule schedule) {
+  std::ostringstream os;
+  os << geometry_key(s) << "|b" << bits << "|sch"
+     << blocking_scheme_id(kernel, bits);
+  if (schedule == BlockedSchedule::kFused) os << "|fused";
+  const std::string key = os.str();
+
+  std::lock_guard<std::mutex> lock(g_mu);
+  if (const auto it = g_winners.find(key); it != g_winners.end()) {
+    ++g_stats.memo_hits;
+    return it->second;
+  }
+  ++g_stats.searches;
+
+  // The first strict minimum in grid order. A candidate whose issue-only
+  // cycles already reach the best score cannot beat it (its replay could
+  // only add stalls), so it is not replayed.
+  const std::vector<GemmBlocking> candidates =
+      blocking_candidates(s, bits, kernel, schedule);
   GemmBlocking best = candidates.front();
-  double best_score = score_locked(s, bits, kernel, best, schedule);
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    const double sc = score_locked(s, bits, kernel, candidates[i], schedule);
+  double best_score = std::numeric_limits<double>::infinity();
+  for (const GemmBlocking& cand : candidates) {
+    const IssuePriced p = price_issue(s, bits, kernel, cand, schedule);
+    if (p.issue >= best_score) {
+      ++g_stats.replays_skipped;
+      continue;
+    }
+    const double sc = score_with_replay(s, p, schedule);
     if (sc < best_score) {
       best_score = sc;
-      best = candidates[i];
+      best = cand;
     }
   }
   g_winners.emplace(key, best);
@@ -713,12 +744,23 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
 ArmKernel choose_gemm_kernel(const ConvShape& s, int bits,
                              BlockedSchedule schedule) {
   if (!tbl_eligible_for(bits)) return ArmKernel::kOursGemm;
-  const GemmBlocking mla =
-      search_blocking(s, bits, ArmKernel::kOursGemm, schedule);
   const GemmBlocking tbl =
       search_blocking(s, bits, ArmKernel::kTblGemm, schedule);
-  return score_blocking(s, bits, ArmKernel::kTblGemm, tbl, schedule) <
-                 score_blocking(s, bits, ArmKernel::kOursGemm, mla, schedule)
+  const double tbl_score =
+      score_blocking(s, bits, ArmKernel::kTblGemm, tbl, schedule);
+  // MLA's winner scores at least the least issue-only cycles over its grid
+  // (a replay only adds stalls), so a TBL score under that floor wins
+  // without searching MLA at all.
+  double mla_floor = std::numeric_limits<double>::infinity();
+  for (const GemmBlocking& cand :
+       blocking_candidates(s, bits, ArmKernel::kOursGemm, schedule))
+    mla_floor = std::min(
+        mla_floor,
+        price_issue(s, bits, ArmKernel::kOursGemm, cand, schedule).issue);
+  if (tbl_score < mla_floor) return ArmKernel::kTblGemm;
+  const GemmBlocking mla =
+      search_blocking(s, bits, ArmKernel::kOursGemm, schedule);
+  return tbl_score < score_blocking(s, bits, ArmKernel::kOursGemm, mla, schedule)
              ? ArmKernel::kTblGemm
              : ArmKernel::kOursGemm;
 }

@@ -20,6 +20,8 @@
 // persists winners across process runs (core::plan_arm_conv).
 #pragma once
 
+#include <vector>
+
 #include "armkern/blocking.h"
 #include "armkern/gemm_lowbit.h"
 #include "common/conv_shape.h"
@@ -56,11 +58,19 @@ armsim::Counters blocking_issue_counts(
     const GemmBlocking& blocking,
     BlockedSchedule schedule = BlockedSchedule::kStandalone);
 
-/// Pick the best {Mc, Kc, Nc} for the shape's GEMM view. Deterministic:
-/// a fixed candidate grid (per schedule) scored with score_blocking, ties
-/// broken by candidate order. Falls back to default_blocking geometry when
-/// the problem is degenerate. Thread-safe; memoized per (geometry, bits,
-/// scheme, schedule).
+/// The fixed candidate grid search_blocking scores, clamped to the shape's
+/// GEMM view and de-duplicated, in tie-break order: default_blocking
+/// geometry first, then the shared grid, the TBL extensions (kTblGemm
+/// only) and the fused deep-Kc / narrow-Nc extensions (kFused only).
+std::vector<GemmBlocking> blocking_candidates(
+    const ConvShape& s, int bits, ArmKernel kernel,
+    BlockedSchedule schedule = BlockedSchedule::kStandalone);
+
+/// Pick the best {Mc, Kc, Nc} for the shape's GEMM view: the first
+/// candidate of blocking_candidates with the least score_blocking.
+/// Deterministic. A candidate whose issue-only cycles already reach the
+/// best score so far is not replayed — exact, since misses only add stall
+/// cycles. Thread-safe; memoized per (geometry, bits, scheme, schedule).
 GemmBlocking search_blocking(
     const ConvShape& s, int bits, ArmKernel kernel,
     BlockedSchedule schedule = BlockedSchedule::kStandalone);
@@ -87,7 +97,9 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
 /// kOursGemm — always kOursGemm above 3 bit, where TBL is ineligible. Both
 /// sides are priced without weight values (non-ternary 3-bit TBL groups,
 /// the conservative mode), so a ternary-weight pack can only beat the
-/// price. Deterministic; thread-safe; the per-layer searches it runs are
+/// price. When TBL's score is below the least issue-only cycles over MLA's
+/// candidate grid, MLA cannot win and is not searched; the answer is the
+/// same. Deterministic; thread-safe; the per-layer searches it runs are
 /// memoized.
 ArmKernel choose_gemm_kernel(
     const ConvShape& s, int bits,
@@ -101,6 +113,9 @@ struct TileSearchStats {
   /// for tests, which use it to confirm a chain exercises the exit; the
   /// search adds its total once, under one lock, when it returns.
   i64 joint_early_exits = 0;
+  /// search_blocking candidates decided without their cache replay,
+  /// because their issue-only cycles already reached the best score.
+  i64 replays_skipped = 0;
 };
 TileSearchStats tile_search_stats();
 

@@ -164,16 +164,14 @@ Status QuantizedConv2d::set_weights(const Tensor<float>& w,
                kInvalidArgument,
                "bias has " << bias.size() << " entries, expected "
                            << shape_.out_c);
-  float absmax = 0;
-  for (float v : w.span()) absmax = std::max(absmax, std::fabs(v));
-  LBC_ASSIGN_OR_RETURN(w_scheme_, quant::choose_scheme(absmax, bits_));
+  LBC_VALIDATE(std::isfinite(quant::absmax(bias)), kInvalidArgument,
+               "bias has a non-finite entry");
+  LBC_ASSIGN_OR_RETURN(w_scheme_,
+                       quant::choose_scheme(quant::absmax(w.span()), bits_));
   w_q_ = quant::quantize(w, w_scheme_);
-  bias_f_.clear();
-  if (!bias.empty()) {
-    // Bias is folded in the int32 accumulator domain at scale s_in * s_w;
-    // the exact values are filled per-forward once the input scale is known.
-    bias_f_.assign(bias.begin(), bias.end());
-  }
+  // Bias is folded in the int32 accumulator domain at scale s_in * s_w;
+  // the exact values are filled per-forward once the input scale is known.
+  bias_f_.assign(bias.begin(), bias.end());
   has_weights_ = true;
 
   // Compile the conv plan now: the fallback ladder resolves and the
@@ -216,16 +214,14 @@ StatusOr<Tensor<float>> QuantizedConv2d::forward(const Tensor<float>& x) {
                "input tensor is " << shape4_str(x.shape())
                                   << " but the layer needs "
                                   << shape4_str(want));
-  float absmax = 0;
-  for (float v : x.span()) absmax = std::max(absmax, std::fabs(v));
   LBC_ASSIGN_OR_RETURN(const quant::QScheme in_s,
-                       quant::choose_scheme(absmax, bits_));
+                       quant::choose_scheme(quant::absmax(x.span()), bits_));
   const Tensor<i8> x_q = quant::quantize(x, in_s);
 
   const float acc_scale = in_s.scale * w_scheme_.scale;
-  std::vector<i32> bias_q(static_cast<size_t>(shape_.out_c), 0);
-  for (size_t i = 0; i < bias_f_.size(); ++i)
-    bias_q[i] = static_cast<i32>(std::lround(bias_f_[i] / acc_scale));
+  LBC_ASSIGN_OR_RETURN(const std::vector<i32> bias_q,
+                       quant::quantize_bias(bias_f_, shape_.out_c, in_s,
+                                            w_scheme_, shape_.gemm_k()));
 
   if (backend_ == Backend::kArmCortexA53 || backend_ == Backend::kNativeHost) {
     // An unplanned native layer falls back to the emulated reference path:

@@ -1,7 +1,6 @@
 #include "core/graph_plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -149,11 +148,9 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         p.gemm_m = n.conv.gemm_m();
         p.gemm_n = n.conv.gemm_n();
         const QnnGraph::Node& src = g.nodes_[static_cast<size_t>(n.src0)];
-        const float acc_scale = src.scheme.scale * n.weight_scheme.scale;
-        p.bias_q.assign(static_cast<size_t>(n.conv.out_c), 0);
-        for (size_t c = 0; c < n.bias_f.size(); ++c)
-          p.bias_q[c] =
-              static_cast<i32>(std::lround(n.bias_f[c] / acc_scale));
+        LBC_ASSIGN_OR_RETURN(
+            p.bias_q, quant::quantize_bias(n.bias_f, n.conv.out_c, src.scheme,
+                                           n.weight_scheme, n.conv.gemm_k()));
         p.rq = quant::make_requant(src.scheme, n.weight_scheme, n.scheme,
                                    n.relu);
         break;

@@ -5,25 +5,9 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/graph_plan.h"
-#include "refconv/conv_ref.h"
+#include "refconv/conv_f32.h"
 
 namespace lbc::core {
-namespace {
-
-float tensor_absmax(const Tensor<float>& t) {
-  float m = 0;
-  for (float v : t.span()) m = std::max(m, std::fabs(v));
-  return m;
-}
-
-Tensor<float> relu_f(const Tensor<float>& x) {
-  Tensor<float> out(x.shape());
-  for (i64 i = 0; i < x.elems(); ++i)
-    out.data()[i] = x.data()[i] > 0 ? x.data()[i] : 0.0f;
-  return out;
-}
-
-}  // namespace
 
 QnnGraph::NodeId QnnGraph::push(Node n) {
   nodes_.push_back(std::move(n));
@@ -111,43 +95,52 @@ Shape4 QnnGraph::output_shape() const {
   return nodes_.back().out_shape;
 }
 
+const quant::QScheme& QnnGraph::activation_scheme(NodeId id) const {
+  LBC_CHECK_MSG(calibrated_, "activation_scheme: call calibrate() first");
+  return at(id).scheme;
+}
+
 // ---------------------------------------------------------------------------
-// fp32 reference forward (also the calibration pass)
+// fp32 executor: forward_fp32 and the calibration pass
 // ---------------------------------------------------------------------------
 
-Tensor<float> QnnGraph::forward_fp32(const Tensor<float>& x) const {
+StatusOr<Tensor<float>> QnnGraph::run_fp32(const Tensor<float>& x,
+                                           const Fp32Hook& on_node) const {
+  const auto relu = [](Tensor<float>& y) {
+    for (float& v : y.span()) v = v > 0 ? v : 0.0f;
+  };
   std::vector<Tensor<float>> acts(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
+    Tensor<float>& y = acts[i];
     switch (n.kind) {
       case Kind::kInput:
-        LBC_CHECK_MSG(x.shape() == n.out_shape,
-                      "forward_fp32: input shape does not match input node");
-        acts[i] = x;
+        y = x;
         break;
       case Kind::kConv: {
-        Tensor<float> y =
-            ref::conv2d_f32(n.conv, acts[static_cast<size_t>(n.src0)], n.weight_f);
+        // Bias after the whole tap sum, as the oracle-based pass added it.
+        y = ref::conv2d_f32_fast(n.conv, acts[static_cast<size_t>(n.src0)],
+                                 n.weight_f);
         if (!n.bias_f.empty())
           for (i64 c = 0; c < y.shape().c; ++c)
             for (i64 h = 0; h < y.shape().h; ++h)
               for (i64 w = 0; w < y.shape().w; ++w)
                 y.at(0, c, h, w) += n.bias_f[static_cast<size_t>(c)];
-        acts[i] = n.relu ? relu_f(y) : y;
+        if (n.relu) relu(y);
         break;
       }
       case Kind::kAdd: {
         const Tensor<float>& a = acts[static_cast<size_t>(n.src0)];
         const Tensor<float>& b = acts[static_cast<size_t>(n.src1)];
-        Tensor<float> y(a.shape());
+        y = Tensor<float>(a.shape());
         for (i64 j = 0; j < a.elems(); ++j)
           y.data()[j] = a.data()[j] + b.data()[j];
-        acts[i] = n.relu ? relu_f(y) : y;
+        if (n.relu) relu(y);
         break;
       }
       case Kind::kMaxPool2: {
         const Tensor<float>& a = acts[static_cast<size_t>(n.src0)];
-        Tensor<float> y(n.out_shape);
+        y = Tensor<float>(n.out_shape);
         for (i64 c = 0; c < y.shape().c; ++c)
           for (i64 h = 0; h < y.shape().h; ++h)
             for (i64 w = 0; w < y.shape().w; ++w)
@@ -155,12 +148,11 @@ Tensor<float> QnnGraph::forward_fp32(const Tensor<float>& x) const {
                   std::max(a.at(0, c, 2 * h, 2 * w), a.at(0, c, 2 * h, 2 * w + 1)),
                   std::max(a.at(0, c, 2 * h + 1, 2 * w),
                            a.at(0, c, 2 * h + 1, 2 * w + 1)));
-        acts[i] = y;
         break;
       }
       case Kind::kGlobalAvgPool: {
         const Tensor<float>& a = acts[static_cast<size_t>(n.src0)];
-        Tensor<float> y(n.out_shape);
+        y = Tensor<float>(n.out_shape);
         const float inv = 1.0f / static_cast<float>(a.shape().h * a.shape().w);
         for (i64 c = 0; c < a.shape().c; ++c) {
           float sum = 0;
@@ -168,12 +160,18 @@ Tensor<float> QnnGraph::forward_fp32(const Tensor<float>& x) const {
             for (i64 w = 0; w < a.shape().w; ++w) sum += a.at(0, c, h, w);
           y.at(0, c, 0, 0) = sum * inv;
         }
-        acts[i] = y;
         break;
       }
     }
+    if (on_node) LBC_RETURN_IF_ERROR(on_node(i, y));
   }
-  return acts.back();
+  return std::move(acts.back());
+}
+
+Tensor<float> QnnGraph::forward_fp32(const Tensor<float>& x) const {
+  LBC_CHECK_MSG(!nodes_.empty() && x.shape() == nodes_.front().out_shape,
+                "forward_fp32: input shape does not match input node");
+  return run_fp32(x, nullptr).value();
 }
 
 Status QnnGraph::calibrate(const Tensor<float>& x) {
@@ -183,91 +181,75 @@ Status QnnGraph::calibrate(const Tensor<float>& x) {
                "calibrate: graph must start with an input node");
   LBC_VALIDATE(x.shape() == nodes_.front().out_shape, kInvalidArgument,
                "calibrate: input tensor does not match the input node");
-  for (float v : x.span())
-    LBC_VALIDATE(std::isfinite(v), kInvalidArgument,
-                 "calibrate: non-finite calibration value");
-  plans_.clear();
+  LBC_VALIDATE(std::isfinite(quant::absmax(x.span())), kInvalidArgument,
+               "calibrate: non-finite calibration value");
+
+  // Everything is staged and committed only once every node has
+  // calibrated, so a failure leaves the graph as it was.
+  struct Staged {
+    int act_bits = 8;
+    quant::QScheme scheme, weight_scheme;
+    Tensor<i8> weight_q;
+  };
+  std::vector<Staged> staged(nodes_.size());
+
+  // Weights first, so a non-finite weight or bias fails before the fp32
+  // pass would spread it into the activations.
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.kind != Kind::kConv) continue;
+    const float wmax = quant::absmax(n.weight_f.span());
+    LBC_VALIDATE(std::isfinite(wmax), kInvalidArgument,
+                 "calibrate: conv node " << i << " has a non-finite weight");
+    LBC_VALIDATE(std::isfinite(quant::absmax(n.bias_f)), kInvalidArgument,
+                 "calibrate: conv node " << i << " has a non-finite bias");
+    LBC_ASSIGN_OR_RETURN(staged[i].weight_scheme,
+                         quant::choose_scheme(wmax, n.bits));
+    staged[i].weight_q = quant::quantize(n.weight_f, staged[i].weight_scheme);
+  }
 
   // A node feeding a lower-bit consumer must already emit activations in
   // that consumer's range (the paper's QNNs quantize both operands of a
   // b-bit conv to b bits), so propagate consumer bit widths backwards.
-  for (auto& n : nodes_) n.act_bits = n.bits;
+  for (size_t i = 0; i < nodes_.size(); ++i) staged[i].act_bits = nodes_[i].bits;
   for (size_t i = nodes_.size(); i-- > 0;) {
     const Node& n = nodes_[i];
     for (NodeId src : {n.src0, n.src1})
       if (src >= 0)
-        nodes_[static_cast<size_t>(src)].act_bits = std::min(
-            nodes_[static_cast<size_t>(src)].act_bits, n.act_bits);
+        staged[static_cast<size_t>(src)].act_bits = std::min(
+            staged[static_cast<size_t>(src)].act_bits, staged[i].act_bits);
   }
 
   // fp32 pass, recording absmax per node output.
-  std::vector<Tensor<float>> acts(nodes_.size());
+  LBC_RETURN_IF_ERROR(
+      run_fp32(x, [&staged](size_t i, const Tensor<float>& y) -> Status {
+        LBC_ASSIGN_OR_RETURN(staged[i].scheme,
+                             quant::choose_scheme(quant::absmax(y.span()),
+                                                  staged[i].act_bits));
+        return Status();
+      }).status());
+
+  // The bias GraphPlan folds must fit the i32 accumulator; reject it here
+  // so forward() never meets an uncompilable graph.
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.kind != Kind::kConv) continue;
+    LBC_RETURN_IF_ERROR(
+        quant::quantize_bias(n.bias_f, n.conv.out_c,
+                             staged[static_cast<size_t>(n.src0)].scheme,
+                             staged[i].weight_scheme, n.conv.gemm_k())
+            .status());
+  }
+
   for (size_t i = 0; i < nodes_.size(); ++i) {
     Node& n = nodes_[i];
-    // Reuse forward_fp32 logic node by node (duplicated intentionally to
-    // record intermediates without storing the whole graph twice).
-    switch (n.kind) {
-      case Kind::kInput: acts[i] = x; break;
-      case Kind::kConv: {
-        Tensor<float> y =
-            ref::conv2d_f32(n.conv, acts[static_cast<size_t>(n.src0)], n.weight_f);
-        if (!n.bias_f.empty())
-          for (i64 c = 0; c < y.shape().c; ++c)
-            for (i64 h = 0; h < y.shape().h; ++h)
-              for (i64 w = 0; w < y.shape().w; ++w)
-                y.at(0, c, h, w) += n.bias_f[static_cast<size_t>(c)];
-        acts[i] = n.relu ? relu_f(y) : y;
-        LBC_ASSIGN_OR_RETURN(
-            n.weight_scheme,
-            quant::choose_scheme(tensor_absmax(n.weight_f), n.bits));
-        n.weight_q = quant::quantize(n.weight_f, n.weight_scheme);
-        break;
-      }
-      case Kind::kAdd: {
-        const Tensor<float>& a = acts[static_cast<size_t>(n.src0)];
-        const Tensor<float>& b = acts[static_cast<size_t>(n.src1)];
-        Tensor<float> y(a.shape());
-        for (i64 j = 0; j < a.elems(); ++j)
-          y.data()[j] = a.data()[j] + b.data()[j];
-        acts[i] = n.relu ? relu_f(y) : y;
-        break;
-      }
-      case Kind::kMaxPool2:
-      case Kind::kGlobalAvgPool: {
-        // Delegate to the fp32 kernels above via a tiny local graph would
-        // be overkill; recompute inline.
-        const Tensor<float>& a = acts[static_cast<size_t>(n.src0)];
-        if (n.kind == Kind::kMaxPool2) {
-          Tensor<float> y(n.out_shape);
-          for (i64 c = 0; c < y.shape().c; ++c)
-            for (i64 h = 0; h < y.shape().h; ++h)
-              for (i64 w = 0; w < y.shape().w; ++w)
-                y.at(0, c, h, w) = std::max(
-                    std::max(a.at(0, c, 2 * h, 2 * w),
-                             a.at(0, c, 2 * h, 2 * w + 1)),
-                    std::max(a.at(0, c, 2 * h + 1, 2 * w),
-                             a.at(0, c, 2 * h + 1, 2 * w + 1)));
-          acts[i] = y;
-        } else {
-          Tensor<float> y(n.out_shape);
-          const float inv =
-              1.0f / static_cast<float>(a.shape().h * a.shape().w);
-          for (i64 c = 0; c < a.shape().c; ++c) {
-            float sum = 0;
-            for (i64 h = 0; h < a.shape().h; ++h)
-              for (i64 w = 0; w < a.shape().w; ++w) sum += a.at(0, c, h, w);
-            y.at(0, c, 0, 0) = sum * inv;
-          }
-          acts[i] = y;
-        }
-        break;
-      }
-    }
-    LBC_ASSIGN_OR_RETURN(
-        n.scheme, quant::choose_scheme(tensor_absmax(acts[i]), n.act_bits));
-    n.calibrated = true;
+    n.act_bits = staged[i].act_bits;
+    n.scheme = staged[i].scheme;
+    n.weight_scheme = staged[i].weight_scheme;
+    n.weight_q = std::move(staged[i].weight_q);
   }
   calibrated_ = true;
+  plans_.clear();
   return Status();
 }
 

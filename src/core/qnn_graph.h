@@ -9,6 +9,8 @@
 //
 //  * two-pass calibration: a fp32 forward pass records per-node absmax,
 //    fixing every activation scheme (standard post-training calibration);
+//    it is the same single-threaded fp32 executor forward_fp32 runs, with
+//    a per-node hook, so the schemes derive from forward_fp32's values;
 //  * integer-only inference afterwards: convs run through the bit-width-
 //    dispatched kernels (Sec. 3) and re-quantize with fixed-point
 //    multipliers; residual adds rescale both operands into the output
@@ -18,6 +20,7 @@
 //  * modeled latency aggregation per node.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -60,10 +63,15 @@ class QnnGraph {
 
   /// Record activation schemes from a fp32 forward pass. Must run once
   /// before forward(); uses the node bit widths given at construction.
+  /// All or nothing: the schemes and quantized weights are staged and
+  /// committed only when every node calibrates, so on error the graph
+  /// keeps its previous calibration (or stays uncalibrated).
   /// Errors (clean Status, never UB): kInvalidArgument on an empty graph,
-  /// an input tensor that does not match the input node, or non-finite
-  /// calibration values. An all-zero calibration input is NOT an error:
-  /// choose_scheme maps the degenerate absmax to the identity scale.
+  /// an input tensor that does not match the input node, a non-finite
+  /// calibration value, conv weight or bias, or a non-finite node output;
+  /// kOutOfRange when a conv bias does not fit the i32 accumulator
+  /// (quant::quantize_bias). An all-zero calibration input is NOT an
+  /// error: choose_scheme maps the degenerate absmax to the identity scale.
   Status calibrate(const Tensor<float>& x);
 
   struct RunResult {
@@ -85,6 +93,8 @@ class QnnGraph {
 
   i64 node_count() const { return static_cast<i64>(nodes_.size()); }
   bool calibrated() const { return calibrated_; }
+  /// Output activation scheme calibrate() fixed for node `id`.
+  const quant::QScheme& activation_scheme(NodeId id) const;
   Shape4 output_shape() const;
 
  private:
@@ -109,11 +119,18 @@ class QnnGraph {
     quant::QScheme scheme;          // activation scheme of this node's output
     quant::QScheme weight_scheme;   // conv only
     Tensor<i8> weight_q;            // conv only
-    bool calibrated = false;
   };
 
   NodeId push(Node n);
   const Node& at(NodeId id) const { return nodes_[static_cast<size_t>(id)]; }
+
+  /// The graph's one fp32 executor (forward_fp32 and calibrate): runs the
+  /// nodes in order over the unquantized weights, single-threaded, and
+  /// hands each node's output to `on_node` as soon as it exists. Stops at
+  /// the first error the hook returns. `x` must match the input node.
+  using Fp32Hook = std::function<Status(size_t node, const Tensor<float>& y)>;
+  StatusOr<Tensor<float>> run_fp32(const Tensor<float>& x,
+                                   const Fp32Hook& on_node) const;
 
   std::vector<Node> nodes_;
   bool calibrated_ = false;

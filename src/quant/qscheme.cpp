@@ -1,8 +1,18 @@
 #include "quant/qscheme.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace lbc::quant {
+
+float absmax(std::span<const float> values) {
+  float m = 0;
+  for (const float v : values) {
+    if (std::isnan(v)) return v;
+    m = std::max(m, std::fabs(v));
+  }
+  return m;
+}
 
 StatusOr<QScheme> choose_scheme(float absmax, int bits) {
   LBC_VALIDATE(bits >= 2 && bits <= 8, kInvalidArgument,

@@ -6,6 +6,8 @@
 // is exactly what makes the paper's SMLAL/MLA accumulation ratios safe.
 #pragma once
 
+#include <span>
+
 #include "common/status.h"
 #include "common/types.h"
 
@@ -18,6 +20,11 @@ struct QScheme {
   i32 qmin() const { return qmin_for_bits(bits); }
   i32 qmax() const { return qmax_for_bits(bits); }
 };
+
+/// Largest |v| over `values` (0 when empty), or NaN when any value is NaN —
+/// std::max would drop it — so choose_scheme rejects the values instead of
+/// scaling around the NaN. An infinite value gives +inf, rejected likewise.
+float absmax(std::span<const float> values);
 
 /// Choose a scale so that |real| <= absmax maps onto the full b-bit range.
 /// Rejects bits outside [2, 8] and non-finite/negative absmax — the checks

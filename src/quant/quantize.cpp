@@ -1,6 +1,7 @@
 #include "quant/quantize.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/status.h"
 
@@ -25,6 +26,34 @@ Tensor<float> dequantize(const Tensor<i8>& q, const QScheme& s) {
   for (size_t i = 0; i < qs.size(); ++i)
     xs[i] = s.scale * static_cast<float>(qs[i]);
   return x;
+}
+
+StatusOr<std::vector<i32>> quantize_bias(std::span<const float> bias,
+                                         i64 channels, const QScheme& in,
+                                         const QScheme& weight, i64 depth) {
+  std::vector<i32> q(static_cast<size_t>(channels), 0);
+  if (bias.empty()) return q;
+  LBC_VALIDATE(static_cast<i64>(bias.size()) == channels, kInvalidArgument,
+               "quantize_bias: " << bias.size() << " biases for " << channels
+                                 << " channels");
+  const float acc_scale = in.scale * weight.scale;
+  // Every term is an integer below 2^53, so the headroom test is exact.
+  const double acc_bound = static_cast<double>(depth) * in.qmax() *
+                           static_cast<double>(weight.qmax());
+  const double limit = static_cast<double>(INT32_MAX) - acc_bound;
+  for (size_t c = 0; c < bias.size(); ++c) {
+    LBC_VALIDATE(std::isfinite(bias[c]), kInvalidArgument,
+                 "quantize_bias: channel " << c << " bias is " << bias[c]);
+    // std::round(double(x)) equals std::lround(x) wherever the latter is
+    // defined, and stays defined for the values rejected below.
+    const double v = std::round(static_cast<double>(bias[c] / acc_scale));
+    LBC_VALIDATE(std::fabs(v) <= limit, kOutOfRange,
+                 "quantize_bias: channel " << c << " bias " << bias[c]
+                     << " is " << v << " accumulator steps; with |acc| <= "
+                     << acc_bound << " the sum must fit in i32");
+    q[c] = static_cast<i32>(v);
+  }
+  return q;
 }
 
 RequantParams make_requant(const QScheme& in, const QScheme& weight,

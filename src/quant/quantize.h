@@ -7,6 +7,8 @@
 // oracles the fused kernels are tested against.
 #pragma once
 
+#include <vector>
+
 #include "common/tensor.h"
 #include "quant/qscheme.h"
 
@@ -29,6 +31,17 @@ struct RequantParams {
 
 RequantParams make_requant(const QScheme& in, const QScheme& weight,
                            const QScheme& out, bool fused_relu);
+
+/// Per-output-channel biases folded into the i32 accumulator domain:
+/// bias_q = round(bias / (in.scale * weight.scale)), ties away from zero,
+/// zero-filled to `channels` entries when `bias` is empty. `depth` is the
+/// GEMM depth K, which bounds |acc| by K * qmax(in) * qmax(weight); a bias
+/// whose |bias_q| plus that bound does not fit in i32 is kOutOfRange, since
+/// the epilogue's acc + bias_q must not wrap. A non-finite bias is
+/// kInvalidArgument.
+StatusOr<std::vector<i32>> quantize_bias(std::span<const float> bias,
+                                         i64 channels, const QScheme& in,
+                                         const QScheme& weight, i64 depth);
 
 /// Scalar requantize of one accumulator (already bias-added).
 i8 requantize_one(i32 acc, const RequantParams& p);

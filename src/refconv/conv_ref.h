@@ -17,7 +17,9 @@ namespace lbc::ref {
 Tensor<i32> conv2d_s32(const ConvShape& s, const Tensor<i8>& input,
                        const Tensor<i8>& weight);
 
-/// fp32 direct convolution (used to sanity-check quantization error paths).
+/// fp32 direct convolution: the test oracle of conv2d_f32_fast
+/// (refconv/conv_f32.h), which QnnGraph's fp32 pass runs. Built with
+/// -ffp-contract=off, so each product rounds to float before its add.
 Tensor<float> conv2d_f32(const ConvShape& s, const Tensor<float>& input,
                          const Tensor<float>& weight);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/engine.h"
@@ -241,6 +242,40 @@ TEST(QuantizedConv2d, ForwardRejectsWrongInputShape) {
       random_ftensor(Shape4{1, 8, 8, 9}, -1.0f, 1.0f, 7);
   EXPECT_EQ(layer.forward(bad_x).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(QuantizedConv2d, RejectsNonFiniteWeightsBiasesAndInputs) {
+  QuantizedConv2d layer(small_shape(), 8, Backend::kArmCortexA53);
+  const Tensor<float> w = random_ftensor(Shape4{16, 8, 3, 3}, -0.5f, 0.5f, 8);
+  Tensor<float> nan_w = w;
+  nan_w.data()[nan_w.elems() - 1] = std::nanf("");
+  EXPECT_EQ(layer.set_weights(nan_w).code(), StatusCode::kInvalidArgument);
+  std::vector<float> bias(16, 0.0f);
+  bias[3] = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(layer.set_weights(w, bias).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(layer.set_weights(w).ok());
+  Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 9);
+  x.data()[x.elems() - 1] = std::nanf("");
+  EXPECT_EQ(layer.forward(x).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(QuantizedConv2d, BiasTheAccumulatorCannotHoldIsOutOfRange) {
+  // 4-bit 4 -> 4 1x1 conv with a +1e7 bias: about 2e10 accumulator steps,
+  // which used to wrap in i32 and come out near -8.6e6.
+  ConvShape s = small_shape();
+  s.in_c = s.out_c = 4;
+  s.in_h = s.in_w = 2;
+  s.kernel = 1;
+  s.pad = 0;
+  const Tensor<float> w = random_ftensor(Shape4{4, 4, 1, 1}, -0.25f, 0.25f, 10);
+  const Tensor<float> x = random_ftensor(Shape4{1, 4, 2, 2}, -0.1f, 0.1f, 11);
+  const std::vector<float> bias{1e7f, 0.0f, 0.0f, 0.0f};
+  for (const Backend b : {Backend::kArmCortexA53, Backend::kGpuTU102}) {
+    QuantizedConv2d layer(s, 4, b);
+    ASSERT_TRUE(layer.set_weights(w, bias).ok());
+    EXPECT_EQ(layer.forward(x).status().code(), StatusCode::kOutOfRange)
+        << backend_name(b);
+  }
 }
 
 TEST(EngineFallback, WinogradOnIneligibleShapeDegradesToGemmBitExact) {

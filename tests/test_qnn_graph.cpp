@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/qnn_graph.h"
+#include "quant/qscheme.h"
+#include "refconv/conv_ref.h"
 
 namespace lbc::core {
 namespace {
@@ -255,6 +259,190 @@ TEST(QnnGraphCalibration, RejectsBadInputsWithCleanStatus) {
   nan_x.data()[3] = std::nanf("");
   EXPECT_EQ(g.calibrate(nan_x).code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(g.calibrated());
+}
+
+TEST(QnnGraphCalibration, FailedRecalibrationKeepsThePreviousCalibration) {
+  // All 0.25 3x3 weights: inputs of 3e38 are finite, but the conv sums 36
+  // of them into +inf, so the second calibrate fails at the conv node —
+  // after the input node already chose its new scheme.
+  QnnGraph g;
+  const auto in = g.add_input(4, 6);
+  const auto conv =
+      g.add_conv(in, 4, 3, 1, 1, 8, Tensor<float>(Shape4{4, 4, 3, 3}, 0.25f));
+  const Tensor<float> x = random_ftensor(Shape4{1, 4, 6, 6}, -1.0f, 1.0f, 27);
+  ASSERT_TRUE(g.calibrate(x).ok());
+  const quant::QScheme in_scheme = g.activation_scheme(in);
+  const quant::QScheme conv_scheme = g.activation_scheme(conv);
+  const Tensor<float> before = g.forward(x).out;
+
+  const Status st = g.calibrate(Tensor<float>(Shape4{1, 4, 6, 6}, 3e38f));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("inf"), std::string::npos) << st.to_string();
+  ASSERT_TRUE(g.calibrated());
+  EXPECT_EQ(g.activation_scheme(in).scale, in_scheme.scale);
+  EXPECT_EQ(g.activation_scheme(conv).scale, conv_scheme.scale);
+  const Tensor<float> after = g.forward(x).out;
+  EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                        static_cast<size_t>(before.elems()) * sizeof(float)),
+            0);
+
+  // The same failure on a fresh graph leaves it uncalibrated.
+  QnnGraph fresh;
+  fresh.add_conv(fresh.add_input(4, 6), 4, 3, 1, 1, 8,
+                 Tensor<float>(Shape4{4, 4, 3, 3}, 0.25f));
+  EXPECT_FALSE(fresh.calibrate(Tensor<float>(Shape4{1, 4, 6, 6}, 3e38f)).ok());
+  EXPECT_FALSE(fresh.calibrated());
+}
+
+TEST(QnnGraphCalibration, RejectsNonFiniteWeightsAndBiases) {
+  const Tensor<float> x = random_ftensor(Shape4{1, 4, 6, 6}, -1.0f, 1.0f, 28);
+  const auto expect_rejected = [&](const Tensor<float>& w,
+                                   std::span<const float> bias,
+                                   const char* what) {
+    QnnGraph g;
+    g.add_conv(g.add_input(4, 6), 4, 3, 1, 1, 4, w, bias);
+    const Status st = g.calibrate(x);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(st.message().find(what), std::string::npos) << st.to_string();
+    EXPECT_FALSE(g.calibrated()) << what;
+  };
+  const Tensor<float> w = random_ftensor(Shape4{4, 4, 3, 3}, -0.4f, 0.4f, 29);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {std::nanf(""), inf, -inf}) {
+    // The bad value comes last, after larger finite values: std::max
+    // alone would drop a NaN there.
+    Tensor<float> bad_w = w;
+    bad_w.data()[bad_w.elems() - 1] = bad;
+    expect_rejected(bad_w, {}, "weight");
+    const std::vector<float> bad_bias{0.1f, bad, 0.2f, 0.3f};
+    expect_rejected(w, bad_bias, "bias");
+  }
+}
+
+TEST(QnnGraphCalibration, RejectsABiasTheAccumulatorCannotHold) {
+  // 4-bit 4 -> 4 1x1 conv: acc_scale is about (0.1 / 7) * (0.25 / 7), so
+  // a bias of 1e7 is about 2e10 accumulator steps, which the i32 bias used
+  // to wrap into a large negative output.
+  const Tensor<float> w = random_ftensor(Shape4{4, 4, 1, 1}, -0.25f, 0.25f, 30);
+  const Tensor<float> x = random_ftensor(Shape4{1, 4, 2, 2}, -0.1f, 0.1f, 31);
+  QnnGraph g;
+  const std::vector<float> big{1e7f, 0.0f, 0.0f, 0.0f};
+  g.add_conv(g.add_input(4, 2), 4, 1, 1, 0, 4, w, big);
+  EXPECT_EQ(g.calibrate(x).code(), StatusCode::kOutOfRange);
+  EXPECT_FALSE(g.calibrated());
+
+  // A bias the accumulator holds calibrates and runs.
+  QnnGraph ok;
+  const std::vector<float> small{0.5f, -0.25f, 0.0f, 1.0f};
+  ok.add_conv(ok.add_input(4, 2), 4, 1, 1, 0, 8, w, small);
+  ASSERT_TRUE(ok.calibrate(x).ok());
+  EXPECT_LT(max_rel_err(ok.forward(x).out, ok.forward_fp32(x)), 0.03);
+}
+
+// ---------------------------------------------------------------------------
+// fp32 executor: forward_fp32 and calibration against the oracle conv
+// ---------------------------------------------------------------------------
+
+TEST(QnnGraphFp32, ForwardAndSchemesMatchTheOracleGraphBytewise) {
+  // A strided bottleneck with projection shortcut, conv biases, max and
+  // average pooling. The oracle replays forward_fp32's node semantics over
+  // ref::conv2d_f32: conv, then bias, then ReLU; add, then ReLU.
+  constexpr int kBits = 4;
+  const auto wt = [](i64 oc, i64 ic, i64 k, u64 seed) {
+    return random_ftensor(Shape4{oc, ic, k, k}, -0.25f, 0.25f, seed);
+  };
+  const auto bias = [](i64 c, u64 seed) {
+    const Tensor<float> t = random_ftensor(Shape4{1, c, 1, 1}, -0.5f, 0.5f, seed);
+    return std::vector<float>(t.span().begin(), t.span().end());
+  };
+  const Tensor<float> w1 = wt(6, 8, 1, 40), w2 = wt(6, 6, 3, 41),
+                      w3 = wt(12, 6, 1, 42), ws = wt(12, 8, 1, 43);
+  const std::vector<float> b1 = bias(6, 44), b2 = bias(6, 45),
+                           b3 = bias(12, 46);
+
+  QnnGraph g;
+  const auto in = g.add_input(8, 16);
+  const auto c1 = g.add_conv(in, 6, 1, 2, 0, kBits, w1, b1, /*relu=*/true);
+  const auto c2 = g.add_conv(c1, 6, 3, 1, 1, kBits, w2, b2, true);
+  const auto c3 = g.add_conv(c2, 12, 1, 1, 0, kBits, w3, b3, false);
+  const auto sc = g.add_conv(in, 12, 1, 2, 0, kBits, ws, {}, false);
+  const auto add = g.add_add(c3, sc, /*relu=*/true);
+  const auto pool = g.add_maxpool2(add);
+  const auto gap = g.add_global_avgpool(pool);
+
+  const auto conv_shape = [](i64 in_c, i64 hw, i64 out_c, i64 k, i64 stride,
+                             i64 pad) {
+    ConvShape s;
+    s.batch = 1;
+    s.in_c = in_c;
+    s.in_h = s.in_w = hw;
+    s.out_c = out_c;
+    s.kernel = k;
+    s.stride = stride;
+    s.pad = pad;
+    return s;
+  };
+  const auto relu = [](Tensor<float> t) {
+    for (float& v : t.span()) v = v > 0 ? v : 0.0f;
+    return t;
+  };
+  const auto conv = [&](const ConvShape& s, const Tensor<float>& x,
+                        const Tensor<float>& w, const std::vector<float>& b,
+                        bool r) {
+    Tensor<float> y = ref::conv2d_f32(s, x, w);
+    if (!b.empty())
+      for (i64 c = 0; c < y.shape().c; ++c)
+        for (i64 h = 0; h < y.shape().h; ++h)
+          for (i64 v = 0; v < y.shape().w; ++v)
+            y.at(0, c, h, v) += b[static_cast<size_t>(c)];
+    return r ? relu(y) : y;
+  };
+  const Tensor<float> x = random_ftensor(Shape4{1, 8, 16, 16}, -1.0f, 1.0f, 47);
+  std::vector<Tensor<float>> want(static_cast<size_t>(g.node_count()));
+  want[in] = x;
+  want[c1] = conv(conv_shape(8, 16, 6, 1, 2, 0), x, w1, b1, true);
+  want[c2] = conv(conv_shape(6, 8, 6, 3, 1, 1), want[c1], w2, b2, true);
+  want[c3] = conv(conv_shape(6, 8, 12, 1, 1, 0), want[c2], w3, b3, false);
+  want[sc] = conv(conv_shape(8, 16, 12, 1, 2, 0), x, ws, {}, false);
+  Tensor<float> sum(want[c3].shape());
+  for (i64 i = 0; i < sum.elems(); ++i)
+    sum.data()[i] = want[c3].data()[i] + want[sc].data()[i];
+  want[add] = relu(sum);
+  const Tensor<float>& a = want[add];
+  Tensor<float> mp(Shape4{1, 12, 4, 4});
+  for (i64 c = 0; c < 12; ++c)
+    for (i64 h = 0; h < 4; ++h)
+      for (i64 v = 0; v < 4; ++v)
+        mp.at(0, c, h, v) =
+            std::max(std::max(a.at(0, c, 2 * h, 2 * v), a.at(0, c, 2 * h, 2 * v + 1)),
+                     std::max(a.at(0, c, 2 * h + 1, 2 * v),
+                              a.at(0, c, 2 * h + 1, 2 * v + 1)));
+  want[pool] = mp;
+  Tensor<float> avg(Shape4{1, 12, 1, 1});
+  for (i64 c = 0; c < 12; ++c) {
+    float acc = 0;
+    for (i64 h = 0; h < 4; ++h)
+      for (i64 v = 0; v < 4; ++v) acc += mp.at(0, c, h, v);
+    avg.at(0, c, 0, 0) = acc * (1.0f / 16.0f);
+  }
+  want[gap] = avg;
+
+  const Tensor<float> got = g.forward_fp32(x);
+  ASSERT_EQ(got.shape(), want[gap].shape());
+  EXPECT_EQ(std::memcmp(got.data(), want[gap].data(),
+                        static_cast<size_t>(got.elems()) * sizeof(float)),
+            0);
+  // Calibration consumes the same executor, so every node's scheme is the
+  // one the oracle activations give.
+  ASSERT_TRUE(g.calibrate(x).ok());
+  for (QnnGraph::NodeId id = 0; id < g.node_count(); ++id) {
+    const quant::QScheme want_scheme =
+        quant::choose_scheme(quant::absmax(want[static_cast<size_t>(id)].span()),
+                             kBits)
+            .value();
+    EXPECT_EQ(g.activation_scheme(id).scale, want_scheme.scale) << "node " << id;
+    EXPECT_EQ(g.activation_scheme(id).bits, kBits);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "quant/quantize.h"
@@ -137,6 +139,72 @@ TEST(ReluQ, ZeroesNegatives) {
   EXPECT_EQ(r.data()[1], 0);
   EXPECT_EQ(r.data()[2], 5);
   EXPECT_EQ(r.data()[3], 0);
+}
+
+TEST(QScheme, AbsmaxPropagatesNaNAndInfinity) {
+  EXPECT_EQ(absmax({}), 0.0f);
+  const std::vector<float> finite{0.5f, -3.0f, 2.0f};
+  EXPECT_EQ(absmax(finite), 3.0f);
+  // NaN at every position, including after the largest finite value, where
+  // std::max(m, |v|) would drop it.
+  for (size_t pos = 0; pos < finite.size(); ++pos) {
+    std::vector<float> v = finite;
+    v[pos] = std::nanf("");
+    EXPECT_TRUE(std::isnan(absmax(v))) << pos;
+    EXPECT_EQ(choose_scheme(absmax(v), 8).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  std::vector<float> v = finite;
+  v[1] = -std::numeric_limits<float>::infinity();
+  EXPECT_EQ(absmax(v), std::numeric_limits<float>::infinity());
+  EXPECT_FALSE(choose_scheme(absmax(v), 8).ok());
+}
+
+TEST(QuantizeBias, RoundsHalfAwayFromZeroAndZeroFills) {
+  QScheme unit;
+  const std::vector<float> bias{2.5f, -2.5f, 0.49f, -7.0f};
+  EXPECT_EQ(quantize_bias(bias, 4, unit, unit, 9).value(),
+            (std::vector<i32>{3, -3, 0, -7}));
+  // Same rounding as std::lround at a real accumulator scale.
+  const QScheme in = choose_scheme(1.3f, 4).value();
+  const QScheme w = choose_scheme(0.7f, 4).value();
+  const float acc_scale = in.scale * w.scale;
+  const std::vector<float> real{0.31f, -1.7f, 0.02f, 5.5f};
+  const std::vector<i32> q = quantize_bias(real, 4, in, w, 9).value();
+  for (size_t c = 0; c < real.size(); ++c)
+    EXPECT_EQ(q[c], static_cast<i32>(std::lround(real[c] / acc_scale)));
+  EXPECT_EQ(quantize_bias({}, 3, in, w, 9).value(), std::vector<i32>(3, 0));
+  EXPECT_EQ(quantize_bias(std::vector<float>{1.0f}, 3, in, w, 9)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(QuantizeBias, RejectsWhatTheAccumulatorCannotHold) {
+  // Unit 2-bit schemes: bias_q = bias and |acc| <= depth. A depth of
+  // 2^30 - 1 leaves exactly 2^30 of i32 headroom for |bias_q|.
+  QScheme unit;
+  unit.bits = 2;
+  const i64 depth = (i64{1} << 30) - 1;
+  const float edge = std::ldexp(1.0f, 30);
+  EXPECT_EQ(quantize_bias(std::vector<float>{edge, -edge}, 2, unit, unit,
+                          depth)
+                .value(),
+            (std::vector<i32>{1 << 30, -(1 << 30)}));
+  const float past = std::nextafter(edge, 2 * edge);
+  for (const float b : {past, -past, 1e10f})
+    EXPECT_EQ(
+        quantize_bias(std::vector<float>{b}, 1, unit, unit, depth)
+            .status()
+            .code(),
+        StatusCode::kOutOfRange)
+        << b;
+  for (const float b : {std::nanf(""), std::numeric_limits<float>::infinity()})
+    EXPECT_EQ(
+        quantize_bias(std::vector<float>{b}, 1, unit, unit, depth)
+            .status()
+            .code(),
+        StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Tests for the reference oracles: direct conv, im2col + GEMM equivalence,
-// winograd transforms and the two winograd weight modes.
+// winograd transforms and the two winograd weight modes, and the fast fp32
+// conv's byte identity with its oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/rng.h"
+#include "refconv/conv_f32.h"
 #include "refconv/conv_ref.h"
 #include "refconv/gemm_ref.h"
 #include "refconv/im2col.h"
@@ -231,6 +236,78 @@ TEST(ConvRefF32, MatchesS32OnIntegerData) {
   const Tensor<float> sf = conv2d_f32(s, inf, wf);
   for (i64 i = 0; i < si.elems(); ++i)
     EXPECT_FLOAT_EQ(static_cast<float>(si.data()[i]), sf.data()[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Fast fp32 conv vs its oracle (the Fp32Conv suite also runs in CI under
+// -march=x86-64-v3, where FMA is available to the compiler)
+// ---------------------------------------------------------------------------
+
+bool same_bytes(const Tensor<float>& a, const Tensor<float>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.elems()) * sizeof(float)) == 0;
+}
+
+TEST(Fp32Conv, FastMatchesOracleBytewiseOverShapeGrid) {
+  // Stride 1 and 2; 1x1, and 3x3 at pad 0, 1 and 2 (pad 2 leaves border
+  // outputs with a single in-bounds tap row); odd, non-square inputs;
+  // out_c below, at and past the 4-channel block; batch 1 and 2. The
+  // second batch item is all zeros and output channel 0's weights are all
+  // negative, so every product there is -0.0: a sum started from its first
+  // product instead of +0.0f would keep a -0.0 where the oracle has +0.0.
+  u64 seed = 700;
+  for (const auto& [k, pad] : {std::pair<i64, i64>{1, 0}, {3, 0}, {3, 1},
+                               {3, 2}})
+    for (const i64 stride : {1, 2})
+      for (const i64 out_c : {1, 4, 6, 9})
+        for (const i64 batch : {1, 2}) {
+          ConvShape s = shape(batch, 3, 7, out_c, k, stride, pad);
+          s.in_w = 6;
+          ASSERT_TRUE(s.valid());
+          Tensor<float> in = random_ftensor(
+              Shape4{batch, s.in_c, s.in_h, s.in_w}, -1.0f, 1.0f, ++seed);
+          Tensor<float> w = random_ftensor(
+              Shape4{out_c, s.in_c, k, k}, -0.5f, 0.5f, ++seed);
+          if (batch == 2)
+            std::fill(in.data() + in.elems() / 2, in.data() + in.elems(), 0.0f);
+          for (i64 j = 0; j < w.elems() / out_c; ++j)
+            w.data()[j] = -std::fabs(w.data()[j]);
+          EXPECT_TRUE(same_bytes(conv2d_f32_fast(s, in, w),
+                                 conv2d_f32(s, in, w)))
+              << "k" << k << " s" << stride << " p" << pad << " oc"
+              << out_c << " b" << batch;
+        }
+}
+
+TEST(Fp32Conv, ZeroInputAgainstNegativeWeightsIsPositiveZero) {
+  // Every product is -0.0; the oracle's +0.0f start turns the sum into
+  // +0.0, padded border outputs included.
+  const ConvShape s = shape(1, 2, 5, 5, 3, 1, 1);
+  const Tensor<float> in(Shape4{1, 2, 5, 5}, 0.0f);
+  const Tensor<float> w(Shape4{5, 2, 3, 3}, -0.75f);
+  const Tensor<float> want = conv2d_f32(s, in, w);
+  const Tensor<float> got = conv2d_f32_fast(s, in, w);
+  EXPECT_TRUE(same_bytes(got, want));
+  for (const float v : got.span()) EXPECT_FALSE(std::signbit(v));
+}
+
+TEST(Fp32Conv, ProductsRoundBeforeTheAdd) {
+  // Two taps: -1 * 1, then (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24. Rounded to
+  // float first, the second product is a tie that rounds to 1 + 2^-11, so
+  // the sum is exactly 2^-11. A fused multiply-add would keep the 2^-24.
+  const ConvShape s = shape(1, 2, 1, 1, 1, 1, 0);
+  const float e = 1.0f + std::ldexp(1.0f, -12);
+  Tensor<float> in(Shape4{1, 2, 1, 1});
+  Tensor<float> w(Shape4{1, 2, 1, 1});
+  in.data()[0] = 1.0f;
+  in.data()[1] = e;
+  w.data()[0] = -1.0f;
+  w.data()[1] = e;
+  const float rounded = std::ldexp(1.0f, -11);
+  ASSERT_NE(rounded, std::fma(e, e, -1.0f));
+  EXPECT_EQ(conv2d_f32(s, in, w).data()[0], rounded);
+  EXPECT_EQ(conv2d_f32_fast(s, in, w).data()[0], rounded);
 }
 
 }  // namespace

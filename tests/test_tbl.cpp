@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -548,6 +549,124 @@ TEST(TblSearch, RowsKeyedForTheUnpairedTileAreNotReturned) {
                                         searched.nc}));
   EXPECT_EQ(reloaded.lookup_arm(old_key), stale);
 }
+
+// ---------------------------------------------------------------------------
+// Exact pruning: search_blocking and choose_gemm_kernel equal their
+// unpruned definitions
+// ---------------------------------------------------------------------------
+
+// The 16 conv shapes of perfbench's ResNet-50 net: one bottleneck per
+// stage from a 64 x 56 x 56 input, projection shortcut in every stage.
+std::vector<ConvShape> resnet_stage_convs() {
+  std::vector<ConvShape> out;
+  i64 in_c = 64, hw = 56;
+  for (const auto& [mid, wide, stride] :
+       {std::tuple<i64, i64, i64>{64, 256, 1}, {128, 512, 2}, {256, 1024, 2},
+        {512, 2048, 2}}) {
+    const i64 mid_hw = (hw - 1) / stride + 1;
+    out.push_back(conv_shape(in_c, hw, mid, 1, stride, 0));
+    out.push_back(conv_shape(mid, mid_hw, mid, 3, 1, 1));
+    out.push_back(conv_shape(mid, mid_hw, wide, 1, 1, 0));
+    out.push_back(conv_shape(in_c, hw, wide, 1, stride, 0));
+    in_c = wide;
+    hw = mid_hw;
+  }
+  return out;
+}
+
+// Small layers: stalls are a smaller share of the score and the schemes'
+// prices sit closer together, so a bound that is too loose changes a pick.
+std::vector<ConvShape> small_convs() {
+  std::vector<ConvShape> out;
+  for (const i64 ic : {8, 32})
+    for (const i64 hw : {6, 14})
+      for (const i64 oc : {16, 48})
+        for (const i64 k : {1, 3})
+          out.push_back(conv_shape(ic, hw, oc, k, 1, k / 2));
+  return out;
+}
+
+TEST(TileSearchPruning, SearchIsTheFirstMinimumOverTheGrid) {
+  // The unpruned definition: score every candidate with its replay and
+  // keep the first strict minimum in grid order.
+  const auto first_min = [](const ConvShape& s, int bits, ArmKernel kernel,
+                            BlockedSchedule sched) {
+    const std::vector<GemmBlocking> grid =
+        blocking_candidates(s, bits, kernel, sched);
+    GemmBlocking best = grid.front();
+    double best_score = score_blocking(s, bits, kernel, best, sched);
+    for (const GemmBlocking& cand : grid) {
+      const double sc = score_blocking(s, bits, kernel, cand, sched);
+      if (sc < best_score) {
+        best_score = sc;
+        best = cand;
+      }
+    }
+    return best;
+  };
+  // Stage 4 of the ResNet net (the earlier stages repeat its geometry
+  // classes at 4x to 64x the replay cost) and the small layers; TBL and
+  // MLA at 2 bit, SMLAL and SDOT at 8.
+  const std::vector<ConvShape> resnet = resnet_stage_convs();
+  std::vector<ConvShape> convs(resnet.begin() + 12, resnet.end());
+  for (const ConvShape& s : small_convs()) convs.push_back(s);
+  const i64 skipped_before = tile_search_stats().replays_skipped;
+  for (const ConvShape& s : convs)
+    for (const BlockedSchedule sched :
+         {BlockedSchedule::kStandalone, BlockedSchedule::kFused})
+      for (const auto& [bits, kernel] :
+           {std::pair{2, ArmKernel::kTblGemm}, std::pair{2, ArmKernel::kOursGemm},
+            std::pair{8, ArmKernel::kOursGemm},
+            std::pair{8, ArmKernel::kSdotExt}})
+        EXPECT_EQ(search_blocking(s, bits, kernel, sched),
+                  first_min(s, bits, kernel, sched))
+            << describe(s) << " bits " << bits << " scheme "
+            << blocking_scheme_id(kernel, bits) << " fused "
+            << (sched == BlockedSchedule::kFused);
+  // The bound is live: some candidates were decided without a replay.
+  EXPECT_GT(tile_search_stats().replays_skipped, skipped_before);
+}
+
+class KernelChoicePruning
+    : public ::testing::TestWithParam<std::tuple<int, BlockedSchedule>> {};
+
+TEST_P(KernelChoicePruning, EqualsTheFullComparison) {
+  const auto [bits, sched] = GetParam();
+  std::vector<ConvShape> convs = resnet_stage_convs();
+  for (const ConvShape& s : small_convs()) convs.push_back(s);
+  int mla_skipped = 0;
+  for (const ConvShape& s : convs) {
+    const i64 searches = tile_search_stats().searches;
+    const ArmKernel pick = choose_gemm_kernel(s, bits, sched);
+    // A cold TBL search alone means MLA's search was skipped.
+    if (tile_search_stats().searches - searches == 1) ++mla_skipped;
+    const GemmBlocking tbl = search_blocking(s, bits, ArmKernel::kTblGemm, sched);
+    const GemmBlocking mla =
+        search_blocking(s, bits, ArmKernel::kOursGemm, sched);
+    const ArmKernel full =
+        score_blocking(s, bits, ArmKernel::kTblGemm, tbl, sched) <
+                score_blocking(s, bits, ArmKernel::kOursGemm, mla, sched)
+            ? ArmKernel::kTblGemm
+            : ArmKernel::kOursGemm;
+    EXPECT_EQ(pick, full) << describe(s);
+  }
+  // perfbench's configuration: TBL wins under MLA's issue floor.
+  if (bits == 2 && sched == BlockedSchedule::kFused) {
+    EXPECT_GT(mla_skipped, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BitsAndSchedules, KernelChoicePruning,
+    ::testing::Combine(::testing::Values(2, 3),
+                       ::testing::Values(BlockedSchedule::kStandalone,
+                                         BlockedSchedule::kFused)),
+    [](const auto& p) {
+      return "b" + std::to_string(std::get<0>(p.param)) +
+             (std::get<1>(p.param) == BlockedSchedule::kFused
+                  ? "Fused"
+                  : "Standalone");
+    });
 
 // ---------------------------------------------------------------------------
 // Prover: TBL obligations, sweep registration, mutation tests

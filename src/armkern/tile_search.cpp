@@ -4,7 +4,7 @@
 #include <array>
 #include <limits>
 #include <map>
-#include <mutex>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "armsim/cache.h"
 #include "armsim/cost_model.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 namespace lbc::armkern {
 
@@ -20,15 +21,36 @@ using namespace armsim;
 
 namespace {
 
-std::mutex g_mu;
-TileSearchStats g_stats;
-std::map<std::string, GemmBlocking> g_winners;
+// Guards the memo maps and the stats only: searches and replays run
+// outside it, so independent searches proceed concurrently.
+Mutex g_mu;
+// Signalled whenever an in-flight search leaves g_searching.
+CondVar g_searched;
+TileSearchStats g_stats LBC_GUARDED_BY(g_mu);
+std::map<std::string, GemmBlocking> g_winners LBC_GUARDED_BY(g_mu);
+// Keys some thread is searching right now. A second caller of the same key
+// waits for that winner instead of searching it again.
+std::set<std::string> g_searching LBC_GUARDED_BY(g_mu);
+
+// A search's claim on its key in g_searching, dropped however the search
+// ends: a waiter then finds the winner, or searches the key itself if the
+// search threw.
+struct SearchClaim {
+  const std::string& key;
+  ~SearchClaim() {
+    {
+      MutexLock lock(g_mu);
+      g_searching.erase(key);
+    }
+    g_searched.notify_all();
+  }
+};
 // Per-(geometry, kc, nc, layout) replay result, shared across bits and
 // schemes: the SMLAL/MLA/ncnn kernels issue an identical load pattern.
 struct ReplayMisses {
   u64 l1 = 0, l2 = 0;
 };
-std::map<std::string, ReplayMisses> g_replays;
+std::map<std::string, ReplayMisses> g_replays LBC_GUARDED_BY(g_mu);
 
 std::string geometry_key(const ConvShape& s) {
   std::ostringstream os;
@@ -344,9 +366,11 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
 }
 
 // Cold-cache replay of one layer under `schedule` (the fused schedule
-// also writes the epilogue's output), memoized.
+// also writes the epilogue's output), memoized. The replay runs outside the
+// lock; two threads that miss the same key at once both replay it and
+// store the same value.
 ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
-                             BlockedSchedule schedule) {
+                             BlockedSchedule schedule) LBC_EXCLUDES(g_mu) {
   const bool fused = schedule == BlockedSchedule::kFused;
   std::ostringstream os;
   os << geometry_key(s) << "|kc" << lay.blk.kc << "nc" << lay.blk.nc
@@ -356,8 +380,11 @@ ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
        << lay.tbl_group;
   if (fused) os << "|fused";
   const std::string key = os.str();
-  const auto it = g_replays.find(key);
-  if (it != g_replays.end()) return it->second;
+  {
+    MutexLock lock(g_mu);
+    if (const auto it = g_replays.find(key); it != g_replays.end())
+      return it->second;
+  }
   // The fused replay writes the epilogue's output where a chain's layer 0
   // does, so the cold per-layer fused score equals a one-layer chained
   // score.
@@ -365,6 +392,7 @@ ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
   if (fused) bases.out = kBaseIn + kLayerStride;
   Replay r;
   const ReplayMisses m = replay_schedule_at(r, s, lay, bases, schedule);
+  MutexLock lock(g_mu);
   g_replays.emplace(key, m);
   return m;
 }
@@ -507,7 +535,6 @@ IssuePriced price_issue(const ConvShape& s, int bits, ArmKernel kernel,
 }
 
 // The full score: the issue counts plus the misses of the cold replay.
-// Assumes g_mu is held (the replay memo is shared).
 double score_with_replay(const ConvShape& s, IssuePriced p,
                          BlockedSchedule schedule) {
   const ReplayMisses misses = replay_memoized(s, p.lay, schedule);
@@ -646,9 +673,8 @@ Counters blocking_issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
 
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
                       const GemmBlocking& blocking, BlockedSchedule schedule) {
-  const IssuePriced p = price_issue(s, bits, kernel, blocking, schedule);
-  std::lock_guard<std::mutex> lock(g_mu);
-  return score_with_replay(s, p, schedule);
+  return score_with_replay(
+      s, price_issue(s, bits, kernel, blocking, schedule), schedule);
 }
 
 std::vector<GemmBlocking> blocking_candidates(const ConvShape& s, int bits,
@@ -711,12 +737,19 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
   if (schedule == BlockedSchedule::kFused) os << "|fused";
   const std::string key = os.str();
 
-  std::lock_guard<std::mutex> lock(g_mu);
-  if (const auto it = g_winners.find(key); it != g_winners.end()) {
-    ++g_stats.memo_hits;
-    return it->second;
+  {
+    MutexLock lock(g_mu);
+    // A key in flight is waited for, and then counts as a memo hit — the
+    // stats come out as a sequential run of the same calls records them.
+    while (g_searching.count(key) != 0) g_searched.wait(g_mu);
+    if (const auto it = g_winners.find(key); it != g_winners.end()) {
+      ++g_stats.memo_hits;
+      return it->second;
+    }
+    ++g_stats.searches;
+    g_searching.insert(key);
   }
-  ++g_stats.searches;
+  const SearchClaim claim{key};
 
   // The first strict minimum in grid order. A candidate whose issue-only
   // cycles already reach the best score cannot beat it (its replay could
@@ -725,10 +758,11 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
       blocking_candidates(s, bits, kernel, schedule);
   GemmBlocking best = candidates.front();
   double best_score = std::numeric_limits<double>::infinity();
+  i64 skipped = 0;
   for (const GemmBlocking& cand : candidates) {
     const IssuePriced p = price_issue(s, bits, kernel, cand, schedule);
     if (p.issue >= best_score) {
-      ++g_stats.replays_skipped;
+      ++skipped;
       continue;
     }
     const double sc = score_with_replay(s, p, schedule);
@@ -737,6 +771,8 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
       best = cand;
     }
   }
+  MutexLock lock(g_mu);
+  g_stats.replays_skipped += skipped;
   g_winners.emplace(key, best);
   return best;
 }
@@ -766,7 +802,7 @@ ArmKernel choose_gemm_kernel(const ConvShape& s, int bits,
 }
 
 TileSearchStats tile_search_stats() {
-  std::lock_guard<std::mutex> lock(g_mu);
+  MutexLock lock(g_mu);
   return g_stats;
 }
 
@@ -895,7 +931,7 @@ GraphSearchResult search_graph_blocking(
     if (!improved) break;
   }
   {
-    std::lock_guard<std::mutex> lock(g_mu);
+    MutexLock lock(g_mu);
     g_stats.joint_early_exits += early_exits;
   }
   res.blocking = std::move(current);

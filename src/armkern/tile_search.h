@@ -70,7 +70,11 @@ std::vector<GemmBlocking> blocking_candidates(
 /// candidate of blocking_candidates with the least score_blocking.
 /// Deterministic. A candidate whose issue-only cycles already reach the
 /// best score so far is not replayed — exact, since misses only add stall
-/// cycles. Thread-safe; memoized per (geometry, bits, scheme, schedule).
+/// cycles. Memoized per (geometry, bits, scheme, schedule). Thread-safe,
+/// and searches of different keys run concurrently: the lock guards only
+/// the memo maps and the stats. A caller whose key another thread is
+/// searching waits for that winner, so each key is searched once per
+/// process, and the stats match a sequential run of the same calls.
 GemmBlocking search_blocking(
     const ConvShape& s, int bits, ArmKernel kernel,
     BlockedSchedule schedule = BlockedSchedule::kStandalone);
@@ -100,7 +104,7 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
 /// price. When TBL's score is below the least issue-only cycles over MLA's
 /// candidate grid, MLA cannot win and is not searched; the answer is the
 /// same. Deterministic; thread-safe; the per-layer searches it runs are
-/// memoized.
+/// memoized, and calls for different shapes run concurrently.
 ArmKernel choose_gemm_kernel(
     const ConvShape& s, int bits,
     BlockedSchedule schedule = BlockedSchedule::kStandalone);

@@ -2,124 +2,134 @@
 
 namespace lbc::armsim {
 
-i32 CacheSim::Level::find(u64 line) const {
+i32 CacheSim::find(u64 line) const {
   if (index_.empty()) return -1;
   const size_t mask = index_.size() - 1;
   for (size_t b = home(line);; b = (b + 1) & mask) {
-    const i32 v = index_[b];
+    const u16 v = index_[b];
     if (v == 0) return -1;
-    if (slots_[static_cast<size_t>(v - 1)].line == line) return v - 1;
+    if (entries_[v - 1u].line == line) return v - 1;
   }
+}
+
+void CacheSim::unlink(int lv, i32 e) {
+  Entry& x = entries_[static_cast<size_t>(e)];
+  entries_[static_cast<size_t>(x.prev[lv])].next[lv] = x.next[lv];
+  entries_[static_cast<size_t>(x.next[lv])].prev[lv] = x.prev[lv];
+  x.prev[lv] = kOut;
+  --size_[lv];
+}
+
+void CacheSim::push_front(int lv, i32 e) {
+  Entry& s = entries_[static_cast<size_t>(kSentinel)];
+  Entry& x = entries_[static_cast<size_t>(e)];
+  x.prev[lv] = kSentinel;
+  x.next[lv] = s.next[lv];
+  entries_[static_cast<size_t>(s.next[lv])].prev[lv] = static_cast<i16>(e);
+  s.next[lv] = static_cast<i16>(e);
+  ++size_[lv];
+}
+
+void CacheSim::make_room(int lv) {
+  if (size_[lv] < (lv == kL1 ? kL1Lines : kL2Lines)) return;
+  const i32 victim = entries_[static_cast<size_t>(kSentinel)].prev[lv];
+  unlink(lv, victim);
+  if (!in(1 - lv, victim)) release(victim);
+}
+
+i32 CacheSim::allocate(u64 line) {
+  if (entries_.empty()) {
+    // Lazy allocation; the index stays at a load factor of at most 0.27.
+    size_t buckets = 1;
+    shift_ = 64;
+    while (buckets < 2 * static_cast<size_t>(kEntries)) {
+      buckets *= 2;
+      --shift_;
+    }
+    entries_.resize(static_cast<size_t>(kEntries) + 1);
+    Entry& s = entries_[static_cast<size_t>(kSentinel)];
+    s.prev[kL1] = s.next[kL1] = s.prev[kL2] = s.next[kL2] = kSentinel;
+    index_.assign(buckets, 0);
+  }
+  i32 e = free_;
+  if (e >= 0)
+    free_ = entries_[static_cast<size_t>(e)].next[kL1];
+  else
+    e = used_++;
+  Entry& x = entries_[static_cast<size_t>(e)];
+  x.line = line;
+  x.prev[kL1] = x.prev[kL2] = kOut;
+  const size_t mask = index_.size() - 1;
+  size_t b = home(line);
+  while (index_[b] != 0) b = (b + 1) & mask;
+  index_[b] = static_cast<u16>(e + 1);
+  return e;
 }
 
 // Linear-probing delete by backward shift: later entries of the probe run
 // move up into the hole unless their home bucket lies cyclically in
 // (hole, entry], so every remaining line stays reachable without
 // tombstones.
-void CacheSim::Level::index_erase(u64 line) {
+void CacheSim::release(i32 e) {
   const size_t mask = index_.size() - 1;
-  size_t hole = home(line);
-  while (slots_[static_cast<size_t>(index_[hole] - 1)].line != line)
-    hole = (hole + 1) & mask;
+  size_t hole = home(entries_[static_cast<size_t>(e)].line);
+  while (index_[hole] != static_cast<u16>(e + 1)) hole = (hole + 1) & mask;
   for (size_t b = (hole + 1) & mask; index_[b] != 0; b = (b + 1) & mask) {
-    const size_t h =
-        home(slots_[static_cast<size_t>(index_[b] - 1)].line);
+    const size_t h = home(entries_[index_[b] - 1u].line);
     const bool stays = hole <= b ? (hole < h && h <= b) : (hole < h || h <= b);
     if (stays) continue;
     index_[hole] = index_[b];
     hole = b;
   }
   index_[hole] = 0;
+  entries_[static_cast<size_t>(e)].next[kL1] = static_cast<i16>(free_);
+  free_ = e;
 }
 
-void CacheSim::Level::unlink(i32 s) {
-  Slot& e = slots_[static_cast<size_t>(s)];
-  if (e.prev >= 0)
-    slots_[static_cast<size_t>(e.prev)].next = e.next;
-  else
-    head_ = e.next;
-  if (e.next >= 0)
-    slots_[static_cast<size_t>(e.next)].prev = e.prev;
-  else
-    tail_ = e.prev;
-}
-
-void CacheSim::Level::push_front(i32 s) {
-  Slot& e = slots_[static_cast<size_t>(s)];
-  e.prev = -1;
-  e.next = head_;
-  if (head_ >= 0) slots_[static_cast<size_t>(head_)].prev = s;
-  head_ = s;
-  if (tail_ < 0) tail_ = s;
-}
-
-bool CacheSim::Level::touch(u64 line) {
-  const i32 s = find(line);
-  if (s < 0) return false;
-  if (s != head_) {
-    unlink(s);
-    push_front(s);
-  }
-  return true;
-}
-
-void CacheSim::Level::insert(u64 line) {
-  if (slots_.empty()) {
-    // Lazy allocation, at a load factor of at most one half.
-    size_t buckets = 1;
-    shift_ = 64;
-    while (buckets < 2 * static_cast<size_t>(capacity_)) {
-      buckets *= 2;
-      --shift_;
-    }
-    slots_.resize(static_cast<size_t>(capacity_));
-    index_.assign(buckets, 0);
-  }
-  i32 s = used_;
-  if (used_ < capacity_) {
-    ++used_;
-  } else {
-    s = tail_;  // evict the least recent line, reuse its slot
-    index_erase(slots_[static_cast<size_t>(s)].line);
-    unlink(s);
-  }
-  slots_[static_cast<size_t>(s)].line = line;
-  push_front(s);
-  const size_t mask = index_.size() - 1;
-  size_t b = home(line);
-  while (index_[b] != 0) b = (b + 1) & mask;
-  index_[b] = s + 1;
-}
-
-bool CacheSim::Level::same_order(const Level& o) const {
-  if (used_ != o.used_) return false;
-  for (i32 a = head_, b = o.head_; a >= 0;
-       a = slots_[static_cast<size_t>(a)].next,
-           b = o.slots_[static_cast<size_t>(b)].next)
-    if (slots_[static_cast<size_t>(a)].line !=
-        o.slots_[static_cast<size_t>(b)].line)
+bool CacheSim::same_order(const CacheSim& o, int lv) const {
+  if (size_[lv] != o.size_[lv]) return false;
+  if (size_[lv] == 0) return true;
+  for (i32 a = entries_[static_cast<size_t>(kSentinel)].next[lv],
+           b = o.entries_[static_cast<size_t>(kSentinel)].next[lv];
+       a != kSentinel; a = entries_[static_cast<size_t>(a)].next[lv],
+           b = o.entries_[static_cast<size_t>(b)].next[lv])
+    if (entries_[static_cast<size_t>(a)].line !=
+        o.entries_[static_cast<size_t>(b)].line)
       return false;
   return true;
 }
 
 bool CacheSim::same_state(const CacheSim& o) const {
   // mru_line_ is always L1's most recent line, so the two orders decide it.
-  return l1_.same_order(o.l1_) && l2_.same_order(o.l2_);
+  return same_order(o, kL1) && same_order(o, kL2);
 }
 
 MemLevel CacheSim::access_line(u64 line) {
   ++stats_.accesses;
   if (line == mru_line_) return MemLevel::kL1;  // streaming fast path
   mru_line_ = line;
-  if (l1_.touch(line)) return MemLevel::kL1;
+  const i32 e = find(line);
+  if (e >= 0 && in(kL1, e)) {
+    unlink(kL1, e);
+    push_front(kL1, e);
+    return MemLevel::kL1;
+  }
   ++stats_.l1_misses;
-  if (l2_.touch(line)) {
-    l1_.insert(line);
+  if (e >= 0) {  // in L2 only
+    unlink(kL2, e);
+    push_front(kL2, e);
+    make_room(kL1);
+    push_front(kL1, e);
     return MemLevel::kL2;
   }
   ++stats_.l2_misses;
-  l2_.insert(line);
-  l1_.insert(line);
+  // Evict before allocating: with both levels full and disjoint, the table
+  // is full until an eviction releases an entry.
+  make_room(kL2);
+  make_room(kL1);
+  const i32 n = allocate(line);
+  push_front(kL2, n);
+  push_front(kL1, n);
   return MemLevel::kDram;
 }
 

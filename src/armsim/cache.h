@@ -12,15 +12,23 @@
 // winograd's 16 scattered matrices — are captured exactly; conflict misses
 // are not, which makes the model slightly optimistic.
 //
-// A one-line MRU filter keeps the common streaming case (four 16-byte
-// loads per line) off the LRU bookkeeping path.
+// L2 sees only the L1-miss stream, and the hierarchy is non-inclusive: L2
+// may evict a line that L1 still holds, and that line keeps hitting in L1
+// until L1 evicts it. A one-line MRU filter keeps the common streaming case
+// (four 16-byte loads per line) off the LRU bookkeeping path.
 //
-// Each level is a fixed pool of line slots: a doubly-linked recency list
-// threaded through slot indices plus an open-addressing index from line id
-// to slot. Nothing allocates after a level's first insert, and the storage
-// is only allocated then — every armsim::Ctx embeds a CacheSim, and most
-// (probes, tally contexts) never touch it. The class is copyable, which is
-// what lets the tile search snapshot a replay mid-stream (tile_search.cpp).
+// Both levels live in ONE table: a fixed pool of line entries, each
+// carrying its own L1 and L2 recency links (a prev link set to "out" means
+// the line is not in that level), plus one open-addressing index from line
+// id to entry (linear probing, backward-shift deletion, load <= 0.27). An
+// access probes the index once; an L1 miss that hits L2 only relinks the
+// entry into L1, and an entry leaves the index only once it has left both
+// levels. One sentinel entry closes both recency lists into rings, so
+// relinking takes no branches. Nothing allocates after the first miss,
+// and the storage is only allocated then — every armsim::Ctx embeds a
+// CacheSim, and most (probes, tally contexts) never touch it. Entries are
+// 16 bytes and the class is copyable, which is what lets the tile search
+// snapshot a replay mid-stream (tile_search.cpp).
 #pragma once
 
 #include <vector>
@@ -54,39 +62,45 @@ class CacheSim {
   bool same_state(const CacheSim& o) const;
 
  private:
-  MemLevel access_line(u64 line);
+  // Level indices into each entry's links and into size_.
+  static constexpr int kL1 = 0;
+  static constexpr int kL2 = 1;
+  // One entry per resident line: at most kL1Lines + kL2Lines when the
+  // levels hold disjoint lines. The sentinel comes on top.
+  static constexpr i64 kEntries = kL1Lines + kL2Lines;
+  static_assert(kEntries < (i64{1} << 15), "entry ids must fit an i16 link");
+  // entries_[kSentinel] closes both rings: its next is a level's most
+  // recent line, its prev the least recent.
+  static constexpr i16 kSentinel = static_cast<i16>(kEntries);
+  static constexpr i16 kOut = -1;  // prev link of a line absent from a level
 
-  class Level {
-   public:
-    explicit Level(i32 capacity) : capacity_(capacity) {}
-    bool touch(u64 line);   // true if present (moves to front)
-    void insert(u64 line);  // inserts at front, evicting LRU if full
-    bool same_order(const Level& o) const;
-
-   private:
-    struct Slot {
-      u64 line;
-      i32 prev, next;  // recency neighbours (slot indices), -1 at the ends
-    };
-    size_t home(u64 line) const {
-      return static_cast<size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
-    }
-    i32 find(u64 line) const;  // slot index, -1 when absent
-    void index_erase(u64 line);
-    void unlink(i32 s);
-    void push_front(i32 s);
-
-    i32 capacity_;
-    i32 used_ = 0;
-    i32 head_ = -1;  // most recent
-    i32 tail_ = -1;  // least recent
-    int shift_ = 64;
-    std::vector<Slot> slots_;
-    std::vector<i32> index_;  // slot + 1 per bucket, 0 = empty
+  struct Entry {
+    u64 line;
+    i16 prev[2];  // per level: more recent neighbour (or the sentinel)
+    i16 next[2];  // per level: less recent neighbour (or the sentinel)
   };
 
-  Level l1_{static_cast<i32>(kL1Lines)};
-  Level l2_{static_cast<i32>(kL2Lines)};
+  MemLevel access_line(u64 line);
+  size_t home(u64 line) const {
+    return static_cast<size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  i32 find(u64 line) const;  // entry id, -1 when absent
+  bool in(int lv, i32 e) const {
+    return entries_[static_cast<size_t>(e)].prev[lv] != kOut;
+  }
+  void unlink(int lv, i32 e);
+  void push_front(int lv, i32 e);
+  void make_room(int lv);  // evicts the level's LRU line when it is full
+  i32 allocate(u64 line);  // new entry, indexed, in neither level
+  void release(i32 e);     // drops an entry that has left both levels
+  bool same_order(const CacheSim& o, int lv) const;
+
+  i32 size_[2] = {0, 0};  // lines per level
+  i32 used_ = 0;          // entries ever handed out (a prefix of entries_)
+  i32 free_ = -1;         // released entries, chained through next[kL1]
+  int shift_ = 64;
+  std::vector<Entry> entries_;
+  std::vector<u16> index_;  // entry id + 1 per bucket, 0 = empty
   u64 mru_line_ = ~u64{0};
   Stats stats_;
 };

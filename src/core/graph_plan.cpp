@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "armsim/cost_model.h"
 #include "check/plan_audit.h"
 #include "common/status.h"
 #include "core/conv_plan.h"
+#include "serve/thread_pool.h"
 
 namespace lbc::core {
 namespace {
@@ -94,9 +96,22 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         static_cast<int>(i));
   }
 
-  // ---- per-node plans (convs planned with the memoized per-layer search
-  // first; the joint pass below replans the layers it moves) --------------
+  // ---- per-node plans ----------------------------------------------------
+  // Three steps: each conv's first plan resolves its rung; the kernel and
+  // blocking searches of the convs that need one run concurrently; then
+  // those convs are planned again, in node order, with what was found. The
+  // joint pass below replans the layers it moves.
   const bool fusion = opt.fusion == FusionMode::kOn;
+  constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
+  // A conv whose kernel (TBL against MLA) or blocking (it fuses) comes
+  // from a search.
+  struct ConvSearch {
+    size_t node = 0;
+    bool fused = false;
+    bool tbl = false;                ///< result: TBL won the pricing
+    armkern::GemmBlocking blocking;  ///< result: the fused-schedule winner
+  };
+  std::vector<ConvSearch> searches;
   for (size_t i = 0; i < n_nodes; ++i) {
     const QnnGraph::Node& n = g.nodes_[i];
     NodePlan& p = plan.nodes_[i];
@@ -126,33 +141,11 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
                              armkern::plan_conv(n.conv, n.weight_q, copt));
         const bool fused = fusion && fuse_eligible(cp);
-        const armkern::BlockedSchedule sched =
-            fused ? armkern::BlockedSchedule::kFused
-                  : armkern::BlockedSchedule::kStandalone;
-        const bool tbl = tbl_contender(cp) &&
-                         armkern::choose_gemm_kernel(n.conv, n.bits, sched) ==
-                             armkern::ArmKernel::kTblGemm;
-        if (tbl) copt.kernel = armkern::ArmKernel::kTblGemm;
-        if (fused)
-          copt.explicit_blocking = armkern::search_blocking(
-              n.conv, n.bits, tbl ? copt.kernel : cp.kernel, sched);
-        if (tbl || fused) {
-          LBC_ASSIGN_OR_RETURN(cp,
-                               armkern::plan_conv(n.conv, n.weight_q, copt));
-        }
-        // Same static proof gate as core::plan_arm_conv, on the kernel that
-        // will execute (the joint pass below changes only the blocking).
-        LBC_RETURN_IF_ERROR(prove_arm_plan(cp).with_context(
-            "GraphPlan::compile conv node " + std::to_string(i)));
+        if (tbl_contender(cp) || fused)
+          searches.push_back(ConvSearch{i, fused, false, {}});
         p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
         p.gemm_m = n.conv.gemm_m();
         p.gemm_n = n.conv.gemm_n();
-        const QnnGraph::Node& src = g.nodes_[static_cast<size_t>(n.src0)];
-        LBC_ASSIGN_OR_RETURN(
-            p.bias_q, quant::quantize_bias(n.bias_f, n.conv.out_c, src.scheme,
-                                           n.weight_scheme, n.conv.gemm_k()));
-        p.rq = quant::make_requant(src.scheme, n.weight_scheme, n.scheme,
-                                   n.relu);
         break;
       }
       case QnnGraph::Kind::kAdd: {
@@ -181,6 +174,53 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     }
   }
 
+  // The searches are independent, deterministic and memoized, so they run
+  // on the shared pool; a key two nodes share is searched once (the second
+  // waits for the first), and the tile search holds its lock only around
+  // its memo maps.
+  serve::ThreadPool::global().parallel_for(
+      0, static_cast<i64>(searches.size()), 1, [&](i64 begin, i64 end) {
+        for (i64 j = begin; j < end; ++j) {
+          ConvSearch& cs = searches[static_cast<size_t>(j)];
+          const QnnGraph::Node& n = g.nodes_[cs.node];
+          const armkern::ArmConvPlan& first = *plan.nodes_[cs.node].conv;
+          const armkern::BlockedSchedule sched =
+              cs.fused ? kFused : armkern::BlockedSchedule::kStandalone;
+          cs.tbl = tbl_contender(first) &&
+                   armkern::choose_gemm_kernel(n.conv, n.bits, sched) ==
+                       armkern::ArmKernel::kTblGemm;
+          if (cs.fused)
+            cs.blocking = armkern::search_blocking(
+                n.conv, n.bits,
+                cs.tbl ? armkern::ArmKernel::kTblGemm : first.kernel, sched);
+        }
+      });
+  for (size_t i = 0, next = 0; i < n_nodes; ++i) {
+    NodePlan& p = plan.nodes_[i];
+    if (p.kind != NodeKind::kConv) continue;
+    const QnnGraph::Node& n = g.nodes_[i];
+    if (next < searches.size() && searches[next].node == i) {
+      const ConvSearch& cs = searches[next++];
+      if (cs.tbl || cs.fused) {
+        armkern::ArmConvOptions copt = p.conv->requested;
+        if (cs.tbl) copt.kernel = armkern::ArmKernel::kTblGemm;
+        if (cs.fused) copt.explicit_blocking = cs.blocking;
+        LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
+                             armkern::plan_conv(n.conv, n.weight_q, copt));
+        p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
+      }
+    }
+    // Same static proof gate as core::plan_arm_conv, on the kernel that
+    // will execute (the joint pass below changes only the blocking).
+    LBC_RETURN_IF_ERROR(prove_arm_plan(*p.conv).with_context(
+        "GraphPlan::compile conv node " + std::to_string(i)));
+    const QnnGraph::Node& src = g.nodes_[static_cast<size_t>(n.src0)];
+    LBC_ASSIGN_OR_RETURN(
+        p.bias_q, quant::quantize_bias(n.bias_f, n.conv.out_c, src.scheme,
+                                       n.weight_scheme, n.conv.gemm_k()));
+    p.rq = quant::make_requant(src.scheme, n.weight_scheme, n.scheme, n.relu);
+  }
+
   // ---- joint whole-net blocking over the fused conv chain ---------------
   std::vector<int> chain;
   std::vector<armkern::GraphSearchLayer> layers;
@@ -195,15 +235,14 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
   plan.graph_hash_ =
       layers.empty() ? 0 : armkern::graph_blocking_hash(layers);
 
-  constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
   if (opt.joint_search && fusion && !layers.empty()) {
     std::vector<gpukern::ArmBlocking> rows;
-    const auto run_search = [&layers] {
-      const armkern::GraphSearchResult r =
-          armkern::search_graph_blocking(layers, kFused);
+    std::optional<armkern::GraphSearchResult> searched;
+    const auto run_search = [&layers, &searched] {
+      searched = armkern::search_graph_blocking(layers, kFused);
       std::vector<gpukern::ArmBlocking> out;
-      out.reserve(r.blocking.size());
-      for (const armkern::GemmBlocking& b : r.blocking)
+      out.reserve(searched->blocking.size());
+      for (const armkern::GemmBlocking& b : searched->blocking)
         out.push_back(gpukern::ArmBlocking{b.mc, b.kc, b.nc});
       return out;
     };
@@ -216,18 +255,26 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
                  "joint search returned " << rows.size() << " layers, want "
                                           << layers.size());
 
-    std::vector<armkern::GemmBlocking> joint, greedy;
-    for (size_t j = 0; j < layers.size(); ++j) {
-      joint.push_back(
-          armkern::GemmBlocking{rows[j].mc, rows[j].kc, rows[j].nc});
-      greedy.push_back(armkern::search_blocking(
-          layers[j].shape, layers[j].bits, layers[j].kernel, kFused));
-    }
+    std::vector<armkern::GemmBlocking> joint;
+    for (const gpukern::ArmBlocking& r : rows)
+      joint.push_back(armkern::GemmBlocking{r.mc, r.kc, r.nc});
     // Both assignments priced under the SAME chained objective, so
-    // greedy - joint is exactly the margin graph-level planning buys.
-    plan.joint_cycles_ = armkern::score_graph_blocking(layers, joint, kFused);
-    plan.greedy_cycles_ =
-        armkern::score_graph_blocking(layers, greedy, kFused);
+    // greedy - joint is exactly the margin graph-level planning buys. A
+    // search has just priced both, bit-identical to score_graph_blocking;
+    // rows served by the TuningCache are priced here.
+    if (searched) {
+      plan.joint_cycles_ = searched->joint_cycles;
+      plan.greedy_cycles_ = searched->greedy_cycles;
+    } else {
+      std::vector<armkern::GemmBlocking> greedy;
+      for (const armkern::GraphSearchLayer& gl : layers)
+        greedy.push_back(
+            armkern::search_blocking(gl.shape, gl.bits, gl.kernel, kFused));
+      plan.joint_cycles_ =
+          armkern::score_graph_blocking(layers, joint, kFused);
+      plan.greedy_cycles_ =
+          armkern::score_graph_blocking(layers, greedy, kFused);
+    }
 
     for (size_t j = 0; j < chain.size(); ++j) {
       NodePlan& p = plan.nodes_[static_cast<size_t>(chain[j])];

@@ -1,11 +1,13 @@
-// Tests for the A53 cache model: LRU mechanics, capacity behaviour,
-// rename invariance (the property that makes simulation deterministic),
-// exactness against a reference LRU, copy/snapshot semantics, and its
-// integration with the convolution kernels.
+// Tests for the A53 cache model: LRU mechanics, capacity behaviour, the
+// non-inclusive hierarchy, rename invariance (the property that makes
+// simulation deterministic), exactness against a reference LRU,
+// copy/snapshot semantics, and its integration with the convolution
+// kernels.
 #include <gtest/gtest.h>
 
 #include <list>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "armkern/conv_arm.h"
@@ -93,10 +95,39 @@ TEST(CacheSim, StreamingLoadsHitAfterLineFill) {
   EXPECT_EQ(c.stats().accesses, 64u);
 }
 
+TEST(CacheSim, HotL1LineOutlivesItsL2Copy) {
+  // L2 sees only the L1-miss stream, so a line that keeps hitting L1 ages
+  // in L2 while 9000 other lines stream through it. L2 evicts it, yet it
+  // stays an L1 hit for as long as L1 keeps it...
+  CacheSim c;
+  const auto hot = reinterpret_cast<const void*>(u64{1} << 30);
+  const auto cold = [](u64 i) {
+    return reinterpret_cast<const void*>((u64{2} << 30) + i * 64);
+  };
+  ASSERT_EQ(c.access(hot, 1), MemLevel::kDram);
+  constexpr u64 kStream = CacheSim::kL2Lines + 808;
+  for (u64 i = 0; i < kStream; ++i) {
+    ASSERT_EQ(c.access(cold(i), 1), MemLevel::kDram) << "line " << i;
+    if (i % 64 == 63) {
+      ASSERT_EQ(c.access(hot, 1), MemLevel::kL1) << "after line " << i;
+    }
+  }
+  // ...and once L1 evicts it too, nothing holds it: DRAM, not L2.
+  for (u64 i = kStream; i < kStream + CacheSim::kL1Lines; ++i)
+    c.access(cold(i), 1);
+  const u64 l2_misses = c.stats().l2_misses;
+  EXPECT_EQ(c.access(hot, 1), MemLevel::kDram);
+  EXPECT_EQ(c.stats().l2_misses, l2_misses + 1);
+  // The stream's recent lines are still in L2 after leaving L1.
+  EXPECT_EQ(c.access(cold(kStream - 1), 1), MemLevel::kL2);
+}
+
 // Reference two-level exact LRU kept as plain recency lists (front = most
-// recent) — the straightforward model CacheSim's flat slot pools must
-// reproduce access for access. No MRU filter: re-touching the most recent
-// line is a no-op in exact LRU, which is what makes the filter safe.
+// recent) — the straightforward model CacheSim's one line table must
+// reproduce access for access. The levels are independent lists, so the
+// reference is non-inclusive by construction. No MRU filter: re-touching
+// the most recent line is a no-op in exact LRU, which is what makes the
+// filter safe.
 class ReferenceLru {
  public:
   MemLevel access(u64 addr, u64 bytes) {
@@ -121,6 +152,8 @@ class ReferenceLru {
     return worst;
   }
   CacheSim::Stats stats;
+  bool l1_holds(u64 line) const { return l1_.where.count(line) != 0; }
+  bool l2_holds(u64 line) const { return l2_.where.count(line) != 0; }
 
  private:
   struct Level {
@@ -146,6 +179,23 @@ class ReferenceLru {
   Level l2_{static_cast<size_t>(CacheSim::kL2Lines), {}, {}};
 };
 
+// Feeds the stream `next(i)` -> {addr, bytes} of `n` accesses to both
+// models: every access's level and the final stats must agree.
+template <typename Next>
+void expect_matches_reference(ReferenceLru& ref, int n, Next next) {
+  CacheSim sim;
+  for (int i = 0; i < n; ++i) {
+    const auto [addr, bytes] = next();
+    const MemLevel got =
+        sim.access(reinterpret_cast<const void*>(addr), bytes);
+    const MemLevel want = ref.access(addr, bytes);
+    ASSERT_EQ(got, want) << "access " << i;
+  }
+  EXPECT_EQ(sim.stats().accesses, ref.stats.accesses);
+  EXPECT_EQ(sim.stats().l1_misses, ref.stats.l1_misses);
+  EXPECT_EQ(sim.stats().l2_misses, ref.stats.l2_misses);
+}
+
 TEST(CacheSim, MatchesReferenceLruOnEveryAccess) {
   // A long seeded stream over three regions: one just past L1's capacity
   // and one just past L2's, where the eviction order decides most hits,
@@ -154,7 +204,6 @@ TEST(CacheSim, MatchesReferenceLruOnEveryAccess) {
   // a random line, and spans 1-200 bytes from an arbitrary offset, so
   // many cross one or more line boundaries. Every access's level and the
   // final stats must agree exactly.
-  CacheSim sim;
   ReferenceLru ref;
   Rng rng(2024);
   struct Region {
@@ -163,7 +212,7 @@ TEST(CacheSim, MatchesReferenceLruOnEveryAccess) {
   Region regions[] = {{u64{1} << 30, 576, 0},
                       {u64{2} << 30, 8704, 0},
                       {u64{3} << 30, u64{1} << 20, 0}};
-  for (int i = 0; i < 400000; ++i) {
+  expect_matches_reference(ref, 400000, [&] {
     const u64 pick = rng.next_u64() % 10;
     Region& rg = regions[pick < 5 ? 0 : pick < 9 ? 1 : 2];
     u64 line = rng.next_u64() % rg.lines;
@@ -174,16 +223,44 @@ TEST(CacheSim, MatchesReferenceLruOnEveryAccess) {
     const u64 addr = (rg.first_line + line) * CacheSim::kLineBytes +
                      rng.next_u64() % CacheSim::kLineBytes;
     const u64 bytes = 1 + rng.next_u64() % 200;
-    const MemLevel got =
-        sim.access(reinterpret_cast<const void*>(addr), bytes);
-    const MemLevel want = ref.access(addr, bytes);
-    ASSERT_EQ(got, want) << "access " << i;
-  }
-  EXPECT_EQ(sim.stats().accesses, ref.stats.accesses);
-  EXPECT_EQ(sim.stats().l1_misses, ref.stats.l1_misses);
-  EXPECT_EQ(sim.stats().l2_misses, ref.stats.l2_misses);
+    return std::pair{addr, bytes};
+  });
   EXPECT_GT(ref.stats.l2_misses, 10000u);
   EXPECT_GT(ref.stats.l1_misses - ref.stats.l2_misses, 10000u);
+}
+
+TEST(CacheSim, MatchesReferenceLruWithAHotL1Set) {
+  // The same differential on a stream that keeps 64 lines hot in L1 (a
+  // micro kernel's tile and table lines) while a scan twice L2's size and
+  // random lines stream through L2. L2 then evicts hot lines that L1
+  // still holds, and they keep hitting L1 — the non-inclusive case a
+  // unified line table must get right. Counted below, so the stream is
+  // known to reach it.
+  ReferenceLru ref;
+  Rng rng(2025);
+  constexpr u64 kHot = 64;
+  constexpr u64 kScan = 2 * CacheSim::kL2Lines;
+  u64 cursor = 0;
+  u64 hot_hits_without_l2 = 0;
+  expect_matches_reference(ref, 400000, [&] {
+    const u64 pick = rng.next_u64() % 8;
+    u64 line;
+    if (pick < 5) {
+      line = (u64{1} << 30) + rng.next_u64() % kHot;
+      if (ref.l1_holds(line) && !ref.l2_holds(line)) ++hot_hits_without_l2;
+    } else if (pick < 7) {
+      line = (u64{2} << 30) + cursor;
+      cursor = (cursor + 1) % kScan;
+    } else {
+      line = (u64{3} << 30) + rng.next_u64() % (u64{1} << 16);
+    }
+    const u64 addr = line * CacheSim::kLineBytes +
+                     rng.next_u64() % CacheSim::kLineBytes;
+    const u64 bytes = 1 + rng.next_u64() % 100;
+    return std::pair{addr, bytes};
+  });
+  EXPECT_GT(hot_hits_without_l2, 10000u);
+  EXPECT_GT(ref.stats.l2_misses, 10000u);
 }
 
 const void* line_addr(u64 line) {
@@ -235,6 +312,22 @@ TEST(CacheSim, SameStateComparesRecencyOrderNotHistory) {
   w.access(line_addr(1), 1);
   EXPECT_FALSE(w.same_state(x));
   EXPECT_TRUE(CacheSim{}.same_state(CacheSim{}));
+}
+
+TEST(CacheSim, SameStateComparesEachLevelsOrder) {
+  // Only L2's order differs: A then B leaves both levels at [B, A]; B, A, B
+  // leaves L1 at [B, A] too, but B's last access hit L1, so L2 is [A, B].
+  CacheSim x, y;
+  for (u64 line : {0, 1}) x.access(line_addr(line), 1);
+  for (u64 line : {1, 0, 1}) y.access(line_addr(line), 1);
+  EXPECT_FALSE(x.same_state(y));
+  EXPECT_FALSE(y.same_state(x));
+
+  // Only L1's order differs: A, B, A leaves L1 at [A, B] and L2 at [B, A].
+  CacheSim z;
+  for (u64 line : {0, 1, 0}) z.access(line_addr(line), 1);
+  EXPECT_FALSE(x.same_state(z));
+  EXPECT_FALSE(z.same_state(x));
 }
 
 TEST(CtxMem, TallysMissOps) {

@@ -1,16 +1,20 @@
 // Whole-net graph compiler tests: fused-vs-unfused bit-exactness, residual
 // add fusion, joint-vs-greedy blocking (and the incremental search's
 // exactness), per-conv TBL-vs-MLA pricing, the prover gate, arena steady
-// state, TuningCache v4 persistence, and the serve-tier graph-model surface
-// (registry plan sharing + budget eviction, ModelServer submit_graph
-// contract).
+// state, TuningCache v4 persistence, concurrent per-layer searches (cold
+// vs warm identity, each search key once across concurrent compiles), and
+// the serve-tier graph-model surface (registry plan sharing + budget
+// eviction, ModelServer submit_graph contract).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <map>
 #include <string>
+#include <thread>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/workspace.h"
@@ -389,6 +393,220 @@ TEST(GraphPlan, TuningCachePersistsJointPlanAcrossCompiles) {
   EXPECT_EQ(shipped.misses(), misses_before);
   EXPECT_GT(shipped.hits(), 0);
   EXPECT_DOUBLE_EQ(first.joint_cycles(), second.joint_cycles());
+}
+
+// The fused conv chain of a compiled plan, in node order — what
+// GraphPlan::compile hands the joint search — and each layer's blocking.
+struct FusedChain {
+  std::vector<armkern::GraphSearchLayer> layers;
+  std::vector<armkern::GemmBlocking> blocking;
+};
+FusedChain fused_chain(const GraphPlan& plan) {
+  FusedChain chain;
+  for (i64 i = 0; i < plan.node_count(); ++i)
+    if (const armkern::ArmConvPlan* cp = plan.conv_plan(i))
+      if (cp->algo == armkern::ConvAlgo::kGemm && cp->blocking.enabled() &&
+          cp->kernel != armkern::ArmKernel::kTraditional &&
+          cp->shape.batch == 1) {
+        chain.layers.push_back({cp->shape, cp->requested.bits, cp->kernel});
+        chain.blocking.push_back(cp->blocking);
+      }
+  return chain;
+}
+
+TEST(GraphPlan, JointCyclesMatchAReScoreWhetherSearchedOrCacheServed) {
+  // A fresh compile takes both objective values from the joint search; a
+  // compile served by the TuningCache re-scores them. Both must be the
+  // chained score of the picks, bit for bit.
+  QnnGraph g = bottleneck_graph(4);
+  ASSERT_TRUE(g.calibrate(graph_input()).ok());
+  gpukern::TuningCache cache;
+  GraphPlanOptions opt = fused_options();
+  opt.tuning = &cache;
+  const i64 misses = cache.misses();
+  const GraphPlan fresh = GraphPlan::compile(g, opt).value();
+  ASSERT_EQ(cache.misses(), misses + 1) << "the fresh compile did not search";
+  const i64 hits = cache.hits();
+  const GraphPlan served = GraphPlan::compile(g, opt).value();
+  ASSERT_EQ(cache.hits(), hits + 1) << "the second compile was not served";
+
+  constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
+  const FusedChain chain = fused_chain(fresh);
+  ASSERT_EQ(static_cast<int>(chain.layers.size()), fresh.fused_convs());
+  std::vector<armkern::GemmBlocking> greedy;
+  for (const armkern::GraphSearchLayer& gl : chain.layers)
+    greedy.push_back(
+        armkern::search_blocking(gl.shape, gl.bits, gl.kernel, kFused));
+  const double joint_score =
+      armkern::score_graph_blocking(chain.layers, chain.blocking, kFused);
+  const double greedy_score =
+      armkern::score_graph_blocking(chain.layers, greedy, kFused);
+  for (const GraphPlan* p : {&fresh, &served}) {
+    EXPECT_EQ(std::bit_cast<u64>(p->joint_cycles()),
+              std::bit_cast<u64>(joint_score));
+    EXPECT_EQ(std::bit_cast<u64>(p->greedy_cycles()),
+              std::bit_cast<u64>(greedy_score));
+  }
+}
+
+// Plan equality that matters at run time: per conv node the kernel, TBL
+// orientation, blocking and packed bytes; the joint objective values; and
+// one forward's output bytes and modeled seconds.
+void expect_same_plan(const GraphPlan& a, const GraphPlan& b,
+                      const Tensor<float>& x) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  for (i64 i = 0; i < a.node_count(); ++i) {
+    const armkern::ArmConvPlan* pa = a.conv_plan(i);
+    const armkern::ArmConvPlan* pb = b.conv_plan(i);
+    ASSERT_EQ(pa == nullptr, pb == nullptr) << "node " << i;
+    if (pa == nullptr) continue;
+    EXPECT_EQ(pa->kernel, pb->kernel) << "node " << i;
+    EXPECT_EQ(pa->tbl_a.orient, pb->tbl_a.orient) << "node " << i;
+    EXPECT_EQ(pa->blocking, pb->blocking) << "node " << i;
+    EXPECT_EQ(pa->packed_weight_bytes, pb->packed_weight_bytes) << "node " << i;
+  }
+  EXPECT_EQ(std::bit_cast<u64>(a.joint_cycles()),
+            std::bit_cast<u64>(b.joint_cycles()));
+  EXPECT_EQ(std::bit_cast<u64>(a.greedy_cycles()),
+            std::bit_cast<u64>(b.greedy_cycles()));
+  EXPECT_EQ(a.arena_reserve_bytes(), b.arena_reserve_bytes());
+  Workspace a1, s1, a2, s2;
+  const QnnGraph::RunResult ra = a.forward(x, a1, s1).value();
+  const QnnGraph::RunResult rb = b.forward(x, a2, s2).value();
+  EXPECT_TRUE(same_bits(ra.out, rb.out));
+  EXPECT_EQ(std::bit_cast<u64>(ra.seconds), std::bit_cast<u64>(rb.seconds));
+}
+
+/// A chain whose 1x1 convs repeat one shape three times (and a 3x3 conv
+/// in between), with residual adds over the repeats. The shapes are used
+/// by no other test, so the first compile in a process searches them.
+QnnGraph repeated_shape_graph(int bits, i64 c, i64 hw,
+                              const Tensor<float>& x) {
+  QnnGraph g;
+  auto s = g.add_input(c, hw);
+  s = g.add_conv(s, c, 3, 1, 1, bits,
+                 random_ftensor(Shape4{c, c, 3, 3}, -0.2f, 0.2f, 301), {},
+                 true);
+  for (u64 l = 0; l < 3; ++l) {
+    const auto conv = g.add_conv(
+        s, c, 1, 1, 0, bits,
+        random_ftensor(Shape4{c, c, 1, 1}, -0.4f, 0.4f, 302 + l), {}, true);
+    s = g.add_add(s, conv, /*relu=*/true);
+  }
+  EXPECT_TRUE(g.calibrate(x).ok());
+  return g;
+}
+
+TEST(GraphPlan, ColdCompileWithConcurrentSearchesEqualsWarmCompile) {
+  // The cold compile runs the per-layer searches of its convs on the pool,
+  // the three repeated 1x1 convs sharing one key; the warm one is served
+  // entirely from the memo.
+  const Tensor<float> x = random_ftensor(Shape4{1, 24, 11, 11}, -1, 1, 300);
+  const QnnGraph g = repeated_shape_graph(2, 24, 11, x);
+  const GraphPlan cold = GraphPlan::compile(g).value();
+  const armkern::TileSearchStats before = armkern::tile_search_stats();
+  const GraphPlan warm = GraphPlan::compile(g).value();
+  EXPECT_EQ(armkern::tile_search_stats().searches, before.searches);
+  EXPECT_EQ(cold.fused_convs(), 4);
+  for (const armkern::ArmKernel k : conv_kernels(cold))
+    EXPECT_EQ(k, armkern::ArmKernel::kTblGemm);
+  expect_same_plan(cold, warm, x);
+  expect_matches_reference(g, cold, x);
+}
+
+// What a cold compile of `plan`'s graph should have searched, for a graph
+// of fused convs: `keys`, one per distinct conv shape (TBL's at <= 3 bit,
+// else the GEMM kernel's) plus MLA's for each <= 3-bit shape whose kernel
+// pricing could not rule MLA out; and `calls`, the search_blocking calls
+// it made — per conv the pricing's TBL (and MLA) search, the fused
+// blocking, and the joint search's seed. Whether pricing searched MLA
+// shows afterwards: a probe of MLA's key is then a memo hit.
+struct KeyCount {
+  i64 keys = 0;
+  i64 calls = 0;
+};
+KeyCount count_keys(const GraphPlan& plan) {
+  constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
+  KeyCount kc;
+  std::map<std::tuple<i64, i64, i64, i64, i64, int>, bool> mla_searched;
+  for (const armkern::GraphSearchLayer& gl : fused_chain(plan).layers) {
+    const ConvShape& s = gl.shape;
+    const bool priced = armkern::tbl_eligible_for(gl.bits);
+    const auto [it, first] = mla_searched.emplace(
+        std::make_tuple(s.in_c, s.in_h, s.out_c, s.kernel, s.stride, gl.bits),
+        false);
+    if (first && priced) {
+      const i64 searches = armkern::tile_search_stats().searches;
+      armkern::search_blocking(s, gl.bits, armkern::ArmKernel::kOursGemm,
+                               kFused);
+      it->second = armkern::tile_search_stats().searches == searches;
+    }
+    if (first) kc.keys += it->second ? 2 : 1;
+    kc.calls += (priced ? 2 : 1) + (it->second ? 1 : 0) + 1;
+  }
+  return kc;
+}
+
+TEST(GraphPlanConcurrency, TwoThreadsCompileAtOnceAndSearchEachKeyOnce) {
+  // Two different graphs compiled from two threads at once, each running
+  // its own searches on the shared pool; both start with a conv of the
+  // same shape (64 -> 64, 3x3 at 14x14), so one compile waits for the
+  // other's search of it. Then a 2-bit graph with a shape repeated three
+  // times. The shapes are large enough that searches of one key overlap
+  // in time. Every key is searched exactly once, the stats come out as a
+  // sequential run of the same calls records them, and each plan equals
+  // a sequential recompile.
+  const Tensor<float> x8 = random_ftensor(Shape4{1, 64, 14, 14}, -1, 1, 310);
+  const Tensor<float> x2 = random_ftensor(Shape4{1, 48, 12, 12}, -1, 1, 311);
+  const QnnGraph a = repeated_shape_graph(8, 64, 14, x8);
+  QnnGraph b;
+  {
+    auto s = b.add_input(64, 14);
+    s = b.add_conv(s, 64, 3, 1, 1, 8,
+                   random_ftensor(Shape4{64, 64, 3, 3}, -0.1f, 0.1f, 312), {},
+                   true);
+    b.add_conv(s, 96, 1, 1, 0, 8,
+               random_ftensor(Shape4{96, 64, 1, 1}, -0.2f, 0.2f, 313), {},
+               true);
+    ASSERT_TRUE(b.calibrate(x8).ok());
+  }
+  const QnnGraph c = repeated_shape_graph(2, 48, 12, x2);
+
+  const armkern::TileSearchStats s0 = armkern::tile_search_stats();
+  std::promise<void> go;
+  std::shared_future<void> start = go.get_future().share();
+  auto compile_on_thread = [&start](const QnnGraph& g) {
+    return std::async(std::launch::async, [&g, start] {
+      start.wait();
+      return GraphPlan::compile(g).value();
+    });
+  };
+  std::future<GraphPlan> fa = compile_on_thread(a);
+  std::future<GraphPlan> fb = compile_on_thread(b);
+  go.set_value();
+  const GraphPlan pa = fa.get();
+  const GraphPlan pb = fb.get();
+  const armkern::TileSearchStats s1 = armkern::tile_search_stats();
+  const GraphPlan pc = GraphPlan::compile(c).value();
+  const armkern::TileSearchStats s2 = armkern::tile_search_stats();
+
+  // 8 bit: one SMLAL key per distinct shape — the 3x3, the 1x1 repeated
+  // three times, and b's 64 -> 96 1x1; a's 3x3 is b's first conv.
+  const KeyCount ka = count_keys(pa), kb = count_keys(pb);
+  EXPECT_EQ(s1.searches - s0.searches, 3);
+  EXPECT_EQ((s1.searches + s1.memo_hits) - (s0.searches + s0.memo_hits),
+            ka.calls + kb.calls);
+  const KeyCount kcnt = count_keys(pc);
+  EXPECT_EQ(s2.searches - s1.searches, kcnt.keys);
+  EXPECT_EQ((s2.searches + s2.memo_hits) - (s1.searches + s1.memo_hits),
+            kcnt.calls);
+
+  // Sequential recompiles, served from the memo, give the same plans.
+  const armkern::TileSearchStats s3 = armkern::tile_search_stats();
+  expect_same_plan(pa, GraphPlan::compile(a).value(), x8);
+  expect_same_plan(pb, GraphPlan::compile(b).value(), x8);
+  expect_same_plan(pc, GraphPlan::compile(c).value(), x2);
+  EXPECT_EQ(armkern::tile_search_stats().searches, s3.searches);
 }
 
 TEST(GraphPlan, GraphHashKeysTopologyAndBits) {

@@ -44,8 +44,9 @@ struct GemmBlocking {
 /// [kMr, m_pad] (multiple of kMr), nc to [kNr, n_pad] (multiple of kNr),
 /// kc to [1, k] — rounded down to a multiple of 4 for the SDOT layout when
 /// K still splits into more than one block (every non-final block must end
-/// on a 4-depth SDOT group), and likewise to a multiple of the TBL pair
-/// group so no index pair straddles a depth-block boundary.
+/// on a 4-depth SDOT group), and likewise to a multiple of the TBL
+/// mode's group (tbl_group) so no index group straddles a depth-block
+/// boundary.
 inline GemmBlocking clamp_blocking(GemmBlocking b, i64 m, i64 n, i64 k,
                                    bool sdot, int tbl_group = 0) {
   if (!b.enabled()) return b;
@@ -54,9 +55,11 @@ inline GemmBlocking clamp_blocking(GemmBlocking b, i64 m, i64 n, i64 k,
   b.mc = round_up(std::clamp<i64>(b.mc, kMr, m_pad), kMr);
   b.nc = round_up(std::clamp<i64>(b.nc, kNr, n_pad), kNr);
   b.kc = std::clamp<i64>(b.kc, 1, k);
-  if (sdot && b.kc < k) b.kc = std::max<i64>(4, b.kc - (b.kc % 4));
+  if (sdot && b.kc < k)
+    b.kc = std::min<i64>(k, std::max<i64>(4, b.kc - (b.kc % 4)));
   if (tbl_group > 1 && b.kc < k)
-    b.kc = std::max<i64>(tbl_group, b.kc - (b.kc % tbl_group));
+    b.kc = std::min<i64>(
+        k, std::max<i64>(tbl_group, b.kc - (b.kc % tbl_group)));
   return b;
 }
 
@@ -84,8 +87,10 @@ struct BlockedLayout {
   i64 m_pad = 0, n_pad = 0;
   i64 m_blocks = 0, n_blocks = 0, k_blocks = 0;
   bool sdot = false;
-  /// TBL layout: depth positions per index (> 0 selects TBL; 1 or 2).
+  /// TBL layout: depth positions per index, tbl_group(tbl_mode) (> 0
+  /// selects TBL).
   int tbl_group = 0;
+  TblMode tbl_mode;
   TblOrientation tbl_orient = TblOrientation::kActTables;
 
   bool tbl() const { return tbl_group > 0; }
@@ -123,23 +128,35 @@ struct BlockedLayout {
   i64 fused_band_elems() const { return k_blocks == 1 ? 0 : m * blk.nc; }
 };
 
-inline BlockedLayout blocked_layout(
-    i64 m, i64 n, i64 k, const GemmBlocking& blocking, bool sdot,
-    int tbl_group = 0,
-    TblOrientation tbl_orient = TblOrientation::kActTables) {
+inline BlockedLayout blocked_layout(i64 m, i64 n, i64 k,
+                                    const GemmBlocking& blocking, bool sdot) {
   BlockedLayout l;
-  l.blk = clamp_blocking(blocking, m, n, k, sdot, tbl_group);
+  l.blk = clamp_blocking(blocking, m, n, k, sdot);
   l.m = m;
   l.n = n;
   l.k = k;
   l.m_pad = round_up(m, kMr);
   l.n_pad = round_up(n, kNr);
   l.sdot = sdot;
-  l.tbl_group = tbl_group;
-  l.tbl_orient = tbl_orient;
   l.m_blocks = ceil_div(l.m_pad, l.blk.mc);
   l.n_blocks = ceil_div(n, l.blk.nc);
   l.k_blocks = ceil_div(k, l.blk.kc);
+  return l;
+}
+
+/// The TBL layout of a plan running `mode` in orientation `orient`: the
+/// blocking clamps to the mode's group, so no index group straddles a
+/// depth-block boundary.
+inline BlockedLayout tbl_blocked_layout(i64 m, i64 n, i64 k,
+                                        const GemmBlocking& blocking,
+                                        TblMode mode, TblOrientation orient) {
+  const int group = tbl_group(mode);
+  BlockedLayout l = blocked_layout(
+      m, n, k, clamp_blocking(blocking, m, n, k, /*sdot=*/false, group),
+      /*sdot=*/false);
+  l.tbl_group = group;
+  l.tbl_mode = mode;
+  l.tbl_orient = orient;
   return l;
 }
 

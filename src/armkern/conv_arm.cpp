@@ -53,13 +53,11 @@ void tally_reference(Ctx& ctx, const ConvShape& s) {
 /// extension — see bench/ext_multicore_arm).
 constexpr double kThreadSyncCycles = 20000.0;
 
-// Blocked-driver geometry of a blocked GEMM plan at batch sb.batch.
-BlockedLayout plan_layout(const ArmConvPlan& p, const ConvShape& sb) {
-  const bool tbl = p.kernel == ArmKernel::kTblGemm;
-  return blocked_layout(sb.gemm_m(), sb.gemm_n(), sb.gemm_k(), p.blocking,
-                        p.kernel == ArmKernel::kSdotExt,
-                        tbl ? p.tbl_a.group : 0,
-                        tbl ? p.tbl_a.orient : TblOrientation::kActTables);
+// Least input value a plan declares: 0 for a non-negative input, else
+// -qmax. Checked execution registers the input region with it.
+i32 input_floor(const ArmConvOptions& o) {
+  return o.input_range == InputRange::kNonNegative ? 0
+                                                   : -qmax_for_bits(o.bits);
 }
 
 std::string shape4_str(const Shape4& sh) {
@@ -92,6 +90,15 @@ bool sdot_eligible_for(int bits) { return bits >= 4; }
 
 bool tbl_eligible_for(int bits) { return bits <= 3; }
 
+BlockedLayout ArmConvPlan::executed_layout(i64 batch) const {
+  const ConvShape sb = shape.with_batch(batch);
+  if (kernel == ArmKernel::kTblGemm)
+    return tbl_blocked_layout(sb.gemm_m(), sb.gemm_n(), sb.gemm_k(), blocking,
+                              tbl_a.mode, tbl_a.orient);
+  return blocked_layout(sb.gemm_m(), sb.gemm_n(), sb.gemm_k(), blocking,
+                        kernel == ArmKernel::kSdotExt);
+}
+
 i64 ArmConvPlan::workspace_bytes(i64 batch) const {
   const ConvShape sb = shape.with_batch(batch);
   if (algo == ConvAlgo::kReference || algo == ConvAlgo::kDirect) return 0;
@@ -113,7 +120,7 @@ i64 ArmConvPlan::workspace_bytes(i64 batch) const {
     // Fused blocked path: no materialized im2col and no full packed-B
     // copy — only one live (Kc x Nc) block buffer per modeled worker,
     // plus the batch > 1 C staging.
-    const BlockedLayout lay = plan_layout(*this, sb);
+    const BlockedLayout lay = executed_layout(sb.batch);
     const int workers =
         blocked_threads(lay, requested.threads, requested.verify);
     i64 total = workers * workspace_rounded(lay.block_bytes());
@@ -138,9 +145,70 @@ i64 ArmConvPlan::fused_band_elems() const {
   if (!blocking.enabled() || algo != ConvAlgo::kGemm ||
       kernel == ArmKernel::kTraditional)
     return 0;
-  const BlockedLayout lay = plan_layout(*this, shape);
+  const BlockedLayout lay = executed_layout(shape.batch);
   return blocked_threads(lay, requested.threads, requested.verify) *
          lay.fused_band_elems();
+}
+
+ConvRung resolve_conv_rung(const ConvShape& s, const ArmConvOptions& opt) {
+  ConvRung r;
+  ConvAlgo algo = opt.algo;
+  ArmKernel kernel = opt.kernel;
+  if (algo == ConvAlgo::kAuto)
+    algo = winograd_eligible_for(s, opt.bits) ? ConvAlgo::kWinograd
+                                              : ConvAlgo::kGemm;
+
+  // Dispatch fallback chain, rung 1: an ineligible specialized algo
+  // degrades to the low-bit GEMM instead of asserting. Resolved once at
+  // plan time; every execute inherits the record.
+  if (algo == ConvAlgo::kWinograd && !winograd_eligible_for(s, opt.bits)) {
+    std::ostringstream why;
+    if (!s.winograd_eligible())
+      why << "winograd needs 3x3/stride-1, got k" << s.kernel << " s"
+          << s.stride;
+    else
+      why << "winograd runs at 4-6 bit, got " << opt.bits;
+    r.fallback.record("winograd", "gemm", why.str());
+    algo = ConvAlgo::kGemm;
+  }
+  if (algo == ConvAlgo::kBitserial && !bitserial_eligible_for(opt.bits)) {
+    r.fallback.record("bitserial", "gemm",
+                      "bit-serial popcount kernel supports <= 2 bit, got " +
+                          std::to_string(opt.bits));
+    algo = ConvAlgo::kGemm;
+  }
+  if (algo == ConvAlgo::kGemm && kernel == ArmKernel::kSdotExt &&
+      !sdot_eligible_for(opt.bits)) {
+    r.fallback.record("gemm[sdot]", "gemm[ours]",
+                      "SDOT packing pays off only at >= 4 bit, got " +
+                          std::to_string(opt.bits));
+    kernel = ArmKernel::kOursGemm;
+  }
+  if (algo == ConvAlgo::kGemm && kernel == ArmKernel::kTblGemm &&
+      !tbl_eligible_for(opt.bits)) {
+    r.fallback.record(
+        "gemm[tbl]", "gemm[ours]",
+        "TBL product tables need 16 indices, so <= 3 bit, got " +
+            std::to_string(opt.bits));
+    kernel = ArmKernel::kOursGemm;
+  }
+  const bool blocking_on =
+      opt.blocking == BlockingPolicy::kAuto ||
+      (opt.blocking == BlockingPolicy::kExplicit &&
+       opt.explicit_blocking.enabled());
+  if (algo == ConvAlgo::kGemm && kernel == ArmKernel::kTblGemm &&
+      !blocking_on) {
+    r.fallback.record("gemm[tbl]", "gemm[ours]",
+                      "TBL scheme requires the blocked driver "
+                      "(its B blocks are table/index panels, not "
+                      "a materialized im2col matrix)");
+    kernel = ArmKernel::kOursGemm;
+  }
+  r.algo = algo;
+  r.kernel = kernel;
+  r.blocked = algo == ConvAlgo::kGemm && kernel != ArmKernel::kTraditional &&
+              blocking_on;
+  return r;
 }
 
 StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
@@ -162,60 +230,34 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
   plan.shape = s;
   plan.requested = opt;
   plan.weight = weight;
+  const ConvRung rung = resolve_conv_rung(s, opt);
+  plan.algo = rung.algo;
+  plan.kernel = rung.kernel;
+  plan.planned_fallback = rung.fallback;
+  const ConvAlgo algo = rung.algo;
+  const ArmKernel kernel = rung.kernel;
+  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
 
-  ConvAlgo algo = opt.algo;
-  ArmKernel kernel = opt.kernel;
-  if (algo == ConvAlgo::kAuto)
-    algo = winograd_eligible_for(s, opt.bits) ? ConvAlgo::kWinograd
-                                              : ConvAlgo::kGemm;
-
-  // Dispatch fallback chain, rung 1: an ineligible specialized algo
-  // degrades to the low-bit GEMM instead of asserting. Resolved once here;
-  // every execute inherits the record.
-  if (algo == ConvAlgo::kWinograd && !winograd_eligible_for(s, opt.bits)) {
-    std::ostringstream why;
-    if (!s.winograd_eligible())
-      why << "winograd needs 3x3/stride-1, got k" << s.kernel << " s"
-          << s.stride;
-    else
-      why << "winograd runs at 4-6 bit, got " << opt.bits;
-    plan.planned_fallback.record("winograd", "gemm", why.str());
-    algo = ConvAlgo::kGemm;
+  // TBL fixes its orientation and mode before the blocking: every
+  // recorded Kc must already be a multiple of the mode's group, or the
+  // driver would run a different blocking than the plan records.
+  const bool tbl = algo == ConvAlgo::kGemm && kernel == ArmKernel::kTblGemm;
+  TblOrientation tbl_orient = TblOrientation::kActTables;
+  int tbl_grp = 0;
+  if (tbl) {
+    // One pass: TBL indexes or tabulates weights only inside the adjusted
+    // range, and pairs 3-bit weights when they are all ternary.
+    i32 wmax = 0;
+    for (const i8 w : weight.span())
+      wmax = std::max<i32>(wmax, w < 0 ? -static_cast<i32>(w) : w);
+    LBC_VALIDATE(wmax <= qmax_for_bits(opt.bits), kInvalidArgument,
+                 "TBL weights reach |w| = " << wmax << ", outside the adjusted "
+                                            << opt.bits << "-bit range");
+    const bool ternary = wmax <= 1;
+    tbl_orient = choose_tbl_orientation(m, n, k, opt.bits, ternary);
+    tbl_grp = tbl_group(
+        tbl_mode_for(tbl_orient, opt.bits, ternary, opt.input_range));
   }
-  if (algo == ConvAlgo::kBitserial && !bitserial_eligible_for(opt.bits)) {
-    plan.planned_fallback.record(
-        "bitserial", "gemm",
-        "bit-serial popcount kernel supports <= 2 bit, got " +
-            std::to_string(opt.bits));
-    algo = ConvAlgo::kGemm;
-  }
-  if (algo == ConvAlgo::kGemm && kernel == ArmKernel::kSdotExt &&
-      !sdot_eligible_for(opt.bits)) {
-    plan.planned_fallback.record("gemm[sdot]", "gemm[ours]",
-                                 "SDOT packing pays off only at >= 4 bit, got " +
-                                     std::to_string(opt.bits));
-    kernel = ArmKernel::kOursGemm;
-  }
-  if (algo == ConvAlgo::kGemm && kernel == ArmKernel::kTblGemm &&
-      !tbl_eligible_for(opt.bits)) {
-    plan.planned_fallback.record(
-        "gemm[tbl]", "gemm[ours]",
-        "TBL product tables need 16 indices, so <= 3 bit, got " +
-            std::to_string(opt.bits));
-    kernel = ArmKernel::kOursGemm;
-  }
-  if (algo == ConvAlgo::kGemm && kernel == ArmKernel::kTblGemm &&
-      (opt.blocking == BlockingPolicy::kOff ||
-       (opt.blocking == BlockingPolicy::kExplicit &&
-        !opt.explicit_blocking.enabled()))) {
-    plan.planned_fallback.record("gemm[tbl]", "gemm[ours]",
-                                 "TBL scheme requires the blocked driver "
-                                 "(its B blocks are table/index panels, not "
-                                 "a materialized im2col matrix)");
-    kernel = ArmKernel::kOursGemm;
-  }
-  plan.algo = algo;
-  plan.kernel = kernel;
 
   // Resolve the blocked-GEMM {Mc, Kc, Nc} once per plan. Only the
   // packed-panel GEMM rungs block; bitserial, winograd, direct, reference
@@ -226,11 +268,13 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
       case BlockingPolicy::kOff:
         break;
       case BlockingPolicy::kExplicit:
-        plan.blocking = clamp_blocking(opt.explicit_blocking, s.gemm_m(),
-                                       s.gemm_n(), s.gemm_k(), sdot);
+        plan.blocking =
+            clamp_blocking(opt.explicit_blocking, m, n, k, sdot, tbl_grp);
         break;
       case BlockingPolicy::kAuto:
-        plan.blocking = search_blocking(s, opt.bits, kernel);
+        plan.blocking =
+            search_blocking(s, opt.bits, kernel, BlockedSchedule::kStandalone,
+                            opt.input_range);
         break;
     }
     // Multicore extension: the jc column bands are the threading
@@ -238,13 +282,13 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
     // one band (the search optimizes the single-core schedule; the
     // paper's ARM evaluation is single-threaded).
     if (plan.blocking.enabled() && opt.threads > 1) {
-      const i64 n_pad = round_up(s.gemm_n(), kNr);
+      const i64 n_pad = round_up(n, kNr);
       const i64 per = round_up(ceil_div(n_pad, static_cast<i64>(opt.threads)),
                                kNr);
       if (plan.blocking.nc > per)
         plan.blocking = clamp_blocking(
-            GemmBlocking{plan.blocking.mc, plan.blocking.kc, per}, s.gemm_m(),
-            s.gemm_n(), s.gemm_k(), sdot);
+            GemmBlocking{plan.blocking.mc, plan.blocking.kc, per}, m, n, k,
+            sdot, tbl_grp);
     }
   }
 
@@ -259,7 +303,6 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
   // It is never merged into execute-time counts (both APIs exclude weight
   // packing: weights are packed offline in deployment).
   Ctx pctx;
-  const i64 m = s.gemm_m(), k = s.gemm_k();
   if (algo == ConvAlgo::kWinograd) {
     plan.winograd = winograd_plan_weights(weight, s.out_c, s.in_c, &pctx);
     plan.packed_weight_bytes = plan.winograd.packed_bytes();
@@ -272,10 +315,8 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
       plan.sdot_a = pack_sdot_a(weight.data(), m, k, &pctx);
       plan.packed_weight_bytes = static_cast<i64>(plan.sdot_a.data.size());
     } else if (kernel == ArmKernel::kTblGemm) {
-      const TblOrientation orient = choose_tbl_orientation(
-          m, s.gemm_n(), k, opt.bits,
-          tbl_values_ternary(weight.data(), m, k));
-      plan.tbl_a = pack_tbl_a(weight.data(), m, k, opt.bits, orient, &pctx);
+      plan.tbl_a = pack_tbl_a(weight.data(), m, k, opt.bits, tbl_orient,
+                              opt.input_range, &pctx);
       plan.packed_weight_bytes = static_cast<i64>(plan.tbl_a.idx.size()) +
                                  static_cast<i64>(plan.tbl_a.tables.size());
     } else if (kernel == ArmKernel::kOursGemm ||
@@ -327,7 +368,8 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
     verifier = std::make_unique<Verifier>();
     serial_ctx.verifier = verifier.get();
     const i32 q = qmax_for_bits(bits);
-    verifier->add_region(input.data(), input.elems(), "conv input", -q, q,
+    verifier->add_region(input.data(), input.elems(), "conv input",
+                         input_floor(plan.requested), q,
                          /*overread_slack=*/16);
     verifier->add_region(weight.data(), weight.elems(), "conv weight", -q, q);
   }
@@ -408,7 +450,7 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
         verifier->add_region(cptr, m * n * static_cast<i64>(sizeof(i32)),
                              "conv C staging");
     }
-    const BlockedLayout lay = plan_layout(plan, sb);
+    const BlockedLayout lay = plan.executed_layout(sb.batch);
     // Fig. 13 / 15 accounting: what the fused path holds instead of the
     // k x n im2col matrix.
     res.space.im2col_elems =
@@ -437,6 +479,7 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
       else
         gs = gemm_s8s32_conv_fused(plan.gemm_a.view(), sb, input.data(), cptr,
                                    gopt);
+      LBC_RETURN_IF_ERROR(gs.status.with_context("conv execute"));
       res.counts.merge(gs.counts);
       res.space.pack_extra_elems = gs.pack_extra_elems;
       interleaved = gs.interleaved;
@@ -580,7 +623,8 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
   if (plan.requested.verify) {
     verifier = std::make_unique<Verifier>();
     const i32 q = qmax_for_bits(bits);
-    verifier->add_region(input, sb.activation_elems(), "conv input", -q, q,
+    verifier->add_region(input, sb.activation_elems(), "conv input",
+                         input_floor(plan.requested), q,
                          /*overread_slack=*/16);
   }
 
@@ -599,8 +643,9 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
     gs = gemm_s8s32_tbl_conv_fused(plan.tbl_a.view(), sb, input, c, gopt);
   else
     gs = gemm_s8s32_conv_fused(plan.gemm_a.view(), sb, input, c, gopt);
+  LBC_RETURN_IF_ERROR(gs.status.with_context("fused conv execute"));
 
-  const BlockedLayout lay = plan_layout(plan, sb);
+  const BlockedLayout lay = plan.executed_layout(sb.batch);
   res.space.im2col_elems =
       blocked_threads(lay, plan.requested.threads, plan.requested.verify) *
       lay.block_elems();

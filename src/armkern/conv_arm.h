@@ -79,6 +79,13 @@ struct ArmConvOptions {
   /// a kInvariantViolation Status. Debug option: forces single-threaded
   /// kernels and is off by default (off-mode cycles are bit-identical).
   bool verify = false;
+  /// What the input activations can hold. kNonNegative declares them in
+  /// [0, qmax] — a ReLU'd producer — so a weight-tables TBL plan folds
+  /// tbl_nonneg_group(bits) of them into one index (schemes.h). Set only
+  /// by the graph compiler, from the producer's clamp; execute never
+  /// trusts it: an input value the plan's mode cannot encode fails the
+  /// execute with kOutOfRange instead of summing wrongly.
+  InputRange input_range = InputRange::kSigned;
 };
 
 /// Fig. 13 space accounting. The paper's ratios are
@@ -98,6 +105,21 @@ struct SpaceReport {
   }
   double total_overhead() const { return im2col_overhead() * pack_overhead(); }
 };
+
+/// The rung a request resolves to, before any weight is packed: the
+/// dispatch ladder's algo and kernel, the degradations on the way, and
+/// whether the rung runs the blocked GEMM driver (the rung a graph can
+/// fuse, and the one whose blocking a search picks).
+struct ConvRung {
+  ConvAlgo algo = ConvAlgo::kGemm;
+  ArmKernel kernel = ArmKernel::kOursGemm;
+  FallbackRecord fallback;
+  bool blocked = false;
+};
+
+/// Resolve the request's rung exactly as plan_conv does, without packing
+/// or searching. Does not validate; plan_conv does.
+ConvRung resolve_conv_rung(const ConvShape& s, const ArmConvOptions& opt);
 
 struct ArmConvResult {
   Tensor<i32> out;
@@ -145,6 +167,9 @@ struct ArmConvPlan {
   /// Exact Workspace bytes one execute_conv at batch `batch` consumes
   /// (cache-line-rounded, matching Workspace accounting).
   i64 workspace_bytes(i64 batch) const;
+  /// The blocked driver's geometry at batch `batch` — what an execute
+  /// runs; its blk equals `blocking` for every plan on the blocked rung.
+  BlockedLayout executed_layout(i64 batch) const;
   /// i32 elements of the C band storage execute_conv_fused needs: one
   /// gemm_m x Nc band per modeled worker, or 0 when one K block covers K
   /// (the epilogue reads the micro tiles directly). 0 for plans that are

@@ -133,8 +133,7 @@ void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, const CTarget& c,
                       const i8* buf, i32* tile, i64 n0, i64 nc, i64 k0,
                       i64 kcb) {
   const i64 groups_c = lay.tbl_groups(kcb);
-  const int flush =
-      tbl_flush_interval(opt.bits, lay.tbl_group == kTblPairGroup);
+  const int flush = tbl_flush_interval(lay.tbl_mode);
   const i64 q_total = round_up(nc, i64{16}) / 16;
   const i64 p4_total = ceil_div(lay.m, i64{4});
   const i64 panels4_per_mc = lay.blk.mc / 4;
@@ -174,11 +173,12 @@ void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, const CTarget& c,
 }
 
 // One worker's share of jc blocks: pack each (jc, kcb) B block, sweep all
-// A panels against it, scatter/accumulate into C.
-void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
-                     const TblAPanels* ta, const BSource& src, i32* c,
-                     const BlockedLayout& lay, const GemmOptions& opt,
-                     i8* buf, i64 jc0, i64 jc1) {
+// A panels against it, scatter/accumulate into C. Stops at the first
+// block the TBL index encoder rejects and returns its Status.
+Status run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
+                       const TblAPanels* ta, const BSource& src, i32* c,
+                       const BlockedLayout& lay, const GemmOptions& opt,
+                       i8* buf, i64 jc0, i64 jc1) {
   const int bits = opt.bits;
   // Two 16 x 4 tiles: the paired TBL tile fills both, other kernels the
   // first.
@@ -214,8 +214,7 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
         i32 blo = -qb, bhi = qb;
         i64 bbytes = nc_pad * kstride;
         if (lay.tbl() && !tbl_wt) {
-          const i32 bound =
-              tbl_entry_bound(bits, lay.tbl_group == kTblPairGroup);
+          const i32 bound = tbl_entry_bound(lay.tbl_mode);
           blo = -bound;
           bhi = bound;
         } else if (tbl_wt) {
@@ -228,19 +227,21 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
       if (lay.tbl()) {
         if (!tbl_wt) {
           if (src.b != nullptr)
-            pack_tbl_b_tables_block_into(&ctx, bits, lay.tbl_group, src.b,
-                                         lay.k, lay.n, k0, kc, n0, nc, buf);
+            pack_tbl_b_tables_block_into(&ctx, lay.tbl_mode, src.b, lay.k,
+                                         lay.n, k0, kc, n0, nc, buf);
           else
-            pack_tbl_b_tables_from_conv(&ctx, bits, lay.tbl_group, *src.shape,
+            pack_tbl_b_tables_from_conv(&ctx, lay.tbl_mode, *src.shape,
                                         src.input, k0, kc, n0, nc, buf);
         } else {
           u8* idx_dst = reinterpret_cast<u8*>(buf);
-          if (src.b != nullptr)
-            pack_tbl_b_idx_block_into(&ctx, bits, lay.tbl_group, src.b,
-                                      lay.k, lay.n, k0, kc, n0, nc, idx_dst);
-          else
-            pack_tbl_b_idx_from_conv(&ctx, bits, lay.tbl_group, *src.shape,
-                                     src.input, k0, kc, n0, nc, idx_dst);
+          LBC_RETURN_IF_ERROR(
+              src.b != nullptr
+                  ? pack_tbl_b_idx_block_into(&ctx, lay.tbl_mode, src.b,
+                                              lay.k, lay.n, k0, kc, n0, nc,
+                                              idx_dst)
+                  : pack_tbl_b_idx_from_conv(&ctx, lay.tbl_mode, *src.shape,
+                                             src.input, k0, kc, n0, nc,
+                                             idx_dst));
           run_tbl_wt_block(ctx, *ta, ct, lay, opt, buf, tile, n0, nc, k0,
                            kcb);
           continue;
@@ -301,8 +302,7 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
                 // tables from the online block pack; a lane is a C row and
                 // a slot a C column, matching the scatter below.
                 const i64 idx_off = (k0 / lay.tbl_group) * kMr;
-                const int flush =
-                    tbl_flush_interval(bits, lay.tbl_group == kTblPairGroup);
+                const int flush = tbl_flush_interval(lay.tbl_mode);
                 if (pair == 2)
                   micro_tbl_32x4(ctx, ta->idx_panel(p) + idx_off,
                                  ta->idx_panel(p + 1) + idx_off, b_panel,
@@ -330,6 +330,7 @@ void run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
       }
     }
   }
+  return Status();
 }
 
 GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
@@ -338,14 +339,15 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
   LBC_CHECK_MSG(opt.blocking.enabled(),
                 "blocked GEMM driver called with blocking disabled");
   const bool sdot = sa != nullptr;
-  const BlockedLayout lay = blocked_layout(
-      m, n, k, opt.blocking, sdot, ta != nullptr ? ta->group : 0,
-      ta != nullptr ? ta->orient : TblOrientation::kActTables);
+  const BlockedLayout lay =
+      ta != nullptr
+          ? tbl_blocked_layout(m, n, k, opt.blocking, ta->mode, ta->orient)
+          : blocked_layout(m, n, k, opt.blocking, sdot);
   LBC_CHECK_MSG(!sdot || lay.k_blocks == 1 || lay.blk.kc % 4 == 0,
                 "SDOT blocked Kc must be a multiple of 4");
   LBC_CHECK_MSG(!lay.tbl() || lay.k_blocks == 1 ||
                     lay.blk.kc % lay.tbl_group == 0,
-                "TBL blocked Kc must be a multiple of the pair group");
+                "TBL blocked Kc must be a multiple of the mode's group");
 
   // With a fused epilogue `c` holds one C band per worker (none when one K
   // block covers K); otherwise it is the m x n matrix all workers share.
@@ -377,8 +379,7 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
         opt.verifier->add_region(ta->idx, ta->m_pad * ta->groups(),
                                  "packed TBL A indices", 0, 15);
       else {
-        const i32 bound = tbl_entry_bound(
-            opt.bits, ta->group == kTblPairGroup);
+        const i32 bound = tbl_entry_bound(ta->mode);
         opt.verifier->add_region(ta->tables, ta->m_pad * ta->groups() * 16,
                                  "packed TBL A tables", -bound, bound);
       }
@@ -414,8 +415,8 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
   if (threads == 1) {
     Ctx ctx;
     ctx.verifier = opt.verifier;
-    run_block_range(ctx, pa, sa, ta, src, c, lay, opt, bufs[0], 0,
-                    lay.n_blocks);
+    stats.status = run_block_range(ctx, pa, sa, ta, src, c, lay, opt,
+                                   bufs[0], 0, lay.n_blocks);
     stats.counts = ctx.counts;
     stats.thread_counts = {ctx.counts};
   } else {
@@ -423,6 +424,7 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
     // of jc blocks (a disjoint band of C columns) and its own Ctx + block
     // buffer. Packing is fused into the worker, so nothing stays serial.
     std::vector<Ctx> ctxs(static_cast<size_t>(threads));
+    std::vector<Status> status(static_cast<size_t>(threads));
     const i64 per = ceil_div(lay.n_blocks, threads);
     serve::ThreadPool::global().parallel_for(
         0, threads, 1, [&](i64 t0, i64 t1) {
@@ -430,15 +432,23 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
             const i64 jc0 = t * per;
             const i64 jc1 = std::min<i64>(lay.n_blocks, jc0 + per);
             if (jc0 < jc1)
-              run_block_range(ctxs[static_cast<size_t>(t)], pa, sa, ta, src,
-                              band > 0 ? c + t * band : c, lay, opt,
-                              bufs[static_cast<size_t>(t)], jc0, jc1);
+              status[static_cast<size_t>(t)] = run_block_range(
+                  ctxs[static_cast<size_t>(t)], pa, sa, ta, src,
+                  band > 0 ? c + t * band : c, lay, opt,
+                  bufs[static_cast<size_t>(t)], jc0, jc1);
           }
         });
     for (const auto& cx : ctxs) {
       stats.counts.merge(cx.counts);
       stats.thread_counts.push_back(cx.counts);
     }
+    // The first worker's error in band order, so a run reports the same
+    // Status whatever the scheduling.
+    for (const Status& st : status)
+      if (!st.ok()) {
+        stats.status = st;
+        break;
+      }
   }
   return stats;
 }

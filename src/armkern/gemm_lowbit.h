@@ -23,6 +23,7 @@
 #include "armsim/counters.h"
 #include "armkern/blocking.h"
 #include "armkern/pack.h"
+#include "common/status.h"
 #include "common/types.h"
 
 namespace lbc {
@@ -116,6 +117,11 @@ struct GemmStats {
   /// have exactly one entry in thread_counts.
   armsim::Counters serial_counts;
   std::vector<armsim::Counters> thread_counts;
+
+  /// Non-OK when the TBL weight-tables pack met an activation its mode
+  /// cannot encode (pack_tbl_b_idx_*): the output is then unspecified and
+  /// the caller must surface this Status instead.
+  Status status;
 };
 
 /// C[M x N] (i32, row-major) = A[M x K] (i8, row-major) * B[K x N]
@@ -153,8 +159,9 @@ GemmStats gemm_s8s32_sdot_conv_fused(const SdotAPanels& pa, const ConvShape& s,
 
 /// TBL variant of the fused-pack blocked conv GEMM (kTblGemm): the per-
 /// block online pack builds product tables (kActTables) or index panels
-/// (kWeightTables) straight from the conv input. Requires
-/// opt.blocking.enabled() and ta packed from the (m, k) weight matrix.
+/// (kWeightTables) straight from the conv input, in ta.mode. Requires
+/// opt.blocking.enabled() and ta packed from the (m, k) weight matrix. An
+/// input value ta.mode cannot encode returns in GemmStats::status.
 GemmStats gemm_s8s32_tbl_conv_fused(const TblAPanels& ta, const ConvShape& s,
                                     const i8* input, i32* c,
                                     const GemmOptions& opt);

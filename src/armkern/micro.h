@@ -50,7 +50,7 @@ void micro_sdot_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
 /// side tables a slot is a C row and a lane a C column (a 4x16 tile).
 /// `flush` bounds ADD.16B entry accumulations per 8-bit lane between the
 /// sshll/saddw flushes into the i32 tile — pass
-/// tbl_flush_interval(bits, pair) so the byte lanes cannot wrap.
+/// tbl_flush_interval(mode) so the byte lanes cannot wrap.
 void micro_tbl_16x4(armsim::Ctx& ctx, const u8* idx_panel,
                     const i8* table_panel, i64 groups, int flush, i32* c);
 

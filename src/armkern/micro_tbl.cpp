@@ -8,7 +8,7 @@ void micro_tbl_16x4(Ctx& ctx, const u8* idx_panel, const i8* table_panel,
                     i64 groups, int flush, i32* c) {
   // Two-level accumulation (the MLA scheme's trick, Sec. 3.4): each group
   // step is one TBL shuffle plus one ADD.16B into a byte accumulator;
-  // `flush` = tbl_flush_interval(bits, pair) group steps fit the i8 lane
+  // `flush` = tbl_flush_interval(mode) group steps fit the i8 lane
   // (|entry| <= tbl_entry_bound), then sshll/saddw widen into the 32-bit
   // tile. Checked-execution contract: the declared acc8 flush interval and
   // the 4 TBL : 2 load CAL/LD ratio. No spill slots: 1 idx + 4 tables +

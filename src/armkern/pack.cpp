@@ -1,6 +1,7 @@
 #include "armkern/pack.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "armsim/verifier.h"
 
@@ -386,15 +387,15 @@ i64 packed_tbl_tables_a_bytes(i64 m, i64 k, int group) {
 }
 
 PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
-                      TblOrientation orient, armsim::Ctx* ctx) {
+                      TblOrientation orient, InputRange input,
+                      armsim::Ctx* ctx) {
   PackedTblA pa;
   pa.orient = orient;
-  pa.bits = bits;
   pa.m = m;
   pa.k = k;
   pa.ternary = bits == 2 || tbl_values_ternary(a, m, k);
-  pa.group = tbl_group_for(orient, bits, pa.ternary);
-  const bool pair = pa.group == kTblPairGroup;
+  pa.mode = tbl_mode_for(orient, bits, pa.ternary, input);
+  const int group = pa.group();
   const i64 groups = pa.groups();
   const auto aval = [&](i64 row, i64 kk) -> i8 {
     return (row < m && kk < k) ? a[row * k + kk] : i8{0};
@@ -402,17 +403,19 @@ PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
   if (orient == TblOrientation::kActTables) {
     pa.m_pad = round_up(m, kMr);
     pa.idx.resize(static_cast<size_t>(pa.m_pad * groups));
-    const u8 neutral =
-        pair ? kTblNeutralPairIndex : tbl_generic_neutral_index(bits);
+    const u8 neutral = tbl_neutral_index(pa.mode);
     for (i64 p = 0; p < pa.m_pad / kMr; ++p) {
       u8* panel = pa.idx.data() + p * groups * kMr;
       for (i64 gs = 0; gs < groups; ++gs)
         for (i64 r = 0; r < kMr; ++r) {
           const i64 row = p * kMr + r;
           u8 enc = neutral;
-          if (row < m)
-            enc = pair ? tbl_pair_index(aval(row, gs * 2), aval(row, gs * 2 + 1))
-                       : tbl_value_index(aval(row, gs), bits);
+          if (row < m) {
+            i32 v[4] = {};
+            for (int i = 0; i < group; ++i) v[i] = aval(row, gs * group + i);
+            LBC_CHECK_MSG(tbl_encode(pa.mode, v, enc),
+                          "TBL weight pack: weight outside the adjusted range");
+          }
           panel[gs * kMr + r] = enc;
         }
     }
@@ -431,10 +434,9 @@ PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
       i8* panel = pa.tables.data() + p * groups * 4 * 16;
       for (i64 gs = 0; gs < groups; ++gs)
         for (i64 r = 0; r < 4; ++r) {
-          const i64 row = p * 4 + r;
-          const i8 w0 = aval(row, gs * pa.group);
-          const i8 w1 = pair ? aval(row, gs * pa.group + 1) : i8{0};
-          tbl_build_table(bits, pair, w0, w1, panel + (gs * 4 + r) * 16);
+          i8 w[4] = {};
+          for (int i = 0; i < group; ++i) w[i] = aval(p * 4 + r, gs * group + i);
+          tbl_build_table(pa.mode, w, panel + (gs * 4 + r) * 16);
         }
     }
     tally_pack_tbl_tables(ctx, pa.m_pad * groups);
@@ -450,28 +452,78 @@ PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
   return pa;
 }
 
-void pack_tbl_b_tables_block_into(armsim::Ctx* ctx, int bits, int group,
-                                  const i8* b, i64 k, i64 n, i64 k0, i64 kc,
-                                  i64 n0, i64 nc, i8* dst) {
-  const bool pair = group == kTblPairGroup;
+namespace {
+
+// kActTables online build over one (kc x nc) block: one table per (column,
+// group step) from the group's B values, `bval(kk, j)` (0 past kc and nc).
+template <typename BVal>
+void build_tbl_b_tables(TblMode mode, i64 kc, i64 nc, const BVal& bval,
+                        i8* dst) {
+  const int group = tbl_group(mode);
   const i64 nc_pad = round_up(nc, kNr);
   const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
-  const auto bval = [&](i64 kk, i64 j) -> i8 {
-    return (kk < kc && n0 + j < n) ? b[(k0 + kk) * n + n0 + j] : i8{0};
-  };
   for (i64 q = 0; q < nc_pad / kNr; ++q) {
     i8* panel = dst + q * groups_c * kNr * 16;
     for (i64 gs = 0; gs < groups_c; ++gs)
       for (i64 c = 0; c < kNr; ++c) {
         const i64 j = q * kNr + c;
-        i8 b0 = 0, b1 = 0;
-        if (j < nc) {
-          b0 = bval(gs * group, j);
-          if (pair) b1 = bval(gs * group + 1, j);
-        }
-        tbl_build_table(bits, pair, b0, b1, panel + (gs * kNr + c) * 16);
+        i8 b[4] = {};
+        if (j < nc)
+          for (int i = 0; i < group; ++i) b[i] = bval(gs * group + i, j);
+        tbl_build_table(mode, b, panel + (gs * kNr + c) * 16);
       }
   }
+}
+
+// kWeightTables online encode over one (kc x nc) block: one index per
+// (column, group step), padding columns neutral. An activation the mode
+// cannot encode stops the pack with kOutOfRange naming it — the block is
+// then unusable, never a wrong sum.
+template <typename BVal>
+Status encode_tbl_b_indices(TblMode mode, i64 k0, i64 kc, i64 n0, i64 nc,
+                            const BVal& bval, u8* dst) {
+  const int group = tbl_group(mode);
+  const i64 nc_pad = round_up(nc, i64{16});
+  const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
+  const u8 neutral = tbl_neutral_index(mode);
+  for (i64 q = 0; q < nc_pad / 16; ++q) {
+    u8* panel = dst + q * groups_c * 16;
+    for (i64 gs = 0; gs < groups_c; ++gs)
+      for (i64 c = 0; c < 16; ++c) {
+        const i64 j = q * 16 + c;
+        u8 enc = neutral;
+        if (j < nc) {
+          i32 v[4] = {};
+          for (int i = 0; i < group; ++i) v[i] = bval(gs * group + i, j);
+          if (!tbl_encode(mode, v, enc)) {
+            std::ostringstream os;
+            os << "TBL index encode: an activation at depth "
+               << k0 + gs * group << ".." << k0 + gs * group + group - 1
+               << ", column " << n0 + j << " lies outside the plan's "
+               << (mode.fold == TblFold::kNonNegative ? "non-negative"
+                                                      : "signed")
+               << " " << mode.bits << "-bit input range (values";
+            for (int i = 0; i < group; ++i) os << ' ' << v[i];
+            os << ")";
+            return Status::out_of_range(os.str());
+          }
+        }
+        panel[gs * 16 + c] = enc;
+      }
+  }
+  return Status();
+}
+
+}  // namespace
+
+void pack_tbl_b_tables_block_into(armsim::Ctx* ctx, TblMode mode,
+                                  const i8* b, i64 k, i64 n, i64 k0, i64 kc,
+                                  i64 n0, i64 nc, i8* dst) {
+  build_tbl_b_tables(mode, kc, nc, [&](i64 kk, i64 j) -> i8 {
+    return (kk < kc && n0 + j < n) ? b[(k0 + kk) * n + n0 + j] : i8{0};
+  }, dst);
+  const i64 nc_pad = round_up(nc, kNr);
+  const i64 groups_c = ceil_div(kc, static_cast<i64>(tbl_group(mode)));
   const i64 bytes = nc_pad * groups_c * 16;
   tally_pack_tbl_tables(ctx, nc_pad * groups_c);
   if (ctx) {
@@ -484,28 +536,14 @@ void pack_tbl_b_tables_block_into(armsim::Ctx* ctx, int bits, int group,
   }
 }
 
-void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, int bits, int group,
+void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, TblMode mode,
                                  const ConvShape& s, const i8* input, i64 k0,
                                  i64 kc, i64 n0, i64 nc, i8* dst) {
-  const bool pair = group == kTblPairGroup;
-  const i64 nc_pad = round_up(nc, kNr);
-  const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
-  const auto bval = [&](i64 kk, i64 j) -> i8 {
+  build_tbl_b_tables(mode, kc, nc, [&](i64 kk, i64 j) -> i8 {
     return kk < kc ? im2col_at(s, input, k0 + kk, n0 + j) : i8{0};
-  };
-  for (i64 q = 0; q < nc_pad / kNr; ++q) {
-    i8* panel = dst + q * groups_c * kNr * 16;
-    for (i64 gs = 0; gs < groups_c; ++gs)
-      for (i64 c = 0; c < kNr; ++c) {
-        const i64 j = q * kNr + c;
-        i8 b0 = 0, b1 = 0;
-        if (j < nc) {
-          b0 = bval(gs * group, j);
-          if (pair) b1 = bval(gs * group + 1, j);
-        }
-        tbl_build_table(bits, pair, b0, b1, panel + (gs * kNr + c) * 16);
-      }
-  }
+  }, dst);
+  const i64 nc_pad = round_up(nc, kNr);
+  const i64 groups_c = ceil_div(kc, static_cast<i64>(tbl_group(mode)));
   const i64 bytes = nc_pad * groups_c * 16;
   tally_pack_tbl_tables(ctx, nc_pad * groups_c);
   tally_pack_im2col_gather(ctx, nc_pad * kc);
@@ -517,34 +555,18 @@ void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, int bits, int group,
   }
 }
 
-void pack_tbl_b_idx_block_into(armsim::Ctx* ctx, int bits, int group,
-                               const i8* b, i64 k, i64 n, i64 k0, i64 kc,
-                               i64 n0, i64 nc, u8* dst) {
-  const bool pair = group == kTblPairGroup;
+Status pack_tbl_b_idx_block_into(armsim::Ctx* ctx, TblMode mode, const i8* b,
+                                 i64 k, i64 n, i64 k0, i64 kc, i64 n0, i64 nc,
+                                 u8* dst) {
+  LBC_RETURN_IF_ERROR(encode_tbl_b_indices(
+      mode, k0, kc, n0, nc,
+      [&](i64 kk, i64 j) -> i32 {
+        return (kk < kc && n0 + j < n) ? b[(k0 + kk) * n + n0 + j] : 0;
+      },
+      dst));
+  const int group = tbl_group(mode);
   const i64 nc_pad = round_up(nc, i64{16});
   const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
-  const u8 neutral =
-      pair ? kTblNeutralPairIndex : tbl_generic_neutral_index(bits);
-  for (i64 q = 0; q < nc_pad / 16; ++q) {
-    u8* panel = dst + q * groups_c * 16;
-    for (i64 gs = 0; gs < groups_c; ++gs)
-      for (i64 c = 0; c < 16; ++c) {
-        const i64 j = q * 16 + c;
-        u8 enc = neutral;
-        if (j < nc && n0 + j < n) {
-          const i64 kk = gs * group;
-          const i8 v0 = b[(k0 + kk) * n + n0 + j];
-          if (pair) {
-            const i8 v1 =
-                (kk + 1 < kc) ? b[(k0 + kk + 1) * n + n0 + j] : i8{0};
-            enc = tbl_pair_index(v0, v1);
-          } else {
-            enc = tbl_value_index(v0, bits);
-          }
-        }
-        panel[gs * 16 + c] = enc;
-      }
-  }
   tally_pack_gather(ctx, nc_pad * groups_c * group);
   if (ctx) {
     ensure_pack_regions(ctx, b, k * n, "pack B source", dst,
@@ -554,37 +576,21 @@ void pack_tbl_b_idx_block_into(armsim::Ctx* ctx, int bits, int group,
                      static_cast<u64>(std::min(nc, n - n0)));
     ctx->mem_range(dst, static_cast<u64>(nc_pad * groups_c));
   }
+  return Status();
 }
 
-void pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, int bits, int group,
-                              const ConvShape& s, const i8* input, i64 k0,
-                              i64 kc, i64 n0, i64 nc, u8* dst) {
-  const bool pair = group == kTblPairGroup;
+Status pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, TblMode mode,
+                                const ConvShape& s, const i8* input, i64 k0,
+                                i64 kc, i64 n0, i64 nc, u8* dst) {
+  LBC_RETURN_IF_ERROR(encode_tbl_b_indices(
+      mode, k0, kc, n0, nc,
+      [&](i64 kk, i64 j) -> i32 {
+        return kk < kc ? im2col_at(s, input, k0 + kk, n0 + j) : 0;
+      },
+      dst));
+  const int group = tbl_group(mode);
   const i64 nc_pad = round_up(nc, i64{16});
   const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
-  const u8 neutral =
-      pair ? kTblNeutralPairIndex : tbl_generic_neutral_index(bits);
-  for (i64 q = 0; q < nc_pad / 16; ++q) {
-    u8* panel = dst + q * groups_c * 16;
-    for (i64 gs = 0; gs < groups_c; ++gs)
-      for (i64 c = 0; c < 16; ++c) {
-        const i64 j = q * 16 + c;
-        u8 enc = neutral;
-        if (j < nc) {
-          const i64 kk = gs * group;
-          const i8 v0 = im2col_at(s, input, k0 + kk, n0 + j);
-          if (pair) {
-            const i8 v1 =
-                (kk + 1 < kc) ? im2col_at(s, input, k0 + kk + 1, n0 + j)
-                              : i8{0};
-            enc = tbl_pair_index(v0, v1);
-          } else {
-            enc = tbl_value_index(v0, bits);
-          }
-        }
-        panel[gs * 16 + c] = enc;
-      }
-  }
   tally_pack_im2col_gather(ctx, nc_pad * groups_c * group);
   if (ctx) {
     ensure_pack_regions(ctx, input, s.batch * s.in_c * s.in_h * s.in_w,
@@ -593,6 +599,7 @@ void pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, int bits, int group,
     touch_conv_gather(ctx, s, input, k0, kc, n0, nc);
     ctx->mem_range(dst, static_cast<u64>(nc_pad * groups_c));
   }
+  return Status();
 }
 
 AlignedVector<i8> pack_b_colmajor(armsim::Ctx* ctx, const i8* b, i64 k, i64 n) {

@@ -24,6 +24,7 @@
 #include "armsim/counters.h"
 #include "armkern/schemes.h"
 #include "common/conv_shape.h"
+#include "common/status.h"
 #include "common/tensor.h"
 #include "common/types.h"
 
@@ -192,8 +193,9 @@ SdotBPanels pack_sdot_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
 // orientation (TblOrientation): kActTables prepacks WEIGHT indices offline
 // and builds tables from activations online per B block; kWeightTables
 // prebuilds WEIGHT tables offline (8x inflation) and encodes activation
-// indices online. Pair mode (group == kTblPairGroup) folds two depth
-// positions per index and requires the index side ternary.
+// indices online. The mode (TblMode) fixes how many depth values one index
+// folds; every packer below encodes and builds through schemes.h's one
+// tbl_encode / tbl_decode rule.
 
 /// True when every element of the m x k row-major matrix is in {-1, 0, 1}
 /// — the ternary-weight detection that enables pair mode at 3 bit.
@@ -202,15 +204,15 @@ bool tbl_values_ternary(const i8* a, i64 m, i64 k);
 /// Non-owning view of the offline TBL weight pack.
 struct TblAPanels {
   TblOrientation orient = TblOrientation::kActTables;
-  int group = 1;   ///< depth positions per index / table (1 or 2)
-  int bits = 2;
+  TblMode mode;
   bool ternary = false;  ///< weights all in {-1,0,1}
   const u8* idx = nullptr;     ///< kActTables: [m_pad/kMr][groups][kMr]
   const i8* tables = nullptr;  ///< kWeightTables: [m_pad/4][groups][4][16]
   i64 m = 0, k = 0;
   i64 m_pad = 0;  ///< kActTables: round_up(m, kMr); else round_up(m, 4)
 
-  i64 groups() const { return ceil_div(k, static_cast<i64>(group)); }
+  int group() const { return tbl_group(mode); }
+  i64 groups() const { return ceil_div(k, static_cast<i64>(group())); }
   const u8* idx_panel(i64 p) const { return idx + p * groups() * kMr; }
   const i8* table_panel(i64 p4) const {
     return tables + p4 * groups() * 4 * 16;
@@ -218,59 +220,65 @@ struct TblAPanels {
 };
 
 /// Owning offline weight pack for the TBL scheme (plan compile).
-///  * kActTables: `idx` holds weight-index panels — each byte a ternary
-///    pair class (group 2) or a single-value class (group 1); rows beyond
-///    m and odd-K tails encode the neutral (zero-contribution) class.
+///  * kActTables: `idx` holds weight-index panels — each byte one group's
+///    tbl_encode; rows beyond m and K tails encode the neutral index.
 ///  * kWeightTables: `tables` holds per-(row, group step) product tables
 ///    from tbl_build_table; rows beyond m get all-zero tables.
 struct PackedTblA {
   TblOrientation orient = TblOrientation::kActTables;
-  int group = 1;
-  int bits = 2;
+  TblMode mode;
   bool ternary = false;
   i64 m = 0, k = 0;
   i64 m_pad = 0;
   AlignedVector<u8> idx;
   AlignedVector<i8> tables;
 
-  i64 groups() const { return ceil_div(k, static_cast<i64>(group)); }
+  int group() const { return tbl_group(mode); }
+  i64 groups() const { return ceil_div(k, static_cast<i64>(group())); }
   TblAPanels view() const {
-    return TblAPanels{orient, group, bits,   ternary, idx.data(),
-                      tables.data(), m, k, m_pad};
+    return TblAPanels{orient, mode,  ternary, idx.data(), tables.data(),
+                      m,      k,     m_pad};
   }
 };
 
 i64 packed_tbl_idx_a_bytes(i64 m, i64 k, int group);
 i64 packed_tbl_tables_a_bytes(i64 m, i64 k, int group);
 
-/// Offline TBL weight pack. Detects ternary weights itself; `ctx` is for
-/// plan-time cost accounting only (execute-time counts never include it).
+/// Offline TBL weight pack in mode tbl_mode_for(orient, bits, ternary,
+/// input), with ternary weights detected here. Weights must lie in the
+/// adjusted range. `ctx` is for plan-time cost accounting only
+/// (execute-time counts never include it).
 PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
-                      TblOrientation orient, armsim::Ctx* ctx = nullptr);
+                      TblOrientation orient,
+                      InputRange input = InputRange::kSigned,
+                      armsim::Ctx* ctx = nullptr);
 
 /// kActTables online table build over one (kc x nc) B block:
 /// [nc_pad/kNr][groups_c][kNr][16] i8 at dst (groups_c = ceil(kc/group)).
-/// One tbl_build_table per (column, group step) from B[k0+gs*group][col]
-/// and its pair partner (zero outside k/kc/n; padding columns get all-zero
-/// tables). The q-panel stride is groups_c * kNr * 16 = kNr * k_stride of
-/// the TBL BlockedLayout, so the blocked driver's panel arithmetic holds
-/// unchanged. kc must be a multiple of `group` unless k0 + kc == k.
-void pack_tbl_b_tables_block_into(armsim::Ctx* ctx, int bits, int group,
+/// One tbl_build_table per (column, group step) from the group's B values
+/// (zero outside k/kc/n; padding columns get all-zero tables). The q-panel
+/// stride is groups_c * kNr * 16 = kNr * k_stride of the TBL BlockedLayout,
+/// so the blocked driver's panel arithmetic holds unchanged. kc must be a
+/// multiple of the mode's group unless k0 + kc == k.
+void pack_tbl_b_tables_block_into(armsim::Ctx* ctx, TblMode mode,
                                   const i8* b, i64 k, i64 n, i64 k0, i64 kc,
                                   i64 n0, i64 nc, i8* dst);
-void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, int bits, int group,
+void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, TblMode mode,
                                  const ConvShape& s, const i8* input, i64 k0,
                                  i64 kc, i64 n0, i64 nc, i8* dst);
 
 /// kWeightTables online index encode over one (kc x nc) B block:
 /// [round_up(nc,16)/16][groups_c][16] u8 at dst. Padding columns get the
-/// neutral index; odd-kc pair tails encode (v, 0).
-void pack_tbl_b_idx_block_into(armsim::Ctx* ctx, int bits, int group,
-                               const i8* b, i64 k, i64 n, i64 k0, i64 kc,
-                               i64 n0, i64 nc, u8* dst);
-void pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, int bits, int group,
-                              const ConvShape& s, const i8* input, i64 k0,
-                              i64 kc, i64 n0, i64 nc, u8* dst);
+/// neutral index; a group cut short by kc encodes its missing values as 0.
+/// kOutOfRange, naming the value, when an activation lies outside the
+/// mode's range (a signed value in a non-negative plan, or one past qmax):
+/// the block is then unusable, so the sum is never silently wrong.
+Status pack_tbl_b_idx_block_into(armsim::Ctx* ctx, TblMode mode, const i8* b,
+                                 i64 k, i64 n, i64 k0, i64 kc, i64 n0, i64 nc,
+                                 u8* dst);
+Status pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, TblMode mode,
+                                const ConvShape& s, const i8* input, i64 k0,
+                                i64 kc, i64 n0, i64 nc, u8* dst);
 
 /// Issue-cost tally of building `tables` 16-entry product tables (two DUP
 /// broadcasts, two vector adds, one ST1 plus operand/address math each) —

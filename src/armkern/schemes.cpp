@@ -1,5 +1,7 @@
 #include "armkern/schemes.h"
 
+#include <array>
+
 namespace lbc::armkern {
 // Compile-time checks that the safe-ratio formula reproduces the paper's
 // quoted SMLAL:SADDW ratios where the adjusted range defines them
@@ -13,19 +15,49 @@ static_assert(smlal_safe_ratio(6) >= 31);
 static_assert(smlal_safe_ratio(5) >= 127);
 static_assert(smlal_safe_ratio(4) >= 511);
 
-void tbl_build_table(int bits, bool ternary_pairs, i8 b0, i8 b1, i8 out[16]) {
-  const i32 q = qmax_for_bits(bits);
-  for (int idx = 0; idx < 16; ++idx) {
-    i32 entry = 0;
-    if (ternary_pairs) {
-      const i32 d0 = idx / 4 - 1;  // decode of tbl_pair_index
-      const i32 d1 = idx % 4 - 1;
-      if (d0 <= 1 && d1 <= 1 && idx % 4 != 3)
-        entry = d0 * static_cast<i32>(b0) + d1 * static_cast<i32>(b1);
-    } else {
-      if (idx <= 2 * q) entry = (idx - q) * static_cast<i32>(b0);
+namespace {
+
+// tbl_decode of all 16 indices of every mode the scheme can run (bits 2-3,
+// each fold), evaluated at compile time and stored value-major (d[i][idx])
+// so a table build is G multiply-adds of 16 lanes; an index no encoding
+// produces decodes to all zeros, so its entry sums to 0.
+constexpr int kTblFolds = 3;
+struct DecodedTable {
+  i8 d[4][16] = {};
+};
+constexpr std::array<DecodedTable, 2 * kTblFolds> kDecoded = [] {
+  std::array<DecodedTable, 2 * kTblFolds> out{};
+  for (int bits = 2; bits <= 3; ++bits)
+    for (int f = 0; f < kTblFolds; ++f) {
+      DecodedTable& t = out[static_cast<size_t>((bits - 2) * kTblFolds + f)];
+      for (int idx = 0; idx < 16; ++idx) {
+        i32 d[4] = {};
+        if (tbl_decode(TblMode{static_cast<TblFold>(f), bits}, idx, d))
+          for (int i = 0; i < 4; ++i) t.d[i][idx] = static_cast<i8>(d[i]);
+      }
     }
-    out[idx] = static_cast<i8>(entry);
+  return out;
+}();
+
+// One table from G operands; G fixed so the sums unroll and vectorize.
+template <int G>
+void build_table(const DecodedTable& t, const i8* b, i8 out[16]) {
+  i32 entry[16] = {};
+  for (int i = 0; i < G; ++i)
+    for (int idx = 0; idx < 16; ++idx)
+      entry[idx] += static_cast<i32>(t.d[i][idx]) * static_cast<i32>(b[i]);
+  for (int idx = 0; idx < 16; ++idx) out[idx] = static_cast<i8>(entry[idx]);
+}
+
+}  // namespace
+
+void tbl_build_table(TblMode m, const i8* b, i8 out[16]) {
+  const DecodedTable& t = kDecoded[static_cast<size_t>(
+      (m.bits - 2) * kTblFolds + static_cast<int>(m.fold))];
+  switch (tbl_group(m)) {
+    case 1: build_table<1>(t, b, out); break;
+    case 2: build_table<2>(t, b, out); break;
+    default: build_table<4>(t, b, out); break;  // tbl_group is 1, 2 or 4
   }
 }
 }  // namespace lbc::armkern

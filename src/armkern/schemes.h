@@ -64,12 +64,14 @@ constexpr i64 kNr = 4;   // cols per B panel (one LD4R)
 //
 // One side of the GEMM is re-encoded as byte INDICES into 16-entry product
 // tables built from the other side; a single TBL.16B then answers 16
-// products per cycle and one ADD.16B accumulates them in 8-bit lanes
+// lookups per cycle and one ADD.16B accumulates them in 8-bit lanes
 // (entries are bounded by tbl_entry_bound, so tbl_flush_interval adds fit
-// an i8 lane before the SSHLL/SADDW widen into the i32 tile). When the
-// INDEX side holds only ternary values {-1,0,1} (always true at 2 bit;
-// detected at pack time for 3-bit weights), TWO consecutive depth values
-// are folded into one pair-class index, so each TBL answers 32 MACs.
+// an i8 lane before the SSHLL/SADDW widen into the i32 tile). How many
+// depth values one index folds is the mode's fold (TblFold): one signed
+// value, a ternary pair when the index side holds only {-1,0,1} (always
+// true at 2 bit; detected at pack time for 3-bit weights), or — when the
+// index side is a ReLU'd activation, which holds only the V = 2^(b-1)
+// values [0, qmax] — the G values whose V^G combinations fill 16 entries.
 //
 // The scheme runs in one of two orientations, priced at plan time
 // (tile_search::choose_tbl_orientation):
@@ -85,49 +87,154 @@ constexpr i64 kNr = 4;   // cols per B panel (one LD4R)
 /// Which GEMM side supplies the product tables (see block comment above).
 enum class TblOrientation { kActTables, kWeightTables };
 
-/// Depth positions folded per index for a given orientation: pair mode needs
-/// the INDEX side ternary. kActTables indexes weights (ternary always at
-/// 2-bit, detected for 3-bit — caller passes `weights_ternary`); kWeight-
-/// Tables indexes activations (guaranteed ternary only at 2-bit).
-constexpr int tbl_group_for(TblOrientation o, int bits, bool weights_ternary) {
-  if (o == TblOrientation::kActTables) return (bits == 2 || weights_ternary) ? 2 : 1;
-  return bits == 2 ? 2 : 1;
+/// What a conv's planner knows about its input activations: any value of
+/// the adjusted range, or only [0, qmax] because the producer clamps at
+/// lo >= 0 (a ReLU). Only the weight-tables orientation uses the fact —
+/// its index side is the activations.
+enum class InputRange { kSigned, kNonNegative };
+
+/// How one index byte encodes depth values of the index side.
+enum class TblFold {
+  kValue,        ///< one signed value: idx = v + qmax
+  kTernaryPair,  ///< two values in {-1,0,1}: idx = (v0+1)*4 + (v1+1)
+  kNonNegative,  ///< G values in [0, V): idx = v0 + V*v1 + V^2*v2 + ...
+};
+
+/// A TBL mode: the fold at a bit width. Fixes the group size, the index
+/// encoding, the table-entry bound and the byte-lane flush cadence.
+struct TblMode {
+  TblFold fold = TblFold::kValue;
+  int bits = 2;
+
+  constexpr bool operator==(const TblMode&) const = default;
+};
+
+/// V: the values a non-negative b-bit activation can take, [0, qmax].
+constexpr i32 tbl_nonneg_levels(int bits) { return qmax_for_bits(bits) + 1; }
+
+/// G: the most non-negative values whose V^G combinations fit 16 indices
+/// (4 at 2 bit, 2 at 3 bit).
+constexpr int tbl_nonneg_group(int bits) {
+  int g = 0;
+  for (i32 span = tbl_nonneg_levels(bits); span <= 16;
+       span *= tbl_nonneg_levels(bits))
+    ++g;
+  return g;
 }
 
-/// Depth positions folded into one index when the scheme runs in ternary
-/// pair mode (vs 1 for the generic one-value-per-index form).
-constexpr int kTblPairGroup = 2;
-
-
-/// Ternary pair class of (v0, v1), both in {-1,0,1}:
-///   idx = (v0+1)*4 + (v1+1)  in {0,1,2, 4,5,6, 8,9,10}.
-/// idx % 4 == 3 and idx > 10 never occur; TBL's out-of-range zeroing makes
-/// the unused tail of the 16-entry table harmless by construction.
-constexpr u8 tbl_pair_index(i32 v0, i32 v1) {
-  return static_cast<u8>((v0 + 1) * 4 + (v1 + 1));
+/// Depth positions folded into one index (and one table).
+constexpr int tbl_group(TblMode m) {
+  switch (m.fold) {
+    case TblFold::kValue: return 1;
+    case TblFold::kTernaryPair: return 2;
+    case TblFold::kNonNegative: return tbl_nonneg_group(m.bits);
+  }
+  return 1;
 }
 
-/// The (0,0) pair class: the neutral padding index. Its table entry is 0 in
-/// every table, so padded rows/cols and odd-K tails contribute nothing.
-constexpr u8 kTblNeutralPairIndex = tbl_pair_index(0, 0);
-
-/// Generic (non-ternary) single-value class: idx = v + qmax in [0, 2*qmax].
-/// The table entry at qmax (value 0) is 0 — the generic neutral index.
-constexpr u8 tbl_value_index(i32 v, int bits) {
-  return static_cast<u8>(v + qmax_for_bits(bits));
+/// The mode a plan runs. kActTables indexes the weights: pairs when they
+/// are ternary (always at 2 bit, detected at 3 bit — the caller passes
+/// `weights_ternary`). kWeightTables indexes the activations: pairs at 2
+/// bit, single values at 3 bit, or the non-negative fold when `input`
+/// says a ReLU'd producer feeds them.
+constexpr TblMode tbl_mode_for(TblOrientation o, int bits,
+                               bool weights_ternary,
+                               InputRange input = InputRange::kSigned) {
+  if (o == TblOrientation::kActTables)
+    return {(bits == 2 || weights_ternary) ? TblFold::kTernaryPair
+                                           : TblFold::kValue,
+            bits};
+  if (input == InputRange::kNonNegative)
+    return {TblFold::kNonNegative, bits};
+  return {bits == 2 ? TblFold::kTernaryPair : TblFold::kValue, bits};
 }
 
-/// Neutral padding index for the generic form (encodes value 0).
-constexpr u8 tbl_generic_neutral_index(int bits) {
-  return static_cast<u8>(qmax_for_bits(bits));
+/// Encode one group of index-side values (v[0 .. tbl_group(m)); a group
+/// cut short by the end of K passes 0 for its missing positions). False
+/// when a value lies outside the fold's range, which leaves `idx` unset:
+/// no index encodes it, so the caller must not look it up.
+constexpr bool tbl_encode(TblMode m, const i32* v, u8& idx) {
+  const i32 q = qmax_for_bits(m.bits);
+  switch (m.fold) {
+    case TblFold::kValue:
+      if (v[0] < -q || v[0] > q) return false;
+      idx = static_cast<u8>(v[0] + q);
+      return true;
+    case TblFold::kTernaryPair:
+      if (v[0] < -1 || v[0] > 1 || v[1] < -1 || v[1] > 1) return false;
+      idx = static_cast<u8>((v[0] + 1) * 4 + (v[1] + 1));
+      return true;
+    case TblFold::kNonNegative: {
+      const i32 levels = tbl_nonneg_levels(m.bits);
+      i32 x = 0, place = 1;
+      for (int i = 0; i < tbl_group(m); ++i) {
+        if (v[i] < 0 || v[i] >= levels) return false;
+        x += v[i] * place;
+        place *= levels;
+      }
+      idx = static_cast<u8>(x);
+      return true;
+    }
+  }
+  return false;
 }
 
-/// Largest |entry| any TBL product table can hold for b-bit operands:
-/// ternary pair mode sums two {-1,0,1}-scaled operands (2*qmax), the
-/// generic form holds one full product (qmax^2).
-constexpr i32 tbl_entry_bound(int bits, bool ternary_pairs) {
-  const i32 q = qmax_for_bits(bits);
-  return ternary_pairs ? 2 * q : q * q;
+/// Decode index `idx` (0..15) into the values it encodes, d[0 ..
+/// tbl_group(m)). False for an index no encoding produces; its table entry
+/// is 0, which TBL's own out-of-range zeroing mirrors past 15.
+constexpr bool tbl_decode(TblMode m, int idx, i32* d) {
+  const i32 q = qmax_for_bits(m.bits);
+  switch (m.fold) {
+    case TblFold::kValue:
+      if (idx > 2 * q) return false;
+      d[0] = idx - q;
+      return true;
+    case TblFold::kTernaryPair:
+      if (idx % 4 == 3 || idx / 4 > 2) return false;
+      d[0] = idx / 4 - 1;
+      d[1] = idx % 4 - 1;
+      return true;
+    case TblFold::kNonNegative: {
+      const i32 levels = tbl_nonneg_levels(m.bits);
+      for (int i = 0; i < tbl_group(m); ++i) {
+        d[i] = idx % levels;
+        idx /= levels;
+      }
+      return idx == 0;
+    }
+  }
+  return false;
+}
+
+/// The index of an all-zero group: the padding index. Its entry is 0 in
+/// every table, so padded rows/cols and K tails contribute nothing.
+constexpr u8 tbl_neutral_index(TblMode m) {
+  constexpr i32 zeros[4] = {0, 0, 0, 0};
+  u8 idx = 0;
+  tbl_encode(m, zeros, idx);
+  return idx;
+}
+
+/// The largest index the encoder can emit (the prover's in-table check).
+constexpr int tbl_max_index(TblMode m) {
+  int top = 0;
+  for (int idx = 0; idx < 16; ++idx) {
+    i32 d[4] = {};
+    if (tbl_decode(m, idx, d)) top = idx;
+  }
+  return top;
+}
+
+/// Largest |entry| a product table can hold when the table side is
+/// bounded by qmax: the decoded values' magnitudes summed, times qmax.
+constexpr i32 tbl_entry_bound(TblMode m) {
+  const i32 q = qmax_for_bits(m.bits);
+  switch (m.fold) {
+    case TblFold::kValue: return q * q;
+    case TblFold::kTernaryPair: return 2 * q;
+    case TblFold::kNonNegative: return tbl_group(m) * q * q;
+  }
+  return 0;
 }
 
 /// ADD.16B accumulations of looked-up table entries into one fresh 8-bit
@@ -137,42 +244,44 @@ constexpr i32 tbl_entry_bound(int bits, bool ternary_pairs) {
 /// same two-level accumulation trick the MLA scheme uses (Sec. 3.4), which
 /// keeps the TBL scheme's per-step ALU work at one shuffle plus one byte
 /// add instead of two widening adds.
-constexpr int tbl_flush_interval(int bits, bool ternary_pairs) {
-  return 127 / tbl_entry_bound(bits, ternary_pairs);
+constexpr int tbl_flush_interval(TblMode m) {
+  return 127 / tbl_entry_bound(m);
 }
 
-// Index ranges stay inside the single-register TBL's 16-entry window.
-static_assert(tbl_pair_index(1, 1) == 10);
-static_assert(kTblNeutralPairIndex == 5);
-static_assert(tbl_value_index(3, 3) == 6);   // widest generic range (3-bit)
-static_assert(tbl_pair_index(1, 1) < 16 && tbl_value_index(3, 3) < 16);
-// Table entries fit i8 and the flush interval fits 8-bit lane headroom for
-// every mode the scheme ships (2-3 bit, pair or generic).
-static_assert(tbl_entry_bound(2, true) == 2 && tbl_entry_bound(3, true) == 6);
-static_assert(tbl_entry_bound(3, false) == 9);
-static_assert(tbl_entry_bound(3, false) <= 127);
-static_assert(tbl_flush_interval(2, true) == 63);
-static_assert(tbl_flush_interval(3, true) == 21);
-static_assert(tbl_flush_interval(3, false) == 14);
-static_assert(tbl_flush_interval(2, true) * tbl_entry_bound(2, true) <= 127);
-static_assert(tbl_flush_interval(3, false) * tbl_entry_bound(3, false) <= 127);
+// The modes the scheme ships, with their bounds and cadences.
+constexpr TblMode kTbl2Pair{TblFold::kTernaryPair, 2};
+constexpr TblMode kTbl3Pair{TblFold::kTernaryPair, 3};
+constexpr TblMode kTbl3Value{TblFold::kValue, 3};
+constexpr TblMode kTbl2NonNeg{TblFold::kNonNegative, 2};
+constexpr TblMode kTbl3NonNeg{TblFold::kNonNegative, 3};
+static_assert(tbl_group(kTbl2NonNeg) == 4 && tbl_group(kTbl3NonNeg) == 2);
+static_assert(tbl_neutral_index(kTbl2Pair) == 5);
+static_assert(tbl_neutral_index(kTbl3Value) == 3);
+static_assert(tbl_neutral_index(kTbl2NonNeg) == 0);
+static_assert(tbl_max_index(kTbl2Pair) == 10 && tbl_max_index(kTbl3Value) == 6);
+static_assert(tbl_max_index(kTbl2NonNeg) == 15 &&
+              tbl_max_index(kTbl3NonNeg) == 15);
+static_assert(tbl_entry_bound(kTbl2Pair) == 2 && tbl_entry_bound(kTbl3Pair) == 6);
+static_assert(tbl_entry_bound(kTbl3Value) == 9);
+static_assert(tbl_entry_bound(kTbl2NonNeg) == 4 &&
+              tbl_entry_bound(kTbl3NonNeg) == 18);
+static_assert(tbl_flush_interval(kTbl2Pair) == 63);
+static_assert(tbl_flush_interval(kTbl3Pair) == 21);
+static_assert(tbl_flush_interval(kTbl3Value) == 14);
+static_assert(tbl_flush_interval(kTbl2NonNeg) == 31);
+static_assert(tbl_flush_interval(kTbl3NonNeg) == 7);
 
 /// Byte-lane flushes (8->16) between 16->32-bit flushes in the 32x4 TBL
 /// tile, which keeps its partial sums in i16 registers: each flush deposits
 /// at most flush * entry <= 127 into an i16 lane, and 256 * 127 <= 32767.
 constexpr int kTblSecondLevelRounds = 256;
-static_assert(kTblSecondLevelRounds * tbl_flush_interval(2, true) *
-                  tbl_entry_bound(2, true) <= 32767);
-static_assert(kTblSecondLevelRounds * tbl_flush_interval(3, true) *
-                  tbl_entry_bound(3, true) <= 32767);
-static_assert(kTblSecondLevelRounds * tbl_flush_interval(3, false) *
-                  tbl_entry_bound(3, false) <= 32767);
+static_assert(kTblSecondLevelRounds * 127 <= 32767);
 
-/// Build one 16-entry product table for broadcast operands (b0, b1) of the
-/// non-index side: in pair mode out[idx] = d0(idx)*b0 + d1(idx)*b1 over the
-/// decoded ternary pair (d0, d1); in generic mode out[idx] = (idx-qmax)*b0
-/// (b1 ignored). Invalid indices get 0. Shared by both pack orientations
-/// and the kernel prover's exhaustive table check.
-void tbl_build_table(int bits, bool ternary_pairs, i8 b0, i8 b1, i8 out[16]);
+/// Build one 16-entry product table from the table side's broadcast
+/// operands b[0 .. tbl_group(m)): out[idx] = sum_i d_i * b_i over the
+/// values d that tbl_decode gives for idx, and 0 where it gives none.
+/// Shared by both pack orientations and the kernel prover's exhaustive
+/// table check.
+void tbl_build_table(TblMode m, const i8* b, i8 out[16]);
 
 }  // namespace lbc::armkern

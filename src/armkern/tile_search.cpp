@@ -63,12 +63,12 @@ std::string geometry_key(const ConvShape& s) {
 // Instruction mix of ONE micro-kernel call at depth kc, measured by
 // running the emulated kernel on dummy zeroed buffers with the cache
 // model off (issue cost only; stalls come from the replay). For the TBL
-// kernel `tbl_groups` is the per-call group-step count, `tbl_group` the
-// depth positions per group (both orientations issue the identical
-// pattern; the group size sets the byte-lane flush cadence) and
-// `tbl_paired` selects the 32x4 tile over the 16x4 one.
+// kernel `tbl_groups` is the per-call group-step count, `tbl_mode` the
+// mode (both orientations issue the identical pattern; the mode sets the
+// byte-lane flush cadence) and `tbl_paired` selects the 32x4 tile over the
+// 16x4 one.
 Counters probe_micro(ArmKernel kernel, int bits, i64 kc, i64 kstride,
-                     i64 tbl_groups = 0, int tbl_group = 0,
+                     i64 tbl_groups = 0, TblMode tbl_mode = {},
                      bool tbl_paired = false) {
   AlignedVector<i8> a(static_cast<size_t>(std::max<i64>(kstride, 1) * kMr));
   AlignedVector<i8> b(static_cast<size_t>(std::max<i64>(kstride, 1) * kNr));
@@ -94,7 +94,7 @@ Counters probe_micro(ArmKernel kernel, int bits, i64 kc, i64 kstride,
       const i64 g = std::max<i64>(tbl_groups, 1);
       AlignedVector<u8> idx(static_cast<size_t>(g * 16));  // index 0: valid
       AlignedVector<i8> tbl(static_cast<size_t>(g * 64));
-      const int flush = tbl_flush_interval(bits, tbl_group == kTblPairGroup);
+      const int flush = tbl_flush_interval(tbl_mode);
       if (tbl_paired)
         micro_tbl_32x4(ctx, idx.data(), idx.data(), tbl.data(), g, flush,
                        tile);
@@ -108,18 +108,26 @@ Counters probe_micro(ArmKernel kernel, int bits, i64 kc, i64 kstride,
   return ctx.counts;
 }
 
-// The search prices TBL layouts without seeing weight values, so the pair
-// group assumes non-ternary 3-bit weights (the conservative mode; 2-bit is
-// always paired). Pack-time detection can only improve on the priced plan.
+// The TBL mode the search prices a conv in. Weight values are unseen, so
+// it assumes non-ternary 3-bit weights (the conservative mode; 2-bit is
+// always paired) — pack-time detection can only improve on the priced
+// plan. The input range is the conv's own, and folds the weight-tables
+// orientation's index side when non-negative.
+TblMode priced_tbl_mode(i64 m, i64 n, i64 k, int bits, InputRange input,
+                        TblOrientation* orient = nullptr) {
+  const TblOrientation o = choose_tbl_orientation(m, n, k, bits, false);
+  if (orient != nullptr) *orient = o;
+  return tbl_mode_for(o, bits, false, input);
+}
+
 BlockedLayout layout_for(i64 m, i64 n, i64 k, const GemmBlocking& blocking,
-                         ArmKernel kernel, int bits) {
-  const bool sdot = kernel == ArmKernel::kSdotExt;
+                         ArmKernel kernel, int bits, InputRange input) {
   if (kernel == ArmKernel::kTblGemm) {
-    const TblOrientation o = choose_tbl_orientation(m, n, k, bits, false);
-    return blocked_layout(m, n, k, blocking, sdot,
-                          tbl_group_for(o, bits, false), o);
+    TblOrientation o = TblOrientation::kActTables;
+    const TblMode mode = priced_tbl_mode(m, n, k, bits, input, &o);
+    return tbl_blocked_layout(m, n, k, blocking, mode, o);
   }
-  return blocked_layout(m, n, k, blocking, sdot);
+  return blocked_layout(m, n, k, blocking, kernel == ArmKernel::kSdotExt);
 }
 
 // Line-granular trace replay of the blocked schedule into a fresh
@@ -464,14 +472,14 @@ Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
         lay.tbl() ? ceil_div(g.kc, static_cast<i64>(lay.tbl_group)) : 0;
     if (singles > 0) {
       const Counters per_call = probe_micro(kernel, bits, g.kc, kstride,
-                                            tbl_groups, lay.tbl_group);
+                                            tbl_groups, lay.tbl_mode);
       const u64 scale = static_cast<u64>(singles * g.blocks);
       for (size_t i = 0; i < kNumOps; ++i)
         counts.n[i] += per_call.n[i] * scale;
     }
     if (pairs > 0) {
       const Counters per_pair = probe_micro(kernel, bits, g.kc, kstride,
-                                            tbl_groups, lay.tbl_group, true);
+                                            tbl_groups, lay.tbl_mode, true);
       const u64 pair_scale = static_cast<u64>(pairs * g.blocks);
       for (size_t i = 0; i < kNumOps; ++i)
         counts.n[i] += per_pair.n[i] * pair_scale;
@@ -524,10 +532,10 @@ struct IssuePriced {
 
 IssuePriced price_issue(const ConvShape& s, int bits, ArmKernel kernel,
                         const GemmBlocking& blocking,
-                        BlockedSchedule schedule) {
+                        BlockedSchedule schedule, InputRange input) {
   IssuePriced p;
   p.lay = layout_for(s.gemm_m(), s.gemm_n(), s.gemm_k(), blocking, kernel,
-                     bits);
+                     bits, input);
   p.counts = issue_counts(s, bits, kernel, p.lay,
                           schedule == BlockedSchedule::kFused);
   p.issue = CostModel::cortex_a53().cycles_for(p.counts, /*interleaved=*/true);
@@ -556,7 +564,7 @@ double score_graph_layer(Replay& r, const std::vector<GraphSearchLayer>& layers,
   const GraphSearchLayer& gl = layers[i];
   const BlockedLayout lay =
       layout_for(gl.shape.gemm_m(), gl.shape.gemm_n(), gl.shape.gemm_k(),
-                 blocking, gl.kernel, gl.bits);
+                 blocking, gl.kernel, gl.bits, gl.input);
   ReplayBases bases;
   bases.a = kBaseA + static_cast<u64>(i) * kLayerStride;
   bases.in = kBaseIn + static_cast<u64>(i) * kLayerStride;
@@ -605,34 +613,40 @@ struct ChainReplay {
 // vectors against one table load, 128 * group MACs), flushes included:
 // the difference of two probe_micro calls 8 byte-lane flushes apart, so
 // the per-call tail (the i16 -> i32 widen and tile stores) cancels.
-// Probed once per (bits, group) mode.
-double tbl_pair_step_cycles(int bits, int group) {
-  static const std::array<double, 4> steps = [] {
-    std::array<double, 4> out{};
+// Probed once per TblMode — two modes can share a group size (3-bit pairs
+// and the 3-bit non-negative fold) yet flush at different cadences.
+double tbl_pair_step_cycles(TblMode mode) {
+  constexpr size_t kNumFolds = 3;  // TblFold's values, in order
+  static const std::array<double, 2 * kNumFolds> steps = [] {
+    std::array<double, 2 * kNumFolds> out{};
     const CostModel cm = CostModel::cortex_a53();
     for (int b = 2; b <= 3; ++b)
-      for (int g = 1; g <= kTblPairGroup; ++g) {
-        const i64 lo = 8 * tbl_flush_interval(b, g == kTblPairGroup);
+      for (size_t f = 0; f < kNumFolds; ++f) {
+        const TblMode m{static_cast<TblFold>(f), b};
+        const i64 lo = 8 * tbl_flush_interval(m);
         const auto cycles = [&](i64 groups) {
           return cm.cycles_for(
-              probe_micro(ArmKernel::kTblGemm, b, groups * g, groups, groups,
-                          g, /*tbl_paired=*/true),
+              probe_micro(ArmKernel::kTblGemm, b, groups * tbl_group(m),
+                          groups, groups, m, /*tbl_paired=*/true),
               /*interleaved=*/true);
         };
-        out[static_cast<size_t>((b - 2) * 2 + g - 1)] =
+        out[static_cast<size_t>(b - 2) * kNumFolds + f] =
             (cycles(2 * lo) - cycles(lo)) / static_cast<double>(lo);
       }
     return out;
   }();
-  return steps[static_cast<size_t>((bits - 2) * 2 + group - 1)];
+  return steps[static_cast<size_t>(mode.bits - 2) * kNumFolds +
+               static_cast<size_t>(mode.fold)];
 }
 
 }  // namespace
 
-int blocking_scheme_id(ArmKernel kernel, int bits) {
+int blocking_scheme_id(ArmKernel kernel, int bits, InputRange input) {
   // TBL's id is revised with its tile: 4 keyed rows searched for the 16x4
   // tile alone; they miss now and are re-searched for the paired schedule.
-  if (kernel == ArmKernel::kTblGemm) return 5;
+  // A non-negative input may fold more values per index, so it keys apart.
+  if (kernel == ArmKernel::kTblGemm)
+    return input == InputRange::kNonNegative ? 6 : 5;
   if (kernel == ArmKernel::kSdotExt) return 3;
   if (kernel == ArmKernel::kNcnn) return 2;
   return bits <= 3 ? 1 : 0;
@@ -648,18 +662,20 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
   // streams round_up(m,4)*ceil(k/g)*64 bytes of offline tables once per
   // column-block pass; misses price at L2 (8 cyc/line) while the table set
   // fits L2, else DRAM (58).
-  const int ga = tbl_group_for(TblOrientation::kActTables, bits,
-                               weights_ternary);
-  const int gb = tbl_group_for(TblOrientation::kWeightTables, bits,
-                               weights_ternary);
-  const double cost_a = tbl_pair_step_cycles(bits, ga) / (128.0 * ga) +
+  const TblMode ma =
+      tbl_mode_for(TblOrientation::kActTables, bits, weights_ternary);
+  const TblMode mb =
+      tbl_mode_for(TblOrientation::kWeightTables, bits, weights_ternary);
+  const int ga = tbl_group(ma);
+  const int gb = tbl_group(mb);
+  const double cost_a = tbl_pair_step_cycles(ma) / (128.0 * ga) +
                         10.0 / (double(ga) * double(m));
   const double table_bytes =
       double(round_up(m, i64{4})) * double(ceil_div(k, i64{gb})) * 16.0;
   const double miss = table_bytes <= 384.0 * 1024.0 ? 8.0 : 58.0;
   const double passes = double(ceil_div(n, i64{256}));
   const double cost_b =
-      tbl_pair_step_cycles(bits, gb) / (128.0 * gb) +
+      tbl_pair_step_cycles(mb) / (128.0 * gb) +
       miss * (table_bytes / 64.0) * passes / (double(m) * double(k) * double(n));
   return cost_a <= cost_b ? TblOrientation::kActTables
                           : TblOrientation::kWeightTables;
@@ -667,25 +683,26 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
 
 Counters blocking_issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
                                const GemmBlocking& blocking,
-                               BlockedSchedule schedule) {
-  return price_issue(s, bits, kernel, blocking, schedule).counts;
+                               BlockedSchedule schedule, InputRange input) {
+  return price_issue(s, bits, kernel, blocking, schedule, input).counts;
 }
 
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
-                      const GemmBlocking& blocking, BlockedSchedule schedule) {
+                      const GemmBlocking& blocking, BlockedSchedule schedule,
+                      InputRange input) {
   return score_with_replay(
-      s, price_issue(s, bits, kernel, blocking, schedule), schedule);
+      s, price_issue(s, bits, kernel, blocking, schedule, input), schedule);
 }
 
 std::vector<GemmBlocking> blocking_candidates(const ConvShape& s, int bits,
                                               ArmKernel kernel,
-                                              BlockedSchedule schedule) {
+                                              BlockedSchedule schedule,
+                                              InputRange input) {
   const bool sdot = kernel == ArmKernel::kSdotExt;
   const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
   const int tblg =
       kernel == ArmKernel::kTblGemm
-          ? tbl_group_for(choose_tbl_orientation(m, n, k, bits, false), bits,
-                          false)
+          ? tbl_group(priced_tbl_mode(m, n, k, bits, input))
           : 0;
   // Fixed candidate grid, clamped to the problem and de-duplicated.
   // Kc x Nc bounds the L1-resident B block (<= 32 KB for every candidate);
@@ -730,10 +747,10 @@ std::vector<GemmBlocking> blocking_candidates(const ConvShape& s, int bits,
 }
 
 GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
-                             BlockedSchedule schedule) {
+                             BlockedSchedule schedule, InputRange input) {
   std::ostringstream os;
   os << geometry_key(s) << "|b" << bits << "|sch"
-     << blocking_scheme_id(kernel, bits);
+     << blocking_scheme_id(kernel, bits, input);
   if (schedule == BlockedSchedule::kFused) os << "|fused";
   const std::string key = os.str();
 
@@ -755,12 +772,12 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
   // cycles already reach the best score cannot beat it (its replay could
   // only add stalls), so it is not replayed.
   const std::vector<GemmBlocking> candidates =
-      blocking_candidates(s, bits, kernel, schedule);
+      blocking_candidates(s, bits, kernel, schedule, input);
   GemmBlocking best = candidates.front();
   double best_score = std::numeric_limits<double>::infinity();
   i64 skipped = 0;
   for (const GemmBlocking& cand : candidates) {
-    const IssuePriced p = price_issue(s, bits, kernel, cand, schedule);
+    const IssuePriced p = price_issue(s, bits, kernel, cand, schedule, input);
     if (p.issue >= best_score) {
       ++skipped;
       continue;
@@ -778,12 +795,12 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
 }
 
 ArmKernel choose_gemm_kernel(const ConvShape& s, int bits,
-                             BlockedSchedule schedule) {
+                             BlockedSchedule schedule, InputRange input) {
   if (!tbl_eligible_for(bits)) return ArmKernel::kOursGemm;
   const GemmBlocking tbl =
-      search_blocking(s, bits, ArmKernel::kTblGemm, schedule);
+      search_blocking(s, bits, ArmKernel::kTblGemm, schedule, input);
   const double tbl_score =
-      score_blocking(s, bits, ArmKernel::kTblGemm, tbl, schedule);
+      score_blocking(s, bits, ArmKernel::kTblGemm, tbl, schedule, input);
   // MLA's winner scores at least the least issue-only cycles over its grid
   // (a replay only adds stalls), so a TBL score under that floor wins
   // without searching MLA at all.
@@ -792,7 +809,9 @@ ArmKernel choose_gemm_kernel(const ConvShape& s, int bits,
        blocking_candidates(s, bits, ArmKernel::kOursGemm, schedule))
     mla_floor = std::min(
         mla_floor,
-        price_issue(s, bits, ArmKernel::kOursGemm, cand, schedule).issue);
+        price_issue(s, bits, ArmKernel::kOursGemm, cand, schedule,
+                    InputRange::kSigned)
+            .issue);
   if (tbl_score < mla_floor) return ArmKernel::kTblGemm;
   const GemmBlocking mla =
       search_blocking(s, bits, ArmKernel::kOursGemm, schedule);
@@ -833,7 +852,7 @@ u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
                         static_cast<i64>(s.pad)})
       mix(v);
     mix(gl.bits);
-    mix(blocking_scheme_id(gl.kernel, gl.bits));
+    mix(blocking_scheme_id(gl.kernel, gl.bits, gl.input));
   }
   return h;
 }
@@ -854,11 +873,10 @@ GraphSearchResult search_graph_blocking(
               k = gl.shape.gemm_k();
     const int tblg =
         gl.kernel == ArmKernel::kTblGemm
-            ? tbl_group_for(choose_tbl_orientation(m, n, k, gl.bits, false),
-                            gl.bits, false)
+            ? tbl_group(priced_tbl_mode(m, n, k, gl.bits, gl.input))
             : 0;
     const GemmBlocking greedy =
-        search_blocking(gl.shape, gl.bits, gl.kernel, schedule);
+        search_blocking(gl.shape, gl.bits, gl.kernel, schedule, gl.input);
     current.push_back(greedy);
     std::vector<GemmBlocking>& cc = cands[i];
     cc.push_back(greedy);
@@ -899,11 +917,28 @@ GraphSearchResult search_graph_blocking(
                     std::vector<double>(n_layers)};
   Replay r;
   i64 early_exits = 0;
+  // Every assignment scored so far. One scored before cannot win now: it
+  // lost to (or was) the best of its time, and the best only falls. So the
+  // second pass re-scores only the trials a first-pass move made new — the
+  // layers before the last move — and picks exactly what re-scoring them
+  // all would.
+  std::set<std::vector<i64>> scored;
+  const auto scored_before = [&scored](const std::vector<GemmBlocking>& a,
+                                       size_t i, const GemmBlocking& c) {
+    std::vector<i64> key;
+    key.reserve(a.size() * 3);
+    for (size_t l = 0; l < a.size(); ++l) {
+      const GemmBlocking& b = l == i ? c : a[l];
+      key.insert(key.end(), {b.mc, b.kc, b.nc});
+    }
+    return !scored.insert(std::move(key)).second;
+  };
+  scored_before(current, 0, current[0]);
   for (int pass = 0; pass < 2; ++pass) {
     bool improved = false;
     for (size_t i = 0; i < n_layers; ++i) {
       for (const GemmBlocking& cand : cands[i]) {
-        if (cand == current[i]) continue;
+        if (cand == current[i] || scored_before(current, i, cand)) continue;
         r = cur.entry[i];
         trial.cycles = cur.cycles;
         size_t j = i;

@@ -41,12 +41,18 @@ enum class BlockedSchedule {
   kFused,
 };
 
+// Every TBL price and pick below takes the conv's InputRange: a
+// non-negative input lets the weight-tables orientation fold more depth
+// values per index (schemes.h tbl_mode_for), which changes the layout, the
+// flush cadence and the instruction mix. Other kernels ignore it.
+
 /// Modeled total cycles of one clamped blocking candidate for the
 /// fused-pack conv GEMM under `schedule`, replayed against a cold cache
 /// (exposed for tests and the ablation bench).
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
                       const GemmBlocking& blocking,
-                      BlockedSchedule schedule = BlockedSchedule::kStandalone);
+                      BlockedSchedule schedule = BlockedSchedule::kStandalone,
+                      InputRange input = InputRange::kSigned);
 
 /// The issue side of score_blocking: the instruction counts (no cache
 /// misses) the search charges the blocked schedule — micro-kernel probes
@@ -56,7 +62,8 @@ double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
 armsim::Counters blocking_issue_counts(
     const ConvShape& s, int bits, ArmKernel kernel,
     const GemmBlocking& blocking,
-    BlockedSchedule schedule = BlockedSchedule::kStandalone);
+    BlockedSchedule schedule = BlockedSchedule::kStandalone,
+    InputRange input = InputRange::kSigned);
 
 /// The fixed candidate grid search_blocking scores, clamped to the shape's
 /// GEMM view and de-duplicated, in tie-break order: default_blocking
@@ -64,34 +71,42 @@ armsim::Counters blocking_issue_counts(
 /// only) and the fused deep-Kc / narrow-Nc extensions (kFused only).
 std::vector<GemmBlocking> blocking_candidates(
     const ConvShape& s, int bits, ArmKernel kernel,
-    BlockedSchedule schedule = BlockedSchedule::kStandalone);
+    BlockedSchedule schedule = BlockedSchedule::kStandalone,
+    InputRange input = InputRange::kSigned);
 
 /// Pick the best {Mc, Kc, Nc} for the shape's GEMM view: the first
 /// candidate of blocking_candidates with the least score_blocking.
 /// Deterministic. A candidate whose issue-only cycles already reach the
 /// best score so far is not replayed — exact, since misses only add stall
-/// cycles. Memoized per (geometry, bits, scheme, schedule). Thread-safe,
+/// cycles. Memoized per (geometry, bits, scheme id — which carries a TBL
+/// conv's input range — and schedule). Thread-safe,
 /// and searches of different keys run concurrently: the lock guards only
 /// the memo maps and the stats. A caller whose key another thread is
 /// searching waits for that winner, so each key is searched once per
 /// process, and the stats match a sequential run of the same calls.
 GemmBlocking search_blocking(
     const ConvShape& s, int bits, ArmKernel kernel,
-    BlockedSchedule schedule = BlockedSchedule::kStandalone);
+    BlockedSchedule schedule = BlockedSchedule::kStandalone,
+    InputRange input = InputRange::kSigned);
 
 /// Stable scheme id of the micro kernel that would execute (0 = SMLAL,
-/// 1 = MLA, 2 = ncnn, 3 = SDOT, 5 = TBL) — the persistent tuning cache
-/// keys ARM entries by it (gpukern::ArmTuningKey::scheme). TBL rows keyed
-/// 4 were searched for its 16x4 tile alone and are no longer looked up.
-int blocking_scheme_id(ArmKernel kernel, int bits);
+/// 1 = MLA, 2 = ncnn, 3 = SDOT, 5 = TBL on a signed input, 6 = TBL on a
+/// non-negative one) — the persistent tuning cache keys ARM entries by it
+/// (gpukern::ArmTuningKey::scheme), so a row searched for one input range
+/// is never served to the other. TBL rows keyed 4 were searched for its
+/// 16x4 tile alone and are no longer looked up.
+int blocking_scheme_id(ArmKernel kernel, int bits,
+                       InputRange input = InputRange::kSigned);
 
 /// TBL orientation pricing (schemes.h TblOrientation), decided from
 /// geometry alone: kActTables pays the online table build amortized over
 /// the m rows it serves; kWeightTables pays nothing online but streams an
 /// 8x-inflated offline table set whose misses scale with the number of
 /// C column-block passes. The per-MAC kernel cost of each side is the
-/// paired 32x4 tile's step cost, probed once per mode. Deterministic and
-/// cheap (no replay).
+/// paired 32x4 tile's step cost, probed once per TblMode. Both sides are
+/// priced in their signed-input modes, whatever the conv's input range, so
+/// the orientation a conv runs never depends on that fact. Deterministic
+/// and cheap (no replay).
 TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
                                       bool weights_ternary);
 
@@ -107,7 +122,8 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
 /// memoized, and calls for different shapes run concurrently.
 ArmKernel choose_gemm_kernel(
     const ConvShape& s, int bits,
-    BlockedSchedule schedule = BlockedSchedule::kStandalone);
+    BlockedSchedule schedule = BlockedSchedule::kStandalone,
+    InputRange input = InputRange::kSigned);
 
 struct TileSearchStats {
   i64 searches = 0;   ///< cold searches (full candidate sweeps)
@@ -147,6 +163,7 @@ struct GraphSearchLayer {
   ConvShape shape;
   int bits = 8;
   ArmKernel kernel = ArmKernel::kOursGemm;
+  InputRange input = InputRange::kSigned;
 };
 
 struct GraphSearchResult {
@@ -173,8 +190,8 @@ double score_graph_blocking(const std::vector<GraphSearchLayer>& layers,
 GraphSearchResult search_graph_blocking(
     const std::vector<GraphSearchLayer>& layers, BlockedSchedule schedule);
 
-/// Stable FNV-1a hash over the chain's (geometry, bits, scheme) sequence
-/// and the fused schedule's revision — the TuningCache v4 `graph` rows and
+/// Stable FNV-1a hash over the chain's (geometry, bits, scheme id — input
+/// range included) sequence and the fused schedule's revision — the TuningCache v4 `graph` rows and
 /// the serve-side graph-plan registry key joint results by it. Rows saved
 /// under an earlier fused schedule hash differently, so they miss and are
 /// re-searched instead of reusing picks tuned for that schedule.

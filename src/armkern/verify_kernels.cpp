@@ -50,6 +50,7 @@ struct Combo {
   ConvAlgo algo;
   BlockingPolicy blocking = BlockingPolicy::kAuto;
   GemmBlocking explicit_blocking{};  ///< consulted under kExplicit
+  InputRange input = InputRange::kSigned;
 };
 
 std::vector<Combo> combos_for_bits(int bits) {
@@ -78,11 +79,17 @@ std::vector<Combo> combos_for_bits(int bits) {
   // Mc = Nc = 32 holds two row panels per Mc block and two 16-column index
   // panels per band, so the 32x4 tile (micro_tbl_32x4, its own KernelSpec)
   // runs in either orientation, next to the 16x4 tile of odd panels.
-  if (tbl_eligible_for(bits)) {
-    cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm});
-    cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
-                  BlockingPolicy::kExplicit, GemmBlocking{32, 64, 32}});
-  }
+  // Both again on a non-negative input (a ReLU'd producer), where the
+  // weight-tables orientation folds tbl_nonneg_group(bits) activations
+  // into each index.
+  if (tbl_eligible_for(bits))
+    for (const InputRange in :
+         {InputRange::kSigned, InputRange::kNonNegative}) {
+      cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
+                    BlockingPolicy::kAuto, GemmBlocking{}, in});
+      cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
+                    BlockingPolicy::kExplicit, GemmBlocking{32, 64, 32}, in});
+    }
   return cs;
 }
 
@@ -122,9 +129,12 @@ KernelVerifyReport verify_all_kernels() {
         if (combo.algo == ConvAlgo::kWinograd && !s.winograd_eligible())
           continue;
         // Adversarial inputs: alternating +/- qmax maximizes accumulator
-        // growth, the exact case the flush-interval analysis must survive.
-        const Tensor<i8> input = extreme_qtensor(
+        // growth, the exact case the flush-interval analysis must survive;
+        // a non-negative input's worst case is qmax everywhere.
+        Tensor<i8> input = extreme_qtensor(
             Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, ++seed);
+        if (combo.input == InputRange::kNonNegative)
+          for (i8& v : input.span()) v = static_cast<i8>(v < 0 ? -v : v);
         const Tensor<i8> weight = extreme_qtensor(
             Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, ++seed);
 
@@ -134,6 +144,7 @@ KernelVerifyReport verify_all_kernels() {
         opt.kernel = combo.kernel;
         opt.blocking = combo.blocking;
         opt.explicit_blocking = combo.explicit_blocking;
+        opt.input_range = combo.input;
         opt.verify = true;
 
         KernelVerifyEntry entry;

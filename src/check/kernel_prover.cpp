@@ -1,5 +1,7 @@
 #include "check/kernel_prover.h"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -125,32 +127,58 @@ void prove_traditional(ProofResult& r, const SchemeModel& m) {
 }
 
 void prove_tbl(ProofResult& r, const SchemeModel& m) {
-  const i32 q = qmax_for_bits(m.bits);
-  // Largest |entry| a product table can hold: d0*b0 + d1*b1 over ternary
-  // pairs (2*qmax), or one full product (qmax^2) in generic mode.
-  const i64 entry =
-      m.tbl_pair ? 2 * static_cast<i64>(m.b_max_abs)
-                 : static_cast<i64>(m.a_max_abs) * m.b_max_abs;
+  const armkern::TblMode mode{m.tbl_fold, m.bits};
+  const int group = armkern::tbl_group(mode);
+  const bool pair = m.tbl_fold == armkern::TblFold::kTernaryPair;
+  const bool nonneg = m.tbl_fold == armkern::TblFold::kNonNegative;
+  // Index-side values: {-1,0,1} for pairs, [0, amax] for the non-negative
+  // fold, [-amax, amax] for single values.
+  const i32 lo = pair ? -1 : (nonneg ? 0 : -m.a_max_abs);
+  const i32 hi = pair ? 1 : m.a_max_abs;
+  // Largest |entry| a product table can hold: the group's largest index
+  // values times the table side's bound, summed over the group.
+  const i64 entry = static_cast<i64>(group) * std::max(-lo, hi) * m.b_max_abs;
   add(r, "tbl.entry-fits-i8", entry <= kI8Max,
-      ineq(entry, kI8Max,
-           m.tbl_pair ? "2 * bmax (pair d0*b0 + d1*b1)" : "amax * bmax",
-           "i8 table entry"));
+      ineq(entry, kI8Max, "group * |index value| * bmax", "i8 table entry"));
   // Every encoded index must land inside the single-register TBL's
-  // 16-entry window: pair classes top out at (1+1)*4 + (1+1) = 10, the
-  // generic form at value + qmax = 2*qmax.
-  const i64 max_idx = m.tbl_pair ? armkern::tbl_pair_index(1, 1) : 2 * q;
-  add(r, "tbl.index-in-table", max_idx <= 15,
-      ineq(max_idx, 15, m.tbl_pair ? "pair index (1,1)" : "qmax + qmax",
+  // 16-entry window. The encoding grows with each value, so the top of
+  // the value box gives the largest index.
+  i32 top[4] = {};
+  for (int i = 0; i < group; ++i) top[i] = hi;
+  u8 top_idx = 0;
+  const bool encodes = armkern::tbl_encode(mode, top, top_idx);
+  add(r, "tbl.index-in-table", encodes && top_idx <= 15,
+      ineq(top_idx, 15, "index of the largest value group",
            "16-entry table"));
+  // The packer and the table builder share one rule: every group of
+  // in-range values encodes to an index that decodes back to it, so a
+  // lookup finds exactly that group's products.
+  bool roundtrip = true;
+  std::ostringstream rt;
+  const i32 span = hi - lo + 1;
+  i32 combos = 1;
+  for (int i = 0; i < group; ++i) combos *= span;
+  for (i32 c = 0; c < combos && roundtrip; ++c) {
+    i32 v[4] = {}, d[4] = {};
+    for (i32 i = 0, x = c; i < group; ++i, x /= span) v[i] = lo + x % span;
+    u8 idx = 0;
+    roundtrip = armkern::tbl_encode(mode, v, idx) &&
+                armkern::tbl_decode(mode, idx, d);
+    for (int i = 0; i < group && roundtrip; ++i) roundtrip = d[i] == v[i];
+    if (!roundtrip) rt << "value group " << c << " does not decode back";
+  }
+  add(r, "tbl.encode-decode-roundtrip", roundtrip,
+      roundtrip ? std::to_string(combos) + " value groups encode and decode"
+                : rt.str());
   // Two-level accumulation: ADD.16B folds one table entry per group step
   // into a byte lane, so the declared i8 flush interval must both fit the
   // lane (flush * entry <= 127) and cover the kernel's real cadence
-  // (tbl_flush_interval for this bits/pair mode).
+  // (tbl_flush_interval for this mode).
   add(r, "tbl.i8-lane-headroom",
       m.acc8_flush > 0 && m.acc8_flush * entry <= kI8Max,
       ineq(m.acc8_flush * entry, kI8Max, "flush * entry bound",
            "i8 headroom"));
-  const int cadence = armkern::tbl_flush_interval(m.bits, m.tbl_pair);
+  const int cadence = armkern::tbl_flush_interval(mode);
   add(r, "tbl.flush-covers-kernel", m.acc8_flush >= cadence,
       ineq(cadence, m.acc8_flush, "kernel flush cadence", "declared flush"));
   // Second level (the 32x4 tile): each byte-lane flush deposits at most
@@ -168,37 +196,42 @@ void prove_tbl(ProofResult& r, const SchemeModel& m) {
            kI16Max, "rounds * flush * entry bound", "i16 headroom"));
   // The SADDW path has no range clamp after the table lookup, so the
   // headroom bounds above only hold if the builder NEVER emits an entry
-  // outside them — including 0 at every invalid/neutral index, which is
-  // what makes padded rows, padded columns, and odd-K tails contribute
-  // nothing. Check the real shipping builder exhaustively: all (b0, b1)
-  // broadcast operands in range, all 16 indices.
+  // outside them — including 0 at every index no group encodes and at the
+  // all-zero group's, which is what makes padded rows, padded columns and
+  // K tails contribute nothing. Check the real shipping builder
+  // exhaustively: all table-side operand groups in range, all 16 indices,
+  // against the products of tbl_decode's values.
   if (m.tbl_build != nullptr) {
+    const i32 q = qmax_for_bits(m.bits);
+    const i32 bspan = 2 * q + 1;
+    i32 bcombos = 1;
+    for (int i = 0; i < group; ++i) bcombos *= bspan;
     bool exact = true;
     std::ostringstream detail;
-    for (i32 b0 = -q; b0 <= q && exact; ++b0)
-      for (i32 b1 = -q; b1 <= q && exact; ++b1) {
-        i8 table[16];
-        m.tbl_build(m.bits, m.tbl_pair, static_cast<i8>(b0),
-                    static_cast<i8>(b1), table);
-        for (int idx = 0; idx < 16 && exact; ++idx) {
-          i32 want = 0;
-          if (m.tbl_pair) {
-            const i32 d0 = idx / 4 - 1, d1 = idx % 4 - 1;
-            if (d0 <= 1 && d1 <= 1 && idx % 4 != 3) want = d0 * b0 + d1 * b1;
-          } else if (idx <= 2 * q) {
-            want = (idx - q) * b0;
-          }
-          if (table[idx] != want) {
-            exact = false;
-            detail << "table(" << b0 << ", " << b1 << ")[" << idx
-                   << "] = " << static_cast<i32>(table[idx]) << " != " << want;
-          }
+    for (i32 c = 0; c < bcombos && exact; ++c) {
+      i8 b[4] = {};
+      for (i32 i = 0, x = c; i < group; ++i, x /= bspan)
+        b[i] = static_cast<i8>(x % bspan - q);
+      i8 table[16];
+      m.tbl_build(mode, b, table);
+      for (int idx = 0; idx < 16 && exact; ++idx) {
+        i32 d[4] = {};
+        i32 want = 0;
+        if (armkern::tbl_decode(mode, idx, d))
+          for (int i = 0; i < group; ++i) want += d[i] * b[i];
+        if (table[idx] != want) {
+          exact = false;
+          detail << "table(";
+          for (int i = 0; i < group; ++i)
+            detail << (i ? ", " : "") << static_cast<i32>(b[i]);
+          detail << ")[" << idx << "] = " << static_cast<i32>(table[idx])
+                 << " != " << want;
         }
       }
+    }
     add(r, "tbl.table-entries-exact", exact,
-        exact ? std::string("builder matches decoded ") +
-                    (m.tbl_pair ? "pair" : "generic") +
-                    " products for all operands and indices"
+        exact ? "builder matches decoded products for all operands and "
+                "indices"
               : detail.str());
   }
   prove_operand_range(r, m, "tbl.operand-range-adjusted");
@@ -277,21 +310,33 @@ struct SweepShape {
 constexpr SweepShape kSweepShapes[] = {
     {16, 196, 9}, {64, 3136, 576}, {512, 49, 4608}, {512, 196, 8192}};
 
-/// One ARM scheme's registered bit-width range. `ternary_pair_row` adds the
-/// extra pair-mode row at bits_hi (the TBL pack's ternary detection).
+/// One ARM scheme's registered bit-width range, swept in its shipping
+/// (signed-input) mode.
 struct SweepScheme {
   ProofScheme scheme;
   int bits_lo, bits_hi;
-  bool ternary_pair_row = false;
 };
 constexpr SweepScheme kArmSweepGrid[] = {
     {ProofScheme::kArmSmlal, 4, 8},
     {ProofScheme::kArmMla, 2, 3},
-    {ProofScheme::kArmTbl, 2, 3, /*ternary_pair_row=*/true},
+    {ProofScheme::kArmTbl, 2, 3},
     {ProofScheme::kArmSdot, 2, 8},
     {ProofScheme::kArmNcnn, 2, 8},
     {ProofScheme::kArmTraditional, 2, 8},
 };
+/// The TBL modes beyond each bit width's default, each a distinct entry
+/// bound and flush cadence: ternary 3-bit weights (the pack's detection)
+/// and the non-negative fold of a ReLU'd input at both widths.
+struct TblSweepMode {
+  armkern::TblMode mode;
+  const char* tag;
+};
+constexpr TblSweepMode kTblSweepModes[] = {
+    {armkern::kTbl3Pair, "ternary-pair"},
+    {armkern::kTbl2NonNeg, "non-negative"},
+    {armkern::kTbl3NonNeg, "non-negative"},
+};
+
 constexpr int kNativeSweepBitsLo = 2;
 constexpr int kNativeSweepBitsHi = 8;
 
@@ -353,14 +398,17 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
       m.acc16_flush = bits <= 3 ? armkern::mla_flush_interval(bits) * 4
                                 : armkern::smlal_flush_interval(bits);
       break;
-    case ProofScheme::kArmTbl:
-      // Pair mode always ships at 2-bit; 3-bit runs generic unless the
-      // pack detects ternary weights (prove_arm_kernel covers both).
-      m.tbl_pair = bits == 2;
-      m.acc8_flush = armkern::tbl_flush_interval(bits, m.tbl_pair);
+    case ProofScheme::kArmTbl: {
+      // A signed input's default: pairs at 2 bit, single values at 3 (the
+      // other modes come from shipping_tbl_model).
+      const armkern::TblMode mode = armkern::tbl_mode_for(
+          armkern::TblOrientation::kWeightTables, bits, false);
+      m.tbl_fold = mode.fold;
+      m.acc8_flush = armkern::tbl_flush_interval(mode);
       m.second_level_rounds = armkern::kTblSecondLevelRounds;
       m.tbl_build = &armkern::tbl_build_table;
       break;
+    }
     case ProofScheme::kNativeLut:
       m.acc16_flush = static_cast<int>(hal::kLutFlushInterval);
       m.pad_zero_tail = true;
@@ -371,6 +419,13 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
     case ProofScheme::kNativeScalar:
       break;  // direct-i32 (or saturation-only) schemes: no flush declared
   }
+  return m;
+}
+
+SchemeModel shipping_tbl_model(armkern::TblMode mode, i64 depth) {
+  SchemeModel m = shipping_model(ProofScheme::kArmTbl, mode.bits, depth);
+  m.tbl_fold = mode.fold;
+  m.acc8_flush = armkern::tbl_flush_interval(mode);
   return m;
 }
 
@@ -408,22 +463,28 @@ Status prove_arm_kernel(armkern::ArmKernel kernel, int bits, i64 depth) {
       scheme = ProofScheme::kArmSdot;
       break;
     case armkern::ArmKernel::kTblGemm: {
-      // Both modes the plan might execute must hold: shipping default
-      // (pair at 2-bit, generic at 3-bit) AND the 3-bit pair variant the
-      // pack switches to when it detects ternary weights.
-      SchemeModel m = shipping_model(ProofScheme::kArmTbl, bits, depth);
-      LBC_RETURN_IF_ERROR(
-          prove(m).to_status().with_context("plan-time kernel proof"));
-      if (!m.tbl_pair) {
-        m.tbl_pair = true;
-        m.acc8_flush = armkern::tbl_flush_interval(bits, /*ternary_pairs=*/true);
-        LBC_RETURN_IF_ERROR(
-            prove(m).to_status().with_context("plan-time kernel proof"));
-      }
+      // Every mode a plan at `bits` might execute must hold: each
+      // orientation's, for signed and non-negative inputs and for ternary
+      // or general weights.
+      for (const armkern::TblOrientation o :
+           {armkern::TblOrientation::kActTables,
+            armkern::TblOrientation::kWeightTables})
+        for (const bool ternary : {false, true})
+          for (const armkern::InputRange in :
+               {armkern::InputRange::kSigned,
+                armkern::InputRange::kNonNegative})
+            LBC_RETURN_IF_ERROR(prove_tbl_mode(
+                armkern::tbl_mode_for(o, bits, ternary, in), depth));
       return Status();
     }
   }
   return prove(shipping_model(scheme, bits, depth))
+      .to_status()
+      .with_context("plan-time kernel proof");
+}
+
+Status prove_tbl_mode(armkern::TblMode mode, i64 depth) {
+  return prove(shipping_tbl_model(mode, depth))
       .to_status()
       .with_context("plan-time kernel proof");
 }
@@ -476,21 +537,14 @@ ProofSweepReport prove_all_schemes() {
 
   for (const SweepShape& sh : kSweepShapes) {
     // ARM schemes over the registered scheme x bit-width grid.
-    for (const SweepScheme& g : kArmSweepGrid) {
+    for (const SweepScheme& g : kArmSweepGrid)
       for (int bits = g.bits_lo; bits <= g.bits_hi; ++bits)
         run(shipping_model(g.scheme, bits, sh.k),
             arm_config(g.scheme, bits, sh, g.scheme == ProofScheme::kArmSdot));
-      if (g.ternary_pair_row) {
-        // The pair variant the pack switches to on ternary weights at the
-        // top of the scheme's range — a distinct mode with its own entry
-        // bound, swept explicitly.
-        SchemeModel tp = shipping_model(g.scheme, g.bits_hi, sh.k);
-        tp.tbl_pair = true;
-        tp.acc8_flush =
-            armkern::tbl_flush_interval(g.bits_hi, /*ternary_pairs=*/true);
-        run(tp, arm_config(g.scheme, g.bits_hi, sh, false) + " ternary-pair");
-      }
-    }
+    for (const TblSweepMode& t : kTblSweepModes)
+      run(shipping_tbl_model(t.mode, sh.k),
+          arm_config(ProofScheme::kArmTbl, t.mode.bits, sh, false) + " " +
+              t.tag);
     // Native schemes under their default {rb, cb} tiling (the tiling is
     // pure loop order — recorded for the grid, no proof term depends on it).
     for (int bits = kNativeSweepBitsLo; bits <= kNativeSweepBitsHi; ++bits) {
@@ -516,7 +570,8 @@ ProofSweepReport prove_all_schemes() {
 int proof_sweep_expected_entries() {
   int per_shape = 0;
   for (const SweepScheme& g : kArmSweepGrid)
-    per_shape += g.bits_hi - g.bits_lo + 1 + (g.ternary_pair_row ? 1 : 0);
+    per_shape += g.bits_hi - g.bits_lo + 1;
+  per_shape += static_cast<int>(std::size(kTblSweepModes));
   per_shape += 2 * (kNativeSweepBitsHi - kNativeSweepBitsLo + 1);
   return static_cast<int>(std::size(kSweepShapes)) * per_shape;
 }

@@ -21,11 +21,13 @@
 //    first-level flush, 16-bit headroom across kSecondLevelRounds rounds.
 //  * ARM SDOT / ncnn-style / traditional: direct-i32 (or single-flush)
 //    variants of the same argument.
-//  * ARM TBL (2-3 bit): every product-table entry fits the signed-byte TBL
-//    lane, every index stays inside the 16-entry window, i8 lanes hold
+//  * ARM TBL (2-3 bit, every mode: one signed value, ternary pairs, and
+//    the non-negative fold of a ReLU'd input): every product-table entry
+//    fits the signed-byte TBL lane, every index stays inside the 16-entry
+//    window and decodes back to the values it encodes, i8 lanes hold
 //    through the declared flush, the 32x4 tile's i16 lanes hold across
 //    kTblSecondLevelRounds flushes, and the shipping table builder produces
-//    exactly the decoded pair/generic products (checked exhaustively).
+//    exactly the decoded products (checked exhaustively).
 //  * AVX2 LUT (2-4 bit): products fit the signed-byte pshufb table, i16
 //    lanes cannot overflow before the 256-step flush, every table index
 //    stays in [0, 15], and the N%32 zero-pad tail always indexes the w*0
@@ -89,14 +91,15 @@ struct SchemeModel {
   /// Native LUT: the N%32 tail is staged through a zero-padded block, so
   /// the pad-entry obligation is in force.
   bool pad_zero_tail = false;
-  /// ARM TBL: ternary pair mode (two depth positions per index) vs the
-  /// generic one-value-per-index form. Changes the table-entry bound.
-  bool tbl_pair = false;
+  /// ARM TBL: how one index folds depth values (schemes.h TblFold): one
+  /// signed value, a ternary pair, or the non-negative fold, whose index
+  /// side (the activations) then lies in [0, a_max_abs]. Fixes the group
+  /// size and so the table-entry bound.
+  armkern::TblFold tbl_fold = armkern::TblFold::kValue;
   /// ARM TBL: the table builder under proof. shipping_model points it at
   /// armkern::tbl_build_table so the exhaustive table-entries obligation
   /// checks the REAL build path; mutation tests substitute a corrupted one.
-  void (*tbl_build)(int bits, bool ternary_pairs, i8 b0, i8 b1,
-                    i8 out[16]) = nullptr;
+  void (*tbl_build)(armkern::TblMode mode, const i8* b, i8 out[16]) = nullptr;
 };
 
 /// One closed-form proof obligation: a named inequality with the model's
@@ -122,18 +125,26 @@ struct ProofResult {
 
 /// The shipping declaration for (scheme, bits) at reduction depth `depth`:
 /// adjusted operand ranges and the flush constants the kernels compile
-/// with (schemes.h / hal::kLutFlushInterval).
+/// with (schemes.h / hal::kLutFlushInterval). TBL gets its signed-input
+/// default mode (pairs at 2 bit, single values at 3).
 SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth);
+
+/// The shipping declaration of one TBL mode at depth `depth`.
+SchemeModel shipping_tbl_model(armkern::TblMode mode, i64 depth);
 
 /// Discharge every obligation of `m`. All obligations are evaluated (no
 /// short-circuit) so a report always lists the full conjunction.
 ProofResult prove(const SchemeModel& m);
 
 /// Plan-time gate for the emulated ARM path: prove the scheme the GEMM
-/// rung of `kernel` dispatches to at `bits`, at reduction depth `depth`.
-/// OK for non-GEMM rungs (their invariants stay under the PR-4 dynamic
-/// verifier). kInvariantViolation with the obligation named on failure.
+/// rung of `kernel` dispatches to at `bits`, at reduction depth `depth` —
+/// for TBL, every mode it can run at `bits`. OK for non-GEMM rungs (their
+/// invariants stay under the PR-4 dynamic verifier). kInvariantViolation
+/// with the obligation named on failure.
 Status prove_arm_kernel(armkern::ArmKernel kernel, int bits, i64 depth);
+
+/// Plan-time gate for one TBL mode — the mode a compiled plan executes.
+Status prove_tbl_mode(armkern::TblMode mode, i64 depth);
 
 /// Plan-time gate for the native path: proves the scheme
 /// native_scheme_for(bits) selects AND the portable scalar fallback (the

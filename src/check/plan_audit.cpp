@@ -97,11 +97,12 @@ AuditReport audit_plan(const PlanAuditInput& in) {
   }
 
   // Resolved blockings (TuningCache rows or fresh searches) must be fixed
-  // points of clamp_blocking for their GEMM view — i.e. already inside the
-  // micro-tile grid and problem bounds a corrupt cache row could escape.
+  // points of clamp_blocking for their GEMM view and TBL group — i.e.
+  // already inside the micro-tile grid and problem bounds a corrupt cache
+  // row could escape, and exactly what the blocked driver will run.
   for (const BlockingRecord& b : in.blockings) {
-    const armkern::GemmBlocking c =
-        armkern::clamp_blocking(b.blocking, b.m, b.n, b.k, b.sdot);
+    const armkern::GemmBlocking c = armkern::clamp_blocking(
+        b.blocking, b.m, b.n, b.k, b.sdot, b.tbl_group);
     if (!(c == b.blocking)) {
       std::ostringstream os;
       os << "node " << b.node << " blocking {" << b.blocking.mc << ", "
@@ -110,6 +111,21 @@ AuditReport audit_plan(const PlanAuditInput& in) {
          << " k=" << b.k << " (clamps to {" << c.mc << ", " << c.kc << ", "
          << c.nc << "})";
       add(rep, "audit.blocking-clamped", os.str());
+    }
+  }
+
+  // A non-negative input is a fact about the producer, never a default: a
+  // signed value reaching a folded TBL plan has no index to encode.
+  for (const InputRangeRecord& r : in.input_ranges) {
+    if (r.nonneg && !(r.producer_clamps && r.producer_lo >= 0)) {
+      std::ostringstream os;
+      os << "node " << r.node << " is planned with a non-negative input but "
+         << "its producer, node " << r.producer << ", ";
+      if (r.producer_clamps)
+        os << "clamps at lo = " << r.producer_lo;
+      else
+        os << "does not clamp its output";
+      add(rep, "audit.input-range-from-clamp", os.str());
     }
   }
 

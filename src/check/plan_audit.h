@@ -17,8 +17,13 @@
 //   audit.packed-weight-bounds  declared prepacked-weight bytes match the
 //                               backing allocations exactly
 //   audit.blocking-clamped      every resolved blocking is a fixed point
-//                               of clamp_blocking for its GEMM view (i.e.
-//                               TuningCache rows respect the clamp bounds)
+//                               of clamp_blocking for its GEMM view and
+//                               TBL group (i.e. TuningCache rows respect
+//                               the clamp bounds, and the driver runs the
+//                               blocking the plan records)
+//   audit.input-range-from-clamp every conv planned with a non-negative
+//                               input reads a producer whose output clamp
+//                               has lo >= 0 (a conv or add with ReLU)
 //
 // Wired into GraphPlan::compile behind the opt-in GraphPlanOptions::audit
 // flag; the mutation suite (tests/test_plan_audit.cpp) corrupts each
@@ -67,6 +72,16 @@ struct BlockingRecord {
   armkern::GemmBlocking blocking;
   i64 m = 0, n = 0, k = 0;
   bool sdot = false;
+  int tbl_group = 0;  ///< the TBL plan's group (tbl_group of its mode); 0 else
+};
+
+/// A conv's declared input range beside what its producer guarantees.
+struct InputRangeRecord {
+  int node = 0;
+  int producer = 0;
+  bool nonneg = false;         ///< planned with InputRange::kNonNegative
+  bool producer_clamps = false;  ///< the producer clamps its output (conv, add)
+  i32 producer_lo = 0;         ///< that clamp's lower bound
 };
 
 /// Everything the auditor sees — plain data, so GraphPlan::compile fills
@@ -77,6 +92,7 @@ struct PlanAuditInput {
   std::vector<EpilogueWrite> epilogues;
   std::vector<PackedRegion> packed;
   std::vector<BlockingRecord> blockings;
+  std::vector<InputRangeRecord> input_ranges;
 };
 
 struct AuditFinding {

@@ -107,6 +107,9 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
 
 Status prove_arm_plan(const armkern::ArmConvPlan& plan) {
   if (plan.algo != armkern::ConvAlgo::kGemm) return Status();
+  // A TBL plan proves the one mode it packed and executes.
+  if (plan.kernel == armkern::ArmKernel::kTblGemm)
+    return check::prove_tbl_mode(plan.tbl_a.mode, plan.shape.gemm_k());
   return check::prove_arm_kernel(plan.kernel, plan.requested.bits,
                                  plan.shape.gemm_k());
 }

@@ -120,8 +120,9 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
 
 /// Static proof gate (check/kernel_prover.h) for a resolved ARM plan: on
 /// the GEMM rung, the instruction scheme the RESOLVED kernel dispatches to
-/// (the planner may have degraded the request) must discharge its overflow
-/// obligations at the plan's reduction depth. Non-GEMM rungs pass — they
+/// (the planner may have degraded the request) — for TBL, the mode the plan
+/// packed — must discharge its overflow obligations at the plan's
+/// reduction depth. Non-GEMM rungs pass — they
 /// stay under the dynamic verifier. Errors: kInvariantViolation naming the
 /// failed obligation. plan_arm_conv and GraphPlan::compile both apply it.
 Status prove_arm_plan(const armkern::ArmConvPlan& plan);

@@ -39,20 +39,6 @@ bool fuse_eligible(const armkern::ArmConvPlan& p) {
          p.kernel != armkern::ArmKernel::kTraditional && p.shape.batch == 1;
 }
 
-// A conv the planner resolved to the blocked MLA GEMM at <= 3 bit — the
-// plans whose kernel is decided by pricing TBL against MLA. Reference,
-// winograd and bitserial rungs are never priced.
-bool tbl_contender(const armkern::ArmConvPlan& p) {
-  return p.algo == armkern::ConvAlgo::kGemm && p.blocking.enabled() &&
-         p.kernel == armkern::ArmKernel::kOursGemm &&
-         armkern::tbl_eligible_for(p.requested.bits);
-}
-
-bool same_blocking(const armkern::GemmBlocking& a,
-                   const armkern::GemmBlocking& b) {
-  return a.mc == b.mc && a.kc == b.kc && a.nc == b.nc;
-}
-
 // Actual bytes backing a plan's prepacked weights (exactly one container
 // is populated, per the resolved rung) — what the auditor checks the
 // declared packed_weight_bytes accounting against.
@@ -97,21 +83,34 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
   }
 
   // ---- per-node plans ----------------------------------------------------
-  // Three steps: each conv's first plan resolves its rung; the kernel and
-  // blocking searches of the convs that need one run concurrently; then
-  // those convs are planned again, in node order, with what was found. The
-  // joint pass below replans the layers it moves.
+  // Every conv is planned — its weights packed — exactly once. First each
+  // conv's rung and input range are resolved (resolve_conv_rung: no pack,
+  // no search). Then the kernel and blocking searches of the convs that
+  // need one run concurrently, and the joint search over the fused chain
+  // runs on their winners. Last, each conv is planned in node order with
+  // what was found.
   const bool fusion = opt.fusion == FusionMode::kOn;
   constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
-  // A conv whose kernel (TBL against MLA) or blocking (it fuses) comes
-  // from a search.
+  // A conv on the blocked GEMM rung: its kernel (TBL against MLA, at <= 3
+  // bit) and, when it fuses, its blocking come from a search.
   struct ConvSearch {
     size_t node = 0;
+    armkern::ConvRung rung;
+    armkern::ArmConvOptions opt;
     bool fused = false;
     bool tbl = false;                ///< result: TBL won the pricing
     armkern::GemmBlocking blocking;  ///< result: the fused-schedule winner
+    armkern::ArmKernel kernel() const {
+      return tbl ? armkern::ArmKernel::kTblGemm : rung.kernel;
+    }
   };
-  std::vector<ConvSearch> searches;
+  std::vector<ConvSearch> convs;
+  // Whether a node's output passes a clamp with lo >= 0: a conv's requant
+  // or an add's rescale with ReLU. Inputs and pools do not clamp.
+  const auto clamps_nonneg = [](const NodePlan& p) {
+    return (p.kind == NodeKind::kConv && p.rq.clamp.lo >= 0) ||
+           (p.kind == NodeKind::kAdd && p.clamp.lo >= 0);
+  };
   for (size_t i = 0; i < n_nodes; ++i) {
     const QnnGraph::Node& n = g.nodes_[i];
     NodePlan& p = plan.nodes_[i];
@@ -129,23 +128,26 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
       case QnnGraph::Kind::kConv: {
         p.kind = NodeKind::kConv;
         ++plan.conv_nodes_;
-        armkern::ArmConvOptions copt;
-        copt.bits = n.bits;
-        copt.algo = opt.algo;
-        copt.threads = opt.threads;
-        // Under fusion a blocked GEMM conv takes its kernel and blocking
-        // from the fused-schedule search, so the first plan only resolves
-        // the rung: an explicit blocking skips the standalone search. Other
-        // rungs ignore the blocking, so for them that plan is final.
-        if (fusion) copt.blocking = armkern::BlockingPolicy::kExplicit;
-        LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
-                             armkern::plan_conv(n.conv, n.weight_q, copt));
-        const bool fused = fusion && fuse_eligible(cp);
-        if (tbl_contender(cp) || fused)
-          searches.push_back(ConvSearch{i, fused, false, {}});
-        p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
+        const QnnGraph::Node& src = g.nodes_[static_cast<size_t>(n.src0)];
+        p.rq = quant::make_requant(src.scheme, n.weight_scheme, n.scheme,
+                                   n.relu);
         p.gemm_m = n.conv.gemm_m();
         p.gemm_n = n.conv.gemm_n();
+        ConvSearch cs;
+        cs.node = i;
+        cs.opt.bits = n.bits;
+        cs.opt.algo = opt.algo;
+        cs.opt.threads = opt.threads;
+        // The input-range fact comes from the producer's clamp, and only
+        // from there (check::audit_plan re-checks it).
+        if (clamps_nonneg(plan.nodes_[static_cast<size_t>(n.src0)]))
+          cs.opt.input_range = armkern::InputRange::kNonNegative;
+        // Under fusion a blocked GEMM conv takes its blocking from the
+        // fused-schedule search, pinned as an explicit blocking.
+        if (fusion) cs.opt.blocking = armkern::BlockingPolicy::kExplicit;
+        cs.rung = armkern::resolve_conv_rung(n.conv, cs.opt);
+        cs.fused = fusion && cs.rung.blocked && n.conv.batch == 1;
+        convs.push_back(cs);
         break;
       }
       case QnnGraph::Kind::kAdd: {
@@ -179,57 +181,35 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
   // waits for the first), and the tile search holds its lock only around
   // its memo maps.
   serve::ThreadPool::global().parallel_for(
-      0, static_cast<i64>(searches.size()), 1, [&](i64 begin, i64 end) {
+      0, static_cast<i64>(convs.size()), 1, [&](i64 begin, i64 end) {
         for (i64 j = begin; j < end; ++j) {
-          ConvSearch& cs = searches[static_cast<size_t>(j)];
+          ConvSearch& cs = convs[static_cast<size_t>(j)];
           const QnnGraph::Node& n = g.nodes_[cs.node];
-          const armkern::ArmConvPlan& first = *plan.nodes_[cs.node].conv;
           const armkern::BlockedSchedule sched =
               cs.fused ? kFused : armkern::BlockedSchedule::kStandalone;
-          cs.tbl = tbl_contender(first) &&
-                   armkern::choose_gemm_kernel(n.conv, n.bits, sched) ==
+          cs.tbl = cs.rung.blocked &&
+                   cs.rung.kernel == armkern::ArmKernel::kOursGemm &&
+                   armkern::tbl_eligible_for(n.bits) &&
+                   armkern::choose_gemm_kernel(n.conv, n.bits, sched,
+                                               cs.opt.input_range) ==
                        armkern::ArmKernel::kTblGemm;
           if (cs.fused)
             cs.blocking = armkern::search_blocking(
-                n.conv, n.bits,
-                cs.tbl ? armkern::ArmKernel::kTblGemm : first.kernel, sched);
+                n.conv, n.bits, cs.kernel(), sched, cs.opt.input_range);
         }
       });
-  for (size_t i = 0, next = 0; i < n_nodes; ++i) {
-    NodePlan& p = plan.nodes_[i];
-    if (p.kind != NodeKind::kConv) continue;
-    const QnnGraph::Node& n = g.nodes_[i];
-    if (next < searches.size() && searches[next].node == i) {
-      const ConvSearch& cs = searches[next++];
-      if (cs.tbl || cs.fused) {
-        armkern::ArmConvOptions copt = p.conv->requested;
-        if (cs.tbl) copt.kernel = armkern::ArmKernel::kTblGemm;
-        if (cs.fused) copt.explicit_blocking = cs.blocking;
-        LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
-                             armkern::plan_conv(n.conv, n.weight_q, copt));
-        p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
-      }
-    }
-    // Same static proof gate as core::plan_arm_conv, on the kernel that
-    // will execute (the joint pass below changes only the blocking).
-    LBC_RETURN_IF_ERROR(prove_arm_plan(*p.conv).with_context(
-        "GraphPlan::compile conv node " + std::to_string(i)));
-    const QnnGraph::Node& src = g.nodes_[static_cast<size_t>(n.src0)];
-    LBC_ASSIGN_OR_RETURN(
-        p.bias_q, quant::quantize_bias(n.bias_f, n.conv.out_c, src.scheme,
-                                       n.weight_scheme, n.conv.gemm_k()));
-    p.rq = quant::make_requant(src.scheme, n.weight_scheme, n.scheme, n.relu);
-  }
 
   // ---- joint whole-net blocking over the fused conv chain ---------------
-  std::vector<int> chain;
+  // The chain is every conv on the blocked GEMM rung, fused or not: its
+  // hash keys the graph's TuningCache rows and registry plans either way.
+  std::vector<ConvSearch*> chain;
   std::vector<armkern::GraphSearchLayer> layers;
-  for (size_t i = 0; i < n_nodes; ++i) {
-    const NodePlan& p = plan.nodes_[i];
-    if (p.kind == NodeKind::kConv && fuse_eligible(*p.conv)) {
-      chain.push_back(static_cast<int>(i));
-      layers.push_back(
-          armkern::GraphSearchLayer{p.conv->shape, p.bits, p.conv->kernel});
+  for (ConvSearch& cs : convs) {
+    const QnnGraph::Node& n = g.nodes_[cs.node];
+    if (cs.rung.blocked && n.conv.batch == 1) {
+      chain.push_back(&cs);
+      layers.push_back(armkern::GraphSearchLayer{n.conv, n.bits, cs.kernel(),
+                                                 cs.opt.input_range});
     }
   }
   plan.graph_hash_ =
@@ -255,38 +235,45 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
                  "joint search returned " << rows.size() << " layers, want "
                                           << layers.size());
 
-    std::vector<armkern::GemmBlocking> joint;
-    for (const gpukern::ArmBlocking& r : rows)
-      joint.push_back(armkern::GemmBlocking{r.mc, r.kc, r.nc});
     // Both assignments priced under the SAME chained objective, so
     // greedy - joint is exactly the margin graph-level planning buys. A
     // search has just priced both, bit-identical to score_graph_blocking;
     // rows served by the TuningCache are priced here.
+    std::vector<armkern::GemmBlocking> joint;
+    for (const gpukern::ArmBlocking& r : rows)
+      joint.push_back(armkern::GemmBlocking{r.mc, r.kc, r.nc});
     if (searched) {
       plan.joint_cycles_ = searched->joint_cycles;
       plan.greedy_cycles_ = searched->greedy_cycles;
     } else {
       std::vector<armkern::GemmBlocking> greedy;
-      for (const armkern::GraphSearchLayer& gl : layers)
-        greedy.push_back(
-            armkern::search_blocking(gl.shape, gl.bits, gl.kernel, kFused));
+      for (const ConvSearch* cs : chain) greedy.push_back(cs->blocking);
       plan.joint_cycles_ =
           armkern::score_graph_blocking(layers, joint, kFused);
       plan.greedy_cycles_ =
           armkern::score_graph_blocking(layers, greedy, kFused);
     }
+    for (size_t j = 0; j < chain.size(); ++j) chain[j]->blocking = joint[j];
+  }
 
-    for (size_t j = 0; j < chain.size(); ++j) {
-      NodePlan& p = plan.nodes_[static_cast<size_t>(chain[j])];
-      if (same_blocking(p.conv->blocking, joint[j])) continue;
-      armkern::ArmConvOptions copt = p.conv->requested;
-      copt.blocking = armkern::BlockingPolicy::kExplicit;
-      copt.explicit_blocking = joint[j];
-      const QnnGraph::Node& n = g.nodes_[static_cast<size_t>(chain[j])];
-      LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
-                           armkern::plan_conv(n.conv, n.weight_q, copt));
-      p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
-    }
+  // ---- one plan per conv --------------------------------------------------
+  for (const ConvSearch& cs : convs) {
+    const QnnGraph::Node& n = g.nodes_[cs.node];
+    NodePlan& p = plan.nodes_[cs.node];
+    armkern::ArmConvOptions copt = cs.opt;
+    if (cs.tbl) copt.kernel = armkern::ArmKernel::kTblGemm;
+    if (cs.fused) copt.explicit_blocking = cs.blocking;
+    LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
+                         armkern::plan_conv(n.conv, n.weight_q, copt));
+    p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
+    // Same static proof gate as core::plan_arm_conv, on the kernel and
+    // mode that will execute.
+    LBC_RETURN_IF_ERROR(prove_arm_plan(*p.conv).with_context(
+        "GraphPlan::compile conv node " + std::to_string(cs.node)));
+    const QnnGraph::Node& src = g.nodes_[static_cast<size_t>(n.src0)];
+    LBC_ASSIGN_OR_RETURN(
+        p.bias_q, quant::quantize_bias(n.bias_f, n.conv.out_c, src.scheme,
+                                       n.weight_scheme, n.conv.gemm_k()));
   }
 
   // ---- epilogue fusion pairing ------------------------------------------
@@ -369,42 +356,56 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     if (p.kind == NodeKind::kConv)
       plan.packed_weight_bytes_ += p.conv->packed_weight_bytes;
 
-  // ---- opt-in post-compile audit ----------------------------------------
+  // ---- post-compile audit ------------------------------------------------
   // Re-derive what the planner just decided — slot placement, epilogue
-  // write extents, packed-weight accounting, resolved blockings — as plain
-  // data and hand it to the auditor. A finding fails the compile with the
-  // invariant named rather than corrupting activations at execute time.
-  if (opt.audit) {
-    check::PlanAuditInput audit;
-    audit.activation_bytes = plan.activation_bytes_;
-    for (const Placed& q : placed)
-      audit.slots.push_back(
-          check::SlotInterval{q.node, q.off, q.bytes, q.def, q.last});
-    for (size_t i = 0; i < n_nodes; ++i) {
-      const NodePlan& p = plan.nodes_[i];
-      if (p.kind != NodeKind::kConv) continue;
-      if (p.fused) {
-        // The epilogue streams gemm_m x gemm_n int8 rows to its
-        // destination slot: the conv's own, or the fused add's.
-        const NodePlan& dst =
-            p.fused_add >= 0 ? plan.nodes_[static_cast<size_t>(p.fused_add)]
-                             : p;
-        audit.epilogues.push_back(check::EpilogueWrite{
-            static_cast<int>(i), dst.out_offset, dst.out_bytes,
-            dst.out_offset, p.gemm_m * p.gemm_n});
-      }
-      audit.packed.push_back(check::PackedRegion{
-          static_cast<int>(i), p.conv->packed_weight_bytes,
-          packed_backing_bytes(*p.conv)});
-      if (p.conv->blocking.enabled())
-        audit.blockings.push_back(check::BlockingRecord{
-            static_cast<int>(i), p.conv->blocking, p.conv->shape.gemm_m(),
-            p.conv->shape.gemm_n(), p.conv->shape.gemm_k(),
-            p.conv->kernel == armkern::ArmKernel::kSdotExt});
+  // write extents, packed-weight accounting, resolved blockings, input
+  // ranges — as plain data, kept on the plan. With opt.audit the auditor
+  // checks it now: a finding fails the compile with the invariant named
+  // rather than corrupting activations at execute time.
+  check::PlanAuditInput& audit = plan.audit_input_;
+  audit.activation_bytes = plan.activation_bytes_;
+  for (const Placed& q : placed)
+    audit.slots.push_back(
+        check::SlotInterval{q.node, q.off, q.bytes, q.def, q.last});
+  for (size_t i = 0; i < n_nodes; ++i) {
+    const NodePlan& p = plan.nodes_[i];
+    if (p.kind != NodeKind::kConv) continue;
+    if (p.fused) {
+      // The epilogue streams gemm_m x gemm_n int8 rows to its
+      // destination slot: the conv's own, or the fused add's.
+      const NodePlan& dst =
+          p.fused_add >= 0 ? plan.nodes_[static_cast<size_t>(p.fused_add)]
+                           : p;
+      audit.epilogues.push_back(check::EpilogueWrite{
+          static_cast<int>(i), dst.out_offset, dst.out_bytes,
+          dst.out_offset, p.gemm_m * p.gemm_n});
     }
+    audit.packed.push_back(check::PackedRegion{
+        static_cast<int>(i), p.conv->packed_weight_bytes,
+        packed_backing_bytes(*p.conv)});
+    const bool tbl = p.conv->kernel == armkern::ArmKernel::kTblGemm;
+    if (p.conv->blocking.enabled())
+      audit.blockings.push_back(check::BlockingRecord{
+          static_cast<int>(i), p.conv->blocking, p.conv->shape.gemm_m(),
+          p.conv->shape.gemm_n(), p.conv->shape.gemm_k(),
+          p.conv->kernel == armkern::ArmKernel::kSdotExt,
+          tbl ? p.conv->tbl_a.group() : 0});
+    // The conv's declared input range against its producer's clamp, each
+    // read from its own node.
+    const NodePlan& src = plan.nodes_[static_cast<size_t>(p.src0)];
+    check::InputRangeRecord r{static_cast<int>(i), p.src0};
+    r.nonneg =
+        p.conv->requested.input_range == armkern::InputRange::kNonNegative;
+    if (src.kind == NodeKind::kConv || src.kind == NodeKind::kAdd) {
+      r.producer_clamps = true;
+      r.producer_lo =
+          src.kind == NodeKind::kConv ? src.rq.clamp.lo : src.clamp.lo;
+    }
+    audit.input_ranges.push_back(r);
+  }
+  if (opt.audit)
     LBC_RETURN_IF_ERROR(check::audit_plan(audit).to_status().with_context(
         "GraphPlan::compile audit"));
-  }
   return plan;
 }
 

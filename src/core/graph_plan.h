@@ -23,9 +23,13 @@
 //    memoized per-layer winner (armkern::choose_gemm_kernel), priced for
 //    the schedule it executes: a fused conv's kernel and blocking come
 //    from the fused-schedule search (BlockedSchedule::kFused), an unfused
-//    conv's from the standalone one. Every conv's resolved kernel passes
-//    the same static proof gate as core::plan_arm_conv
-//    (core::prove_arm_plan).
+//    conv's from the standalone one. A conv whose producer clamps at
+//    lo >= 0 (a conv or add with ReLU) is planned with a non-negative
+//    input (ArmConvOptions::input_range), which lets weight-tables TBL
+//    fold more activations per index; the fact keys every search and
+//    joint row. Every conv is packed once, after the searches, and its
+//    resolved kernel and mode pass the same static proof gate as
+//    core::plan_arm_conv (core::prove_arm_plan).
 //  * Joint whole-net blocking — armkern::search_graph_blocking picks every
 //    fused layer's {Mc, Kc, Nc} under one chained cache-replay objective
 //    of the fused schedule (seeded from the fused per-layer winners,
@@ -48,6 +52,7 @@
 #include <vector>
 
 #include "armkern/tile_search.h"
+#include "check/plan_audit.h"
 #include "common/workspace.h"
 #include "core/qnn_graph.h"
 #include "gpukern/tuning_cache.h"
@@ -72,8 +77,9 @@ struct GraphPlanOptions {
   gpukern::TuningCache* tuning = nullptr;
   /// Opt-in post-compile audit (check::audit_plan): re-checks slot
   /// liveness disjointness, fused-epilogue containment, packed-weight
-  /// accounting, and blocking clamp bounds over the compiled plan;
-  /// compile fails with kInvariantViolation naming the invariant.
+  /// accounting, blocking clamp bounds and every conv's declared input
+  /// range over the compiled plan (audit_input()); compile fails with
+  /// kInvariantViolation naming the invariant.
   bool audit = false;
 };
 
@@ -126,6 +132,9 @@ class GraphPlan {
   /// run). greedy - joint is the modeled margin graph-level planning buys.
   double joint_cycles() const { return joint_cycles_; }
   double greedy_cycles() const { return greedy_cycles_; }
+  /// What compile decided, as the plain data check::audit_plan checks —
+  /// built on every compile, audited when GraphPlanOptions::audit is set.
+  const check::PlanAuditInput& audit_input() const { return audit_input_; }
 
  private:
   enum class NodeKind { kInput, kConv, kAdd, kMaxPool2, kGlobalAvgPool };
@@ -173,6 +182,7 @@ class GraphPlan {
   int fused_adds_ = 0;
   double joint_cycles_ = 0;
   double greedy_cycles_ = 0;
+  check::PlanAuditInput audit_input_;
 };
 
 }  // namespace lbc::core

@@ -340,10 +340,7 @@ TEST(GemmBlocked, FusedExecuteMatchesReferenceForEveryKernel) {
         if (fc.kernel == ArmKernel::kTblGemm) {
           EXPECT_EQ(plan.tbl_a.orient, fc.orient) << fc.name;
         }
-        const BlockedLayout lay = blocked_layout(
-            s.gemm_m(), s.gemm_n(), s.gemm_k(), plan.blocking,
-            fc.kernel == ArmKernel::kSdotExt, plan.tbl_a.group,
-            plan.tbl_a.orient);
+        const BlockedLayout lay = plan.executed_layout(s.batch);
         const bool direct = blk == kDirectTile;
         EXPECT_EQ(lay.k_blocks == 1, direct) << fc.name;
         EXPECT_GE(lay.n_blocks, 3) << fc.name;

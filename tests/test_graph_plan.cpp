@@ -16,6 +16,7 @@
 #include <thread>
 #include <tuple>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/workspace.h"
 #include "core/graph_plan.h"
@@ -240,15 +241,23 @@ TEST(GraphPlan, TwoBitConvsPriceToTbl) {
 }
 
 TEST(GraphPlan, ThreeBitNonTernaryConvsKeepMla) {
-  // Random 3-bit weights span -3..3, so TBL runs its one-value groups and
-  // loses to MLA on every conv of this block.
+  // Random 3-bit weights span -3..3, so on a signed input TBL runs its
+  // one-value groups and loses to MLA: the block's first conv and its
+  // projection shortcut (node 4), both fed by the input node. The two
+  // ReLU-fed convs see only [0, 3], so weight tables fold two activations
+  // per index, which prices below MLA.
   const Tensor<float> x = random_ftensor(Shape4{1, 32, 14, 14}, -1, 1, 7);
   const QnnGraph g = sized_bottleneck(3, 32, 14, x);
   const GraphPlan plan = GraphPlan::compile(g, audited()).value();
   const std::vector<armkern::ArmKernel> kernels = conv_kernels(plan);
   ASSERT_EQ(kernels.size(), 4u);
-  for (size_t i = 0; i < kernels.size(); ++i)
-    EXPECT_EQ(kernels[i], armkern::ArmKernel::kOursGemm) << "conv " << i;
+  EXPECT_EQ(kernels[0], armkern::ArmKernel::kOursGemm);
+  EXPECT_EQ(kernels[3], armkern::ArmKernel::kOursGemm);
+  for (const i64 node : {2, 3}) {
+    const armkern::ArmConvPlan& cp = *plan.conv_plan(node);
+    EXPECT_EQ(cp.kernel, armkern::ArmKernel::kTblGemm) << "node " << node;
+    EXPECT_EQ(cp.tbl_a.mode, armkern::kTbl3NonNeg) << "node " << node;
+  }
   expect_matches_reference(g, plan, x);
 }
 
@@ -282,16 +291,20 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
   const Tensor<float> x = random_ftensor(Shape4{1, 16, 14, 14}, -1, 1, 204);
   using armkern::ArmKernel;
   using armkern::TblOrientation;
+  // Per bit width, the kernel of each conv: node 2 reads node 1's ReLU
+  // output, so at 3 bit its weight tables fold two activations per index
+  // and price below MLA; nodes 1 and 5 read signed values (the input, and
+  // a pool, which does not clamp).
   struct Case {
     int bits;
-    ArmKernel kernel;
+    ArmKernel kernel[3];
   };
   const std::vector<gpukern::ArmBlocking> pinned = {
       {16, 8, 12}, {16, 4096, 12}, {16, 40, 8}};
   const i64 conv_nodes[] = {1, 2, 5};
-  for (const Case c : {Case{8, ArmKernel::kOursGemm},
-                       Case{3, ArmKernel::kOursGemm},
-                       Case{2, ArmKernel::kTblGemm}}) {
+  constexpr ArmKernel kMla = ArmKernel::kOursGemm, kTbl = ArmKernel::kTblGemm;
+  for (const Case c : {Case{8, {kMla, kMla, kMla}}, Case{3, {kMla, kTbl, kMla}},
+                       Case{2, {kTbl, kTbl, kTbl}}}) {
     const QnnGraph g = band_graph(c.bits, x);
     GraphPlanOptions opt = fused_options();
     opt.threads = 3;
@@ -306,7 +319,7 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
     for (size_t j = 0; j < pinned.size(); ++j) {
       const armkern::ArmConvPlan& cp = *fused.conv_plan(conv_nodes[j]);
       const bool banded = j != 1;
-      EXPECT_EQ(cp.kernel, c.kernel) << c.bits << " bits, conv " << j;
+      EXPECT_EQ(cp.kernel, c.kernel[j]) << c.bits << " bits, conv " << j;
       EXPECT_EQ(cp.blocking.nc, pinned[j].nc) << c.bits << " bits, conv " << j;
       EXPECT_EQ(cp.blocking.kc < cp.shape.gemm_k(), banded)
           << c.bits << " bits, conv " << j;
@@ -314,12 +327,17 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
                 banded ? 3 * cp.shape.gemm_m() * cp.blocking.nc : 0)
           << c.bits << " bits, conv " << j;
     }
-    if (c.kernel == ArmKernel::kTblGemm) {
+    if (c.bits == 2) {
       EXPECT_EQ(fused.conv_plan(1)->tbl_a.orient,
                 TblOrientation::kWeightTables);
+      EXPECT_EQ(fused.conv_plan(1)->tbl_a.mode, armkern::kTbl2Pair);
       EXPECT_EQ(fused.conv_plan(2)->tbl_a.orient,
                 TblOrientation::kWeightTables);
+      EXPECT_EQ(fused.conv_plan(2)->tbl_a.mode, armkern::kTbl2NonNeg);
       EXPECT_EQ(fused.conv_plan(5)->tbl_a.orient, TblOrientation::kActTables);
+    }
+    if (c.bits == 3) {
+      EXPECT_EQ(fused.conv_plan(2)->tbl_a.mode, armkern::kTbl3NonNeg);
     }
 
     Workspace arena, scratch, a2, s2;
@@ -408,7 +426,8 @@ FusedChain fused_chain(const GraphPlan& plan) {
       if (cp->algo == armkern::ConvAlgo::kGemm && cp->blocking.enabled() &&
           cp->kernel != armkern::ArmKernel::kTraditional &&
           cp->shape.batch == 1) {
-        chain.layers.push_back({cp->shape, cp->requested.bits, cp->kernel});
+        chain.layers.push_back({cp->shape, cp->requested.bits, cp->kernel,
+                                cp->requested.input_range});
         chain.blocking.push_back(cp->blocking);
       }
   return chain;
@@ -607,6 +626,201 @@ TEST(GraphPlanConcurrency, TwoThreadsCompileAtOnceAndSearchEachKeyOnce) {
   expect_same_plan(pb, GraphPlan::compile(b).value(), x8);
   expect_same_plan(pc, GraphPlan::compile(c).value(), x2);
   EXPECT_EQ(armkern::tile_search_stats().searches, s3.searches);
+}
+
+/// A chain of small ReLU-fed convs whose GEMM depths cover K % 4 = 0..3:
+/// n1 reads the signed input (K = 6), n2 (K = 5), n3 (K = 7), n4 (3x3,
+/// K = 54) and n5 (K = 8) read ReLU'd convs, n6 (K = 5) reads n1, and n8
+/// (3x3, K = 72) reads the ReLU'd add of n5 and n6. Few output channels
+/// over 144 columns: every conv runs TBL with weight tables, so the
+/// ReLU-fed ones fold their activation indices.
+QnnGraph relu_chain_graph(int bits, const Tensor<float>& x) {
+  QnnGraph g;
+  const auto conv = [&g, bits](int src, i64 in_c, i64 out_c, i64 k,
+                               bool relu, u64 seed) {
+    return g.add_conv(src, out_c, k, 1, k / 2, bits,
+                      random_ftensor(Shape4{out_c, in_c, k, k}, -0.4f, 0.4f,
+                                     seed),
+                      {}, relu);
+  };
+  const auto in = g.add_input(6, 12);
+  const auto n1 = conv(in, 6, 5, 1, true, 401);
+  const auto n2 = conv(n1, 5, 7, 1, true, 402);
+  const auto n3 = conv(n2, 7, 6, 1, true, 403);
+  const auto n4 = conv(n3, 6, 8, 3, true, 404);
+  const auto n5 = conv(n4, 8, 8, 1, false, 405);
+  const auto n6 = conv(n1, 5, 8, 1, false, 406);
+  const auto sum = g.add_add(n5, n6, /*relu=*/true);
+  conv(sum, 8, 8, 3, true, 408);
+  EXPECT_TRUE(g.calibrate(x).ok());
+  return g;
+}
+
+TEST(GraphPlan, ReluFedConvsFoldAndMatchReference) {
+  // 2 and 3 bit, fused and unfused, one and three workers, every compile
+  // audited: each ReLU-fed conv runs the non-negative fold, and every
+  // forward memcmp-matches the kReference plan. The fused compiles run
+  // twice more with pinned joint rows: a split K (Kc = 3, clamped to the
+  // fold's group) with Nc = 12, and Kc = K with Nc = 20.
+  const Tensor<float> x = random_ftensor(Shape4{1, 6, 12, 12}, -1, 1, 409);
+  const i64 conv_nodes[] = {1, 2, 3, 4, 5, 6, 8};
+  for (const int bits : {2, 3}) {
+    const QnnGraph g = relu_chain_graph(bits, x);
+    for (const FusionMode fusion : {FusionMode::kOn, FusionMode::kOff})
+      for (const int threads : {1, 3}) {
+        const std::string where = std::to_string(bits) + " bits, " +
+                                  (fusion == FusionMode::kOn ? "fused"
+                                                             : "unfused") +
+                                  ", threads " + std::to_string(threads);
+        GraphPlanOptions opt;
+        opt.fusion = fusion;
+        opt.threads = threads;
+        opt.audit = true;
+        gpukern::TuningCache cache;
+        opt.tuning = &cache;
+        const GraphPlan plan = GraphPlan::compile(g, opt).value();
+        for (const i64 node : conv_nodes) {
+          const armkern::ArmConvPlan& cp = *plan.conv_plan(node);
+          ASSERT_EQ(cp.kernel, armkern::ArmKernel::kTblGemm)
+              << where << ", node " << node;
+          ASSERT_EQ(cp.tbl_a.orient, armkern::TblOrientation::kWeightTables)
+              << where << ", node " << node;
+          const bool relu_fed = node != 1;
+          EXPECT_EQ(cp.tbl_a.mode.fold == armkern::TblFold::kNonNegative,
+                    relu_fed)
+              << where << ", node " << node;
+        }
+        expect_matches_reference(g, plan, x);
+        if (fusion == FusionMode::kOff) continue;
+        for (const gpukern::ArmBlocking pin :
+             {gpukern::ArmBlocking{16, 3, 12},
+              gpukern::ArmBlocking{16, 4096, 20}}) {
+          cache.put_graph(plan.graph_hash(),
+                          std::vector<gpukern::ArmBlocking>(7, pin));
+          const GraphPlan pinned = GraphPlan::compile(g, opt).value();
+          for (const i64 node : conv_nodes) {
+            const armkern::ArmConvPlan& cp = *pinned.conv_plan(node);
+            EXPECT_EQ(cp.blocking.nc, pin.nc) << where << ", node " << node;
+            EXPECT_EQ(cp.blocking.kc < cp.shape.gemm_k(), pin.kc == 3)
+                << where << ", node " << node;
+            EXPECT_EQ(cp.executed_layout(1).blk, cp.blocking)
+                << where << ", node " << node;
+          }
+          expect_matches_reference(g, pinned, x);
+        }
+      }
+  }
+}
+
+TEST(GraphPlan, EachConvIsPlannedOnce) {
+  // Fused (with the joint search) and unfused compiles consult the plan
+  // compile site exactly once per conv — rung resolution and the searches
+  // pack nothing — and each conv's plan is exactly what one plan_conv of
+  // its recorded request builds.
+  const Tensor<float> x = random_ftensor(Shape4{1, 6, 12, 12}, -1, 1, 410);
+  const QnnGraph g = relu_chain_graph(2, x);
+  const ScopedFault armed(FaultSite::kPlanCompileFail, /*fire_count=*/0);
+  for (const FusionMode fusion : {FusionMode::kOn, FusionMode::kOff}) {
+    GraphPlanOptions opt;
+    opt.fusion = fusion;
+    const i64 before =
+        FaultInjector::instance().consults(FaultSite::kPlanCompileFail);
+    const GraphPlan plan = GraphPlan::compile(g, opt).value();
+    EXPECT_EQ(FaultInjector::instance().consults(FaultSite::kPlanCompileFail) -
+                  before,
+              plan.conv_nodes());
+    for (i64 i = 0; i < plan.node_count(); ++i) {
+      const armkern::ArmConvPlan* cp = plan.conv_plan(i);
+      if (cp == nullptr) continue;
+      const armkern::ArmConvPlan again =
+          armkern::plan_conv(cp->shape, cp->weight, cp->requested).value();
+      EXPECT_EQ(again.kernel, cp->kernel) << "node " << i;
+      EXPECT_EQ(again.blocking, cp->blocking) << "node " << i;
+      EXPECT_EQ(again.tbl_a.mode, cp->tbl_a.mode) << "node " << i;
+      EXPECT_EQ(again.tbl_a.idx, cp->tbl_a.idx) << "node " << i;
+      EXPECT_EQ(again.tbl_a.tables, cp->tbl_a.tables) << "node " << i;
+    }
+  }
+}
+
+TEST(GraphPlanConcurrency, SameShapeConvsWithDifferentInputRangesSearchApart) {
+  // Like n3 and n4 of the perfbench ResNet: two 1x1 24 -> 40 convs of one
+  // shape, node 2 fed by a ReLU'd conv and node 3 by the signed input. One
+  // cold compile searches both keys concurrently; each conv gets its own
+  // winner and mode. The graph's joint rows are keyed apart too: the same
+  // topology without the ReLU hashes differently, so a row pinned for one
+  // is never served to the other.
+  const Tensor<float> x = random_ftensor(Shape4{1, 24, 13, 13}, -1, 1, 420);
+  const auto make = [&x](bool relu) {
+    QnnGraph g;
+    const auto in = g.add_input(24, 13);
+    const auto c1 = g.add_conv(
+        in, 24, 1, 1, 0, 2,
+        random_ftensor(Shape4{24, 24, 1, 1}, -0.3f, 0.3f, 421), {}, relu);
+    const auto c2 = g.add_conv(
+        c1, 40, 1, 1, 0, 2,
+        random_ftensor(Shape4{40, 24, 1, 1}, -0.3f, 0.3f, 422), {}, false);
+    const auto c3 = g.add_conv(
+        in, 40, 1, 1, 0, 2,
+        random_ftensor(Shape4{40, 24, 1, 1}, -0.3f, 0.3f, 423), {}, false);
+    g.add_add(c2, c3, /*relu=*/true);
+    EXPECT_TRUE(g.calibrate(x).ok());
+    return g;
+  };
+  const QnnGraph g = make(true);
+  constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
+  const i64 searches_before = armkern::tile_search_stats().searches;
+  const GraphPlan plan = GraphPlan::compile(g).value();
+  const i64 compile_searches =
+      armkern::tile_search_stats().searches - searches_before;
+  const armkern::ArmConvPlan& fed_relu = *plan.conv_plan(2);
+  const armkern::ArmConvPlan& fed_input = *plan.conv_plan(3);
+  const ConvShape& s = fed_relu.shape;
+  ASSERT_EQ(std::make_tuple(s.in_c, s.in_h, s.out_c, s.kernel, s.stride),
+            std::make_tuple(fed_input.shape.in_c, fed_input.shape.in_h,
+                            fed_input.shape.out_c, fed_input.shape.kernel,
+                            fed_input.shape.stride));
+  ASSERT_EQ(fed_relu.kernel, armkern::ArmKernel::kTblGemm);
+  ASSERT_EQ(fed_input.kernel, armkern::ArmKernel::kTblGemm);
+  EXPECT_EQ(fed_relu.requested.input_range, armkern::InputRange::kNonNegative);
+  EXPECT_EQ(fed_input.requested.input_range, armkern::InputRange::kSigned);
+  EXPECT_EQ(fed_relu.tbl_a.mode, armkern::kTbl2NonNeg);
+  EXPECT_EQ(fed_input.tbl_a.mode, armkern::kTbl2Pair);
+  // Both keys were searched by the compile: probing them now is two memo
+  // hits and no search.
+  const armkern::TileSearchStats before = armkern::tile_search_stats();
+  const armkern::GemmBlocking nonneg = armkern::search_blocking(
+      s, 2, armkern::ArmKernel::kTblGemm, kFused,
+      armkern::InputRange::kNonNegative);
+  armkern::search_blocking(s, 2, armkern::ArmKernel::kTblGemm, kFused,
+                           armkern::InputRange::kSigned);
+  EXPECT_EQ(armkern::tile_search_stats().searches, before.searches);
+  EXPECT_EQ(armkern::tile_search_stats().memo_hits, before.memo_hits + 2);
+  EXPECT_TRUE(nonneg.kc % 4 == 0 || nonneg.kc == s.gemm_k()) << nonneg.kc;
+  // The compile searched three TBL keys — 24 -> 24 on the signed input, and
+  // the 24 -> 40 shape once per range — plus each shape's MLA key that the
+  // kernel pricing could not rule out (a probe of it is then a memo hit).
+  i64 mla_keys = 0;
+  for (const armkern::ArmConvPlan* cp : {plan.conv_plan(1), &fed_relu}) {
+    const i64 n = armkern::tile_search_stats().searches;
+    armkern::search_blocking(cp->shape, 2, armkern::ArmKernel::kOursGemm,
+                             kFused);
+    if (armkern::tile_search_stats().searches == n) ++mla_keys;
+  }
+  EXPECT_EQ(compile_searches, 3 + mla_keys);
+
+  const QnnGraph plain = make(false);
+  gpukern::TuningCache cache;
+  GraphPlanOptions opt;
+  opt.tuning = &cache;
+  const u64 relu_hash = GraphPlan::compile(g, opt).value().graph_hash();
+  EXPECT_EQ(relu_hash, plan.graph_hash());
+  const i64 misses = cache.misses();
+  const GraphPlan other = GraphPlan::compile(plain, opt).value();
+  EXPECT_NE(other.graph_hash(), relu_hash);
+  EXPECT_EQ(cache.misses(), misses + 1)
+      << "the signed graph was served the ReLU graph's joint row";
+  EXPECT_EQ(other.conv_plan(2)->tbl_a.mode, armkern::kTbl2Pair);
 }
 
 TEST(GraphPlan, GraphHashKeysTopologyAndBits) {

@@ -1,6 +1,6 @@
 // Post-compile plan auditor (check/plan_audit.h) tests.
 //
-// A clean hand-built PlanAuditInput passes; then each of the five
+// A clean hand-built PlanAuditInput passes; then each of the six
 // invariants is corrupted in isolation and the audit must surface the
 // EXACT named finding (the mutation suite from the issue). Finally the
 // auditor runs end-to-end behind GraphPlanOptions::audit on a real
@@ -169,6 +169,66 @@ TEST(PlanAudit, CompiledBottleneckGraphAuditsClean) {
     Workspace arena, scratch;
     EXPECT_TRUE(plan.value().forward(x, arena, scratch).ok());
   }
+}
+
+TEST(PlanAuditMutation, UnclampedTblBlockingFlagged) {
+  // K = 576 on the TBL rung: a recorded Kc the group does not divide is
+  // not the Kc the driver runs (it re-clamps with the group), so the audit
+  // flags it — 63 at pairs, 62 at the 4-value fold; 60 is clean at both.
+  for (const int group : {2, 4}) {
+    PlanAuditInput in = clean_input();
+    in.blockings[0].tbl_group = group;
+    in.blockings[0].blocking = armkern::GemmBlocking{64, 60, 32};
+    EXPECT_TRUE(check::audit_plan(in).ok()) << "group " << group;
+    in.blockings[0].blocking.kc = group == 2 ? 63 : 62;
+    const AuditReport rep = check::audit_plan(in);
+    EXPECT_TRUE(has_finding(rep, "audit.blocking-clamped"))
+        << "group " << group << ": " << rep.summary();
+  }
+}
+
+TEST(PlanAuditMutation, NonNegativeFactOnSignedProducerFlagged) {
+  PlanAuditInput in = clean_input();
+  // Node 2 reads a conv with ReLU (clamp lo = 0): the fact holds.
+  in.input_ranges = {{/*node=*/2, /*producer=*/1, /*nonneg=*/true,
+                      /*producer_clamps=*/true, /*producer_lo=*/0}};
+  EXPECT_TRUE(check::audit_plan(in).ok());
+  // A producer without ReLU clamps at -qmax; an input node does not clamp.
+  for (const check::InputRangeRecord bad :
+       {check::InputRangeRecord{2, 1, true, true, -1},
+        check::InputRangeRecord{1, 0, true, false, 0}}) {
+    in.input_ranges = {bad};
+    const AuditReport rep = check::audit_plan(in);
+    EXPECT_TRUE(has_finding(rep, "audit.input-range-from-clamp"))
+        << rep.summary();
+    EXPECT_NE(rep.to_status().message().find("audit.input-range-from-clamp"),
+              std::string::npos);
+  }
+}
+
+TEST(PlanAuditMutation, FactForcedOntoConvFedByTheInputFailsTheAudit) {
+  // A compiled ResNet bottleneck at 2 bit: n1 and the shortcut n4 read the
+  // signed input node, n2 and n3 read ReLU'd convs. The plan's own audit
+  // input is clean; forcing the non-negative fact onto n1 fails the audit
+  // by name.
+  core::QnnGraph g;
+  const auto in = g.add_input(16, 10);
+  core::add_bottleneck_block(g, in, 16, 8, 32, 1, 2, /*seed=*/5);
+  ASSERT_TRUE(
+      g.calibrate(random_ftensor(Shape4{1, 16, 10, 10}, -1, 1, 6)).ok());
+  core::GraphPlanOptions opt;
+  opt.audit = true;
+  const core::GraphPlan plan = core::GraphPlan::compile(g, opt).value();
+  PlanAuditInput audit = plan.audit_input();
+  ASSERT_TRUE(check::audit_plan(audit).ok());
+  ASSERT_EQ(audit.input_ranges.size(), 4u);
+  for (const check::InputRangeRecord& r : audit.input_ranges)
+    EXPECT_EQ(r.nonneg, r.node == 2 || r.node == 3) << "node " << r.node;
+  audit.input_ranges[0].nonneg = true;  // n1, fed by the input node
+  ASSERT_EQ(audit.input_ranges[0].node, 1);
+  const AuditReport rep = check::audit_plan(audit);
+  EXPECT_TRUE(has_finding(rep, "audit.input-range-from-clamp"))
+      << rep.summary();
 }
 
 }  // namespace

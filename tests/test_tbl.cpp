@@ -34,6 +34,9 @@
 namespace lbc::armkern {
 namespace {
 
+// Depth positions per index in ternary pair mode.
+constexpr int kPairGroup = tbl_group(kTbl2Pair);
+
 ConvShape conv_shape(i64 ic, i64 hw, i64 oc, i64 k, i64 st, i64 pad) {
   ConvShape s;
   s.name = "tbl";
@@ -67,7 +70,7 @@ void expect_tbl_exact(const Tensor<i8>& a, const Tensor<i8>& b, i64 m, i64 n,
   GemmOptions opt;
   opt.bits = bits;
   opt.kernel = ArmKernel::kTblGemm;
-  opt.blocking = clamp_blocking(blocking, m, n, k, /*sdot=*/false, ta.group);
+  opt.blocking = clamp_blocking(blocking, m, n, k, /*sdot=*/false, ta.group());
   std::vector<i32> c(static_cast<size_t>(m * n), -1);
   gemm_blocked_tbl_prepacked(ta.view(), b.data(), c.data(), m, n, k, opt);
 
@@ -75,7 +78,7 @@ void expect_tbl_exact(const Tensor<i8>& a, const Tensor<i8>& b, i64 m, i64 n,
   ref::gemm_s8s32(a.data(), b.data(), ref.data(), m, n, k);
   ASSERT_EQ(c, ref) << "bits=" << bits
                     << " orient=" << static_cast<int>(orient)
-                    << " group=" << ta.group;
+                    << " group=" << ta.group();
 }
 
 TEST(TblGemm, BitExactBothOrientationsAllModes) {
@@ -139,7 +142,7 @@ TEST(TblPack, TernaryDetectionSelectsPairMode) {
   const PackedTblA pa =
       pack_tbl_a(tern.data(), m, k, 3, TblOrientation::kActTables);
   EXPECT_TRUE(pa.ternary);
-  EXPECT_EQ(pa.group, kTblPairGroup);
+  EXPECT_EQ(pa.group(), kPairGroup);
 }
 
 TEST(TblPack, MixedWeightsFallBackToGenericAtThreeBit) {
@@ -150,11 +153,11 @@ TEST(TblPack, MixedWeightsFallBackToGenericAtThreeBit) {
   const PackedTblA pa =
       pack_tbl_a(mixed.data(), m, k, 3, TblOrientation::kActTables);
   EXPECT_FALSE(pa.ternary);
-  EXPECT_EQ(pa.group, 1);  // generic one-value-per-index form
+  EXPECT_EQ(pa.group(), 1);  // generic one-value-per-index form
   // Two-bit stays paired regardless: {-1, 0, 1} is the whole 2-bit range.
   const Tensor<i8> w2 = random_qtensor(Shape4{1, 1, m, k}, 2, 13);
-  EXPECT_EQ(pack_tbl_a(w2.data(), m, k, 2, TblOrientation::kActTables).group,
-            kTblPairGroup);
+  EXPECT_EQ(pack_tbl_a(w2.data(), m, k, 2, TblOrientation::kActTables).group(),
+            kPairGroup);
 }
 
 TEST(TblPack, AllZeroWeightsStayTernaryAndExact) {
@@ -227,8 +230,8 @@ TEST(TblPairedTile, MatchesReferenceInEveryModeAndOrientation) {
       int act_group;  ///< index-side group under kActTables
     };
     const Mode modes[] = {
-        {"2-bit pair", 2, random_qtensor(wshape, 2, 101), kTblPairGroup},
-        {"3-bit pair", 3, ternary_tensor(wshape, 102), kTblPairGroup},
+        {"2-bit pair", 2, random_qtensor(wshape, 2, 101), kPairGroup},
+        {"3-bit pair", 3, ternary_tensor(wshape, 102), kPairGroup},
         {"3-bit generic", 3, random_qtensor(wshape, 3, 103), 1},
     };
     for (const Mode& md : modes) {
@@ -237,10 +240,10 @@ TEST(TblPairedTile, MatchesReferenceInEveryModeAndOrientation) {
       const ArmConvPlan plan = tbl_plan(s, md.w, md.bits, c.blk);
       ASSERT_EQ(plan.kernel, ArmKernel::kTblGemm) << md.name;
       ASSERT_EQ(plan.tbl_a.orient, c.orient) << md.name;
-      EXPECT_EQ(plan.tbl_a.group,
+      EXPECT_EQ(plan.tbl_a.group(),
                 c.orient == TblOrientation::kActTables
                     ? md.act_group
-                    : tbl_group_for(c.orient, md.bits, false))
+                    : tbl_group(tbl_mode_for(c.orient, md.bits, false)))
           << md.name;
       Workspace ws;
       const StatusOr<ArmConvResult> r = execute_conv(plan, in, ws);
@@ -264,7 +267,7 @@ TEST(TblPairedTile, DeepGenericCallCrossesTheI16SecondLevel) {
       {conv_shape(4096, 6, 4, 1, 1, 0), TblOrientation::kWeightTables},
   };
   static_assert(kTblSecondLevelRounds * 14 == 3584);
-  ASSERT_EQ(tbl_flush_interval(3, false), 14);
+  ASSERT_EQ(tbl_flush_interval(kTbl3Value), 14);
   for (const auto& [s, orient] : cases) {
     const Tensor<i8> w = extreme_qtensor(
         Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 3, 111);
@@ -272,7 +275,7 @@ TEST(TblPairedTile, DeepGenericCallCrossesTheI16SecondLevel) {
         extreme_qtensor(Shape4{s.batch, s.in_c, s.in_h, s.in_w}, 3, 112);
     const ArmConvPlan plan = tbl_plan(s, w, 3, blk);
     ASSERT_EQ(plan.tbl_a.orient, orient);
-    ASSERT_EQ(plan.tbl_a.group, 1);
+    ASSERT_EQ(plan.tbl_a.group(), 1);
     ASSERT_EQ(plan.blocking.kc, 4096);
     Workspace ws;
     const StatusOr<ArmConvResult> r = execute_conv(plan, in, ws);
@@ -289,8 +292,8 @@ TEST(TblPairedTile, EqualsTwoUnpairedTilesUnderItsKernelSpec) {
   // second-level flush: 3-bit generic, 4000 > 3584 steps), the CAL/LD band
   // around 8 TBL / 3 loads and the 32-entry register file, no spills.
   const i64 groups = 4000;
-  const int flush = tbl_flush_interval(3, false);
-  const i32 bound = tbl_entry_bound(3, false);
+  const int flush = tbl_flush_interval(kTbl3Value);
+  const i32 bound = tbl_entry_bound(kTbl3Value);
   AlignedVector<u8> idx0(static_cast<size_t>(groups * 16));
   AlignedVector<u8> idx1(static_cast<size_t>(groups * 16));
   AlignedVector<i8> tables(static_cast<size_t>(groups * 64));
@@ -703,13 +706,14 @@ TEST(TblProver, SweepsIncludeTblAndMatchDerivedCounts) {
   int tbl_rows = 0;
   for (const check::ProofSweepEntry& e : rep.entries)
     if (e.config.rfind("tbl ", 0) == 0) ++tbl_rows;
-  EXPECT_EQ(tbl_rows, 4 * 3);  // 4 shapes x (b2, b3, b3 ternary-pair)
+  // 4 shapes x (b2, b3, b3 ternary-pair, b2 and b3 non-negative)
+  EXPECT_EQ(tbl_rows, 4 * 5);
 }
 
 TEST(TblProverMutation, ShrunkFlushFailsAtFlushCoversKernel) {
   check::SchemeModel m =
       check::shipping_model(check::ProofScheme::kArmTbl, 2, 576);
-  m.acc8_flush = tbl_flush_interval(2, true) / 2;  // declared < kernel cadence
+  m.acc8_flush = tbl_flush_interval(kTbl2Pair) / 2;  // declared < kernel cadence
   const check::ProofResult r = check::prove(m);
   EXPECT_FALSE(r.proved());
   ASSERT_NE(r.first_failed(), nullptr);
@@ -729,9 +733,9 @@ TEST(TblProverMutation, RoundsPastI16HeadroomFailAtSecondLevelHeadroom) {
   EXPECT_EQ(r.first_failed()->name, "tbl.i16-second-level-headroom");
 }
 
-void corrupted_build(int bits, bool ternary_pairs, i8 b0, i8 b1, i8 out[16]) {
-  tbl_build_table(bits, ternary_pairs, b0, b1, out);
-  out[kTblNeutralPairIndex] = 1;  // padding index no longer neutral
+void corrupted_build(TblMode mode, const i8* b, i8 out[16]) {
+  tbl_build_table(mode, b, out);
+  out[tbl_neutral_index(mode)] = 1;  // padding index no longer neutral
 }
 
 TEST(TblProverMutation, CorruptTableEntryFailsAtTableEntriesExact) {
@@ -769,8 +773,364 @@ TEST(TblVerify, SweepCoversTblAndMatchesDerivedCount) {
   for (const KernelVerifyEntry& e : rep.entries)
     if (e.kernel == ArmKernel::kTblGemm) ++tbl_rows;
   // bits 2-3, two blocked combos (searched, and an explicit blocking that
-  // pairs panels into the 32x4 tile), three shapes each.
-  EXPECT_EQ(tbl_rows, 2 * 2 * 3);
+  // pairs panels into the 32x4 tile) on a signed and a non-negative input,
+  // three shapes each.
+  EXPECT_EQ(tbl_rows, 2 * 4 * 3);
+}
+
+
+// ---------------------------------------------------------------------------
+// The non-negative fold: a ReLU'd input lets weight tables fold
+// tbl_nonneg_group(bits) activations into one index
+// ---------------------------------------------------------------------------
+
+// Activations in [0, qmax]: what a ReLU'd producer hands its consumer.
+Tensor<i8> nonneg_qtensor(Shape4 shape, int bits, u64 seed) {
+  Tensor<i8> t = random_qtensor(shape, bits, seed);
+  for (i8& v : t.span()) v = static_cast<i8>(v < 0 ? -v : v);
+  return t;
+}
+
+ArmConvPlan nonneg_plan(const ConvShape& s, const Tensor<i8>& w, int bits,
+                        const GemmBlocking& blk, int threads, bool verify) {
+  ArmConvOptions opt;
+  opt.bits = bits;
+  opt.kernel = ArmKernel::kTblGemm;
+  opt.blocking = BlockingPolicy::kExplicit;
+  opt.explicit_blocking = blk;
+  opt.threads = threads;
+  opt.verify = verify;
+  opt.input_range = InputRange::kNonNegative;
+  return plan_conv(s, w, opt).value();
+}
+
+// The fused execute's accumulators, recorded by its epilogue.
+StatusOr<std::vector<i32>> fused_acc(const ArmConvPlan& plan,
+                                     const Tensor<i8>& in) {
+  const i64 m = plan.shape.gemm_m(), n = plan.shape.gemm_n();
+  std::vector<i32> acc(static_cast<size_t>(m * n), -7);
+  std::vector<i8> out(static_cast<size_t>(m * n));
+  TileEpilogue epi;
+  epi.fn = [&acc, n](i64 row, i64 col0, i64 cols, const i32* a) {
+    for (i64 j = 0; j < cols; ++j)
+      acc[static_cast<size_t>(row * n + col0 + j)] = a[j];
+  };
+  epi.out_base = out.data();
+  epi.row_stride = n;
+  epi.out_rows = m;
+  std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
+  Workspace ws;
+  LBC_RETURN_IF_ERROR(
+      execute_conv_fused(plan, in.data(), band.empty() ? nullptr : band.data(),
+                         plan.fused_band_elems(), epi, ws)
+          .status());
+  return acc;
+}
+
+TEST(TblMode, EveryValueGroupEncodesAndDecodesBack) {
+  // The one rule the index packer, the table builder and the prover share:
+  // every in-range group encodes inside the 16-entry window and decodes
+  // back to itself; the all-zero group is the neutral index; a value
+  // outside the mode's range has no index.
+  for (const TblMode m : {kTbl2Pair, kTbl3Pair, kTbl3Value, kTbl2NonNeg,
+                          kTbl3NonNeg}) {
+    const i32 q = qmax_for_bits(m.bits);
+    const i32 lo = m.fold == TblFold::kTernaryPair
+                       ? -1
+                       : (m.fold == TblFold::kNonNegative ? 0 : -q);
+    const i32 hi = m.fold == TblFold::kTernaryPair ? 1 : q;
+    const int g = tbl_group(m);
+    const i32 span = hi - lo + 1;
+    i32 combos = 1;
+    for (int i = 0; i < g; ++i) combos *= span;
+    std::vector<bool> used(16, false);
+    for (i32 c = 0; c < combos; ++c) {
+      i32 v[4] = {}, d[4] = {};
+      for (i32 i = 0, x = c; i < g; ++i, x /= span) v[i] = lo + x % span;
+      u8 idx = 0;
+      ASSERT_TRUE(tbl_encode(m, v, idx)) << "bits " << m.bits;
+      ASSERT_LT(idx, 16);
+      EXPECT_FALSE(used[idx]) << "two groups share index " << int{idx};
+      used[idx] = true;
+      ASSERT_TRUE(tbl_decode(m, idx, d));
+      for (int i = 0; i < g; ++i) EXPECT_EQ(d[i], v[i]);
+    }
+    const i32 zeros[4] = {};
+    u8 neutral = 0;
+    ASSERT_TRUE(tbl_encode(m, zeros, neutral));
+    EXPECT_EQ(neutral, tbl_neutral_index(m));
+    i32 below[4] = {lo - 1}, above[4] = {hi + 1};
+    u8 idx = 0;
+    EXPECT_FALSE(tbl_encode(m, below, idx)) << "bits " << m.bits;
+    EXPECT_FALSE(tbl_encode(m, above, idx)) << "bits " << m.bits;
+  }
+  // The non-negative fold fills the window: V^G = 16 groups at 2 and 3 bit.
+  EXPECT_EQ(tbl_max_index(kTbl2NonNeg), 15);
+  EXPECT_EQ(tbl_max_index(kTbl3NonNeg), 15);
+}
+
+TEST(TblNonNeg, FoldedPlansMatchReferenceUnderChecks) {
+  // Few rows over many columns: weight tables, whose activation indices
+  // fold 4 (2 bit) or 2 (3 bit) values. K % 4 = 1, 2, 3 and 0, a K tail
+  // shorter than a group; Kc = K and a split K whose Kc clamps to the
+  // group; Nc % 16 != 0 so the last 16-column tile of a band is padding.
+  // Checked execution at one worker, three workers unchecked; the
+  // standalone and the fused execute both memcmp-match the reference.
+  const ConvShape shapes[] = {
+      conv_shape(5, 12, 8, 1, 1, 0), conv_shape(6, 12, 8, 1, 1, 0),
+      conv_shape(7, 12, 12, 1, 1, 0), conv_shape(9, 9, 8, 3, 1, 1),
+      conv_shape(8, 12, 8, 3, 1, 1)};
+  for (const int bits : {2, 3})
+    for (const ConvShape& s : shapes) {
+      const Tensor<i8> w = random_qtensor(
+          Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 141);
+      for (const Tensor<i8>& in :
+           {nonneg_qtensor(Shape4{1, s.in_c, s.in_h, s.in_w}, bits, 142),
+            [&] {
+              Tensor<i8> t(Shape4{1, s.in_c, s.in_h, s.in_w});
+              for (i8& v : t.span()) v = static_cast<i8>(qmax_for_bits(bits));
+              return t;
+            }()}) {
+        const Tensor<i32> ref = ref::conv2d_s32(s, in, w);
+        for (const GemmBlocking& blk :
+             {GemmBlocking{16, i64{1} << 20, 12}, GemmBlocking{16, 3, 20}})
+          for (const int threads : {1, 3}) {
+            const ArmConvPlan plan =
+                nonneg_plan(s, w, bits, blk, threads, threads == 1);
+            const std::string where = describe(s) + " bits=" +
+                                      std::to_string(bits) + " kc=" +
+                                      std::to_string(plan.blocking.kc) +
+                                      " threads=" + std::to_string(threads);
+            ASSERT_EQ(plan.tbl_a.orient, TblOrientation::kWeightTables)
+                << where;
+            ASSERT_EQ(plan.tbl_a.mode, (TblMode{TblFold::kNonNegative, bits}))
+                << where;
+            EXPECT_EQ(plan.executed_layout(1).blk, plan.blocking) << where;
+            Workspace ws;
+            const StatusOr<ArmConvResult> alone = execute_conv(plan, in, ws);
+            ASSERT_TRUE(alone.ok()) << where << ": "
+                                    << alone.status().to_string();
+            EXPECT_TRUE(alone.value().out == ref) << where << " standalone";
+            const StatusOr<std::vector<i32>> fused = fused_acc(plan, in);
+            ASSERT_TRUE(fused.ok()) << where << ": "
+                                    << fused.status().to_string();
+            EXPECT_TRUE(std::equal(fused.value().begin(), fused.value().end(),
+                                   ref.data()))
+                << where << " fused";
+          }
+      }
+    }
+}
+
+TEST(TblNonNeg, FoldHalvesTheLookupsAndTheTables) {
+  // 2 bit, 64 -> 16 channels, K = 64: the signed plan folds pairs, the
+  // non-negative one four values. TBL, ADD.16B, index loads (LD1) and
+  // table loads (LD1x4) halve, and so do the offline tables.
+  const ConvShape s = conv_shape(64, 12, 16, 1, 1, 0);
+  const Tensor<i8> w = random_qtensor(Shape4{16, 64, 1, 1}, 2, 151);
+  const Tensor<i8> in = nonneg_qtensor(Shape4{1, 64, 12, 12}, 2, 152);
+  const GemmBlocking blk{16, i64{1} << 20, 32};
+  ArmConvOptions opt;
+  opt.bits = 2;
+  opt.kernel = ArmKernel::kTblGemm;
+  opt.blocking = BlockingPolicy::kExplicit;
+  opt.explicit_blocking = blk;
+  const ArmConvPlan signed_plan = plan_conv(s, w, opt).value();
+  const ArmConvPlan folded = nonneg_plan(s, w, 2, blk, 1, false);
+  ASSERT_EQ(signed_plan.tbl_a.orient, TblOrientation::kWeightTables);
+  ASSERT_EQ(folded.tbl_a.orient, TblOrientation::kWeightTables);
+  EXPECT_EQ(signed_plan.tbl_a.group(), 2);
+  EXPECT_EQ(folded.tbl_a.group(), 4);
+  EXPECT_EQ(2 * folded.packed_weight_bytes, signed_plan.packed_weight_bytes);
+  Workspace ws;
+  const ArmConvResult a = execute_conv(signed_plan, in, ws).value();
+  const ArmConvResult b = execute_conv(folded, in, ws).value();
+  EXPECT_TRUE(a.out == b.out);
+  for (const armsim::Op op : {armsim::Op::kTbl, armsim::Op::kLd1x4})
+    EXPECT_EQ(2 * b.counts[op], a.counts[op]) << armsim::op_name(op);
+  // ADD.16B and LD1 also count the C accumulate and the epilogue-free
+  // writeback's vectors, which do not fold; the lookups' share halves.
+  EXPECT_LT(b.counts[armsim::Op::kAdd], a.counts[armsim::Op::kAdd]);
+  EXPECT_LT(b.counts[armsim::Op::kLd1], a.counts[armsim::Op::kLd1]);
+  EXPECT_LT(b.cycles, a.cycles);
+}
+
+TEST(TblNonNeg, SearchPricesTheExecutedInstructionMix) {
+  // The tile search's issue side in the folded mode equals what the driver
+  // executes, for Kc = K and a split K, both schedules.
+  const ConvShape s = conv_shape(9, 12, 8, 3, 1, 1);
+  for (const int bits : {2, 3})
+    for (const GemmBlocking& blk :
+         {GemmBlocking{16, i64{1} << 20, 40}, GemmBlocking{16, 30, 48}}) {
+      const Tensor<i8> w = random_qtensor(
+          Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 161);
+      const Tensor<i8> in =
+          nonneg_qtensor(Shape4{1, s.in_c, s.in_h, s.in_w}, bits, 162);
+      const ArmConvPlan plan = nonneg_plan(s, w, bits, blk, 1, false);
+      ASSERT_EQ(plan.tbl_a.mode.fold, TblFold::kNonNegative);
+      Workspace ws;
+      const armsim::Counters ran = execute_conv(plan, in, ws).value().counts;
+      const armsim::Counters priced =
+          blocking_issue_counts(s, bits, ArmKernel::kTblGemm, plan.blocking,
+                                BlockedSchedule::kStandalone,
+                                InputRange::kNonNegative);
+      for (size_t i = 0; i < armsim::kNumOps; ++i) {
+        const auto op = static_cast<armsim::Op>(i);
+        if (op == armsim::Op::kL1Miss || op == armsim::Op::kL2Miss) continue;
+        EXPECT_EQ(priced.n[i], ran.n[i])
+            << "bits " << bits << " kc " << plan.blocking.kc << " "
+            << armsim::op_name(op);
+      }
+    }
+}
+
+TEST(TblNonNeg, SignedValueFailsTheExecuteInsteadOfSummingWrongly) {
+  // The plan's fact is checked, never trusted: one -1 among the
+  // activations of a folded plan has no index, so every execute path
+  // returns kOutOfRange naming it.
+  const ConvShape s = conv_shape(8, 12, 8, 1, 1, 0);
+  for (const int bits : {2, 3}) {
+    const Tensor<i8> w =
+        random_qtensor(Shape4{s.out_c, s.in_c, 1, 1}, bits, 171);
+    Tensor<i8> in = nonneg_qtensor(Shape4{1, s.in_c, s.in_h, s.in_w}, bits,
+                                   172);
+    in.data()[5 * 12 + 7] = -1;
+    for (const bool verify : {false, true}) {
+      const ArmConvPlan plan = nonneg_plan(
+          s, w, bits, GemmBlocking{16, i64{1} << 20, 32}, 1, verify);
+      ASSERT_EQ(plan.tbl_a.mode.fold, TblFold::kNonNegative);
+      Workspace ws;
+      const StatusOr<ArmConvResult> r = execute_conv(plan, in, ws);
+      ASSERT_FALSE(r.ok()) << "bits " << bits;
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+      EXPECT_NE(r.status().to_string().find("non-negative"),
+                std::string::npos)
+          << r.status().to_string();
+      const StatusOr<std::vector<i32>> fused = fused_acc(plan, in);
+      ASSERT_FALSE(fused.ok());
+      EXPECT_EQ(fused.status().code(), StatusCode::kOutOfRange);
+    }
+    // Three workers: the bad value sits in one worker's band.
+    const ArmConvPlan threaded =
+        nonneg_plan(s, w, bits, GemmBlocking{16, i64{1} << 20, 16}, 3, false);
+    Workspace ws;
+    EXPECT_EQ(execute_conv(threaded, in, ws).status().code(),
+              StatusCode::kOutOfRange);
+  }
+}
+
+TEST(TblBlocking, RecordedBlockingIsTheExecutedOneAtGroupsTwoAndFour) {
+  // K = 576. A plan given Kc = 63 must record the Kc its driver runs: 62
+  // with pairs, 60 with the 4-value fold; the threaded Nc refine clamps
+  // with the same group.
+  const ConvShape s = conv_shape(64, 8, 16, 3, 1, 1);
+  const Tensor<i8> w = random_qtensor(Shape4{16, 64, 3, 3}, 2, 181);
+  for (const InputRange in : {InputRange::kSigned, InputRange::kNonNegative})
+    for (const int threads : {1, 3})
+      for (const i64 kc : {63, 62, 61}) {
+        ArmConvOptions opt;
+        opt.bits = 2;
+        opt.kernel = ArmKernel::kTblGemm;
+        opt.blocking = BlockingPolicy::kExplicit;
+        opt.explicit_blocking = GemmBlocking{16, kc, 64};
+        opt.threads = threads;
+        opt.input_range = in;
+        const ArmConvPlan plan = plan_conv(s, w, opt).value();
+        ASSERT_EQ(plan.tbl_a.orient, TblOrientation::kWeightTables);
+        const int group = in == InputRange::kNonNegative ? 4 : 2;
+        ASSERT_EQ(plan.tbl_a.group(), group);
+        EXPECT_EQ(plan.blocking.kc, kc - kc % group) << "kc " << kc;
+        EXPECT_EQ(plan.executed_layout(1).blk, plan.blocking)
+            << "group " << group << " kc " << kc << " threads " << threads;
+      }
+}
+
+TEST(TblSearch, InputRangeKeysTheSchemeTheMemoAndTheTuningRow) {
+  // A conv's input range is part of every TBL pick: its own scheme id,
+  // memo key and TuningCache row. A row searched for one range is never
+  // served to the other.
+  EXPECT_EQ(blocking_scheme_id(ArmKernel::kTblGemm, 2, InputRange::kSigned),
+            5);
+  EXPECT_EQ(
+      blocking_scheme_id(ArmKernel::kTblGemm, 2, InputRange::kNonNegative), 6);
+  EXPECT_EQ(blocking_scheme_id(ArmKernel::kOursGemm, 2,
+                               InputRange::kNonNegative),
+            blocking_scheme_id(ArmKernel::kOursGemm, 2));
+  const ConvShape s = conv_shape(24, 13, 8, 1, 1, 0);
+  const i64 before = tile_search_stats().searches;
+  const GemmBlocking sb = search_blocking(s, 2, ArmKernel::kTblGemm,
+                                          BlockedSchedule::kFused,
+                                          InputRange::kSigned);
+  const GemmBlocking nb = search_blocking(s, 2, ArmKernel::kTblGemm,
+                                          BlockedSchedule::kFused,
+                                          InputRange::kNonNegative);
+  EXPECT_EQ(tile_search_stats().searches - before, 2);
+  EXPECT_TRUE(nb.kc % 4 == 0 || nb.kc == s.gemm_k()) << nb.kc;
+  gpukern::TuningCache cache;
+  const gpukern::ArmTuningKey signed_key{
+      s.gemm_m(), s.gemm_n(), s.gemm_k(), 2,
+      blocking_scheme_id(ArmKernel::kTblGemm, 2, InputRange::kSigned)};
+  gpukern::ArmTuningKey nonneg_key = signed_key;
+  nonneg_key.scheme =
+      blocking_scheme_id(ArmKernel::kTblGemm, 2, InputRange::kNonNegative);
+  cache.put_arm(signed_key, gpukern::ArmBlocking{sb.mc, sb.kc, sb.nc});
+  EXPECT_FALSE(cache.lookup_arm(nonneg_key).has_value());
+}
+
+TEST(TblProver, FoldedModesProveAndAPlanProvesItsOwnMode) {
+  for (const TblMode m : {kTbl2NonNeg, kTbl3NonNeg}) {
+    const check::ProofResult r =
+        check::prove(check::shipping_tbl_model(m, 4608));
+    EXPECT_TRUE(r.proved()) << r.to_status().to_string();
+    EXPECT_TRUE(check::prove_tbl_mode(m, 8192).ok());
+  }
+  // The folded entry bounds are 4 (2 bit) and 18 (3 bit).
+  const check::ProofResult r3 =
+      check::prove(check::shipping_tbl_model(kTbl3NonNeg, 576));
+  const auto entry = std::find_if(
+      r3.obligations.begin(), r3.obligations.end(),
+      [](const check::Obligation& o) { return o.name == "tbl.entry-fits-i8"; });
+  ASSERT_NE(entry, r3.obligations.end());
+  EXPECT_NE(entry->statement.find("= 18 <="), std::string::npos)
+      << entry->statement;
+  // A folded plan passes the plan-time gate on the mode it packed.
+  const ConvShape s = conv_shape(8, 12, 8, 3, 1, 1);
+  const Tensor<i8> w = random_qtensor(Shape4{8, 8, 3, 3}, 2, 191);
+  const ArmConvPlan plan =
+      nonneg_plan(s, w, 2, GemmBlocking{16, 64, 32}, 1, false);
+  ASSERT_EQ(plan.tbl_a.mode, kTbl2NonNeg);
+  EXPECT_TRUE(core::prove_arm_plan(plan).ok());
+  EXPECT_TRUE(check::prove_arm_kernel(ArmKernel::kTblGemm, 3, 8192).ok());
+}
+
+TEST(TblProverMutation, FoldedFlushOneStepTooLongFailsAtI8LaneHeadroom) {
+  // 32 * 4 = 128 and 8 * 18 = 144 both overrun a byte lane.
+  for (const TblMode m : {kTbl2NonNeg, kTbl3NonNeg}) {
+    check::SchemeModel model = check::shipping_tbl_model(m, 576);
+    model.acc8_flush = tbl_flush_interval(m) + 1;
+    const check::ProofResult r = check::prove(model);
+    EXPECT_FALSE(r.proved());
+    ASSERT_NE(r.first_failed(), nullptr);
+    EXPECT_EQ(r.first_failed()->name, "tbl.i8-lane-headroom")
+        << "bits " << m.bits;
+  }
+}
+
+void corrupted_folded_build(TblMode mode, const i8* b, i8 out[16]) {
+  tbl_build_table(mode, b, out);
+  out[15] = static_cast<i8>(out[15] + 1);  // one folded entry off by one
+}
+
+TEST(TblProverMutation, CorruptFoldedEntryFailsAtTableEntriesExact) {
+  for (const TblMode m : {kTbl2NonNeg, kTbl3NonNeg}) {
+    check::SchemeModel model = check::shipping_tbl_model(m, 576);
+    model.tbl_build = &corrupted_folded_build;
+    const check::ProofResult r = check::prove(model);
+    EXPECT_FALSE(r.proved());
+    ASSERT_NE(r.first_failed(), nullptr);
+    EXPECT_EQ(r.first_failed()->name, "tbl.table-entries-exact")
+        << "bits " << m.bits;
+  }
 }
 
 }  // namespace

@@ -29,6 +29,19 @@
 
 namespace lbc::armkern {
 
+/// The blocked driver's two schedules (gemm_blocked.cpp), which a blocking
+/// (and a TBL table source) is priced for.
+enum class BlockedSchedule {
+  /// No epilogue (execute_conv): partial-K sums accumulate in the m x n
+  /// i32 C matrix.
+  kStandalone,
+  /// With a TileEpilogue (execute_conv_fused): C is one m x Nc band per
+  /// worker, or absent when Kc covers K, and the epilogue writes the i8
+  /// output. Its grid adds deep-Kc / narrow-Nc candidates, which pay only
+  /// once the C matrix is gone.
+  kFused,
+};
+
 /// Cache-blocking parameters. Disabled (all zero) selects the legacy
 /// unblocked full-K sweep. When enabled: mc is a multiple of kMr, nc a
 /// multiple of kNr, kc positive (and a multiple of 4 whenever the SDOT
@@ -92,8 +105,13 @@ struct BlockedLayout {
   int tbl_group = 0;
   TblMode tbl_mode;
   TblOrientation tbl_orient = TblOrientation::kActTables;
+  TblSource tbl_source = TblSource::kStored;
 
   bool tbl() const { return tbl_group > 0; }
+  /// Weight tables from the built source: each worker copies a row quad's
+  /// tables for the current K block into a panel that opens its block
+  /// buffer.
+  bool tbl_built() const { return tbl() && tbl_source == TblSource::kBuilt; }
   i64 m_panels() const { return m_pad / kMr; }
   i64 nc_eff(i64 jc) const { return std::min(blk.nc, n - jc * blk.nc); }
   i64 kc_eff(i64 kcb) const { return std::min(blk.kc, k - kcb * blk.kc); }
@@ -109,14 +127,21 @@ struct BlockedLayout {
                                                       : tbl_groups(kcb);
     return sdot ? round_up(kc_eff(kcb), 4) : kc_eff(kcb);
   }
+  /// Bytes of the built source's table panel, which opens a worker's block
+  /// buffer (the packed block follows it): one row quad's tables for the
+  /// largest K block, 4 tables of 16 entries per group step. 0 otherwise.
+  i64 tbl_panel_bytes() const {
+    return tbl_built() ? ceil_div(blk.kc, static_cast<i64>(tbl_group)) * 64
+                       : 0;
+  }
   /// Scratch elements (= bytes, i8) of one thread's B-block buffer, sized
-  /// for the largest block.
+  /// for the largest block, after the built source's table panel.
   i64 block_elems() const {
     if (tbl()) {
       const i64 groups = ceil_div(blk.kc, static_cast<i64>(tbl_group));
-      return tbl_orient == TblOrientation::kActTables
-                 ? round_up(blk.nc, kNr) * groups * 16
-                 : round_up(blk.nc, i64{16}) * groups;
+      return tbl_panel_bytes() + (tbl_orient == TblOrientation::kActTables
+                                      ? round_up(blk.nc, kNr) * groups * 16
+                                      : round_up(blk.nc, i64{16}) * groups);
     }
     return round_up(blk.nc, kNr) * (sdot ? round_up(blk.kc, 4) : blk.kc);
   }
@@ -144,12 +169,14 @@ inline BlockedLayout blocked_layout(i64 m, i64 n, i64 k,
   return l;
 }
 
-/// The TBL layout of a plan running `mode` in orientation `orient`: the
-/// blocking clamps to the mode's group, so no index group straddles a
-/// depth-block boundary.
+/// The TBL layout of a plan running `mode` in orientation `orient` with
+/// its tables from `source` (weight tables only; act tables are always
+/// kStored): the blocking clamps to the mode's group, so no index group
+/// straddles a depth-block boundary.
 inline BlockedLayout tbl_blocked_layout(i64 m, i64 n, i64 k,
                                         const GemmBlocking& blocking,
-                                        TblMode mode, TblOrientation orient) {
+                                        TblMode mode, TblOrientation orient,
+                                        TblSource source = TblSource::kStored) {
   const int group = tbl_group(mode);
   BlockedLayout l = blocked_layout(
       m, n, k, clamp_blocking(blocking, m, n, k, /*sdot=*/false, group),
@@ -157,6 +184,7 @@ inline BlockedLayout tbl_blocked_layout(i64 m, i64 n, i64 k,
   l.tbl_group = group;
   l.tbl_mode = mode;
   l.tbl_orient = orient;
+  l.tbl_source = tbl_packed_source(orient, source);
   return l;
 }
 

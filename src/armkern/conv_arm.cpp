@@ -94,7 +94,7 @@ BlockedLayout ArmConvPlan::executed_layout(i64 batch) const {
   const ConvShape sb = shape.with_batch(batch);
   if (kernel == ArmKernel::kTblGemm)
     return tbl_blocked_layout(sb.gemm_m(), sb.gemm_n(), sb.gemm_k(), blocking,
-                              tbl_a.mode, tbl_a.orient);
+                              tbl_a.mode, tbl_a.orient, tbl_a.source);
   return blocked_layout(sb.gemm_m(), sb.gemm_n(), sb.gemm_k(), blocking,
                         kernel == ArmKernel::kSdotExt);
 }
@@ -212,7 +212,8 @@ ConvRung resolve_conv_rung(const ConvShape& s, const ArmConvOptions& opt) {
 }
 
 StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
-                                const ArmConvOptions& opt) {
+                                const ArmConvOptions& opt,
+                                BlockedSchedule schedule) {
   // Boundary validation: survives release builds, rejects instead of UB.
   LBC_VALIDATE(s.valid(), kInvalidArgument,
                "invalid conv shape: " << describe(s));
@@ -238,11 +239,12 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
   const ArmKernel kernel = rung.kernel;
   const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
 
-  // TBL fixes its orientation and mode before the blocking: every
-  // recorded Kc must already be a multiple of the mode's group, or the
-  // driver would run a different blocking than the plan records.
+  // TBL fixes its orientation and mode before the blocking: every recorded
+  // Kc must already be a multiple of the mode's group, or the driver would
+  // run a different blocking than the plan records.
   const bool tbl = algo == ConvAlgo::kGemm && kernel == ArmKernel::kTblGemm;
   TblOrientation tbl_orient = TblOrientation::kActTables;
+  TblSource tbl_source = TblSource::kStored;
   int tbl_grp = 0;
   if (tbl) {
     // One pass: TBL indexes or tabulates weights only inside the adjusted
@@ -254,10 +256,17 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
                  "TBL weights reach |w| = " << wmax << ", outside the adjusted "
                                             << opt.bits << "-bit range");
     const bool ternary = wmax <= 1;
-    tbl_orient = choose_tbl_orientation(m, n, k, opt.bits, ternary);
+    tbl_orient =
+        choose_tbl_orientation(m, n, k, opt.bits, ternary, opt.input_range);
     tbl_grp = tbl_group(
         tbl_mode_for(tbl_orient, opt.bits, ternary, opt.input_range));
   }
+  // Weight tables also price their table source for the schedule the plan
+  // runs (act tables pack their index side in full): a searched blocking
+  // is searched for the source choose_tbl_source picks, an explicit one
+  // runs the source that scores less at it.
+  const bool tbl_priced_source =
+      tbl && tbl_orient == TblOrientation::kWeightTables;
 
   // Resolve the blocked-GEMM {Mc, Kc, Nc} once per plan. Only the
   // packed-panel GEMM rungs block; bitserial, winograd, direct, reference
@@ -270,11 +279,16 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
       case BlockingPolicy::kExplicit:
         plan.blocking =
             clamp_blocking(opt.explicit_blocking, m, n, k, sdot, tbl_grp);
+        if (tbl_priced_source)
+          tbl_source = tbl_source_at(s, opt.bits, plan.blocking, schedule,
+                                     opt.input_range);
         break;
       case BlockingPolicy::kAuto:
-        plan.blocking =
-            search_blocking(s, opt.bits, kernel, BlockedSchedule::kStandalone,
-                            opt.input_range);
+        if (tbl_priced_source)
+          tbl_source =
+              choose_tbl_source(s, opt.bits, schedule, opt.input_range);
+        plan.blocking = search_blocking(s, opt.bits, kernel, schedule,
+                                        opt.input_range, tbl_source);
         break;
     }
     // Multicore extension: the jc column bands are the threading
@@ -316,9 +330,8 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
       plan.packed_weight_bytes = static_cast<i64>(plan.sdot_a.data.size());
     } else if (kernel == ArmKernel::kTblGemm) {
       plan.tbl_a = pack_tbl_a(weight.data(), m, k, opt.bits, tbl_orient,
-                              opt.input_range, &pctx);
-      plan.packed_weight_bytes = static_cast<i64>(plan.tbl_a.idx.size()) +
-                                 static_cast<i64>(plan.tbl_a.tables.size());
+                              opt.input_range, tbl_source, &pctx);
+      plan.packed_weight_bytes = plan.tbl_a.bytes();
     } else if (kernel == ArmKernel::kOursGemm ||
                kernel == ArmKernel::kNcnn) {
       plan.gemm_a = pack_a(&pctx, weight.data(), m, k);

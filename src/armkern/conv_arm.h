@@ -177,14 +177,19 @@ struct ArmConvPlan {
   i64 fused_band_elems() const;
 };
 
-/// Resolve the ladder and prepack the weights. Errors:
+/// Resolve the ladder and prepack the weights. `schedule` is the blocked
+/// schedule the plan will run (kFused when it executes through
+/// execute_conv_fused): the per-conv priced choices — a kAuto blocking and
+/// a weight-tables TBL plan's table source (choose_tbl_source, or
+/// tbl_source_at an explicit blocking) — are made for it. Errors:
 ///  * kInvalidArgument — invalid shape, bits outside [2, 8], weight dims
 ///    that do not match the shape, or threads outside [1, 64];
 ///  * kResourceExhausted — plan compilation failed (injected via the
 ///    plan.compile_fail fault site). Callers degrade to the unplanned
 ///    path or surface the error.
-StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
-                                const ArmConvOptions& opt);
+StatusOr<ArmConvPlan> plan_conv(
+    const ConvShape& s, const Tensor<i8>& weight, const ArmConvOptions& opt,
+    BlockedSchedule schedule = BlockedSchedule::kStandalone);
 
 /// Execute the plan against `input`, whose batch may differ from the
 /// planned batch (weights pack identically for any batch; only the GEMM N

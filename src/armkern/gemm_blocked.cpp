@@ -30,7 +30,9 @@
 //
 // Under checked execution the per-(jc, kcb) B block is re-registered with
 // the verifier before each pack (same-start registration replaces), so
-// bounds always describe the live block extent.
+// bounds always describe the live block extent; the built TBL source's
+// table panel likewise before each copy, as a scratch region whose every
+// read must follow a write of this copy.
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -125,25 +127,43 @@ void write_tile(Ctx& ctx, const BlockedLayout& lay, const GemmOptions& opt,
 
 // kWeightTables inner sweep for one packed (jc, kcb) block: 4 x 16
 // row-major tiles (a slot is a C row, a lane a C column) against the
-// offline weight tables, with the same assign/accumulate + fused-epilogue
+// weight tables, with the same assign/accumulate + fused-epilogue
 // discipline as the column-major sweep below. Adjacent 16-column index
-// panels of the band share each table load (the 32 x 4 tile).
+// panels of the band share each table load (the 32 x 4 tile). The stored
+// source reads each row quad's K slice of the offline tables in place; the
+// built source first copies it from the dictionary into the worker's
+// panel that opens its block buffer (one copy per quad per column pass);
+// the packed index block follows the panel.
 void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, const CTarget& c,
                       const BlockedLayout& lay, const GemmOptions& opt,
-                      const i8* buf, i32* tile, i64 n0, i64 nc, i64 k0,
+                      i8* buf, i32* tile, i64 n0, i64 nc, i64 k0,
                       i64 kcb) {
   const i64 groups_c = lay.tbl_groups(kcb);
   const int flush = tbl_flush_interval(lay.tbl_mode);
   const i64 q_total = round_up(nc, i64{16}) / 16;
   const i64 p4_total = ceil_div(lay.m, i64{4});
   const i64 panels4_per_mc = lay.blk.mc / 4;
-  const u8* idx = reinterpret_cast<const u8*>(buf);
+  i8* panel = buf;
+  const u8* idx = reinterpret_cast<const u8*>(buf + lay.tbl_panel_bytes());
   for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
     const i64 p0 = icb * panels4_per_mc;
     const i64 p1 = std::min<i64>(p4_total, p0 + panels4_per_mc);
     for (i64 p = p0; p < p1; ++p) {
-      const i8* tbl_slice =
-          ta.table_panel(p) + (k0 / lay.tbl_group) * 4 * 16;
+      const i8* tbl_slice = panel;
+      if (lay.tbl_built()) {
+        if (ctx.verifier != nullptr) {
+          // The panel holds exactly what this copy writes, and the kernels
+          // may read only that: re-registering clears its write record.
+          const i32 bound = tbl_entry_bound(lay.tbl_mode);
+          ctx.verifier->add_scratch_region(panel, groups_c * 4 * 16,
+                                           "TBL table panel", -bound, bound);
+        }
+        copy_tbl_tables(ctx, lay.tbl_mode,
+                        ta.ids_panel(p) + (k0 / lay.tbl_group) * 4,
+                        groups_c * 4, panel);
+      } else {
+        tbl_slice = ta.table_panel(p) + (k0 / lay.tbl_group) * 4 * 16;
+      }
       i64 pair = 0;
       for (i64 q = 0; q < q_total; q += pair) {
         pair = tbl_call_panels(q, q_total);
@@ -197,6 +217,9 @@ Status run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
   const bool tbl_wt =
       lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
   const i64 panels_per_mc = lay.blk.mc / kMr;
+  // The built TBL source's table panel opens the buffer; the packed block
+  // follows it.
+  i8* block = buf + lay.tbl_panel_bytes();
   for (i64 jc = jc0; jc < jc1; ++jc) {
     const i64 n0 = jc * lay.blk.nc;
     const i64 nc = lay.nc_eff(jc);
@@ -222,7 +245,7 @@ Status run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
           bhi = 15;
           bbytes = round_up(nc, i64{16}) * kstride;
         }
-        ctx.verifier->add_region(buf, bbytes, "packed B block", blo, bhi);
+        ctx.verifier->add_region(block, bbytes, "packed B block", blo, bhi);
       }
       if (lay.tbl()) {
         if (!tbl_wt) {
@@ -233,7 +256,7 @@ Status run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
             pack_tbl_b_tables_from_conv(&ctx, lay.tbl_mode, *src.shape,
                                         src.input, k0, kc, n0, nc, buf);
         } else {
-          u8* idx_dst = reinterpret_cast<u8*>(buf);
+          u8* idx_dst = reinterpret_cast<u8*>(block);
           LBC_RETURN_IF_ERROR(
               src.b != nullptr
                   ? pack_tbl_b_idx_block_into(&ctx, lay.tbl_mode, src.b,
@@ -341,7 +364,8 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
   const bool sdot = sa != nullptr;
   const BlockedLayout lay =
       ta != nullptr
-          ? tbl_blocked_layout(m, n, k, opt.blocking, ta->mode, ta->orient)
+          ? tbl_blocked_layout(m, n, k, opt.blocking, ta->mode, ta->orient,
+                               ta->source)
           : blocked_layout(m, n, k, opt.blocking, sdot);
   LBC_CHECK_MSG(!sdot || lay.k_blocks == 1 || lay.blk.kc % 4 == 0,
                 "SDOT blocked Kc must be a multiple of 4");
@@ -375,11 +399,19 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
       opt.verifier->add_region(sa->data, sa->m_pad * sa->k_pad,
                                "packed SDOT A", -qa, qa);
     else if (ta != nullptr) {
-      if (lay.tbl_orient == TblOrientation::kActTables)
+      const i32 bound = tbl_entry_bound(ta->mode);
+      if (lay.tbl_orient == TblOrientation::kActTables) {
         opt.verifier->add_region(ta->idx, ta->m_pad * ta->groups(),
                                  "packed TBL A indices", 0, 15);
-      else {
-        const i32 bound = tbl_entry_bound(ta->mode);
+      } else if (lay.tbl_built()) {
+        // The ids index the mode's dictionary, which holds exactly
+        // tbl_dict_size tables: an id past it reads outside this region.
+        const int entries = tbl_dict_size(ta->mode);
+        opt.verifier->add_region(ta->ids, ta->m_pad * ta->groups(),
+                                 "packed TBL A table ids", 0, entries - 1);
+        opt.verifier->add_region(tbl_dictionary(ta->mode), entries * 16,
+                                 "TBL table dictionary", -bound, bound);
+      } else {
         opt.verifier->add_region(ta->tables, ta->m_pad * ta->groups() * 16,
                                  "packed TBL A tables", -bound, bound);
       }

@@ -1,8 +1,10 @@
 #include "armkern/pack.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
+#include "armsim/neon.h"
 #include "armsim/verifier.h"
 
 namespace lbc::armkern {
@@ -386,70 +388,139 @@ i64 packed_tbl_tables_a_bytes(i64 m, i64 k, int group) {
   return round_up(m, i64{4}) * ceil_div(k, static_cast<i64>(group)) * 16;
 }
 
+namespace {
+
+// Call fn.template operator()<F, Bits>() for the run-time mode `m`, so a
+// pack loop sees its mode as compile-time constants: tbl_encode and
+// tbl_encode_id then fold to their one case, inline, with no per-group
+// dispatch.
+template <typename Fn>
+void with_tbl_mode(TblMode m, Fn&& fn) {
+  const auto at_bits = [&]<int Bits>() {
+    switch (m.fold) {
+      case TblFold::kValue:
+        fn.template operator()<TblFold::kValue, Bits>();
+        break;
+      case TblFold::kTernaryPair:
+        fn.template operator()<TblFold::kTernaryPair, Bits>();
+        break;
+      case TblFold::kNonNegative:
+        fn.template operator()<TblFold::kNonNegative, Bits>();
+        break;
+    }
+  };
+  if (m.bits == 2)
+    at_bits.template operator()<2>();
+  else
+    at_bits.template operator()<3>();
+}
+
+// Group `gs` of row `row` of the m x k matrix `a`, zero past m and k.
+template <int G>
+void tbl_weight_group(const i8* a, i64 m, i64 k, i64 row, i64 gs, i32* v) {
+  if (row >= m) return;
+  const i8* src = a + row * k + gs * G;
+  if (gs * G + G <= k) {
+    for (int i = 0; i < G; ++i) v[i] = src[i];
+    return;
+  }
+  for (i64 i = 0; i < k - gs * G; ++i) v[i] = src[i];
+}
+
+}  // namespace
+
 PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
                       TblOrientation orient, InputRange input,
-                      armsim::Ctx* ctx) {
+                      TblSource source, armsim::Ctx* ctx) {
   PackedTblA pa;
   pa.orient = orient;
   pa.m = m;
   pa.k = k;
   pa.ternary = bits == 2 || tbl_values_ternary(a, m, k);
   pa.mode = tbl_mode_for(orient, bits, pa.ternary, input);
-  const int group = pa.group();
+  pa.source = tbl_packed_source(orient, source);
   const i64 groups = pa.groups();
-  const auto aval = [&](i64 row, i64 kk) -> i8 {
-    return (row < m && kk < k) ? a[row * k + kk] : i8{0};
-  };
+  const bool built = pa.source == TblSource::kBuilt;
   if (orient == TblOrientation::kActTables) {
     pa.m_pad = round_up(m, kMr);
     pa.idx.resize(static_cast<size_t>(pa.m_pad * groups));
-    const u8 neutral = tbl_neutral_index(pa.mode);
-    for (i64 p = 0; p < pa.m_pad / kMr; ++p) {
-      u8* panel = pa.idx.data() + p * groups * kMr;
-      for (i64 gs = 0; gs < groups; ++gs)
-        for (i64 r = 0; r < kMr; ++r) {
-          const i64 row = p * kMr + r;
-          u8 enc = neutral;
-          if (row < m) {
-            i32 v[4] = {};
-            for (int i = 0; i < group; ++i) v[i] = aval(row, gs * group + i);
-            LBC_CHECK_MSG(tbl_encode(pa.mode, v, enc),
-                          "TBL weight pack: weight outside the adjusted range");
-          }
-          panel[gs * kMr + r] = enc;
-        }
-    }
-    tally_pack_gather(ctx, pa.m_pad * k);
-    if (ctx) {
-      ensure_pack_regions(ctx, a, m * k, "pack TBL A source", pa.idx.data(),
-                          static_cast<i64>(pa.idx.size()),
-                          "packed TBL A indices");
-      ctx->mem_range(a, static_cast<u64>(m * k));
-      ctx->mem_range(pa.idx.data(), pa.idx.size());
-    }
   } else {
     pa.m_pad = round_up(m, i64{4});
-    pa.tables.resize(static_cast<size_t>(pa.m_pad * groups * 16));
-    for (i64 p = 0; p < pa.m_pad / 4; ++p) {
-      i8* panel = pa.tables.data() + p * groups * 4 * 16;
-      for (i64 gs = 0; gs < groups; ++gs)
-        for (i64 r = 0; r < 4; ++r) {
-          i8 w[4] = {};
-          for (int i = 0; i < group; ++i) w[i] = aval(p * 4 + r, gs * group + i);
-          tbl_build_table(pa.mode, w, panel + (gs * 4 + r) * 16);
+    if (built)
+      pa.ids.resize(static_cast<size_t>(pa.m_pad * groups));
+    else
+      pa.tables.resize(static_cast<size_t>(pa.m_pad * groups * 16));
+  }
+  // Each weight row is read once, in order; its groups land `rows` bytes
+  // (or tables) apart in its panel: [panel][group step][row of the panel].
+  const i64 rows = orient == TblOrientation::kActTables ? kMr : 4;
+  with_tbl_mode(pa.mode, [&]<TblFold F, int Bits>() {
+    constexpr TblMode mode{F, Bits};
+    constexpr int G = tbl_group(mode);
+    const i8* dict = tbl_dictionary(mode);
+    for (i64 row = 0; row < pa.m_pad; ++row) {
+      const i64 slot0 = (row / rows) * groups * rows + row % rows;
+      for (i64 gs = 0; gs < groups; ++gs) {
+        i32 v[4] = {};
+        tbl_weight_group<G>(a, m, k, row, gs, v);
+        const i64 slot = slot0 + gs * rows;
+        // Act tables: the group's index (rows beyond m encode the all-zero
+        // group, the neutral index). Weight tables: the dictionary table
+        // the group names — copied out (stored) or kept as its id (built).
+        bool ok = false;
+        if (orient == TblOrientation::kActTables) {
+          ok = tbl_encode(mode, v, pa.idx[static_cast<size_t>(slot)]);
+        } else {
+          u8 id = 0;
+          ok = tbl_encode_id(mode, v, id);
+          if (built)
+            pa.ids[static_cast<size_t>(slot)] = id;
+          else
+            std::memcpy(pa.tables.data() + slot * 16, dict + id * 16, 16);
         }
+        LBC_CHECK_MSG(ok, "TBL weight pack: weight outside the adjusted range");
+      }
     }
+  });
+  const i64 packed = pa.bytes();
+  const void* dst = !pa.idx.empty()    ? static_cast<const void*>(pa.idx.data())
+                    : !pa.ids.empty() ? static_cast<const void*>(pa.ids.data())
+                                      : static_cast<const void*>(pa.tables.data());
+  if (orient == TblOrientation::kWeightTables && !built)
     tally_pack_tbl_tables(ctx, pa.m_pad * groups);
-    if (ctx) {
-      ensure_pack_regions(ctx, a, m * k, "pack TBL A source",
-                          pa.tables.data(),
-                          static_cast<i64>(pa.tables.size()),
-                          "packed TBL A tables");
-      ctx->mem_range(a, static_cast<u64>(m * k));
-      ctx->mem_range(pa.tables.data(), pa.tables.size());
-    }
+  else
+    tally_pack_gather(ctx, pa.m_pad * k);
+  if (ctx) {
+    ensure_pack_regions(ctx, a, m * k, "pack TBL A source", dst, packed,
+                        "packed TBL A");
+    ctx->mem_range(a, static_cast<u64>(m * k));
+    ctx->mem_range(dst, static_cast<u64>(packed));
   }
   return pa;
+}
+
+void tally_tbl_table_copy(armsim::Counters& counts, i64 tables) {
+  const u64 t = static_cast<u64>(tables);
+  counts[armsim::Op::kLd1] += t;
+  counts[armsim::Op::kSt1] += t;
+  counts[armsim::Op::kScalar] += 2 * t;  // id load + dictionary address
+  counts[armsim::Op::kLoop] += 1;
+}
+
+void copy_tbl_tables(armsim::Ctx& ctx, TblMode mode, const u8* ids,
+                     i64 tables, i8* dst) {
+  const i8* dict = tbl_dictionary(mode);
+  const armsim::VerifyScope vs(ctx,
+                               armsim::KernelSpec{.name = "tbl_table_copy"});
+  ctx.mem(ids, static_cast<u64>(tables));
+  for (i64 t = 0; t < tables; ++t) {
+    armsim::int8x16 table;
+    armsim::ld1_s8(ctx, dict + ids[t] * 16, table);
+    armsim::st1_s8(ctx, table, dst + t * 16);
+  }
+  // ld1_s8 / st1_s8 tallied the vector moves; add the scalar side.
+  ctx.tally(armsim::Op::kScalar, 2 * static_cast<u64>(tables));
+  ctx.tally(armsim::Op::kLoop);
 }
 
 namespace {

@@ -192,10 +192,11 @@ SdotBPanels pack_sdot_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
 // product tables built from the other side. Which side is which is the
 // orientation (TblOrientation): kActTables prepacks WEIGHT indices offline
 // and builds tables from activations online per B block; kWeightTables
-// prebuilds WEIGHT tables offline (8x inflation) and encodes activation
-// indices online. The mode (TblMode) fixes how many depth values one index
-// folds; every packer below encodes and builds through schemes.h's one
-// tbl_encode / tbl_decode rule.
+// takes WEIGHT tables from the mode's shared dictionary — copied out at
+// pack time (TblSource::kStored) or per column pass into an L1 panel
+// (kBuilt) — and encodes activation indices online. The mode (TblMode)
+// fixes how many depth values one index folds; every packer below encodes
+// and builds through schemes.h's one tbl_encode / tbl_decode rule.
 
 /// True when every element of the m x k row-major matrix is in {-1, 0, 1}
 /// — the ternary-weight detection that enables pair mode at 3 bit.
@@ -206,8 +207,10 @@ struct TblAPanels {
   TblOrientation orient = TblOrientation::kActTables;
   TblMode mode;
   bool ternary = false;  ///< weights all in {-1,0,1}
+  TblSource source = TblSource::kStored;
   const u8* idx = nullptr;     ///< kActTables: [m_pad/kMr][groups][kMr]
-  const i8* tables = nullptr;  ///< kWeightTables: [m_pad/4][groups][4][16]
+  const i8* tables = nullptr;  ///< stored: [m_pad/4][groups][4][16]
+  const u8* ids = nullptr;     ///< built: [m_pad/4][groups][4] table ids
   i64 m = 0, k = 0;
   i64 m_pad = 0;  ///< kActTables: round_up(m, kMr); else round_up(m, 4)
 
@@ -217,27 +220,39 @@ struct TblAPanels {
   const i8* table_panel(i64 p4) const {
     return tables + p4 * groups() * 4 * 16;
   }
+  const u8* ids_panel(i64 p4) const { return ids + p4 * groups() * 4; }
 };
 
 /// Owning offline weight pack for the TBL scheme (plan compile).
 ///  * kActTables: `idx` holds weight-index panels — each byte one group's
 ///    tbl_encode; rows beyond m and K tails encode the neutral index.
-///  * kWeightTables: `tables` holds per-(row, group step) product tables
-///    from tbl_build_table; rows beyond m get all-zero tables.
+///  * kWeightTables, stored: `tables` holds per-(row, group step) product
+///    tables, each the dictionary's table of that weight group.
+///  * kWeightTables, built: `ids` holds those groups' dictionary ids
+///    (tbl_encode_id) in the same [row quad][group step][row] order.
+///  Rows beyond m get the all-zero weight group's table (or id), whose
+///  entries are all 0.
 struct PackedTblA {
   TblOrientation orient = TblOrientation::kActTables;
   TblMode mode;
   bool ternary = false;
+  TblSource source = TblSource::kStored;
   i64 m = 0, k = 0;
   i64 m_pad = 0;
   AlignedVector<u8> idx;
   AlignedVector<i8> tables;
+  AlignedVector<u8> ids;
 
   int group() const { return tbl_group(mode); }
   i64 groups() const { return ceil_div(k, static_cast<i64>(group())); }
+  /// Bytes the pack holds (the shared dictionary is not the plan's).
+  i64 bytes() const {
+    return static_cast<i64>(idx.size() + tables.size() + ids.size());
+  }
   TblAPanels view() const {
-    return TblAPanels{orient, mode,  ternary, idx.data(), tables.data(),
-                      m,      k,     m_pad};
+    return TblAPanels{orient,     mode,          ternary,    source,
+                      idx.data(), tables.data(), ids.data(), m,
+                      k,          m_pad};
   }
 };
 
@@ -245,13 +260,28 @@ i64 packed_tbl_idx_a_bytes(i64 m, i64 k, int group);
 i64 packed_tbl_tables_a_bytes(i64 m, i64 k, int group);
 
 /// Offline TBL weight pack in mode tbl_mode_for(orient, bits, ternary,
-/// input), with ternary weights detected here. Weights must lie in the
-/// adjusted range. `ctx` is for plan-time cost accounting only
+/// input), with ternary weights detected here; `source` applies to
+/// kWeightTables only (act-tables packs are always kStored). Weights must
+/// lie in the adjusted range. Each pack resolves its mode once, outside
+/// the per-group loop. `ctx` is for plan-time cost accounting only
 /// (execute-time counts never include it).
 PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
                       TblOrientation orient,
                       InputRange input = InputRange::kSigned,
+                      TblSource source = TblSource::kStored,
                       armsim::Ctx* ctx = nullptr);
+
+/// The built source's run-time copy: tables ids[0 .. tables) from the
+/// mode's dictionary into dst (16 bytes each, contiguous) — per table one
+/// LD1, one ST1 and the id load plus address math (2 scalar ops), and one
+/// loop tally per call (tally_tbl_table_copy). The blocked driver copies a
+/// row quad's tables for one K block before sweeping its column panels.
+void copy_tbl_tables(armsim::Ctx& ctx, TblMode mode, const u8* ids,
+                     i64 tables, i8* dst);
+
+/// Issue-cost tally of one copy_tbl_tables call of `tables` tables —
+/// exported so tile_search can price the built source without executing.
+void tally_tbl_table_copy(armsim::Counters& counts, i64 tables);
 
 /// kActTables online table build over one (kc x nc) B block:
 /// [nc_pad/kNr][groups_c][kNr][16] i8 at dst (groups_c = ceil(kc/group)).

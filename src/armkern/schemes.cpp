@@ -21,7 +21,6 @@ namespace {
 // each fold), evaluated at compile time and stored value-major (d[i][idx])
 // so a table build is G multiply-adds of 16 lanes; an index no encoding
 // produces decodes to all zeros, so its entry sums to 0.
-constexpr int kTblFolds = 3;
 struct DecodedTable {
   i8 d[4][16] = {};
 };
@@ -29,10 +28,11 @@ constexpr std::array<DecodedTable, 2 * kTblFolds> kDecoded = [] {
   std::array<DecodedTable, 2 * kTblFolds> out{};
   for (int bits = 2; bits <= 3; ++bits)
     for (int f = 0; f < kTblFolds; ++f) {
-      DecodedTable& t = out[static_cast<size_t>((bits - 2) * kTblFolds + f)];
+      const TblMode mode{static_cast<TblFold>(f), bits};
+      DecodedTable& t = out[tbl_mode_slot(mode)];
       for (int idx = 0; idx < 16; ++idx) {
         i32 d[4] = {};
-        if (tbl_decode(TblMode{static_cast<TblFold>(f), bits}, idx, d))
+        if (tbl_decode(mode, idx, d))
           for (int i = 0; i < 4; ++i) t.d[i][idx] = static_cast<i8>(d[i]);
       }
     }
@@ -49,15 +49,38 @@ void build_table(const DecodedTable& t, const i8* b, i8 out[16]) {
   for (int idx = 0; idx < 16; ++idx) out[idx] = static_cast<i8>(entry[idx]);
 }
 
+// Every mode's dictionary, each padded to all 256 byte ids.
+struct Dictionaries {
+  alignas(64) i8 table[2 * kTblFolds][kTblDictBytes] = {};
+};
+
 }  // namespace
 
 void tbl_build_table(TblMode m, const i8* b, i8 out[16]) {
-  const DecodedTable& t = kDecoded[static_cast<size_t>(
-      (m.bits - 2) * kTblFolds + static_cast<int>(m.fold))];
+  const DecodedTable& t = kDecoded[tbl_mode_slot(m)];
   switch (tbl_group(m)) {
     case 1: build_table<1>(t, b, out); break;
     case 2: build_table<2>(t, b, out); break;
     default: build_table<4>(t, b, out); break;  // tbl_group is 1, 2 or 4
   }
+}
+
+const i8* tbl_dictionary(TblMode m) {
+  static const Dictionaries* dicts = [] {
+    auto* d = new Dictionaries;
+    for (int bits = 2; bits <= 3; ++bits)
+      for (int f = 0; f < kTblFolds; ++f) {
+        const TblMode mode{static_cast<TblFold>(f), bits};
+        for (int id = 0; id < tbl_dict_size(mode); ++id) {
+          i32 w[4] = {};
+          tbl_decode_id(mode, id, w);
+          i8 b[4] = {};
+          for (int i = 0; i < 4; ++i) b[i] = static_cast<i8>(w[i]);
+          tbl_build_table(mode, b, d->table[tbl_mode_slot(mode)] + id * 16);
+        }
+      }
+    return d;
+  }();
+  return dicts->table[tbl_mode_slot(m)];
 }
 }  // namespace lbc::armkern

@@ -78,14 +78,29 @@ constexpr i64 kNr = 4;   // cols per B panel (one LD4R)
 //  * kActTables  — weights are the index side (prepacked offline);
 //    product tables are built ONLINE from activations during B-block
 //    packing. Amortizes table-build over all m rows: wins at large m.
-//  * kWeightTables — weights are the table side (tables built OFFLINE,
-//    8x weight inflation); activations are encoded ONLINE as indices.
-//    No online build cost: wins at small m, loses when the table set
-//    outgrows L2.
+//  * kWeightTables — weights are the table side; activations are encoded
+//    ONLINE as indices. A weight group of G values in the adjusted range
+//    has at most (2*qmax+1)^G distinct tables (81 at the 2-bit fold), so
+//    each mode keeps ONE shared dictionary of them (tbl_dictionary) and
+//    a plan's tables come from it in one of two sources (TblSource):
+//    stored — one 16-byte table per (row, group) copied out at pack time,
+//    4-16 bytes per weight — or built — one dictionary id byte per (row,
+//    group), the tables copied into a per-worker L1 panel at run time.
 // ---------------------------------------------------------------------------
 
 /// Which GEMM side supplies the product tables (see block comment above).
 enum class TblOrientation { kActTables, kWeightTables };
+
+/// Where a weight-tables plan's product tables live (see above). Priced
+/// per conv (tile_search::choose_tbl_source). Act-tables plans index the
+/// weights and always pack them in full: kStored.
+enum class TblSource { kStored, kBuilt };
+
+/// The source a plan in orientation `orient` packs and runs when `source`
+/// is priced: act tables index the weights, so they are always kStored.
+constexpr TblSource tbl_packed_source(TblOrientation orient, TblSource source) {
+  return orient == TblOrientation::kWeightTables ? source : TblSource::kStored;
+}
 
 /// What a conv's planner knows about its input activations: any value of
 /// the adjusted range, or only [0, qmax] because the producer clamps at
@@ -108,6 +123,16 @@ struct TblMode {
 
   constexpr bool operator==(const TblMode&) const = default;
 };
+
+/// TblFold's values, in order.
+constexpr int kTblFolds = 3;
+
+/// A mode's slot in per-mode arrays (2 * kTblFolds of them: 2 and 3 bit):
+/// the dictionaries, and the tile search's per-mode step costs.
+constexpr size_t tbl_mode_slot(TblMode m) {
+  return static_cast<size_t>((m.bits - 2) * kTblFolds +
+                             static_cast<int>(m.fold));
+}
 
 /// V: the values a non-negative b-bit activation can take, [0, qmax].
 constexpr i32 tbl_nonneg_levels(int bits) { return qmax_for_bits(bits) + 1; }
@@ -280,8 +305,63 @@ static_assert(kTblSecondLevelRounds * 127 <= 32767);
 /// Build one 16-entry product table from the table side's broadcast
 /// operands b[0 .. tbl_group(m)): out[idx] = sum_i d_i * b_i over the
 /// values d that tbl_decode gives for idx, and 0 where it gives none.
-/// Shared by both pack orientations and the kernel prover's exhaustive
-/// table check.
+/// Shared by the act-tables online build, the dictionaries and the kernel
+/// prover's exhaustive table check.
 void tbl_build_table(TblMode m, const i8* b, i8 out[16]);
+
+// ---- the weight-tables dictionary ----------------------------------------
+
+/// Values one table-side (weight) operand can take: the adjusted range.
+constexpr i32 tbl_weight_levels(int bits) { return 2 * qmax_for_bits(bits) + 1; }
+
+/// Tables in the mode's dictionary: one per weight group, levels^G.
+constexpr int tbl_dict_size(TblMode m) {
+  int n = 1;
+  for (int i = 0; i < tbl_group(m); ++i) n *= tbl_weight_levels(m.bits);
+  return n;
+}
+
+/// The dictionary id of one weight group w[0 .. tbl_group(m)) (a group cut
+/// short by the end of K passes 0): sum_i (w_i + qmax) * levels^i. False,
+/// leaving `id` unset, when a weight lies outside the adjusted range.
+constexpr bool tbl_encode_id(TblMode m, const i32* w, u8& id) {
+  const i32 q = qmax_for_bits(m.bits);
+  i32 x = 0, place = 1;
+  for (int i = 0; i < tbl_group(m); ++i) {
+    if (w[i] < -q || w[i] > q) return false;
+    x += (w[i] + q) * place;
+    place *= tbl_weight_levels(m.bits);
+  }
+  id = static_cast<u8>(x);
+  return true;
+}
+
+/// Decode dictionary id `id` into its weight group w[0 .. tbl_group(m)).
+/// False for an id past the dictionary.
+constexpr bool tbl_decode_id(TblMode m, int id, i32* w) {
+  if (id < 0 || id >= tbl_dict_size(m)) return false;
+  const i32 q = qmax_for_bits(m.bits);
+  for (int i = 0; i < tbl_group(m); ++i) {
+    w[i] = id % tbl_weight_levels(m.bits) - q;
+    id /= tbl_weight_levels(m.bits);
+  }
+  return true;
+}
+
+static_assert(tbl_dict_size(kTbl2Pair) == 9 && tbl_dict_size(kTbl2NonNeg) == 81);
+static_assert(tbl_dict_size(kTbl3Value) == 7 && tbl_dict_size(kTbl3NonNeg) == 49);
+static_assert(tbl_dict_size(kTbl3Pair) <= 256);  // every id fits a byte
+
+/// The mode's shared dictionary: tbl_dict_size(m) tables of 16 entries,
+/// table `id` = tbl_build_table of tbl_decode_id(id). Built once per
+/// process, immutable, shared by every plan. The storage behind it spans
+/// all 256 byte ids (the ones past the dictionary read zeros), so no id
+/// byte can make a host read leave it; checked execution registers only
+/// the dictionary itself.
+const i8* tbl_dictionary(TblMode m);
+
+/// Bytes of one mode's dictionary storage (all 256 byte ids); the modes'
+/// dictionaries lie kTblDictBytes apart, in tbl_mode_slot order.
+constexpr size_t kTblDictBytes = 256 * 16;
 
 }  // namespace lbc::armkern

@@ -14,6 +14,7 @@
 #include "armsim/cost_model.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "serve/thread_pool.h"
 
 namespace lbc::armkern {
 
@@ -115,17 +116,18 @@ Counters probe_micro(ArmKernel kernel, int bits, i64 kc, i64 kstride,
 // orientation's index side when non-negative.
 TblMode priced_tbl_mode(i64 m, i64 n, i64 k, int bits, InputRange input,
                         TblOrientation* orient = nullptr) {
-  const TblOrientation o = choose_tbl_orientation(m, n, k, bits, false);
+  const TblOrientation o = choose_tbl_orientation(m, n, k, bits, false, input);
   if (orient != nullptr) *orient = o;
   return tbl_mode_for(o, bits, false, input);
 }
 
 BlockedLayout layout_for(i64 m, i64 n, i64 k, const GemmBlocking& blocking,
-                         ArmKernel kernel, int bits, InputRange input) {
+                         ArmKernel kernel, int bits, InputRange input,
+                         TblSource source) {
   if (kernel == ArmKernel::kTblGemm) {
     TblOrientation o = TblOrientation::kActTables;
     const TblMode mode = priced_tbl_mode(m, n, k, bits, input, &o);
-    return tbl_blocked_layout(m, n, k, blocking, mode, o);
+    return tbl_blocked_layout(m, n, k, blocking, mode, o, source);
   }
   return blocked_layout(m, n, k, blocking, kernel == ArmKernel::kSdotExt);
 }
@@ -161,6 +163,12 @@ constexpr u64 kTileBytes = kMr * kNr * 4;
 // Per-layer spacing inside a region for the chained graph replay: layers
 // get disjoint weight/activation sub-regions 16 GiB apart.
 constexpr u64 kLayerStride = u64{1} << 34;
+// The built TBL source's dictionaries: one per mode, shared by every layer
+// and laid out like the real tbl_dictionary storage.
+constexpr u64 kBaseDict = u64{6} << 40;
+u64 dict_base(TblMode m) {
+  return kBaseDict + tbl_mode_slot(m) * kTblDictBytes;
+}
 
 // Synthetic buffer bases one schedule replay runs against. The chained
 // graph replay points layer i's `in` at layer i-1's `out` (the fused
@@ -237,8 +245,24 @@ void replay_gather(Replay& r, const ConvShape& s, u64 base_in, i64 k0, i64 kc,
   }
 }
 
-// Simulate the first one or two jc column blocks and extrapolate: block 0
-// carries the cold misses, block 1 is the steady state repeated for every
+// GEMMs of at most this many MACs replay every column block; larger ones
+// replay two and extrapolate. A small GEMM's misses are mostly first
+// touches of input and output lines, which follow the band's position in
+// the image rather than repeat: e.g. an 8x14x14 -> 8 3x3 conv at Nc = 32
+// misses 73, 12 and 4 lines in its first three blocks and 103 over all
+// seven, where block 1 extrapolated gives 145. Extrapolation misprices
+// large GEMMs too (the ResNet-50 256 -> 128 1x1 stride-2 conv at
+// {64, 256, 128} scores 5% over its full replay), but the cut-off is set by
+// the search's time: replaying every block of every conv made the
+// perfbench ResNet-50 2-bit compile take 1.84-2.13 s against 1.02-1.34 s
+// (three alternating runs on a 4-core x86-64 host), for a forward 1.5%
+// faster (71.38 against 72.44 a53_ms). No fig07, fig09 or perfbench conv
+// is at or below the cut-off.
+constexpr i64 kFullReplayMacs = i64{1} << 22;
+
+// Simulate the jc column blocks and sum their misses, or — past
+// kFullReplayMacs — the first one or two and extrapolate: block 0 carries
+// the cold misses, block 1 is the steady state repeated for every
 // remaining band. `r` may carry state from earlier layers (the chained
 // graph replay); the per-block deltas are measured against it.
 ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
@@ -250,13 +274,17 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
   const i64 k_groups_total =
       lay.tbl() ? ceil_div(lay.k, static_cast<i64>(lay.tbl_group)) : 0;
   // Offline-A stride per panel: plain/SDOT i8 panels, TBL index panels
-  // (16 bytes per group step) or TBL weight tables (64 per row-group step).
+  // (16 bytes per group step), TBL weight tables (64 per row-quad group
+  // step) or their built-source ids (4).
   const i64 a_panel_stride =
-      lay.tbl() ? k_groups_total * (tbl_wt ? 64 : 16)
+      lay.tbl() ? k_groups_total * (tbl_wt ? (lay.tbl_built() ? 4 : 64) : 16)
                 : (lay.sdot ? round_up(lay.k, 4) : lay.k) * kMr;
-  const i64 sim_blocks = std::min<i64>(2, lay.n_blocks);
+  const bool full = lay.m * lay.k * lay.n <= kFullReplayMacs;
+  const i64 sim_blocks = full ? lay.n_blocks : std::min<i64>(2, lay.n_blocks);
   u64 l1_per_block[2] = {0, 0};
   u64 l2_per_block[2] = {0, 0};
+  const u64 l1_start = r.sim.stats().l1_misses;
+  const u64 l2_start = r.sim.stats().l2_misses;
   for (i64 jc = 0; jc < sim_blocks; ++jc) {
     const u64 l1_before = r.sim.stats().l1_misses;
     const u64 l2_before = r.sim.stats().l2_misses;
@@ -270,15 +298,30 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
       if (tbl_wt) {
         const i64 groups_c = lay.tbl_groups(kcb);
         const i64 q_total = round_up(nc, i64{16}) / 16;
-        r.touch(bases.b, static_cast<u64>(q_total * 16 * kstride));
+        // The built source's panel opens the block buffer, the index block
+        // follows it.
+        const u64 panel = bases.b;
+        const u64 block = bases.b + static_cast<u64>(lay.tbl_panel_bytes());
+        r.touch(block, static_cast<u64>(q_total * 16 * kstride));
         for (i64 p = 0; p < ceil_div(lay.m, i64{4}); ++p) {
-          const u64 a_slice =
-              bases.a + static_cast<u64>(p * a_panel_stride +
-                                         (k0 / lay.tbl_group) * 64);
+          u64 a_slice = bases.a + static_cast<u64>(p * a_panel_stride +
+                                                   (k0 / lay.tbl_group) * 64);
+          if (lay.tbl_built()) {
+            // The copy reads the quad's ids and the dictionary (its lines
+            // by id, which the replay cannot see: all of them) and writes
+            // the panel the kernels then read.
+            r.touch(bases.a + static_cast<u64>(p * a_panel_stride +
+                                               (k0 / lay.tbl_group) * 4),
+                    static_cast<u64>(groups_c * 4));
+            r.touch(dict_base(lay.tbl_mode),
+                    static_cast<u64>(tbl_dict_size(lay.tbl_mode) * 16));
+            r.touch(panel, static_cast<u64>(groups_c * 64));
+            a_slice = panel;
+          }
           i64 pair = 0;
           for (i64 q = 0; q < q_total; q += pair) {
             pair = tbl_call_panels(q, q_total);
-            const u64 idx_panel = bases.b + static_cast<u64>(q * kstride * 16);
+            const u64 idx_panel = block + static_cast<u64>(q * kstride * 16);
             // Per group step: one 64-byte table line, one 16-byte index
             // vector per panel (a line per four steps).
             for (i64 gs = 0; gs < groups_c; ++gs) {
@@ -357,11 +400,16 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
         }
       }
     }
-    l1_per_block[jc] = r.sim.stats().l1_misses - l1_before;
-    l2_per_block[jc] = r.sim.stats().l2_misses - l2_before;
+    if (jc < 2) {
+      l1_per_block[jc] = r.sim.stats().l1_misses - l1_before;
+      l2_per_block[jc] = r.sim.stats().l2_misses - l2_before;
+    }
   }
   ReplayMisses misses;
-  if (lay.n_blocks <= 1) {
+  if (full) {
+    misses.l1 = r.sim.stats().l1_misses - l1_start;
+    misses.l2 = r.sim.stats().l2_misses - l2_start;
+  } else if (lay.n_blocks <= 1) {
     misses.l1 = l1_per_block[0];
     misses.l2 = l2_per_block[0];
   } else {
@@ -386,6 +434,10 @@ ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
   if (lay.tbl())
     os << (lay.tbl_orient == TblOrientation::kActTables ? "|tblA" : "|tblB")
        << lay.tbl_group;
+  // The built source reads its mode's dictionary, whose size (and so its
+  // lines) the group alone does not fix.
+  if (lay.tbl_built())
+    os << "|built" << static_cast<int>(lay.tbl_mode.fold) << lay.tbl_mode.bits;
   if (fused) os << "|fused";
   const std::string key = os.str();
   {
@@ -502,6 +554,15 @@ Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
             &tally_ctx, round_up(lay.nc_eff(jc), kNr) * lay.k_stride(kcb));
       }
     }
+  // The built source's table copies: one per row quad, per (jc, kcb).
+  if (lay.tbl_built())
+    for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb) {
+      Counters copy;
+      tally_tbl_table_copy(copy, 4 * lay.tbl_groups(kcb));
+      const u64 calls =
+          static_cast<u64>(lay.n_blocks * ceil_div(lay.m, i64{4}));
+      for (size_t i = 0; i < kNumOps; ++i) counts.n[i] += copy.n[i] * calls;
+    }
   // C accumulate re-loads for every K block after the first (the 16-col
   // row-major TBL tile re-loads four vectors per row).
   if (lay.k_blocks > 1) {
@@ -532,10 +593,11 @@ struct IssuePriced {
 
 IssuePriced price_issue(const ConvShape& s, int bits, ArmKernel kernel,
                         const GemmBlocking& blocking,
-                        BlockedSchedule schedule, InputRange input) {
+                        BlockedSchedule schedule, InputRange input,
+                        TblSource source) {
   IssuePriced p;
   p.lay = layout_for(s.gemm_m(), s.gemm_n(), s.gemm_k(), blocking, kernel,
-                     bits, input);
+                     bits, input, source);
   p.counts = issue_counts(s, bits, kernel, p.lay,
                           schedule == BlockedSchedule::kFused);
   p.issue = CostModel::cortex_a53().cycles_for(p.counts, /*interleaved=*/true);
@@ -560,11 +622,11 @@ double score_with_replay(const ConvShape& s, IssuePriced p,
 // this one function.
 double score_graph_layer(Replay& r, const std::vector<GraphSearchLayer>& layers,
                          size_t i, const GemmBlocking& blocking,
-                         BlockedSchedule schedule) {
+                         TblSource source, BlockedSchedule schedule) {
   const GraphSearchLayer& gl = layers[i];
   const BlockedLayout lay =
       layout_for(gl.shape.gemm_m(), gl.shape.gemm_n(), gl.shape.gemm_k(),
-                 blocking, gl.kernel, gl.bits, gl.input);
+                 blocking, gl.kernel, gl.bits, gl.input, source);
   ReplayBases bases;
   bases.a = kBaseA + static_cast<u64>(i) * kLayerStride;
   bases.in = kBaseIn + static_cast<u64>(i) * kLayerStride;
@@ -576,6 +638,15 @@ double score_graph_layer(Replay& r, const std::vector<GraphSearchLayer>& layers,
   counts[Op::kL1Miss] += misses.l1;
   counts[Op::kL2Miss] += misses.l2;
   return CostModel::cortex_a53().cycles_for(counts, /*interleaved=*/true);
+}
+
+// The table source layer `gl` runs at `blocking`: tbl_source_at for TBL,
+// what plan_conv packs for that blocking.
+TblSource layer_source(const GraphSearchLayer& gl, const GemmBlocking& blocking,
+                       BlockedSchedule schedule) {
+  return gl.kernel == ArmKernel::kTblGemm
+             ? tbl_source_at(gl.shape, gl.bits, blocking, schedule, gl.input)
+             : TblSource::kStored;
 }
 
 // Per-layer scores summed left to right in layer order. Every objective
@@ -597,7 +668,9 @@ double score_graph(const std::vector<GraphSearchLayer>& layers,
   Replay r;
   std::vector<double> cycles(layers.size());
   for (size_t i = 0; i < layers.size(); ++i)
-    cycles[i] = score_graph_layer(r, layers, i, blocking[i], schedule);
+    cycles[i] = score_graph_layer(
+        r, layers, i, blocking[i],
+        layer_source(layers[i], blocking[i], schedule), schedule);
   return sum_in_order(cycles);
 }
 
@@ -616,12 +689,11 @@ struct ChainReplay {
 // Probed once per TblMode — two modes can share a group size (3-bit pairs
 // and the 3-bit non-negative fold) yet flush at different cadences.
 double tbl_pair_step_cycles(TblMode mode) {
-  constexpr size_t kNumFolds = 3;  // TblFold's values, in order
-  static const std::array<double, 2 * kNumFolds> steps = [] {
-    std::array<double, 2 * kNumFolds> out{};
+  static const std::array<double, 2 * kTblFolds> steps = [] {
+    std::array<double, 2 * kTblFolds> out{};
     const CostModel cm = CostModel::cortex_a53();
     for (int b = 2; b <= 3; ++b)
-      for (size_t f = 0; f < kNumFolds; ++f) {
+      for (int f = 0; f < kTblFolds; ++f) {
         const TblMode m{static_cast<TblFold>(f), b};
         const i64 lo = 8 * tbl_flush_interval(m);
         const auto cycles = [&](i64 groups) {
@@ -630,68 +702,78 @@ double tbl_pair_step_cycles(TblMode mode) {
                           groups, groups, m, /*tbl_paired=*/true),
               /*interleaved=*/true);
         };
-        out[static_cast<size_t>(b - 2) * kNumFolds + f] =
+        out[tbl_mode_slot(m)] =
             (cycles(2 * lo) - cycles(lo)) / static_cast<double>(lo);
       }
     return out;
   }();
-  return steps[static_cast<size_t>(mode.bits - 2) * kNumFolds +
-               static_cast<size_t>(mode.fold)];
+  return steps[tbl_mode_slot(mode)];
 }
 
 }  // namespace
 
-int blocking_scheme_id(ArmKernel kernel, int bits, InputRange input) {
+int blocking_scheme_id(ArmKernel kernel, int bits, InputRange input,
+                       TblSource source) {
   // TBL's id is revised with its tile: 4 keyed rows searched for the 16x4
   // tile alone; they miss now and are re-searched for the paired schedule.
-  // A non-negative input may fold more values per index, so it keys apart.
+  // A non-negative input may fold more values per index, and built tables
+  // change the schedule's loads, so both key apart.
   if (kernel == ArmKernel::kTblGemm)
-    return input == InputRange::kNonNegative ? 6 : 5;
+    return (input == InputRange::kNonNegative ? 6 : 5) +
+           (source == TblSource::kBuilt ? 2 : 0);
   if (kernel == ArmKernel::kSdotExt) return 3;
   if (kernel == ArmKernel::kNcnn) return 2;
   return bits <= 3 ? 1 : 0;
 }
 
 TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
-                                      bool weights_ternary) {
+                                      bool weights_ternary, InputRange input) {
   // Per-MAC issue cost: one group step of the paired tile (measured by
   // tbl_pair_step_cycles) serves 128*g MACs; both orientations pair, so at
   // equal group sizes the term is the same on both sides. kActTables adds
   // the online table build: ~10 cycles per (column, group) amortized over
-  // the m rows sharing the tables. kWeightTables builds nothing online but
-  // streams round_up(m,4)*ceil(k/g)*64 bytes of offline tables once per
-  // column-block pass; misses price at L2 (8 cyc/line) while the table set
-  // fits L2, else DRAM (58).
+  // the m rows sharing the tables. kWeightTables, in the conv's own mode,
+  // reaches round_up(m,4)*ceil(k/g) weight tables once per column-block
+  // pass, the cheaper of two ways: streaming the stored set (a miss per
+  // 64-byte line, at L2 (8 cyc) while the set fits L2, else DRAM (58)), or
+  // building each table from the dictionary (~7 cycles: LD1, ST1, id load
+  // and address math).
   const TblMode ma =
       tbl_mode_for(TblOrientation::kActTables, bits, weights_ternary);
   const TblMode mb =
-      tbl_mode_for(TblOrientation::kWeightTables, bits, weights_ternary);
+      tbl_mode_for(TblOrientation::kWeightTables, bits, weights_ternary, input);
   const int ga = tbl_group(ma);
   const int gb = tbl_group(mb);
   const double cost_a = tbl_pair_step_cycles(ma) / (128.0 * ga) +
                         10.0 / (double(ga) * double(m));
-  const double table_bytes =
-      double(round_up(m, i64{4})) * double(ceil_div(k, i64{gb})) * 16.0;
+  const double tables =
+      double(round_up(m, i64{4})) * double(ceil_div(k, i64{gb}));
+  const double table_bytes = tables * 16.0;
   const double miss = table_bytes <= 384.0 * 1024.0 ? 8.0 : 58.0;
   const double passes = double(ceil_div(n, i64{256}));
+  const double stored = miss * (table_bytes / 64.0) * passes;
+  const double built = 7.0 * tables * passes;
   const double cost_b =
       tbl_pair_step_cycles(mb) / (128.0 * gb) +
-      miss * (table_bytes / 64.0) * passes / (double(m) * double(k) * double(n));
+      std::min(stored, built) / (double(m) * double(k) * double(n));
   return cost_a <= cost_b ? TblOrientation::kActTables
                           : TblOrientation::kWeightTables;
 }
 
 Counters blocking_issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
                                const GemmBlocking& blocking,
-                               BlockedSchedule schedule, InputRange input) {
-  return price_issue(s, bits, kernel, blocking, schedule, input).counts;
+                               BlockedSchedule schedule, InputRange input,
+                               TblSource source) {
+  return price_issue(s, bits, kernel, blocking, schedule, input, source)
+      .counts;
 }
 
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
                       const GemmBlocking& blocking, BlockedSchedule schedule,
-                      InputRange input) {
+                      InputRange input, TblSource source) {
   return score_with_replay(
-      s, price_issue(s, bits, kernel, blocking, schedule, input), schedule);
+      s, price_issue(s, bits, kernel, blocking, schedule, input, source),
+      schedule);
 }
 
 std::vector<GemmBlocking> blocking_candidates(const ConvShape& s, int bits,
@@ -747,10 +829,11 @@ std::vector<GemmBlocking> blocking_candidates(const ConvShape& s, int bits,
 }
 
 GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
-                             BlockedSchedule schedule, InputRange input) {
+                             BlockedSchedule schedule, InputRange input,
+                             TblSource source) {
   std::ostringstream os;
   os << geometry_key(s) << "|b" << bits << "|sch"
-     << blocking_scheme_id(kernel, bits, input);
+     << blocking_scheme_id(kernel, bits, input, source);
   if (schedule == BlockedSchedule::kFused) os << "|fused";
   const std::string key = os.str();
 
@@ -777,7 +860,8 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
   double best_score = std::numeric_limits<double>::infinity();
   i64 skipped = 0;
   for (const GemmBlocking& cand : candidates) {
-    const IssuePriced p = price_issue(s, bits, kernel, cand, schedule, input);
+    const IssuePriced p =
+        price_issue(s, bits, kernel, cand, schedule, input, source);
     if (p.issue >= best_score) {
       ++skipped;
       continue;
@@ -794,13 +878,69 @@ GemmBlocking search_blocking(const ConvShape& s, int bits, ArmKernel kernel,
   return best;
 }
 
+namespace {
+
+// A TBL conv's priced pick: the table source and its winner's score.
+struct TblPick {
+  TblSource source = TblSource::kStored;
+  double score = 0;
+};
+
+// Whether a TBL conv is priced in the weight-tables orientation, the one
+// with a table source to choose.
+bool priced_weight_tables(const ConvShape& s, int bits, InputRange input) {
+  TblOrientation o = TblOrientation::kActTables;
+  priced_tbl_mode(s.gemm_m(), s.gemm_n(), s.gemm_k(), bits, input, &o);
+  return o == TblOrientation::kWeightTables;
+}
+
+// Weight tables search both sources and keep the built one unless the
+// stored winner scores strictly less; act tables have one (stored).
+TblPick price_tbl(const ConvShape& s, int bits, BlockedSchedule schedule,
+                  InputRange input) {
+  const auto winner_score = [&](TblSource src) {
+    return score_blocking(
+        s, bits, ArmKernel::kTblGemm,
+        search_blocking(s, bits, ArmKernel::kTblGemm, schedule, input, src),
+        schedule, input, src);
+  };
+  const double stored = winner_score(TblSource::kStored);
+  if (!priced_weight_tables(s, bits, input))
+    return {TblSource::kStored, stored};
+  const double built = winner_score(TblSource::kBuilt);
+  return stored < built ? TblPick{TblSource::kStored, stored}
+                        : TblPick{TblSource::kBuilt, built};
+}
+
+}  // namespace
+
+TblSource choose_tbl_source(const ConvShape& s, int bits,
+                            BlockedSchedule schedule, InputRange input) {
+  if (!tbl_eligible_for(bits) || !priced_weight_tables(s, bits, input))
+    return TblSource::kStored;
+  return price_tbl(s, bits, schedule, input).source;
+}
+
+TblSource tbl_source_at(const ConvShape& s, int bits,
+                        const GemmBlocking& blocking, BlockedSchedule schedule,
+                        InputRange input) {
+  if (!tbl_eligible_for(bits) || !priced_weight_tables(s, bits, input))
+    return TblSource::kStored;
+  const auto at = [&](TblSource src) {
+    return score_blocking(s, bits, ArmKernel::kTblGemm, blocking, schedule,
+                          input, src);
+  };
+  return at(TblSource::kStored) < at(TblSource::kBuilt) ? TblSource::kStored
+                                                        : TblSource::kBuilt;
+}
+
 ArmKernel choose_gemm_kernel(const ConvShape& s, int bits,
-                             BlockedSchedule schedule, InputRange input) {
+                             BlockedSchedule schedule, InputRange input,
+                             TblSource* tbl_source) {
   if (!tbl_eligible_for(bits)) return ArmKernel::kOursGemm;
-  const GemmBlocking tbl =
-      search_blocking(s, bits, ArmKernel::kTblGemm, schedule, input);
-  const double tbl_score =
-      score_blocking(s, bits, ArmKernel::kTblGemm, tbl, schedule, input);
+  const TblPick tbl = price_tbl(s, bits, schedule, input);
+  if (tbl_source != nullptr) *tbl_source = tbl.source;
+  const double tbl_score = tbl.score;
   // MLA's winner scores at least the least issue-only cycles over its grid
   // (a replay only adds stalls), so a TBL score under that floor wins
   // without searching MLA at all.
@@ -810,7 +950,7 @@ ArmKernel choose_gemm_kernel(const ConvShape& s, int bits,
     mla_floor = std::min(
         mla_floor,
         price_issue(s, bits, ArmKernel::kOursGemm, cand, schedule,
-                    InputRange::kSigned)
+                    InputRange::kSigned, TblSource::kStored)
             .issue);
   if (tbl_score < mla_floor) return ArmKernel::kTblGemm;
   const GemmBlocking mla =
@@ -841,8 +981,9 @@ u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
   };
   // Revision of the fused schedule the joint rows are priced for: 2 since
   // the driver keeps per-worker C bands (or none) instead of the m x n C,
-  // 3 since TBL pairs panels into the 32x4 tile.
-  constexpr i64 kFusedScheduleRevision = 3;
+  // 3 since TBL pairs panels into the 32x4 tile, 4 since the TBL
+  // orientation rule prices the fold and the table build.
+  constexpr i64 kFusedScheduleRevision = 4;
   mix(kFusedScheduleRevision);
   mix(static_cast<i64>(layers.size()));
   for (const GraphSearchLayer& gl : layers) {
@@ -852,7 +993,7 @@ u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
                         static_cast<i64>(s.pad)})
       mix(v);
     mix(gl.bits);
-    mix(blocking_scheme_id(gl.kernel, gl.bits, gl.input));
+    mix(blocking_scheme_id(gl.kernel, gl.bits, gl.input, gl.source));
   }
   return h;
 }
@@ -863,10 +1004,14 @@ GraphSearchResult search_graph_blocking(
   if (layers.empty()) return res;
 
   // Seed from the memoized per-layer greedy winners, and build each
-  // layer's small candidate set around them.
-  std::vector<GemmBlocking> current;
+  // layer's small candidate set around them, with the table source each
+  // candidate is priced at. The layers are independent (their standalone
+  // scores are memoized and thread-safe), so they run on the shared pool.
+  std::vector<GemmBlocking> current(layers.size());
   std::vector<std::vector<GemmBlocking>> cands(layers.size());
-  for (size_t i = 0; i < layers.size(); ++i) {
+  std::vector<TblSource> current_src(layers.size());
+  std::vector<std::vector<TblSource>> cand_src(layers.size());
+  const auto seed_layer = [&](size_t i) {
     const GraphSearchLayer& gl = layers[i];
     const bool sdot = gl.kernel == ArmKernel::kSdotExt;
     const i64 m = gl.shape.gemm_m(), n = gl.shape.gemm_n(),
@@ -875,9 +1020,9 @@ GraphSearchResult search_graph_blocking(
         gl.kernel == ArmKernel::kTblGemm
             ? tbl_group(priced_tbl_mode(m, n, k, gl.bits, gl.input))
             : 0;
-    const GemmBlocking greedy =
-        search_blocking(gl.shape, gl.bits, gl.kernel, schedule, gl.input);
-    current.push_back(greedy);
+    const GemmBlocking greedy = search_blocking(gl.shape, gl.bits, gl.kernel,
+                                                schedule, gl.input, gl.source);
+    current[i] = greedy;
     std::vector<GemmBlocking>& cc = cands[i];
     cc.push_back(greedy);
     for (const GemmBlocking& raw :
@@ -888,7 +1033,14 @@ GraphSearchResult search_graph_blocking(
       if (std::find(cc.begin(), cc.end(), cand) == cc.end())
         cc.push_back(cand);
     }
-  }
+    for (const GemmBlocking& cand : cc)
+      cand_src[i].push_back(layer_source(gl, cand, schedule));
+    current_src[i] = cand_src[i].front();
+  };
+  serve::ThreadPool::global().parallel_for(
+      0, static_cast<i64>(layers.size()), 1, [&](i64 begin, i64 end) {
+        for (i64 i = begin; i < end; ++i) seed_layer(static_cast<size_t>(i));
+      });
 
   const size_t n_layers = layers.size();
   ChainReplay cur{std::vector<Replay>(n_layers),
@@ -897,7 +1049,8 @@ GraphSearchResult search_graph_blocking(
     Replay r;
     for (size_t i = 0; i < n_layers; ++i) {
       cur.entry[i] = r;
-      cur.cycles[i] = score_graph_layer(r, layers, i, current[i], schedule);
+      cur.cycles[i] = score_graph_layer(r, layers, i, current[i],
+                                        current_src[i], schedule);
     }
   }
   res.greedy_cycles = sum_in_order(cur.cycles);
@@ -937,14 +1090,18 @@ GraphSearchResult search_graph_blocking(
   for (int pass = 0; pass < 2; ++pass) {
     bool improved = false;
     for (size_t i = 0; i < n_layers; ++i) {
-      for (const GemmBlocking& cand : cands[i]) {
+      for (size_t c = 0; c < cands[i].size(); ++c) {
+        const GemmBlocking& cand = cands[i][c];
         if (cand == current[i] || scored_before(current, i, cand)) continue;
         r = cur.entry[i];
         trial.cycles = cur.cycles;
         size_t j = i;
         while (true) {
-          trial.cycles[j] = score_graph_layer(
-              r, layers, j, j == i ? cand : current[j], schedule);
+          trial.cycles[j] =
+              j == i ? score_graph_layer(r, layers, j, cand, cand_src[i][c],
+                                         schedule)
+                     : score_graph_layer(r, layers, j, current[j],
+                                         current_src[j], schedule);
           if (++j == n_layers) break;
           if (r.sim.same_state(cur.entry[j].sim)) {
             ++early_exits;
@@ -956,6 +1113,7 @@ GraphSearchResult search_graph_blocking(
         if (sc < best) {
           best = sc;
           current[i] = cand;
+          current_src[i] = cand_src[i][c];
           std::swap(cur.cycles, trial.cycles);
           for (size_t b = i + 1; b < j; ++b)
             std::swap(cur.entry[b], trial.entry[b]);

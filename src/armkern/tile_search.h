@@ -28,23 +28,14 @@
 
 namespace lbc::armkern {
 
-/// The blocked driver's two schedules (gemm_blocked.cpp), which a blocking
-/// is priced for.
-enum class BlockedSchedule {
-  /// No epilogue (execute_conv): partial-K sums accumulate in the m x n
-  /// i32 C matrix.
-  kStandalone,
-  /// With a TileEpilogue (execute_conv_fused): C is one m x Nc band per
-  /// worker, or absent when Kc covers K, and the epilogue writes the i8
-  /// output. Its grid adds deep-Kc / narrow-Nc candidates, which pay only
-  /// once the C matrix is gone.
-  kFused,
-};
-
 // Every TBL price and pick below takes the conv's InputRange: a
 // non-negative input lets the weight-tables orientation fold more depth
 // values per index (schemes.h tbl_mode_for), which changes the layout, the
-// flush cadence and the instruction mix. Other kernels ignore it.
+// flush cadence and the instruction mix. A weight-tables TBL price also
+// takes the table source (TblSource): the built source adds the per-pass
+// copy of each row quad's tables from the dictionary into an L1 panel and
+// replaces the stream of offline tables with the ids, the dictionary and
+// the panel. Other kernels (and act tables) ignore both.
 
 /// Modeled total cycles of one clamped blocking candidate for the
 /// fused-pack conv GEMM under `schedule`, replayed against a cold cache
@@ -52,7 +43,8 @@ enum class BlockedSchedule {
 double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
                       const GemmBlocking& blocking,
                       BlockedSchedule schedule = BlockedSchedule::kStandalone,
-                      InputRange input = InputRange::kSigned);
+                      InputRange input = InputRange::kSigned,
+                      TblSource source = TblSource::kStored);
 
 /// The issue side of score_blocking: the instruction counts (no cache
 /// misses) the search charges the blocked schedule — micro-kernel probes
@@ -63,7 +55,8 @@ armsim::Counters blocking_issue_counts(
     const ConvShape& s, int bits, ArmKernel kernel,
     const GemmBlocking& blocking,
     BlockedSchedule schedule = BlockedSchedule::kStandalone,
-    InputRange input = InputRange::kSigned);
+    InputRange input = InputRange::kSigned,
+    TblSource source = TblSource::kStored);
 
 /// The fixed candidate grid search_blocking scores, clamped to the shape's
 /// GEMM view and de-duplicated, in tie-break order: default_blocking
@@ -79,7 +72,7 @@ std::vector<GemmBlocking> blocking_candidates(
 /// Deterministic. A candidate whose issue-only cycles already reach the
 /// best score so far is not replayed — exact, since misses only add stall
 /// cycles. Memoized per (geometry, bits, scheme id — which carries a TBL
-/// conv's input range — and schedule). Thread-safe,
+/// conv's input range and table source — and schedule). Thread-safe,
 /// and searches of different keys run concurrently: the lock guards only
 /// the memo maps and the stats. A caller whose key another thread is
 /// searching waits for that winner, so each key is searched once per
@@ -87,32 +80,60 @@ std::vector<GemmBlocking> blocking_candidates(
 GemmBlocking search_blocking(
     const ConvShape& s, int bits, ArmKernel kernel,
     BlockedSchedule schedule = BlockedSchedule::kStandalone,
-    InputRange input = InputRange::kSigned);
+    InputRange input = InputRange::kSigned,
+    TblSource source = TblSource::kStored);
 
 /// Stable scheme id of the micro kernel that would execute (0 = SMLAL,
-/// 1 = MLA, 2 = ncnn, 3 = SDOT, 5 = TBL on a signed input, 6 = TBL on a
-/// non-negative one) — the persistent tuning cache keys ARM entries by it
+/// 1 = MLA, 2 = ncnn, 3 = SDOT; TBL: 5 signed input, 6 non-negative, each
+/// with stored tables, and 7 / 8 the same with built ones) — the
+/// persistent tuning cache keys ARM entries by it
 /// (gpukern::ArmTuningKey::scheme), so a row searched for one input range
-/// is never served to the other. TBL rows keyed 4 were searched for its
-/// 16x4 tile alone and are no longer looked up.
+/// or table source is never served to the other. TBL rows keyed 4 were
+/// searched for its 16x4 tile alone and are no longer looked up.
 int blocking_scheme_id(ArmKernel kernel, int bits,
-                       InputRange input = InputRange::kSigned);
+                       InputRange input = InputRange::kSigned,
+                       TblSource source = TblSource::kStored);
 
 /// TBL orientation pricing (schemes.h TblOrientation), decided from
-/// geometry alone: kActTables pays the online table build amortized over
-/// the m rows it serves; kWeightTables pays nothing online but streams an
-/// 8x-inflated offline table set whose misses scale with the number of
-/// C column-block passes. The per-MAC kernel cost of each side is the
-/// paired 32x4 tile's step cost, probed once per TblMode. Both sides are
-/// priced in their signed-input modes, whatever the conv's input range, so
-/// the orientation a conv runs never depends on that fact. Deterministic
-/// and cheap (no replay).
+/// geometry and the conv's input range: kActTables pays the online table
+/// build amortized over the m rows it serves; kWeightTables, priced in the
+/// conv's own mode (folded when the input is non-negative), pays the
+/// cheaper of two ways to reach its weight tables per C column-block pass:
+/// streaming the stored set (misses at L2 or DRAM by its size) or building
+/// each table from the dictionary (7 cycles a table). The per-MAC kernel
+/// cost of each side is the paired 32x4 tile's step cost, probed once per
+/// TblMode. Deterministic and cheap (no replay).
 TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
-                                      bool weights_ternary);
+                                      bool weights_ternary,
+                                      InputRange input = InputRange::kSigned);
+
+/// The table source a TBL conv should use under `schedule`, decided by
+/// price: kBuilt unless the stored source's memoized per-layer winner
+/// scores strictly below the built one's under score_blocking. kStored,
+/// without a search, for a conv priced in the act-tables orientation (its
+/// weights are indices) and above 3 bit. Deterministic; thread-safe;
+/// memoized through search_blocking.
+TblSource choose_tbl_source(
+    const ConvShape& s, int bits,
+    BlockedSchedule schedule = BlockedSchedule::kStandalone,
+    InputRange input = InputRange::kSigned);
+
+/// The table source a TBL conv runs at one given `blocking` under
+/// `schedule`: kBuilt unless the stored source scores strictly less there
+/// under score_blocking (two scores on memoized replays, no search);
+/// kStored where choose_tbl_source is kStored without a search. plan_conv
+/// packs it for an explicit blocking, and the joint search prices every
+/// candidate at it. At the winner of search_blocking for the source
+/// choose_tbl_source picks, it returns that source. Thread-safe.
+TblSource tbl_source_at(const ConvShape& s, int bits,
+                        const GemmBlocking& blocking,
+                        BlockedSchedule schedule = BlockedSchedule::kStandalone,
+                        InputRange input = InputRange::kSigned);
 
 /// The blocked-GEMM kernel a conv at `bits` should run under `schedule`,
-/// decided by price: kTblGemm when TBL's memoized per-layer winner scores
-/// below MLA's (kOursGemm at <= 3 bit) under score_blocking, else
+/// decided by price: kTblGemm when TBL's memoized per-layer winner (in the
+/// source choose_tbl_source picks) scores below MLA's (kOursGemm at <= 3
+/// bit) under score_blocking, else
 /// kOursGemm — always kOursGemm above 3 bit, where TBL is ineligible. Both
 /// sides are priced without weight values (non-ternary 3-bit TBL groups,
 /// the conservative mode), so a ternary-weight pack can only beat the
@@ -120,10 +141,12 @@ TblOrientation choose_tbl_orientation(i64 m, i64 n, i64 k, int bits,
 /// candidate grid, MLA cannot win and is not searched; the answer is the
 /// same. Deterministic; thread-safe; the per-layer searches it runs are
 /// memoized, and calls for different shapes run concurrently.
+/// `tbl_source`, when set, receives the TBL source that was priced (the
+/// one choose_tbl_source returns).
 ArmKernel choose_gemm_kernel(
     const ConvShape& s, int bits,
     BlockedSchedule schedule = BlockedSchedule::kStandalone,
-    InputRange input = InputRange::kSigned);
+    InputRange input = InputRange::kSigned, TblSource* tbl_source = nullptr);
 
 struct TileSearchStats {
   i64 searches = 0;   ///< cold searches (full candidate sweeps)
@@ -157,6 +180,10 @@ TileSearchStats tile_search_stats();
 // replay state entering the layer it changes and stops once its state
 // rejoins the current assignment's — yet every objective value it
 // compares is bit-identical to score_graph_blocking of that assignment.
+// A TBL layer's table source follows its blocking: every assignment prices
+// each TBL layer at tbl_source_at of the layer's blocking, the source
+// plan_conv packs for that blocking, so the search picks blocking and
+// source together.
 
 /// One conv layer of the chain, in execution order.
 struct GraphSearchLayer {
@@ -164,6 +191,9 @@ struct GraphSearchLayer {
   int bits = 8;
   ArmKernel kernel = ArmKernel::kOursGemm;
   InputRange input = InputRange::kSigned;
+  /// A TBL layer's per-layer pick (choose_tbl_source): the search seeds
+  /// from search_blocking's winner for it, and it keys the hash.
+  TblSource source = TblSource::kStored;
 };
 
 struct GraphSearchResult {
@@ -184,14 +214,17 @@ double score_graph_blocking(const std::vector<GraphSearchLayer>& layers,
                             BlockedSchedule schedule);
 
 /// Joint whole-net search under `schedule`, seeded from (and reporting
-/// greedy_cycles for) search_blocking(..., schedule) winners.
-/// Deterministic; thread-safe. Degenerate inputs (empty layer list) return
+/// greedy_cycles for) search_blocking(..., schedule) winners. The seeds
+/// and their candidates' table sources are priced concurrently on the
+/// shared pool; the descent itself is sequential. Deterministic;
+/// thread-safe. Degenerate inputs (empty layer list) return
 /// an empty result.
 GraphSearchResult search_graph_blocking(
     const std::vector<GraphSearchLayer>& layers, BlockedSchedule schedule);
 
 /// Stable FNV-1a hash over the chain's (geometry, bits, scheme id — input
-/// range included) sequence and the fused schedule's revision — the TuningCache v4 `graph` rows and
+/// range and table source included) sequence and the fused schedule's
+/// revision — the TuningCache v4 `graph` rows and
 /// the serve-side graph-plan registry key joint results by it. Rows saved
 /// under an earlier fused schedule hash differently, so they miss and are
 /// re-searched instead of reusing picks tuned for that schedule.

@@ -51,6 +51,10 @@ struct Combo {
   BlockingPolicy blocking = BlockingPolicy::kAuto;
   GemmBlocking explicit_blocking{};  ///< consulted under kExplicit
   InputRange input = InputRange::kSigned;
+  /// TBL: pack the plan's weights as weight tables from the built source,
+  /// whatever its shape prices (the source is a per-conv priced choice, so
+  /// the small sweep shapes alone would not reach every mode).
+  bool tbl_built = false;
 };
 
 std::vector<Combo> combos_for_bits(int bits) {
@@ -82,6 +86,10 @@ std::vector<Combo> combos_for_bits(int bits) {
   // Both again on a non-negative input (a ReLU'd producer), where the
   // weight-tables orientation folds tbl_nonneg_group(bits) activations
   // into each index.
+  // A third run per input packs weight tables from the built source, so
+  // every weight-tables mode (2-bit pairs and 4-value fold, 3-bit values
+  // and 2-value fold) copies its tables from the dictionary at run time
+  // under the verifier; Kc = 64 is a multiple of every group.
   if (tbl_eligible_for(bits))
     for (const InputRange in :
          {InputRange::kSigned, InputRange::kNonNegative}) {
@@ -89,6 +97,9 @@ std::vector<Combo> combos_for_bits(int bits) {
                     BlockingPolicy::kAuto, GemmBlocking{}, in});
       cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
                     BlockingPolicy::kExplicit, GemmBlocking{32, 64, 32}, in});
+      cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
+                    BlockingPolicy::kExplicit, GemmBlocking{32, 64, 32}, in,
+                    /*tbl_built=*/true});
     }
   return cs;
 }
@@ -155,6 +166,14 @@ KernelVerifyReport verify_all_kernels() {
 
         StatusOr<ArmConvResult> r = [&]() -> StatusOr<ArmConvResult> {
           LBC_ASSIGN_OR_RETURN(ArmConvPlan plan, plan_conv(s, weight, opt));
+          if (combo.tbl_built) {
+            plan.tbl_a = pack_tbl_a(weight.data(), s.gemm_m(), s.gemm_k(),
+                                    bits, TblOrientation::kWeightTables,
+                                    combo.input, TblSource::kBuilt);
+            plan.blocking = clamp_blocking(plan.blocking, s.gemm_m(),
+                                           s.gemm_n(), s.gemm_k(), false,
+                                           plan.tbl_a.group());
+          }
           return execute_conv(plan, input, ws);
         }();
         if (r.ok()) {

@@ -117,14 +117,14 @@ inline void ld1_s32(Ctx& ctx, const i32* p, int32x4& r) {
 /// ST1 {Vt.4S}, [Xn].
 inline void st1_s32(Ctx& ctx, const int32x4& v, i32* p) {
   ctx.tally(Op::kSt1);
-  if (ctx.verifier != nullptr) ctx.verifier->on_store(Op::kSt1, &v);
+  if (ctx.verifier != nullptr) ctx.verifier->on_store(Op::kSt1, &v, p, 16);
   ctx.mem(p, 16);
   for (int i = 0; i < 4; ++i) p[i] = v.v[i];
 }
 
 inline void st1_s8(Ctx& ctx, const int8x16& v, i8* p) {
   ctx.tally(Op::kSt1);
-  if (ctx.verifier != nullptr) ctx.verifier->on_store(Op::kSt1, &v);
+  if (ctx.verifier != nullptr) ctx.verifier->on_store(Op::kSt1, &v, p, 16);
   ctx.mem(p, 16);
   for (int i = 0; i < 16; ++i) p[i] = v.v[i];
 }

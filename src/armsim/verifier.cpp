@@ -1,6 +1,7 @@
 #include "armsim/verifier.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 namespace lbc::armsim {
@@ -32,14 +33,18 @@ std::string iv_str(const LaneInterval& iv) {
 // Regions
 // ---------------------------------------------------------------------------
 
+void Verifier::put_region(Region r) {
+  std::erase_if(regions_, [&](const Region& o) { return o.base == r.base; });
+  regions_.push_back(std::move(r));
+}
+
 void Verifier::add_region(const void* p, i64 bytes, std::string name) {
   std::lock_guard<std::mutex> lock(mu_);
   Region r;
   r.base = static_cast<const char*>(p);
   r.bytes = bytes;
   r.name = std::move(name);
-  std::erase_if(regions_, [&](const Region& o) { return o.base == r.base; });
-  regions_.push_back(std::move(r));
+  put_region(std::move(r));
 }
 
 void Verifier::add_region(const void* p, i64 bytes, std::string name, i64 vmin,
@@ -53,8 +58,21 @@ void Verifier::add_region(const void* p, i64 bytes, std::string name, i64 vmin,
   r.vmin = vmin;
   r.vmax = vmax;
   r.slack = overread_slack;
-  std::erase_if(regions_, [&](const Region& o) { return o.base == r.base; });
-  regions_.push_back(std::move(r));
+  put_region(std::move(r));
+}
+
+void Verifier::add_scratch_region(const void* p, i64 bytes, std::string name,
+                                  i64 vmin, i64 vmax) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Region r;
+  r.base = static_cast<const char*>(p);
+  r.bytes = bytes;
+  r.name = std::move(name);
+  r.has_range = true;
+  r.vmin = vmin;
+  r.vmax = vmax;
+  r.written.assign(static_cast<size_t>(bytes), false);
+  put_region(std::move(r));
 }
 
 void Verifier::ensure_region(const void* p, i64 bytes, std::string name) {
@@ -88,6 +106,19 @@ void Verifier::check_mem(const void* p, u64 bytes) {
     std::ostringstream os;
     os << bytes << "-byte access at unregistered address (" << regions_.size()
        << " regions registered)";
+    // Name the region the access ran off: the nearest one ending below it.
+    const auto end_of = [](const Region& o) {
+      return reinterpret_cast<std::uintptr_t>(o.base) +
+             static_cast<std::uintptr_t>(o.bytes);
+    };
+    const std::uintptr_t at = reinterpret_cast<std::uintptr_t>(c);
+    const Region* below = nullptr;
+    for (const Region& o : regions_)
+      if (end_of(o) <= at && (below == nullptr || end_of(o) > end_of(*below)))
+        below = &o;
+    if (below != nullptr)
+      os << ", " << at - end_of(*below) << " bytes past the end of region '"
+         << below->name << "'";
     add_violation(instr_, Op::kLd1, "oob", os.str());
     return;
   }
@@ -237,14 +268,30 @@ void Verifier::check_lane_bounds(VRegState& st, const void* /*reg*/, Op op,
 // Instruction hooks
 // ---------------------------------------------------------------------------
 
+void Verifier::check_written(const void* mem, u64 bytes, Op op, u64 instr) {
+  const Region* r = region_for(mem);
+  if (r == nullptr || r->written.empty()) return;
+  const i64 off = static_cast<const char*>(mem) - r->base;
+  for (u64 i = 0; i < bytes; ++i) {
+    const i64 at = off + static_cast<i64>(i);
+    if (at >= r->bytes || r->written[static_cast<size_t>(at)]) continue;
+    std::ostringstream os;
+    os << std::string(op_name(op)) << " reads byte " << at << " of scratch "
+       << "region '" << r->name << "', which no store wrote since the region "
+       << "was registered";
+    add_violation(instr, op, "uninit-read", os.str());
+    return;
+  }
+}
+
 void Verifier::on_load(Op op, const void* reg, VType t, const void* mem,
                        bool half) {
   std::lock_guard<std::mutex> lock(mu_);
   const u64 instr = next_instr();
   if (!scopes_.empty()) scopes_.back().loads++;
+  check_written(mem, half ? 8 : 16, op, instr);
   VRegState& st = define(reg, t, instr);
   seed_load_lanes(st, mem, half);
-  (void)op;
 }
 
 void Verifier::on_ld4r(const void* r0, const void* r1, const void* r2,
@@ -263,6 +310,7 @@ void Verifier::on_ld1x4(const void* r0, const void* r1, const void* r2,
   std::lock_guard<std::mutex> lock(mu_);
   const u64 instr = next_instr();
   if (!scopes_.empty()) scopes_.back().loads++;
+  check_written(mem, 64, Op::kLd1x4, instr);
   const char* p = static_cast<const char*>(mem);
   int slot = 0;
   for (const void* reg : {r0, r1, r2, r3}) {
@@ -299,10 +347,16 @@ void Verifier::on_tbl(const void* dstp, const void* tablep, const void* idxp,
   for (int i = 0; i < 16; ++i) d.lane[static_cast<size_t>(i)] = hull;
 }
 
-void Verifier::on_store(Op op, const void* reg) {
+void Verifier::on_store(Op op, const void* reg, const void* mem, u64 bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   const u64 instr = next_instr();
   use(reg, VType::kS32, op, instr, "the stored register");
+  for (Region& r : regions_) {
+    const i64 off = static_cast<const char*>(mem) - r.base;
+    if (r.written.empty() || off < 0 || off >= r.bytes) continue;
+    for (u64 i = 0; i < bytes && off + static_cast<i64>(i) < r.bytes; ++i)
+      r.written[static_cast<size_t>(off) + i] = true;
+  }
 }
 
 void Verifier::on_zero(const void* reg, VType t) {

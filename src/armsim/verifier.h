@@ -102,6 +102,13 @@ class Verifier {
   void add_region(const void* p, i64 bytes, std::string name);
   void add_region(const void* p, i64 bytes, std::string name, i64 vmin,
                   i64 vmax, i64 overread_slack = 0);
+  /// A ranged region the kernels must write (through a verified store)
+  /// before they read it: a load of a byte no store reached since the
+  /// region was (re-)registered is an "uninit-read" naming the region —
+  /// the stale-scratch hazard bounds alone cannot see. Re-registering the
+  /// same start clears the record.
+  void add_scratch_region(const void* p, i64 bytes, std::string name,
+                          i64 vmin, i64 vmax);
   /// add_region unless [p, p+bytes) overlaps a registered region (pack
   /// helpers call this so driver-registered bounds always win — a pack
   /// claiming a larger span than the driver declared must not widen it).
@@ -119,7 +126,8 @@ class Verifier {
                const void* mem);
   void on_ld1x4(const void* r0, const void* r1, const void* r2, const void* r3,
                 const void* mem);
-  void on_store(Op op, const void* reg);
+  /// A vector store of `bytes` bytes from `reg` to `mem`.
+  void on_store(Op op, const void* reg, const void* mem, u64 bytes);
   void on_zero(const void* reg, VType t);
   void on_dup(const void* reg, VType t, i64 value);
   void on_mac(MacKind k, Op op, const void* acc, const void* a, const void* b);
@@ -166,6 +174,8 @@ class Verifier {
     bool has_range = false;
     i64 vmin = 0, vmax = 0;
     i64 slack = 0;
+    /// add_scratch_region: one flag per byte, set by verified stores.
+    std::vector<bool> written;
   };
 
   struct Scope {
@@ -181,12 +191,15 @@ class Verifier {
 
   // All private helpers assume mu_ is held.
   u64 next_instr() { return ++instr_; }
+  /// Register `r`, replacing a region with the same start.
+  void put_region(Region r);
   void add_violation(u64 instr, Op op, const char* kind, std::string detail);
   VRegState& define(const void* reg, VType t, u64 instr);
   VRegState* use(const void* reg, VType t, Op op, u64 instr,
                  const char* operand);
   const Region* region_for(const void* p) const;
   void seed_load_lanes(VRegState& st, const void* mem, bool half);
+  void check_written(const void* mem, u64 bytes, Op op, u64 instr);
   void check_lane_bounds(VRegState& st, const void* reg, Op op, u64 instr);
   void accumulate_mac(MacKind k, Op op, u64 instr, VRegState& acc,
                       VRegState& a, VRegState& b);

@@ -170,6 +170,37 @@ void prove_tbl(ProofResult& r, const SchemeModel& m) {
   add(r, "tbl.encode-decode-roundtrip", roundtrip,
       roundtrip ? std::to_string(combos) + " value groups encode and decode"
                 : rt.str());
+  // The weight side: every group of adjusted-range weights the pack can
+  // meet names a table of the dictionary — the stored pack copies that
+  // table out, the built source's run-time copy reads it — and the id
+  // decodes back to the group, so the table it names is the group's own.
+  const i32 q = qmax_for_bits(m.bits);
+  const i32 wspan = 2 * q + 1;
+  i32 wcombos = 1;
+  for (int i = 0; i < group; ++i) wcombos *= wspan;
+  bool ids_ok = true;
+  i32 top_id = 0;
+  std::ostringstream idd;
+  for (i32 c = 0; c < wcombos && ids_ok; ++c) {
+    i32 w[4] = {}, d[4] = {};
+    for (i32 i = 0, x = c; i < group; ++i, x /= wspan) w[i] = x % wspan - q;
+    u8 id = 0;
+    ids_ok = armkern::tbl_encode_id(mode, w, id) &&
+             static_cast<int>(id) < m.tbl_dict_entries &&
+             armkern::tbl_decode_id(mode, id, d);
+    for (int i = 0; i < group && ids_ok; ++i) ids_ok = d[i] == w[i];
+    top_id = std::max<i32>(top_id, id);
+    if (!ids_ok)
+      idd << "weight group " << c << " has id " << int{id}
+          << ", outside the " << m.tbl_dict_entries
+          << "-table dictionary or not decoding back";
+  }
+  add(r, "tbl.id-in-dictionary", ids_ok,
+      ids_ok ? ineq(top_id, m.tbl_dict_entries - 1, "largest weight-group id",
+                    m.tbl_source == armkern::TblSource::kBuilt
+                        ? "dictionary, built per column pass"
+                        : "dictionary, copied at pack time")
+             : idd.str());
   // Two-level accumulation: ADD.16B folds one table entry per group step
   // into a byte lane, so the declared i8 flush interval must both fit the
   // lane (flush * entry <= 127) and cover the kernel's real cadence
@@ -195,43 +226,46 @@ void prove_tbl(ProofResult& r, const SchemeModel& m) {
       ineq(static_cast<i64>(m.second_level_rounds) * m.acc8_flush * entry,
            kI16Max, "rounds * flush * entry bound", "i16 headroom"));
   // The SADDW path has no range clamp after the table lookup, so the
-  // headroom bounds above only hold if the builder NEVER emits an entry
+  // headroom bounds above only hold if no table EVER holds an entry
   // outside them — including 0 at every index no group encodes and at the
   // all-zero group's, which is what makes padded rows, padded columns and
-  // K tails contribute nothing. Check the real shipping builder
-  // exhaustively: all table-side operand groups in range, all 16 indices,
-  // against the products of tbl_decode's values.
-  if (m.tbl_build != nullptr) {
-    const i32 q = qmax_for_bits(m.bits);
-    const i32 bspan = 2 * q + 1;
-    i32 bcombos = 1;
-    for (int i = 0; i < group; ++i) bcombos *= bspan;
+  // K tails contribute nothing. Check the real shipping builder and the
+  // mode's dictionary exhaustively: every table-side operand group in
+  // range (= every dictionary id), all 16 indices, against the products of
+  // tbl_decode's values.
+  if (m.tbl_build != nullptr || m.tbl_dict != nullptr) {
     bool exact = true;
     std::ostringstream detail;
-    for (i32 c = 0; c < bcombos && exact; ++c) {
+    for (i32 id = 0; id < wcombos && exact; ++id) {
+      i32 w[4] = {};
+      armkern::tbl_decode_id(mode, id, w);
       i8 b[4] = {};
-      for (i32 i = 0, x = c; i < group; ++i, x /= bspan)
-        b[i] = static_cast<i8>(x % bspan - q);
-      i8 table[16];
-      m.tbl_build(mode, b, table);
+      for (int i = 0; i < group; ++i) b[i] = static_cast<i8>(w[i]);
+      i8 built[16] = {};
+      if (m.tbl_build != nullptr) m.tbl_build(mode, b, built);
       for (int idx = 0; idx < 16 && exact; ++idx) {
         i32 d[4] = {};
         i32 want = 0;
         if (armkern::tbl_decode(mode, idx, d))
           for (int i = 0; i < group; ++i) want += d[i] * b[i];
-        if (table[idx] != want) {
+        const auto off = [&](const char* what, i8 got) {
           exact = false;
-          detail << "table(";
+          detail << what << "(";
           for (int i = 0; i < group; ++i)
             detail << (i ? ", " : "") << static_cast<i32>(b[i]);
-          detail << ")[" << idx << "] = " << static_cast<i32>(table[idx])
+          detail << ")[" << idx << "] = " << static_cast<i32>(got)
                  << " != " << want;
-        }
+        };
+        if (m.tbl_build != nullptr && built[idx] != want)
+          off("table", built[idx]);
+        else if (m.tbl_dict != nullptr && id < m.tbl_dict_entries &&
+                 m.tbl_dict[id * 16 + idx] != want)
+          off("dictionary table", m.tbl_dict[id * 16 + idx]);
       }
     }
     add(r, "tbl.table-entries-exact", exact,
-        exact ? "builder matches decoded products for all operands and "
-                "indices"
+        exact ? "builder and dictionary match decoded products for all "
+                "operands and indices"
               : detail.str());
   }
   prove_operand_range(r, m, "tbl.operand-range-adjusted");
@@ -407,6 +441,8 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
       m.acc8_flush = armkern::tbl_flush_interval(mode);
       m.second_level_rounds = armkern::kTblSecondLevelRounds;
       m.tbl_build = &armkern::tbl_build_table;
+      m.tbl_dict = armkern::tbl_dictionary(mode);
+      m.tbl_dict_entries = armkern::tbl_dict_size(mode);
       break;
     }
     case ProofScheme::kNativeLut:
@@ -422,10 +458,14 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
   return m;
 }
 
-SchemeModel shipping_tbl_model(armkern::TblMode mode, i64 depth) {
+SchemeModel shipping_tbl_model(armkern::TblMode mode, i64 depth,
+                               armkern::TblSource source) {
   SchemeModel m = shipping_model(ProofScheme::kArmTbl, mode.bits, depth);
   m.tbl_fold = mode.fold;
   m.acc8_flush = armkern::tbl_flush_interval(mode);
+  m.tbl_dict = armkern::tbl_dictionary(mode);
+  m.tbl_dict_entries = armkern::tbl_dict_size(mode);
+  m.tbl_source = source;
   return m;
 }
 
@@ -465,7 +505,7 @@ Status prove_arm_kernel(armkern::ArmKernel kernel, int bits, i64 depth) {
     case armkern::ArmKernel::kTblGemm: {
       // Every mode a plan at `bits` might execute must hold: each
       // orientation's, for signed and non-negative inputs and for ternary
-      // or general weights.
+      // or general weights — weight tables from either source.
       for (const armkern::TblOrientation o :
            {armkern::TblOrientation::kActTables,
             armkern::TblOrientation::kWeightTables})
@@ -473,8 +513,12 @@ Status prove_arm_kernel(armkern::ArmKernel kernel, int bits, i64 depth) {
           for (const armkern::InputRange in :
                {armkern::InputRange::kSigned,
                 armkern::InputRange::kNonNegative})
-            LBC_RETURN_IF_ERROR(prove_tbl_mode(
-                armkern::tbl_mode_for(o, bits, ternary, in), depth));
+            for (const armkern::TblSource src :
+                 {armkern::TblSource::kStored, armkern::TblSource::kBuilt})
+              if (o == armkern::TblOrientation::kWeightTables ||
+                  src == armkern::TblSource::kStored)
+                LBC_RETURN_IF_ERROR(prove_tbl_mode(
+                    armkern::tbl_mode_for(o, bits, ternary, in), depth, src));
       return Status();
     }
   }
@@ -483,8 +527,9 @@ Status prove_arm_kernel(armkern::ArmKernel kernel, int bits, i64 depth) {
       .with_context("plan-time kernel proof");
 }
 
-Status prove_tbl_mode(armkern::TblMode mode, i64 depth) {
-  return prove(shipping_tbl_model(mode, depth))
+Status prove_tbl_mode(armkern::TblMode mode, i64 depth,
+                      armkern::TblSource source) {
+  return prove(shipping_tbl_model(mode, depth, source))
       .to_status()
       .with_context("plan-time kernel proof");
 }

@@ -26,8 +26,10 @@
 //    fits the signed-byte TBL lane, every index stays inside the 16-entry
 //    window and decodes back to the values it encodes, i8 lanes hold
 //    through the declared flush, the 32x4 tile's i16 lanes hold across
-//    kTblSecondLevelRounds flushes, and the shipping table builder produces
-//    exactly the decoded products (checked exhaustively).
+//    kTblSecondLevelRounds flushes, every weight group's dictionary id
+//    lies inside the mode's dictionary and decodes back to it, and the
+//    shipping table builder and the dictionary hold exactly the decoded
+//    products (checked exhaustively, every id).
 //  * AVX2 LUT (2-4 bit): products fit the signed-byte pshufb table, i16
 //    lanes cannot overflow before the 256-step flush, every table index
 //    stays in [0, 15], and the N%32 zero-pad tail always indexes the w*0
@@ -100,6 +102,16 @@ struct SchemeModel {
   /// armkern::tbl_build_table so the exhaustive table-entries obligation
   /// checks the REAL build path; mutation tests substitute a corrupted one.
   void (*tbl_build)(armkern::TblMode mode, const i8* b, i8 out[16]) = nullptr;
+  /// ARM TBL: the mode's table dictionary under proof (shipping: the real
+  /// armkern::tbl_dictionary) and the tables it declares to hold. Every id
+  /// the weight pack can emit must index it, and every table must hold
+  /// its weight group's products.
+  const i8* tbl_dict = nullptr;
+  int tbl_dict_entries = 0;
+  /// ARM TBL: where a weight-tables plan's tables come from — copied out
+  /// of the dictionary at pack time, or at run time into an L1 panel. Both
+  /// index the dictionary with the weight groups' ids.
+  armkern::TblSource tbl_source = armkern::TblSource::kStored;
 };
 
 /// One closed-form proof obligation: a named inequality with the model's
@@ -129,8 +141,11 @@ struct ProofResult {
 /// default mode (pairs at 2 bit, single values at 3).
 SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth);
 
-/// The shipping declaration of one TBL mode at depth `depth`.
-SchemeModel shipping_tbl_model(armkern::TblMode mode, i64 depth);
+/// The shipping declaration of one TBL mode at depth `depth`, for tables
+/// from `source`.
+SchemeModel shipping_tbl_model(
+    armkern::TblMode mode, i64 depth,
+    armkern::TblSource source = armkern::TblSource::kStored);
 
 /// Discharge every obligation of `m`. All obligations are evaluated (no
 /// short-circuit) so a report always lists the full conjunction.
@@ -138,13 +153,15 @@ ProofResult prove(const SchemeModel& m);
 
 /// Plan-time gate for the emulated ARM path: prove the scheme the GEMM
 /// rung of `kernel` dispatches to at `bits`, at reduction depth `depth` —
-/// for TBL, every mode it can run at `bits`. OK for non-GEMM rungs (their
-/// invariants stay under the PR-4 dynamic verifier). kInvariantViolation
-/// with the obligation named on failure.
+/// for TBL, every mode and table source it can run at `bits`. OK for
+/// non-GEMM rungs (their invariants stay under the dynamic verifier).
+/// kInvariantViolation with the obligation named on failure.
 Status prove_arm_kernel(armkern::ArmKernel kernel, int bits, i64 depth);
 
-/// Plan-time gate for one TBL mode — the mode a compiled plan executes.
-Status prove_tbl_mode(armkern::TblMode mode, i64 depth);
+/// Plan-time gate for one TBL mode and table source — the ones a compiled
+/// plan packed and executes.
+Status prove_tbl_mode(armkern::TblMode mode, i64 depth,
+                      armkern::TblSource source = armkern::TblSource::kStored);
 
 /// Plan-time gate for the native path: proves the scheme
 /// native_scheme_for(bits) selects AND the portable scalar fallback (the

@@ -120,7 +120,9 @@ AuditReport audit_plan(const PlanAuditInput& in) {
     if (r.nonneg && !(r.producer_clamps && r.producer_lo >= 0)) {
       std::ostringstream os;
       os << "node " << r.node << " is planned with a non-negative input but "
-         << "its producer, node " << r.producer << ", ";
+         << "its producer, node " << r.producer;
+      if (r.pool >= 0) os << " (through max pool node " << r.pool << ")";
+      os << ", ";
       if (r.producer_clamps)
         os << "clamps at lo = " << r.producer_lo;
       else

@@ -23,7 +23,8 @@
 //                               blocking the plan records)
 //   audit.input-range-from-clamp every conv planned with a non-negative
 //                               input reads a producer whose output clamp
-//                               has lo >= 0 (a conv or add with ReLU)
+//                               has lo >= 0 (a conv or add with ReLU),
+//                               directly or through 2x2 max pools
 //
 // Wired into GraphPlan::compile behind the opt-in GraphPlanOptions::audit
 // flag; the mutation suite (tests/test_plan_audit.cpp) corrupts each
@@ -75,13 +76,16 @@ struct BlockingRecord {
   int tbl_group = 0;  ///< the TBL plan's group (tbl_group of its mode); 0 else
 };
 
-/// A conv's declared input range beside what its producer guarantees.
+/// A conv's declared input range beside what its producer guarantees. A
+/// 2x2 max pool keeps its input's range, so the producer is the first
+/// node past the pools the conv reads through.
 struct InputRangeRecord {
   int node = 0;
   int producer = 0;
   bool nonneg = false;         ///< planned with InputRange::kNonNegative
   bool producer_clamps = false;  ///< the producer clamps its output (conv, add)
   i32 producer_lo = 0;         ///< that clamp's lower bound
+  int pool = -1;  ///< the max pool the conv reads through (nearest), or -1
 };
 
 /// Everything the auditor sees — plain data, so GraphPlan::compile fills

@@ -87,16 +87,42 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
     if (kern == armkern::ArmKernel::kTblGemm &&
         !armkern::tbl_eligible_for(opt.bits))
       kern = armkern::ArmKernel::kOursGemm;
-    const gpukern::ArmTuningKey key{
-        s.gemm_m(), s.gemm_n(), s.gemm_k(), opt.bits,
-        armkern::blocking_scheme_id(kern, opt.bits)};
-    const gpukern::ArmBlocking b = tuning->get_or_search_arm(key, [&] {
-      const armkern::GemmBlocking w =
-          armkern::search_blocking(s, opt.bits, kern);
-      return gpukern::ArmBlocking{w.mc, w.kc, w.nc};
-    });
+    // A TBL row is keyed by its table source.
+    const auto row = [&](armkern::TblSource source) {
+      const gpukern::ArmTuningKey key{
+          s.gemm_m(), s.gemm_n(), s.gemm_k(), opt.bits,
+          armkern::blocking_scheme_id(kern, opt.bits,
+                                      armkern::InputRange::kSigned, source)};
+      const gpukern::ArmBlocking b = tuning->get_or_search_arm(key, [&] {
+        const armkern::GemmBlocking w = armkern::search_blocking(
+            s, opt.bits, kern, armkern::BlockedSchedule::kStandalone,
+            armkern::InputRange::kSigned, source);
+        return gpukern::ArmBlocking{w.mc, w.kc, w.nc};
+      });
+      return armkern::GemmBlocking{b.mc, b.kc, b.nc};
+    };
+    armkern::GemmBlocking blk = row(armkern::TblSource::kStored);
+    // Weight tables keep a row per source and run the row that scores less
+    // in its source — choose_tbl_source's pick, found without a search once
+    // both rows are cached; plan_conv then packs the source that scores
+    // less at that blocking.
+    if (kern == armkern::ArmKernel::kTblGemm &&
+        armkern::choose_tbl_orientation(s.gemm_m(), s.gemm_n(), s.gemm_k(),
+                                        opt.bits, /*weights_ternary=*/false) ==
+            armkern::TblOrientation::kWeightTables) {
+      const armkern::GemmBlocking built = row(armkern::TblSource::kBuilt);
+      const auto score = [&](const armkern::GemmBlocking& b,
+                             armkern::TblSource source) {
+        return armkern::score_blocking(s, opt.bits, kern, b,
+                                       armkern::BlockedSchedule::kStandalone,
+                                       armkern::InputRange::kSigned, source);
+      };
+      if (!(score(blk, armkern::TblSource::kStored) <
+            score(built, armkern::TblSource::kBuilt)))
+        blk = built;
+    }
     opt.blocking = armkern::BlockingPolicy::kExplicit;
-    opt.explicit_blocking = armkern::GemmBlocking{b.mc, b.kc, b.nc};
+    opt.explicit_blocking = blk;
   }
   LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan plan,
                        armkern::plan_conv(s, weight, opt));
@@ -107,9 +133,11 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
 
 Status prove_arm_plan(const armkern::ArmConvPlan& plan) {
   if (plan.algo != armkern::ConvAlgo::kGemm) return Status();
-  // A TBL plan proves the one mode it packed and executes.
+  // A TBL plan proves the one mode and table source it packed and
+  // executes.
   if (plan.kernel == armkern::ArmKernel::kTblGemm)
-    return check::prove_tbl_mode(plan.tbl_a.mode, plan.shape.gemm_k());
+    return check::prove_tbl_mode(plan.tbl_a.mode, plan.shape.gemm_k(),
+                                 plan.tbl_a.source);
   return check::prove_arm_kernel(plan.kernel, plan.requested.bits,
                                  plan.shape.gemm_k());
 }

@@ -101,7 +101,9 @@ class ConvPlan {
 /// With a `tuning` cache, the blocked-GEMM {Mc, Kc, Nc} auto-search result
 /// is persisted per (GEMM view, bits, scheme) through
 /// TuningCache::get_or_search_arm — "determined once per convolution
-/// shape" (Sec. 5.1) across process runs, same as the GPU tilings.
+/// shape" (Sec. 5.1) across process runs, same as the GPU tilings. A
+/// weight-tables TBL conv keeps one row per table source and runs the row
+/// that scores less in its source, so a cache holding both runs no search.
 /// Errors: kInvalidArgument (bad shape/bits/dims/threads) or
 /// kResourceExhausted (plan compilation failed — the plan.compile_fail
 /// fault site; callers fall back to the unplanned one-shot path).
@@ -120,9 +122,9 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
 
 /// Static proof gate (check/kernel_prover.h) for a resolved ARM plan: on
 /// the GEMM rung, the instruction scheme the RESOLVED kernel dispatches to
-/// (the planner may have degraded the request) — for TBL, the mode the plan
-/// packed — must discharge its overflow obligations at the plan's
-/// reduction depth. Non-GEMM rungs pass — they
+/// (the planner may have degraded the request) — for TBL, the mode and
+/// table source the plan packed — must discharge its overflow obligations
+/// at the plan's reduction depth. Non-GEMM rungs pass — they
 /// stay under the dynamic verifier. Errors: kInvariantViolation naming the
 /// failed obligation. plan_arm_conv and GraphPlan::compile both apply it.
 Status prove_arm_plan(const armkern::ArmConvPlan& plan);

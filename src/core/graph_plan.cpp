@@ -55,7 +55,8 @@ i64 packed_backing_bytes(const armkern::ArmConvPlan& p) {
       return static_cast<i64>(p.sdot_a.data.size()) +
              static_cast<i64>(p.gemm_a.data.size()) +
              static_cast<i64>(p.tbl_a.idx.size()) +
-             static_cast<i64>(p.tbl_a.tables.size());
+             static_cast<i64>(p.tbl_a.tables.size()) +
+             static_cast<i64>(p.tbl_a.ids.size());
   }
 }
 
@@ -99,17 +100,28 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     armkern::ArmConvOptions opt;
     bool fused = false;
     bool tbl = false;                ///< result: TBL won the pricing
+    /// result: TBL's per-layer table source, which seeds the joint search
+    /// and keys its hash (a plan packs the source of the blocking it runs)
+    armkern::TblSource source = armkern::TblSource::kStored;
     armkern::GemmBlocking blocking;  ///< result: the fused-schedule winner
     armkern::ArmKernel kernel() const {
       return tbl ? armkern::ArmKernel::kTblGemm : rung.kernel;
     }
+    armkern::BlockedSchedule schedule() const {
+      return fused ? armkern::BlockedSchedule::kFused
+                   : armkern::BlockedSchedule::kStandalone;
+    }
   };
   std::vector<ConvSearch> convs;
   // Whether a node's output passes a clamp with lo >= 0: a conv's requant
-  // or an add's rescale with ReLU. Inputs and pools do not clamp.
-  const auto clamps_nonneg = [](const NodePlan& p) {
-    return (p.kind == NodeKind::kConv && p.rq.clamp.lo >= 0) ||
-           (p.kind == NodeKind::kAdd && p.clamp.lo >= 0);
+  // or an add's rescale with ReLU, seen through any 2x2 max pools (a max
+  // of values >= 0 is >= 0). Inputs do not clamp.
+  const auto clamps_nonneg = [&plan](int node) {
+    const NodePlan* p = &plan.nodes_[static_cast<size_t>(node)];
+    while (p->kind == NodeKind::kMaxPool2)
+      p = &plan.nodes_[static_cast<size_t>(p->src0)];
+    return (p->kind == NodeKind::kConv && p->rq.clamp.lo >= 0) ||
+           (p->kind == NodeKind::kAdd && p->clamp.lo >= 0);
   };
   for (size_t i = 0; i < n_nodes; ++i) {
     const QnnGraph::Node& n = g.nodes_[i];
@@ -140,7 +152,7 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         cs.opt.threads = opt.threads;
         // The input-range fact comes from the producer's clamp, and only
         // from there (check::audit_plan re-checks it).
-        if (clamps_nonneg(plan.nodes_[static_cast<size_t>(n.src0)]))
+        if (clamps_nonneg(n.src0))
           cs.opt.input_range = armkern::InputRange::kNonNegative;
         // Under fusion a blocked GEMM conv takes its blocking from the
         // fused-schedule search, pinned as an explicit blocking.
@@ -185,17 +197,21 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         for (i64 j = begin; j < end; ++j) {
           ConvSearch& cs = convs[static_cast<size_t>(j)];
           const QnnGraph::Node& n = g.nodes_[cs.node];
-          const armkern::BlockedSchedule sched =
-              cs.fused ? kFused : armkern::BlockedSchedule::kStandalone;
+          const armkern::BlockedSchedule sched = cs.schedule();
+          // The pricing reports the TBL source it priced (the per-layer
+          // pick, which seeds the joint search and keys its hash).
+          armkern::TblSource source = armkern::TblSource::kStored;
           cs.tbl = cs.rung.blocked &&
                    cs.rung.kernel == armkern::ArmKernel::kOursGemm &&
                    armkern::tbl_eligible_for(n.bits) &&
                    armkern::choose_gemm_kernel(n.conv, n.bits, sched,
-                                               cs.opt.input_range) ==
+                                               cs.opt.input_range, &source) ==
                        armkern::ArmKernel::kTblGemm;
+          if (cs.tbl) cs.source = source;
           if (cs.fused)
-            cs.blocking = armkern::search_blocking(
-                n.conv, n.bits, cs.kernel(), sched, cs.opt.input_range);
+            cs.blocking =
+                armkern::search_blocking(n.conv, n.bits, cs.kernel(), sched,
+                                         cs.opt.input_range, cs.source);
         }
       });
 
@@ -208,8 +224,8 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     const QnnGraph::Node& n = g.nodes_[cs.node];
     if (cs.rung.blocked && n.conv.batch == 1) {
       chain.push_back(&cs);
-      layers.push_back(armkern::GraphSearchLayer{n.conv, n.bits, cs.kernel(),
-                                                 cs.opt.input_range});
+      layers.push_back(armkern::GraphSearchLayer{
+          n.conv, n.bits, cs.kernel(), cs.opt.input_range, cs.source});
     }
   }
   plan.graph_hash_ =
@@ -263,8 +279,11 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     armkern::ArmConvOptions copt = cs.opt;
     if (cs.tbl) copt.kernel = armkern::ArmKernel::kTblGemm;
     if (cs.fused) copt.explicit_blocking = cs.blocking;
-    LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
-                         armkern::plan_conv(n.conv, n.weight_q, copt));
+    // A fused conv's explicit blocking packs the table source the joint
+    // search priced at it (armkern::tbl_source_at).
+    LBC_ASSIGN_OR_RETURN(
+        armkern::ArmConvPlan cp,
+        armkern::plan_conv(n.conv, n.weight_q, copt, cs.schedule()));
     p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
     // Same static proof gate as core::plan_arm_conv, on the kernel and
     // mode that will execute.
@@ -391,9 +410,16 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
           p.conv->kernel == armkern::ArmKernel::kSdotExt,
           tbl ? p.conv->tbl_a.group() : 0});
     // The conv's declared input range against its producer's clamp, each
-    // read from its own node.
-    const NodePlan& src = plan.nodes_[static_cast<size_t>(p.src0)];
+    // read from its own node; a 2x2 max pool passes its source's range on,
+    // so the producer is the first node past any pools.
     check::InputRangeRecord r{static_cast<int>(i), p.src0};
+    const auto node = [&plan](int id) -> const NodePlan& {
+      return plan.nodes_[static_cast<size_t>(id)];
+    };
+    if (node(p.src0).kind == NodeKind::kMaxPool2) r.pool = p.src0;
+    while (node(r.producer).kind == NodeKind::kMaxPool2)
+      r.producer = node(r.producer).src0;
+    const NodePlan& src = node(r.producer);
     r.nonneg =
         p.conv->requested.input_range == armkern::InputRange::kNonNegative;
     if (src.kind == NodeKind::kConv || src.kind == NodeKind::kAdd) {

@@ -65,7 +65,12 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
           gs.clear();  // a bad row falls back to per-layer winners
           break;
         }
-        gs.push_back(armkern::GraphSearchLayer{s, aopt.bits, kern});
+        // A TBL layer seeds from the winner for its per-layer table source.
+        gs.push_back(armkern::GraphSearchLayer{
+            s, aopt.bits, kern, armkern::InputRange::kSigned,
+            kern == armkern::ArmKernel::kTblGemm
+                ? armkern::choose_tbl_source(s, aopt.bits)
+                : armkern::TblSource::kStored});
       }
       if (!gs.empty())
         joint = armkern::search_graph_blocking(

@@ -390,9 +390,9 @@ StatusOr<int> TuningCache::deserialize(const std::string& text) {
       LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
                    "line " << lineno << ": bits " << k.bits
                            << " outside [2, 8]");
-      LBC_VALIDATE(k.scheme >= 0 && k.scheme <= 5, kDataLoss,
+      LBC_VALIDATE(k.scheme >= 0 && k.scheme <= 8, kDataLoss,
                    "line " << lineno << ": scheme " << k.scheme
-                           << " outside [0, 5]");
+                           << " outside [0, 8]");
       if (Status bs = validate_arm_blocking(b); !bs.ok())
         return bs.with_context("line " + std::to_string(lineno));
       parsed_arm.emplace_back(k, b);

@@ -150,18 +150,26 @@ ConvShape conv_shape(i64 in_c, i64 hw, i64 out_c, int kernel) {
 }
 
 TEST(GraphPlan, IncrementalJointSearchIsBitIdenticalToFullScoring) {
-  // A 2-bit TBL bottleneck chain at 14x14 (256 -> 64 -> 64 -> 256, plus a
-  // 256 -> 256 projection), on which trials' cache states rejoin the
-  // current assignment's at a later layer boundary, so the search stops
-  // them early (checked below). The objective values it reports must
-  // still equal full chained scoring of the same assignments, bit for bit.
+  // A 2-bit TBL bottleneck chain at 7x7 (512 -> 32 -> 32 -> 512, plus a
+  // 512 -> 512 projection), its inner convs ReLU-fed and each conv's table
+  // source priced as GraphPlan prices it, on which trials' cache states
+  // rejoin the current assignment's at a later layer boundary, so the
+  // search stops them early (checked below). The objective values it
+  // reports must still equal full chained scoring of the same
+  // assignments, bit for bit.
   using armkern::ArmKernel;
-  const std::vector<armkern::GraphSearchLayer> layers = {
-      {conv_shape(256, 14, 64, 1), 2, ArmKernel::kTblGemm},
-      {conv_shape(64, 14, 64, 3), 2, ArmKernel::kTblGemm},
-      {conv_shape(64, 14, 256, 1), 2, ArmKernel::kTblGemm},
-      {conv_shape(256, 14, 256, 1), 2, ArmKernel::kTblGemm},
+  using armkern::InputRange;
+  std::vector<armkern::GraphSearchLayer> layers = {
+      {conv_shape(512, 7, 32, 1), 2, ArmKernel::kTblGemm, InputRange::kSigned},
+      {conv_shape(32, 7, 32, 3), 2, ArmKernel::kTblGemm,
+       InputRange::kNonNegative},
+      {conv_shape(32, 7, 512, 1), 2, ArmKernel::kTblGemm,
+       InputRange::kNonNegative},
+      {conv_shape(512, 7, 512, 1), 2, ArmKernel::kTblGemm, InputRange::kSigned},
   };
+  for (armkern::GraphSearchLayer& gl : layers)
+    gl.source = armkern::choose_tbl_source(
+        gl.shape, gl.bits, armkern::BlockedSchedule::kFused, gl.input);
   constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
   const i64 exits_before = armkern::tile_search_stats().joint_early_exits;
   const armkern::GraphSearchResult r =
@@ -173,8 +181,8 @@ TEST(GraphPlan, IncrementalJointSearchIsBitIdenticalToFullScoring) {
   // winners of the fused schedule.
   std::vector<armkern::GemmBlocking> greedy;
   for (const armkern::GraphSearchLayer& gl : layers)
-    greedy.push_back(
-        armkern::search_blocking(gl.shape, gl.bits, gl.kernel, kFused));
+    greedy.push_back(armkern::search_blocking(gl.shape, gl.bits, gl.kernel,
+                                              kFused, gl.input, gl.source));
   EXPECT_EQ(std::bit_cast<u64>(r.joint_cycles),
             std::bit_cast<u64>(
                 armkern::score_graph_blocking(layers, r.blocking, kFused)));
@@ -262,9 +270,10 @@ TEST(GraphPlan, ThreeBitNonTernaryConvsKeepMla) {
 }
 
 /// Three fused convs, a residual add and a pool, sized so that at 2 bit
-/// the two 14x14 convs price to TBL with weight tables (few rows, many
-/// columns) and the 7x7 one to TBL with activation tables (many rows over
-/// a table set too big for L2). Conv node ids: 1, 2, 5.
+/// every conv prices to TBL with weight tables: the two 14x14 convs (few
+/// rows, many columns), and the 7x7 one, which reads a max pool of the
+/// ReLU'd add and so folds four activations per index. Conv node ids: 1,
+/// 2, 5.
 QnnGraph band_graph(int bits, const Tensor<float>& x) {
   QnnGraph g;
   const auto in = g.add_input(16, 14);
@@ -293,8 +302,9 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
   using armkern::TblOrientation;
   // Per bit width, the kernel of each conv: node 2 reads node 1's ReLU
   // output, so at 3 bit its weight tables fold two activations per index
-  // and price below MLA; nodes 1 and 5 read signed values (the input, and
-  // a pool, which does not clamp).
+  // and price below MLA; node 1 reads the signed input. Node 5 reads a 2x2
+  // max pool of node 3's ReLU'd add — a max of values >= 0 — so it is
+  // planned non-negative too.
   struct Case {
     int bits;
     ArmKernel kernel[3];
@@ -327,6 +337,10 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
                 banded ? 3 * cp.shape.gemm_m() * cp.blocking.nc : 0)
           << c.bits << " bits, conv " << j;
     }
+    EXPECT_EQ(fused.conv_plan(1)->requested.input_range,
+              armkern::InputRange::kSigned);
+    EXPECT_EQ(fused.conv_plan(5)->requested.input_range,
+              armkern::InputRange::kNonNegative);
     if (c.bits == 2) {
       EXPECT_EQ(fused.conv_plan(1)->tbl_a.orient,
                 TblOrientation::kWeightTables);
@@ -334,7 +348,9 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
       EXPECT_EQ(fused.conv_plan(2)->tbl_a.orient,
                 TblOrientation::kWeightTables);
       EXPECT_EQ(fused.conv_plan(2)->tbl_a.mode, armkern::kTbl2NonNeg);
-      EXPECT_EQ(fused.conv_plan(5)->tbl_a.orient, TblOrientation::kActTables);
+      EXPECT_EQ(fused.conv_plan(5)->tbl_a.orient,
+                TblOrientation::kWeightTables);
+      EXPECT_EQ(fused.conv_plan(5)->tbl_a.mode, armkern::kTbl2NonNeg);
     }
     if (c.bits == 3) {
       EXPECT_EQ(fused.conv_plan(2)->tbl_a.mode, armkern::kTbl3NonNeg);
@@ -427,7 +443,7 @@ FusedChain fused_chain(const GraphPlan& plan) {
           cp->kernel != armkern::ArmKernel::kTraditional &&
           cp->shape.batch == 1) {
         chain.layers.push_back({cp->shape, cp->requested.bits, cp->kernel,
-                                cp->requested.input_range});
+                                cp->requested.input_range, cp->tbl_a.source});
         chain.blocking.push_back(cp->blocking);
       }
   return chain;
@@ -454,8 +470,8 @@ TEST(GraphPlan, JointCyclesMatchAReScoreWhetherSearchedOrCacheServed) {
   ASSERT_EQ(static_cast<int>(chain.layers.size()), fresh.fused_convs());
   std::vector<armkern::GemmBlocking> greedy;
   for (const armkern::GraphSearchLayer& gl : chain.layers)
-    greedy.push_back(
-        armkern::search_blocking(gl.shape, gl.bits, gl.kernel, kFused));
+    greedy.push_back(armkern::search_blocking(gl.shape, gl.bits, gl.kernel,
+                                              kFused, gl.input, gl.source));
   const double joint_score =
       armkern::score_graph_blocking(chain.layers, chain.blocking, kFused);
   const double greedy_score =
@@ -534,12 +550,15 @@ TEST(GraphPlan, ColdCompileWithConcurrentSearchesEqualsWarmCompile) {
 }
 
 // What a cold compile of `plan`'s graph should have searched, for a graph
-// of fused convs: `keys`, one per distinct conv shape (TBL's at <= 3 bit,
-// else the GEMM kernel's) plus MLA's for each <= 3-bit shape whose kernel
-// pricing could not rule MLA out; and `calls`, the search_blocking calls
-// it made — per conv the pricing's TBL (and MLA) search, the fused
-// blocking, and the joint search's seed. Whether pricing searched MLA
-// shows afterwards: a probe of MLA's key is then a memo hit.
+// of fused convs: `keys`, one per distinct conv shape (TBL's at <= 3 bit —
+// two, one per table source, where TBL prices weight tables — else the
+// GEMM kernel's) plus MLA's for each <= 3-bit shape whose kernel pricing
+// could not rule MLA out; and `calls`, the search_blocking calls it made —
+// per conv the pricing's TBL (one per source) and MLA searches, the fused
+// blocking, and the joint search's seed (plan_conv picks an explicit
+// blocking's table source by scoring it, without a search). Whether
+// pricing searched MLA shows afterwards: a probe of MLA's key is then a
+// memo hit.
 struct KeyCount {
   i64 keys = 0;
   i64 calls = 0;
@@ -560,8 +579,13 @@ KeyCount count_keys(const GraphPlan& plan) {
                                kFused);
       it->second = armkern::tile_search_stats().searches == searches;
     }
-    if (first) kc.keys += it->second ? 2 : 1;
-    kc.calls += (priced ? 2 : 1) + (it->second ? 1 : 0) + 1;
+    const bool weight_tables =
+        priced && armkern::choose_tbl_orientation(
+                      s.gemm_m(), s.gemm_n(), s.gemm_k(), gl.bits, false,
+                      gl.input) == armkern::TblOrientation::kWeightTables;
+    const i64 tbl_keys = priced ? (weight_tables ? 2 : 1) : 0;
+    if (first) kc.keys += (priced ? tbl_keys : 1) + (it->second ? 1 : 0);
+    kc.calls += tbl_keys + (it->second ? 1 : 0) + 1 + 1;
   }
   return kc;
 }
@@ -797,9 +821,22 @@ TEST(GraphPlanConcurrency, SameShapeConvsWithDifferentInputRangesSearchApart) {
   EXPECT_EQ(armkern::tile_search_stats().searches, before.searches);
   EXPECT_EQ(armkern::tile_search_stats().memo_hits, before.memo_hits + 2);
   EXPECT_TRUE(nonneg.kc % 4 == 0 || nonneg.kc == s.gemm_k()) << nonneg.kc;
-  // The compile searched three TBL keys — 24 -> 24 on the signed input, and
-  // the 24 -> 40 shape once per range — plus each shape's MLA key that the
-  // kernel pricing could not rule out (a probe of it is then a memo hit).
+  // The compile priced TBL for three (shape, range) pairs — 24 -> 24 on the
+  // signed input, and the 24 -> 40 shape once per range — searching one
+  // key each, or two (one per table source) where TBL prices weight
+  // tables; plus each shape's MLA key that the kernel pricing could not
+  // rule out (a probe of it is then a memo hit).
+  i64 tbl_keys = 0;
+  for (const armkern::ArmConvPlan* cp :
+       {plan.conv_plan(1), &fed_relu, &fed_input}) {
+    const ConvShape& cs = cp->shape;
+    tbl_keys += armkern::choose_tbl_orientation(
+                    cs.gemm_m(), cs.gemm_n(), cs.gemm_k(), 2, false,
+                    cp->requested.input_range) ==
+                        armkern::TblOrientation::kWeightTables
+                    ? 2
+                    : 1;
+  }
   i64 mla_keys = 0;
   for (const armkern::ArmConvPlan* cp : {plan.conv_plan(1), &fed_relu}) {
     const i64 n = armkern::tile_search_stats().searches;
@@ -807,7 +844,7 @@ TEST(GraphPlanConcurrency, SameShapeConvsWithDifferentInputRangesSearchApart) {
                              kFused);
     if (armkern::tile_search_stats().searches == n) ++mla_keys;
   }
-  EXPECT_EQ(compile_searches, 3 + mla_keys);
+  EXPECT_EQ(compile_searches, tbl_keys + mla_keys);
 
   const QnnGraph plain = make(false);
   gpukern::TuningCache cache;

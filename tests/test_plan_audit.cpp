@@ -231,5 +231,53 @@ TEST(PlanAuditMutation, FactForcedOntoConvFedByTheInputFailsTheAudit) {
       << rep.summary();
 }
 
+TEST(PlanAuditMutation, PoolPassesItsProducersRangeAndTheAuditWalksIt) {
+  // Max pools pass their source's range on. A pool of a ReLU'd conv feeds
+  // node 3 a non-negative input; a pool of the signed input, and a pool of
+  // a conv without ReLU, feed nodes 5 and 7 signed ones. Each record names
+  // the producer past the pool and the pool itself; forcing the fact onto
+  // node 5 or 7 fails the audit by name.
+  core::QnnGraph g;
+  const auto in = g.add_input(8, 12);
+  const auto w = [](i64 oc, i64 ic, u64 seed) {
+    return random_ftensor(Shape4{oc, ic, 1, 1}, -0.4f, 0.4f, seed);
+  };
+  const auto relu = g.add_conv(in, 8, 1, 1, 0, 2, w(8, 8, 61), {}, true);
+  g.add_conv(g.add_maxpool2(relu), 8, 1, 1, 0, 2, w(8, 8, 62), {}, false);
+  g.add_conv(g.add_maxpool2(in), 8, 1, 1, 0, 2, w(8, 8, 63), {}, false);
+  const auto plain = g.add_conv(in, 8, 1, 1, 0, 2, w(8, 8, 64), {}, false);
+  g.add_conv(g.add_maxpool2(plain), 8, 1, 1, 0, 2, w(8, 8, 65), {}, false);
+  ASSERT_TRUE(
+      g.calibrate(random_ftensor(Shape4{1, 8, 12, 12}, -1, 1, 66)).ok());
+  core::GraphPlanOptions opt;
+  opt.audit = true;
+  const core::GraphPlan plan = core::GraphPlan::compile(g, opt).value();
+  EXPECT_EQ(plan.conv_plan(3)->requested.input_range,
+            armkern::InputRange::kNonNegative);
+  EXPECT_EQ(plan.conv_plan(5)->requested.input_range,
+            armkern::InputRange::kSigned);
+  EXPECT_EQ(plan.conv_plan(8)->requested.input_range,
+            armkern::InputRange::kSigned);
+  PlanAuditInput audit = plan.audit_input();
+  ASSERT_TRUE(check::audit_plan(audit).ok());
+  for (check::InputRangeRecord& r : audit.input_ranges) {
+    if (r.node == 3) {
+      EXPECT_EQ(r.producer, 1);
+      EXPECT_EQ(r.pool, 2);
+      EXPECT_TRUE(r.producer_clamps && r.producer_lo >= 0);
+    }
+    if (r.node != 5 && r.node != 8) continue;
+    EXPECT_EQ(r.pool, r.node - 1) << "node " << r.node;
+    PlanAuditInput forced = audit;
+    for (check::InputRangeRecord& f : forced.input_ranges)
+      if (f.node == r.node) f.nonneg = true;
+    const AuditReport rep = check::audit_plan(forced);
+    EXPECT_TRUE(has_finding(rep, "audit.input-range-from-clamp"))
+        << "node " << r.node << ": " << rep.summary();
+    EXPECT_NE(rep.summary().find("through max pool node"), std::string::npos)
+        << rep.summary();
+  }
+}
+
 }  // namespace
 }  // namespace lbc

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -500,13 +501,27 @@ TEST(TblConv, UnblockedRequestDegradesToOurs) {
 TEST(TblSearch, OrientationFollowsRowCount) {
   // fig09 geometry: small-M layers amortize the online table build poorly
   // (kWeightTables wins); large-M layers share one online build across
-  // hundreds of rows (kActTables wins).
+  // hundreds of rows (kActTables wins) while few columns leave each built
+  // or streamed weight table little reuse. Building weight tables from the
+  // dictionary moved the crossover up: 256 rows over 196 columns now pick
+  // weight tables.
   EXPECT_EQ(choose_tbl_orientation(64, 3136, 576, 2, false),
             TblOrientation::kWeightTables);
   EXPECT_EQ(choose_tbl_orientation(256, 196, 2304, 2, false),
-            TblOrientation::kActTables);
+            TblOrientation::kWeightTables);
   EXPECT_EQ(choose_tbl_orientation(512, 49, 4608, 2, false),
             TblOrientation::kActTables);
+  EXPECT_EQ(choose_tbl_orientation(2048, 196, 1024, 2, false),
+            TblOrientation::kActTables);
+  // The weight side is priced in the conv's own mode: a ReLU'd input folds
+  // four activations per index, which halves its lookups and moves even
+  // those large-M layers to weight tables.
+  EXPECT_EQ(choose_tbl_orientation(512, 49, 4608, 2, false,
+                                   InputRange::kNonNegative),
+            TblOrientation::kWeightTables);
+  EXPECT_EQ(choose_tbl_orientation(2048, 196, 1024, 2, false,
+                                   InputRange::kNonNegative),
+            TblOrientation::kWeightTables);
 }
 
 TEST(TblSearch, BlockingSearchIsDeterministicAndClamped) {
@@ -531,7 +546,10 @@ TEST(TblSearch, RowsKeyedForTheUnpairedTileAreNotReturned) {
   const gpukern::ArmTuningKey old_key{s.gemm_m(), s.gemm_n(), s.gemm_k(), 2,
                                       4};
   const gpukern::ArmBlocking stale{16, 8, 4};
-  const GemmBlocking searched = search_blocking(s, 2, ArmKernel::kTblGemm);
+  const TblSource source = choose_tbl_source(s, 2);
+  const GemmBlocking searched =
+      search_blocking(s, 2, ArmKernel::kTblGemm, BlockedSchedule::kStandalone,
+                      InputRange::kSigned, source);
   ASSERT_NE(searched, (GemmBlocking{stale.mc, stale.kc, stale.nc}));
   gpukern::TuningCache cache;
   cache.put_arm(old_key, stale);
@@ -545,7 +563,8 @@ TEST(TblSearch, RowsKeyedForTheUnpairedTileAreNotReturned) {
   ASSERT_EQ(plan.impl_plan().kernel, ArmKernel::kTblGemm);
   EXPECT_EQ(plan.impl_plan().blocking, searched);
   gpukern::ArmTuningKey key = old_key;
-  key.scheme = blocking_scheme_id(ArmKernel::kTblGemm, 2);
+  key.scheme =
+      blocking_scheme_id(ArmKernel::kTblGemm, 2, InputRange::kSigned, source);
   const std::optional<gpukern::ArmBlocking> row = reloaded.lookup_arm(key);
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ(*row, (gpukern::ArmBlocking{searched.mc, searched.kc,
@@ -641,14 +660,27 @@ TEST_P(KernelChoicePruning, EqualsTheFullComparison) {
   for (const ConvShape& s : convs) {
     const i64 searches = tile_search_stats().searches;
     const ArmKernel pick = choose_gemm_kernel(s, bits, sched);
-    // A cold TBL search alone means MLA's search was skipped.
-    if (tile_search_stats().searches - searches == 1) ++mla_skipped;
-    const GemmBlocking tbl = search_blocking(s, bits, ArmKernel::kTblGemm, sched);
+    // Cold TBL searches alone — one per table source where TBL prices
+    // weight tables — mean MLA's search was skipped.
+    const i64 tbl_keys =
+        choose_tbl_orientation(s.gemm_m(), s.gemm_n(), s.gemm_k(), bits,
+                               false) == TblOrientation::kWeightTables
+            ? 2
+            : 1;
+    if (tile_search_stats().searches - searches == tbl_keys) ++mla_skipped;
+    // The full comparison: TBL at its cheaper table source against MLA.
+    double tbl_score = std::numeric_limits<double>::infinity();
+    for (const TblSource src : {TblSource::kStored, TblSource::kBuilt}) {
+      const GemmBlocking tbl = search_blocking(s, bits, ArmKernel::kTblGemm,
+                                               sched, InputRange::kSigned, src);
+      tbl_score = std::min(tbl_score,
+                           score_blocking(s, bits, ArmKernel::kTblGemm, tbl,
+                                          sched, InputRange::kSigned, src));
+    }
     const GemmBlocking mla =
         search_blocking(s, bits, ArmKernel::kOursGemm, sched);
     const ArmKernel full =
-        score_blocking(s, bits, ArmKernel::kTblGemm, tbl, sched) <
-                score_blocking(s, bits, ArmKernel::kOursGemm, mla, sched)
+        tbl_score < score_blocking(s, bits, ArmKernel::kOursGemm, mla, sched)
             ? ArmKernel::kTblGemm
             : ArmKernel::kOursGemm;
     EXPECT_EQ(pick, full) << describe(s);
@@ -772,10 +804,11 @@ TEST(TblVerify, SweepCoversTblAndMatchesDerivedCount) {
   int tbl_rows = 0;
   for (const KernelVerifyEntry& e : rep.entries)
     if (e.kernel == ArmKernel::kTblGemm) ++tbl_rows;
-  // bits 2-3, two blocked combos (searched, and an explicit blocking that
-  // pairs panels into the 32x4 tile) on a signed and a non-negative input,
-  // three shapes each.
-  EXPECT_EQ(tbl_rows, 2 * 4 * 3);
+  // bits 2-3, three blocked combos (searched, an explicit blocking that
+  // pairs panels into the 32x4 tile, and the same with weight tables built
+  // from the dictionary) on a signed and a non-negative input, three shapes
+  // each.
+  EXPECT_EQ(tbl_rows, 2 * 6 * 3);
 }
 
 
@@ -925,7 +958,9 @@ TEST(TblNonNeg, FoldedPlansMatchReferenceUnderChecks) {
 TEST(TblNonNeg, FoldHalvesTheLookupsAndTheTables) {
   // 2 bit, 64 -> 16 channels, K = 64: the signed plan folds pairs, the
   // non-negative one four values. TBL, ADD.16B, index loads (LD1) and
-  // table loads (LD1x4) halve, and so do the offline tables.
+  // table loads (LD1x4) halve, and so do the packed weights: in either
+  // table source the folded pack holds half the tables (stored) or ids
+  // (built) of the signed one.
   const ConvShape s = conv_shape(64, 12, 16, 1, 1, 0);
   const Tensor<i8> w = random_qtensor(Shape4{16, 64, 1, 1}, 2, 151);
   const Tensor<i8> in = nonneg_qtensor(Shape4{1, 64, 12, 12}, 2, 152);
@@ -941,7 +976,28 @@ TEST(TblNonNeg, FoldHalvesTheLookupsAndTheTables) {
   ASSERT_EQ(folded.tbl_a.orient, TblOrientation::kWeightTables);
   EXPECT_EQ(signed_plan.tbl_a.group(), 2);
   EXPECT_EQ(folded.tbl_a.group(), 4);
-  EXPECT_EQ(2 * folded.packed_weight_bytes, signed_plan.packed_weight_bytes);
+  // Each plan holds what its own source packs ...
+  EXPECT_EQ(signed_plan.packed_weight_bytes, signed_plan.tbl_a.bytes());
+  EXPECT_EQ(folded.packed_weight_bytes, folded.tbl_a.bytes());
+  // ... and within one source the fold halves the pack.
+  for (const TblSource src : {TblSource::kStored, TblSource::kBuilt}) {
+    const PackedTblA sp =
+        pack_tbl_a(w.data(), 16, 64, 2, TblOrientation::kWeightTables,
+                   InputRange::kSigned, src);
+    const PackedTblA fp =
+        pack_tbl_a(w.data(), 16, 64, 2, TblOrientation::kWeightTables,
+                   InputRange::kNonNegative, src);
+    const char* name = src == TblSource::kStored ? "stored" : "built";
+    EXPECT_EQ(sp.source, src) << name;
+    EXPECT_EQ(fp.source, src) << name;
+    EXPECT_EQ(2 * fp.bytes(), sp.bytes()) << name;
+    if (src == signed_plan.tbl_a.source) {
+      EXPECT_EQ(sp.bytes(), signed_plan.packed_weight_bytes) << name;
+    }
+    if (src == folded.tbl_a.source) {
+      EXPECT_EQ(fp.bytes(), folded.packed_weight_bytes) << name;
+    }
+  }
   Workspace ws;
   const ArmConvResult a = execute_conv(signed_plan, in, ws).value();
   const ArmConvResult b = execute_conv(folded, in, ws).value();

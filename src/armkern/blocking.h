@@ -16,15 +16,19 @@
 // from L2. Partial-K products accumulate into C in plain i32 adds, so the
 // result is bit-exact with the unblocked full-K sweep in any block order.
 //
-// This header only resolves geometry; the driver lives in gemm_blocked.cpp
-// and the {Mc, Kc, Nc} auto-search in tile_search.cpp. workspace sizing
-// (conv_arm.cpp) and the driver share BlockedLayout so the Workspace
-// high-water mark stays exact.
+// This header holds the geometry (BlockedLayout) and the loop nest itself
+// (walk_blocked), written once: it emits pack, table-copy, micro-call and
+// writeback events to a visitor. The driver in gemm_blocked.cpp executes
+// them; the tile search (tile_search.cpp) tallies their instruction counts
+// and replays their cache-line trace. Workspace sizing (conv_arm.cpp) and
+// the driver share BlockedLayout so the Workspace high-water mark stays
+// exact.
 #pragma once
 
 #include <algorithm>
 
 #include "armkern/schemes.h"
+#include "common/status.h"
 #include "common/types.h"
 
 namespace lbc::armkern {
@@ -81,7 +85,7 @@ inline GemmBlocking clamp_blocking(GemmBlocking b, i64 m, i64 n, i64 k,
 /// panels of an Nc band under kWeightTables): 2 — the 32x4 tile, sharing
 /// each table load — while a neighbour remains in the run, else 1 (the
 /// 16x4 tile). A run of c panels thus costs c / 2 paired calls and c % 2
-/// single ones; the blocked driver and the tile search both follow it.
+/// single ones.
 constexpr i64 tbl_call_panels(i64 i, i64 end) { return i + 1 < end ? 2 : 1; }
 
 /// Heuristic fallback when no search result is available: a B block of
@@ -108,11 +112,20 @@ struct BlockedLayout {
   TblSource tbl_source = TblSource::kStored;
 
   bool tbl() const { return tbl_group > 0; }
+  bool tbl_weight_tables() const {
+    return tbl() && tbl_orient == TblOrientation::kWeightTables;
+  }
   /// Weight tables from the built source: each worker copies a row quad's
   /// tables for the current K block into a panel that opens its block
   /// buffer.
   bool tbl_built() const { return tbl() && tbl_source == TblSource::kBuilt; }
   i64 m_panels() const { return m_pad / kMr; }
+  /// One micro tile's rows and columns: the column-major 16 x 4 tile, or
+  /// under weight tables the row-major 4 x 16 one (a slot is a C row, a
+  /// lane a C column). A row panel is tile_rows() rows of A, a column
+  /// panel tile_cols() columns of the packed block.
+  i64 tile_rows() const { return tbl_weight_tables() ? 4 : kMr; }
+  i64 tile_cols() const { return tbl_weight_tables() ? 16 : kNr; }
   i64 nc_eff(i64 jc) const { return std::min(blk.nc, n - jc * blk.nc); }
   i64 kc_eff(i64 kcb) const { return std::min(blk.kc, k - kcb * blk.kc); }
   i64 tbl_groups(i64 kcb) const {
@@ -145,12 +158,18 @@ struct BlockedLayout {
     }
     return round_up(blk.nc, kNr) * (sdot ? round_up(blk.kc, 4) : blk.kc);
   }
-  i64 block_bytes() const { return block_elems(); }
   /// i32 elements of one worker's C band under a fused epilogue: the
   /// partial-K sums of its current jc column block (m rows x Nc, row stride
   /// Nc), reused across the worker's jc blocks. 0 when one K block covers
   /// K: the epilogue then reads each finished micro tile directly.
   i64 fused_band_elems() const { return k_blocks == 1 ? 0 : m * blk.nc; }
+  /// i32 offset of C element (row, col) in the column block starting at
+  /// n0: in the m x n matrix (kStandalone) or in the worker's m x Nc band
+  /// (kFused, k_blocks > 1); -1 when there is no C (kFused, one K block).
+  i64 c_offset(BlockedSchedule schedule, i64 n0, i64 row, i64 col) const {
+    if (schedule == BlockedSchedule::kStandalone) return row * n + col;
+    return k_blocks == 1 ? -1 : row * blk.nc + col - n0;
+  }
 };
 
 inline BlockedLayout blocked_layout(i64 m, i64 n, i64 k,
@@ -194,6 +213,88 @@ inline BlockedLayout tbl_blocked_layout(i64 m, i64 n, i64 k,
 inline int blocked_threads(const BlockedLayout& l, int threads, bool verify) {
   if (verify) return 1;
   return std::max(1, std::min<int>(threads, static_cast<int>(l.n_blocks)));
+}
+
+/// One (jc, kcb) block of the schedule: C columns [n0, n0 + nc) at depth
+/// [k0, k0 + kc) of K block kcb, with the block's packed-B depth stride
+/// (BlockedLayout::k_stride) and, under TBL, its group steps [g0, g0 +
+/// groups).
+struct BlockStep {
+  i64 kcb = 0;
+  i64 n0 = 0, nc = 0;
+  i64 k0 = 0, kc = 0;
+  i64 kstride = 0;
+  i64 g0 = 0, groups = 0;
+};
+
+/// One micro call: row panel p against column panel q of the packed block
+/// (BlockedLayout::tile_rows / tile_cols). pair = 2 is the paired 32x4 TBL
+/// tile over row panels p, p + 1 (act tables) or column panels q, q + 1
+/// (weight tables).
+struct MicroStep {
+  i64 p = 0, q = 0, pair = 1;
+};
+
+/// One finished tile of a micro call (h < pair) handed to C: rows
+/// [row0, row0 + rows), columns [col0, col0 + cols), clipped at m and at
+/// the block's last column — not at n: when Nc % tile_cols != 0 a block's
+/// last tile is partly padding, and the columns past n0 + nc belong to the
+/// next block (another worker's, or the next rows of a fused band).
+struct TileStep {
+  i64 h = 0, row0 = 0, col0 = 0, rows = 0, cols = 0;
+};
+
+/// The blocked schedule over column blocks [jc0, jc1), in execution order:
+/// per (jc, kcb) it packs the block, then sweeps the Mc row blocks; per row
+/// panel it copies the panel's tables (the built TBL source only), then
+/// per column panel makes one micro call and writes back its tiles. TBL
+/// pairs panels by tbl_call_panels. The visitor provides
+///   Status pack(const BlockStep&);
+///   void copy_tables(const BlockStep&, i64 p);
+///   void micro(const BlockStep&, const MicroStep&);
+///   void write_tile(const BlockStep&, const TileStep&);
+/// A pack that fails stops the walk, which returns its Status.
+template <typename Visitor>
+Status walk_blocked(const BlockedLayout& lay, i64 jc0, i64 jc1, Visitor& v) {
+  const bool pair_cols = lay.tbl_weight_tables();
+  const bool pair_rows = lay.tbl() && !pair_cols;
+  const i64 tile_rows = lay.tile_rows(), tile_cols = lay.tile_cols();
+  const i64 row_panels = ceil_div(lay.m, tile_rows);
+  const i64 panels_per_mc = lay.blk.mc / tile_rows;
+  for (i64 jc = jc0; jc < jc1; ++jc)
+    for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb) {
+      BlockStep b{kcb, jc * lay.blk.nc, lay.nc_eff(jc), kcb * lay.blk.kc,
+                  lay.kc_eff(kcb), lay.k_stride(kcb)};
+      if (lay.tbl()) {
+        b.g0 = b.k0 / lay.tbl_group;
+        b.groups = lay.tbl_groups(kcb);
+      }
+      LBC_RETURN_IF_ERROR(v.pack(b));
+      const i64 col_panels = ceil_div(b.nc, tile_cols);
+      for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
+        const i64 p1 = std::min(row_panels, (icb + 1) * panels_per_mc);
+        i64 row_pair = 1;
+        for (i64 p = icb * panels_per_mc; p < p1; p += row_pair) {
+          row_pair = pair_rows ? tbl_call_panels(p, p1) : 1;
+          if (lay.tbl_built()) v.copy_tables(b, p);
+          i64 col_pair = 1;
+          for (i64 q = 0; q < col_panels; q += col_pair) {
+            col_pair = pair_cols ? tbl_call_panels(q, col_panels) : 1;
+            const MicroStep call{p, q, row_pair * col_pair};
+            v.micro(b, call);
+            // A paired call's second tile is the next row or column panel.
+            for (i64 h = 0; h < call.pair; ++h) {
+              const i64 row0 = (p + h * (row_pair - 1)) * tile_rows;
+              const i64 col0 = b.n0 + (q + h * (col_pair - 1)) * tile_cols;
+              const i64 rows = std::min(tile_rows, lay.m - row0);
+              const i64 cols = std::min(tile_cols, b.n0 + b.nc - col0);
+              v.write_tile(b, TileStep{h, row0, col0, rows, cols});
+            }
+          }
+        }
+      }
+    }
+  return Status();
 }
 
 }  // namespace lbc::armkern

@@ -123,7 +123,7 @@ i64 ArmConvPlan::workspace_bytes(i64 batch) const {
     const BlockedLayout lay = executed_layout(sb.batch);
     const int workers =
         blocked_threads(lay, requested.threads, requested.verify);
-    i64 total = workers * workspace_rounded(lay.block_bytes());
+    i64 total = workers * workspace_rounded(lay.block_elems());
     if (sb.batch > 1)
       total += workspace_rounded(m * n * static_cast<i64>(sizeof(i32)));
     return total;

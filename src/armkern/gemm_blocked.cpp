@@ -1,26 +1,31 @@
-// Mc/Kc/Nc cache-blocked GEMM driver (blocking.h) for the low-bit micro
-// kernels, with fused im2col packing on the conv path.
+// Mc/Kc/Nc cache-blocked GEMM driver for the low-bit micro kernels, with
+// fused im2col packing on the conv path: the executing visitor of the
+// blocked schedule (blocking.h, walk_blocked).
 //
 // Loop nest (BLIS order, QNNPACK-style for low-bit):
-//   jc  — Nc column blocks; the threading dimension (disjoint C bands)
+//   jc  — Nc column blocks; the threading dimension (disjoint C bands),
+//         each worker walks its own range of them
 //   kcb — Kc depth blocks; ONE Kc x Nc B block is packed per (jc, kcb)
 //         into a small reusable scratch buffer that stays L1-resident
 //   icb — Mc row blocks; the A panel slices for this Kc block re-stream
 //         from L2 instead of DRAM
-//   p,q — 16 x 4 micro tiles
+//   p,q — micro tiles: 16 x 4 column-major, or 4 x 16 row-major against
+//         weight tables
 //
 // TBL pairs panels into the 32 x 4 tile (micro_tbl_32x4), where one table
 // load serves two index vectors: adjacent row panels inside an Mc block
 // under kActTables, adjacent 16-column index panels inside a band under
-// kWeightTables. An odd last panel keeps the 16 x 4 tile.
+// kWeightTables. An odd last panel keeps the 16 x 4 tile. The built TBL
+// source copies a row quad's tables for the current K block from the
+// dictionary into the worker's panel that opens its block buffer before
+// sweeping the quad's column panels; the stored source reads them in place.
 //
 // The micro kernels are unchanged: they zero their accumulators and
-// overwrite the column-major scratch tile, so the driver scatter assigns
-// on the first K block and accumulates (plain i32 adds) afterwards —
-// bit-exact with the unblocked full-K sweep in any block order. The
-// accumulate's extra C re-load/add per tile row is tallied; the first
-// block's stores ride on the micro kernel's ST1s exactly like the
-// unblocked scatter.
+// overwrite the scratch tile, so the driver scatter assigns on the first K
+// block and accumulates (plain i32 adds) afterwards — bit-exact with the
+// unblocked full-K sweep in any block order. The accumulate's extra C
+// re-load/add per tile row is tallied; the first block's stores ride on the
+// micro kernel's ST1s exactly like the unblocked scatter.
 //
 // With a fused epilogue there is no m x n C matrix. Each worker keeps the
 // partial-K sums of its current jc block in an m x Nc band, reused across
@@ -33,7 +38,6 @@
 // bounds always describe the live block extent; the built TBL source's
 // table panel likewise before each copy, as a scratch region whose every
 // read must follow a write of this copy.
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -48,6 +52,39 @@
 namespace lbc::armkern {
 
 using namespace armsim;
+
+void run_micro(Ctx& ctx, const MicroKernel& mk, i64 kc,
+               const MicroOperands& op, i32* tile) {
+  switch (mk.kernel) {
+    case ArmKernel::kOursGemm:
+      if (mk.flush_override > 0)
+        micro_smlal_16x4(ctx, op.a, op.b, kc, mk.flush_override, tile);
+      else if (mk.bits <= 3)
+        micro_mla_16x4(ctx, op.a, op.b, kc, mla_flush_interval(mk.bits), tile);
+      else
+        micro_smlal_16x4(ctx, op.a, op.b, kc, smlal_flush_interval(mk.bits),
+                         tile);
+      break;
+    case ArmKernel::kNcnn:
+      micro_ncnn_16x4(ctx, op.a, op.b, kc, tile);
+      break;
+    case ArmKernel::kSdotExt:
+      micro_sdot_16x4(ctx, op.a, op.b, round_up(kc, 4), tile);
+      break;
+    case ArmKernel::kTblGemm: {
+      const i64 groups = ceil_div(kc, static_cast<i64>(tbl_group(mk.tbl_mode)));
+      const int flush = tbl_flush_interval(mk.tbl_mode);
+      if (op.idx1 != nullptr)
+        micro_tbl_32x4(ctx, op.idx0, op.idx1, op.b, groups, flush, tile);
+      else
+        micro_tbl_16x4(ctx, op.idx0, op.b, groups, flush, tile);
+      break;
+    }
+    case ArmKernel::kTraditional:
+      LBC_CHECK_MSG(false, "kernel has its own entry point");
+      break;
+  }
+}
 
 namespace {
 
@@ -67,293 +104,177 @@ struct BSource {
   const i8* input = nullptr;
 };
 
-// Where the C row segments of one jc block live: the full m x n matrix
-// (standalone), the worker's m x Nc band indexed from the block's first
-// column (fused, k_blocks > 1), or nowhere (fused, one K block: base is
-// null and the epilogue reads the tile).
-struct CTarget {
-  i32* base = nullptr;
-  i64 ld = 0;    ///< row stride in elements
-  i64 col0 = 0;  ///< C column stored at band column 0
-  i32* at(i64 row, i64 col) const { return base + row * ld + (col - col0); }
+// One worker's walk of the blocked schedule: packs each (jc, kcb) B block,
+// runs every micro call against it and hands each tile to C
+// (BlockedLayout::c_offset) and the fused epilogue.
+struct Execute {
+  Ctx& ctx;
+  const APanels* pa;
+  const SdotAPanels* sa;
+  const TblAPanels* ta;
+  const BSource& src;
+  i32* c;
+  const BlockedLayout& lay;
+  const GemmOptions& opt;
+  MicroKernel mk;
+  i32 qb;
+  // The built TBL source's table panel opens the buffer; the packed block
+  // follows it.
+  i8* panel;
+  i8* block;
+  // Two 16 x 4 tiles: the paired TBL tile fills both, other kernels the
+  // first.
+  alignas(64) i32 tile[2 * kMr * kNr] = {};
+
+  Status pack(const BlockStep& b) {
+    const bool tbl_wt = lay.tbl_weight_tables();
+    if (ctx.verifier != nullptr) {
+      // Value bounds of the packed block: operand bytes by default, the
+      // table-entry hull for online TBL tables, [0, 15] for TBL indices.
+      i32 blo = -qb, bhi = qb;
+      if (lay.tbl()) {
+        blo = tbl_wt ? 0 : -tbl_entry_bound(lay.tbl_mode);
+        bhi = tbl_wt ? 15 : tbl_entry_bound(lay.tbl_mode);
+      }
+      const i64 bytes = round_up(b.nc, lay.tile_cols()) * b.kstride;
+      ctx.verifier->add_region(block, bytes, "packed B block", blo, bhi);
+    }
+    const TblMode mode = lay.tbl_mode;
+    if (tbl_wt) {
+      u8* idx = reinterpret_cast<u8*>(block);
+      return src.b != nullptr
+                 ? pack_tbl_b_idx_block_into(&ctx, mode, src.b, lay.k, lay.n,
+                                             b.k0, b.kc, b.n0, b.nc, idx)
+                 : pack_tbl_b_idx_from_conv(&ctx, mode, *src.shape, src.input,
+                                            b.k0, b.kc, b.n0, b.nc, idx);
+    }
+    if (lay.tbl() && src.b != nullptr)
+      pack_tbl_b_tables_block_into(&ctx, mode, src.b, lay.k, lay.n, b.k0,
+                                   b.kc, b.n0, b.nc, block);
+    else if (lay.tbl())
+      pack_tbl_b_tables_from_conv(&ctx, mode, *src.shape, src.input, b.k0,
+                                  b.kc, b.n0, b.nc, block);
+    else if (lay.sdot && src.b != nullptr)
+      pack_sdot_b_block_into(&ctx, src.b, lay.k, lay.n, b.k0, b.kc, b.n0,
+                             b.nc, block);
+    else if (lay.sdot)
+      pack_sdot_b_panels_from_conv(&ctx, *src.shape, src.input, b.k0, b.kc,
+                                   b.n0, b.nc, block);
+    else if (src.b != nullptr)
+      pack_b_block_into(&ctx, src.b, lay.k, lay.n, b.k0, b.kc, b.n0, b.nc,
+                        block);
+    else
+      pack_b_panels_from_conv(&ctx, *src.shape, src.input, b.k0, b.kc, b.n0,
+                              b.nc, block);
+    return Status();
+  }
+
+  void copy_tables(const BlockStep& b, i64 p) {
+    const i64 tables = b.groups * 4;
+    if (ctx.verifier != nullptr) {
+      // The panel holds exactly what this copy writes, and the kernels may
+      // read only that: re-registering clears its write record.
+      const i32 bound = tbl_entry_bound(lay.tbl_mode);
+      ctx.verifier->add_scratch_region(panel, tables * 16, "TBL table panel",
+                                       -bound, bound);
+    }
+    copy_tbl_tables(ctx, lay.tbl_mode, ta->ids_panel(p) + b.g0 * 4, tables,
+                    panel);
+  }
+
+  void micro(const BlockStep& b, const MicroStep& call) {
+    // The packed-A K slice at depth k0 needs no repack: panel layout is
+    // [K][kMr] (and [K4/4][kMr][4] for SDOT with k0 % 4 == 0, or
+    // [groups][kMr] index bytes / [groups][4] tables for TBL with
+    // k0 % group == 0), so the slice is a plain pointer offset.
+    const i8* b_panel = block + call.q * b.kstride * lay.tile_cols();
+    MicroOperands op;
+    if (!lay.tbl()) {
+      op.a = (lay.sdot ? sa->panel(call.p) : pa->panel(call.p)) + b.k0 * kMr;
+      op.b = b_panel;
+    } else if (!lay.tbl_weight_tables()) {
+      // kActTables: weight indices from the offline pack, product tables
+      // from the online block pack; a lane is a C row and a slot a C
+      // column.
+      const i64 idx_off = b.g0 * kMr;
+      op.idx0 = ta->idx_panel(call.p) + idx_off;
+      if (call.pair == 2) op.idx1 = ta->idx_panel(call.p + 1) + idx_off;
+      op.b = b_panel;
+    } else {
+      // kWeightTables: activation indices from the block, the row quad's
+      // tables from the panel (built) or the offline pack (stored).
+      const u8* idx = reinterpret_cast<const u8*>(b_panel);
+      op.idx0 = idx;
+      if (call.pair == 2) op.idx1 = idx + b.kstride * 16;
+      op.b = lay.tbl_built() ? panel : ta->table_panel(call.p) + b.g0 * 64;
+    }
+    run_micro(ctx, mk, b.kc, op, tile);
+  }
+
+  // Element (ii, jj) of the finished tile is tile[ii * rs + jj * cs]: the
+  // column-major tile has rs = 1, cs = kMr, the weight-tables row-major
+  // one rs = 16, cs = 1. After the last K block each row segment goes
+  // straight on to the fused epilogue, if any, while it is cache-resident.
+  void write_tile(const BlockStep& b, const TileStep& t) {
+    const TileEpilogue* epi =
+        b.kcb == lay.k_blocks - 1 ? opt.epilogue : nullptr;
+    const BlockedSchedule schedule = opt.epilogue != nullptr
+                                         ? BlockedSchedule::kFused
+                                         : BlockedSchedule::kStandalone;
+    const bool wt = lay.tbl_weight_tables();
+    const i64 rs = wt ? 16 : 1, cs = wt ? 1 : kMr;
+    const i32* src_tile = tile + t.h * kMr * kNr;
+    alignas(64) i32 direct[16] = {};  // a tile row, when there is no C
+    for (i64 ii = 0; ii < t.rows; ++ii) {
+      const i64 row = t.row0 + ii;
+      const i64 c_off = lay.c_offset(schedule, b.n0, row, t.col0);
+      const i32* acc = direct;
+      if (c_off >= 0) {
+        i32* crow = c + c_off;
+        ctx.mem(crow, static_cast<u64>(t.cols) * 4);
+        for (i64 jj = 0; jj < t.cols; ++jj) {
+          const i32 v = src_tile[ii * rs + jj * cs];
+          crow[jj] = b.kcb == 0 ? v : crow[jj] + v;
+        }
+        acc = crow;
+      } else if (epi != nullptr) {
+        for (i64 jj = 0; jj < t.cols; ++jj)
+          direct[jj] = src_tile[ii * rs + jj * cs];
+      }
+      if (epi != nullptr) {
+        epi->fn(row, t.col0, t.cols, acc);
+        if (epi->out_base != nullptr)
+          ctx.mem(epi->out_base + row * epi->row_stride + t.col0,
+                  static_cast<u64>(t.cols));
+      }
+    }
+    tally_tile_writeback(ctx.counts, lay, opt.epilogue != nullptr, t.rows,
+                         t.cols, b.kcb);
+  }
 };
 
-// Hand one finished micro tile to C: element (ii, jj) is tile[ii * rs +
-// jj * cs], C row row0 + ii, column col0 + jj. Assigns on the first K
-// block and accumulates after it (re-loading and adding `vecs` i32x4
-// vectors per row); after the last K block each row segment goes straight
-// on to the fused epilogue, if any, while it is cache-resident.
-void write_tile(Ctx& ctx, const BlockedLayout& lay, const GemmOptions& opt,
-                const CTarget& c, const i32* tile, i64 rs, i64 cs, u64 vecs,
-                i64 row0, i64 col0, i64 rows, i64 cols, i64 kcb) {
-  const TileEpilogue* epi =
-      kcb == lay.k_blocks - 1 ? opt.epilogue : nullptr;
-  alignas(64) i32 direct[16] = {};  // a tile row, when there is no C
-  for (i64 ii = 0; ii < rows; ++ii) {
-    const i64 row = row0 + ii;
-    const i32* acc = direct;
-    if (c.base != nullptr) {
-      i32* crow = c.at(row, col0);
-      ctx.mem(crow, static_cast<u64>(cols) * 4);
-      if (kcb == 0)
-        for (i64 jj = 0; jj < cols; ++jj) crow[jj] = tile[ii * rs + jj * cs];
-      else
-        for (i64 jj = 0; jj < cols; ++jj) crow[jj] += tile[ii * rs + jj * cs];
-      acc = crow;
-    } else if (epi != nullptr) {
-      for (i64 jj = 0; jj < cols; ++jj) direct[jj] = tile[ii * rs + jj * cs];
-    }
-    if (epi != nullptr) {
-      epi->fn(row, col0, cols, acc);
-      if (epi->out_base != nullptr)
-        ctx.mem(epi->out_base + row * epi->row_stride + col0,
-                static_cast<u64>(cols));
-    }
-  }
-  if (c.base != nullptr && kcb > 0 && rows > 0) {
-    // Accumulating a partial-K tile re-loads the C rows and adds them in
-    // (the first K block's stores come free with the micro kernel's ST1s,
-    // same as the unblocked scatter).
-    ctx.tally(Op::kLd1, static_cast<u64>(rows) * vecs);
-    ctx.tally(Op::kAdd, static_cast<u64>(rows) * vecs);
-  }
-  if (epi != nullptr) {
-    // Fused epilogue cost: the fixed-point multiply + clamp per element and
-    // the narrow i8 store per row.
-    ctx.tally(Op::kScalar, static_cast<u64>(rows * cols) * 2);
-    ctx.tally(Op::kSt1, static_cast<u64>(rows));
-  }
-}
-
-// kWeightTables inner sweep for one packed (jc, kcb) block: 4 x 16
-// row-major tiles (a slot is a C row, a lane a C column) against the
-// weight tables, with the same assign/accumulate + fused-epilogue
-// discipline as the column-major sweep below. Adjacent 16-column index
-// panels of the band share each table load (the 32 x 4 tile). The stored
-// source reads each row quad's K slice of the offline tables in place; the
-// built source first copies it from the dictionary into the worker's
-// panel that opens its block buffer (one copy per quad per column pass);
-// the packed index block follows the panel.
-void run_tbl_wt_block(Ctx& ctx, const TblAPanels& ta, const CTarget& c,
-                      const BlockedLayout& lay, const GemmOptions& opt,
-                      i8* buf, i32* tile, i64 n0, i64 nc, i64 k0,
-                      i64 kcb) {
-  const i64 groups_c = lay.tbl_groups(kcb);
-  const int flush = tbl_flush_interval(lay.tbl_mode);
-  const i64 q_total = round_up(nc, i64{16}) / 16;
-  const i64 p4_total = ceil_div(lay.m, i64{4});
-  const i64 panels4_per_mc = lay.blk.mc / 4;
-  i8* panel = buf;
-  const u8* idx = reinterpret_cast<const u8*>(buf + lay.tbl_panel_bytes());
-  for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
-    const i64 p0 = icb * panels4_per_mc;
-    const i64 p1 = std::min<i64>(p4_total, p0 + panels4_per_mc);
-    for (i64 p = p0; p < p1; ++p) {
-      const i8* tbl_slice = panel;
-      if (lay.tbl_built()) {
-        if (ctx.verifier != nullptr) {
-          // The panel holds exactly what this copy writes, and the kernels
-          // may read only that: re-registering clears its write record.
-          const i32 bound = tbl_entry_bound(lay.tbl_mode);
-          ctx.verifier->add_scratch_region(panel, groups_c * 4 * 16,
-                                           "TBL table panel", -bound, bound);
-        }
-        copy_tbl_tables(ctx, lay.tbl_mode,
-                        ta.ids_panel(p) + (k0 / lay.tbl_group) * 4,
-                        groups_c * 4, panel);
-      } else {
-        tbl_slice = ta.table_panel(p) + (k0 / lay.tbl_group) * 4 * 16;
-      }
-      i64 pair = 0;
-      for (i64 q = 0; q < q_total; q += pair) {
-        pair = tbl_call_panels(q, q_total);
-        if (pair == 2)
-          micro_tbl_32x4(ctx, idx + q * groups_c * 16,
-                         idx + (q + 1) * groups_c * 16, tbl_slice, groups_c,
-                         flush, tile);
-        else
-          micro_tbl_16x4(ctx, idx + q * groups_c * 16, tbl_slice, groups_c,
-                         flush, tile);
-        for (i64 h = 0; h < pair; ++h) {
-          const i64 row0 = p * 4;
-          const i64 col0 = n0 + (q + h) * 16;
-          const i64 rows = std::min<i64>(4, lay.m - row0);
-          // Clip at the band end, not at n: when Nc % 16 != 0 the band's
-          // last tile is partly padding, and the columns past n0 + nc belong
-          // to the next band (another worker's, or the next rows of a fused
-          // band).
-          const i64 cols = std::min<i64>(16, n0 + nc - col0);
-          // A 16-col i32 row span re-loads as four vectors.
-          write_tile(ctx, lay, opt, c, tile + h * kMr * kNr, 16, 1, 4, row0,
-                     col0, rows, cols, kcb);
-        }
-      }
-    }
-  }
-}
-
-// One worker's share of jc blocks: pack each (jc, kcb) B block, sweep all
-// A panels against it, scatter/accumulate into C. Stops at the first
-// block the TBL index encoder rejects and returns its Status.
+// One worker's share of jc blocks. Stops at the first block the TBL index
+// encoder rejects and returns its Status.
 Status run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
                        const TblAPanels* ta, const BSource& src, i32* c,
                        const BlockedLayout& lay, const GemmOptions& opt,
                        i8* buf, i64 jc0, i64 jc1) {
-  const int bits = opt.bits;
-  // Two 16 x 4 tiles: the paired TBL tile fills both, other kernels the
-  // first.
-  alignas(64) i32 tile[2 * kMr * kNr] = {};
-  const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(bits);
-  const i32 qb = opt.b_max_abs > 0 ? opt.b_max_abs : qmax_for_bits(bits);
+  const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(opt.bits);
+  const i32 qb = opt.b_max_abs > 0 ? opt.b_max_abs : qmax_for_bits(opt.bits);
+  Execute ex{ctx, pa, sa, ta, src, c, lay, opt,
+             MicroKernel{opt.kernel, opt.bits, opt.flush_override,
+                         lay.tbl_mode},
+             qb, buf, buf + lay.tbl_panel_bytes()};
   if (ctx.verifier != nullptr) {
     // Tile values are partial dot products over at most K depth; the 32 x 4
     // TBL tile re-loads its own i32 sums after a second-level flush, and
     // the verifier seeds those loads from this bound.
     const i64 bound =
         std::min<i64>(lay.k * qa * qb, std::numeric_limits<i32>::max());
-    ctx.verifier->add_region(tile, sizeof(tile), "gemm C tile", -bound,
+    ctx.verifier->add_region(ex.tile, sizeof(ex.tile), "gemm C tile", -bound,
                              bound);
   }
-  const bool tbl_wt =
-      lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
-  const i64 panels_per_mc = lay.blk.mc / kMr;
-  // The built TBL source's table panel opens the buffer; the packed block
-  // follows it.
-  i8* block = buf + lay.tbl_panel_bytes();
-  for (i64 jc = jc0; jc < jc1; ++jc) {
-    const i64 n0 = jc * lay.blk.nc;
-    const i64 nc = lay.nc_eff(jc);
-    const i64 nc_pad = round_up(nc, kNr);
-    CTarget ct{c, lay.n, 0};
-    if (opt.epilogue != nullptr)
-      ct = lay.k_blocks > 1 ? CTarget{c, lay.blk.nc, n0} : CTarget{};
-    for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb) {
-      const i64 k0 = kcb * lay.blk.kc;
-      const i64 kc = lay.kc_eff(kcb);
-      const i64 kstride = lay.k_stride(kcb);
-      if (ctx.verifier != nullptr) {
-        // Value bounds of the packed block: operand bytes by default, the
-        // table-entry hull for online TBL tables, [0, 15] for TBL indices.
-        i32 blo = -qb, bhi = qb;
-        i64 bbytes = nc_pad * kstride;
-        if (lay.tbl() && !tbl_wt) {
-          const i32 bound = tbl_entry_bound(lay.tbl_mode);
-          blo = -bound;
-          bhi = bound;
-        } else if (tbl_wt) {
-          blo = 0;
-          bhi = 15;
-          bbytes = round_up(nc, i64{16}) * kstride;
-        }
-        ctx.verifier->add_region(block, bbytes, "packed B block", blo, bhi);
-      }
-      if (lay.tbl()) {
-        if (!tbl_wt) {
-          if (src.b != nullptr)
-            pack_tbl_b_tables_block_into(&ctx, lay.tbl_mode, src.b, lay.k,
-                                         lay.n, k0, kc, n0, nc, buf);
-          else
-            pack_tbl_b_tables_from_conv(&ctx, lay.tbl_mode, *src.shape,
-                                        src.input, k0, kc, n0, nc, buf);
-        } else {
-          u8* idx_dst = reinterpret_cast<u8*>(block);
-          LBC_RETURN_IF_ERROR(
-              src.b != nullptr
-                  ? pack_tbl_b_idx_block_into(&ctx, lay.tbl_mode, src.b,
-                                              lay.k, lay.n, k0, kc, n0, nc,
-                                              idx_dst)
-                  : pack_tbl_b_idx_from_conv(&ctx, lay.tbl_mode, *src.shape,
-                                             src.input, k0, kc, n0, nc,
-                                             idx_dst));
-          run_tbl_wt_block(ctx, *ta, ct, lay, opt, buf, tile, n0, nc, k0,
-                           kcb);
-          continue;
-        }
-      } else if (lay.sdot) {
-        if (src.b != nullptr)
-          pack_sdot_b_block_into(&ctx, src.b, lay.k, lay.n, k0, kc, n0, nc,
-                                 buf);
-        else
-          pack_sdot_b_panels_from_conv(&ctx, *src.shape, src.input, k0, kc,
-                                       n0, nc, buf);
-      } else {
-        if (src.b != nullptr)
-          pack_b_block_into(&ctx, src.b, lay.k, lay.n, k0, kc, n0, nc, buf);
-        else
-          pack_b_panels_from_conv(&ctx, *src.shape, src.input, k0, kc, n0,
-                                  nc, buf);
-      }
-      for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
-        const i64 p0 = icb * panels_per_mc;
-        const i64 p1 = std::min<i64>(lay.m_panels(), p0 + panels_per_mc);
-        // kActTables pairs adjacent row panels of the Mc block into the
-        // 32 x 4 tile; every other kernel runs one panel at a time.
-        i64 pair = 0;
-        for (i64 p = p0; p < p1; p += pair) {
-          pair = opt.kernel == ArmKernel::kTblGemm ? tbl_call_panels(p, p1)
-                                                    : 1;
-          // The packed-A K slice at depth k0 needs no repack: panel layout
-          // is [K][kMr] (and [K4/4][kMr][4] for SDOT with k0 % 4 == 0, or
-          // [groups][kMr] index bytes for TBL with k0 % group == 0), so
-          // the slice is a plain pointer offset.
-          const i8* a_slice =
-              lay.tbl() ? nullptr
-                        : (lay.sdot ? sa->panel(p) + k0 * kMr
-                                    : pa->panel(p) + k0 * kMr);
-          for (i64 q = 0; q < nc_pad / kNr; ++q) {
-            const i8* b_panel = buf + q * kstride * kNr;
-            switch (opt.kernel) {
-              case ArmKernel::kOursGemm:
-                if (opt.flush_override > 0)
-                  micro_smlal_16x4(ctx, a_slice, b_panel, kc,
-                                   opt.flush_override, tile);
-                else if (bits <= 3)
-                  micro_mla_16x4(ctx, a_slice, b_panel, kc,
-                                 mla_flush_interval(bits), tile);
-                else
-                  micro_smlal_16x4(ctx, a_slice, b_panel, kc,
-                                   smlal_flush_interval(bits), tile);
-                break;
-              case ArmKernel::kNcnn:
-                micro_ncnn_16x4(ctx, a_slice, b_panel, kc, tile);
-                break;
-              case ArmKernel::kSdotExt:
-                micro_sdot_16x4(ctx, a_slice, b_panel, kstride, tile);
-                break;
-              case ArmKernel::kTblGemm: {
-                // kActTables: weight indices from the offline pack, product
-                // tables from the online block pack; a lane is a C row and
-                // a slot a C column, matching the scatter below.
-                const i64 idx_off = (k0 / lay.tbl_group) * kMr;
-                const int flush = tbl_flush_interval(lay.tbl_mode);
-                if (pair == 2)
-                  micro_tbl_32x4(ctx, ta->idx_panel(p) + idx_off,
-                                 ta->idx_panel(p + 1) + idx_off, b_panel,
-                                 lay.tbl_groups(kcb), flush, tile);
-                else
-                  micro_tbl_16x4(ctx, ta->idx_panel(p) + idx_off, b_panel,
-                                 lay.tbl_groups(kcb), flush, tile);
-                break;
-              }
-              case ArmKernel::kTraditional:
-                LBC_CHECK_MSG(false, "kernel has its own entry point");
-                break;
-            }
-            const i64 col0 = n0 + q * kNr;
-            const i64 cols = std::min<i64>(kNr, n0 + nc - col0);
-            for (i64 h = 0; h < pair; ++h) {
-              const i64 row0 = (p + h) * kMr;
-              const i64 rows = std::min<i64>(kMr, lay.m - row0);
-              // Column-major tile; a 4-col i32 row span is one vector.
-              write_tile(ctx, lay, opt, ct, tile + h * kMr * kNr, 1, kMr, 1,
-                         row0, col0, rows, cols, kcb);
-            }
-          }
-        }
-      }
-    }
-  }
-  return Status();
+  return walk_blocked(lay, jc0, jc1, ex);
 }
 
 GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
@@ -442,7 +363,7 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
   std::vector<i8*> bufs(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t)
     bufs[static_cast<size_t>(t)] =
-        block_scratch(opt, own[static_cast<size_t>(t)], lay.block_bytes());
+        block_scratch(opt, own[static_cast<size_t>(t)], lay.block_elems());
 
   if (threads == 1) {
     Ctx ctx;

@@ -220,41 +220,12 @@ inline i8 im2col_at(const ConvShape& s, const i8* in, i64 kg, i64 col) {
   return in[((b * s.in_c + ic) * s.in_h + ih) * s.in_w + iw];
 }
 
-// Cache traffic of the fused gather: for each im2col row in the block, the
-// touched input bytes form one contiguous span per output row (clamped to
-// the image). Feeding the real spans through ctx->mem keeps the gather's
-// L1/L2 behaviour — the whole point of the blocked schedule — measured,
-// not asserted.
+// Cache traffic of the fused gather of one block.
 void touch_conv_gather(armsim::Ctx* ctx, const ConvShape& s, const i8* in,
                        i64 k0, i64 kc, i64 n0, i64 nc) {
-  const i64 ohw = s.out_h() * s.out_w();
-  for (i64 kk = 0; kk < kc; ++kk) {
-    const i64 kg = k0 + kk;
-    const i64 ksq = s.kernel * s.kernel;
-    const i64 ic = kg / ksq;
-    const i64 kh = (kg / s.kernel) % s.kernel;
-    const i64 kw = kg % s.kernel;
-    i64 col = n0;
-    while (col < n0 + nc) {
-      const i64 b = col / ohw;
-      const i64 rem = col % ohw;
-      const i64 oh = rem / s.out_w();
-      const i64 ow0 = rem % s.out_w();
-      const i64 ow1 =
-          std::min<i64>(s.out_w() - 1, ow0 + (n0 + nc - 1 - col));
-      const i64 ih = oh * s.stride + kh - s.pad;
-      if (ih >= 0 && ih < s.in_h) {
-        const i64 iw_lo = std::max<i64>(ow0 * s.stride + kw - s.pad, 0);
-        const i64 iw_hi =
-            std::min<i64>(ow1 * s.stride + kw - s.pad, s.in_w - 1);
-        if (iw_lo <= iw_hi)
-          ctx->mem_range(in + ((b * s.in_c + ic) * s.in_h + ih) * s.in_w +
-                             iw_lo,
-                         static_cast<u64>(iw_hi - iw_lo + 1));
-      }
-      col += ow1 - ow0 + 1;
-    }
-  }
+  for_each_gather_span(s, k0, kc, n0, nc, [&](i64 offset, i64 bytes) {
+    ctx->mem_range(in + offset, static_cast<u64>(bytes));
+  });
 }
 
 }  // namespace

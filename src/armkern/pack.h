@@ -17,6 +17,7 @@
 //    write into a Workspace arena instead of fresh heap blocks.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/align.h"
@@ -121,6 +122,43 @@ BPanels pack_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
                                 i64 n0, i64 nc, i8* dst);
 
 // SDOT-layout blocked variants are declared below SdotBPanels.
+
+/// The input spans the fused gather of block [k0, k0+kc) x [n0, n0+nc)
+/// reads: for each im2col row, one contiguous span per output row, clamped
+/// to the image. Calls span(offset, bytes) in gather order, the offset
+/// counted in elements of the NCHW input. The conv packs feed the spans to
+/// the cache model (Ctx::mem_range), so the gather's L1/L2 behaviour — the
+/// whole point of the blocked schedule — is measured, not asserted; the
+/// tile search feeds them to its replay's line trace.
+template <typename Span>
+void for_each_gather_span(const ConvShape& s, i64 k0, i64 kc, i64 n0, i64 nc,
+                          Span&& span) {
+  const i64 ohw = s.out_h() * s.out_w();
+  const i64 ksq = s.kernel * s.kernel;
+  for (i64 kg = k0; kg < k0 + kc; ++kg) {
+    const i64 ic = kg / ksq;
+    const i64 kh = (kg / s.kernel) % s.kernel;
+    const i64 kw = kg % s.kernel;
+    i64 col = n0;
+    while (col < n0 + nc) {
+      const i64 b = col / ohw;
+      const i64 rem = col % ohw;
+      const i64 oh = rem / s.out_w();
+      const i64 ow0 = rem % s.out_w();
+      const i64 ow1 = std::min<i64>(s.out_w() - 1, ow0 + (n0 + nc - 1 - col));
+      const i64 ih = oh * s.stride + kh - s.pad;
+      if (ih >= 0 && ih < s.in_h) {
+        const i64 iw_lo = std::max<i64>(ow0 * s.stride + kw - s.pad, 0);
+        const i64 iw_hi =
+            std::min<i64>(ow1 * s.stride + kw - s.pad, s.in_w - 1);
+        if (iw_lo <= iw_hi)
+          span(((b * s.in_c + ic) * s.in_h + ih) * s.in_w + iw_lo,
+               iw_hi - iw_lo + 1);
+      }
+      col += ow1 - ow0 + 1;
+    }
+  }
+}
 
 /// Issue-cost tallies of the pack loops, exported so the tile search can
 /// price a candidate block partition without executing it. `stream` is the

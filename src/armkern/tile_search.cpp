@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "armkern/conv_arm.h"
-#include "armkern/micro.h"
+#include "armkern/gemm_blocked.h"
 #include "armsim/cache.h"
 #include "armsim/cost_model.h"
 #include "common/status.h"
@@ -61,51 +61,28 @@ std::string geometry_key(const ConvShape& s) {
 }
 
 
-// Instruction mix of ONE micro-kernel call at depth kc, measured by
-// running the emulated kernel on dummy zeroed buffers with the cache
-// model off (issue cost only; stalls come from the replay). For the TBL
-// kernel `tbl_groups` is the per-call group-step count, `tbl_mode` the
-// mode (both orientations issue the identical pattern; the mode sets the
-// byte-lane flush cadence) and `tbl_paired` selects the 32x4 tile over the
-// 16x4 one.
-Counters probe_micro(ArmKernel kernel, int bits, i64 kc, i64 kstride,
-                     i64 tbl_groups = 0, TblMode tbl_mode = {},
-                     bool tbl_paired = false) {
-  AlignedVector<i8> a(static_cast<size_t>(std::max<i64>(kstride, 1) * kMr));
-  AlignedVector<i8> b(static_cast<size_t>(std::max<i64>(kstride, 1) * kNr));
+// Instruction mix of ONE micro-kernel call at depth kc (the paired 32x4
+// tile for a paired TBL call), measured by running the emulated kernel on
+// dummy zeroed buffers with the cache model off (issue cost only; stalls
+// come from the replay). Both TBL orientations issue the identical
+// pattern; the mode sets the byte-lane flush cadence.
+Counters probe_micro(const MicroKernel& mk, i64 kc, bool paired) {
+  // Depth steps: SDOT pads K to 4; TBL steps one index group at a time.
+  const bool tbl = mk.kernel == ArmKernel::kTblGemm;
+  const i64 steps = std::max<i64>(
+      tbl ? ceil_div(kc, static_cast<i64>(tbl_group(mk.tbl_mode)))
+          : round_up(kc, 4),
+      1);
+  AlignedVector<i8> a(static_cast<size_t>(steps * kMr));
+  // A B panel, or four 16-entry tables per TBL group step.
+  AlignedVector<i8> b(static_cast<size_t>(steps * (tbl ? 64 : kNr)));
+  AlignedVector<u8> idx(static_cast<size_t>(tbl ? steps * 16 : 0));
   alignas(64) i32 tile[2 * kMr * kNr];
   Ctx ctx;
   ctx.model_cache = false;
-  switch (kernel) {
-    case ArmKernel::kOursGemm:
-      if (bits <= 3)
-        micro_mla_16x4(ctx, a.data(), b.data(), kc, mla_flush_interval(bits),
-                       tile);
-      else
-        micro_smlal_16x4(ctx, a.data(), b.data(), kc,
-                         smlal_flush_interval(bits), tile);
-      break;
-    case ArmKernel::kNcnn:
-      micro_ncnn_16x4(ctx, a.data(), b.data(), kc, tile);
-      break;
-    case ArmKernel::kSdotExt:
-      micro_sdot_16x4(ctx, a.data(), b.data(), kstride, tile);
-      break;
-    case ArmKernel::kTblGemm: {
-      const i64 g = std::max<i64>(tbl_groups, 1);
-      AlignedVector<u8> idx(static_cast<size_t>(g * 16));  // index 0: valid
-      AlignedVector<i8> tbl(static_cast<size_t>(g * 64));
-      const int flush = tbl_flush_interval(tbl_mode);
-      if (tbl_paired)
-        micro_tbl_32x4(ctx, idx.data(), idx.data(), tbl.data(), g, flush,
-                       tile);
-      else
-        micro_tbl_16x4(ctx, idx.data(), tbl.data(), g, flush, tile);
-      break;
-    }
-    case ArmKernel::kTraditional:
-      break;  // never blocked
-  }
+  const MicroOperands op{a.data(), b.data(), idx.data(),
+                         paired ? idx.data() : nullptr};
+  run_micro(ctx, mk, kc, op, tile);
   return ctx.counts;
 }
 
@@ -182,69 +159,6 @@ struct ReplayBases {
   u64 out = 0;  ///< fused-epilogue i8 output; 0 = not modeled
 };
 
-// Byte address of C element (row, col) of jc block n0 under `schedule`,
-// mirroring gemm_blocked.cpp: the m x n matrix (standalone), the worker's
-// m x Nc band (fused, k_blocks > 1), or 0 — no C at all (fused, one K
-// block: the epilogue reads the micro tile).
-u64 c_addr(const BlockedLayout& lay, BlockedSchedule schedule, u64 base,
-           i64 n0, i64 row, i64 col) {
-  if (schedule == BlockedSchedule::kStandalone)
-    return base + static_cast<u64>((row * lay.n + col) * 4);
-  if (lay.k_blocks == 1) return 0;
-  return base + static_cast<u64>((row * lay.blk.nc + col - n0) * 4);
-}
-
-// The writeback of one finished micro tile, in the driver's order: per
-// row, the C row segment (unless there is no C), then on the last K block
-// the epilogue's i8 output row (when modeled).
-void replay_writeback(Replay& r, const BlockedLayout& lay,
-                      BlockedSchedule schedule, const ReplayBases& bases,
-                      i64 n0, i64 kcb, i64 row0, i64 col0, i64 rows,
-                      i64 cols) {
-  for (i64 ii = 0; ii < rows; ++ii) {
-    const u64 c = c_addr(lay, schedule, bases.c, n0, row0 + ii, col0);
-    if (c != 0) r.touch(c, static_cast<u64>(cols) * 4);
-    if (kcb == lay.k_blocks - 1 && bases.out != 0)
-      r.touch(bases.out + static_cast<u64>((row0 + ii) * lay.n + col0),
-              static_cast<u64>(cols));
-  }
-}
-
-// Touch the input spans the fused gather of block (k0..k0+kc) x
-// (n0..n0+nc) reads — same span logic as pack.cpp's touch_conv_gather,
-// against the synthetic input base.
-void replay_gather(Replay& r, const ConvShape& s, u64 base_in, i64 k0, i64 kc,
-                   i64 n0, i64 nc) {
-  const i64 ohw = s.out_h() * s.out_w();
-  for (i64 kk = 0; kk < kc; ++kk) {
-    const i64 kg = k0 + kk;
-    const i64 ksq = s.kernel * s.kernel;
-    const i64 ic = kg / ksq;
-    const i64 kh = (kg / s.kernel) % s.kernel;
-    const i64 kw = kg % s.kernel;
-    i64 col = n0;
-    while (col < n0 + nc) {
-      const i64 b = col / ohw;
-      const i64 rem = col % ohw;
-      const i64 oh = rem / s.out_w();
-      const i64 ow0 = rem % s.out_w();
-      const i64 ow1 = std::min<i64>(s.out_w() - 1, ow0 + (n0 + nc - 1 - col));
-      const i64 ih = oh * s.stride + kh - s.pad;
-      if (ih >= 0 && ih < s.in_h) {
-        const i64 iw_lo = std::max<i64>(ow0 * s.stride + kw - s.pad, 0);
-        const i64 iw_hi =
-            std::min<i64>(ow1 * s.stride + kw - s.pad, s.in_w - 1);
-        if (iw_lo <= iw_hi)
-          r.touch(base_in + static_cast<u64>(
-                                ((b * s.in_c + ic) * s.in_h + ih) * s.in_w +
-                                iw_lo),
-                  static_cast<u64>(iw_hi - iw_lo + 1));
-      }
-      col += ow1 - ow0 + 1;
-    }
-  }
-}
-
 // GEMMs of at most this many MACs replay every column block; larger ones
 // replay two and extrapolate. A small GEMM's misses are mostly first
 // touches of input and output lines, which follow the band's position in
@@ -260,6 +174,110 @@ void replay_gather(Replay& r, const ConvShape& s, u64 base_in, i64 k0, i64 kc,
 // is at or below the cut-off.
 constexpr i64 kFullReplayMacs = i64{1} << 22;
 
+// The replay visitor of walk_blocked: the cache lines each event touches,
+// in the driver's order, against the synthetic bases.
+struct ReplayWalk {
+  Replay& r;
+  const ConvShape& s;
+  const BlockedLayout& lay;
+  const ReplayBases& bases;
+  BlockedSchedule schedule;
+  // Offline-A stride per panel: plain/SDOT i8 panels, TBL index panels (16
+  // bytes per group step), TBL weight tables (64 per row-quad group step)
+  // or their built-source ids (4).
+  i64 a_panel_stride = 0;
+  // The built source's table panel opens the block buffer; the packed
+  // block follows it.
+  u64 block = 0;
+
+  ReplayWalk(Replay& r_, const ConvShape& s_, const BlockedLayout& l,
+             const ReplayBases& b, BlockedSchedule sch)
+      : r(r_), s(s_), lay(l), bases(b), schedule(sch),
+        block(b.b + static_cast<u64>(l.tbl_panel_bytes())) {
+    const i64 groups = l.tbl() ? ceil_div(l.k, static_cast<i64>(l.tbl_group))
+                               : 0;
+    a_panel_stride =
+        l.tbl() ? groups * (l.tbl_weight_tables() ? (l.tbl_built() ? 4 : 64)
+                                                  : 16)
+                : (l.sdot ? round_up(l.k, 4) : l.k) * kMr;
+  }
+
+  Status pack(const BlockStep& b) {
+    for_each_gather_span(s, b.k0, b.kc, b.n0, b.nc, [&](i64 off, i64 bytes) {
+      r.touch(bases.in + static_cast<u64>(off), static_cast<u64>(bytes));
+    });
+    r.touch(block,
+            static_cast<u64>(round_up(b.nc, lay.tile_cols()) * b.kstride));
+    return Status();
+  }
+
+  // The copy reads the quad's ids and the dictionary (its lines by id,
+  // which the replay cannot see: all of them) and writes the panel the
+  // kernels then read.
+  void copy_tables(const BlockStep& b, i64 p) {
+    r.touch(bases.a + static_cast<u64>(p * a_panel_stride + b.g0 * 4),
+            static_cast<u64>(b.groups * 4));
+    r.touch(dict_base(lay.tbl_mode),
+            static_cast<u64>(tbl_dict_size(lay.tbl_mode) * 16));
+    r.touch(bases.b, static_cast<u64>(b.groups * 64));
+  }
+
+  void micro(const BlockStep& b, const MicroStep& call) {
+    const u64 b_panel =
+        block + static_cast<u64>(call.q * b.kstride * lay.tile_cols());
+    if (lay.tbl()) {
+      // Per group step: one 64-byte table line, and one 16-byte index
+      // vector per panel (a line per four steps).
+      u64 tables = b_panel;
+      u64 idx = bases.a + static_cast<u64>(call.p * a_panel_stride + b.g0 * 16);
+      u64 idx_stride = static_cast<u64>(a_panel_stride);
+      if (lay.tbl_weight_tables()) {
+        tables = lay.tbl_built()
+                     ? bases.b
+                     : bases.a + static_cast<u64>(call.p * a_panel_stride +
+                                                  b.g0 * 64);
+        idx = b_panel;
+        idx_stride = static_cast<u64>(b.kstride * 16);
+      }
+      for (i64 gs = 0; gs < b.groups; ++gs) {
+        r.touch(tables + static_cast<u64>(gs * 64), CacheSim::kLineBytes);
+        if (gs % 4 == 0)
+          for (i64 h = 0; h < call.pair; ++h)
+            r.touch(idx + static_cast<u64>(h) * idx_stride +
+                        static_cast<u64>(gs * 16),
+                    CacheSim::kLineBytes);
+      }
+    } else {
+      // The micro kernel's load pattern at line granularity: one A line per
+      // four depth steps, one B line per sixteen.
+      const u64 a_slice =
+          bases.a + static_cast<u64>(call.p * a_panel_stride + b.k0 * kMr);
+      for (i64 kk = 0; kk < b.kstride; kk += 4) {
+        r.touch(a_slice + static_cast<u64>(kk * kMr), CacheSim::kLineBytes);
+        if (kk % 16 == 0)
+          r.touch(b_panel + static_cast<u64>(kk * kNr), CacheSim::kLineBytes);
+      }
+    }
+    // micro ST1s into the tile
+    r.touch(kBaseTile, static_cast<u64>(call.pair) * kTileBytes);
+  }
+
+  // Per row, the C row segment (unless there is no C), then on the last K
+  // block the epilogue's i8 output row (when modeled): the lines the next
+  // layer's gather finds warm.
+  void write_tile(const BlockStep& b, const TileStep& t) {
+    for (i64 ii = 0; ii < t.rows; ++ii) {
+      const i64 c = lay.c_offset(schedule, b.n0, t.row0 + ii, t.col0);
+      if (c >= 0)
+        r.touch(bases.c + static_cast<u64>(c * 4),
+                static_cast<u64>(t.cols * 4));
+      if (b.kcb == lay.k_blocks - 1 && bases.out != 0)
+        r.touch(bases.out + static_cast<u64>((t.row0 + ii) * lay.n + t.col0),
+                static_cast<u64>(t.cols));
+    }
+  }
+};
+
 // Simulate the jc column blocks and sum their misses, or — past
 // kFullReplayMacs — the first one or two and extrapolate: block 0 carries
 // the cold misses, block 1 is the steady state repeated for every
@@ -269,16 +287,7 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
                                 const BlockedLayout& lay,
                                 const ReplayBases& bases,
                                 BlockedSchedule schedule) {
-  const bool tbl_wt =
-      lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
-  const i64 k_groups_total =
-      lay.tbl() ? ceil_div(lay.k, static_cast<i64>(lay.tbl_group)) : 0;
-  // Offline-A stride per panel: plain/SDOT i8 panels, TBL index panels
-  // (16 bytes per group step), TBL weight tables (64 per row-quad group
-  // step) or their built-source ids (4).
-  const i64 a_panel_stride =
-      lay.tbl() ? k_groups_total * (tbl_wt ? (lay.tbl_built() ? 4 : 64) : 16)
-                : (lay.sdot ? round_up(lay.k, 4) : lay.k) * kMr;
+  ReplayWalk walk(r, s, lay, bases, schedule);
   const bool full = lay.m * lay.k * lay.n <= kFullReplayMacs;
   const i64 sim_blocks = full ? lay.n_blocks : std::min<i64>(2, lay.n_blocks);
   u64 l1_per_block[2] = {0, 0};
@@ -288,118 +297,7 @@ ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
   for (i64 jc = 0; jc < sim_blocks; ++jc) {
     const u64 l1_before = r.sim.stats().l1_misses;
     const u64 l2_before = r.sim.stats().l2_misses;
-    const i64 n0 = jc * lay.blk.nc;
-    const i64 nc = lay.nc_eff(jc);
-    const i64 nc_pad = round_up(nc, kNr);
-    for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb) {
-      const i64 k0 = kcb * lay.blk.kc;
-      const i64 kstride = lay.k_stride(kcb);
-      replay_gather(r, s, bases.in, k0, lay.kc_eff(kcb), n0, nc);
-      if (tbl_wt) {
-        const i64 groups_c = lay.tbl_groups(kcb);
-        const i64 q_total = round_up(nc, i64{16}) / 16;
-        // The built source's panel opens the block buffer, the index block
-        // follows it.
-        const u64 panel = bases.b;
-        const u64 block = bases.b + static_cast<u64>(lay.tbl_panel_bytes());
-        r.touch(block, static_cast<u64>(q_total * 16 * kstride));
-        for (i64 p = 0; p < ceil_div(lay.m, i64{4}); ++p) {
-          u64 a_slice = bases.a + static_cast<u64>(p * a_panel_stride +
-                                                   (k0 / lay.tbl_group) * 64);
-          if (lay.tbl_built()) {
-            // The copy reads the quad's ids and the dictionary (its lines
-            // by id, which the replay cannot see: all of them) and writes
-            // the panel the kernels then read.
-            r.touch(bases.a + static_cast<u64>(p * a_panel_stride +
-                                               (k0 / lay.tbl_group) * 4),
-                    static_cast<u64>(groups_c * 4));
-            r.touch(dict_base(lay.tbl_mode),
-                    static_cast<u64>(tbl_dict_size(lay.tbl_mode) * 16));
-            r.touch(panel, static_cast<u64>(groups_c * 64));
-            a_slice = panel;
-          }
-          i64 pair = 0;
-          for (i64 q = 0; q < q_total; q += pair) {
-            pair = tbl_call_panels(q, q_total);
-            const u64 idx_panel = block + static_cast<u64>(q * kstride * 16);
-            // Per group step: one 64-byte table line, one 16-byte index
-            // vector per panel (a line per four steps).
-            for (i64 gs = 0; gs < groups_c; ++gs) {
-              r.touch(a_slice + static_cast<u64>(gs * 64),
-                      CacheSim::kLineBytes);
-              if (gs % 4 == 0)
-                for (i64 h = 0; h < pair; ++h)
-                  r.touch(idx_panel + static_cast<u64>((h * kstride + gs) * 16),
-                          CacheSim::kLineBytes);
-            }
-            // micro ST1s into the tile
-            r.touch(kBaseTile, static_cast<u64>(pair) * kTileBytes);
-            for (i64 h = 0; h < pair; ++h) {
-              const i64 row0 = p * 4;
-              const i64 col0 = n0 + (q + h) * 16;
-              replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
-                               std::min<i64>(4, lay.m - row0),
-                               std::min<i64>(16, n0 + nc - col0));
-            }
-          }
-        }
-        continue;
-      }
-      r.touch(bases.b, static_cast<u64>(nc_pad * kstride));
-      const i64 panels_per_mc = lay.blk.mc / kMr;
-      for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
-        const i64 p0 = icb * panels_per_mc;
-        const i64 p1 = std::min<i64>(lay.m_panels(), p0 + panels_per_mc);
-        i64 pair = 0;
-        for (i64 p = p0; p < p1; p += pair) {
-          pair = lay.tbl() ? tbl_call_panels(p, p1) : 1;
-          const u64 a_slice =
-              bases.a +
-              static_cast<u64>(p * a_panel_stride +
-                               (lay.tbl() ? (k0 / lay.tbl_group) * 16
-                                          : k0 * kMr));
-          for (i64 q = 0; q < nc_pad / kNr; ++q) {
-            const u64 b_panel = bases.b + static_cast<u64>(q * kstride * kNr);
-            if (lay.tbl()) {
-              // kActTables: one 64-byte table line per group step, one
-              // 16-byte weight-index vector per panel (a line per four
-              // steps).
-              const i64 groups_c = lay.tbl_groups(kcb);
-              for (i64 gs = 0; gs < groups_c; ++gs) {
-                r.touch(b_panel + static_cast<u64>(gs * 64),
-                        CacheSim::kLineBytes);
-                if (gs % 4 == 0)
-                  for (i64 h = 0; h < pair; ++h)
-                    r.touch(a_slice +
-                                static_cast<u64>(h * a_panel_stride + gs * 16),
-                            CacheSim::kLineBytes);
-              }
-            } else {
-              // The micro kernel's load pattern at line granularity: one A
-              // line per four depth steps, one B line per sixteen.
-              for (i64 kk = 0; kk < kstride; kk += 4) {
-                r.touch(a_slice + static_cast<u64>(kk * kMr),
-                        CacheSim::kLineBytes);
-                if (kk % 16 == 0)
-                  r.touch(b_panel + static_cast<u64>(kk * kNr),
-                          CacheSim::kLineBytes);
-              }
-            }
-            // micro ST1s into the tile
-            r.touch(kBaseTile, static_cast<u64>(pair) * kTileBytes);
-            const i64 col0 = n0 + q * kNr;
-            // The epilogue's i8 output lines are what the next layer's
-            // gather finds warm.
-            for (i64 h = 0; h < pair; ++h) {
-              const i64 row0 = (p + h) * kMr;
-              replay_writeback(r, lay, schedule, bases, n0, kcb, row0, col0,
-                               std::min<i64>(kMr, lay.m - row0),
-                               std::min<i64>(kNr, n0 + nc - col0));
-            }
-          }
-        }
-      }
-    }
+    walk_blocked(lay, jc, jc + 1, walk);
     if (jc < 2) {
       l1_per_block[jc] = r.sim.stats().l1_misses - l1_before;
       l2_per_block[jc] = r.sim.stats().l2_misses - l2_before;
@@ -457,127 +355,72 @@ ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
   return m;
 }
 
-// Issue-side cost of one layer's blocked schedule: micro-kernel probes
-// scaled by call counts, the fused-gather pack tallies, and the C
-// accumulate re-loads. Misses are NOT included — the caller adds them from
-// a (cold or chained) replay. `fused_epilogue` additionally charges the
-// blocked driver's in-cache requantize hook (2 scalar ops per element +
-// one narrow store per final row segment).
-Counters issue_counts(const ConvShape& s, int bits, ArmKernel kernel,
-                      const BlockedLayout& lay, bool fused_epilogue) {
-  const bool sdot = kernel == ArmKernel::kSdotExt;
-  const bool tbl_wt =
-      lay.tbl() && lay.tbl_orient == TblOrientation::kWeightTables;
-  const i64 m = s.gemm_m();
+// The tally visitor of walk_blocked: micro calls counted per (K block
+// depth, paired), and the pack, table-copy and writeback tallies the
+// driver's events make.
+struct Tally {
+  const BlockedLayout& lay;
+  bool epilogue;
+  Ctx ctx;
+  // [tail K block][paired]: every non-final K block is blk.kc deep, the
+  // final one may be a tail.
+  u64 calls[2][2] = {};
 
-  Counters counts;
-  Ctx tally_ctx;
-  tally_ctx.model_cache = false;
-  // Micro columns across all jc bands: 4-wide for the column-major tile,
-  // 16-wide for the TBL weight-tables row-major tile (per-band padding).
-  i64 q_total = lay.n_pad / kNr;
-  if (tbl_wt) {
-    q_total = 0;
-    for (i64 jc = 0; jc < lay.n_blocks; ++jc)
-      q_total += round_up(lay.nc_eff(jc), i64{16}) / 16;
+  Tally(const BlockedLayout& l, bool epi) : lay(l), epilogue(epi) {
+    ctx.model_cache = false;
   }
-  const i64 row_panels = tbl_wt ? ceil_div(lay.m, i64{4}) : lay.m_panels();
-  // Micro calls per K block, split into single-panel calls and paired TBL
-  // calls (32x4) by tbl_call_panels over each run: the row panels of each
-  // Mc block under kActTables, the 16-column index panels of each band
-  // under kWeightTables.
-  i64 singles = row_panels * q_total, pairs = 0;
-  if (lay.tbl()) {
-    singles = 0;
-    if (tbl_wt) {
-      for (i64 jc = 0; jc < lay.n_blocks; ++jc) {
-        const i64 q = round_up(lay.nc_eff(jc), i64{16}) / 16;
-        pairs += row_panels * (q / 2);
-        singles += row_panels * (q % 2);
-      }
+
+  Status pack(const BlockStep& b) {
+    // Fused gather (plain/SDOT), gather + online table build (TBL
+    // kActTables), or index encode (TBL kWeightTables).
+    const i64 cols = round_up(b.nc, lay.tile_cols());
+    if (lay.tbl_weight_tables()) {
+      tally_pack_im2col_gather(&ctx, cols * b.groups * lay.tbl_group);
+    } else if (lay.tbl()) {
+      tally_pack_tbl_tables(&ctx, cols * b.groups);
+      tally_pack_im2col_gather(&ctx, cols * b.kc);
     } else {
-      const i64 panels_per_mc = lay.blk.mc / kMr;
-      for (i64 icb = 0; icb < lay.m_blocks; ++icb) {
-        const i64 p = std::min<i64>(panels_per_mc,
-                                    lay.m_panels() - icb * panels_per_mc);
-        pairs += q_total * (p / 2);
-        singles += q_total * (p % 2);
-      }
+      tally_pack_im2col_gather(&ctx, cols * b.kstride);
     }
+    return Status();
   }
-  // Distinct Kc depths: every non-final block shares blk.kc, the final one
-  // may be a tail — probe each depth once and scale by call counts.
-  const i64 tail_kc = lay.kc_eff(lay.k_blocks - 1);
-  struct KcGroup {
-    i64 kc = 0, blocks = 0;
-  };
-  std::vector<KcGroup> kc_groups;
-  if (tail_kc != lay.blk.kc) {
-    if (lay.k_blocks > 1) kc_groups.push_back({lay.blk.kc, lay.k_blocks - 1});
-    kc_groups.push_back({tail_kc, 1});
-  } else {
-    kc_groups.push_back({lay.blk.kc, lay.k_blocks});
+  void copy_tables(const BlockStep& b, i64) {
+    tally_tbl_table_copy(ctx.counts, 4 * b.groups);
   }
-  for (const KcGroup& g : kc_groups) {
-    const i64 kstride = sdot ? round_up(g.kc, 4) : g.kc;
-    const i64 tbl_groups =
-        lay.tbl() ? ceil_div(g.kc, static_cast<i64>(lay.tbl_group)) : 0;
-    if (singles > 0) {
-      const Counters per_call = probe_micro(kernel, bits, g.kc, kstride,
-                                            tbl_groups, lay.tbl_mode);
-      const u64 scale = static_cast<u64>(singles * g.blocks);
-      for (size_t i = 0; i < kNumOps; ++i)
-        counts.n[i] += per_call.n[i] * scale;
+  void micro(const BlockStep& b, const MicroStep& call) {
+    ++calls[b.kc != lay.blk.kc ? 1 : 0][call.pair - 1];
+  }
+  void write_tile(const BlockStep& b, const TileStep& t) {
+    tally_tile_writeback(ctx.counts, lay, epilogue, t.rows, t.cols, b.kcb);
+  }
+};
+
+// Issue-side cost of one layer's blocked schedule: the walk's tallies plus
+// one micro probe per (depth, paired) scaled by its calls. Every column
+// block but the last is Nc wide and tallies the same, so the walk covers
+// block 0, scaled by n_blocks - 1, and the last block — exactly the sum of
+// a walk over all of them. Misses are NOT included — the caller adds them
+// from a (cold or chained) replay. `fused_epilogue` adds the blocked
+// driver's in-cache requantize hook.
+Counters issue_counts(int bits, ArmKernel kernel, const BlockedLayout& lay,
+                      bool fused_epilogue) {
+  Tally full(lay, fused_epilogue), last(lay, fused_epilogue);
+  const u64 full_blocks = static_cast<u64>(lay.n_blocks - 1);
+  if (full_blocks > 0) walk_blocked(lay, 0, 1, full);
+  walk_blocked(lay, lay.n_blocks - 1, lay.n_blocks, last);
+  Counters counts = last.ctx.counts;
+  const MicroKernel mk{kernel, bits, 0, lay.tbl_mode};
+  for (size_t i = 0; i < kNumOps; ++i)
+    counts.n[i] += full.ctx.counts.n[i] * full_blocks;
+  for (int tail = 0; tail < 2; ++tail)
+    for (int paired = 0; paired < 2; ++paired) {
+      const u64 calls = full.calls[tail][paired] * full_blocks +
+                        last.calls[tail][paired];
+      if (calls == 0) continue;
+      const Counters per_call = probe_micro(
+          mk, tail ? lay.kc_eff(lay.k_blocks - 1) : lay.blk.kc, paired == 1);
+      for (size_t i = 0; i < kNumOps; ++i) counts.n[i] += per_call.n[i] * calls;
     }
-    if (pairs > 0) {
-      const Counters per_pair = probe_micro(kernel, bits, g.kc, kstride,
-                                            tbl_groups, lay.tbl_mode, true);
-      const u64 pair_scale = static_cast<u64>(pairs * g.blocks);
-      for (size_t i = 0; i < kNumOps; ++i)
-        counts.n[i] += per_pair.n[i] * pair_scale;
-    }
-  }
-  // Per-(jc, kcb) B-block pack: fused gather (plain/SDOT), gather + online
-  // table build (TBL kActTables), or index encode (TBL kWeightTables).
-  for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb)
-    for (i64 jc = 0; jc < lay.n_blocks; ++jc) {
-      if (lay.tbl() && !tbl_wt) {
-        const i64 nc_pad = round_up(lay.nc_eff(jc), kNr);
-        tally_pack_tbl_tables(&tally_ctx, nc_pad * lay.tbl_groups(kcb));
-        tally_pack_im2col_gather(&tally_ctx, nc_pad * lay.kc_eff(kcb));
-      } else if (tbl_wt) {
-        tally_pack_im2col_gather(&tally_ctx,
-                                 round_up(lay.nc_eff(jc), i64{16}) *
-                                     lay.tbl_groups(kcb) * lay.tbl_group);
-      } else {
-        tally_pack_im2col_gather(
-            &tally_ctx, round_up(lay.nc_eff(jc), kNr) * lay.k_stride(kcb));
-      }
-    }
-  // The built source's table copies: one per row quad, per (jc, kcb).
-  if (lay.tbl_built())
-    for (i64 kcb = 0; kcb < lay.k_blocks; ++kcb) {
-      Counters copy;
-      tally_tbl_table_copy(copy, 4 * lay.tbl_groups(kcb));
-      const u64 calls =
-          static_cast<u64>(lay.n_blocks * ceil_div(lay.m, i64{4}));
-      for (size_t i = 0; i < kNumOps; ++i) counts.n[i] += copy.n[i] * calls;
-    }
-  // C accumulate re-loads for every K block after the first (the 16-col
-  // row-major TBL tile re-loads four vectors per row).
-  if (lay.k_blocks > 1) {
-    const u64 acc = static_cast<u64>((lay.k_blocks - 1) * m * q_total) *
-                    (tbl_wt ? 4u : 1u);
-    counts[Op::kLd1] += acc;
-    counts[Op::kAdd] += acc;
-  }
-  if (fused_epilogue) {
-    // Mirrors gemm_blocked.cpp's epilogue tallies: 2 scalar fixed-point
-    // ops per output element, one i8 store per final row segment.
-    counts[Op::kScalar] += static_cast<u64>(m * lay.n) * 2;
-    counts[Op::kSt1] += static_cast<u64>(m * q_total);
-  }
-  counts.merge(tally_ctx.counts);
   return counts;
 }
 
@@ -598,8 +441,8 @@ IssuePriced price_issue(const ConvShape& s, int bits, ArmKernel kernel,
   IssuePriced p;
   p.lay = layout_for(s.gemm_m(), s.gemm_n(), s.gemm_k(), blocking, kernel,
                      bits, input, source);
-  p.counts = issue_counts(s, bits, kernel, p.lay,
-                          schedule == BlockedSchedule::kFused);
+  p.counts =
+      issue_counts(bits, kernel, p.lay, schedule == BlockedSchedule::kFused);
   p.issue = CostModel::cortex_a53().cycles_for(p.counts, /*interleaved=*/true);
   return p;
 }
@@ -632,7 +475,7 @@ double score_graph_layer(Replay& r, const std::vector<GraphSearchLayer>& layers,
   bases.in = kBaseIn + static_cast<u64>(i) * kLayerStride;
   bases.out = kBaseIn + static_cast<u64>(i + 1) * kLayerStride;
   Counters counts =
-      issue_counts(gl.shape, gl.bits, gl.kernel, lay, /*fused_epilogue=*/true);
+      issue_counts(gl.bits, gl.kernel, lay, /*fused_epilogue=*/true);
   const ReplayMisses misses =
       replay_schedule_at(r, gl.shape, lay, bases, schedule);
   counts[Op::kL1Miss] += misses.l1;
@@ -698,8 +541,8 @@ double tbl_pair_step_cycles(TblMode mode) {
         const i64 lo = 8 * tbl_flush_interval(m);
         const auto cycles = [&](i64 groups) {
           return cm.cycles_for(
-              probe_micro(ArmKernel::kTblGemm, b, groups * tbl_group(m),
-                          groups, groups, m, /*tbl_paired=*/true),
+              probe_micro(MicroKernel{ArmKernel::kTblGemm, b, 0, m},
+                          groups * tbl_group(m), /*paired=*/true),
               /*interleaved=*/true);
         };
         out[tbl_mode_slot(m)] =

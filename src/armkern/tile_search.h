@@ -3,21 +3,23 @@
 // blocked GEMM of blocking.h).
 //
 // Each candidate is priced with the same Cortex-A53 cost model the
-// benches report: issue cycles come from probing the micro kernel once
-// per distinct Kc depth (exact per-call instruction mix, scaled by call
-// counts) plus the analytic pack/accumulate tallies, and stall cycles
-// come from replaying the blocked schedule's memory trace at cache-line
-// granularity into a fresh CacheSim. The replay feeds synthetic
-// disjoint-region addresses — the cache model is address-identity based
-// (cache.h), so line identities are all that matter and no host buffers
-// are involved.
+// benches report, from the same loop nest the driver executes
+// (walk_blocked, blocking.h) without running it: a tally visitor counts
+// the micro calls per Kc depth and pairing, each priced by one probe of
+// the micro kernel (exact per-call instruction mix), and adds the pack,
+// table-copy and writeback tallies the executed events make; a replay
+// visitor feeds each event's cache lines into a fresh CacheSim for the
+// stall cycles. The replay uses synthetic disjoint-region addresses — the
+// cache model is address-identity based (cache.h), so line identities are
+// all that matter and no host buffers are involved.
 //
 // Results are memoized per (conv geometry, bits, scheme) — "the optimal
 // tiling parameters only need to be determined once per convolution
 // shape" (Sec. 5.1) — and the replay trace is additionally shared across
 // bits and schemes with the same packed layout, since the SMLAL / MLA /
-// ncnn kernels issue an identical load pattern. gpukern::TuningCache v2
-// persists winners across process runs (core::plan_arm_conv).
+// ncnn kernels issue an identical load pattern. gpukern::TuningCache
+// (format v4) persists winners across process runs
+// (core::plan_arm_conv).
 #pragma once
 
 #include <vector>
@@ -48,9 +50,9 @@ double score_blocking(const ConvShape& s, int bits, ArmKernel kernel,
 
 /// The issue side of score_blocking: the instruction counts (no cache
 /// misses) the search charges the blocked schedule — micro-kernel probes
-/// scaled by call counts, pack and C-accumulate tallies, and the
-/// epilogue's under kFused. Exposed so tests can hold it to an executed
-/// run's counts.
+/// scaled by the walk's call counts, pack, table-copy and C-accumulate
+/// tallies, and the epilogue's under kFused. Equal to an executed run's
+/// counts minus its misses (BlockedWalk.* in test_gemm_blocked).
 armsim::Counters blocking_issue_counts(
     const ConvShape& s, int bits, ArmKernel kernel,
     const GemmBlocking& blocking,

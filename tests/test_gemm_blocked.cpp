@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "armkern/conv_arm.h"
 #include "armkern/gemm_lowbit.h"
+#include "armkern/pack.h"
 #include "armkern/tile_search.h"
 #include "common/rng.h"
 #include "common/workspace.h"
@@ -428,6 +430,333 @@ TEST(GemmBlocked, FusedExecuteRejectsAShortBand) {
   // A plan with one K block needs no band at all: a null one is accepted.
   const ArmConvPlan direct = fused_plan(fc, w, kDirectTile, 1, false);
   EXPECT_TRUE(run_fused(direct, in, 0).status.ok());
+}
+
+// ---------------------------------------------------------------------------
+// The tile search's tally equals the executed counts
+// ---------------------------------------------------------------------------
+
+// Activations in [0, qmax]: what a ReLU'd producer hands its consumer.
+Tensor<i8> nonneg_qtensor(Shape4 s, int bits, u64 seed) {
+  Tensor<i8> t = random_qtensor(s, bits, seed);
+  for (i8& v : t.span()) v = static_cast<i8>(v < 0 ? -v : v);
+  return t;
+}
+
+TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
+  // blocking_issue_counts (micro probes scaled by the walk's calls, plus
+  // the pack, table-copy, C-reload and epilogue tallies) must equal what
+  // the driver executes, instruction for instruction; only the cache
+  // misses come from the replay. Every kernel; TBL in both orientations,
+  // with stored and built weight tables, on signed and folded inputs, with
+  // pairs plus an odd panel, pairs only and nothing paired; a 3x3, a
+  // stride-2 3x3 and a 5x5; Kc = K and a split K with a tail; Nc % 16 != 0;
+  // both schedules; one worker and three.
+  struct Row {
+    ConvShape s;
+    ArmKernel kernel;
+    std::vector<int> bits;
+    InputRange input;
+    TblSource source;
+    std::vector<GemmBlocking> blks;
+  };
+  const InputRange kSigned = InputRange::kSigned;
+  const InputRange kNonNeg = InputRange::kNonNegative;
+  const TblSource kStored = TblSource::kStored;
+  const TblSource kBuilt = TblSource::kBuilt;
+  const std::vector<GemmBlocking> plain_blks = {
+      {32, i64{1} << 20, 12}, {16, 40, 40}, {32, 40, 48}};
+  const std::vector<Row> rows = {
+      {shape(16, 10, 20, 3, 1, 1), ArmKernel::kOursGemm, {2, 3, 4, 8},
+       kSigned, kStored, plain_blks},
+      {shape(8, 11, 24, 3, 2, 1), ArmKernel::kOursGemm, {2, 3, 4, 8},
+       kSigned, kStored, plain_blks},
+      {shape(3, 13, 18, 5, 2, 2), ArmKernel::kNcnn, {8}, kSigned, kStored,
+       plain_blks},
+      {shape(16, 10, 20, 3, 1, 1), ArmKernel::kNcnn, {8}, kSigned, kStored,
+       plain_blks},
+      {shape(16, 10, 20, 3, 1, 1), ArmKernel::kSdotExt, {4, 8}, kSigned,
+       kStored, plain_blks},
+      {shape(8, 11, 24, 3, 2, 1), ArmKernel::kSdotExt, {4, 8}, kSigned,
+       kStored, plain_blks},
+      // TBL act tables: pairs plus an odd panel, pairs only, none paired.
+      {shape(128, 5, 48, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kSigned,
+       kStored, {{64, 96, 8}}},
+      {shape(64, 5, 96, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kSigned,
+       kStored, {{64, i64{1} << 20, 8}, {16, 96, 8}}},
+      // TBL weight tables: three 16-column panels, two, and one.
+      {shape(8, 12, 8, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kSigned,
+       kStored, {{16, 40, 48}, {16, i64{1} << 20, 32}, {16, 40, 12}}},
+      {shape(9, 12, 8, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kNonNeg,
+       kStored, {{16, i64{1} << 20, 40}, {16, 30, 48}}},
+      {shape(9, 12, 8, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kSigned,
+       kBuilt, {{16, i64{1} << 20, 40}, {16, 24, 48}}},
+      {shape(9, 12, 8, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kNonNeg,
+       kBuilt, {{16, i64{1} << 20, 40}, {16, 24, 48}}},
+  };
+  const auto expect_same_issue = [](const armsim::Counters& priced,
+                                    const armsim::Counters& ran,
+                                    const std::string& where) {
+    for (size_t i = 0; i < armsim::kNumOps; ++i) {
+      const auto op = static_cast<armsim::Op>(i);
+      if (op == armsim::Op::kL1Miss || op == armsim::Op::kL2Miss) continue;
+      EXPECT_EQ(priced.n[i], ran.n[i]) << where << " " << armsim::op_name(op);
+    }
+  };
+  for (const Row& row : rows)
+    for (const int bits : row.bits)
+      for (const GemmBlocking& blk : row.blks)
+        for (const int threads : {1, 3}) {
+          const ConvShape& s = row.s;
+          const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
+          const Tensor<i8> w = random_qtensor(
+              Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 131);
+          const Shape4 in_shape{s.batch, s.in_c, s.in_h, s.in_w};
+          const Tensor<i8> in = row.input == kNonNeg
+                                    ? nonneg_qtensor(in_shape, bits, 132)
+                                    : random_qtensor(in_shape, bits, 132);
+          ArmConvOptions opt;
+          opt.bits = bits;
+          opt.kernel = row.kernel;
+          opt.blocking = BlockingPolicy::kExplicit;
+          opt.explicit_blocking = blk;
+          opt.threads = threads;
+          opt.input_range = row.input;
+          ArmConvPlan plan = plan_conv(s, w, opt).value();
+          ASSERT_EQ(plan.kernel, row.kernel);
+          const bool tbl = row.kernel == ArmKernel::kTblGemm;
+          if (tbl) {
+            // Whatever source the blocking prices, run the row's.
+            plan.tbl_a = pack_tbl_a(w.data(), m, k, bits, plan.tbl_a.orient,
+                                    row.input, row.source);
+            plan.packed_weight_bytes = plan.tbl_a.bytes();
+            ASSERT_EQ(plan.tbl_a.source, row.source);
+            ASSERT_EQ(plan.tbl_a.orient,
+                      choose_tbl_orientation(m, n, k, bits, false, row.input));
+            if (plan.tbl_a.orient == TblOrientation::kWeightTables) {
+              ASSERT_EQ(plan.tbl_a.mode.fold == TblFold::kNonNegative,
+                        row.input == kNonNeg);
+            }
+          }
+          const std::string where =
+              "m " + std::to_string(m) + " scheme " +
+              std::to_string(blocking_scheme_id(row.kernel, bits, row.input,
+                                                row.source)) +
+              (tbl && plan.tbl_a.orient == TblOrientation::kActTables
+                   ? " act"
+                   : "") +
+              " bits " + std::to_string(bits) + " blocking {" +
+              std::to_string(plan.blocking.mc) + "," +
+              std::to_string(plan.blocking.kc) + "," +
+              std::to_string(plan.blocking.nc) + "} threads " +
+              std::to_string(threads);
+          Workspace ws;
+          const StatusOr<ArmConvResult> alone = execute_conv(plan, in, ws);
+          ASSERT_TRUE(alone.ok()) << where << ": "
+                                  << alone.status().to_string();
+          expect_same_issue(
+              blocking_issue_counts(s, bits, row.kernel, plan.blocking,
+                                    BlockedSchedule::kStandalone, row.input,
+                                    row.source),
+              alone.value().counts, where + " standalone");
+
+          std::vector<i8> out(static_cast<size_t>(m * n));
+          TileEpilogue epi;
+          epi.fn = [](i64, i64, i64, const i32*) {};
+          epi.out_base = out.data();
+          epi.row_stride = n;
+          epi.out_rows = m;
+          std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
+          const StatusOr<FusedConvResult> fused = execute_conv_fused(
+              plan, in.data(), band.empty() ? nullptr : band.data(),
+              plan.fused_band_elems(), epi, ws);
+          ASSERT_TRUE(fused.ok()) << where << ": "
+                                  << fused.status().to_string();
+          expect_same_issue(
+              blocking_issue_counts(s, bits, row.kernel, plan.blocking,
+                                    BlockedSchedule::kFused, row.input,
+                                    row.source),
+              fused.value().counts, where + " fused");
+        }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned prices: the tile search's exact scores of a fixed candidate set
+// ---------------------------------------------------------------------------
+
+// The search-vs-exhaustive tests (TileSearchPruning.*, KernelChoicePruning.*)
+// compare two passes under the same replay, so a changed walk or replay
+// passes them. These exact values pin the prices themselves: every kernel,
+// both TBL orientations, both table sources and input ranges, both
+// schedules, a split K with a tail and Kc = K, on a GEMM replayed in full
+// (at most kFullReplayMacs MACs) and on one extrapolated from two column
+// blocks.
+struct PricedKernel {
+  ArmKernel kernel;
+  int bits;
+  InputRange input = InputRange::kSigned;
+  TblSource source = TblSource::kStored;
+};
+
+TEST(TileSearchPrices, ScoresOfAFixedCandidateSetArePinned) {
+  const ConvShape full = shape(16, 14, 32, 3, 1, 1);    // 903,168 MACs
+  const ConvShape extrap = shape(128, 28, 64, 1, 1, 0);  // 6,422,528 MACs
+  const ConvShape act = shape(128, 5, 48, 3, 1, 1);     // TBL act tables
+  ASSERT_EQ(choose_tbl_orientation(full.gemm_m(), full.gemm_n(),
+                                   full.gemm_k(), 2, false),
+            TblOrientation::kWeightTables);
+  ASSERT_EQ(choose_tbl_orientation(extrap.gemm_m(), extrap.gemm_n(),
+                                   extrap.gemm_k(), 2, false),
+            TblOrientation::kWeightTables);
+  ASSERT_EQ(choose_tbl_orientation(act.gemm_m(), act.gemm_n(), act.gemm_k(),
+                                   3, false),
+            TblOrientation::kActTables);
+  const PricedKernel kernels[] = {
+      {ArmKernel::kOursGemm, 2},  // MLA
+      {ArmKernel::kOursGemm, 3},
+      {ArmKernel::kOursGemm, 4},  // SMLAL
+      {ArmKernel::kOursGemm, 8},
+      {ArmKernel::kNcnn, 8},
+      {ArmKernel::kSdotExt, 8},
+      {ArmKernel::kTblGemm, 2, InputRange::kSigned, TblSource::kStored},
+      {ArmKernel::kTblGemm, 2, InputRange::kSigned, TblSource::kBuilt},
+      {ArmKernel::kTblGemm, 2, InputRange::kNonNegative, TblSource::kStored},
+      {ArmKernel::kTblGemm, 3, InputRange::kNonNegative, TblSource::kBuilt},
+  };
+  struct Case {
+    ConvShape s;
+    PricedKernel k;
+  };
+  std::vector<Case> cases;
+  for (const ConvShape& s : {full, extrap})
+    for (const PricedKernel& k : kernels) cases.push_back({s, k});
+  cases.push_back({act, {ArmKernel::kTblGemm, 3}});
+  cases.push_back({act, {ArmKernel::kTblGemm, 2}});
+  // Exact recorded scores; only a deliberate price change re-records
+  // them. The comment names each case (m, scheme id, bits, Kc, fused).
+  const double pinned[] = {
+      194422.72,  // m32 kernel 1 bits 2 kc 64 fused 0
+      192794.72,  // m32 kernel 1 bits 2 kc 64 fused 1
+      178603.07999999999,  // m32 kernel 1 bits 2 kc 1048576 fused 0
+      172255.07999999999,  // m32 kernel 1 bits 2 kc 1048576 fused 1
+      199173.76000000001,  // m32 kernel 1 bits 3 kc 64 fused 0
+      197545.76000000001,  // m32 kernel 1 bits 3 kc 64 fused 1
+      183820.60000000001,  // m32 kernel 1 bits 3 kc 1048576 fused 0
+      177472.60000000001,  // m32 kernel 1 bits 3 kc 1048576 fused 1
+      213421,  // m32 kernel 0 bits 4 kc 64 fused 0
+      211793,  // m32 kernel 0 bits 4 kc 64 fused 1
+      203146.20000000001,  // m32 kernel 0 bits 4 kc 1048576 fused 0
+      193740.60000000001,  // m32 kernel 0 bits 4 kc 1048576 fused 1
+      303806.39999999997,  // m32 kernel 0 bits 8 kc 64 fused 0
+      299120.79999999999,  // m32 kernel 0 bits 8 kc 64 fused 1
+      299009.79999999999,  // m32 kernel 0 bits 8 kc 1048576 fused 0
+      289604.19999999995,  // m32 kernel 0 bits 8 kc 1048576 fused 1
+      294045.59999999998,  // m32 kernel 2 bits 8 kc 64 fused 0
+      289360,  // m32 kernel 2 bits 8 kc 64 fused 1
+      289641,  // m32 kernel 2 bits 8 kc 1048576 fused 0
+      280235.40000000002,  // m32 kernel 2 bits 8 kc 1048576 fused 1
+      145654,  // m32 kernel 3 bits 8 kc 64 fused 0
+      144026,  // m32 kernel 3 bits 8 kc 64 fused 1
+      131567,  // m32 kernel 3 bits 8 kc 1048576 fused 0
+      125219,  // m32 kernel 3 bits 8 kc 1048576 fused 1
+      216004.20000000001,  // m32 kernel 5 bits 2 kc 64 fused 0
+      212352.20000000001,  // m32 kernel 5 bits 2 kc 64 fused 1
+      168266,  // m32 kernel 5 bits 2 kc 1048576 fused 0
+      158806.39999999999,  // m32 kernel 5 bits 2 kc 1048576 fused 1
+      248042.20000000001,  // m32 kernel 7 bits 2 kc 64 fused 0
+      243342.20000000001,  // m32 kernel 7 bits 2 kc 64 fused 1
+      190752.39999999999,  // m32 kernel 7 bits 2 kc 1048576 fused 0
+      180948.39999999999,  // m32 kernel 7 bits 2 kc 1048576 fused 1
+      142044.20000000001,  // m32 kernel 6 bits 2 kc 64 fused 0
+      132464.20000000001,  // m32 kernel 6 bits 2 kc 64 fused 1
+      103375.2,  // m32 kernel 6 bits 2 kc 1048576 fused 0
+      90771.199999999997,  // m32 kernel 6 bits 2 kc 1048576 fused 1
+      252542.60000000001,  // m32 kernel 8 bits 3 kc 64 fused 0
+      247842.60000000001,  // m32 kernel 8 bits 3 kc 64 fused 1
+      193938.07999999999,  // m32 kernel 8 bits 3 kc 1048576 fused 0
+      184134.07999999999,  // m32 kernel 8 bits 3 kc 1048576 fused 1
+      1320329.6000000001,  // m64 kernel 1 bits 2 kc 64 fused 0
+      1315785.6000000001,  // m64 kernel 1 bits 2 kc 64 fused 1
+      1281564.04,  // m64 kernel 1 bits 2 kc 1048576 fused 0
+      1231996.04,  // m64 kernel 1 bits 2 kc 1048576 fused 1
+      1353586.8799999999,  // m64 kernel 1 bits 3 kc 64 fused 0
+      1349042.8799999999,  // m64 kernel 1 bits 3 kc 64 fused 1
+      1318553.1599999999,  // m64 kernel 1 bits 3 kc 1048576 fused 0
+      1268985.1599999999,  // m64 kernel 1 bits 3 kc 1048576 fused 1
+      1465996.7999999998,  // m64 kernel 0 bits 4 kc 64 fused 0
+      1452076.1599999999,  // m64 kernel 0 bits 4 kc 64 fused 1
+      1471323.3999999999,  // m64 kernel 0 bits 4 kc 1048576 fused 0
+      1397294.6000000001,  // m64 kernel 0 bits 4 kc 1048576 fused 1
+      2152780.7999999998,  // m64 kernel 0 bits 8 kc 64 fused 0
+      2123776,  // m64 kernel 0 bits 8 kc 64 fused 1
+      2158107.4000000004,  // m64 kernel 0 bits 8 kc 1048576 fused 0
+      2084078.6000000001,  // m64 kernel 0 bits 8 kc 1048576 fused 1
+      2084416,  // m64 kernel 2 bits 8 kc 64 fused 0
+      2055411.2,  // m64 kernel 2 bits 8 kc 64 fused 1
+      2091310.6000000001,  // m64 kernel 2 bits 8 kc 1048576 fused 0
+      2017281.8,  // m64 kernel 2 bits 8 kc 1048576 fused 1
+      977094.40000000002,  // m64 kernel 3 bits 8 kc 64 fused 0
+      972550.40000000002,  // m64 kernel 3 bits 8 kc 64 fused 1
+      945259.40000000002,  // m64 kernel 3 bits 8 kc 1048576 fused 0
+      895691.40000000002,  // m64 kernel 3 bits 8 kc 1048576 fused 1
+      1320431.04,  // m64 kernel 5 bits 2 kc 64 fused 0
+      1299055.04,  // m64 kernel 5 bits 2 kc 64 fused 1
+      1039027.3999999999,  // m64 kernel 5 bits 2 kc 1048576 fused 0
+      955120.19999999995,  // m64 kernel 5 bits 2 kc 1048576 fused 1
+      1654493.04,  // m64 kernel 7 bits 2 kc 64 fused 0
+      1623645.04,  // m64 kernel 7 bits 2 kc 64 fused 1
+      1238292.1200000001,  // m64 kernel 7 bits 2 kc 1048576 fused 0
+      1160500.1200000001,  // m64 kernel 7 bits 2 kc 1048576 fused 1
+      917200.64000000001,  // m64 kernel 6 bits 2 kc 64 fused 0
+      895824.64000000001,  // m64 kernel 6 bits 2 kc 64 fused 1
+      706287.71999999997,  // m64 kernel 6 bits 2 kc 1048576 fused 0
+      628495.71999999997,  // m64 kernel 6 bits 2 kc 1048576 fused 1
+      1682205.2,  // m64 kernel 8 bits 3 kc 64 fused 0
+      1651357.2,  // m64 kernel 8 bits 3 kc 64 fused 1
+      1255162.6799999999,  // m64 kernel 8 bits 3 kc 1048576 fused 0
+      1177370.6799999999,  // m64 kernel 8 bits 3 kc 1048576 fused 1
+      720018,  // m48 kernel 5 bits 3 kc 64 fused 0
+      724418.80000000005,  // m48 kernel 5 bits 3 kc 64 fused 1
+      1974070.3999999999,  // m48 kernel 5 bits 3 kc 1048576 fused 0
+      1970823.2,  // m48 kernel 5 bits 3 kc 1048576 fused 1
+      312606.35999999999,  // m48 kernel 5 bits 2 kc 64 fused 0
+      316438.35999999999,  // m48 kernel 5 bits 2 kc 64 fused 1
+      594349.40000000002,  // m48 kernel 5 bits 2 kc 1048576 fused 0
+      591102.19999999995,  // m48 kernel 5 bits 2 kc 1048576 fused 1
+  };
+  size_t i = 0;
+  for (const Case& c : cases)
+    for (const GemmBlocking& blk :
+         {GemmBlocking{32, 64, 40}, GemmBlocking{64, i64{1} << 20, 64}})
+      for (const BlockedSchedule sched :
+           {BlockedSchedule::kStandalone, BlockedSchedule::kFused}) {
+        ASSERT_LT(i, std::size(pinned));
+        EXPECT_EQ(score_blocking(c.s, c.k.bits, c.k.kernel, blk, sched,
+                                 c.k.input, c.k.source),
+                  pinned[i])
+            << "case " << i << ": m " << c.s.gemm_m() << " scheme "
+            << blocking_scheme_id(c.k.kernel, c.k.bits, c.k.input, c.k.source)
+            << " bits " << c.k.bits << " kc " << blk.kc << " fused "
+            << (sched == BlockedSchedule::kFused);
+        ++i;
+      }
+  EXPECT_EQ(i, std::size(pinned));
+}
+
+TEST(TileSearchPrices, ChainedGraphScoreIsPinned) {
+  // Three fused layers, each reading what the previous one wrote: a 2-bit
+  // TBL weight-tables 3x3 with built tables, a folded (ReLU-fed) 2-bit TBL
+  // 1x1 with stored ones, and a 4-bit SMLAL 1x1.
+  std::vector<GraphSearchLayer> layers(3);
+  layers[0] = {shape(16, 14, 32, 3, 1, 1), 2, ArmKernel::kTblGemm,
+               InputRange::kSigned, TblSource::kBuilt};
+  layers[1] = {shape(32, 14, 64, 1, 1, 0), 2, ArmKernel::kTblGemm,
+               InputRange::kNonNegative, TblSource::kStored};
+  layers[2] = {shape(64, 14, 32, 1, 1, 0), 4, ArmKernel::kOursGemm};
+  const std::vector<GemmBlocking> blocking = {
+      {32, 64, 40}, {64, i64{1} << 20, 64}, {32, 32, 96}};
+  EXPECT_EQ(score_graph_blocking(layers, blocking, BlockedSchedule::kFused),
+            389617.31999999995);
 }
 
 TEST(GemmBlocked, WorkspaceHighWaterMatchesPlanEstimate) {

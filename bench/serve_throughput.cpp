@@ -133,7 +133,7 @@ bool run_batching_comparison(const ConvShape& shape, const Tensor<i8>& weight) {
   const bool pack_amortized = worst_planned_pack_per_req < pack_cycles;
   std::printf(
       "-- part 1: batching >= %.2fx serial at load >= 4 (floor 2.00x); "
-      "pack cycles/req %.0f planned vs %.0f unplanned --\n",
+      "pack cycles/req %.0f planned vs %.0f packed per call --\n",
       min_speedup_loaded, worst_planned_pack_per_req, pack_cycles);
   return min_speedup_loaded >= 2.0 && pack_amortized;
 }
@@ -251,7 +251,7 @@ bool write_serve_json(const std::string& path, const SoakTally& tally,
                       double p99_norm, double p50_norm, double miss_frac,
                       double shed_rate, i64 trips,
                       int models_tripped, i64 fallback_served,
-                      i64 unplanned_batches, i64 low_priority_shed) {
+                      i64 low_priority_shed) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "json: cannot open %s for writing\n", path.c_str());
@@ -274,7 +274,7 @@ bool write_serve_json(const std::string& path, const SoakTally& tally,
       "\"interactive_p99_norm\": %.3f, \"interactive_p50_norm\": %.3f, "
       "\"interactive_miss_fraction\": %.6f, \"shed_rate\": %.6f, "
       "\"breaker_trips\": %lld, \"models_tripped\": %d, "
-      "\"fallback_served\": %lld, \"unplanned_batches\": %lld, "
+      "\"fallback_served\": %lld, "
       "\"low_priority_shed\": %lld}\n}\n",
       static_cast<long long>(tally.submitted),
       static_cast<long long>(tally.code(StatusCode::kOk)),
@@ -287,7 +287,6 @@ bool write_serve_json(const std::string& path, const SoakTally& tally,
       shed_rate,
       static_cast<long long>(trips), models_tripped,
       static_cast<long long>(fallback_served),
-      static_cast<long long>(unplanned_batches),
       static_cast<long long>(low_priority_shed));
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", path.c_str());
@@ -452,7 +451,7 @@ bool run_soak(const ConvShape& shape) {
   // health_snapshot(): breaker state with the age of its last transition
   // plus the full ShedReason accounting, exactly what a health endpoint
   // would export.
-  i64 trips = 0, fallback_served = 0, unplanned_batches = 0;
+  i64 trips = 0, fallback_served = 0;
   i64 low_priority_shed = 0, interactive_shed = 0;
   int models_tripped = 0;
   const serve::Clock::time_point now = serve::Clock::now();
@@ -461,7 +460,6 @@ bool run_soak(const ConvShape& shape) {
     if (h.breaker_trips > 0) ++models_tripped;
     const serve::MetricsSnapshot& m = h.metrics;
     fallback_served += m.fallback_served;
-    unplanned_batches += m.unplanned_batches;
     low_priority_shed +=
         m.lanes[static_cast<size_t>(serve::Priority::kBatch)].shed;
     interactive_shed +=
@@ -484,11 +482,10 @@ bool run_soak(const ConvShape& shape) {
               .count());
     }
     std::printf("model %-6s breaker=%s trips=%lld last-transition=%s "
-                "fallback=%lld unplanned=%lld sheds{%s}\n",
+                "fallback=%lld sheds{%s}\n",
                 h.name.c_str(), server.breaker(h.name)->describe().c_str(),
                 static_cast<long long>(h.breaker_trips), age,
                 static_cast<long long>(m.fallback_served),
-                static_cast<long long>(m.unplanned_batches),
                 sheds.empty() ? "none" : sheds.c_str());
   }
   server.shutdown();
@@ -537,7 +534,7 @@ bool run_soak(const ConvShape& shape) {
       json_env != nullptr && json_env[0] != '\0' ? json_env : "BENCH_serve.json";
   if (!write_serve_json(json_path, tally, p99_norm, p50_norm, miss_frac,
                         shed_rate, trips, models_tripped, fallback_served,
-                        unplanned_batches, low_priority_shed))
+                        low_priority_shed))
     return false;
 
   // Structural gates: the liveness/degradation contract, machine

@@ -306,11 +306,18 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
     }
   }
 
-  LBC_VALIDATE(
-      !FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail),
-      kResourceExhausted,
-      "conv plan compilation failed: weight prepack resources exhausted "
-      "(injected fault)");
+  // A failed compile degrades to the ladder's floor, which needs no
+  // compiled state: the reference rung, unblocked, with nothing prepacked.
+  if (FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail)) {
+    plan.planned_fallback.record(algo_name(algo), "reference",
+                                 "conv plan compilation failed: weight "
+                                 "prepack resources exhausted (injected "
+                                 "fault)");
+    plan.algo = ConvAlgo::kReference;
+    plan.blocking = GemmBlocking{};
+    plan.fault_degraded = true;
+    return plan;
+  }
 
   // Weight prepack in the executing kernel's layout. pctx records what the
   // pack would cost per call — the cycles a compiled plan amortizes away.
@@ -686,33 +693,9 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
 StatusOr<ArmConvResult> conv2d_s32(const ConvShape& s, const Tensor<i8>& input,
                                    const Tensor<i8>& weight,
                                    const ArmConvOptions& opt) {
-  auto plan_or = plan_conv(s, weight, opt);
-  if (!plan_or.ok()) {
-    if (plan_or.status().code() != StatusCode::kResourceExhausted)
-      return plan_or.status();
-    // Plan compilation failed: the ladder's floor needs no compiled state.
-    const Shape4 want_in{s.batch, s.in_c, s.in_h, s.in_w};
-    LBC_VALIDATE(input.shape() == want_in, kInvalidArgument,
-                 "input tensor is " << shape4_str(input.shape())
-                                    << " but the shape needs "
-                                    << shape4_str(want_in));
-    ArmConvResult res;
-    res.space.baseline_elems = s.activation_elems() + s.weight_elems();
-    res.fallback.record(algo_name(opt.algo), "reference",
-                        plan_or.status().message());
-    res.out = ref::conv2d_s32(s, input, weight);
-    Ctx ref_ctx;
-    ref_ctx.model_cache = false;
-    tally_reference(ref_ctx, s);
-    res.counts.merge(ref_ctx.counts);
-    const CostModel cm = CostModel::cortex_a53();
-    res.cycles = cm.cycles_for(ref_ctx.counts, /*interleaved=*/true);
-    res.seconds = res.cycles / cm.freq_hz;
-    res.executed_algo = "reference";
-    return res;
-  }
+  LBC_ASSIGN_OR_RETURN(const ArmConvPlan plan, plan_conv(s, weight, opt));
   Workspace ws;
-  return execute_conv(*plan_or, input, ws);
+  return execute_conv(plan, input, ws);
 }
 
 }  // namespace lbc::armkern

@@ -146,6 +146,10 @@ struct ArmConvPlan {
   /// BlockingPolicy::kOff, for non-GEMM rungs, and for kTraditional).
   GemmBlocking blocking;
   FallbackRecord planned_fallback;     ///< eligibility degradations
+  /// Set when a compile fault degraded the plan to the reference rung. A
+  /// plan cache hands such a plan out without keeping it, so the next
+  /// lookup compiles again.
+  bool fault_degraded = false;
 
   /// Original weights — kept for the rungs that consume them unpacked
   /// (reference recovery, direct, traditional GEMM).
@@ -181,12 +185,12 @@ struct ArmConvPlan {
 /// schedule the plan will run (kFused when it executes through
 /// execute_conv_fused): the per-conv priced choices — a kAuto blocking and
 /// a weight-tables TBL plan's table source (choose_tbl_source, or
-/// tbl_source_at an explicit blocking) — are made for it. Errors:
-///  * kInvalidArgument — invalid shape, bits outside [2, 8], weight dims
-///    that do not match the shape, or threads outside [1, 64];
-///  * kResourceExhausted — plan compilation failed (injected via the
-///    plan.compile_fail fault site). Callers degrade to the unplanned
-///    path or surface the error.
+/// tbl_source_at an explicit blocking) — are made for it. A failed compile
+/// (the plan.compile_fail fault site) is not an error: the plan degrades
+/// to the reference rung, unblocked and with nothing prepacked, records
+/// why in planned_fallback and sets fault_degraded. Errors:
+/// kInvalidArgument — invalid shape, bits outside [2, 8], weight dims
+/// that do not match the shape, or threads outside [1, 64].
 StatusOr<ArmConvPlan> plan_conv(
     const ConvShape& s, const Tensor<i8>& weight, const ArmConvOptions& opt,
     BlockedSchedule schedule = BlockedSchedule::kStandalone);
@@ -238,7 +242,7 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
 /// ref::conv2d_s32 for GEMM/bitserial algos and with
 /// ref::winograd_conv_s32(kRoundedInt8) for the winograd algo.
 /// One-shot wrapper over plan_conv + execute_conv; a plan-compile fault
-/// degrades to the reference rung (the ladder's floor) and records it.
+/// runs the reference rung plan_conv degrades to.
 ///
 /// Errors (never asserts, also in release builds):
 ///  * kInvalidArgument — invalid shape, bits outside [2, 8], tensor dims

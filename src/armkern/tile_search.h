@@ -176,8 +176,7 @@ TileSearchStats tile_search_stats();
 // on top. search_graph_blocking seeds from the memoized per-layer winners
 // of the same schedule and runs a small coordinate-descent over per-layer
 // candidates under that chained objective; the result never scores worse
-// than the greedy seed. GraphPlan searches the fused schedule; run_model,
-// whose layers execute standalone, the standalone one.
+// than the greedy seed. GraphPlan searches the fused schedule.
 // The search is incremental — a trial resumes from a snapshot of the
 // replay state entering the layer it changes and stops once its state
 // rejoins the current assignment's — yet every objective value it

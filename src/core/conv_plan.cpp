@@ -72,21 +72,15 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
     opt.blocking = armkern::BlockingPolicy::kExplicit;
     opt.explicit_blocking = *blocking;
   }
+  const armkern::ConvRung rung = armkern::resolve_conv_rung(s, opt);
   if (tuning != nullptr && opt.blocking == armkern::BlockingPolicy::kAuto &&
-      opt.algo == armkern::ConvAlgo::kGemm &&
-      opt.kernel != armkern::ArmKernel::kTraditional) {
-    // Persist the ARM tile search through the shared tuning cache. The key
-    // mirrors the planner's SDOT eligibility degrade so a cache entry maps
-    // to the kernel that will actually execute. (Rungs that only *degrade*
-    // into GEMM — bitserial > 2 bit, auto — still search in-process; their
+      opt.algo == armkern::ConvAlgo::kGemm && rung.blocked) {
+    // Persist the ARM tile search through the shared tuning cache, keyed
+    // by the kernel plan_conv resolves, so a cache entry maps to the
+    // kernel that will actually execute. (Rungs that only *degrade* into
+    // GEMM — bitserial > 2 bit, auto — still search in-process; their
     // winners just aren't persisted.)
-    armkern::ArmKernel kern = opt.kernel;
-    if (kern == armkern::ArmKernel::kSdotExt &&
-        !armkern::sdot_eligible_for(opt.bits))
-      kern = armkern::ArmKernel::kOursGemm;
-    if (kern == armkern::ArmKernel::kTblGemm &&
-        !armkern::tbl_eligible_for(opt.bits))
-      kern = armkern::ArmKernel::kOursGemm;
+    const armkern::ArmKernel kern = rung.kernel;
     // A TBL row is keyed by its table source.
     const auto row = [&](armkern::TblSource source) {
       const gpukern::ArmTuningKey key{
@@ -149,11 +143,30 @@ StatusOr<ConvPlan> plan_native_conv(const ConvShape& s,
   ensure_hal_backends_registered();
   LBC_VALIDATE(threads >= 1 && threads <= 64, kInvalidArgument,
                "threads must be in [1, 64], got " << threads);
-  LBC_VALIDATE(
-      !FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail),
-      kResourceExhausted,
-      "conv plan compilation failed: native prepack resources exhausted "
-      "(injected fault)");
+  // The native ladder's floor is the emulated plan: a compile fault, or a
+  // host with no usable native backend, degrades to it and records why.
+  const auto emulated = [&](const char* why,
+                            bool faulted) -> StatusOr<ConvPlan> {
+    LBC_ASSIGN_OR_RETURN(ConvPlan p,
+                         plan_arm_conv(s, weight, bits, ArmImpl::kOurs,
+                                       armkern::ConvAlgo::kGemm, threads));
+    armkern::ArmConvPlan& arm = p.plan_;
+    FallbackRecord fb;
+    fb.record("native", armkern::algo_name(arm.algo), why);
+    if (arm.planned_fallback.fell_back)
+      fb.reason += "; " + arm.planned_fallback.reason;
+    arm.planned_fallback = std::move(fb);
+    arm.fault_degraded = arm.fault_degraded || faulted;
+    return p;
+  };
+  if (FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail))
+    return emulated(
+        "conv plan compilation failed: native prepack resources exhausted "
+        "(injected fault)",
+        /*faulted=*/true);
+  if (registry_backend_for(Backend::kNativeHost) == nullptr)
+    return emulated("no native backend on this host (LBC_HAL_DISABLE=native?)",
+                    /*faulted=*/false);
 
   // Resolve the {rb, cb} blocking through the shared tuning cache when one
   // is given — the measured-ns search runs once per (GEMM view, bits,
@@ -221,6 +234,8 @@ StatusOr<ArmLayerResult> execute_arm_conv(const ConvPlan& plan,
   return res;
 }
 
+namespace {
+
 Tensor<i8> concat_batch(const ConvShape& s,
                         std::span<const Tensor<i8>> inputs) {
   // One contiguous NCHW batch: images are concatenated along N, which is
@@ -253,6 +268,8 @@ std::vector<Tensor<i32>> split_batch(const ConvShape& s, i64 k,
   }
   return outputs;
 }
+
+}  // namespace
 
 StatusOr<BatchedArmResult> execute_arm_conv_batched(
     const ConvPlan& plan, std::span<const Tensor<i8>> inputs, Workspace& ws) {
@@ -289,11 +306,11 @@ StatusOr<GpuConvPlan> plan_gpu_conv(const gpusim::DeviceSpec& dev,
                "invalid conv shape: " << describe(s));
   LBC_VALIDATE(bits == 4 || bits == 8, kInvalidArgument,
                "GPU backend supports 4- or 8-bit, got " << bits);
-  LBC_VALIDATE(
-      !FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail),
-      kResourceExhausted,
-      "conv plan compilation failed: precomp buffer resources exhausted "
-      "(injected fault)");
+  // A compile fault leaves the tiling search at its floor, the default
+  // tiling (where the autotuner lands under kAutotuneInvalid), and writes
+  // no TuningCache row. The baselines' preset options search nothing.
+  const bool faulted =
+      FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail);
 
   GpuConvPlan plan{dev, s, bits, impl, gpukern::GpuConvOptions{},
                    gpukern::PrecompBuffer(s), FallbackRecord{}};
@@ -301,7 +318,12 @@ StatusOr<GpuConvPlan> plan_gpu_conv(const gpusim::DeviceSpec& dev,
     case GpuImpl::kOurs: {
       plan.options = gpukern::ours_options(dev, s, bits,
                                            /*profile_runs=*/false);
-      if (cache != nullptr) {
+      if (faulted) {
+        plan.planned_fallback.record(
+            "autotuned tiling", "default tiling",
+            "conv plan compilation failed: tiling search resources "
+            "exhausted (injected fault)");
+      } else if (cache != nullptr) {
         // The profile search runs once per shape and ships in the cache
         // (Sec. 5.1); the plan just reads the resolved winner.
         plan.options.tiling = cache->get_or_search(dev, s, bits,
@@ -431,7 +453,8 @@ StatusOr<std::shared_ptr<const ConvPlan>> PlanCache::get_or_compile(
   // Compile outside the lock: weight prepack is the expensive part and
   // concurrent misses for different layers should not serialize. A racing
   // duplicate compile of the same key is benign — last writer wins and
-  // both plans are valid.
+  // both plans are valid. A fault-degraded plan answers this lookup but is
+  // not kept, so the next lookup compiles again.
   LBC_VALIDATE(backend != Backend::kGpuTU102, kInvalidArgument,
                "PlanCache caches CPU plans; GPU plans live in GpuConvPlan");
   StatusOr<ConvPlan> plan_or =
@@ -442,7 +465,7 @@ StatusOr<std::shared_ptr<const ConvPlan>> PlanCache::get_or_compile(
   auto shared = std::make_shared<const ConvPlan>(std::move(plan));
   MutexLock lock(mu_);
   ++misses_;
-  map_[key] = shared;
+  if (!shared->impl_plan().fault_degraded) map_[key] = shared;
   return shared;
 }
 

@@ -104,9 +104,9 @@ class ConvPlan {
 /// shape" (Sec. 5.1) across process runs, same as the GPU tilings. A
 /// weight-tables TBL conv keeps one row per table source and runs the row
 /// that scores less in its source, so a cache holding both runs no search.
-/// Errors: kInvalidArgument (bad shape/bits/dims/threads) or
-/// kResourceExhausted (plan compilation failed — the plan.compile_fail
-/// fault site; callers fall back to the unplanned one-shot path).
+/// A compile fault (the plan.compile_fail site) yields armkern::plan_conv's
+/// reference-rung plan. Errors: kInvalidArgument (bad shape/bits/dims/
+/// threads) or kInvariantViolation (the proof gate below).
 /// A non-null `blocking` pins the blocked-GEMM {Mc, Kc, Nc} instead of the
 /// per-layer auto search (clamped to the shape) — how the whole-net joint
 /// search (armkern::search_graph_blocking) drives per-layer plans. Ignored
@@ -134,9 +134,10 @@ Status prove_arm_plan(const armkern::ArmConvPlan& plan);
 /// from the measured-ns search — persisted per (GEMM view, bits, scheme)
 /// through TuningCache::get_or_search_x86 when a `tuning` cache is given.
 /// Executes through the same execute_arm_conv/execute_arm_conv_batched
-/// entry points, which dispatch on ConvPlan::backend(). Errors:
-/// kInvalidArgument, kUnavailable (LBC_HAL_DISABLE=native), or
-/// kResourceExhausted (plan.compile_fail fault site).
+/// entry points, which dispatch on ConvPlan::backend(). A compile fault
+/// (plan.compile_fail), or a host with no usable native backend
+/// (LBC_HAL_DISABLE=native), degrades to the emulated plan_arm_conv plan,
+/// recorded in planned_fallback(). Errors: kInvalidArgument.
 StatusOr<ConvPlan> plan_native_conv(const ConvShape& s,
                                     const Tensor<i8>& weight, int bits,
                                     int threads = 1,
@@ -157,14 +158,6 @@ StatusOr<ArmLayerResult> execute_arm_conv(const ConvPlan& plan,
 StatusOr<BatchedArmResult> execute_arm_conv_batched(
     const ConvPlan& plan, std::span<const Tensor<i8>> inputs, Workspace& ws);
 
-/// Concatenate K batch-1 NCHW inputs into one batch-K tensor (shared by
-/// the planned and unplanned batched paths). Inputs must match `s`.
-Tensor<i8> concat_batch(const ConvShape& s, std::span<const Tensor<i8>> inputs);
-
-/// Split a batch-K NCHW output into K batch-1 tensors.
-std::vector<Tensor<i32>> split_batch(const ConvShape& s, i64 k,
-                                     const Tensor<i32>& out);
-
 /// Immutable compiled plan for one GPU conv layer: resolved options
 /// (tiling from the tuning cache or a fresh autotune) plus the precomputed
 /// offset buffer the implicit-precomp kernel reads.
@@ -182,8 +175,9 @@ struct GpuConvPlan {
 
 /// Compile a GPU plan. With a `cache`, the tiling comes from
 /// TuningCache::get_or_search (amortized across shapes and process runs);
-/// without one, kOurs runs a fresh autotune. Errors: kInvalidArgument or
-/// kResourceExhausted (plan.compile_fail fault site).
+/// without one, kOurs runs a fresh autotune. A compile fault
+/// (plan.compile_fail) leaves kOurs at gpukern::default_tiling, recorded in
+/// planned_fallback, and writes no cache row. Errors: kInvalidArgument.
 StatusOr<GpuConvPlan> plan_gpu_conv(const gpusim::DeviceSpec& dev,
                                     const ConvShape& s, int bits, GpuImpl impl,
                                     gpukern::TuningCache* cache = nullptr);
@@ -201,7 +195,9 @@ StatusOr<GpuLayerResult> execute_gpu_conv(const GpuConvPlan& plan);
 class PlanCache {
  public:
   /// Cached plan for the request, compiling on a miss. Returns the cache's
-  /// shared, immutable plan — callers may execute it concurrently.
+  /// shared, immutable plan — callers may execute it concurrently. A
+  /// fault-degraded plan (ArmConvPlan::fault_degraded) is returned but not
+  /// kept: the next lookup compiles again.
   StatusOr<std::shared_ptr<const ConvPlan>> get_or_compile(
       const ConvShape& s, const Tensor<i8>& weight, int bits,
       ArmImpl impl = ArmImpl::kOurs,

@@ -15,30 +15,6 @@ std::string shape4_str(const Shape4& sh) {
   return os.str();
 }
 
-// Unplanned one-shot fallback: the driver re-plans internally (a one-shot
-// injected compile fault recovers here; a persistent one lands on the
-// reference rung with the degradation recorded).
-StatusOr<ArmLayerResult> run_arm_conv_unplanned(const ConvShape& s,
-                                                const Tensor<i8>& input,
-                                                const Tensor<i8>& weight,
-                                                int bits, ArmImpl impl,
-                                                armkern::ConvAlgo algo,
-                                                int threads) {
-  LBC_ASSIGN_OR_RETURN(
-      armkern::ArmConvResult r,
-      armkern::conv2d_s32(s, input, weight,
-                          arm_conv_options(bits, impl, algo, threads)));
-  ArmLayerResult res;
-  res.out = std::move(r.out);
-  res.seconds = r.seconds;
-  res.cycles = r.cycles;
-  res.counts = r.counts;
-  res.space = r.space;
-  res.executed_algo = std::move(r.executed_algo);
-  res.fallback = std::move(r.fallback);
-  return res;
-}
-
 }  // namespace
 
 const char* backend_name(Backend b) {
@@ -77,57 +53,10 @@ StatusOr<ArmLayerResult> run_arm_conv(const ConvShape& s,
                                       const Tensor<i8>& weight, int bits,
                                       ArmImpl impl, armkern::ConvAlgo algo,
                                       int threads) {
-  StatusOr<ConvPlan> plan = plan_arm_conv(s, weight, bits, impl, algo,
-                                          threads);
-  if (plan.ok()) {
-    Workspace ws;
-    return execute_arm_conv(*plan, input, ws);
-  }
-  if (plan.status().code() != StatusCode::kResourceExhausted)
-    return plan.status();
-  return run_arm_conv_unplanned(s, input, weight, bits, impl, algo, threads);
-}
-
-StatusOr<BatchedArmResult> run_arm_conv_batched(
-    const ConvShape& s, std::span<const Tensor<i8>> inputs,
-    const Tensor<i8>& weight, int bits, ArmImpl impl, armkern::ConvAlgo algo,
-    int threads) {
-  LBC_VALIDATE(!inputs.empty(), kInvalidArgument,
-               "batched conv needs at least one input");
-  LBC_VALIDATE(s.batch == 1, kInvalidArgument,
-               "batched conv takes the batch-1 layer geometry, got batch "
-                   << s.batch);
-  const Shape4 want_in{1, s.in_c, s.in_h, s.in_w};
-  for (size_t i = 0; i < inputs.size(); ++i)
-    LBC_VALIDATE(inputs[i].shape() == want_in, kInvalidArgument,
-                 "batched input " << i << " does not match the layer shape "
-                                  << describe(s));
-
-  StatusOr<ConvPlan> plan = plan_arm_conv(s, weight, bits, impl, algo,
-                                          threads);
-  if (plan.ok()) {
-    Workspace ws;
-    return execute_arm_conv_batched(*plan, inputs, ws);
-  }
-  if (plan.status().code() != StatusCode::kResourceExhausted)
-    return plan.status();
-
-  // Unplanned fallback: same concat / one batched conv / split flow,
-  // through the one-shot driver.
-  const i64 k = static_cast<i64>(inputs.size());
-  const Tensor<i8> batched = concat_batch(s, inputs);
-  LBC_ASSIGN_OR_RETURN(
-      ArmLayerResult r,
-      run_arm_conv_unplanned(s.with_batch(k), batched, weight, bits, impl,
-                             algo, threads));
-
-  BatchedArmResult res;
-  res.seconds = r.seconds;
-  res.cycles = r.cycles;
-  res.executed_algo = std::move(r.executed_algo);
-  res.fallback = std::move(r.fallback);
-  res.outputs = split_batch(s, k, r.out);
-  return res;
+  LBC_ASSIGN_OR_RETURN(const ConvPlan plan,
+                       plan_arm_conv(s, weight, bits, impl, algo, threads));
+  Workspace ws;
+  return execute_arm_conv(plan, input, ws);
 }
 
 StatusOr<GpuLayerResult> time_gpu_conv(const gpusim::DeviceSpec& dev,
@@ -172,36 +101,25 @@ Status QuantizedConv2d::set_weights(const Tensor<float>& w,
   // Bias is folded in the int32 accumulator domain at scale s_in * s_w;
   // the exact values are filled per-forward once the input scale is known.
   bias_f_.assign(bias.begin(), bias.end());
-  has_weights_ = true;
+  has_weights_ = false;  // forward() needs the plan compiled below
 
   // Compile the conv plan now: the fallback ladder resolves and the
   // weights prepack (ARM) / the tiling autotune and offset precomp (GPU)
-  // happen once here instead of on every forward(). A compile fault
-  // (kResourceExhausted) leaves the layer on the unplanned path.
-  plan_.reset();
-  gpu_plan_.reset();
-  if (backend_ == Backend::kArmCortexA53 || backend_ == Backend::kNativeHost) {
-    // A native host with no usable native backend (LBC_HAL_DISABLE=native)
-    // degrades to the emulated path at plan time — kUnavailable is treated
-    // like a compile fault: the layer stays usable unplanned.
-    StatusOr<ConvPlan> p = backend_ == Backend::kNativeHost
-                               ? plan_native_conv(shape_, w_q_, bits_)
-                               : plan_arm_conv(shape_, w_q_, bits_);
-    if (p.ok()) {
-      plan_ = std::make_shared<const ConvPlan>(std::move(p).value());
-    } else if (p.status().code() != StatusCode::kResourceExhausted &&
-               p.status().code() != StatusCode::kUnavailable) {
-      return p.status();
-    }
+  // happen once here instead of on every forward(). A compile fault, or a
+  // native host with no usable native backend, degrades inside planning.
+  if (backend_ == Backend::kGpuTU102) {
+    LBC_ASSIGN_OR_RETURN(GpuConvPlan p,
+                         plan_gpu_conv(gpusim::DeviceSpec::rtx2080ti(),
+                                       shape_, bits_, GpuImpl::kOurs));
+    gpu_plan_ = std::make_shared<const GpuConvPlan>(std::move(p));
   } else {
-    StatusOr<GpuConvPlan> p = plan_gpu_conv(gpusim::DeviceSpec::rtx2080ti(),
-                                            shape_, bits_, GpuImpl::kOurs);
-    if (p.ok()) {
-      gpu_plan_ = std::make_shared<const GpuConvPlan>(std::move(p).value());
-    } else if (p.status().code() != StatusCode::kResourceExhausted) {
-      return p.status();
-    }
+    LBC_ASSIGN_OR_RETURN(ConvPlan p,
+                         backend_ == Backend::kNativeHost
+                             ? plan_native_conv(shape_, w_q_, bits_)
+                             : plan_arm_conv(shape_, w_q_, bits_));
+    plan_ = std::make_shared<const ConvPlan>(std::move(p));
   }
+  has_weights_ = true;
   return Status();
 }
 
@@ -223,15 +141,9 @@ StatusOr<Tensor<float>> QuantizedConv2d::forward(const Tensor<float>& x) {
                        quant::quantize_bias(bias_f_, shape_.out_c, in_s,
                                             w_scheme_, shape_.gemm_k()));
 
-  if (backend_ == Backend::kArmCortexA53 || backend_ == Backend::kNativeHost) {
-    // An unplanned native layer falls back to the emulated reference path:
-    // bit-exact output, modeled timing.
-    StatusOr<ArmLayerResult> r_or =
-        plan_ != nullptr
-            ? execute_arm_conv(*plan_, x_q, ws_)
-            : run_arm_conv(shape_, x_q, w_q_, bits_);
-    LBC_RETURN_IF_ERROR(r_or.status());
-    const ArmLayerResult& r = *r_or;
+  if (plan_ != nullptr) {
+    LBC_ASSIGN_OR_RETURN(const ArmLayerResult r,
+                         execute_arm_conv(*plan_, x_q, ws_));
     last_seconds_ = r.seconds;
     last_fallback_ = r.fallback;
     Tensor<float> out(r.out.shape());
@@ -247,18 +159,18 @@ StatusOr<Tensor<float>> QuantizedConv2d::forward(const Tensor<float>& x) {
   }
 
   // GPU backend: fused conv + dequantization epilogue, against the tiling
-  // the plan resolved at set_weights() (or a fresh search when unplanned).
-  const gpusim::DeviceSpec dev = gpusim::DeviceSpec::rtx2080ti();
-  gpukern::GpuConvOptions opt =
-      gpu_plan_ != nullptr ? gpu_plan_->options
-                           : gpukern::ours_options(dev, shape_, bits_);
+  // the plan resolved at set_weights().
+  gpukern::GpuConvOptions opt = gpu_plan_->options;
   opt.epilogue = gpukern::Epilogue::kDequantF32;
   LBC_ASSIGN_OR_RETURN(
       gpukern::GpuConvResult r,
-      gpukern::conv2d(dev, shape_, x_q, w_q_, bias_q, /*requant=*/nullptr,
-                      acc_scale, opt));
+      gpukern::conv2d(gpu_plan_->dev, shape_, x_q, w_q_, bias_q,
+                      /*requant=*/nullptr, acc_scale, opt));
   last_seconds_ = r.cost.seconds;
-  last_fallback_ = std::move(r.fallback);
+  last_fallback_ = gpu_plan_->planned_fallback;
+  if (r.fallback.fell_back)
+    last_fallback_.record(r.fallback.requested, r.fallback.executed,
+                          r.fallback.reason);
   return std::move(r.out_f);
 }
 

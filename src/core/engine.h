@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -78,15 +77,15 @@ struct ArmLayerResult {
 /// return kInvalidArgument.
 ///
 /// One-shot convenience over the plan/execute split (core/conv_plan.h):
-/// compiles a ConvPlan, executes it once against a throwaway Workspace,
-/// and — if plan compilation itself fails (plan.compile_fail fault) —
-/// retries through the unplanned driver, which degrades to the reference
-/// rung. Callers running the same layer repeatedly should hold a ConvPlan.
+/// compiles a ConvPlan and executes it once against a throwaway Workspace.
+/// A plan-compile fault (plan.compile_fail) plans the reference rung.
+/// Callers running the same layer repeatedly should hold a ConvPlan.
 StatusOr<ArmLayerResult> run_arm_conv(
     const ConvShape& s, const Tensor<i8>& input, const Tensor<i8>& weight,
     int bits, ArmImpl impl = ArmImpl::kOurs,
     armkern::ConvAlgo algo = armkern::ConvAlgo::kGemm, int threads = 1);
 
+/// Result of core::execute_arm_conv_batched (core/conv_plan.h).
 struct BatchedArmResult {
   std::vector<Tensor<i32>> outputs;  ///< one batch-1 NCHW tensor per input
   double seconds = 0;   ///< modeled time of the single batched conv
@@ -95,18 +94,6 @@ struct BatchedArmResult {
   std::string executed_algo;
   FallbackRecord fallback;
 };
-
-/// Micro-batched ARM conv — the serving runtime's execution entry point.
-/// Concatenates K batch-1 inputs along N, runs ONE conv with batch = K
-/// (amortizing weight packing and the padded n-panel waste the paper's GEMM
-/// pays at tiny N), and splits the output back per request. Each output is
-/// bit-exact vs running that input alone: an output element is a dot product
-/// over its own image only, and the GEMM/bitserial/reference rungs are exact
-/// integer arithmetic. `s` must describe the batch-1 geometry.
-StatusOr<BatchedArmResult> run_arm_conv_batched(
-    const ConvShape& s, std::span<const Tensor<i8>> inputs,
-    const Tensor<i8>& weight, int bits, ArmImpl impl = ArmImpl::kOurs,
-    armkern::ConvAlgo algo = armkern::ConvAlgo::kGemm, int threads = 1);
 
 struct GpuLayerResult {
   gpusim::KernelCost cost;
@@ -135,13 +122,10 @@ class QuantizedConv2d {
 
   /// Quantize and store weights (+ optional bias), then compile the conv
   /// plan for the backend (weight prepack / tiling resolution happens here,
-  /// once — forward() only executes). If plan compilation fails with
-  /// kResourceExhausted the layer stays usable on the unplanned path.
-  /// Must be called once before forward(). Rejects mismatched dims.
+  /// once — forward() only executes). A compile fault degrades inside
+  /// planning; forward() reports it in last_fallback(). Must be called once
+  /// before forward(). Rejects mismatched dims.
   Status set_weights(const Tensor<float>& w, std::span<const float> bias = {});
-
-  /// True when forward() runs against a compiled plan.
-  bool planned() const { return plan_ != nullptr || gpu_plan_ != nullptr; }
 
   /// Full forward pass. Records the modeled execution time of the conv.
   /// kFailedPrecondition before set_weights(); kInvalidArgument on an
@@ -166,7 +150,8 @@ class QuantizedConv2d {
   double last_seconds_ = 0;
   FallbackRecord last_fallback_;
   // Compiled at set_weights(); shared_ptr so the header only needs the
-  // forward declarations above. At most one is non-null (per backend_).
+  // forward declarations above. Exactly one is non-null once set_weights()
+  // succeeds: plan_ on the CPU backends, gpu_plan_ on the GPU.
   std::shared_ptr<const ConvPlan> plan_;
   std::shared_ptr<const GpuConvPlan> gpu_plan_;
   Workspace ws_;  ///< activation scratch reused across forward() calls

@@ -89,10 +89,12 @@ class GraphPlan {
   /// weights), run the joint blocking search, pair fusable epilogues, and
   /// lay out the activation arena by liveness. The graph must be
   /// calibrated. The plan snapshots the graph — later push()/calibrate()
-  /// calls on `g` do not affect a compiled plan. Errors: kInvalidArgument /
-  /// kFailedPrecondition for a bad graph or options, kInvariantViolation
-  /// naming the obligation when a conv's resolved kernel fails the static
-  /// proof gate, and any plan_conv error.
+  /// calls on `g` do not affect a compiled plan. A conv whose compile
+  /// faults (plan.compile_fail) inherits plan_conv's reference-rung plan
+  /// and runs unfused. Errors: kInvalidArgument / kFailedPrecondition for
+  /// a bad graph or options, kInvariantViolation naming the obligation
+  /// when a conv's resolved kernel fails the static proof gate, and any
+  /// plan_conv error.
   static StatusOr<GraphPlan> compile(const QnnGraph& g,
                                      const GraphPlanOptions& opt = {});
 

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "armkern/tile_search.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/workspace.h"
@@ -19,8 +18,8 @@ struct PlannedLayer {
   LayerRun run;
   Tensor<i8> input;
   Tensor<i8> weight;
-  std::shared_ptr<const ConvPlan> plan;  // ARM; null -> unplanned path
-  std::optional<GpuConvPlan> gpu_plan;   // GPU; nullopt -> unplanned path
+  std::optional<ConvPlan> plan;         // ARM and native
+  std::optional<GpuConvPlan> gpu_plan;  // GPU
   bool errored = false;
 };
 
@@ -42,49 +41,12 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
   u64 seed = opt.seed;
   auto& fi = FaultInjector::instance();
 
-  // Whole-net joint blocking (ARM backend): the layer table is a chain —
-  // in deployment layer i's output feeds layer i+1's im2col gather — so
-  // the blocked-GEMM winners are searched jointly under the chained
-  // cache-replay objective instead of per layer against a cold cache.
-  std::vector<armkern::GemmBlocking> joint;
-  if (opt.joint_blocking && opt.backend == Backend::kArmCortexA53) {
-    const armkern::ArmConvOptions aopt =
-        arm_conv_options(opt.bits, opt.arm_impl, opt.arm_algo, opt.threads);
-    if (aopt.algo == armkern::ConvAlgo::kGemm &&
-        aopt.kernel != armkern::ArmKernel::kTraditional) {
-      armkern::ArmKernel kern = aopt.kernel;
-      if (kern == armkern::ArmKernel::kSdotExt &&
-          !armkern::sdot_eligible_for(aopt.bits))
-        kern = armkern::ArmKernel::kOursGemm;
-      std::vector<armkern::GraphSearchLayer> gs;
-      for (const ConvShape& table_shape : layers) {
-        const ConvShape s = opt.batch == 1
-                                ? table_shape
-                                : table_shape.with_batch(opt.batch);
-        if (!s.valid()) {
-          gs.clear();  // a bad row falls back to per-layer winners
-          break;
-        }
-        // A TBL layer seeds from the winner for its per-layer table source.
-        gs.push_back(armkern::GraphSearchLayer{
-            s, aopt.bits, kern, armkern::InputRange::kSigned,
-            kern == armkern::ArmKernel::kTblGemm
-                ? armkern::choose_tbl_source(s, aopt.bits)
-                : armkern::TblSource::kStored});
-      }
-      if (!gs.empty())
-        joint = armkern::search_graph_blocking(
-                    gs, armkern::BlockedSchedule::kStandalone)
-                    .blocking;
-    }
-  }
-
   // Phase 1 — compile: generate each layer's tensors and resolve its plan
   // (fallback ladder + weight prepack / tiling search) before any layer
   // executes, the deployment shape: all packing cost is front-loaded here.
+  // A compile fault degrades inside planning, like every other rung.
   std::vector<PlannedLayer> planned;
   planned.reserve(layers.size());
-  size_t layer_idx = 0;
   for (const ConvShape& table_shape : layers) {
     // The serving path batches whole-model runs: each layer executes once
     // with the micro-batch folded into N, amortizing packing per layer.
@@ -107,37 +69,16 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
                                 opt.bits, layer_seed);
       pl.weight = random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel},
                                  opt.bits, layer_seed + 1);
-      if (opt.backend == Backend::kArmCortexA53) {
-        const armkern::GemmBlocking* pin =
-            layer_idx < joint.size() ? &joint[layer_idx] : nullptr;
-        StatusOr<ConvPlan> p = plan_arm_conv(s, pl.weight, opt.bits,
-                                             opt.arm_impl, opt.arm_algo,
-                                             opt.threads, /*verify=*/false,
-                                             /*tuning=*/nullptr, pin);
-        if (p.ok()) {
-          pl.plan = std::make_shared<const ConvPlan>(std::move(p).value());
-        } else if (p.status().code() != StatusCode::kResourceExhausted) {
-          return p.status();
-        }
-        // kResourceExhausted: plan compilation failed — the layer runs
-        // unplanned in phase 2 (which degrades further if the fault
-        // persists).
-      } else if (opt.backend == Backend::kNativeHost) {
-        StatusOr<ConvPlan> p =
-            plan_native_conv(s, pl.weight, opt.bits, opt.threads);
-        if (p.ok()) {
-          pl.plan = std::make_shared<const ConvPlan>(std::move(p).value());
-        } else if (p.status().code() != StatusCode::kResourceExhausted) {
-          return p.status();
-        }
+      if (opt.backend == Backend::kGpuTU102) {
+        LBC_ASSIGN_OR_RETURN(pl.gpu_plan,
+                             plan_gpu_conv(dev, s, opt.bits, opt.gpu_impl));
       } else {
-        StatusOr<GpuConvPlan> p = plan_gpu_conv(dev, s, opt.bits,
-                                                opt.gpu_impl);
-        if (p.ok()) {
-          pl.gpu_plan = std::move(p).value();
-        } else if (p.status().code() != StatusCode::kResourceExhausted) {
-          return p.status();
-        }
+        LBC_ASSIGN_OR_RETURN(
+            pl.plan, opt.backend == Backend::kNativeHost
+                         ? plan_native_conv(s, pl.weight, opt.bits,
+                                            opt.threads)
+                         : plan_arm_conv(s, pl.weight, opt.bits, opt.arm_impl,
+                                         opt.arm_algo, opt.threads));
       }
       return Status();
     }();
@@ -147,7 +88,6 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
       pl.errored = true;
     }
     planned.push_back(std::move(pl));
-    ++layer_idx;
   }
 
   // Phase 2 — execute: one Workspace serves every layer; the arena grows to
@@ -165,23 +105,9 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
 
     LayerRun& run = pl.run;
     Status st = [&]() -> Status {
-      if (opt.backend != Backend::kGpuTU102) {
-        if (pl.plan == nullptr && opt.backend == Backend::kNativeHost) {
-          // The native backend has no unplanned one-shot path; retry the
-          // plan (the compile fault may have been transient) and surface
-          // the error as this layer's row if it persists.
-          LBC_ASSIGN_OR_RETURN(
-              ConvPlan np,
-              plan_native_conv(s, pl.weight, opt.bits, opt.threads));
-          pl.plan = std::make_shared<const ConvPlan>(std::move(np));
-        }
-        StatusOr<ArmLayerResult> r_or =
-            pl.plan != nullptr
-                ? execute_arm_conv(*pl.plan, pl.input, ws)
-                : run_arm_conv(s, pl.input, pl.weight, opt.bits, opt.arm_impl,
-                               opt.arm_algo, opt.threads);
-        LBC_RETURN_IF_ERROR(r_or.status());
-        const ArmLayerResult& r = *r_or;
+      if (pl.plan.has_value()) {
+        LBC_ASSIGN_OR_RETURN(const ArmLayerResult r,
+                             execute_arm_conv(*pl.plan, pl.input, ws));
         run.seconds = r.seconds;
         run.measured_ns = r.measured_ns;
         run.executed_algo = r.executed_algo;
@@ -197,13 +123,10 @@ StatusOr<ModelRunReport> run_model(std::span<const ConvShape> layers,
           run.verified = !winograd_ran && count_mismatches(ref, r.out) == 0;
         }
       } else {
-        StatusOr<GpuLayerResult> r_or =
-            pl.gpu_plan.has_value()
-                ? execute_gpu_conv(*pl.gpu_plan)
-                : time_gpu_conv(dev, s, opt.bits, opt.gpu_impl);
-        LBC_RETURN_IF_ERROR(r_or.status());
-        run.seconds = r_or->seconds;
-        run.fallback = r_or->fallback;
+        LBC_ASSIGN_OR_RETURN(const GpuLayerResult r,
+                             execute_gpu_conv(*pl.gpu_plan));
+        run.seconds = r.seconds;
+        run.fallback = r.fallback;
         run.verified = false;  // GPU functional checks live in the test suite
       }
       return Status();

@@ -9,6 +9,9 @@
 // invalid shape in the table, an injected allocation failure — do NOT
 // abort the run: the layer is recorded with its error string and the
 // remaining layers still execute, so one bad table row costs one row.
+// Every layer runs a compiled plan at its per-layer blocking winner; a
+// plan-compile fault degrades inside planning and shows up as the layer's
+// fallback, not as an error.
 #pragma once
 
 #include <span>
@@ -52,10 +55,6 @@ struct ModelRunOptions {
   int threads = 1;      ///< ARM row-panel workers (Pi 3B has 4 cores)
   int batch = 1;        ///< micro-batch: every layer runs with this batch
   bool verify = false;  ///< run the reference conv per layer (slow)
-  /// ARM backend: pick every blocked-GEMM layer's {Mc, Kc, Nc} with the
-  /// whole-net joint search (armkern::search_graph_blocking) instead of
-  /// per-layer winners — the layer table is treated as a chain.
-  bool joint_blocking = true;
   u64 seed = 1;
 };
 

@@ -274,8 +274,7 @@ std::string TuningCache::serialize() const {
   MutexLock lock(mu_);
   std::ostringstream out;
   out << kTuningCacheHeader << '\n';
-  // GPU entries keep the bare v1 line body, so a v2 file of GPU entries
-  // differs from its v1 form only in the header.
+  // GPU entries keep the bare, untagged line body.
   for (const auto& [k, t] : entries_)
     out << k.m << ' ' << k.n << ' ' << k.k << ' ' << k.bits << ' '
         << (k.use_tc ? 1 : 0) << ' ' << t.mtile << ' ' << t.ntile << ' '
@@ -298,13 +297,9 @@ StatusOr<int> TuningCache::deserialize(const std::string& text) {
   std::string line;
   LBC_VALIDATE(std::getline(in, line), kDataLoss,
                "empty input: expected header \"" << kTuningCacheHeader << "\"");
-  const bool v1 = (line == kTuningCacheHeaderV1);
-  const bool v2 = (line == kTuningCacheHeaderV2);
-  const bool v3 = (line == kTuningCacheHeaderV3);
-  LBC_VALIDATE(v1 || v2 || v3 || line == kTuningCacheHeader, kDataLoss,
+  LBC_VALIDATE(line == kTuningCacheHeader, kDataLoss,
                "unsupported cache format: expected header \""
-                   << kTuningCacheHeader << "\" (or v3/v2/v1), got \"" << line
-                   << "\"");
+                   << kTuningCacheHeader << "\", got \"" << line << "\"");
 
   // Parse everything before merging anything: a corrupt line must not
   // leave the cache half-updated.
@@ -324,15 +319,6 @@ StatusOr<int> TuningCache::deserialize(const std::string& text) {
           tag == "arm" || tag == "gpu" || tag == "x86" || tag == "graph",
           kDataLoss,
           "line " << lineno << ": unknown entry tag \"" << tag << "\"");
-      LBC_VALIDATE(!v1 || tag == "gpu", kDataLoss,
-                   "line " << lineno << ": " << tag
-                           << " entry in a v1-headed cache file");
-      LBC_VALIDATE(!v2 || (tag != "x86" && tag != "graph"), kDataLoss,
-                   "line " << lineno << ": " << tag
-                           << " entry in a v2-headed cache file");
-      LBC_VALIDATE(!v3 || tag != "graph", kDataLoss,
-                   "line " << lineno
-                           << ": graph entry in a v3-headed cache file");
     }
     if (tag == "graph") {
       GraphTuningKey k;

@@ -10,22 +10,15 @@
 // bogus Tiling driving the kernel. Cache *hits* are sanity-checked too
 // (and re-searched on corruption) so a poisoned entry cannot escape.
 //
-// Format v2 makes the cache backend-keyed: GPU tilings and ARM blocked-GEMM
-// {Mc, Kc, Nc} winners (armkern/tile_search.h) share one file. v1 files
-// (GPU-only) still load; a v2 file is rejected by old v1 readers via the
-// header bump.
-//
-// Format v3 adds the native x86 backend's {row_block, col_block} winners
-// (hal/native_gemm.h) under the "x86" tag — the measured-nanosecond
-// search amortized across process runs the same way. v2 and v1 files
-// still load.
-//
-// Format v4 adds whole-graph joint ARM blockings under the "graph" tag:
-// one row per layer, keyed by armkern::graph_blocking_hash over the net's
-// (geometry, bits, scheme) sequence. The joint search prices layers
-// against a chained cache replay, so its winners are a property of the
-// whole net, not any single shape — hence the separate key space. v3 and
-// older files still load.
+// The format is v4, and only v4 loads: GPU tilings, ARM blocked-GEMM
+// {Mc, Kc, Nc} winners (armkern/tile_search.h, "arm" tag), the native x86
+// backend's {row_block, col_block} winners (hal/native_gemm.h, "x86" tag)
+// and whole-graph joint ARM blockings ("graph" tag) share one file. A
+// graph row is one layer of a net keyed by armkern::graph_blocking_hash
+// over the net's (geometry, bits, scheme) sequence: the joint search
+// prices layers against a chained cache replay, so its winners are a
+// property of the whole net, not any single shape. A file with an older
+// header (v1-v3) is rejected whole; the caches are rebuilt by searching.
 #pragma once
 
 #include <functional>
@@ -43,12 +36,6 @@ namespace lbc::gpukern {
 /// First line of every serialized cache. Bump the version when fields
 /// change so old readers reject new files instead of misparsing them.
 inline constexpr const char* kTuningCacheHeader = "lbc-tuning-cache v4";
-/// Previous formats — still readable. v1 carried GPU entries only (bare
-/// lines); v2 added "arm" entries; v3 added "x86" entries; v4 adds
-/// whole-graph "graph" entries.
-inline constexpr const char* kTuningCacheHeaderV3 = "lbc-tuning-cache v3";
-inline constexpr const char* kTuningCacheHeaderV2 = "lbc-tuning-cache v2";
-inline constexpr const char* kTuningCacheHeaderV1 = "lbc-tuning-cache v1";
 
 struct TuningKey {
   i64 m = 0, n = 0, k = 0;
@@ -136,7 +123,7 @@ class TuningCache {
 
   void put(const TuningKey& key, const Tiling& t);
 
-  // --- ARM blocked-GEMM entries (format v2) ---------------------------
+  // --- ARM blocked-GEMM entries ("arm" rows) --------------------------
 
   std::optional<ArmBlocking> lookup_arm(const ArmTuningKey& key) const;
 
@@ -150,7 +137,7 @@ class TuningCache {
 
   void put_arm(const ArmTuningKey& key, const ArmBlocking& b);
 
-  // --- native x86 entries (format v3) ---------------------------------
+  // --- native x86 entries ("x86" rows) ---------------------------------
 
   std::optional<X86Blocking> lookup_x86(const X86TuningKey& key) const;
 
@@ -164,7 +151,7 @@ class TuningCache {
 
   void put_x86(const X86TuningKey& key, const X86Blocking& b);
 
-  // --- whole-graph joint ARM entries (format v4) ----------------------
+  // --- whole-graph joint ARM entries ("graph" rows) -------------------
 
   /// The complete joint plan for a graph hash, if every one of its
   /// `n_layers` layer rows is cached and valid. A partial or corrupt set
@@ -195,16 +182,14 @@ class TuningCache {
 
   /// Text round trip. Format v4: the version header line, then one entry
   /// per line — GPU entries bare ("m n k bits use_tc mtile ntile ktile
-  /// kstep wr wc", v1-compatible body) or with an explicit "gpu " prefix,
+  /// kstep wr wc") or with an explicit "gpu " prefix,
   /// ARM entries "arm m n k bits scheme mc kc nc", native entries
   /// "x86 m n k bits scheme rb cb", whole-graph joint entries
   /// "graph hash layer mc kc nc".
   std::string serialize() const;
 
   /// Merge entries from serialized text; returns entries accepted.
-  /// Accepts the v4 header, and v3/v2/v1-headed files for read
-  /// compatibility (a tag an older format never carried — "graph" in
-  /// v3/v2/v1, "x86" in v2/v1, "arm" in v1 — is a kDataLoss error).
+  /// Accepts only the v4 header (kTuningCacheHeader).
   /// Strict: a missing/unknown header, a truncated or garbage line, or
   /// out-of-range tiling values yield a kDataLoss error naming the line,
   /// and NO entries are merged (all-or-nothing).

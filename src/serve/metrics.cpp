@@ -65,14 +65,6 @@ void ServeMetrics::record_batch(int batch_size) {
   ++batch_hist_[static_cast<size_t>(batch_size - 1)];
 }
 
-void ServeMetrics::record_batch_plan(bool planned) {
-  MutexLock lock(mu_);
-  if (planned)
-    ++planned_batches_;
-  else
-    ++unplanned_batches_;
-}
-
 void ServeMetrics::record_completion(double queue_wait_s, double latency_s,
                                      bool ok, Clock::time_point now,
                                      Priority priority) {
@@ -105,12 +97,6 @@ MetricsSnapshot ServeMetrics::snapshot() const {
   s.mean_batch = batches_ == 0 ? 0
                                : static_cast<double>(batched_requests_) /
                                      static_cast<double>(batches_);
-  s.planned_batches = planned_batches_;
-  s.unplanned_batches = unplanned_batches_;
-  const i64 resolved = planned_batches_ + unplanned_batches_;
-  s.plan_hit_rate = resolved == 0 ? 0
-                                  : static_cast<double>(planned_batches_) /
-                                        static_cast<double>(resolved);
   s.sheds = sheds_;
   s.displaced = sheds_[static_cast<size_t>(ShedReason::kDisplaced)];
   s.drained_shutdown = sheds_[static_cast<size_t>(ShedReason::kShutdown)];
@@ -156,7 +142,6 @@ void ServeMetrics::reset() {
   MutexLock lock(mu_);
   completed_ = failed_ = rejected_ = expired_ = 0;
   batches_ = batched_requests_ = 0;
-  planned_batches_ = unplanned_batches_ = 0;
   fallback_served_ = 0;
   sheds_.fill(0);
   for (LaneState& lane : lanes_) {
@@ -183,8 +168,6 @@ void ServeMetrics::print(const std::string& title) const {
       {"shed rate", s.shed_rate * 100.0, "%"},
       {"batches", static_cast<double>(s.batches), ""},
       {"mean batch size", s.mean_batch, ""},
-      {"planned batches", static_cast<double>(s.planned_batches), ""},
-      {"plan hit rate", s.plan_hit_rate * 100.0, "%"},
       {"queue wait p50", s.queue_wait_p50_s * 1e3, "ms"},
       {"queue wait p95", s.queue_wait_p95_s * 1e3, "ms"},
       {"queue wait p99", s.queue_wait_p99_s * 1e3, "ms"},

@@ -60,11 +60,6 @@ struct MetricsSnapshot {
   double mean_batch = 0;
   std::vector<i64> batch_hist;  ///< batch_hist[b-1] = batches of size b
 
-  i64 planned_batches = 0;    ///< executed against a compiled ConvPlan
-  i64 unplanned_batches = 0;  ///< fell back to the one-shot conv path
-  /// planned / (planned + unplanned); 1.0 when every batch reused a plan.
-  double plan_hit_rate = 0;
-
   /// Shed accounting: sheds[r] counts ShedReason r events. `displaced`,
   /// `drained_shutdown`, `unavailable`, and `fallback_served` break out the
   /// overload-specific flows the soak harness gates on.
@@ -103,9 +98,6 @@ class ServeMetrics {
   /// A tripped-breaker request served through the reference fallback chain.
   void record_fallback_served();
   void record_batch(int batch_size);
-  /// Whether a batch executed against a compiled plan (recorded by the
-  /// batch worker once the plan lookup resolves).
-  void record_batch_plan(bool planned);
   /// One response delivered (OK or failed), with its measured times.
   void record_completion(double queue_wait_s, double latency_s, bool ok,
                          Clock::time_point now,
@@ -139,8 +131,6 @@ class ServeMetrics {
   i64 expired_ LBC_GUARDED_BY(mu_) = 0;
   i64 batches_ LBC_GUARDED_BY(mu_) = 0;
   i64 batched_requests_ LBC_GUARDED_BY(mu_) = 0;
-  i64 planned_batches_ LBC_GUARDED_BY(mu_) = 0;
-  i64 unplanned_batches_ LBC_GUARDED_BY(mu_) = 0;
   i64 fallback_served_ LBC_GUARDED_BY(mu_) = 0;
   std::array<i64, static_cast<size_t>(ShedReason::kReasonCount)> sheds_
       LBC_GUARDED_BY(mu_){};

@@ -23,6 +23,16 @@ u64 graph_plan_key(u64 graph_hash, const core::GraphPlanOptions& o) {
   return h;
 }
 
+// Whether a compile fault degraded any of the plan's convs: such a plan
+// answers the acquire but is not kept, so the next acquire compiles again.
+bool fault_degraded(const core::GraphPlan& plan) {
+  for (i64 i = 0; i < plan.node_count(); ++i) {
+    const armkern::ArmConvPlan* conv = plan.conv_plan(i);
+    if (conv != nullptr && conv->fault_degraded) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 ModelRegistry::ModelRegistry(const RegistryOptions& opt) : opt_(opt) {
@@ -167,14 +177,16 @@ ModelRegistry::acquire_graph_plan(const std::string& name) {
   auto plan = std::make_shared<const core::GraphPlan>(std::move(compiled));
 
   MutexLock lock(mu_);
-  u64 key = plan->graph_hash() != 0
-                ? graph_plan_key(plan->graph_hash(), s.options)
-                : 0x9e3779b97f4a7c15ull + entry->order;  // no fused chain:
-                                                         // never shared
-  entry->plan_key = key;
-  auto [it, inserted] = graph_plans_.try_emplace(key, plan);
-  if (!inserted) plan = it->second;  // lost a compile race / shared hash:
-                                     // serve the resident plan
+  if (!fault_degraded(*plan)) {
+    // A graph with no fused chain keys by model: it is never shared.
+    const u64 key = plan->graph_hash() != 0
+                        ? graph_plan_key(plan->graph_hash(), s.options)
+                        : 0x9e3779b97f4a7c15ull + entry->order;
+    entry->plan_key = key;
+    auto [it, inserted] = graph_plans_.try_emplace(key, plan);
+    if (!inserted) plan = it->second;  // lost a compile race / shared hash:
+                                       // serve the resident plan
+  }
   entry->last_used = ++tick_;
   ++graph_acquires_;
   enforce_budget_locked(nullptr, entry);

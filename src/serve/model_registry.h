@@ -101,9 +101,10 @@ class ModelRegistry {
   Status unregister_model(const std::string& name);
 
   /// The model's compiled plan: cache hit or compile, then LRU bump and
-  /// budget enforcement. Errors: kNotFound (unknown model) or the plan
-  /// compile error (kResourceExhausted under plan.compile_fail — callers
-  /// run the unplanned path).
+  /// budget enforcement. A compile fault (plan.compile_fail) returns the
+  /// degraded reference-rung plan without keeping it, so the next acquire
+  /// compiles again. Errors: kNotFound (unknown model) or the plan compile
+  /// error.
   StatusOr<std::shared_ptr<const core::ConvPlan>> acquire_plan(
       const std::string& name);
 
@@ -138,7 +139,8 @@ class ModelRegistry {
 
   /// The model's compiled whole-net plan: cache hit or GraphPlan::compile
   /// on a miss, then LRU bump and budget enforcement across both plan
-  /// kinds. Errors: kNotFound (unknown model) or the compile error.
+  /// kinds. A plan with a fault-degraded conv is returned but not kept.
+  /// Errors: kNotFound (unknown model) or the compile error.
   StatusOr<std::shared_ptr<const core::GraphPlan>> acquire_graph_plan(
       const std::string& name);
 

@@ -14,6 +14,7 @@
 
 #include <chrono>
 
+#include "common/fallback.h"
 #include "common/status.h"
 #include "common/tensor.h"
 
@@ -66,6 +67,7 @@ struct InferResponse {
   double model_seconds = 0;   ///< modeled device time of the batch it rode in
   int batch_size = 0;         ///< size of that micro-batch
   std::string executed_algo;  ///< kernel rung that produced the batch
+  FallbackRecord fallback;    ///< degradation of that rung, if any
   int tenant = 0;
   Priority priority = Priority::kStandard;
   bool probe = false;         ///< response to a breaker half-open probe

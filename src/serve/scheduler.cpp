@@ -67,8 +67,8 @@ BatchScheduler::BatchScheduler(const ConvShape& shape, Tensor<i8> weight,
     : shape_(shape), weight_(std::move(weight)), opt_(opt), pool_(pool) {
   // Compile the layer's plan once, before any request arrives: the fallback
   // ladder resolves and the weights prepack here, so per-batch work is pure
-  // execution. A compile fault (kResourceExhausted) leaves plan_ null; each
-  // batch then retries through the cache and, failing that, runs unplanned.
+  // execution. A compile fault degrades inside planning to a reference-rung
+  // plan the cache does not keep, so each batch looks the plan up again.
   StatusOr<std::shared_ptr<const core::ConvPlan>> p = lookup_plan();
   if (p.ok()) plan_ = std::move(p).value();
   dispatcher_ = std::thread([this] { dispatcher_main(); });
@@ -343,22 +343,15 @@ void BatchScheduler::run_batch(std::vector<Pending> batch,
     if (FaultInjector::instance().should_fire(FaultSite::kServeWorkerThrow))
       throw std::runtime_error("batch worker fault (injected)");
     // Plan lookup: warmed at create(), so this is a cache hit on the hot
-    // path (and the retry path after a transient compile fault or a
-    // registry eviction). Each pool worker thread owns one Workspace arena,
-    // reused across every batch it executes — steady-state serving does
-    // zero conv allocations.
+    // path (and a recompile after a fault-degraded compile or a registry
+    // eviction). Each pool worker thread owns one Workspace arena, reused
+    // across every batch it executes — steady-state serving does zero conv
+    // allocations.
     StatusOr<std::shared_ptr<const core::ConvPlan>> plan = lookup_plan();
-    StatusOr<core::BatchedArmResult> r = [&] {
-      if (plan.ok()) {
-        metrics_.record_batch_plan(/*planned=*/true);
-        static thread_local Workspace worker_ws;
-        return core::execute_arm_conv_batched(**plan, inputs, worker_ws);
-      }
-      metrics_.record_batch_plan(/*planned=*/false);
-      return core::run_arm_conv_batched(shape_, inputs, weight_, opt_.bits,
-                                        opt_.impl, opt_.algo,
-                                        opt_.conv_threads);
-    }();
+    static thread_local Workspace worker_ws;
+    StatusOr<core::BatchedArmResult> r =
+        plan.ok() ? core::execute_arm_conv_batched(**plan, inputs, worker_ws)
+                  : StatusOr<core::BatchedArmResult>(plan.status());
     if (r.ok())
       result = std::move(r).value();
     else
@@ -383,6 +376,7 @@ void BatchScheduler::run_batch(std::vector<Pending> batch,
       resp.output = std::move(result.outputs[i]);
       resp.model_seconds = result.seconds;
       resp.executed_algo = result.executed_algo;
+      resp.fallback = result.fallback;
     }
     metrics_.record_completion(resp.queue_wait_s, resp.latency_s,
                                batch_status.ok(), done, p.req.priority);

@@ -30,7 +30,9 @@
 //    Plans come from the scheduler's own PlanCache or, when opt.plan_source
 //    is set, from an external provider (the ModelRegistry's memory-budgeted
 //    cache) — eviction there is safe because every batch holds its own
-//    shared_ptr for the duration of execution.
+//    shared_ptr for the duration of execution. A plan-compile fault yields
+//    a reference-rung plan the cache does not keep; its batches stay
+//    bit-exact and report the degradation in InferResponse::fallback.
 //  * Shutdown — submit() returns kFailedPrecondition after shutdown(). What
 //    happens to already-queued requests is the shutdown_policy:
 //    kExecutePending (default) executes them; kFailPending answers each
@@ -141,8 +143,8 @@ class BatchScheduler {
   const ConvShape& shape() const { return shape_; }
   const SchedulerOptions& options() const { return opt_; }
 
-  /// The compiled plan every batch executes against (null when plan
-  /// compilation failed at create() and batches run unplanned).
+  /// The plan compiled at create() (null only when that compile returned
+  /// an error). Batches look their plan up per batch, through the cache.
   std::shared_ptr<const core::ConvPlan> plan() const { return plan_; }
   /// The scheduler's plan cache (hit/miss counters for the bench). Counts
   /// stay zero when an external plan_source serves the plans.

@@ -299,6 +299,13 @@ std::future<GraphInferResponse> ModelServer::run_graph(GraphModel& m,
           resp.model_seconds = r->seconds;
           resp.batch_size = 1;
           resp.fused_convs = plan->fused_convs();
+          for (i64 n = 0; n < plan->node_count(); ++n) {
+            const armkern::ArmConvPlan* conv = plan->conv_plan(n);
+            if (conv != nullptr && conv->planned_fallback.fell_back)
+              resp.fallback.record(conv->planned_fallback.requested,
+                                   conv->planned_fallback.executed,
+                                   conv->planned_fallback.reason);
+          }
           if (fallback) gm->metrics.record_fallback_served();
         } else {
           resp.status = r.status();
@@ -416,6 +423,7 @@ StatusOr<std::future<InferResponse>> ModelServer::submit_fallback(
         resp.model_seconds = res.seconds;
         resp.batch_size = 1;
         resp.executed_algo = res.executed_algo;
+        resp.fallback = std::move(res.fallback);
         metrics->record_fallback_served();
       } else {
         resp.status = r.status();

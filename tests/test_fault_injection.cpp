@@ -212,21 +212,35 @@ TEST(FaultRecovery, PlanCompileFailDegradesOneShotToReference) {
             std::string::npos);
 }
 
-// plan_arm_conv surfaces the typed error to callers that want to handle it
-// themselves (the documented alternative to the fallback).
-TEST(FaultRecovery, PlanCompileFailSurfacesAsResourceExhausted) {
+// plan_arm_conv absorbs the fault: it returns a reference-rung plan —
+// unblocked, nothing prepacked — that records the fault and executes
+// bit-exact.
+TEST(FaultRecovery, PlanCompileFailPlansTheReferenceRung) {
   const ConvShape s = small_shape();
   const ConvData d(s, 8, 405);
   ScopedFault fault(FaultSite::kPlanCompileFail, /*fire_count=*/1);
   const auto plan = core::plan_arm_conv(s, d.w, 8);
-  EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(plan.status().message().find("injected"), std::string::npos);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->planned_algo(), ConvAlgo::kReference);
+  EXPECT_TRUE(plan->impl_plan().fault_degraded);
+  EXPECT_FALSE(plan->impl_plan().blocking.enabled());
+  EXPECT_EQ(plan->packed_weight_bytes(), 0);
+  EXPECT_TRUE(plan->planned_fallback().fell_back);
+  EXPECT_EQ(plan->planned_fallback().executed, "reference");
+  EXPECT_NE(plan->planned_fallback().reason.find("injected"),
+            std::string::npos);
+
+  Workspace ws;
+  const auto r = core::execute_arm_conv(*plan, d.in, ws);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_EQ(count_mismatches(d.ref, r->out), 0);
+  EXPECT_EQ(r->executed_algo, "reference");
+  EXPECT_TRUE(r->fallback.fell_back);
 }
 
-// A one-shot compile fault costs run_arm_conv nothing but the retry: the
-// engine falls back to the unplanned driver, whose internal re-plan
-// succeeds, so the request still executes the requested GEMM rung.
-TEST(FaultRecovery, PlanCompileFailRunArmConvRecoversOnRetry) {
+// A one-shot compile fault answers that one request from the reference
+// rung (there is no retry); the next request compiles the GEMM rung.
+TEST(FaultRecovery, PlanCompileFailOneShotAnswersFromReference) {
   const ConvShape s = small_shape();
   const ConvData d(s, 8, 406);
 
@@ -234,8 +248,14 @@ TEST(FaultRecovery, PlanCompileFailRunArmConvRecoversOnRetry) {
   const auto r = core::run_arm_conv(s, d.in, d.w, 8);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   EXPECT_EQ(count_mismatches(d.ref, r.value().out), 0);
-  EXPECT_EQ(r.value().executed_algo, "gemm");
-  EXPECT_FALSE(r.value().fallback.fell_back);
+  EXPECT_EQ(r.value().executed_algo, "reference");
+  EXPECT_TRUE(r.value().fallback.fell_back);
+
+  const auto next = core::run_arm_conv(s, d.in, d.w, 8);
+  ASSERT_TRUE(next.ok()) << next.status().to_string();
+  EXPECT_EQ(count_mismatches(d.ref, next.value().out), 0);
+  EXPECT_EQ(next.value().executed_algo, "gemm");
+  EXPECT_FALSE(next.value().fallback.fell_back);
 }
 
 // Persistent compile failure: run_arm_conv still answers, from the
@@ -252,34 +272,115 @@ TEST(FaultRecovery, PlanCompileFailPersistentStillAnswersBitExact) {
   EXPECT_TRUE(r.value().fallback.fell_back);
 }
 
-// GPU plans consult the same site and surface the typed error.
-TEST(FaultRecovery, PlanCompileFailGpuSurfacesTypedError) {
+// GPU plans consult the same site: the tiling search stays at its floor,
+// the default tiling, records why, and writes no TuningCache row.
+TEST(FaultRecovery, PlanCompileFailGpuKeepsDefaultTiling) {
   const auto dev = gpusim::DeviceSpec::rtx2080ti();
   const ConvShape s = nets::resnet50_layers()[2];
-  ScopedFault fault(FaultSite::kPlanCompileFail, /*fire_count=*/1);
-  const auto plan = core::plan_gpu_conv(dev, s, 8, core::GpuImpl::kOurs);
-  EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
-  // Exhausted fault: the next plan compiles fine.
-  EXPECT_TRUE(core::plan_gpu_conv(dev, s, 8, core::GpuImpl::kOurs).ok());
+  gpukern::TuningCache cache;
+  {
+    ScopedFault fault(FaultSite::kPlanCompileFail, /*fire_count=*/1);
+    const auto plan =
+        core::plan_gpu_conv(dev, s, 8, core::GpuImpl::kOurs, &cache);
+    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+    EXPECT_EQ(plan->options.tiling, gpukern::default_tiling(8));
+    EXPECT_TRUE(plan->planned_fallback.fell_back);
+    EXPECT_NE(plan->planned_fallback.reason.find("injected"),
+              std::string::npos);
+    EXPECT_EQ(cache.size(), 0u) << "a degraded plan writes no cache row";
+    const auto timed = core::execute_gpu_conv(*plan);
+    ASSERT_TRUE(timed.ok()) << timed.status().to_string();
+    EXPECT_TRUE(timed->fallback.fell_back);
+  }
+  // Exhausted fault: the next plan searches and caches its tiling.
+  const auto plan =
+      core::plan_gpu_conv(dev, s, 8, core::GpuImpl::kOurs, &cache);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_FALSE(plan->planned_fallback.fell_back);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
-// The PlanCache does not cache failures: a transient compile fault costs
-// one miss, then the retry compiles and every later lookup hits.
+// The PlanCache keeps no fault-degraded plan: a transient compile fault
+// answers one lookup from the reference rung, then the next lookup
+// compiles the GEMM plan and every later lookup hits.
 TEST(FaultRecovery, PlanCacheRetriesAfterTransientCompileFault) {
   const ConvShape s = small_shape();
   const ConvData d(s, 8, 408);
   core::PlanCache cache;
   {
     ScopedFault fault(FaultSite::kPlanCompileFail, /*fire_count=*/1);
-    EXPECT_EQ(cache.get_or_compile(s, d.w, 8).status().code(),
-              StatusCode::kResourceExhausted);
+    const auto degraded = cache.get_or_compile(s, d.w, 8);
+    ASSERT_TRUE(degraded.ok()) << degraded.status().to_string();
+    EXPECT_EQ((*degraded)->planned_algo(), ConvAlgo::kReference);
+    EXPECT_FALSE(cache.resident(s, d.w, 8));
   }
   const auto plan = cache.get_or_compile(s, d.w, 8);
   ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*plan)->planned_algo(), ConvAlgo::kGemm);
+  EXPECT_TRUE(cache.resident(s, d.w, 8));
   EXPECT_TRUE(cache.get_or_compile(s, d.w, 8).ok());
   EXPECT_EQ(cache.hits(), 1);
   Workspace ws;
-  EXPECT_TRUE(core::execute_arm_conv(*plan.value(), d.in, ws).ok());
+  const auto r = core::execute_arm_conv(*plan.value(), d.in, ws);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->executed_algo, "gemm");
+}
+
+// QuantizedConv2d on every backend: under a persistent compile fault the
+// layer still compiles, and its forward is bit-exact with a healthy
+// layer's while last_fallback() names the degradation.
+TEST(FaultRecovery, PlanCompileFailQuantizedConv2dDegradesOnEveryBackend) {
+  ConvShape s = small_shape();
+  s.in_c = 16;
+  s.out_c = 16;
+  Tensor<float> w(Shape4{s.out_c, s.in_c, s.kernel, s.kernel});
+  Tensor<float> x(Shape4{s.batch, s.in_c, s.in_h, s.in_w});
+  Rng rng(409);
+  for (float& v : w.span()) v = rng.uniform_f(-1.0f, 1.0f);
+  for (float& v : x.span()) v = rng.uniform_f(-1.0f, 1.0f);
+
+  for (const core::Backend backend :
+       {core::Backend::kArmCortexA53, core::Backend::kNativeHost,
+        core::Backend::kGpuTU102}) {
+    SCOPED_TRACE(core::backend_name(backend));
+    core::QuantizedConv2d healthy(s, 8, backend);
+    ASSERT_TRUE(healthy.set_weights(w).ok());
+    const auto want = healthy.forward(x);
+    ASSERT_TRUE(want.ok()) << want.status().to_string();
+
+    ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+    core::QuantizedConv2d layer(s, 8, backend);
+    ASSERT_TRUE(layer.set_weights(w).ok());
+    const auto got = layer.forward(x);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(count_mismatches(*want, *got), 0);
+    EXPECT_TRUE(layer.last_fallback().fell_back);
+    EXPECT_NE(layer.last_fallback().reason.find("plan compilation failed"),
+              std::string::npos);
+  }
+}
+
+// run_model under a persistent compile fault: every layer runs, verified
+// bit-exact against the reference conv, and reports the degradation.
+TEST(FaultRecovery, PlanCompileFailModelRunnerAnswersBitExact) {
+  const auto layers = nets::shrink_for_tests(nets::resnet50_layers(), 6, 8);
+  for (const core::Backend backend :
+       {core::Backend::kArmCortexA53, core::Backend::kNativeHost}) {
+    SCOPED_TRACE(core::backend_name(backend));
+    core::ModelRunOptions opt;
+    opt.bits = 4;
+    opt.backend = backend;
+    opt.verify = true;
+    ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+    const auto rep = core::run_model(layers, opt);
+    ASSERT_TRUE(rep.ok()) << rep.status().to_string();
+    EXPECT_EQ(rep->error_layers, 0);
+    EXPECT_EQ(rep->fallback_layers, static_cast<int>(layers.size()));
+    for (const core::LayerRun& l : rep->layers) {
+      EXPECT_TRUE(l.verified) << l.name;
+      EXPECT_EQ(l.executed_algo, "reference") << l.name;
+    }
+  }
 }
 
 // --- Model-runner site: an injected allocation failure costs exactly the

@@ -767,6 +767,36 @@ TEST(GraphPlan, EachConvIsPlannedOnce) {
   }
 }
 
+TEST(GraphPlan, PersistentCompileFaultRunsEveryConvUnfusedOnReference) {
+  // Every conv's compile faults: the graph still compiles (audited), each
+  // conv runs unfused on the reference rung with the fault recorded, and
+  // the forward memcmp-matches the kReference plan and the healthy fused
+  // plan.
+  const Tensor<float> x = random_ftensor(Shape4{1, 16, 8, 8}, -1, 1, 411);
+  const QnnGraph g = sized_bottleneck(2, 16, 8, x);
+  const GraphPlan healthy = GraphPlan::compile(g, audited()).value();
+  ASSERT_GT(healthy.fused_convs(), 0);
+  Workspace a1, s1;
+  const Tensor<float> want = healthy.forward(x, a1, s1).value().out;
+
+  ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+  const StatusOr<GraphPlan> plan = GraphPlan::compile(g, audited());
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->fused_convs(), 0);
+  EXPECT_EQ(plan->fused_adds(), 0);
+  EXPECT_EQ(plan->packed_weight_bytes(), 0);
+  for (i64 i = 0; i < plan->node_count(); ++i) {
+    const armkern::ArmConvPlan* cp = plan->conv_plan(i);
+    if (cp == nullptr) continue;
+    EXPECT_EQ(cp->algo, armkern::ConvAlgo::kReference) << "node " << i;
+    EXPECT_TRUE(cp->fault_degraded) << "node " << i;
+    EXPECT_TRUE(cp->planned_fallback.fell_back) << "node " << i;
+  }
+  expect_matches_reference(g, *plan, x);
+  Workspace a2, s2;
+  EXPECT_TRUE(same_bits(plan->forward(x, a2, s2).value().out, want));
+}
+
 TEST(GraphPlanConcurrency, SameShapeConvsWithDifferentInputRangesSearchApart) {
   // Like n3 and n4 of the perfbench ResNet: two 1x1 24 -> 40 convs of one
   // shape, node 2 fed by a ReLU'd conv and node 3 by the signed input. One
@@ -1091,6 +1121,56 @@ TEST(ServerGraphModels, SubmitGraphServesBitExact) {
 
   EXPECT_EQ(server.submit_graph("ghost", x).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(ServerGraphModels, CompileFaultServesReferenceAndKeepsNoPlan) {
+  // A graph model registered under a persistent compile fault answers
+  // bit-exact from its reference-rung convs, unfused, and the registry
+  // keeps no graph plan; once the fault clears, the next acquire compiles
+  // and keeps the fused plan.
+  ModelServer server;
+  const auto graph = make_graph(2);
+  const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
+  GraphPlanOptions ro;
+  ro.fusion = FusionMode::kOff;
+  ro.joint_search = false;
+  ro.algo = armkern::ConvAlgo::kReference;
+  Workspace arena, scratch;
+  const Tensor<float> want =
+      GraphPlan::compile(*graph, ro).value().forward(x, arena, scratch)
+          .value()
+          .out;
+  const auto same_as_want = [&want](const Tensor<float>& got) {
+    return got.elems() == want.elems() &&
+           std::memcmp(got.data(), want.data(),
+                       static_cast<size_t>(want.elems()) * sizeof(float)) ==
+               0;
+  };
+  {
+    ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+    ASSERT_TRUE(server.add_graph_model("net", graph, GraphModelOptions{}).ok());
+    EXPECT_FALSE(server.registry().graph_plan_resident("net"));
+    auto fut = server.submit_graph("net", x);
+    ASSERT_TRUE(fut.ok()) << fut.status().to_string();
+    const GraphInferResponse resp = std::move(fut).value().get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.to_string();
+    EXPECT_TRUE(same_as_want(resp.output));
+    EXPECT_EQ(resp.fused_convs, 0);
+    EXPECT_TRUE(resp.fallback.fell_back);
+    EXPECT_FALSE(server.registry().graph_plan_resident("net"));
+    EXPECT_EQ(server.breaker("net")->state(), BreakerState::kClosed);
+  }
+  const auto healed = server.registry().acquire_graph_plan("net");
+  ASSERT_TRUE(healed.ok()) << healed.status().to_string();
+  EXPECT_GT((*healed)->fused_convs(), 0);
+  EXPECT_TRUE(server.registry().graph_plan_resident("net"));
+  auto fut = server.submit_graph("net", x);
+  ASSERT_TRUE(fut.ok());
+  const GraphInferResponse resp = std::move(fut).value().get();
+  ASSERT_TRUE(resp.status.ok()) << resp.status.to_string();
+  EXPECT_TRUE(same_as_want(resp.output));
+  EXPECT_GT(resp.fused_convs, 0);
+  EXPECT_FALSE(resp.fallback.fell_back);
 }
 
 TEST(ServerGraphModels, OpenBreakerFastFailsAndShutdownRejects) {

@@ -369,8 +369,14 @@ TEST(NativeConv, PlanReportsUnavailableWhenNativeDisabled) {
   ScopedCpuOverride ovr(off);
   EXPECT_EQ(plan_native_conv(s, w, 4).status().code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(core::plan_native_conv(s, w, 4).status().code(),
-            StatusCode::kUnavailable);
+  // The engine-level planner degrades to the emulated plan instead.
+  const StatusOr<core::ConvPlan> emulated = core::plan_native_conv(s, w, 4);
+  ASSERT_TRUE(emulated.ok()) << emulated.status().to_string();
+  EXPECT_EQ(emulated->backend(), core::Backend::kArmCortexA53);
+  EXPECT_TRUE(emulated->planned_fallback().fell_back);
+  EXPECT_EQ(emulated->planned_fallback().requested, "native");
+  EXPECT_FALSE(emulated->impl_plan().fault_degraded)
+      << "a disabled backend is not a transient fault";
 }
 
 TEST(NativeConv, CorePlanCarriesMeasuredNanoseconds) {
@@ -418,14 +424,32 @@ TEST(NativeConv, CorePlanResolvesBlockingThroughTuningCache) {
   EXPECT_EQ(p1->native_plan()->blocking, p2->native_plan()->blocking);
 }
 
-TEST(NativeConv, CompileFaultDegradesToUnplannedPath) {
+// A one-shot compile fault degrades the native plan to the emulated GEMM
+// plan, bit-exact and marked as fault-degraded; the next plan is native.
+TEST(NativeConv, CompileFaultDegradesToEmulatedPlan) {
   const ConvShape s = sweep_shapes()[2];
   const Tensor<i8> w = random_qtensor(
       Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 8, 1000);
-  ScopedFault fault(FaultSite::kPlanCompileFail, /*fire_count=*/1);
-  EXPECT_EQ(core::plan_native_conv(s, w, 8).status().code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_TRUE(core::plan_native_conv(s, w, 8).ok());
+  const Tensor<i8> in = random_qtensor(
+      Shape4{s.batch, s.in_c, s.in_h, s.in_w}, 8, 1001);
+  {
+    ScopedFault fault(FaultSite::kPlanCompileFail, /*fire_count=*/1);
+    const StatusOr<core::ConvPlan> p = core::plan_native_conv(s, w, 8);
+    ASSERT_TRUE(p.ok()) << p.status().to_string();
+    EXPECT_EQ(p->backend(), core::Backend::kArmCortexA53);
+    EXPECT_EQ(p->planned_algo(), armkern::ConvAlgo::kGemm);
+    EXPECT_TRUE(p->impl_plan().fault_degraded);
+    EXPECT_EQ(p->planned_fallback().requested, "native");
+    Workspace ws;
+    const StatusOr<core::ArmLayerResult> r =
+        core::execute_arm_conv(*p, in, ws);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(count_mismatches(ref::conv2d_s32(s, in, w), r->out), 0);
+    EXPECT_TRUE(r->fallback.fell_back);
+  }
+  const StatusOr<core::ConvPlan> native = core::plan_native_conv(s, w, 8);
+  ASSERT_TRUE(native.ok());
+  EXPECT_EQ(native->backend(), core::Backend::kNativeHost);
 }
 
 }  // namespace

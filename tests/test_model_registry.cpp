@@ -166,14 +166,25 @@ TEST(ModelRegistry, IdenticalSpecsShareOneEntryAndItsBytes) {
       << "the budget charges a shared entry once";
 }
 
-TEST(ModelRegistry, CompileFaultSurfacesAsResourceExhausted) {
+// A compile fault answers the acquire with the reference-rung plan but
+// keeps nothing; the first acquire after the fault clears compiles and
+// keeps the GEMM plan.
+TEST(ModelRegistry, CompileFaultServesADegradedPlanWithoutKeepingIt) {
   ModelRegistry reg;
   ASSERT_TRUE(reg.register_model("m", make_spec(30)).ok());
-  ScopedFault fault(FaultSite::kPlanCompileFail);
-  const auto r = reg.acquire_plan("m");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_FALSE(reg.plan_resident("m"));
+  {
+    ScopedFault fault(FaultSite::kPlanCompileFail);
+    const auto r = reg.acquire_plan("m");
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ((*r)->planned_algo(), armkern::ConvAlgo::kReference);
+    EXPECT_TRUE((*r)->planned_fallback().fell_back);
+    EXPECT_FALSE(reg.plan_resident("m"));
+  }
+  const auto healed = reg.acquire_plan("m");
+  ASSERT_TRUE(healed.ok()) << healed.status().to_string();
+  EXPECT_EQ((*healed)->planned_algo(), armkern::ConvAlgo::kGemm);
+  EXPECT_FALSE((*healed)->planned_fallback().fell_back);
+  EXPECT_TRUE(reg.plan_resident("m"));
 }
 
 }  // namespace

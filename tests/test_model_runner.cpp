@@ -112,17 +112,5 @@ TEST(ModelRunner, ModeledBackendHasNoMeasuredNanoseconds) {
   EXPECT_EQ(rep.total_measured_ns, 0);
 }
 
-TEST(ModelRunner, JointBlockingNeverWorseThanPerLayer) {
-  const auto layers = nets::shrink_for_tests(nets::resnet50_layers(), 6, 8);
-  ModelRunOptions joint;
-  joint.bits = 4;
-  joint.joint_blocking = true;
-  ModelRunOptions greedy = joint;
-  greedy.joint_blocking = false;
-  const ModelRunReport rj = run_model(layers, joint).value();
-  const ModelRunReport rg = run_model(layers, greedy).value();
-  EXPECT_LE(rj.total_seconds, rg.total_seconds * (1 + 1e-9));
-}
-
 }  // namespace
 }  // namespace lbc::core

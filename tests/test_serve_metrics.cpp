@@ -160,7 +160,6 @@ TEST(ServeMetrics, ResetClearsEverything) {
   const auto t0 = Clock::now();
   m.record_admitted(t0);
   m.record_batch(2);
-  m.record_batch_plan(true);
   m.record_shed(ShedReason::kDisplaced, Priority::kBatch);
   m.record_fallback_served();
   m.record_completion(0.001, 0.002, true, t0 + 10ms, Priority::kInteractive);
@@ -171,7 +170,6 @@ TEST(ServeMetrics, ResetClearsEverything) {
   EXPECT_EQ(s.batches, 0);
   EXPECT_EQ(s.displaced, 0);
   EXPECT_EQ(s.fallback_served, 0);
-  EXPECT_EQ(s.planned_batches, 0);
   EXPECT_DOUBLE_EQ(s.shed_rate, 0);
   EXPECT_DOUBLE_EQ(s.window_s, 0);
   for (const PriorityLane& lane : s.lanes) {

@@ -244,29 +244,6 @@ TEST(TuningCacheV2, ArmEntriesRoundTripAlongsideGpu) {
   EXPECT_EQ(*b.lookup_arm(ak), ab);
 }
 
-TEST(TuningCacheV2, ReadsV1HeadedFiles) {
-  // A v1 cache file (GPU entries, bare lines) still loads under the v2
-  // reader — deployments ship cache files across library versions.
-  TuningCache c;
-  const StatusOr<int> r = c.deserialize(
-      std::string(kTuningCacheHeaderV1) +
-      "\n64 196 1024 8 1 32 16 64 32 2 1\n");
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r.value(), 1);
-  EXPECT_TRUE(c.lookup({64, 196, 1024, 8, true}).has_value());
-}
-
-TEST(TuningCacheV2, RejectsArmEntriesUnderV1Header) {
-  // v1 never carried ARM entries; an "arm" line under a v1 header is a
-  // manually doctored or corrupted file.
-  TuningCache c;
-  const StatusOr<int> r = c.deserialize(
-      std::string(kTuningCacheHeaderV1) + "\narm 64 3136 576 4 0 128 64 256\n");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(c.size(), 0u);
-}
-
 TEST(TuningCacheV2, RejectsCorruptArmLines) {
   const char* bad_bodies[] = {
       "arm 64 3136 576 4 0 128 64\n",          // truncated
@@ -336,32 +313,6 @@ TEST(TuningCacheV3, X86EntriesRoundTripAlongsideGpuAndArm) {
   EXPECT_EQ(n.value(), 3);
   ASSERT_TRUE(b.lookup_x86(xk).has_value());
   EXPECT_EQ(*b.lookup_x86(xk), xb);
-}
-
-TEST(TuningCacheV3, ReadsV2HeadedFiles) {
-  // A v2 file (GPU + ARM entries) still loads under the v3 reader.
-  TuningCache c;
-  const StatusOr<int> r = c.deserialize(
-      std::string(kTuningCacheHeaderV2) +
-      "\ngpu 64 196 1024 8 1 32 16 64 32 2 1\narm 64 3136 576 4 0 128 64 "
-      "256\n");
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r.value(), 2);
-  EXPECT_TRUE(c.lookup({64, 196, 1024, 8, true}).has_value());
-  EXPECT_TRUE(c.lookup_arm({64, 3136, 576, 4, 0}).has_value());
-}
-
-TEST(TuningCacheV3, RejectsX86EntriesUnderOldHeaders) {
-  // Neither v1 nor v2 ever carried x86 entries; such a line under an old
-  // header is a doctored or corrupted file.
-  for (const char* header : {kTuningCacheHeaderV1, kTuningCacheHeaderV2}) {
-    TuningCache c;
-    const StatusOr<int> r = c.deserialize(
-        std::string(header) + "\nx86 64 3136 576 4 0 8 256\n");
-    ASSERT_FALSE(r.ok()) << header;
-    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << header;
-    EXPECT_EQ(c.size(), 0u) << header;
-  }
 }
 
 TEST(TuningCacheV3, RejectsCorruptX86Lines) {
@@ -463,26 +414,16 @@ TEST(TuningCacheV4, GetOrSearchGraphSearchesOnceThenHits) {
   EXPECT_EQ(searches3, 1);
 }
 
-TEST(TuningCacheV4, ReadsV3HeadedFiles) {
-  // A v3 file (GPU + ARM + x86 entries, no graph rows) still loads.
-  TuningCache c;
-  const StatusOr<int> r = c.deserialize(
-      std::string(kTuningCacheHeaderV3) +
-      "\ngpu 64 196 1024 8 1 32 16 64 32 2 1\narm 64 3136 576 4 0 128 64 "
-      "256\nx86 64 3136 576 4 0 8 256\n");
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r.value(), 3);
-  EXPECT_TRUE(c.lookup_x86({64, 3136, 576, 4, 0}).has_value());
-}
-
-TEST(TuningCacheV4, RejectsGraphEntriesUnderOldHeaders) {
-  // No pre-v4 format ever carried graph rows; such a line under an old
-  // header is a doctored or corrupted file.
-  for (const char* header :
-       {kTuningCacheHeaderV1, kTuningCacheHeaderV2, kTuningCacheHeaderV3}) {
+TEST(TuningCacheV4, RejectsEveryOldHeader) {
+  // Only v4 loads: a file under an older header is rejected whole, even
+  // when every line would parse as a v4 row, and nothing is merged.
+  for (const char* header : {"lbc-tuning-cache v1", "lbc-tuning-cache v2",
+                             "lbc-tuning-cache v3"}) {
     TuningCache c;
-    const StatusOr<int> r =
-        c.deserialize(std::string(header) + "\ngraph 42 0 128 64 256\n");
+    const StatusOr<int> r = c.deserialize(
+        std::string(header) +
+        "\n64 196 1024 8 1 32 16 64 32 2 1\narm 64 3136 576 4 0 128 64 "
+        "256\nx86 64 3136 576 4 0 8 256\n");
     ASSERT_FALSE(r.ok()) << header;
     EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << header;
     EXPECT_EQ(c.size(), 0u) << header;

@@ -119,9 +119,6 @@ PackedB pack_b(armsim::Ctx* ctx, const i8* b, i64 k, i64 n) {
   return pb;
 }
 
-i64 packed_sdot_a_bytes(i64 m, i64 k) {
-  return round_up(m, kMr) * round_up(k, 4);
-}
 i64 packed_sdot_b_bytes(i64 k, i64 n) {
   return round_up(n, kNr) * round_up(k, 4);
 }
@@ -349,14 +346,6 @@ bool tbl_values_ternary(const i8* a, i64 m, i64 k) {
   for (i64 i = 0; i < m * k; ++i)
     if (a[i] < -1 || a[i] > 1) return false;
   return true;
-}
-
-i64 packed_tbl_idx_a_bytes(i64 m, i64 k, int group) {
-  return round_up(m, kMr) * ceil_div(k, static_cast<i64>(group));
-}
-
-i64 packed_tbl_tables_a_bytes(i64 m, i64 k, int group) {
-  return round_up(m, i64{4}) * ceil_div(k, static_cast<i64>(group)) * 16;
 }
 
 namespace {

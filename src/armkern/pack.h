@@ -202,7 +202,6 @@ struct PackedSdotA {
   SdotAPanels view() const { return SdotAPanels{data.data(), m, k, m_pad, k_pad}; }
 };
 
-i64 packed_sdot_a_bytes(i64 m, i64 k);
 i64 packed_sdot_b_bytes(i64 k, i64 n);
 
 /// A-side SDOT pack (weights — runs once at plan compile; execute-time
@@ -293,9 +292,6 @@ struct PackedTblA {
                       k,          m_pad};
   }
 };
-
-i64 packed_tbl_idx_a_bytes(i64 m, i64 k, int group);
-i64 packed_tbl_tables_a_bytes(i64 m, i64 k, int group);
 
 /// Offline TBL weight pack in mode tbl_mode_for(orient, bits, ternary,
 /// input), with ternary weights detected here; `source` applies to

@@ -225,10 +225,10 @@ GraphSearchResult search_graph_blocking(
 
 /// Stable FNV-1a hash over the chain's (geometry, bits, scheme id — input
 /// range and table source included) sequence and the fused schedule's
-/// revision — the TuningCache v4 `graph` rows and
-/// the serve-side graph-plan registry key joint results by it. Rows saved
-/// under an earlier fused schedule hash differently, so they miss and are
-/// re-searched instead of reusing picks tuned for that schedule.
+/// revision — the TuningCache v4 `graph` rows key joint results by it.
+/// Rows saved under an earlier fused schedule hash differently, so they
+/// miss and are re-searched instead of reusing picks tuned for that
+/// schedule.
 u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers);
 
 }  // namespace lbc::armkern

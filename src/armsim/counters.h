@@ -36,7 +36,7 @@ enum class Op : int {
   kSmlal16,  ///< SMLAL/SMLAL2 on 16-bit lanes (4 MACs -> 32-bit acc)
   kMla8,     ///< MLA .16B (16 MACs -> 8-bit acc)
   kSdot,     ///< SDOT .4S (ARMv8.2 extension: 16 MACs -> 32-bit acc)
-  kTbl,      ///< TBL/TBX .16B (16 product lookups from a 16-entry table)
+  kTbl,      ///< TBL .16B (16 product lookups from a 16-entry table)
   kSaddw8,   ///< SADDW/SADDW2 widening 8 -> 16 bit
   kSaddw16,  ///< SADDW/SADDW2 widening 16 -> 32 bit
   kSshll,    ///< SSHLL/SSHLL2 sign-extend 8 -> 16 bit

@@ -1,7 +1,7 @@
 // Functional emulation of the ARMv8.1 NEON (AdvSIMD) instructions used by
 // the paper's kernels (Sec. 2.3, 3.3): LD1 / LD4R / ST1 / SMLAL(2) / MLA /
 // SADDW(2) / SSHLL(2) / MOVI / AND / CNT / UADALP / SADALP / ADDV, plus
-// TBL / TBX for the lookup-table scheme (DESIGN.md Sec. 16).
+// TBL for the lookup-table scheme (DESIGN.md Sec. 16).
 //
 // Semantics are bit-faithful: SMLAL widens before accumulating; MLA
 // accumulates modulo 2^8 (non-saturating wrap, like the hardware), which is
@@ -219,20 +219,9 @@ inline void tbl_s8(Ctx& ctx, int8x16& r, const int8x16& table,
                    const uint8x16& idx) {
   ctx.tally(Op::kTbl);
   if (ctx.verifier != nullptr)
-    ctx.verifier->on_tbl(&r, &table, &idx, /*tbx=*/false);
+    ctx.verifier->on_tbl(&r, &table, &idx);
   for (int i = 0; i < 16; ++i)
     r.v[i] = (idx.v[i] < 16) ? table.v[idx.v[i]] : i8{0};
-}
-
-/// TBX Vd.16B, {Vn.16B}, Vm.16B — like TBL, but an out-of-range index
-/// leaves the destination byte unchanged (insert semantics).
-inline void tbx_s8(Ctx& ctx, int8x16& r, const int8x16& table,
-                   const uint8x16& idx) {
-  ctx.tally(Op::kTbl);
-  if (ctx.verifier != nullptr)
-    ctx.verifier->on_tbl(&r, &table, &idx, /*tbx=*/true);
-  for (int i = 0; i < 16; ++i)
-    if (idx.v[i] < 16) r.v[i] = table.v[idx.v[i]];
 }
 
 // ---------------------------------------------------------------------------

@@ -320,28 +320,19 @@ void Verifier::on_ld1x4(const void* r0, const void* r1, const void* r2,
   }
 }
 
-void Verifier::on_tbl(const void* dstp, const void* tablep, const void* idxp,
-                      bool tbx) {
+void Verifier::on_tbl(const void* dstp, const void* tablep,
+                      const void* idxp) {
   std::lock_guard<std::mutex> lock(mu_);
   const u64 instr = next_instr();
   if (!scopes_.empty()) scopes_.back().macs++;
   VRegState* table = use(tablep, VType::kS8, Op::kTbl, instr, "its table");
   use(idxp, VType::kU8, Op::kTbl, instr, "its index vector");
   // A looked-up lane can observe any table lane, or — on an out-of-range
-  // index — 0 (TBL) / its prior value (TBX). Hull over all of them.
+  // index — 0. Hull over all of them.
   LaneInterval hull{0, 0};
   for (int i = 0; i < 16; ++i) {
     hull.lo = std::min(hull.lo, table->lane[static_cast<size_t>(i)].lo);
     hull.hi = std::max(hull.hi, table->lane[static_cast<size_t>(i)].hi);
-  }
-  if (tbx) {
-    if (const VRegState* prior = regs_.find(dstp);
-        prior != nullptr && prior->initialized) {
-      for (int i = 0; i < 16; ++i) {
-        hull.lo = std::min(hull.lo, prior->lane[static_cast<size_t>(i)].lo);
-        hull.hi = std::max(hull.hi, prior->lane[static_cast<size_t>(i)].hi);
-      }
-    }
   }
   VRegState& d = define(dstp, VType::kS8, instr);
   for (int i = 0; i < 16; ++i) d.lane[static_cast<size_t>(i)] = hull;

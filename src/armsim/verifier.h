@@ -131,10 +131,10 @@ class Verifier {
   void on_zero(const void* reg, VType t);
   void on_dup(const void* reg, VType t, i64 value);
   void on_mac(MacKind k, Op op, const void* acc, const void* a, const void* b);
-  /// TBL/TBX product lookup: `dst` lanes take values from `table`'s lanes,
-  /// or 0 (TBL) / their prior value (TBX) on an out-of-range index. Counts
-  /// as a MAC-class instruction for the CAL/LD scheme conformance band.
-  void on_tbl(const void* dst, const void* table, const void* idx, bool tbx);
+  /// TBL product lookup: `dst` lanes take values from `table`'s lanes, or
+  /// 0 on an out-of-range index. Counts as a MAC-class instruction for the
+  /// CAL/LD scheme conformance band.
+  void on_tbl(const void* dst, const void* table, const void* idx);
   void on_widen(WidenKind k, Op op, const void* acc, const void* src);
   void on_sshll(const void* dst, const void* src, bool high);
   void on_and(const void* dst, const void* a, const void* b);

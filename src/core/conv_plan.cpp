@@ -5,7 +5,7 @@
 #include "armkern/tile_search.h"
 #include "check/kernel_prover.h"
 #include "common/fault_injection.h"
-#include "core/hal_backends.h"
+#include "hal/cpu_features.h"
 #include "hal/native_conv.h"
 
 namespace lbc::core {
@@ -140,7 +140,6 @@ StatusOr<ConvPlan> plan_native_conv(const ConvShape& s,
                                     const Tensor<i8>& weight, int bits,
                                     int threads,
                                     gpukern::TuningCache* tuning) {
-  ensure_hal_backends_registered();
   LBC_VALIDATE(threads >= 1 && threads <= 64, kInvalidArgument,
                "threads must be in [1, 64], got " << threads);
   // The native ladder's floor is the emulated plan: a compile fault, or a
@@ -164,7 +163,7 @@ StatusOr<ConvPlan> plan_native_conv(const ConvShape& s,
         "conv plan compilation failed: native prepack resources exhausted "
         "(injected fault)",
         /*faulted=*/true);
-  if (registry_backend_for(Backend::kNativeHost) == nullptr)
+  if (hal::native_backend_name() == nullptr)
     return emulated("no native backend on this host (LBC_HAL_DISABLE=native?)",
                     /*faulted=*/false);
 

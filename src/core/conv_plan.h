@@ -51,7 +51,7 @@ class ConvPlan {
  public:
   const ConvShape& shape() const { return plan_.shape; }
   int bits() const { return plan_.requested.bits; }
-  /// Which backend executes this plan (registry-driven at plan time).
+  /// Which backend executes this plan (chosen at plan time).
   Backend backend() const { return backend_; }
   /// The native plan when backend() == kNativeHost, else nullptr.
   const hal::NativeConvPlan* native_plan() const { return native_.get(); }
@@ -60,7 +60,6 @@ class ConvPlan {
   /// Checked execution requested at plan time (kernel invariant verifier).
   bool verify() const { return plan_.requested.verify; }
   armkern::ConvAlgo planned_algo() const { return plan_.algo; }
-  armkern::ArmKernel planned_kernel() const { return plan_.kernel; }
   const FallbackRecord& planned_fallback() const {
     return plan_.planned_fallback;
   }
@@ -129,10 +128,11 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
 /// failed obligation. plan_arm_conv and GraphPlan::compile both apply it.
 Status prove_arm_plan(const armkern::ArmConvPlan& plan);
 
-/// Compile a native-host plan (hal/): registry-selected backend (AVX2 or
-/// scalar), weights prepacked in the scheme's layout, {rb, cb} blocking
-/// from the measured-ns search — persisted per (GEMM view, bits, scheme)
-/// through TuningCache::get_or_search_x86 when a `tuning` cache is given.
+/// Compile a native-host plan (hal/): hal::native_backend_name() labels
+/// the kernel family (AVX2 or scalar), weights prepacked in the scheme's
+/// layout, {rb, cb} blocking from the measured-ns search — persisted per
+/// (GEMM view, bits, scheme) through TuningCache::get_or_search_x86 when a
+/// `tuning` cache is given.
 /// Executes through the same execute_arm_conv/execute_arm_conv_batched
 /// entry points, which dispatch on ConvPlan::backend(). A compile fault
 /// (plan.compile_fail), or a host with no usable native backend

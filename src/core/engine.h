@@ -32,9 +32,8 @@ struct GpuConvPlan;  // core/conv_plan.h
 
 /// Execution backend of a layer. kArmCortexA53 and kGpuTU102 report
 /// modeled cycles/seconds; kNativeHost executes real instructions on this
-/// machine (hal/, AVX2 or scalar) and reports measured wall-clock time.
-/// The hal::BackendRegistry carries one identity per backend
-/// (core/hal_backends.h registers the adapters).
+/// machine (hal/, AVX2 or scalar) and reports measured wall-clock time;
+/// hal::native_backend_name() names its kernel family.
 enum class Backend { kArmCortexA53, kGpuTU102, kNativeHost };
 
 /// Stable name for run reports ("arm-a53", "gpu-tu102", "native-host").

@@ -217,7 +217,7 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
 
   // ---- joint whole-net blocking over the fused conv chain ---------------
   // The chain is every conv on the blocked GEMM rung, fused or not: its
-  // hash keys the graph's TuningCache rows and registry plans either way.
+  // hash keys the graph's TuningCache rows either way.
   std::vector<ConvSearch*> chain;
   std::vector<armkern::GraphSearchLayer> layers;
   for (ConvSearch& cs : convs) {

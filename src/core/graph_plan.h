@@ -119,7 +119,7 @@ class GraphPlan {
   /// + pack buffers).
   i64 arena_reserve_bytes() const { return arena_reserve_bytes_; }
   /// armkern::graph_blocking_hash over the fused conv chain (0 when the
-  /// chain is empty) — the TuningCache v4 / serve registry key.
+  /// chain is empty) — the TuningCache v4 key of the joint search.
   u64 graph_hash() const { return graph_hash_; }
   int conv_nodes() const { return conv_nodes_; }
   /// Sum of the conv plans' prepacked weight bytes — what a memory budget

@@ -58,6 +58,12 @@ CpuFeatures cpu_features() {
 
 bool avx2_enabled() { return cpu_features().avx2; }
 
+const char* native_backend_name() {
+  const CpuFeatures f = cpu_features();
+  if (f.native_disabled) return nullptr;
+  return f.avx2 ? "x86-avx2" : "x86-scalar";
+}
+
 void force_cpu_features(const CpuFeatures& f) {
   std::lock_guard<std::mutex> lock(g_mu);
   g_override = f;

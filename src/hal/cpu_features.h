@@ -1,4 +1,5 @@
-// Host CPU capability probing for the HAL backend registry.
+// Host CPU capability probing for the native x86 backend, and the one
+// rule that names the native kernel family a process runs.
 //
 // Probing happens once, lazily, and combines two sources:
 //  * the hardware (GCC/Clang __builtin_cpu_supports on x86-64; other
@@ -20,8 +21,9 @@ struct CpuFeatures {
   bool x86_64 = false;  ///< compiled for and running on x86-64
   bool ssse3 = false;   ///< pshufb (LUT scheme)
   bool avx2 = false;    ///< 256-bit integer SIMD (both native schemes)
-  /// LBC_HAL_DISABLE contained "native": the native backend deregisters
-  /// entirely and backend selection falls through to the emulated paths.
+  /// LBC_HAL_DISABLE contained "native": native_backend_name() returns
+  /// null, hal::plan_native_conv reports kUnavailable and
+  /// core::plan_native_conv degrades to the emulated plan.
   bool native_disabled = false;
 };
 
@@ -33,6 +35,12 @@ CpuFeatures cpu_features();
 /// Whether the AVX2 kernels may run right now (probe minus env mask minus
 /// any test override).
 bool avx2_enabled();
+
+/// The native kernel family this process runs right now: "x86-avx2" when
+/// AVX2 is enabled, "x86-scalar" otherwise, null when native_disabled.
+/// Reads the bit the kernel dispatch reads (avx2_enabled), so a plan's
+/// label names the kernel family its executes run.
+const char* native_backend_name();
 
 /// Test hook: replace the probed features until clear_cpu_feature_override.
 /// Forcing avx2 = true on a machine without AVX2 is undefined behavior —

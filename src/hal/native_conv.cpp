@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/workspace.h"
-#include "hal/backend.h"
+#include "hal/cpu_features.h"
 
 namespace lbc::hal {
 
@@ -42,7 +42,7 @@ StatusOr<NativeConvPlan> plan_native_conv(const ConvShape& s,
   LBC_VALIDATE(weight.shape() == want, kInvalidArgument,
                "plan_native_conv: weight dims do not match shape '" << s.name
                                                                     << "'");
-  const std::shared_ptr<Backend> backend = select_native_backend();
+  const char* backend = native_backend_name();
   LBC_VALIDATE(backend != nullptr, kUnavailable,
                "plan_native_conv: no native backend on this host "
                "(LBC_HAL_DISABLE=native?)");
@@ -51,7 +51,7 @@ StatusOr<NativeConvPlan> plan_native_conv(const ConvShape& s,
   plan.shape = s;
   plan.bits = bits;
   plan.scheme = native_scheme_for(bits);
-  plan.backend_name = backend->info().name;
+  plan.backend_name = backend;
   // The NCHW weight layout (out_c x in_c x kh x kw, row-major) is exactly
   // the GEMM's M x K view, so packing consumes it in place.
   LBC_ASSIGN_OR_RETURN(

@@ -30,7 +30,7 @@ struct NativeConvPlan {
   NativeScheme scheme = NativeScheme::kDot;
   NativeBlocking blocking;
   NativePackedA packed_a;  ///< prepacked weights
-  std::string backend_name;  ///< registry id selected at plan time
+  std::string backend_name;  ///< native_backend_name() at plan time
 
   i64 packed_weight_bytes() const { return packed_a.bytes(); }
   /// Exact Workspace bytes one execute at batch `batch` consumes.

@@ -12,7 +12,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/workspace.h"
 #include "hal/cpu_features.h"
 
 namespace lbc::hal {
@@ -275,28 +274,6 @@ NativeGemmResult native_gemm_packed_b(const NativePackedA& pa, const i8* pb,
                                       const NativeBlocking& blocking) {
   const NativeBlocking blk = clamp_blocking(blocking, pa.m, n);
   const double t0 = now_ns();
-  NativeGemmResult r;
-  r.kernel = run_kernel(pa, pb, c, n, blk);
-  r.ns = now_ns() - t0;
-  return r;
-}
-
-NativeGemmResult native_gemm_s8s32(const NativePackedA& pa, const i8* b,
-                                   i32* c, i64 n,
-                                   const NativeBlocking& blocking,
-                                   Workspace* ws) {
-  const NativeBlocking blk = clamp_blocking(blocking, pa.m, n);
-  const i64 pb_bytes = native_packed_b_bytes(pa.k, n, pa.bits);
-  AlignedVector<i8> own;
-  i8* pb;
-  if (ws != nullptr) {
-    pb = ws->alloc_n<i8>(pb_bytes);
-  } else {
-    own.resize(static_cast<size_t>(pb_bytes));
-    pb = own.data();
-  }
-  const double t0 = now_ns();
-  native_pack_b(b, pa.k, n, pa.bits, pb);
   NativeGemmResult r;
   r.kernel = run_kernel(pa, pb, c, n, blk);
   r.ns = now_ns() - t0;

@@ -43,10 +43,6 @@
 #include "common/tensor.h"
 #include "common/types.h"
 
-namespace lbc {
-class Workspace;
-}  // namespace lbc
-
 namespace lbc::hal {
 
 /// Instruction scheme of the native kernel family, by bit width.
@@ -118,9 +114,8 @@ void native_pack_b(const i8* b, i64 k, i64 n, int bits, i8* dst);
 void native_pack_b_from_conv(const ConvShape& s, const Tensor<i8>& input,
                              int bits, i8* dst);
 
-/// What one native GEMM execution reports: real wall-clock nanoseconds
-/// (activation pack + multiply; weight prepack excluded, mirroring the
-/// modeled-cycle accounting) and the kernel that ran.
+/// What one native GEMM execution reports: real wall-clock nanoseconds of
+/// the multiply (both packs excluded) and the kernel that ran.
 struct NativeGemmResult {
   double ns = 0;
   const char* kernel = "";  ///< "avx2-lut" | "avx2-dot" | "scalar-lut" | "scalar-dot"
@@ -132,13 +127,6 @@ struct NativeGemmResult {
 NativeGemmResult native_gemm_packed_b(const NativePackedA& pa, const i8* pb,
                                       i32* c, i64 n,
                                       const NativeBlocking& blocking);
-
-/// One-shot convenience: packs row-major B into `ws` (or a temporary) and
-/// multiplies; ns covers pack + multiply.
-NativeGemmResult native_gemm_s8s32(const NativePackedA& pa, const i8* b,
-                                   i32* c, i64 n,
-                                   const NativeBlocking& blocking,
-                                   Workspace* ws = nullptr);
 
 /// Measured-nanosecond blocking search: run each {rb, cb} candidate of a
 /// fixed grid against synthetic operands of the problem's shape and keep

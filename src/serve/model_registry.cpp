@@ -7,22 +7,6 @@ namespace lbc::serve {
 
 namespace {
 
-/// Fold the compile options into a nonzero graph hash: two models over the
-/// same fused chain share a compiled plan only when they would compile the
-/// SAME plan (fusion mode, algo, threads, joint search all agree).
-u64 graph_plan_key(u64 graph_hash, const core::GraphPlanOptions& o) {
-  u64 h = graph_hash;
-  const auto step = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ull;  // FNV-1a prime, matching graph_blocking_hash
-  };
-  step(static_cast<u64>(o.fusion));
-  step(static_cast<u64>(o.algo));
-  step(static_cast<u64>(o.threads));
-  step(o.joint_search ? 1 : 0);
-  return h;
-}
-
 // Whether a compile fault degraded any of the plan's convs: such a plan
 // answers the acquire but is not kept, so the next acquire compiles again.
 bool fault_degraded(const core::GraphPlan& plan) {
@@ -62,7 +46,7 @@ Status ModelRegistry::register_model(const std::string& name, ModelSpec spec) {
                          << spec.threads);
 
   MutexLock lock(mu_);
-  LBC_VALIDATE(models_.find(name) == models_.end(), kInvalidArgument,
+  LBC_VALIDATE(!name_taken_locked(name), kInvalidArgument,
                "model '" << name << "' is already registered");
   auto entry = std::make_unique<Entry>();
   entry->spec = std::move(spec);
@@ -126,12 +110,10 @@ Status ModelRegistry::register_graph_model(const std::string& name,
                                      << spec.options.threads);
 
   MutexLock lock(mu_);
-  LBC_VALIDATE(graph_models_.find(name) == graph_models_.end(),
-               kInvalidArgument,
-               "graph model '" << name << "' is already registered");
+  LBC_VALIDATE(!name_taken_locked(name), kInvalidArgument,
+               "model '" << name << "' is already registered");
   auto entry = std::make_unique<GraphEntry>();
   entry->spec = std::move(spec);
-  entry->order = next_order_++;
   graph_models_.emplace(name, std::move(entry));
   return Status();
 }
@@ -141,9 +123,7 @@ Status ModelRegistry::unregister_graph_model(const std::string& name) {
   auto it = graph_models_.find(name);
   LBC_VALIDATE(it != graph_models_.end(), kNotFound,
                "graph model '" << name << "' is not registered");
-  if (it->second->plan_key != 0 &&
-      graph_plans_.erase(it->second->plan_key) > 0)
-    ++graph_evictions_;
+  if (it->second->plan != nullptr) ++graph_evictions_;
   graph_models_.erase(it);
   return Status();
 }
@@ -157,14 +137,12 @@ ModelRegistry::acquire_graph_plan(const std::string& name) {
     LBC_VALIDATE(it != graph_models_.end(), kNotFound,
                  "graph model '" << name << "' is not registered");
     entry = it->second.get();
-    if (entry->plan_key != 0) {
-      auto hit = graph_plans_.find(entry->plan_key);
-      if (hit != graph_plans_.end()) {
-        entry->last_used = ++tick_;
-        ++graph_acquires_;
-        enforce_budget_locked(nullptr, entry);
-        return hit->second;
-      }
+    if (entry->plan != nullptr) {
+      std::shared_ptr<const core::GraphPlan> plan = entry->plan;
+      entry->last_used = ++tick_;
+      ++graph_acquires_;
+      enforce_budget_locked(nullptr, entry);
+      return plan;
     }
   }
   // Compile outside mu_ — the whole-net compile (joint search + weight
@@ -177,16 +155,10 @@ ModelRegistry::acquire_graph_plan(const std::string& name) {
   auto plan = std::make_shared<const core::GraphPlan>(std::move(compiled));
 
   MutexLock lock(mu_);
-  if (!fault_degraded(*plan)) {
-    // A graph with no fused chain keys by model: it is never shared.
-    const u64 key = plan->graph_hash() != 0
-                        ? graph_plan_key(plan->graph_hash(), s.options)
-                        : 0x9e3779b97f4a7c15ull + entry->order;
-    entry->plan_key = key;
-    auto [it, inserted] = graph_plans_.try_emplace(key, plan);
-    if (!inserted) plan = it->second;  // lost a compile race / shared hash:
-                                       // serve the resident plan
-  }
+  if (entry->plan != nullptr)
+    plan = entry->plan;  // lost a compile race: serve the resident plan
+  else if (!fault_degraded(*plan))
+    entry->plan = plan;
   entry->last_used = ++tick_;
   ++graph_acquires_;
   enforce_budget_locked(nullptr, entry);
@@ -213,10 +185,7 @@ void ModelRegistry::enforce_budget_locked(const Entry* keep,
         victim = ventry.get();
     }
     for (auto& [vname, ventry] : graph_models_) {
-      if (ventry.get() == keep_graph) continue;
-      if (ventry->plan_key == 0 ||
-          graph_plans_.find(ventry->plan_key) == graph_plans_.end())
-        continue;
+      if (ventry.get() == keep_graph || ventry->plan == nullptr) continue;
       if (graph_victim == nullptr ||
           ventry->last_used < graph_victim->last_used)
         graph_victim = ventry.get();
@@ -228,7 +197,7 @@ void ModelRegistry::enforce_budget_locked(const Entry* keep,
         victim == nullptr ||
         (graph_victim != nullptr && graph_victim->last_used < victim->last_used);
     if (evict_graph) {
-      graph_plans_.erase(graph_victim->plan_key);
+      graph_victim->plan.reset();
       ++graph_evictions_;
     } else {
       const ModelSpec& vs = victim->spec;
@@ -240,9 +209,13 @@ void ModelRegistry::enforce_budget_locked(const Entry* keep,
 
 i64 ModelRegistry::resident_graph_bytes_locked() const {
   i64 bytes = 0;
-  for (const auto& [key, plan] : graph_plans_)
-    bytes += plan->packed_weight_bytes();
+  for (const auto& [name, entry] : graph_models_)
+    if (entry->plan != nullptr) bytes += entry->plan->packed_weight_bytes();
   return bytes;
+}
+
+bool ModelRegistry::name_taken_locked(const std::string& name) const {
+  return models_.contains(name) || graph_models_.contains(name);
 }
 
 StatusOr<const ModelSpec*> ModelRegistry::find(const std::string& name) const {
@@ -281,40 +254,15 @@ bool ModelRegistry::plan_resident(const std::string& name) const {
                          s.backend);
 }
 
-StatusOr<const GraphModelSpec*> ModelRegistry::find_graph(
-    const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = graph_models_.find(name);
-  LBC_VALIDATE(it != graph_models_.end(), kNotFound,
-               "graph model '" << name << "' is not registered");
-  const GraphModelSpec* spec = &it->second->spec;
-  return spec;
-}
-
 bool ModelRegistry::contains_graph(const std::string& name) const {
   MutexLock lock(mu_);
   return graph_models_.find(name) != graph_models_.end();
 }
 
-std::vector<std::string> ModelRegistry::graph_model_names() const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<u64, std::string>> ordered;
-  ordered.reserve(graph_models_.size());
-  for (const auto& [name, entry] : graph_models_)
-    ordered.emplace_back(entry->order, name);
-  std::sort(ordered.begin(), ordered.end());
-  std::vector<std::string> names;
-  names.reserve(ordered.size());
-  for (auto& [order, name] : ordered) names.push_back(std::move(name));
-  return names;
-}
-
 bool ModelRegistry::graph_plan_resident(const std::string& name) const {
   MutexLock lock(mu_);
   auto it = graph_models_.find(name);
-  if (it == graph_models_.end()) return false;
-  return it->second->plan_key != 0 &&
-         graph_plans_.find(it->second->plan_key) != graph_plans_.end();
+  return it != graph_models_.end() && it->second->plan != nullptr;
 }
 
 RegistryStats ModelRegistry::stats() const {

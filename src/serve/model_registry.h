@@ -91,8 +91,8 @@ class ModelRegistry {
  public:
   explicit ModelRegistry(const RegistryOptions& opt = RegistryOptions{});
 
-  /// Register a model under a unique name. kInvalidArgument on a bad spec
-  /// or empty name; kAlreadyExists on a name collision.
+  /// Register a model under a unique name. kInvalidArgument on a bad spec,
+  /// an empty name, or a name another model — conv or graph — holds.
   Status register_model(const std::string& name, ModelSpec spec);
 
   /// Drop a model and evict its plan from the shared cache. kNotFound when
@@ -121,35 +121,31 @@ class ModelRegistry {
   bool plan_resident(const std::string& name) const;
 
   // ---- whole-net graph models (core::GraphPlan) -------------------------
-  // Graph models live in their own namespace beside the conv models but
-  // share the registry's plan-bytes budget: eviction picks the LRU resident
-  // plan across BOTH kinds. Compiled graph plans are cached keyed by
-  // GraphPlan::graph_hash() — two models registered over graphs with the
-  // same fused-chain hash share one immutable compiled plan (charged once).
+  // Graph models share the conv models' names (one name, one model of
+  // either kind) and the registry's plan-bytes budget: eviction picks the
+  // LRU resident plan across BOTH kinds. Each graph model holds its own
+  // compiled plan — two models never share one, not even over one graph
+  // object — and the budget charges each.
 
   /// Register a whole-net model. kInvalidArgument on an empty name, a null
-  /// or empty graph, an uncalibrated graph, or a name collision with
-  /// another graph model.
+  /// or empty graph, an uncalibrated graph, or a name another model — conv
+  /// or graph — holds.
   Status register_graph_model(const std::string& name, GraphModelSpec spec);
 
-  /// Drop a graph model and evict its compiled plan (a plan shared with
-  /// another model via the graph hash is evicted too — the survivor
-  /// recompiles on its next acquire). kNotFound when the name is unknown.
+  /// Drop a graph model and its compiled plan. kNotFound when the name is
+  /// unknown.
   Status unregister_graph_model(const std::string& name);
 
-  /// The model's compiled whole-net plan: cache hit or GraphPlan::compile
-  /// on a miss, then LRU bump and budget enforcement across both plan
-  /// kinds. A plan with a fault-degraded conv is returned but not kept.
-  /// Errors: kNotFound (unknown model) or the compile error.
+  /// The model's compiled whole-net plan: the resident plan, or
+  /// GraphPlan::compile when none is, then LRU bump and budget enforcement
+  /// across both plan kinds. An acquire that loses a compile race serves
+  /// the plan the winner made resident. A plan with a fault-degraded conv
+  /// is returned but not kept. Errors: kNotFound (unknown model) or the
+  /// compile error.
   StatusOr<std::shared_ptr<const core::GraphPlan>> acquire_graph_plan(
       const std::string& name);
 
-  /// The registered graph spec (graph pinned until unregister_graph_model).
-  StatusOr<const GraphModelSpec*> find_graph(const std::string& name) const;
-
   bool contains_graph(const std::string& name) const;
-  /// Registered graph-model names in registration order.
-  std::vector<std::string> graph_model_names() const;
 
   /// Whether the model's compiled graph plan is currently resident.
   bool graph_plan_resident(const std::string& name) const;
@@ -167,12 +163,10 @@ class ModelRegistry {
 
   struct GraphEntry {
     GraphModelSpec spec;
-    /// Cache key of the compiled plan: GraphPlan::graph_hash() when the
-    /// fused chain is non-empty, else a synthetic per-model key (graphs
-    /// with no fuseable chain never share an entry). 0 = never compiled.
-    u64 plan_key = 0;
+    /// The resident compiled plan; null before the first kept compile and
+    /// after a budget eviction. Guarded by the registry's mu_.
+    std::shared_ptr<const core::GraphPlan> plan;
     u64 last_used = 0;
-    u64 order = 0;
   };
 
   /// Evict LRU resident plans — conv or graph, whichever model is
@@ -183,13 +177,15 @@ class ModelRegistry {
 
   i64 resident_graph_bytes_locked() const LBC_REQUIRES(mu_);
 
+  /// Whether a conv or a graph model holds `name`: both kinds share one
+  /// namespace, since health_snapshot() and breaker() look models up by
+  /// name alone.
+  bool name_taken_locked(const std::string& name) const LBC_REQUIRES(mu_);
+
   RegistryOptions opt_;
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Entry>> models_ LBC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<GraphEntry>> graph_models_
-      LBC_GUARDED_BY(mu_);
-  /// Compiled whole-net plans keyed by GraphEntry::plan_key.
-  std::map<u64, std::shared_ptr<const core::GraphPlan>> graph_plans_
       LBC_GUARDED_BY(mu_);
   u64 tick_ LBC_GUARDED_BY(mu_) = 0;
   u64 next_order_ LBC_GUARDED_BY(mu_) = 0;

@@ -29,8 +29,6 @@ Status ModelServer::add_model(const std::string& name, const ConvShape& shape,
     MutexLock lock(mu_);
     LBC_VALIDATE(!stopping_, kFailedPrecondition,
                  "cannot add model '" << name << "' to a shut-down server");
-    LBC_VALIDATE(models_.find(name) == models_.end(), kInvalidArgument,
-                 "model '" << name << "' is already served");
   }
 
   ModelSpec spec;
@@ -89,9 +87,6 @@ Status ModelServer::add_graph_model(const std::string& name,
     LBC_VALIDATE(!stopping_, kFailedPrecondition,
                  "cannot add graph model '" << name
                                             << "' to a shut-down server");
-    LBC_VALIDATE(graph_models_.find(name) == graph_models_.end(),
-                 kInvalidArgument,
-                 "graph model '" << name << "' is already served");
   }
 
   GraphModelSpec spec;
@@ -462,14 +457,6 @@ std::vector<std::string> ModelServer::model_names() const {
   std::vector<std::string> names;
   names.reserve(models_.size());
   for (const auto& [name, model] : models_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> ModelServer::graph_model_names() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(graph_models_.size());
-  for (const auto& [name, model] : graph_models_) names.push_back(name);
   return names;
 }
 

@@ -111,8 +111,8 @@ class ModelServer {
   ModelServer& operator=(const ModelServer&) = delete;
 
   /// Register a model and spin up its scheduler + breaker. Errors:
-  /// kInvalidArgument (bad spec/options or duplicate name),
-  /// kFailedPrecondition after shutdown().
+  /// kInvalidArgument (bad spec/options, or a name a conv or graph model
+  /// already holds), kFailedPrecondition after shutdown().
   Status add_model(const std::string& name, const ConvShape& shape,
                    Tensor<i8> weight,
                    const ModelOptions& opt = ModelOptions{});
@@ -126,12 +126,12 @@ class ModelServer {
       const std::string& name, Tensor<i8> input,
       const SubmitOptions& sub = SubmitOptions{});
 
-  /// Register a whole-net graph model: the registry caches its compiled
-  /// GraphPlan (keyed by graph hash, charged against the plan budget) and
-  /// the server fronts it with a breaker + in-flight cap. The plan compiles
-  /// eagerly here so registration surfaces compile errors. Errors:
-  /// kInvalidArgument (bad spec, duplicate name), the compile error, or
-  /// kFailedPrecondition after shutdown().
+  /// Register a whole-net graph model: the registry holds its compiled
+  /// GraphPlan (charged against the plan budget) and the server fronts it
+  /// with a breaker + in-flight cap. The plan compiles eagerly here so
+  /// registration surfaces compile errors. Errors: kInvalidArgument (bad
+  /// spec, or a name a conv or graph model already holds), the compile
+  /// error, or kFailedPrecondition after shutdown().
   Status add_graph_model(const std::string& name,
                          std::shared_ptr<const core::QnnGraph> graph,
                          const GraphModelOptions& opt = GraphModelOptions{});
@@ -153,7 +153,6 @@ class ModelServer {
   ModelRegistry& registry() { return registry_; }
   const ModelRegistry& registry() const { return registry_; }
   std::vector<std::string> model_names() const;
-  std::vector<std::string> graph_model_names() const;
 
   /// Per-model components, for tests and the bench report. nullptr when the
   /// name is unknown. Pointers stay valid until the server is destroyed

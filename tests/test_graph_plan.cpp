@@ -3,7 +3,7 @@
 // exactness), per-conv TBL-vs-MLA pricing, the prover gate, arena steady
 // state, TuningCache v4 persistence, concurrent per-layer searches (cold
 // vs warm identity, each search key once across concurrent compiles), and
-// the serve-tier graph-model surface (registry plan sharing + budget
+// the serve-tier graph-model surface (one resident plan per model, budget
 // eviction, ModelServer submit_graph contract).
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
@@ -1000,30 +1001,45 @@ TEST(RegistryGraphModels, RegisterValidatesAndAcquireHits) {
   EXPECT_EQ(reg.unregister_graph_model("g").code(), StatusCode::kNotFound);
 }
 
-TEST(RegistryGraphModels, SameGraphHashSharesOneCompiledPlan) {
+// Two threads acquire one graph model at once: the loser of the compile
+// race serves the winner's plan, so one plan stays resident, and both
+// answers are bit-exact with a direct compile.
+TEST(RegistryGraphModels, ConcurrentAcquiresKeepOneResidentPlan) {
   ModelRegistry reg;
-  const auto graph = make_graph(4);
-  GraphModelSpec s1, s2;
-  s1.graph = graph;
-  s2.graph = graph;
-  s1.options.algo = s2.options.algo = armkern::ConvAlgo::kGemm;
-  ASSERT_TRUE(reg.register_graph_model("a", s1).ok());
-  ASSERT_TRUE(reg.register_graph_model("b", s2).ok());
+  GraphModelSpec spec = make_graph_spec(4);
+  const auto graph = spec.graph;
+  const GraphPlanOptions options = spec.options;
+  ASSERT_TRUE(reg.register_graph_model("g", std::move(spec)).ok());
 
-  const auto pa = reg.acquire_graph_plan("a").value();
-  const auto pb = reg.acquire_graph_plan("b").value();
-  EXPECT_EQ(pa.get(), pb.get()) << "same hash + options must share the plan";
-  EXPECT_EQ(reg.stats().resident_graph_bytes, pa->packed_weight_bytes())
-      << "a shared plan is charged once";
+  std::promise<void> go;
+  const std::shared_future<void> start = go.get_future().share();
+  std::shared_ptr<const GraphPlan> got[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&, t] {
+      start.wait();
+      auto p = reg.acquire_graph_plan("g");
+      if (p.ok()) got[t] = std::move(p).value();
+    });
+  go.set_value();
+  for (std::thread& th : threads) th.join();
+  ASSERT_NE(got[0], nullptr);
+  ASSERT_NE(got[1], nullptr);
+  EXPECT_EQ(got[0].get(), got[1].get());
+  EXPECT_TRUE(reg.graph_plan_resident("g"));
+  EXPECT_EQ(reg.stats().graph_acquires, 2);
+  EXPECT_EQ(reg.stats().resident_graph_bytes, got[0]->packed_weight_bytes());
 
-  // Different compile options over the same graph may NOT share: the
-  // unfused plan is a different program.
-  GraphModelSpec s3;
-  s3.graph = graph;
-  s3.options.algo = armkern::ConvAlgo::kGemm;
-  s3.options.fusion = FusionMode::kOff;
-  ASSERT_TRUE(reg.register_graph_model("c", s3).ok());
-  EXPECT_NE(reg.acquire_graph_plan("c").value().get(), pa.get());
+  const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
+  Workspace arena, scratch;
+  const Tensor<float> want = GraphPlan::compile(*graph, options)
+                                 .value()
+                                 .forward(x, arena, scratch)
+                                 .value()
+                                 .out;
+  for (const auto& plan : got)
+    EXPECT_TRUE(core::same_bits(plan->forward(x, arena, scratch).value().out,
+                                want));
 }
 
 TEST(RegistryGraphModels, BudgetEvictsAcrossConvAndGraphPlans) {
@@ -1121,6 +1137,47 @@ TEST(ServerGraphModels, SubmitGraphServesBitExact) {
 
   EXPECT_EQ(server.submit_graph("ghost", x).status().code(),
             StatusCode::kNotFound);
+}
+
+// Two graph models over same-shaped nets with different weights: each
+// answers from its own compiled plan, and the budget charges both plans.
+// A model over the same graph object as another compiles its own plan too.
+TEST(ServerGraphModels, SameShapedGraphsServeTheirOwnPlans) {
+  ModelServer server;
+  GraphModelOptions opt;
+  opt.plan.algo = armkern::ConvAlgo::kGemm;
+  const std::shared_ptr<const QnnGraph> graphs[2] = {make_graph(4, 8, 42),
+                                                     make_graph(4, 8, 43)};
+  const char* names[2] = {"a", "b"};
+  const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
+  i64 plan_bytes = 0;
+  for (int m = 0; m < 2; ++m)
+    ASSERT_TRUE(server.add_graph_model(names[m], graphs[m], opt).ok());
+  for (int m = 0; m < 2; ++m) {
+    auto fut = server.submit_graph(names[m], x);
+    ASSERT_TRUE(fut.ok()) << fut.status().to_string();
+    const GraphInferResponse resp = std::move(fut).value().get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.to_string();
+    Workspace arena, scratch;
+    const Tensor<float> want = GraphPlan::compile(*graphs[m], opt.plan)
+                                   .value()
+                                   .forward(x, arena, scratch)
+                                   .value()
+                                   .out;
+    EXPECT_TRUE(core::same_bits(resp.output, want))
+        << names[m] << " must answer from its own plan";
+    plan_bytes += server.registry()
+                      .acquire_graph_plan(names[m])
+                      .value()
+                      ->packed_weight_bytes();
+  }
+  EXPECT_EQ(server.registry().stats().resident_graph_bytes, plan_bytes);
+
+  ASSERT_TRUE(server.add_graph_model("a-twin", graphs[0], opt).ok());
+  const auto twin = server.registry().acquire_graph_plan("a-twin").value();
+  EXPECT_NE(twin.get(), server.registry().acquire_graph_plan("a").value().get());
+  EXPECT_EQ(server.registry().stats().resident_graph_bytes,
+            plan_bytes + twin->packed_weight_bytes());
 }
 
 TEST(ServerGraphModels, CompileFaultServesReferenceAndKeepsNoPlan) {

@@ -1,12 +1,13 @@
-// HAL subsystem: CPU feature probing + overrides, the backend registry
-// (idempotent registration, availability-aware selection), the native
-// x86 GEMM/conv kernels, and the cross-backend bit-exactness sweep the
-// native backend ships under — native AVX2, native forced-scalar, the
+// HAL subsystem: CPU feature probing + overrides, the native-backend rule
+// (a plan's backend name matches the kernel family its execute runs), the
+// native x86 GEMM/conv kernels, and the cross-backend bit-exactness sweep
+// the native backend ships under — native AVX2, native forced-scalar, the
 // emulated ARM path, and the reference conv must all agree byte-for-byte
 // on the verify_all_kernels shape grid across bits 2-8.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -14,9 +15,7 @@
 #include "common/workspace.h"
 #include "core/conv_plan.h"
 #include "core/engine.h"
-#include "core/hal_backends.h"
 #include "gpukern/tuning_cache.h"
-#include "hal/backend.h"
 #include "hal/cpu_features.h"
 #include "hal/native_conv.h"
 #include "hal/native_gemm.h"
@@ -87,75 +86,44 @@ TEST(CpuFeatures, ProbeAndOverride) {
   EXPECT_EQ(cpu_features().avx2, probed.avx2);
 }
 
-TEST(BackendRegistry, NativeEntriesRegisterOnceAndSelectByPriority) {
-  ensure_native_backends_registered();
-  auto& reg = BackendRegistry::instance();
-  const i64 before = reg.size();
-  ensure_native_backends_registered();  // idempotent
-  EXPECT_EQ(reg.size(), before);
-
-  const auto avx2 = reg.find("x86-avx2");
-  const auto scalar = reg.find("x86-scalar");
-  ASSERT_NE(avx2, nullptr);
-  ASSERT_NE(scalar, nullptr);
-  EXPECT_EQ(avx2->info().kind, BackendKind::kNativeHost);
-  EXPECT_TRUE(avx2->info().measured);
-  EXPECT_GT(avx2->info().priority, scalar->info().priority);
-  EXPECT_TRUE(scalar->available());  // the portable fallback always runs
-
-  const auto picked = select_native_backend();
-  ASSERT_NE(picked, nullptr);
-  EXPECT_EQ(picked->info().name,
-            cpu_features().avx2 ? "x86-avx2" : "x86-scalar");
-}
-
-TEST(BackendRegistry, RejectsKindMismatchAndToleratesReregistration) {
-  ensure_native_backends_registered();
-  class Fake final : public Backend {
-   public:
-    explicit Fake(BackendInfo info) : info_(std::move(info)) {}
-    const BackendInfo& info() const override { return info_; }
-    bool available() const override { return true; }
-
-   private:
-    BackendInfo info_;
-  };
-  BackendInfo clash;
-  clash.name = "x86-scalar";
-  clash.kind = BackendKind::kSimulatedGpu;  // wrong kind for the name
-  EXPECT_EQ(BackendRegistry::instance()
-                .register_backend(std::make_shared<Fake>(clash))
-                .code(),
-            StatusCode::kInvalidArgument);
-
-  BackendInfo same;
-  same.name = "x86-scalar";
-  same.kind = BackendKind::kNativeHost;
-  EXPECT_TRUE(BackendRegistry::instance()
-                  .register_backend(std::make_shared<Fake>(same))
-                  .ok());
-}
-
-TEST(BackendRegistry, DisableNativeMasksSelection) {
-  ensure_native_backends_registered();
-  CpuFeatures off = cpu_features();
-  off.native_disabled = true;
-  ScopedCpuOverride ovr(off);
-  EXPECT_EQ(select_native_backend(), nullptr);
-}
-
-TEST(BackendRegistry, CoreAdaptersResolveEveryCoreBackend) {
-  core::ensure_hal_backends_registered();
-  const auto arm = core::registry_backend_for(core::Backend::kArmCortexA53);
-  ASSERT_NE(arm, nullptr);
-  EXPECT_EQ(arm->info().name, "arm-a53-emulated");
-  EXPECT_FALSE(arm->info().measured);
-  const auto gpu = core::registry_backend_for(core::Backend::kGpuTU102);
-  ASSERT_NE(gpu, nullptr);
-  EXPECT_EQ(gpu->info().name, "gpu-tu102-simulated");
-  const auto native = core::registry_backend_for(core::Backend::kNativeHost);
-  ASSERT_NE(native, nullptr);
-  EXPECT_EQ(native->info().kind, BackendKind::kNativeHost);
+// The one native-backend rule, under the probed features, with AVX2 forced
+// off, and with native disabled: a plan's backend_name names the kernel
+// family (avx2-* or scalar-*) its execute runs; with native disabled no
+// native plan compiles and the engine-level planner degrades to the
+// emulated plan without marking a fault.
+TEST(NativeBackendName, PlanLabelMatchesTheKernelItsExecuteRuns) {
+  const ConvShape s = sweep_shapes()[0];
+  CpuFeatures disabled = cpu_features();
+  disabled.native_disabled = true;
+  for (const CpuFeatures& f : {cpu_features(), scalar_only(), disabled}) {
+    ScopedCpuOverride ovr(f);
+    for (const int bits : {3, 6}) {  // one LUT-scheme and one DOT-scheme width
+      const Tensor<i8> in = random_qtensor(
+          Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, 1100 + bits);
+      const Tensor<i8> w = random_qtensor(
+          Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 1200 + bits);
+      const StatusOr<core::ConvPlan> plan = core::plan_native_conv(s, w, bits);
+      ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+      if (f.native_disabled) {
+        EXPECT_EQ(native_backend_name(), nullptr);
+        EXPECT_EQ(plan_native_conv(s, w, bits).status().code(),
+                  StatusCode::kUnavailable);
+        EXPECT_EQ(plan->backend(), core::Backend::kArmCortexA53);
+        EXPECT_FALSE(plan->impl_plan().fault_degraded);
+        continue;
+      }
+      ASSERT_EQ(plan->backend(), core::Backend::kNativeHost);
+      const std::string& label = plan->native_plan()->backend_name;
+      EXPECT_EQ(label, f.avx2 ? "x86-avx2" : "x86-scalar");
+      Workspace ws;
+      const StatusOr<core::ArmLayerResult> r =
+          core::execute_arm_conv(*plan, in, ws);
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      const std::string family = label.substr(label.find('-') + 1) + "-";
+      EXPECT_EQ(r->executed_algo.rfind(family, 0), 0u)
+          << label << " ran " << r->executed_algo;
+    }
+  }
 }
 
 TEST(NativeGemm, SchemeSelectionAndPackValidation) {

@@ -1,6 +1,7 @@
-// ModelRegistry: spec validation, shared-plan-cache compilation, LRU-by-
-// bytes budget eviction, eviction safety for in-flight executions, and
-// shared entries for byte-identical models.
+// ModelRegistry: spec validation, one namespace of names across conv and
+// graph models, shared-plan-cache compilation, LRU-by-bytes budget
+// eviction, eviction safety for in-flight executions, and shared entries
+// for byte-identical models.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +10,9 @@
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/workspace.h"
+#include "core/qnn_graph.h"
 #include "serve/model_registry.h"
+#include "serve/server.h"
 
 namespace lbc::serve {
 namespace {
@@ -58,6 +61,54 @@ TEST(ModelRegistry, RegisterValidatesSpecAndRejectsDuplicates) {
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(reg.contains("m"));
   EXPECT_FALSE(reg.contains("other"));
+}
+
+/// A calibrated one-conv graph over the registry shape's input.
+std::shared_ptr<const core::QnnGraph> one_conv_graph() {
+  auto g = std::make_shared<core::QnnGraph>();
+  const auto in = g->add_input(8, 6);
+  g->add_conv(in, 8, 3, 1, 1, 8,
+              random_ftensor(Shape4{8, 8, 3, 3}, -0.3f, 0.3f, 3));
+  EXPECT_TRUE(
+      g->calibrate(random_ftensor(Shape4{1, 8, 6, 6}, -1.0f, 1.0f, 4)).ok());
+  return g;
+}
+
+// A name names one model of either kind: the server's breaker() and
+// health_snapshot() look models up by name alone, so a conv model and a
+// graph model under one name would shadow each other.
+TEST(ModelRegistry, ConvAndGraphModelsShareOneNamespace) {
+  ModelRegistry reg;
+  GraphModelSpec graph;
+  graph.graph = one_conv_graph();
+  ASSERT_TRUE(reg.register_model("conv", make_spec(5)).ok());
+  ASSERT_TRUE(reg.register_graph_model("graph", graph).ok());
+  EXPECT_EQ(reg.register_graph_model("conv", graph).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reg.register_model("graph", make_spec(6)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(reg.contains("conv"));
+  EXPECT_FALSE(reg.contains_graph("conv"));
+  EXPECT_TRUE(reg.contains_graph("graph"));
+  EXPECT_FALSE(reg.contains("graph"));
+  EXPECT_EQ(reg.stats().models, 1);
+  EXPECT_EQ(reg.stats().graph_models, 1);
+
+  // The server inherits the check: the second kind under a held name is
+  // refused, and the health snapshot lists the name once.
+  ModelServer server;
+  const ConvShape shape = registry_shape();
+  ASSERT_TRUE(server.add_model("x", shape, make_spec(7).weight).ok());
+  EXPECT_EQ(server.add_graph_model("x", one_conv_graph()).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(server.add_graph_model("y", one_conv_graph()).ok());
+  EXPECT_EQ(server.add_model("y", shape, make_spec(8).weight).code(),
+            StatusCode::kInvalidArgument);
+  const std::vector<ModelHealth> health = server.health_snapshot();
+  ASSERT_EQ(health.size(), 2u);
+  EXPECT_EQ(health[0].name, "x");
+  EXPECT_EQ(health[1].name, "y");
+  EXPECT_EQ(server.scheduler("y"), nullptr) << "y stays a graph model";
 }
 
 TEST(ModelRegistry, AcquireCompilesOnceThenHits) {

@@ -66,6 +66,63 @@ std::string shape4_str(const Shape4& sh) {
   return os.str();
 }
 
+// The plan's packed weights, in its kernel's layout.
+KernelAPanels packed_weights(const ArmConvPlan& plan) {
+  switch (plan.kernel) {
+    case ArmKernel::kSdotExt:
+      return plan.sdot_a.view();
+    case ArmKernel::kTblGemm:
+      return plan.tbl_a.view();
+    default:
+      return plan.gemm_a.view();
+  }
+}
+
+// What one run of the blocked GEMM cost: every worker's counts, and the
+// slowest worker's cycles — the driver packs inside its workers, so
+// nothing runs serially.
+struct BlockedRun {
+  Status status;
+  Counters counts;
+  double parallel_cycles = 0;
+  bool threaded = false;
+};
+
+// The blocked rung's GEMM over the conv input at geometry `sb`, shared by
+// execute_conv and execute_conv_fused: sets the GemmOptions, runs the
+// driver on the plan's packed weights into `c` (the m x n C matrix, or the
+// C bands under an epilogue), and folds the per-worker counts into cycles
+// and the block buffers and padding into `space` (Fig. 13 / 15: what the
+// fused path holds instead of the k x n im2col matrix).
+BlockedRun run_blocked_gemm(const ArmConvPlan& plan, const ConvShape& sb,
+                            const i8* input, i32* c, const TileEpilogue* epi,
+                            Workspace& ws, Verifier* verifier,
+                            SpaceReport& space) {
+  GemmOptions gopt;
+  gopt.bits = plan.requested.bits;
+  gopt.kernel = plan.kernel;
+  gopt.threads = plan.requested.threads;
+  gopt.workspace = &ws;
+  gopt.verifier = verifier;  // forces threads = 1 when set
+  gopt.blocking = plan.blocking;
+  gopt.epilogue = epi;
+  const GemmStats gs =
+      gemm_s8s32_conv_blocked(packed_weights(plan), sb, input, c, gopt);
+
+  const BlockedLayout lay = plan.executed_layout(sb.batch);
+  space.im2col_elems =
+      blocked_threads(lay, plan.requested.threads, plan.requested.verify) *
+      lay.block_elems();
+  space.pack_extra_elems = gs.pack_extra_elems;
+  const CostModel cm = CostModel::cortex_a53();
+  BlockedRun run{gs.status, gs.counts};
+  for (const auto& tc : gs.thread_counts)
+    run.parallel_cycles =
+        std::max(run.parallel_cycles, cm.cycles_for(tc, gs.interleaved));
+  run.threaded = gs.thread_counts.size() > 1;
+  return run;
+}
+
 }  // namespace
 
 const char* algo_name(ConvAlgo a) {
@@ -470,44 +527,19 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
         verifier->add_region(cptr, m * n * static_cast<i64>(sizeof(i32)),
                              "conv C staging");
     }
-    const BlockedLayout lay = plan.executed_layout(sb.batch);
-    // Fig. 13 / 15 accounting: what the fused path holds instead of the
-    // k x n im2col matrix.
-    res.space.im2col_elems =
-        blocked_threads(lay, plan.requested.threads, plan.requested.verify) *
-        lay.block_elems();
     if (fi.should_fire(FaultSite::kPackMisalign)) {
       degrade_to_reference("gemm",
                            "packed panel alignment check failed "
                            "(injected fault)");
       degraded = true;
     } else {
-      GemmOptions gopt;
-      gopt.bits = bits;
-      gopt.kernel = kernel;
-      gopt.threads = plan.requested.threads;
-      gopt.workspace = &ws;
-      gopt.verifier = verifier.get();  // forces threads = 1 when set
-      gopt.blocking = plan.blocking;
-      GemmStats gs;
-      if (kernel == ArmKernel::kSdotExt)
-        gs = gemm_s8s32_sdot_conv_fused(plan.sdot_a.view(), sb, input.data(),
-                                        cptr, gopt);
-      else if (kernel == ArmKernel::kTblGemm)
-        gs = gemm_s8s32_tbl_conv_fused(plan.tbl_a.view(), sb, input.data(),
-                                       cptr, gopt);
-      else
-        gs = gemm_s8s32_conv_fused(plan.gemm_a.view(), sb, input.data(), cptr,
-                                   gopt);
-      LBC_RETURN_IF_ERROR(gs.status.with_context("conv execute"));
-      res.counts.merge(gs.counts);
-      res.space.pack_extra_elems = gs.pack_extra_elems;
-      interleaved = gs.interleaved;
-      for (const auto& tc : gs.thread_counts)
-        parallel_cycles =
-            std::max(parallel_cycles, cm.cycles_for(tc, interleaved));
-      serial_ctx.counts.merge(gs.serial_counts);
-      threaded = gs.thread_counts.size() > 1;
+      BlockedRun run = run_blocked_gemm(plan, sb, input.data(), cptr,
+                                        nullptr, ws, verifier.get(),
+                                        res.space);
+      LBC_RETURN_IF_ERROR(run.status.with_context("conv execute"));
+      res.counts.merge(run.counts);
+      parallel_cycles = run.parallel_cycles;
+      threaded = run.threaded;
     }
     if (!degraded && sb.batch > 1) scatter_batched(cptr, m, n);
   } else {
@@ -559,15 +591,11 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
       gopt.threads = plan.requested.threads;
       gopt.workspace = &ws;
       gopt.verifier = verifier.get();  // forces threads = 1 when set
-      GemmStats gs;
-      if (kernel == ArmKernel::kTraditional)
-        gs = gemm_s8s32(weight.data(), bmat, cptr, m, n, k, gopt);
-      else if (kernel == ArmKernel::kSdotExt)
-        gs = gemm_s8s32_sdot_prepacked(plan.sdot_a.view(), bmat, cptr, m, n,
-                                       k, gopt);
-      else
-        gs = gemm_s8s32_prepacked(plan.gemm_a.view(), bmat, cptr, m, n, k,
-                                  gopt);
+      const GemmStats gs =
+          kernel == ArmKernel::kTraditional
+              ? gemm_s8s32(weight.data(), bmat, cptr, m, n, k, gopt)
+              : gemm_s8s32_prepacked(packed_weights(plan), bmat, cptr, m, n,
+                                     k, gopt);
       res.counts.merge(gs.counts);
       res.space.pack_extra_elems = gs.pack_extra_elems;
       interleaved = gs.interleaved;
@@ -648,36 +676,12 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
                          /*overread_slack=*/16);
   }
 
-  GemmOptions gopt;
-  gopt.bits = bits;
-  gopt.kernel = plan.kernel;
-  gopt.threads = plan.requested.threads;
-  gopt.workspace = &ws;
-  gopt.verifier = verifier.get();  // forces threads = 1 when set
-  gopt.blocking = plan.blocking;
-  gopt.epilogue = &epi;
-  GemmStats gs;
-  if (plan.kernel == ArmKernel::kSdotExt)
-    gs = gemm_s8s32_sdot_conv_fused(plan.sdot_a.view(), sb, input, c, gopt);
-  else if (plan.kernel == ArmKernel::kTblGemm)
-    gs = gemm_s8s32_tbl_conv_fused(plan.tbl_a.view(), sb, input, c, gopt);
-  else
-    gs = gemm_s8s32_conv_fused(plan.gemm_a.view(), sb, input, c, gopt);
-  LBC_RETURN_IF_ERROR(gs.status.with_context("fused conv execute"));
-
-  const BlockedLayout lay = plan.executed_layout(sb.batch);
-  res.space.im2col_elems =
-      blocked_threads(lay, plan.requested.threads, plan.requested.verify) *
-      lay.block_elems();
-  res.space.pack_extra_elems = gs.pack_extra_elems;
-  res.counts.merge(gs.counts);
-  double parallel_cycles = 0;
-  for (const auto& tc : gs.thread_counts)
-    parallel_cycles =
-        std::max(parallel_cycles, cm.cycles_for(tc, gs.interleaved));
-  res.cycles = parallel_cycles +
-               cm.cycles_for(gs.serial_counts, gs.interleaved) +
-               (gs.thread_counts.size() > 1 ? kThreadSyncCycles : 0.0);
+  BlockedRun run = run_blocked_gemm(plan, sb, input, c, &epi, ws,
+                                    verifier.get(), res.space);
+  LBC_RETURN_IF_ERROR(run.status.with_context("fused conv execute"));
+  res.counts = run.counts;
+  res.cycles =
+      run.parallel_cycles + (run.threaded ? kThreadSyncCycles : 0.0);
   res.seconds = res.cycles / cm.freq_hz;
 
   if (verifier != nullptr) {

@@ -1,11 +1,13 @@
-// Mc/Kc/Nc cache-blocked GEMM driver for the low-bit micro kernels, with
-// fused im2col packing on the conv path: the executing visitor of the
-// blocked schedule (blocking.h, walk_blocked).
+// Mc/Kc/Nc cache-blocked conv GEMM driver for the low-bit micro kernels
+// (gemm_s8s32_conv_blocked): the executing visitor of the blocked schedule
+// (blocking.h, walk_blocked). Its one B source is the conv input, gathered
+// through the im2col mapping one block at a time (fused im2col packing);
+// a plain K x N GEMM runs as the 1x1 conv whose input is B.
 //
 // Loop nest (BLIS order, QNNPACK-style for low-bit):
 //   jc  — Nc column blocks; the threading dimension (disjoint C bands),
 //         each worker walks its own range of them
-//   kcb — Kc depth blocks; ONE Kc x Nc B block is packed per (jc, kcb)
+//   kcb — Kc depth blocks; ONE Kc x Nc B block is gathered per (jc, kcb)
 //         into a small reusable scratch buffer that stays L1-resident
 //   icb — Mc row blocks; the A panel slices for this Kc block re-stream
 //         from L2 instead of DRAM
@@ -88,31 +90,16 @@ void run_micro(Ctx& ctx, const MicroKernel& mk, i64 kc,
 
 namespace {
 
-// Per-call scratch: from the caller's arena when one is plumbed through,
-// otherwise a fresh aligned heap block (mirrors gemm_lowbit.cpp).
-i8* block_scratch(const GemmOptions& opt, AlignedVector<i8>& own, i64 bytes) {
-  if (opt.workspace != nullptr) return opt.workspace->alloc_n<i8>(bytes);
-  own.resize(static_cast<size_t>(bytes));
-  return own.data();
-}
-
-// Where packed-B blocks come from: a row-major K x N matrix, or (fused
-// path) the raw conv input buffer through the im2col mapping.
-struct BSource {
-  const i8* b = nullptr;
-  const ConvShape* shape = nullptr;
-  const i8* input = nullptr;
-};
-
-// One worker's walk of the blocked schedule: packs each (jc, kcb) B block,
-// runs every micro call against it and hands each tile to C
-// (BlockedLayout::c_offset) and the fused epilogue.
+// One worker's walk of the blocked schedule: gathers each (jc, kcb) B block
+// from the conv input, runs every micro call against it and hands each tile
+// to C (BlockedLayout::c_offset) and the fused epilogue.
 struct Execute {
   Ctx& ctx;
   const APanels* pa;
   const SdotAPanels* sa;
   const TblAPanels* ta;
-  const BSource& src;
+  const ConvShape& s;
+  const i8* input;
   i32* c;
   const BlockedLayout& lay;
   const GemmOptions& opt;
@@ -139,33 +126,18 @@ struct Execute {
       const i64 bytes = round_up(b.nc, lay.tile_cols()) * b.kstride;
       ctx.verifier->add_region(block, bytes, "packed B block", blo, bhi);
     }
-    const TblMode mode = lay.tbl_mode;
-    if (tbl_wt) {
-      u8* idx = reinterpret_cast<u8*>(block);
-      return src.b != nullptr
-                 ? pack_tbl_b_idx_block_into(&ctx, mode, src.b, lay.k, lay.n,
-                                             b.k0, b.kc, b.n0, b.nc, idx)
-                 : pack_tbl_b_idx_from_conv(&ctx, mode, *src.shape, src.input,
-                                            b.k0, b.kc, b.n0, b.nc, idx);
-    }
-    if (lay.tbl() && src.b != nullptr)
-      pack_tbl_b_tables_block_into(&ctx, mode, src.b, lay.k, lay.n, b.k0,
-                                   b.kc, b.n0, b.nc, block);
-    else if (lay.tbl())
-      pack_tbl_b_tables_from_conv(&ctx, mode, *src.shape, src.input, b.k0,
-                                  b.kc, b.n0, b.nc, block);
-    else if (lay.sdot && src.b != nullptr)
-      pack_sdot_b_block_into(&ctx, src.b, lay.k, lay.n, b.k0, b.kc, b.n0,
-                             b.nc, block);
+    if (tbl_wt)
+      return pack_tbl_b_idx_from_conv(&ctx, lay.tbl_mode, s, input, b.k0,
+                                      b.kc, b.n0, b.nc,
+                                      reinterpret_cast<u8*>(block));
+    if (lay.tbl())
+      pack_tbl_b_tables_from_conv(&ctx, lay.tbl_mode, s, input, b.k0, b.kc,
+                                  b.n0, b.nc, block);
     else if (lay.sdot)
-      pack_sdot_b_panels_from_conv(&ctx, *src.shape, src.input, b.k0, b.kc,
-                                   b.n0, b.nc, block);
-    else if (src.b != nullptr)
-      pack_b_block_into(&ctx, src.b, lay.k, lay.n, b.k0, b.kc, b.n0, b.nc,
-                        block);
+      pack_sdot_b_panels_from_conv(&ctx, s, input, b.k0, b.kc, b.n0, b.nc,
+                                   block);
     else
-      pack_b_panels_from_conv(&ctx, *src.shape, src.input, b.k0, b.kc, b.n0,
-                              b.nc, block);
+      pack_b_panels_from_conv(&ctx, s, input, b.k0, b.kc, b.n0, b.nc, block);
     return Status();
   }
 
@@ -256,12 +228,12 @@ struct Execute {
 // One worker's share of jc blocks. Stops at the first block the TBL index
 // encoder rejects and returns its Status.
 Status run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
-                       const TblAPanels* ta, const BSource& src, i32* c,
-                       const BlockedLayout& lay, const GemmOptions& opt,
-                       i8* buf, i64 jc0, i64 jc1) {
+                       const TblAPanels* ta, const ConvShape& s,
+                       const i8* input, i32* c, const BlockedLayout& lay,
+                       const GemmOptions& opt, i8* buf, i64 jc0, i64 jc1) {
   const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(opt.bits);
   const i32 qb = opt.b_max_abs > 0 ? opt.b_max_abs : qmax_for_bits(opt.bits);
-  Execute ex{ctx, pa, sa, ta, src, c, lay, opt,
+  Execute ex{ctx, pa, sa, ta, s, input, c, lay, opt,
              MicroKernel{opt.kernel, opt.bits, opt.flush_override,
                          lay.tbl_mode},
              qb, buf, buf + lay.tbl_panel_bytes()};
@@ -277,11 +249,20 @@ Status run_block_range(Ctx& ctx, const APanels* pa, const SdotAPanels* sa,
   return walk_blocked(lay, jc0, jc1, ex);
 }
 
-GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
-                      const TblAPanels* ta, const BSource& src, i32* c,
-                      i64 m, i64 n, i64 k, const GemmOptions& opt) {
+}  // namespace
+
+GemmStats gemm_s8s32_conv_blocked(const KernelAPanels& a, const ConvShape& s,
+                                  const i8* input, i32* c,
+                                  const GemmOptions& opt) {
   LBC_CHECK_MSG(opt.blocking.enabled(),
                 "blocked GEMM driver called with blocking disabled");
+  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
+  LBC_CHECK_MSG(packed_a_fits(a, opt.kernel, m, k),
+                "gemm_s8s32_conv_blocked: packed A is not the kernel's "
+                "layout of the conv's weight matrix");
+  const APanels* pa = std::get_if<APanels>(&a);
+  const SdotAPanels* sa = std::get_if<SdotAPanels>(&a);
+  const TblAPanels* ta = std::get_if<TblAPanels>(&a);
   const bool sdot = sa != nullptr;
   const BlockedLayout lay =
       ta != nullptr
@@ -315,7 +296,6 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
 
   if (opt.verifier != nullptr) {
     const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(opt.bits);
-    const i32 qb = opt.b_max_abs > 0 ? opt.b_max_abs : qmax_for_bits(opt.bits);
     if (sdot)
       opt.verifier->add_region(sa->data, sa->m_pad * sa->k_pad,
                                "packed SDOT A", -qa, qa);
@@ -339,8 +319,6 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
     } else
       opt.verifier->add_region(pa->data, pa->m_pad * pa->k, "packed A panels",
                                -qa, qa);
-    if (src.b != nullptr)
-      opt.verifier->add_region(src.b, k * n, "gemm B", -qb, qb);
     if (opt.epilogue == nullptr)
       opt.verifier->add_region(c, m * n * static_cast<i64>(sizeof(i32)),
                                "gemm C");
@@ -363,12 +341,12 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
   std::vector<i8*> bufs(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t)
     bufs[static_cast<size_t>(t)] =
-        block_scratch(opt, own[static_cast<size_t>(t)], lay.block_elems());
+        gemm_scratch(opt, own[static_cast<size_t>(t)], lay.block_elems());
 
   if (threads == 1) {
     Ctx ctx;
     ctx.verifier = opt.verifier;
-    stats.status = run_block_range(ctx, pa, sa, ta, src, c, lay, opt,
+    stats.status = run_block_range(ctx, pa, sa, ta, s, input, c, lay, opt,
                                    bufs[0], 0, lay.n_blocks);
     stats.counts = ctx.counts;
     stats.thread_counts = {ctx.counts};
@@ -386,7 +364,7 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
             const i64 jc1 = std::min<i64>(lay.n_blocks, jc0 + per);
             if (jc0 < jc1)
               status[static_cast<size_t>(t)] = run_block_range(
-                  ctxs[static_cast<size_t>(t)], pa, sa, ta, src,
+                  ctxs[static_cast<size_t>(t)], pa, sa, ta, s, input,
                   band > 0 ? c + t * band : c, lay, opt,
                   bufs[static_cast<size_t>(t)], jc0, jc1);
           }
@@ -404,67 +382,6 @@ GemmStats run_blocked(const APanels* pa, const SdotAPanels* sa,
       }
   }
   return stats;
-}
-
-}  // namespace
-
-GemmStats gemm_blocked_prepacked(const APanels& pa, const i8* b, i32* c,
-                                 i64 m, i64 n, i64 k, const GemmOptions& opt) {
-  return run_blocked(&pa, nullptr, nullptr, BSource{b, nullptr, nullptr}, c,
-                     m, n, k, opt);
-}
-
-GemmStats gemm_blocked_sdot_prepacked(const SdotAPanels& pa, const i8* b,
-                                      i32* c, i64 m, i64 n, i64 k,
-                                      const GemmOptions& opt) {
-  return run_blocked(nullptr, &pa, nullptr, BSource{b, nullptr, nullptr}, c,
-                     m, n, k, opt);
-}
-
-GemmStats gemm_blocked_tbl_prepacked(const TblAPanels& ta, const i8* b,
-                                     i32* c, i64 m, i64 n, i64 k,
-                                     const GemmOptions& opt) {
-  LBC_CHECK_MSG(opt.kernel == ArmKernel::kTblGemm,
-                "gemm_blocked_tbl_prepacked: kernel must be kTblGemm");
-  LBC_CHECK_MSG(ta.m == m && ta.k == k,
-                "gemm_blocked_tbl_prepacked: packed TBL A geometry mismatch");
-  return run_blocked(nullptr, nullptr, &ta, BSource{b, nullptr, nullptr}, c,
-                     m, n, k, opt);
-}
-
-GemmStats gemm_s8s32_conv_fused(const APanels& pa, const ConvShape& s,
-                                const i8* input, i32* c,
-                                const GemmOptions& opt) {
-  LBC_CHECK_MSG(opt.kernel == ArmKernel::kOursGemm ||
-                    opt.kernel == ArmKernel::kNcnn,
-                "gemm_s8s32_conv_fused: kernel does not use packed A panels");
-  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
-  LBC_CHECK_MSG(pa.m == m && pa.k == k,
-                "gemm_s8s32_conv_fused: packed A geometry mismatch");
-  return run_blocked(&pa, nullptr, nullptr, BSource{nullptr, &s, input}, c,
-                     m, n, k, opt);
-}
-
-GemmStats gemm_s8s32_sdot_conv_fused(const SdotAPanels& pa, const ConvShape& s,
-                                     const i8* input, i32* c,
-                                     const GemmOptions& opt) {
-  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
-  LBC_CHECK_MSG(pa.m == m && pa.k == k,
-                "gemm_s8s32_sdot_conv_fused: packed A geometry mismatch");
-  return run_blocked(nullptr, &pa, nullptr, BSource{nullptr, &s, input}, c,
-                     m, n, k, opt);
-}
-
-GemmStats gemm_s8s32_tbl_conv_fused(const TblAPanels& ta, const ConvShape& s,
-                                    const i8* input, i32* c,
-                                    const GemmOptions& opt) {
-  LBC_CHECK_MSG(opt.kernel == ArmKernel::kTblGemm,
-                "gemm_s8s32_tbl_conv_fused: kernel must be kTblGemm");
-  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
-  LBC_CHECK_MSG(ta.m == m && ta.k == k,
-                "gemm_s8s32_tbl_conv_fused: packed TBL A geometry mismatch");
-  return run_blocked(nullptr, nullptr, &ta, BSource{nullptr, &s, input}, c,
-                     m, n, k, opt);
 }
 
 }  // namespace lbc::armkern

@@ -1,26 +1,40 @@
-// Internal entries of the Mc/Kc/Nc blocked GEMM driver (gemm_blocked.cpp),
-// used by the gemm_lowbit.cpp dispatch when GemmOptions::blocking is
-// enabled. The public fused-conv entries live in gemm_lowbit.h.
+// Internals the GEMM drivers share (gemm_lowbit.cpp's unblocked sweep and
+// gemm_blocked.cpp's blocked driver) with the tile search: the one
+// per-call micro kernel and flush dispatch, the C-writeback tally, and the
+// per-call scratch rule. The entry points live in gemm_lowbit.h.
 #pragma once
 
 #include "armkern/gemm_lowbit.h"
+#include "common/workspace.h"
 
 namespace lbc::armkern {
 
-/// Blocked sweep over a row-major K x N B matrix (packs one Kc x Nc block
-/// at a time via pack_b_block_into). Requires opt.blocking.enabled().
-GemmStats gemm_blocked_prepacked(const APanels& pa, const i8* b, i32* c,
-                                 i64 m, i64 n, i64 k, const GemmOptions& opt);
-GemmStats gemm_blocked_sdot_prepacked(const SdotAPanels& pa, const i8* b,
-                                      i32* c, i64 m, i64 n, i64 k,
-                                      const GemmOptions& opt);
-GemmStats gemm_blocked_tbl_prepacked(const TblAPanels& ta, const i8* b,
-                                     i32* c, i64 m, i64 n, i64 k,
-                                     const GemmOptions& opt);
+/// Per-call scratch of `bytes` bytes: from opt.workspace when one is
+/// plumbed through, otherwise `own`, resized to fit (the one-shot path).
+inline i8* gemm_scratch(const GemmOptions& opt, AlignedVector<i8>& own,
+                        i64 bytes) {
+  if (opt.workspace != nullptr) return opt.workspace->alloc_n<i8>(bytes);
+  own.resize(static_cast<size_t>(bytes));
+  return own.data();
+}
 
-/// The micro kernel a blocked GEMM calls and its flush cadence: MLA at
-/// <= 3 bit and SMLAL above (SMLAL at `flush_override` when set, see
-/// GemmOptions), ncnn, SDOT, or TBL in `tbl_mode`.
+/// Whether `a` holds an m x k weight matrix packed in the layout `kernel`
+/// reads.
+inline bool packed_a_fits(const KernelAPanels& a, ArmKernel kernel, i64 m,
+                          i64 k) {
+  const bool layout =
+      std::holds_alternative<APanels>(a)
+          ? kernel == ArmKernel::kOursGemm || kernel == ArmKernel::kNcnn
+          : kernel == (std::holds_alternative<SdotAPanels>(a)
+                           ? ArmKernel::kSdotExt
+                           : ArmKernel::kTblGemm);
+  return layout &&
+         std::visit([&](const auto& p) { return p.m == m && p.k == k; }, a);
+}
+
+/// The micro kernel a GEMM calls and its flush cadence: MLA at <= 3 bit
+/// and SMLAL above (SMLAL at `flush_override` when set, see GemmOptions),
+/// ncnn, SDOT, or TBL in `tbl_mode`.
 struct MicroKernel {
   ArmKernel kernel = ArmKernel::kOursGemm;
   int bits = 8;
@@ -40,8 +54,9 @@ struct MicroOperands {
 };
 
 /// One micro call over depth `kc` into `tile` (two 16x4 tiles for a paired
-/// TBL call). The blocked driver runs every call through it, and the tile
-/// search probes each call's instruction mix with it.
+/// TBL call; SDOT runs round_up(kc, 4) deep). Both GEMM drivers run every
+/// call through it, and the tile search probes each call's instruction mix
+/// with it.
 void run_micro(armsim::Ctx& ctx, const MicroKernel& mk, i64 kc,
                const MicroOperands& op, i32* tile);
 

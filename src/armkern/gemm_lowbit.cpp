@@ -1,14 +1,11 @@
 #include "armkern/gemm_lowbit.h"
 
-#include "common/status.h"
-#include <cstring>
 #include <vector>
 
 #include "armkern/gemm_blocked.h"
-#include "armkern/micro.h"
 #include "armkern/pack.h"
-#include "armkern/tile_search.h"
-#include "common/workspace.h"
+#include "armsim/verifier.h"
+#include "common/status.h"
 #include "serve/thread_pool.h"
 
 namespace lbc::armkern {
@@ -17,49 +14,23 @@ using namespace armsim;
 
 namespace {
 
-// Per-call scratch: from the caller's arena when one is plumbed through,
-// otherwise a fresh aligned heap block (the one-shot path).
-i8* scratch_i8(const GemmOptions& opt, AlignedVector<i8>& own, i64 bytes) {
-  if (opt.workspace != nullptr) return opt.workspace->alloc_n<i8>(bytes);
-  own.resize(static_cast<size_t>(bytes));
-  return own.data();
-}
-
 // Process the m-panel range [p0, p1) against every n-panel, tallying into
-// `ctx`. Each 16x4 micro tile lands in a column-major scratch tile and is
-// then scattered into row-major C with edge clipping (the micro kernel's
-// ST1s already account for the store cost; the scatter is an emulation
-// artifact of keeping C row-major for the tests).
-void run_panels(Ctx& ctx, const APanels& pa, const BPanels& pb, i32* c, i64 m,
-                i64 n, i64 k, const GemmOptions& opt, i64 p0, i64 p1) {
-  const int bits = opt.bits;
-  const ArmKernel kernel = opt.kernel;
+// `ctx`. `a` and `b` hold the packed panels at `depth` values each (k, or
+// round_up(k, 4) for the SDOT layout). Each 16x4 micro tile lands in a
+// column-major scratch tile and is then scattered into row-major C with
+// edge clipping (the micro kernel's ST1s already account for the store
+// cost; the scatter is an emulation artifact of keeping C row-major for the
+// tests).
+void run_panels(Ctx& ctx, const MicroKernel& mk, const i8* a, const i8* b,
+                i64 depth, i32* c, i64 m, i64 n, i64 k, i64 p0, i64 p1) {
   alignas(64) i32 tile[kMr * kNr] = {};
   if (ctx.verifier != nullptr)
     ctx.verifier->add_region(tile, sizeof(tile), "gemm C tile");
+  const i64 q_panels = round_up(n, kNr) / kNr;
   for (i64 p = p0; p < p1; ++p) {
-    for (i64 q = 0; q < pb.panels(); ++q) {
-      switch (kernel) {
-        case ArmKernel::kOursGemm:
-          if (opt.flush_override > 0)
-            micro_smlal_16x4(ctx, pa.panel(p), pb.panel(q), k,
-                             opt.flush_override, tile);
-          else if (bits <= 3)
-            micro_mla_16x4(ctx, pa.panel(p), pb.panel(q), k,
-                           mla_flush_interval(bits), tile);
-          else
-            micro_smlal_16x4(ctx, pa.panel(p), pb.panel(q), k,
-                             smlal_flush_interval(bits), tile);
-          break;
-        case ArmKernel::kNcnn:
-          micro_ncnn_16x4(ctx, pa.panel(p), pb.panel(q), k, tile);
-          break;
-        case ArmKernel::kTraditional:
-        case ArmKernel::kSdotExt:
-        case ArmKernel::kTblGemm:
-          LBC_CHECK_MSG(false, "kernel has its own entry point");
-          break;
-      }
+    for (i64 q = 0; q < q_panels; ++q) {
+      run_micro(ctx, mk, k,
+                MicroOperands{a + p * depth * kMr, b + q * depth * kNr}, tile);
       const i64 rows = std::min<i64>(kMr, m - p * kMr);
       const i64 cols = std::min<i64>(kNr, n - q * kNr);
       for (i64 ii = 0; ii < rows; ++ii) {
@@ -73,15 +44,22 @@ void run_panels(Ctx& ctx, const APanels& pa, const BPanels& pb, i32* c, i64 m,
   }
 }
 
-// Shared tail of the packed-panel path: pack B (into the arena when one is
-// provided), run the panel loop serially or across the pool, assemble stats.
-// `pack_ctx` may already hold A-pack tallies (count_a_pack one-shot runs).
-GemmStats run_gemm_packed(Ctx& pack_ctx, const APanels& pa, const i8* b,
-                          i32* c, i64 m, i64 n, i64 k,
-                          const GemmOptions& opt) {
+// The unblocked sweep: pack all of B (into the arena when one is provided),
+// run the panel loop serially or across the pool, assemble stats.
+GemmStats run_unblocked(const KernelAPanels& a, const i8* b, i32* c, i64 m,
+                        i64 n, i64 k, const GemmOptions& opt) {
+  const SdotAPanels* sa = std::get_if<SdotAPanels>(&a);
+  const APanels* pa = std::get_if<APanels>(&a);
+  const bool sdot = sa != nullptr;
+  const i8* a_data = sdot ? sa->data : pa->data;
+  const i64 depth = sdot ? sa->k_pad : k;
+  const i64 a_panels = sdot ? sa->panels() : pa->panels();
+  const i64 b_bytes = sdot ? packed_sdot_b_bytes(k, n) : packed_b_bytes(k, n);
+
   GemmStats stats;
+  Ctx pack_ctx;
   AlignedVector<i8> own_b;
-  i8* bbuf = scratch_i8(opt, own_b, packed_b_bytes(k, n));
+  i8* bbuf = gemm_scratch(opt, own_b, b_bytes);
   if (opt.verifier != nullptr) {
     // Ranged registrations go in BEFORE the pack touches the buffers so the
     // pack's rangeless ensure_region calls are no-ops and the interval
@@ -89,26 +67,36 @@ GemmStats run_gemm_packed(Ctx& pack_ctx, const APanels& pa, const i8* b,
     pack_ctx.verifier = opt.verifier;
     const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(opt.bits);
     const i32 qb = opt.b_max_abs > 0 ? opt.b_max_abs : qmax_for_bits(opt.bits);
-    opt.verifier->add_region(pa.data, pa.m_pad * pa.k, "packed A panels", -qa,
+    opt.verifier->add_region(a_data, round_up(m, kMr) * depth,
+                             sdot ? "packed SDOT A" : "packed A panels", -qa,
                              qa);
     opt.verifier->add_region(b, k * n, "gemm B", -qb, qb);
-    opt.verifier->add_region(bbuf, packed_b_bytes(k, n), "packed B panels",
-                             -qb, qb);
+    opt.verifier->add_region(bbuf, b_bytes,
+                             sdot ? "packed SDOT B" : "packed B panels", -qb,
+                             qb);
     opt.verifier->add_region(c, m * n * static_cast<i64>(sizeof(i32)),
                              "gemm C");
   }
-  const BPanels pb = pack_b_into(&pack_ctx, b, k, n, bbuf);
-  stats.pack_extra_elems = pa.extra_elems() + pb.extra_elems();
+  // Fig. 13 padding: what both packs add on top of the m x k and k x n
+  // operands.
+  if (sdot) {
+    pack_sdot_b_into(&pack_ctx, b, k, n, bbuf);
+    stats.pack_extra_elems =
+        (sa->m_pad * sa->k_pad + round_up(n, kNr) * depth) - m * k - k * n;
+  } else {
+    stats.pack_extra_elems =
+        pa->extra_elems() + pack_b_into(&pack_ctx, b, k, n, bbuf).extra_elems();
+  }
 
+  const MicroKernel mk{opt.kernel, opt.bits, opt.flush_override};
   const int threads =
       opt.verifier != nullptr
           ? 1
-          : std::max(1,
-                     std::min<int>(opt.threads, static_cast<int>(pa.panels())));
+          : std::max(1, std::min<int>(opt.threads, static_cast<int>(a_panels)));
   if (threads == 1) {
     Ctx ctx;
     ctx.verifier = opt.verifier;
-    run_panels(ctx, pa, pb, c, m, n, k, opt, 0, pa.panels());
+    run_panels(ctx, mk, a_data, bbuf, depth, c, m, n, k, 0, a_panels);
     stats.counts = ctx.counts;
     stats.thread_counts = {ctx.counts};
   } else {
@@ -117,15 +105,15 @@ GemmStats run_gemm_packed(Ctx& pack_ctx, const APanels& pa, const i8* b,
     // model unchanged). Bands execute on the shared persistent pool — no
     // per-call thread spawn; grain 1 = one band per pool chunk.
     std::vector<Ctx> ctxs(static_cast<size_t>(threads));
-    const i64 per = ceil_div(pa.panels(), threads);
+    const i64 per = ceil_div(a_panels, threads);
     serve::ThreadPool::global().parallel_for(
         0, threads, 1, [&](i64 t0, i64 t1) {
           for (i64 t = t0; t < t1; ++t) {
             const i64 p0 = t * per;
-            const i64 p1 = std::min<i64>(pa.panels(), p0 + per);
+            const i64 p1 = std::min<i64>(a_panels, p0 + per);
             if (p0 < p1)
-              run_panels(ctxs[static_cast<size_t>(t)], pa, pb, c, m, n, k,
-                         opt, p0, p1);
+              run_panels(ctxs[static_cast<size_t>(t)], mk, a_data, bbuf,
+                         depth, c, m, n, k, p0, p1);
           }
         });
     for (const auto& cx : ctxs) {
@@ -138,55 +126,22 @@ GemmStats run_gemm_packed(Ctx& pack_ctx, const APanels& pa, const i8* b,
   return stats;
 }
 
-// Shared tail of the SDOT path with A already in SDOT layout.
-GemmStats run_sdot_panels(const SdotAPanels& pa, const i8* b, i32* c, i64 m,
-                          i64 n, i64 k, const GemmOptions& opt) {
-  GemmStats stats;
-  Ctx pack_ctx;
-  Ctx ctx;
-  AlignedVector<i8> own_b;
-  i8* bbuf = scratch_i8(opt, own_b, packed_sdot_b_bytes(k, n));
-  alignas(64) i32 tile[kMr * kNr] = {};
-  if (opt.verifier != nullptr) {
-    pack_ctx.verifier = opt.verifier;
-    ctx.verifier = opt.verifier;
-    const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(opt.bits);
-    const i32 qb = opt.b_max_abs > 0 ? opt.b_max_abs : qmax_for_bits(opt.bits);
-    opt.verifier->add_region(pa.data, pa.m_pad * pa.k_pad, "packed SDOT A",
-                             -qa, qa);
-    opt.verifier->add_region(b, k * n, "gemm B", -qb, qb);
-    opt.verifier->add_region(bbuf, packed_sdot_b_bytes(k, n), "packed SDOT B",
-                             -qb, qb);
-    opt.verifier->add_region(c, m * n * static_cast<i64>(sizeof(i32)),
-                             "gemm C");
-    opt.verifier->add_region(tile, sizeof(tile), "gemm C tile");
-  }
-  const SdotBPanels pb = pack_sdot_b_into(&pack_ctx, b, k, n, bbuf);
-  stats.pack_extra_elems =
-      (pa.m_pad * pa.k_pad + pb.n_pad * pb.k_pad) - m * k - k * n;
-  for (i64 p = 0; p < pa.panels(); ++p)
-    for (i64 q = 0; q < pb.panels(); ++q) {
-      micro_sdot_16x4(ctx, pa.panel(p), pb.panel(q), pa.k_pad, tile);
-      const i64 rows = std::min<i64>(kMr, m - p * kMr);
-      const i64 cols = std::min<i64>(kNr, n - q * kNr);
-      for (i64 ii = 0; ii < rows; ++ii) {
-        ctx.mem(&c[(p * kMr + ii) * n + q * kNr], static_cast<u64>(cols) * 4);
-        for (i64 jj = 0; jj < cols; ++jj)
-          c[(p * kMr + ii) * n + q * kNr + jj] = tile[jj * kMr + ii];
-      }
-    }
-  stats.thread_counts = {ctx.counts};
-  stats.serial_counts = pack_ctx.counts;
-  stats.counts = ctx.counts;
-  stats.counts.merge(pack_ctx.counts);
-  return stats;
+// Preconditions of the unblocked entries: a bit width in range, and no
+// request that only the blocked driver serves.
+void check_unblocked(const GemmOptions& opt) {
+  LBC_CHECK_MSG(opt.bits >= 2 && opt.bits <= 8,
+                "gemm_lowbit: bits outside [2, 8]");
+  LBC_CHECK_MSG(!opt.blocking.enabled() && opt.epilogue == nullptr &&
+                    opt.kernel != ArmKernel::kTblGemm,
+                "unblocked GEMM: TBL, a blocking and an epilogue run only "
+                "through gemm_s8s32_conv_blocked");
 }
 
 }  // namespace
 
 GemmStats gemm_s8s32(const i8* a, const i8* b, i32* c, i64 m, i64 n, i64 k,
                      const GemmOptions& opt) {
-  LBC_CHECK_MSG(opt.bits >= 2 && opt.bits <= 8, "gemm_lowbit: bits outside [2, 8]");
+  check_unblocked(opt);
 
   if (opt.kernel == ArmKernel::kTraditional) {
     GemmStats stats;
@@ -199,70 +154,20 @@ GemmStats gemm_s8s32(const i8* a, const i8* b, i32* c, i64 m, i64 n, i64 k,
     return stats;
   }
 
-  if (opt.kernel == ArmKernel::kSdotExt) {
-    // A pack is offline (weights) — untallied here exactly as at plan time.
-    const PackedSdotA pa = pack_sdot_a(a, m, k);
-    if (opt.blocking.enabled())
-      return gemm_blocked_sdot_prepacked(pa.view(), b, c, m, n, k, opt);
-    return run_sdot_panels(pa.view(), b, c, m, n, k, opt);
-  }
-
-  if (opt.kernel == ArmKernel::kTblGemm) {
-    LBC_CHECK_MSG(opt.bits <= 3, "TBL scheme ships for 2-3 bit only");
-    // Orientation is priced from geometry + detected weight values; the
-    // offline weight pack is untallied exactly as at plan time. The scheme
-    // only exists blocked — force the default blocking when disabled.
-    const TblOrientation orient = choose_tbl_orientation(
-        m, n, k, opt.bits, tbl_values_ternary(a, m, k));
-    const PackedTblA ta = pack_tbl_a(a, m, k, opt.bits, orient);
-    GemmOptions o = opt;
-    if (!o.blocking.enabled()) o.blocking = default_blocking(m, n, k, false);
-    return gemm_blocked_tbl_prepacked(ta.view(), b, c, m, n, k, o);
-  }
-
-  Ctx pack_ctx;
-  if (opt.verifier != nullptr && opt.count_a_pack) {
-    // The tallied A pack reads `a` through ctx.mem before run_gemm_packed
-    // registers anything; its own pa.data ensure_region is rangeless and is
-    // replaced by the ranged registration downstream.
-    pack_ctx.verifier = opt.verifier;
-    const i32 qa = opt.a_max_abs > 0 ? opt.a_max_abs : qmax_for_bits(opt.bits);
-    opt.verifier->add_region(a, m * k, "gemm A", -qa, qa);
-  }
-  const PackedA pa = pack_a(opt.count_a_pack ? &pack_ctx : nullptr, a, m, k);
-  if (opt.blocking.enabled()) {
-    GemmStats stats = gemm_blocked_prepacked(pa.view(), b, c, m, n, k, opt);
-    // A-pack tallies (count_a_pack one-shot runs) stay a serial pre-pass.
-    stats.serial_counts.merge(pack_ctx.counts);
-    stats.counts.merge(pack_ctx.counts);
-    return stats;
-  }
-  return run_gemm_packed(pack_ctx, pa.view(), b, c, m, n, k, opt);
+  // The A pack is offline (weights) — untallied here exactly as at plan
+  // time.
+  if (opt.kernel == ArmKernel::kSdotExt)
+    return run_unblocked(pack_sdot_a(a, m, k).view(), b, c, m, n, k, opt);
+  return run_unblocked(pack_a(nullptr, a, m, k).view(), b, c, m, n, k, opt);
 }
 
-GemmStats gemm_s8s32_prepacked(const APanels& pa, const i8* b, i32* c, i64 m,
-                               i64 n, i64 k, const GemmOptions& opt) {
-  LBC_CHECK_MSG(opt.bits >= 2 && opt.bits <= 8, "gemm_lowbit: bits outside [2, 8]");
-  LBC_CHECK_MSG(opt.kernel == ArmKernel::kOursGemm ||
-                    opt.kernel == ArmKernel::kNcnn,
-                "gemm_s8s32_prepacked: kernel does not use packed A panels");
-  LBC_CHECK_MSG(pa.m == m && pa.k == k,
-                "gemm_s8s32_prepacked: packed A geometry mismatch");
-  if (opt.blocking.enabled())
-    return gemm_blocked_prepacked(pa, b, c, m, n, k, opt);
-  Ctx pack_ctx;
-  return run_gemm_packed(pack_ctx, pa, b, c, m, n, k, opt);
-}
-
-GemmStats gemm_s8s32_sdot_prepacked(const SdotAPanels& pa, const i8* b,
-                                    i32* c, i64 m, i64 n, i64 k,
-                                    const GemmOptions& opt) {
-  LBC_CHECK_MSG(opt.bits >= 2 && opt.bits <= 8, "gemm_lowbit: bits outside [2, 8]");
-  LBC_CHECK_MSG(pa.m == m && pa.k == k,
-                "gemm_s8s32_sdot_prepacked: packed A geometry mismatch");
-  if (opt.blocking.enabled())
-    return gemm_blocked_sdot_prepacked(pa, b, c, m, n, k, opt);
-  return run_sdot_panels(pa, b, c, m, n, k, opt);
+GemmStats gemm_s8s32_prepacked(const KernelAPanels& a, const i8* b, i32* c,
+                               i64 m, i64 n, i64 k, const GemmOptions& opt) {
+  check_unblocked(opt);
+  LBC_CHECK_MSG(packed_a_fits(a, opt.kernel, m, k),
+                "gemm_s8s32_prepacked: packed A is not the kernel's layout "
+                "of an m x k matrix");
+  return run_unblocked(a, b, c, m, n, k, opt);
 }
 
 }  // namespace lbc::armkern

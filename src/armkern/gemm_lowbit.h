@@ -6,17 +6,23 @@
 // the ncnn-style 8-bit baseline and the traditional (Fig. 1a) GEMM
 // available for comparison.
 //
-// Two entry points:
-//  * gemm_s8s32 — one-shot: packs both operands and multiplies.
-//  * gemm_s8s32_prepacked / gemm_s8s32_sdot_prepacked — A (weights) was
-//    packed once at plan-compile time; only B (activations) is packed here,
-//    into opt.workspace when one is provided. Bit-exact with the one-shot
-//    entry: the A pack is untallied by default (count_a_pack=false — weights
-//    are packed offline in deployment), so moving it to plan time changes
-//    neither the results nor the modeled cycle counts.
+// Three entry points:
+//  * gemm_s8s32 — one-shot unblocked GEMM: packs both operands and runs
+//    the full-K panel sweep (the ablations and micro benches).
+//  * gemm_s8s32_prepacked — the same sweep with A (weights) packed once at
+//    plan-compile time; only B (activations) is packed here, into
+//    opt.workspace when one is provided. The materialized conv path and
+//    the winograd GEMMs run it. Bit-exact with the one-shot entry in
+//    results and modeled counts: neither tallies the A pack (weights are
+//    packed offline in deployment).
+//  * gemm_s8s32_conv_blocked — the Mc/Kc/Nc blocked driver
+//    (gemm_blocked.cpp), which gathers each Kc x Nc block of B straight
+//    from a conv input. A row-major K x N B is the [1, K, 1, N] input of a
+//    1x1, stride-1, pad-0 conv, whose im2col is B itself.
 #pragma once
 
 #include <functional>
+#include <variant>
 #include <vector>
 
 #include "armsim/cost_model.h"
@@ -70,9 +76,6 @@ struct GemmOptions {
   int bits = 8;
   ArmKernel kernel = ArmKernel::kOursGemm;
   int threads = 1;
-  /// Weights are packed offline in deployment, so A-pack cost is excluded
-  /// by default; activation (B) packing is always on the critical path.
-  bool count_a_pack = false;
   /// Non-zero: override the SADDW flush interval of the SMLAL scheme.
   /// Used by the winograd path, whose operand ranges (4x activations,
   /// 9/4 weights) shrink the safe ratio below the raw-bit-width table.
@@ -92,11 +95,10 @@ struct GemmOptions {
   /// runs the GEMM with bits = 8 + flush_override.
   i32 a_max_abs = 0;
   i32 b_max_abs = 0;
-  /// Mc/Kc/Nc cache blocking (blocking.h). Disabled (the default) keeps
-  /// the legacy unblocked full-K sweep; enabled routes kOursGemm / kNcnn /
-  /// kSdotExt through the blocked driver (gemm_blocked.cpp), which packs
-  /// one Kc x Nc B block at a time and accumulates partial-K products into
-  /// C — bit-exact with the unblocked sweep. Ignored by kTraditional.
+  /// Mc/Kc/Nc cache blocking (blocking.h) of gemm_s8s32_conv_blocked,
+  /// which requires it; the unblocked entries require it disabled. The
+  /// blocked driver packs one Kc x Nc B block at a time and accumulates
+  /// partial-K products into C — bit-exact with the unblocked sweep.
   GemmBlocking blocking;
   /// Fused epilogue (blocked driver only): invoked on each C row segment
   /// right after its final Kc accumulation. nullptr = no epilogue. When
@@ -124,47 +126,40 @@ struct GemmStats {
   Status status;
 };
 
+/// Packed A (weights) in the layout of the kernel that reads it: APanels
+/// for kOursGemm / kNcnn, SdotAPanels for kSdotExt, TblAPanels for
+/// kTblGemm (ArmConvPlan::gemm_a, sdot_a or tbl_a).
+using KernelAPanels = std::variant<APanels, SdotAPanels, TblAPanels>;
+
 /// C[M x N] (i32, row-major) = A[M x K] (i8, row-major) * B[K x N]
-/// (i8, row-major). Bit-exact with ref::gemm_s8s32 for inputs within the
-/// adjusted range of `bits`.
+/// (i8, row-major), unblocked. Bit-exact with ref::gemm_s8s32 for inputs
+/// within the adjusted range of `bits`. TBL, a blocking and an epilogue
+/// run only blocked (gemm_s8s32_conv_blocked); requesting one here is a
+/// precondition failure.
 GemmStats gemm_s8s32(const i8* a, const i8* b, i32* c, i64 m, i64 n, i64 k,
                      const GemmOptions& opt);
 
-/// Same computation with A already packed (kOursGemm / kNcnn kernels).
-/// `pa` must have been packed from an M x K matrix matching (m, k).
-GemmStats gemm_s8s32_prepacked(const APanels& pa, const i8* b, i32* c, i64 m,
-                               i64 n, i64 k, const GemmOptions& opt);
+/// The same unblocked sweep with A already packed: APanels for kOursGemm /
+/// kNcnn, SdotAPanels for kSdotExt, each packed from an M x K matrix
+/// matching (m, k). Same preconditions as gemm_s8s32.
+GemmStats gemm_s8s32_prepacked(const KernelAPanels& a, const i8* b, i32* c,
+                               i64 m, i64 n, i64 k, const GemmOptions& opt);
 
-/// SDOT variant with A already packed (kSdotExt kernel).
-GemmStats gemm_s8s32_sdot_prepacked(const SdotAPanels& pa, const i8* b,
-                                    i32* c, i64 m, i64 n, i64 k,
-                                    const GemmOptions& opt);
-
-/// Fused-pack blocked conv GEMM: C[M x N] = A * im2col(input), where the
-/// im2col matrix is never materialized — each Kc x Nc B block is gathered
-/// straight from `input` (pack_b_panels_from_conv) into an L1-resident
-/// scratch block. `input` is the raw NCHW i8 activation buffer of
-/// s.batch * s.in_c * s.in_h * s.in_w elements (a Tensor's data() or a
-/// graph arena slot). Requires opt.blocking.enabled(); geometry (m, n, k)
-/// is the GEMM view of `s`. Bit-exact with running gemm_s8s32_prepacked
-/// over a materialized im2col matrix.
-GemmStats gemm_s8s32_conv_fused(const APanels& pa, const ConvShape& s,
-                                const i8* input, i32* c,
-                                const GemmOptions& opt);
-
-/// SDOT variant of the fused-pack blocked conv GEMM.
-GemmStats gemm_s8s32_sdot_conv_fused(const SdotAPanels& pa, const ConvShape& s,
-                                     const i8* input, i32* c,
-                                     const GemmOptions& opt);
-
-/// TBL variant of the fused-pack blocked conv GEMM (kTblGemm): the per-
-/// block online pack builds product tables (kActTables) or index panels
-/// (kWeightTables) straight from the conv input, in ta.mode. Requires
-/// opt.blocking.enabled() and ta packed from the (m, k) weight matrix. An
-/// input value ta.mode cannot encode returns in GemmStats::status.
-GemmStats gemm_s8s32_tbl_conv_fused(const TblAPanels& ta, const ConvShape& s,
-                                    const i8* input, i32* c,
-                                    const GemmOptions& opt);
+/// Blocked conv GEMM: C[M x N] = A * im2col(input), where the im2col
+/// matrix is never materialized — each Kc x Nc B block is gathered
+/// straight from `input` (pack_b_panels_from_conv and its SDOT / TBL
+/// twins) into an L1-resident scratch block. `input` is the raw NCHW i8
+/// activation buffer of s.batch * s.in_c * s.in_h * s.in_w elements (a
+/// Tensor's data() or a graph arena slot). `a` is packed in opt.kernel's
+/// layout from the (m, k) weight matrix of the GEMM view of `s`; TBL
+/// builds product tables (kActTables) or encodes index panels
+/// (kWeightTables) per block, in the pack's mode. Requires
+/// opt.blocking.enabled(). Bit-exact with gemm_s8s32_prepacked over the
+/// materialized im2col matrix. An input value a TBL mode cannot encode
+/// returns in GemmStats::status.
+GemmStats gemm_s8s32_conv_blocked(const KernelAPanels& a, const ConvShape& s,
+                                  const i8* input, i32* c,
+                                  const GemmOptions& opt);
 
 /// Traditional GEMM used by the ablation bench (declared here, defined in
 /// gemm_traditional.cpp); B is consumed column-major-packed internally.

@@ -9,11 +9,12 @@
 
 namespace lbc::armkern {
 
+namespace {
+
 // Cost accounting for pack loops. Real NEON packing moves 16 bytes per
-// vector op; the A pack additionally pays a strided-gather (transpose)
-// overhead we charge as scalar ops per element group, and the fused
-// im2col gather pays the index math (tap decomposition, bounds tests) on
-// top of that.
+// vector op; the A pack (and the strided SDOT B interleave) additionally
+// pays a strided-gather (transpose) overhead we charge as scalar ops per
+// element group.
 void tally_pack_gather(armsim::Ctx* ctx, i64 elems) {
   if (!ctx) return;
   const u64 groups = static_cast<u64>(ceil_div(elems, 16));
@@ -23,6 +24,7 @@ void tally_pack_gather(armsim::Ctx* ctx, i64 elems) {
   ctx->tally(armsim::Op::kLoop, groups / 4 + 1);
 }
 
+// The contiguous B pack: 16-byte moves only.
 void tally_pack_stream(armsim::Ctx* ctx, i64 elems) {
   if (!ctx) return;
   const u64 groups = static_cast<u64>(ceil_div(elems, 16));
@@ -30,18 +32,6 @@ void tally_pack_stream(armsim::Ctx* ctx, i64 elems) {
   ctx->tally(armsim::Op::kSt1, groups);
   ctx->tally(armsim::Op::kLoop, groups / 4 + 1);
 }
-
-void tally_pack_im2col_gather(armsim::Ctx* ctx, i64 elems) {
-  if (!ctx) return;
-  tally_pack_gather(ctx, elems);
-  ctx->tally(armsim::Op::kScalar, static_cast<u64>(ceil_div(elems, 8)));
-}
-
-namespace {
-
-// Legacy internal names (the full-operand packs keep their cost classes).
-void tally_pack_a(armsim::Ctx* ctx, i64 elems) { tally_pack_gather(ctx, elems); }
-void tally_pack_b(armsim::Ctx* ctx, i64 elems) { tally_pack_stream(ctx, elems); }
 
 // Under checked execution the pack's bulk cache traffic must land inside
 // registered regions. ensure_region is a no-op when the driver already
@@ -56,6 +46,14 @@ void ensure_pack_regions(armsim::Ctx* ctx, const void* src, i64 src_bytes,
 
 }  // namespace
 
+// The fused im2col gather pays the index math (tap decomposition, bounds
+// tests) on top of the strided gather.
+void tally_pack_im2col_gather(armsim::Ctx* ctx, i64 elems) {
+  if (!ctx) return;
+  tally_pack_gather(ctx, elems);
+  ctx->tally(armsim::Op::kScalar, static_cast<u64>(ceil_div(elems, 8)));
+}
+
 i64 packed_a_bytes(i64 m, i64 k) { return round_up(m, kMr) * k; }
 i64 packed_b_bytes(i64 k, i64 n) { return round_up(n, kNr) * k; }
 
@@ -69,7 +67,7 @@ APanels pack_a_into(armsim::Ctx* ctx, const i8* a, i64 m, i64 k, i8* dst) {
         panel[kk * kMr + r] = (row < m) ? a[row * k + kk] : i8{0};
       }
   }
-  tally_pack_a(ctx, m_pad * k);
+  tally_pack_gather(ctx, m_pad * k);
   if (ctx) {
     ensure_pack_regions(ctx, a, m * k, "pack A source", dst, m_pad * k,
                         "packed A panels");
@@ -89,7 +87,7 @@ BPanels pack_b_into(armsim::Ctx* ctx, const i8* b, i64 k, i64 n, i8* dst) {
         panel[kk * kNr + c] = (col < n) ? b[kk * n + col] : i8{0};
       }
   }
-  tally_pack_b(ctx, n_pad * k);
+  tally_pack_stream(ctx, n_pad * k);
   if (ctx) {
     ensure_pack_regions(ctx, b, k * n, "pack B source", dst, n_pad * k,
                         "packed B panels");
@@ -142,7 +140,7 @@ PackedSdotA pack_sdot_a(const i8* a, i64 m, i64 k, armsim::Ctx* ctx) {
               (row < m && kk < k) ? a[row * k + kk] : i8{0};
         }
   }
-  tally_pack_a(ctx, pa.m_pad * pa.k_pad);
+  tally_pack_gather(ctx, pa.m_pad * pa.k_pad);
   if (ctx) {
     ensure_pack_regions(ctx, a, m * k, "pack SDOT A source", pa.data.data(),
                         static_cast<i64>(pa.data.size()), "packed SDOT A");
@@ -169,7 +167,7 @@ SdotBPanels pack_sdot_b_into(armsim::Ctx* ctx, const i8* b, i64 k, i64 n,
         }
   }
   // The B interleave is a strided gather — same cost class as an A pack.
-  tally_pack_a(ctx, n_pad * k_pad);
+  tally_pack_gather(ctx, n_pad * k_pad);
   if (ctx) {
     ensure_pack_regions(ctx, b, k * n, "pack SDOT B source", dst,
                         n_pad * k_pad, "packed SDOT B");
@@ -227,30 +225,6 @@ void touch_conv_gather(armsim::Ctx* ctx, const ConvShape& s, const i8* in,
 
 }  // namespace
 
-BPanels pack_b_block_into(armsim::Ctx* ctx, const i8* b, i64 k, i64 n, i64 k0,
-                          i64 kc, i64 n0, i64 nc, i8* dst) {
-  const i64 nc_pad = round_up(nc, kNr);
-  for (i64 q = 0; q < nc_pad / kNr; ++q) {
-    i8* panel = dst + q * kc * kNr;
-    for (i64 kk = 0; kk < kc; ++kk)
-      for (i64 c = 0; c < kNr; ++c) {
-        const i64 col = n0 + q * kNr + c;
-        panel[kk * kNr + c] =
-            (q * kNr + c < nc && col < n) ? b[(k0 + kk) * n + col] : i8{0};
-      }
-  }
-  tally_pack_stream(ctx, nc_pad * kc);
-  if (ctx) {
-    ensure_pack_regions(ctx, b, k * n, "pack B source", dst, nc_pad * kc,
-                        "packed B block");
-    for (i64 kk = 0; kk < kc; ++kk)
-      ctx->mem_range(b + (k0 + kk) * n + n0,
-                     static_cast<u64>(std::min(nc, n - n0)));
-    ctx->mem_range(dst, static_cast<u64>(nc_pad * kc));
-  }
-  return BPanels{dst, kc, nc, nc_pad};
-}
-
 BPanels pack_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
                                 const i8* input, i64 k0, i64 kc,
                                 i64 n0, i64 nc, i8* dst) {
@@ -273,36 +247,6 @@ BPanels pack_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
     ctx->mem_range(dst, static_cast<u64>(nc_pad * kc));
   }
   return BPanels{dst, kc, nc, nc_pad};
-}
-
-SdotBPanels pack_sdot_b_block_into(armsim::Ctx* ctx, const i8* b, i64 k,
-                                   i64 n, i64 k0, i64 kc, i64 n0, i64 nc,
-                                   i8* dst) {
-  const i64 nc_pad = round_up(nc, kNr);
-  const i64 kc_pad = round_up(kc, 4);
-  for (i64 q = 0; q < nc_pad / kNr; ++q) {
-    i8* panel = dst + q * kc_pad * kNr;
-    for (i64 ks = 0; ks < kc_pad / 4; ++ks)
-      for (i64 c = 0; c < kNr; ++c)
-        for (i64 d = 0; d < 4; ++d) {
-          const i64 j = q * kNr + c;
-          const i64 kk = ks * 4 + d;
-          panel[(ks * kNr + c) * 4 + d] =
-              (j < nc && kk < kc && n0 + j < n)
-                  ? b[(k0 + kk) * n + n0 + j]
-                  : i8{0};
-        }
-  }
-  tally_pack_gather(ctx, nc_pad * kc_pad);
-  if (ctx) {
-    ensure_pack_regions(ctx, b, k * n, "pack SDOT B source", dst,
-                        nc_pad * kc_pad, "packed B block");
-    for (i64 kk = 0; kk < kc; ++kk)
-      ctx->mem_range(b + (k0 + kk) * n + n0,
-                     static_cast<u64>(std::min(nc, n - n0)));
-    ctx->mem_range(dst, static_cast<u64>(nc_pad * kc_pad));
-  }
-  return SdotBPanels{dst, nc, kc, nc_pad, kc_pad};
 }
 
 SdotBPanels pack_sdot_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
@@ -483,16 +427,14 @@ void copy_tbl_tables(armsim::Ctx& ctx, TblMode mode, const u8* ids,
   ctx.tally(armsim::Op::kLoop);
 }
 
-namespace {
-
-// kActTables online build over one (kc x nc) block: one table per (column,
-// group step) from the group's B values, `bval(kk, j)` (0 past kc and nc).
-template <typename BVal>
-void build_tbl_b_tables(TblMode mode, i64 kc, i64 nc, const BVal& bval,
-                        i8* dst) {
+void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, TblMode mode,
+                                 const ConvShape& s, const i8* input, i64 k0,
+                                 i64 kc, i64 n0, i64 nc, i8* dst) {
   const int group = tbl_group(mode);
   const i64 nc_pad = round_up(nc, kNr);
   const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
+  // One table per (column, group step) from the group's im2col values (0
+  // past kc and nc).
   for (i64 q = 0; q < nc_pad / kNr; ++q) {
     i8* panel = dst + q * groups_c * kNr * 16;
     for (i64 gs = 0; gs < groups_c; ++gs)
@@ -500,23 +442,34 @@ void build_tbl_b_tables(TblMode mode, i64 kc, i64 nc, const BVal& bval,
         const i64 j = q * kNr + c;
         i8 b[4] = {};
         if (j < nc)
-          for (int i = 0; i < group; ++i) b[i] = bval(gs * group + i, j);
+          for (int i = 0; i < group; ++i) {
+            const i64 kk = gs * group + i;
+            if (kk < kc) b[i] = im2col_at(s, input, k0 + kk, n0 + j);
+          }
         tbl_build_table(mode, b, panel + (gs * kNr + c) * 16);
       }
   }
+  const i64 bytes = nc_pad * groups_c * 16;
+  tally_pack_tbl_tables(ctx, nc_pad * groups_c);
+  tally_pack_im2col_gather(ctx, nc_pad * kc);
+  if (ctx) {
+    ensure_pack_regions(ctx, input, s.batch * s.in_c * s.in_h * s.in_w,
+                        "conv input", dst, bytes, "packed B block");
+    touch_conv_gather(ctx, s, input, k0, kc, n0, nc);
+    ctx->mem_range(dst, static_cast<u64>(bytes));
+  }
 }
 
-// kWeightTables online encode over one (kc x nc) block: one index per
-// (column, group step), padding columns neutral. An activation the mode
-// cannot encode stops the pack with kOutOfRange naming it — the block is
-// then unusable, never a wrong sum.
-template <typename BVal>
-Status encode_tbl_b_indices(TblMode mode, i64 k0, i64 kc, i64 n0, i64 nc,
-                            const BVal& bval, u8* dst) {
+Status pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, TblMode mode,
+                                const ConvShape& s, const i8* input, i64 k0,
+                                i64 kc, i64 n0, i64 nc, u8* dst) {
   const int group = tbl_group(mode);
   const i64 nc_pad = round_up(nc, i64{16});
   const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
   const u8 neutral = tbl_neutral_index(mode);
+  // One index per (column, group step), padding columns neutral. An
+  // activation the mode cannot encode stops the pack with kOutOfRange
+  // naming it — the block is then unusable, never a wrong sum.
   for (i64 q = 0; q < nc_pad / 16; ++q) {
     u8* panel = dst + q * groups_c * 16;
     for (i64 gs = 0; gs < groups_c; ++gs)
@@ -525,7 +478,10 @@ Status encode_tbl_b_indices(TblMode mode, i64 k0, i64 kc, i64 n0, i64 nc,
         u8 enc = neutral;
         if (j < nc) {
           i32 v[4] = {};
-          for (int i = 0; i < group; ++i) v[i] = bval(gs * group + i, j);
+          for (int i = 0; i < group; ++i) {
+            const i64 kk = gs * group + i;
+            if (kk < kc) v[i] = im2col_at(s, input, k0 + kk, n0 + j);
+          }
           if (!tbl_encode(mode, v, enc)) {
             std::ostringstream os;
             os << "TBL index encode: an activation at depth "
@@ -542,86 +498,6 @@ Status encode_tbl_b_indices(TblMode mode, i64 k0, i64 kc, i64 n0, i64 nc,
         panel[gs * 16 + c] = enc;
       }
   }
-  return Status();
-}
-
-}  // namespace
-
-void pack_tbl_b_tables_block_into(armsim::Ctx* ctx, TblMode mode,
-                                  const i8* b, i64 k, i64 n, i64 k0, i64 kc,
-                                  i64 n0, i64 nc, i8* dst) {
-  build_tbl_b_tables(mode, kc, nc, [&](i64 kk, i64 j) -> i8 {
-    return (kk < kc && n0 + j < n) ? b[(k0 + kk) * n + n0 + j] : i8{0};
-  }, dst);
-  const i64 nc_pad = round_up(nc, kNr);
-  const i64 groups_c = ceil_div(kc, static_cast<i64>(tbl_group(mode)));
-  const i64 bytes = nc_pad * groups_c * 16;
-  tally_pack_tbl_tables(ctx, nc_pad * groups_c);
-  if (ctx) {
-    ensure_pack_regions(ctx, b, k * n, "pack B source", dst, bytes,
-                        "packed B block");
-    for (i64 kk = 0; kk < kc; ++kk)
-      ctx->mem_range(b + (k0 + kk) * n + n0,
-                     static_cast<u64>(std::min(nc, n - n0)));
-    ctx->mem_range(dst, static_cast<u64>(bytes));
-  }
-}
-
-void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, TblMode mode,
-                                 const ConvShape& s, const i8* input, i64 k0,
-                                 i64 kc, i64 n0, i64 nc, i8* dst) {
-  build_tbl_b_tables(mode, kc, nc, [&](i64 kk, i64 j) -> i8 {
-    return kk < kc ? im2col_at(s, input, k0 + kk, n0 + j) : i8{0};
-  }, dst);
-  const i64 nc_pad = round_up(nc, kNr);
-  const i64 groups_c = ceil_div(kc, static_cast<i64>(tbl_group(mode)));
-  const i64 bytes = nc_pad * groups_c * 16;
-  tally_pack_tbl_tables(ctx, nc_pad * groups_c);
-  tally_pack_im2col_gather(ctx, nc_pad * kc);
-  if (ctx) {
-    ensure_pack_regions(ctx, input, s.batch * s.in_c * s.in_h * s.in_w,
-                        "conv input", dst, bytes, "packed B block");
-    touch_conv_gather(ctx, s, input, k0, kc, n0, nc);
-    ctx->mem_range(dst, static_cast<u64>(bytes));
-  }
-}
-
-Status pack_tbl_b_idx_block_into(armsim::Ctx* ctx, TblMode mode, const i8* b,
-                                 i64 k, i64 n, i64 k0, i64 kc, i64 n0, i64 nc,
-                                 u8* dst) {
-  LBC_RETURN_IF_ERROR(encode_tbl_b_indices(
-      mode, k0, kc, n0, nc,
-      [&](i64 kk, i64 j) -> i32 {
-        return (kk < kc && n0 + j < n) ? b[(k0 + kk) * n + n0 + j] : 0;
-      },
-      dst));
-  const int group = tbl_group(mode);
-  const i64 nc_pad = round_up(nc, i64{16});
-  const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
-  tally_pack_gather(ctx, nc_pad * groups_c * group);
-  if (ctx) {
-    ensure_pack_regions(ctx, b, k * n, "pack B source", dst,
-                        nc_pad * groups_c, "packed B block");
-    for (i64 kk = 0; kk < kc; ++kk)
-      ctx->mem_range(b + (k0 + kk) * n + n0,
-                     static_cast<u64>(std::min(nc, n - n0)));
-    ctx->mem_range(dst, static_cast<u64>(nc_pad * groups_c));
-  }
-  return Status();
-}
-
-Status pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, TblMode mode,
-                                const ConvShape& s, const i8* input, i64 k0,
-                                i64 kc, i64 n0, i64 nc, u8* dst) {
-  LBC_RETURN_IF_ERROR(encode_tbl_b_indices(
-      mode, k0, kc, n0, nc,
-      [&](i64 kk, i64 j) -> i32 {
-        return kk < kc ? im2col_at(s, input, k0 + kk, n0 + j) : 0;
-      },
-      dst));
-  const int group = tbl_group(mode);
-  const i64 nc_pad = round_up(nc, i64{16});
-  const i64 groups_c = ceil_div(kc, static_cast<i64>(group));
   tally_pack_im2col_gather(ctx, nc_pad * groups_c * group);
   if (ctx) {
     ensure_pack_regions(ctx, input, s.batch * s.in_c * s.in_h * s.in_w,
@@ -637,7 +513,7 @@ AlignedVector<i8> pack_b_colmajor(armsim::Ctx* ctx, const i8* b, i64 k, i64 n) {
   AlignedVector<i8> out(static_cast<size_t>(k * n));
   for (i64 j = 0; j < n; ++j)
     for (i64 kk = 0; kk < k; ++kk) out[j * k + kk] = b[kk * n + j];
-  tally_pack_a(ctx, k * n);  // strided gather, same cost class as A pack
+  tally_pack_gather(ctx, k * n);  // strided gather, same cost class as A pack
   if (ctx) {
     ensure_pack_regions(ctx, b, k * n, "pack B source", out.data(),
                         static_cast<i64>(out.size()), "B column-major copy");

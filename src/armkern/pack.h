@@ -99,24 +99,21 @@ AlignedVector<i8> pack_b_colmajor(armsim::Ctx* ctx, const i8* b, i64 k, i64 n);
 // ---- cache-blocked packing (blocking.h) ------------------------------
 //
 // The blocked GEMM packs ONE (Kc x Nc) block of B at a time into a small
-// reusable scratch buffer. Two sources: a row-major K x N matrix (the
-// gemm-level API), or — the fused path — the conv input tensor itself,
-// gathered through the im2col index mapping so the full K x N im2col
-// matrix is never materialized. `dst` must hold kc (rounded to 4 for the
-// SDOT layout) x round_up(nc, kNr) bytes; every byte is written.
-
-/// Pack the [k0, k0+kc) x [n0, n0+nc) block of row-major B (K x N) into
-/// B-panel layout ([local panel][kc][kNr]) at dst.
-BPanels pack_b_block_into(armsim::Ctx* ctx, const i8* b, i64 k, i64 n, i64 k0,
-                          i64 kc, i64 n0, i64 nc, i8* dst);
+// reusable scratch buffer, gathered straight from the conv input through
+// the im2col index mapping, so the full K x N im2col matrix is never
+// materialized. That gather is the blocked driver's one B source: a
+// row-major K x N matrix is the [1, K, 1, N] input of a 1x1, stride-1,
+// pad-0 conv, whose im2col is the matrix itself. `dst` must hold kc
+// (rounded to 4 for the SDOT layout) x round_up(nc, kNr) bytes; every byte
+// is written.
 
 /// Fused im2col packing (paper Sec. 3.2 + cache blocking): gather the
 /// im2col rows [k0, k0+kc) for output columns [n0, n0+nc) straight from
 /// the input activations (raw NCHW i8 buffer of s.batch * s.in_c * s.in_h
 /// * s.in_w elements — a Tensor's data() or a graph arena slot) into
-/// packed-B panel layout. Out-of-image taps and columns beyond nc are
-/// zero-filled, so the result is byte-identical to pack_b_block_into over
-/// a materialized im2col matrix.
+/// packed-B panel layout ([local panel][kc][kNr]). Out-of-image taps and
+/// columns beyond nc are zero-filled, so the result is byte-identical to
+/// the same block of pack_b_into over a materialized im2col matrix.
 BPanels pack_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
                                 const i8* input, i64 k0, i64 kc,
                                 i64 n0, i64 nc, i8* dst);
@@ -160,13 +157,10 @@ void for_each_gather_span(const ConvShape& s, i64 k0, i64 kc, i64 n0, i64 nc,
   }
 }
 
-/// Issue-cost tallies of the pack loops, exported so the tile search can
-/// price a candidate block partition without executing it. `stream` is the
-/// contiguous B pack (16-byte moves), `gather` the strided A-style pack
-/// (adds transpose/index scalar math), `im2col_gather` the fused conv
-/// gather (adds the per-element im2col index math on top of `gather`).
-void tally_pack_stream(armsim::Ctx* ctx, i64 elems);
-void tally_pack_gather(armsim::Ctx* ctx, i64 elems);
+/// Issue-cost tally of the fused conv gather of `elems` packed bytes (16-
+/// byte moves plus the strided gather's transpose math and the per-element
+/// im2col index math), exported so the tile search can price a candidate
+/// block partition without executing it.
 void tally_pack_im2col_gather(armsim::Ctx* ctx, i64 elems);
 
 /// SDOT packing (ARMv8.2 extension kernel): K grouped by 4 so that each
@@ -214,11 +208,8 @@ PackedSdotA pack_sdot_a(const i8* a, i64 m, i64 k,
 SdotBPanels pack_sdot_b_into(armsim::Ctx* ctx, const i8* b, i64 k, i64 n,
                              i8* dst);
 
-/// SDOT-layout blocked packs ([local panel][kc4/4][kNr][4], depth padded
-/// to 4) — see the cache-blocked packing section above for semantics.
-SdotBPanels pack_sdot_b_block_into(armsim::Ctx* ctx, const i8* b, i64 k,
-                                   i64 n, i64 k0, i64 kc, i64 n0, i64 nc,
-                                   i8* dst);
+/// SDOT-layout fused conv gather ([local panel][kc4/4][kNr][4], depth
+/// padded to 4) — see the cache-blocked packing section above.
 SdotBPanels pack_sdot_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
                                          const i8* input, i64 k0,
                                          i64 kc, i64 n0, i64 nc, i8* dst);
@@ -324,9 +315,6 @@ void tally_tbl_table_copy(armsim::Counters& counts, i64 tables);
 /// stride is groups_c * kNr * 16 = kNr * k_stride of the TBL BlockedLayout,
 /// so the blocked driver's panel arithmetic holds unchanged. kc must be a
 /// multiple of the mode's group unless k0 + kc == k.
-void pack_tbl_b_tables_block_into(armsim::Ctx* ctx, TblMode mode,
-                                  const i8* b, i64 k, i64 n, i64 k0, i64 kc,
-                                  i64 n0, i64 nc, i8* dst);
 void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, TblMode mode,
                                  const ConvShape& s, const i8* input, i64 k0,
                                  i64 kc, i64 n0, i64 nc, i8* dst);
@@ -337,9 +325,6 @@ void pack_tbl_b_tables_from_conv(armsim::Ctx* ctx, TblMode mode,
 /// kOutOfRange, naming the value, when an activation lies outside the
 /// mode's range (a signed value in a non-negative plan, or one past qmax):
 /// the block is then unusable, so the sum is never silently wrong.
-Status pack_tbl_b_idx_block_into(armsim::Ctx* ctx, TblMode mode, const i8* b,
-                                 i64 k, i64 n, i64 k0, i64 kc, i64 n0, i64 nc,
-                                 u8* dst);
 Status pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, TblMode mode,
                                 const ConvShape& s, const i8* input, i64 k0,
                                 i64 kc, i64 n0, i64 nc, u8* dst);

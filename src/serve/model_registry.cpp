@@ -17,6 +17,18 @@ bool fault_degraded(const core::GraphPlan& plan) {
   return false;
 }
 
+// Whether two specs compile to one PlanCache entry: the cache keys a plan
+// by geometry, bits, impl, algo, threads, backend and weights (the layer
+// name is not part of it).
+bool same_plan(const ModelSpec& a, const ModelSpec& b) {
+  const ConvShape &x = a.shape, &y = b.shape;
+  return x.batch == y.batch && x.in_c == y.in_c && x.in_h == y.in_h &&
+         x.in_w == y.in_w && x.out_c == y.out_c && x.kernel == y.kernel &&
+         x.stride == y.stride && x.pad == y.pad && a.bits == b.bits &&
+         a.impl == b.impl && a.algo == b.algo && a.threads == b.threads &&
+         a.backend == b.backend && a.weight == b.weight;
+}
+
 }  // namespace
 
 ModelRegistry::ModelRegistry(const RegistryOptions& opt) : opt_(opt) {
@@ -172,11 +184,12 @@ void ModelRegistry::enforce_budget_locked(const Entry* keep,
          opt_.plan_budget_bytes) {
     // Least-recently-used model — conv or graph — other than the keeps,
     // whose plan is still resident. Never-acquired entries (last_used == 0)
-    // evict first.
+    // evict first. A twin of the kept conv model shares its cache entry,
+    // so evicting the twin would evict the plan just acquired.
     Entry* victim = nullptr;
     GraphEntry* graph_victim = nullptr;
     for (auto& [vname, ventry] : models_) {
-      if (ventry.get() == keep) continue;
+      if (keep != nullptr && same_plan(ventry->spec, keep->spec)) continue;
       const ModelSpec& vs = ventry->spec;
       if (!cache_.resident(vs.shape, vs.weight, vs.bits, vs.impl, vs.algo,
                            vs.threads, vs.backend))

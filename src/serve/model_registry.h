@@ -22,7 +22,9 @@
 //  * Two models with byte-identical specs share one immutable cache entry
 //    (PlanCache keys include a weight hash); the budget charges the entry
 //    once, and evicting either model's plan evicts the shared entry — the
-//    other model simply recompiles into it on next use.
+//    other model simply recompiles into it on next use. The budget pass of
+//    an acquire never picks a twin of the acquiring model, since that
+//    would evict the plan just acquired.
 //
 // Thread-safety: all methods are safe to call concurrently; the registry
 // mutex is NOT held across plan compilation (a slow compile of one model

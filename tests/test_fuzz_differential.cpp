@@ -54,15 +54,31 @@ TEST_P(FuzzArmGemmConv, RandomShapesAllKernels) {
     armkern::ArmConvOptions opt;
     opt.bits = bits;
     opt.threads = rng.uniform(1, 3);
-    // Rotate through the comparable kernels.
-    switch (iter % 3) {
+    // Rotate through the comparable kernels (TBL degrades to MLA/SMLAL
+    // above 3 bit and without a blocking) and, coprime with that, through
+    // the blocking policies: the searched blocking, the unblocked sweep,
+    // and a random explicit one the plan clamps.
+    switch (iter % 4) {
       case 0: opt.kernel = armkern::ArmKernel::kOursGemm; break;
       case 1: opt.kernel = armkern::ArmKernel::kNcnn; break;
       case 2: opt.kernel = armkern::ArmKernel::kSdotExt; break;
+      case 3: opt.kernel = armkern::ArmKernel::kTblGemm; break;
+    }
+    switch (iter % 3) {
+      case 0: opt.blocking = armkern::BlockingPolicy::kAuto; break;
+      case 1: opt.blocking = armkern::BlockingPolicy::kOff; break;
+      case 2:
+        opt.blocking = armkern::BlockingPolicy::kExplicit;
+        opt.explicit_blocking = armkern::GemmBlocking{
+            rng.uniform(1, 64), rng.uniform(1, 96), rng.uniform(1, 96)};
+        break;
     }
     const armkern::ArmConvResult r = armkern::conv2d_s32(s, in, w, opt).value();
     ASSERT_EQ(count_mismatches(ref, r.out), 0)
-        << describe(s) << " bits=" << bits << " kernel=" << (iter % 3)
+        << describe(s) << " bits=" << bits << " kernel=" << (iter % 4)
+        << " blocking=" << (iter % 3) << " {" << opt.explicit_blocking.mc
+        << "," << opt.explicit_blocking.kc << ","
+        << opt.explicit_blocking.nc << "} threads=" << opt.threads
         << " extreme=" << extreme;
   }
 }

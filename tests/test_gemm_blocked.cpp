@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/workspace.h"
 #include "refconv/conv_ref.h"
-#include "refconv/gemm_ref.h"
 
 namespace lbc::armkern {
 namespace {
@@ -34,60 +33,6 @@ ConvShape shape(i64 ic, i64 hw, i64 oc, i64 k, i64 st, i64 pad,
   s.stride = st;
   s.pad = pad;
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// GEMM-level: blocked == unblocked, bit for bit
-// ---------------------------------------------------------------------------
-
-void expect_blocked_matches_unblocked(int bits, ArmKernel kernel) {
-  // Odd sizes exercise every edge: M % 16, N % 4, K % Kc all nonzero, and
-  // the blocking splits each dimension into several blocks with tails.
-  const i64 m = 37, n = 29, k = 53;
-  const Tensor<i8> a = random_qtensor(Shape4{1, 1, m, k}, bits,
-                                      300 + static_cast<u64>(bits));
-  const Tensor<i8> b = random_qtensor(Shape4{1, 1, k, n}, bits,
-                                      400 + static_cast<u64>(bits));
-  std::vector<i32> c_blocked(static_cast<size_t>(m * n), -1);
-  std::vector<i32> c_plain(static_cast<size_t>(m * n), -2);
-
-  GemmOptions opt;
-  opt.bits = bits;
-  opt.kernel = kernel;
-  gemm_s8s32(a.data(), b.data(), c_plain.data(), m, n, k, opt);
-
-  opt.blocking = clamp_blocking(GemmBlocking{32, 20, 8}, m, n, k,
-                                kernel == ArmKernel::kSdotExt);
-  gemm_s8s32(a.data(), b.data(), c_blocked.data(), m, n, k, opt);
-  ASSERT_EQ(c_blocked, c_plain)
-      << "bits=" << bits << " kernel=" << static_cast<int>(kernel);
-
-  std::vector<i32> ref(static_cast<size_t>(m * n), -3);
-  ref::gemm_s8s32(a.data(), b.data(), ref.data(), m, n, k);
-  ASSERT_EQ(c_blocked, ref);
-}
-
-TEST(GemmBlocked, MatchesUnblockedAllBitsAllSchemes) {
-  for (int bits = 2; bits <= 8; ++bits) {
-    expect_blocked_matches_unblocked(bits, ArmKernel::kOursGemm);
-    expect_blocked_matches_unblocked(bits, ArmKernel::kNcnn);
-    if (sdot_eligible_for(bits))
-      expect_blocked_matches_unblocked(bits, ArmKernel::kSdotExt);
-  }
-}
-
-TEST(GemmBlocked, SingleBlockDegeneratesToOneSweep) {
-  // Blocking that covers the whole problem in one block must also match.
-  const i64 m = 16, n = 8, k = 24;
-  const Tensor<i8> a = random_qtensor(Shape4{1, 1, m, k}, 6, 31);
-  const Tensor<i8> b = random_qtensor(Shape4{1, 1, k, n}, 6, 32);
-  std::vector<i32> c1(static_cast<size_t>(m * n)), c2(c1.size());
-  GemmOptions opt;
-  opt.bits = 6;
-  gemm_s8s32(a.data(), b.data(), c1.data(), m, n, k, opt);
-  opt.blocking = GemmBlocking{1024, 1024, 1024};  // clamped to one block
-  gemm_s8s32(a.data(), b.data(), c2.data(), m, n, k, opt);
-  EXPECT_EQ(c1, c2);
 }
 
 // ---------------------------------------------------------------------------
@@ -118,8 +63,40 @@ void expect_fused_conv_exact(const ConvShape& s, int bits, ArmKernel kernel,
     ASSERT_EQ(rf.out.data()[i], rm.out.data()[i])
         << "elem " << i << " bits=" << bits
         << " kernel=" << static_cast<int>(kernel);
+  EXPECT_TRUE(rf.out == ref::conv2d_s32(s, in, w))
+      << "bits=" << bits << " kernel=" << static_cast<int>(kernel);
   // Padding accounting is partition-invariant.
   EXPECT_EQ(rf.space.pack_extra_elems, rm.space.pack_extra_elems);
+}
+
+// A 37x53 . 53x29 GEMM as its 1x1 view: 53 channels of a 1x29 image, 37
+// output channels. The blocked driver's gather of that input is the
+// row-major B itself. Odd sizes exercise every edge: M % 16, N % 4 and
+// K % Kc all nonzero. The materialized side runs the unblocked sweep, so
+// this checks blocked == unblocked at every bit width and scheme.
+void expect_blocked_matches_unblocked(const GemmBlocking& blocking) {
+  ConvShape gemm_view = shape(53, 1, 37, 1, 1, 0);
+  gemm_view.in_w = 29;
+  for (int bits = 2; bits <= 8; ++bits) {
+    const u64 seed = 300 + static_cast<u64>(bits);
+    expect_fused_conv_exact(gemm_view, bits, ArmKernel::kOursGemm, blocking,
+                            seed);
+    expect_fused_conv_exact(gemm_view, bits, ArmKernel::kNcnn, blocking,
+                            seed);
+    if (sdot_eligible_for(bits))
+      expect_fused_conv_exact(gemm_view, bits, ArmKernel::kSdotExt, blocking,
+                              seed);
+  }
+}
+
+TEST(GemmBlocked, MatchesUnblockedAllBitsAllSchemes) {
+  // Splits each GEMM dimension into several blocks with tails.
+  expect_blocked_matches_unblocked(GemmBlocking{32, 20, 8});
+}
+
+TEST(GemmBlocked, SingleBlockDegeneratesToOneSweep) {
+  // Clamped by the plan to one block covering the whole GEMM.
+  expect_blocked_matches_unblocked(GemmBlocking{1024, 1024, 1024});
 }
 
 TEST(GemmBlocked, FusedConvMatchesMaterializedAllSchemes) {

@@ -3,7 +3,9 @@
 // native x86 GEMM/conv kernels, and the cross-backend bit-exactness sweep
 // the native backend ships under — native AVX2, native forced-scalar, the
 // emulated ARM path, and the reference conv must all agree byte-for-byte
-// on the verify_all_kernels shape grid across bits 2-8.
+// on the verify_all_kernels shape grid across bits 2-8. Under
+// LBC_HAL_DISABLE=native the native tests check the degrade to the
+// emulated plan instead.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -67,6 +69,27 @@ std::vector<ConvShape> sweep_shapes() {
     shapes.push_back(s);
   }
   return shapes;
+}
+
+// Under LBC_HAL_DISABLE=native no native plan compiles:
+// hal::plan_native_conv reports kUnavailable, and core::plan_native_conv
+// answers with the emulated plan — not fault-marked, and bit-exact with the
+// reference conv on `in` (whose batch may differ from the shape's).
+void expect_native_disabled_degrade(const ConvShape& s, const Tensor<i8>& in,
+                                    const Tensor<i8>& w, int bits) {
+  EXPECT_EQ(plan_native_conv(s, w, bits).status().code(),
+            StatusCode::kUnavailable);
+  const StatusOr<core::ConvPlan> plan = core::plan_native_conv(s, w, bits);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->backend(), core::Backend::kArmCortexA53);
+  EXPECT_EQ(plan->planned_fallback().requested, "native");
+  EXPECT_FALSE(plan->impl_plan().fault_degraded);
+  Workspace ws;
+  const StatusOr<core::ArmLayerResult> r =
+      core::execute_arm_conv(*plan, in, ws);
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  EXPECT_TRUE(r->out == ref::conv2d_s32(s.with_batch(in.shape().n), in, w))
+      << s.name << " bits=" << bits;
 }
 
 TEST(CpuFeatures, ProbeAndOverride) {
@@ -271,6 +294,10 @@ TEST(CrossBackend, NativeMatchesEmulatedAndReferenceAcrossBits) {
                 0)
           << "emulated " << s.name << " bits=" << bits;
 
+      if (native_backend_name() == nullptr) {
+        expect_native_disabled_degrade(s, in, w, bits);
+        continue;
+      }
       const StatusOr<NativeConvPlan> plan = plan_native_conv(s, w, bits);
       ASSERT_TRUE(plan.ok()) << plan.status().to_string();
       Workspace ws;
@@ -304,12 +331,16 @@ TEST(NativeConv, BatchedExecuteMatchesPerImage) {
   const int bits = 4;
   const Tensor<i8> w = random_qtensor(
       Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 600);
-  const StatusOr<NativeConvPlan> plan = plan_native_conv(s, w, bits);
-  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
-
   const i64 batch = 3;
   const Tensor<i8> in = random_qtensor(
       Shape4{batch, s.in_c, s.in_h, s.in_w}, bits, 601);
+  if (native_backend_name() == nullptr) {
+    expect_native_disabled_degrade(s, in, w, bits);
+    return;
+  }
+  const StatusOr<NativeConvPlan> plan = plan_native_conv(s, w, bits);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+
   Workspace ws;
   const StatusOr<NativeConvResult> got = execute_native_conv(*plan, in, ws);
   ASSERT_TRUE(got.ok()) << got.status().to_string();
@@ -354,6 +385,10 @@ TEST(NativeConv, CorePlanCarriesMeasuredNanoseconds) {
       Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, 800);
   const Tensor<i8> w = random_qtensor(
       Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 801);
+  if (native_backend_name() == nullptr) {
+    expect_native_disabled_degrade(s, in, w, bits);
+    return;
+  }
 
   const StatusOr<core::ConvPlan> plan = core::plan_native_conv(s, w, bits);
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
@@ -383,6 +418,17 @@ TEST(NativeConv, CorePlanResolvesBlockingThroughTuningCache) {
   const StatusOr<core::ConvPlan> p1 =
       core::plan_native_conv(s, w, bits, /*threads=*/1, &cache);
   ASSERT_TRUE(p1.ok()) << p1.status().to_string();
+  if (native_backend_name() == nullptr) {
+    // The emulated plan resolves no native blocking: no x86 row is read or
+    // written.
+    EXPECT_EQ(p1->backend(), core::Backend::kArmCortexA53);
+    EXPECT_EQ(cache.x86_size(), 0u);
+    EXPECT_EQ(cache.misses(), 0);
+    const Tensor<i8> in = random_qtensor(
+        Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, 901);
+    expect_native_disabled_degrade(s, in, w, bits);
+    return;
+  }
   EXPECT_EQ(cache.x86_size(), 1u);
   EXPECT_EQ(cache.misses(), 1);
   const StatusOr<core::ConvPlan> p2 =
@@ -414,6 +460,10 @@ TEST(NativeConv, CompileFaultDegradesToEmulatedPlan) {
     ASSERT_TRUE(r.ok()) << r.status().to_string();
     EXPECT_EQ(count_mismatches(ref::conv2d_s32(s, in, w), r->out), 0);
     EXPECT_TRUE(r->fallback.fell_back);
+  }
+  if (native_backend_name() == nullptr) {
+    expect_native_disabled_degrade(s, in, w, 8);
+    return;
   }
   const StatusOr<core::ConvPlan> native = core::plan_native_conv(s, w, 8);
   ASSERT_TRUE(native.ok());

@@ -217,6 +217,51 @@ TEST(ModelRegistry, IdenticalSpecsShareOneEntryAndItsBytes) {
       << "the budget charges a shared entry once";
 }
 
+// Twins share one cache entry, so a budget pass that picked the acquiring
+// model's twin as its victim would evict the plan just acquired: with room
+// for one plan, 'b' (a twin of 'a') is the least recently used model when
+// 'a' is acquired, and the unrelated 'c' must go instead. Every request of
+// a served model looks its plan up, so an acquire that dropped its own plan
+// would recompile on every batch.
+TEST(ModelRegistry, AcquireNeverEvictsItsOwnSharedPlan) {
+  i64 plan_bytes = 0;
+  {
+    ModelRegistry probe;
+    ASSERT_TRUE(probe.register_model("p", make_spec(40)).ok());
+    ASSERT_TRUE(probe.acquire_plan("p").ok());
+    plan_bytes = probe.stats().resident_plan_bytes;
+    ASSERT_GT(plan_bytes, 0);
+  }
+  RegistryOptions opt;
+  opt.plan_budget_bytes = 2 * plan_bytes - 1;  // room for one plan
+  ModelRegistry reg(opt);
+  ModelSpec a = make_spec(41);
+  ModelSpec b = a;  // byte-identical: one shared cache entry
+  ASSERT_TRUE(reg.register_model("a", std::move(a)).ok());
+  ASSERT_TRUE(reg.register_model("b", std::move(b)).ok());
+  ASSERT_TRUE(reg.register_model("c", make_spec(42)).ok());
+
+  ASSERT_TRUE(reg.acquire_plan("b").ok());
+  ASSERT_TRUE(reg.acquire_plan("c").ok());
+  EXPECT_FALSE(reg.plan_resident("b"));
+  EXPECT_TRUE(reg.plan_resident("c"));
+
+  ASSERT_TRUE(reg.acquire_plan("a").ok());
+  EXPECT_TRUE(reg.plan_resident("a"));
+  EXPECT_TRUE(reg.plan_resident("b")) << "the twin reads the same entry";
+  EXPECT_FALSE(reg.plan_resident("c"));
+  const i64 misses = reg.plan_cache().misses();
+  const i64 hits = reg.plan_cache().hits();
+  ASSERT_TRUE(reg.acquire_plan("a").ok());
+  EXPECT_EQ(reg.plan_cache().misses(), misses);
+  EXPECT_EQ(reg.plan_cache().hits(), hits + 1) << "the second acquire hits";
+  EXPECT_TRUE(reg.plan_resident("a"));
+
+  // Unregistering a twin still drops the shared entry.
+  ASSERT_TRUE(reg.unregister_model("b").ok());
+  EXPECT_FALSE(reg.plan_resident("a"));
+}
+
 // A compile fault answers the acquire with the reference-rung plan but
 // keeps nothing; the first acquire after the fault clears compiles and
 // keeps the GEMM plan.

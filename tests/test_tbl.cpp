@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "armkern/conv_arm.h"
-#include "armkern/gemm_blocked.h"
 #include "armkern/gemm_lowbit.h"
 #include "armkern/micro.h"
 #include "armkern/pack.h"
@@ -64,16 +63,23 @@ Tensor<i8> ternary_tensor(Shape4 shape, u64 seed) {
 // GEMM-level bit-exactness, both orientations forced explicitly
 // ---------------------------------------------------------------------------
 
+// The blocked driver on the GEMM's 1x1 view: the row-major k x n B is the
+// [1, k, 1, n] input of a 1x1, stride-1, pad-0 conv with m output
+// channels, whose im2col is B itself.
 void expect_tbl_exact(const Tensor<i8>& a, const Tensor<i8>& b, i64 m, i64 n,
                       i64 k, int bits, TblOrientation orient,
                       const GemmBlocking& blocking) {
+  ConvShape view = conv_shape(k, 1, m, 1, 1, 0);
+  view.in_w = n;
   const PackedTblA ta = pack_tbl_a(a.data(), m, k, bits, orient);
   GemmOptions opt;
   opt.bits = bits;
   opt.kernel = ArmKernel::kTblGemm;
   opt.blocking = clamp_blocking(blocking, m, n, k, /*sdot=*/false, ta.group());
   std::vector<i32> c(static_cast<size_t>(m * n), -1);
-  gemm_blocked_tbl_prepacked(ta.view(), b.data(), c.data(), m, n, k, opt);
+  const GemmStats st =
+      gemm_s8s32_conv_blocked(ta.view(), view, b.data(), c.data(), opt);
+  ASSERT_TRUE(st.status.ok()) << st.status.to_string();
 
   std::vector<i32> ref(static_cast<size_t>(m * n), -2);
   ref::gemm_s8s32(a.data(), b.data(), ref.data(), m, n, k);
@@ -112,23 +118,6 @@ TEST(TblGemm, BitExactOnExtremeOperands) {
                      GemmBlocking{16, 16, 16});
     expect_tbl_exact(a, b, m, n, k, bits, TblOrientation::kWeightTables,
                      GemmBlocking{16, 16, 16});
-  }
-}
-
-TEST(TblGemm, DispatchEntryMatchesReference) {
-  // The public gemm_s8s32 entry picks orientation and packing itself.
-  const i64 m = 24, n = 19, k = 31;
-  for (int bits = 2; bits <= 3; ++bits) {
-    const Tensor<i8> a = random_qtensor(Shape4{1, 1, m, k}, bits, 91);
-    const Tensor<i8> b = random_qtensor(Shape4{1, 1, k, n}, bits, 92);
-    GemmOptions opt;
-    opt.bits = bits;
-    opt.kernel = ArmKernel::kTblGemm;
-    std::vector<i32> c(static_cast<size_t>(m * n), -1);
-    gemm_s8s32(a.data(), b.data(), c.data(), m, n, k, opt);
-    std::vector<i32> ref(static_cast<size_t>(m * n), -2);
-    ref::gemm_s8s32(a.data(), b.data(), ref.data(), m, n, k);
-    ASSERT_EQ(c, ref) << "bits=" << bits;
   }
 }
 

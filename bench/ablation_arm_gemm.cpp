@@ -60,7 +60,7 @@ void ablate_flush_interval() {
   const i64 kc = 512;
   std::vector<i8> ap(static_cast<size_t>(kc * kMr), 1),
       bp(static_cast<size_t>(kc * kNr), 1);
-  i32 tile[kMr * kNr];
+  alignas(64) i32 tile[kMr * kNr];
   const armsim::CostModel cm = armsim::CostModel::cortex_a53();
   for (int flush : {1, 2, 8, 16, 24, 32}) {
     armsim::Ctx ctx;
@@ -79,7 +79,7 @@ void ablate_interleaving() {
   const i64 kc = 512;
   std::vector<i8> ap(static_cast<size_t>(kc * kMr), 1),
       bp(static_cast<size_t>(kc * kNr), 1);
-  i32 tile[kMr * kNr];
+  alignas(64) i32 tile[kMr * kNr];
   armsim::Ctx ctx;
   micro_smlal_16x4(ctx, ap.data(), bp.data(), kc, 32, tile);
   const armsim::CostModel cm = armsim::CostModel::cortex_a53();
@@ -96,7 +96,7 @@ void ablate_unrolling() {
   const i64 kc = 480;  // multiple of every interval
   std::vector<i8> ap(static_cast<size_t>(kc * kMr), 1),
       bp(static_cast<size_t>(kc * kNr), 1);
-  i32 tile[kMr * kNr];
+  alignas(64) i32 tile[kMr * kNr];
   const armsim::CostModel cm = armsim::CostModel::cortex_a53();
   for (int bits = 2; bits <= 8; ++bits) {
     armsim::Ctx ctx;

@@ -110,15 +110,25 @@ struct BlockedLayout {
   TblMode tbl_mode;
   TblOrientation tbl_orient = TblOrientation::kActTables;
   TblSource tbl_source = TblSource::kStored;
+  /// How the built source reaches a row quad's tables, whichever the walk's
+  /// issue counts price lower at this blocking (tbl_blocked_layout): false
+  /// copies them for the current K block from the dictionary into a panel
+  /// that opens the worker's block buffer, once per column pass, and every
+  /// micro call of the pass loads them from there (one LD1x4 per group
+  /// step); true has each micro call read them straight from the
+  /// dictionary (one id word and four LD1 per group step), with no copy
+  /// and no panel. The copy pays only when enough calls reuse it.
+  bool tbl_direct = false;
 
   bool tbl() const { return tbl_group > 0; }
   bool tbl_weight_tables() const {
     return tbl() && tbl_orient == TblOrientation::kWeightTables;
   }
-  /// Weight tables from the built source: each worker copies a row quad's
-  /// tables for the current K block into a panel that opens its block
-  /// buffer.
+  /// Weight tables from the built source: ids into the mode's dictionary.
   bool tbl_built() const { return tbl() && tbl_source == TblSource::kBuilt; }
+  /// The built source's per-pass copy into the panel (the walk's
+  /// copy_tables events).
+  bool tbl_copies() const { return tbl_built() && !tbl_direct; }
   i64 m_panels() const { return m_pad / kMr; }
   /// One micro tile's rows and columns: the column-major 16 x 4 tile, or
   /// under weight tables the row-major 4 x 16 one (a slot is a C row, a
@@ -142,10 +152,11 @@ struct BlockedLayout {
   }
   /// Bytes of the built source's table panel, which opens a worker's block
   /// buffer (the packed block follows it): one row quad's tables for the
-  /// largest K block, 4 tables of 16 entries per group step. 0 otherwise.
+  /// largest K block, 4 tables of 16 entries per group step. 0 without a
+  /// copy.
   i64 tbl_panel_bytes() const {
-    return tbl_built() ? ceil_div(blk.kc, static_cast<i64>(tbl_group)) * 64
-                       : 0;
+    return tbl_copies() ? ceil_div(blk.kc, static_cast<i64>(tbl_group)) * 64
+                        : 0;
   }
   /// Scratch elements (= bytes, i8) of one thread's B-block buffer, sized
   /// for the largest block, after the built source's table panel.
@@ -188,10 +199,18 @@ inline BlockedLayout blocked_layout(i64 m, i64 n, i64 k,
   return l;
 }
 
+/// Whether the built source's direct reads price lower than its per-pass
+/// copy on `lay` (whose tbl_direct is ignored): the walk's issue counts in
+/// each mode under the A53 cost model, without an epilogue, which both
+/// modes pay alike. A tie keeps the copy. Defined beside the walk's tally
+/// in tile_search.cpp; memoized per geometry, blocking and mode.
+bool tbl_direct_reads_pay(const BlockedLayout& lay);
+
 /// The TBL layout of a plan running `mode` in orientation `orient` with
 /// its tables from `source` (weight tables only; act tables are always
 /// kStored): the blocking clamps to the mode's group, so no index group
-/// straddles a depth-block boundary.
+/// straddles a depth-block boundary, and the built source reads its tables
+/// the way tbl_direct_reads_pay prices lower.
 inline BlockedLayout tbl_blocked_layout(i64 m, i64 n, i64 k,
                                         const GemmBlocking& blocking,
                                         TblMode mode, TblOrientation orient,
@@ -204,6 +223,7 @@ inline BlockedLayout tbl_blocked_layout(i64 m, i64 n, i64 k,
   l.tbl_mode = mode;
   l.tbl_orient = orient;
   l.tbl_source = tbl_packed_source(orient, source);
+  if (l.tbl_built()) l.tbl_direct = tbl_direct_reads_pay(l);
   return l;
 }
 
@@ -246,7 +266,7 @@ struct TileStep {
 
 /// The blocked schedule over column blocks [jc0, jc1), in execution order:
 /// per (jc, kcb) it packs the block, then sweeps the Mc row blocks; per row
-/// panel it copies the panel's tables (the built TBL source only), then
+/// panel it copies the panel's tables (the built TBL source's copy only), then
 /// per column panel makes one micro call and writes back its tiles. TBL
 /// pairs panels by tbl_call_panels. The visitor provides
 ///   Status pack(const BlockStep&);
@@ -276,7 +296,7 @@ Status walk_blocked(const BlockedLayout& lay, i64 jc0, i64 jc1, Visitor& v) {
         i64 row_pair = 1;
         for (i64 p = icb * panels_per_mc; p < p1; p += row_pair) {
           row_pair = pair_rows ? tbl_call_panels(p, p1) : 1;
-          if (lay.tbl_built()) v.copy_tables(b, p);
+          if (lay.tbl_copies()) v.copy_tables(b, p);
           i64 col_pair = 1;
           for (i64 q = 0; q < col_panels; q += col_pair) {
             col_pair = pair_cols ? tbl_call_panels(q, col_panels) : 1;

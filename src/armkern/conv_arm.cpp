@@ -596,14 +596,17 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
               ? gemm_s8s32(weight.data(), bmat, cptr, m, n, k, gopt)
               : gemm_s8s32_prepacked(packed_weights(plan), bmat, cptr, m, n,
                                      k, gopt);
-      res.counts.merge(gs.counts);
       res.space.pack_extra_elems = gs.pack_extra_elems;
       interleaved = gs.interleaved;
       // Multicore timing: the panel loop is split across workers; total
-      // time follows the slowest one. The packing pre-pass stays serial.
-      for (const auto& tc : gs.thread_counts)
+      // time follows the slowest one. The packing pre-pass stays serial:
+      // gs.counts is the workers' counts plus that pre-pass, which joins
+      // the serial counts, so only the workers' go to res.counts here.
+      for (const auto& tc : gs.thread_counts) {
+        res.counts.merge(tc);
         parallel_cycles =
             std::max(parallel_cycles, cm.cycles_for(tc, interleaved));
+      }
       serial_ctx.counts.merge(gs.serial_counts);
       threaded = gs.thread_counts.size() > 1;
     }

@@ -18,9 +18,12 @@
 // load serves two index vectors: adjacent row panels inside an Mc block
 // under kActTables, adjacent 16-column index panels inside a band under
 // kWeightTables. An odd last panel keeps the 16 x 4 tile. The built TBL
-// source copies a row quad's tables for the current K block from the
+// source either copies a row quad's tables for the current K block from the
 // dictionary into the worker's panel that opens its block buffer before
-// sweeping the quad's column panels; the stored source reads them in place.
+// sweeping the quad's column panels, or, where the layout prices that
+// lower (BlockedLayout::tbl_direct), has each micro call read them straight
+// from the dictionary by the quad's ids; the stored source reads them in
+// place.
 //
 // The micro kernels are unchanged: they zero their accumulators and
 // overwrite the scratch tile, so the driver scatter assigns on the first K
@@ -39,7 +42,9 @@
 // the verifier before each pack (same-start registration replaces), so
 // bounds always describe the live block extent; the built TBL source's
 // table panel likewise before each copy, as a scratch region whose every
-// read must follow a write of this copy.
+// read must follow a write of this copy. The built source's ids and the
+// dictionary, which the copy and the direct reads both read, are
+// registered once, with their bounds.
 #include <limits>
 #include <vector>
 
@@ -76,10 +81,11 @@ void run_micro(Ctx& ctx, const MicroKernel& mk, i64 kc,
     case ArmKernel::kTblGemm: {
       const i64 groups = ceil_div(kc, static_cast<i64>(tbl_group(mk.tbl_mode)));
       const int flush = tbl_flush_interval(mk.tbl_mode);
+      const TblTables tables{op.b, op.ids, op.dict};
       if (op.idx1 != nullptr)
-        micro_tbl_32x4(ctx, op.idx0, op.idx1, op.b, groups, flush, tile);
+        micro_tbl_32x4(ctx, op.idx0, op.idx1, tables, groups, flush, tile);
       else
-        micro_tbl_16x4(ctx, op.idx0, op.b, groups, flush, tile);
+        micro_tbl_16x4(ctx, op.idx0, tables, groups, flush, tile);
       break;
     }
     case ArmKernel::kTraditional:
@@ -174,11 +180,17 @@ struct Execute {
       op.b = b_panel;
     } else {
       // kWeightTables: activation indices from the block, the row quad's
-      // tables from the panel (built) or the offline pack (stored).
+      // tables from the offline pack (stored), the panel (built, copied) or
+      // the dictionary its ids name (built, direct).
       const u8* idx = reinterpret_cast<const u8*>(b_panel);
       op.idx0 = idx;
       if (call.pair == 2) op.idx1 = idx + b.kstride * 16;
-      op.b = lay.tbl_built() ? panel : ta->table_panel(call.p) + b.g0 * 64;
+      if (lay.tbl_direct) {
+        op.ids = ta->ids_panel(call.p) + b.g0 * 4;
+        op.dict = tbl_dictionary(lay.tbl_mode);
+      } else {
+        op.b = lay.tbl_built() ? panel : ta->table_panel(call.p) + b.g0 * 64;
+      }
     }
     run_micro(ctx, mk, b.kc, op, tile);
   }

@@ -45,12 +45,15 @@ struct MicroKernel {
 /// Operands of one micro call. MLA / SMLAL / ncnn / SDOT read the packed-A
 /// K slice `a` against the packed-B panel `b`; TBL reads index panel `idx0`
 /// — and `idx1` too, as the paired 32x4 tile, when set — against the table
-/// panel `b`.
+/// panel `b`, or, when `ids` is set, against the tables those dictionary
+/// ids name in `dict` (the built source's direct reads, TblTables).
 struct MicroOperands {
   const i8* a = nullptr;
   const i8* b = nullptr;
   const u8* idx0 = nullptr;
   const u8* idx1 = nullptr;
+  const u8* ids = nullptr;
+  const i8* dict = nullptr;
 };
 
 /// One micro call over depth `kc` into `tile` (two 16x4 tiles for a paired

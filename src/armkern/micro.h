@@ -16,7 +16,8 @@
 //   DESIGN.md Sec. 16). The 32x4 tile runs two 16-lane index vectors
 //   against one LD1x4 of four tables (8 TBL+ADD per 3 loads instead of
 //   4 per 2); the blocked driver pairs panels into it and keeps the 16x4
-//   tile for an odd last panel.
+//   tile for an odd last panel. Either tile also reads built weight
+//   tables straight from the dictionary (TblTables::ids).
 #pragma once
 
 #include <algorithm>
@@ -40,11 +41,29 @@ void micro_ncnn_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
 void micro_sdot_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
                      i64 k_pad, i32* c);
 
+/// Where a TBL micro call finds the four 16-entry product tables of each
+/// group step: a panel of [groups][4][16] i8 (one LD1x4 per step) — the
+/// act-tables block, the stored weight tables, or the built source's
+/// copy — or, for the built source's direct reads, `ids` ([groups][4] u8,
+/// one row quad's dictionary ids per step) into `dict`: per step one id
+/// word (a scalar load and the extracts that address four tables,
+/// kTblDirectScalarOps) and four LD1 of dict + id * 16.
+struct TblTables {
+  const i8* panel = nullptr;
+  const u8* ids = nullptr;
+  const i8* dict = nullptr;
+};
+
+/// Scalar ops of one direct-read group step: the 32-bit id word load and
+/// one extract per id, which the LD1 then scales into its dictionary
+/// address.
+constexpr int kTblDirectScalarOps = 5;
+
 /// TBL lookup-table scheme (2-3 bit, DESIGN.md Sec. 16). Orientation-
 /// agnostic 4-slot x 16-lane tile:
-///   idx_panel:   [groups][16]    u8 — one index vector per group step
-///   table_panel: [groups][4][16] i8 — four 16-entry product tables per step
-///   c:           c[slot*16 + lane], int32.
+///   idx_panel: [groups][16] u8 — one index vector per group step
+///   tables:    four 16-entry product tables per step (TblTables)
+///   c:         c[slot*16 + lane], int32.
 /// With activation-side tables (large-M orientation) a lane is a C row and
 /// a slot a C column (the standard column-major 16x4 tile); with weight-
 /// side tables a slot is a C row and a lane a C column (a 4x16 tile).
@@ -52,7 +71,7 @@ void micro_sdot_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
 /// sshll/saddw flushes into the i32 tile — pass
 /// tbl_flush_interval(mode) so the byte lanes cannot wrap.
 void micro_tbl_16x4(armsim::Ctx& ctx, const u8* idx_panel,
-                    const i8* table_panel, i64 groups, int flush, i32* c);
+                    const TblTables& tables, i64 groups, int flush, i32* c);
 
 /// Register-blocked TBL tile: two index panels (idx_panel0, idx_panel1,
 /// each [groups][16] u8) share every table load, so one LD1x4 serves 8
@@ -63,7 +82,7 @@ void micro_tbl_16x4(armsim::Ctx& ctx, const u8* idx_panel,
 /// widens i16 into the i32 tile at the end of the call and after every
 /// kTblSecondLevelRounds byte-lane flushes.
 void micro_tbl_32x4(armsim::Ctx& ctx, const u8* idx_panel0,
-                    const u8* idx_panel1, const i8* table_panel, i64 groups,
+                    const u8* idx_panel1, const TblTables& tables, i64 groups,
                     int flush, i32* c);
 
 }  // namespace lbc::armkern

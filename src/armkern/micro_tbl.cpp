@@ -4,19 +4,41 @@ namespace lbc::armkern {
 
 using namespace armsim;
 
-void micro_tbl_16x4(Ctx& ctx, const u8* idx_panel, const i8* table_panel,
+namespace {
+
+// Group step g's four product tables: one LD1x4 of the panel, or the direct
+// reads' id word and one LD1 per table from the dictionary.
+void load_tables(Ctx& ctx, const TblTables& t, i64 g, int8x16 tables[4]) {
+  if (t.ids == nullptr) {
+    ld1x4_s8(ctx, t.panel + g * 64, tables);
+    return;
+  }
+  const u8* ids = t.ids + g * 4;
+  ctx.mem(ids, 4);
+  ctx.tally(Op::kScalar, kTblDirectScalarOps);
+  for (int slot = 0; slot < 4; ++slot)
+    ld1_s8(ctx, t.dict + ids[slot] * 16, tables[slot]);
+}
+
+}  // namespace
+
+void micro_tbl_16x4(Ctx& ctx, const u8* idx_panel, const TblTables& tables_in,
                     i64 groups, int flush, i32* c) {
   // Two-level accumulation (the MLA scheme's trick, Sec. 3.4): each group
   // step is one TBL shuffle plus one ADD.16B into a byte accumulator;
   // `flush` = tbl_flush_interval(mode) group steps fit the i8 lane
   // (|entry| <= tbl_entry_bound), then sshll/saddw widen into the 32-bit
   // tile. Checked-execution contract: the declared acc8 flush interval and
-  // the 4 TBL : 2 load CAL/LD ratio. No spill slots: 1 idx + 4 tables +
-  // 1 product + 4 i8 acc + 1 i16 temp + 16 i32 accumulators = 27 of 32.
-  const VerifyScope vs(ctx, KernelSpec{.name = "micro_tbl_16x4",
-                                       .acc8_flush = flush,
-                                       .cal_ld_min = 1.5,
-                                       .cal_ld_max = 2.5});
+  // the 4 TBL : 2 load CAL/LD ratio (4 : 5 reading the dictionary
+  // directly). No spill slots: 1 idx + 4 tables + 1 product + 4 i8 acc +
+  // 1 i16 temp + 16 i32 accumulators = 27 of 32.
+  const bool direct = tables_in.ids != nullptr;
+  const VerifyScope vs(
+      ctx, KernelSpec{.name = direct ? "micro_tbl_16x4_direct"
+                                     : "micro_tbl_16x4",
+                      .acc8_flush = flush,
+                      .cal_ld_min = direct ? 0.6 : 1.5,
+                      .cal_ld_max = direct ? 1.0 : 2.5});
   int8x16 acc8[4];
   int32x4 acc32[4][4];
   for (int s = 0; s < 4; ++s) {
@@ -44,7 +66,7 @@ void micro_tbl_16x4(Ctx& ctx, const u8* idx_panel, const i8* table_panel,
       uint8x16 idx;
       ld1_u8(ctx, idx_panel + (g + s) * 16, idx);
       int8x16 tables[4];
-      ld1x4_s8(ctx, table_panel + (g + s) * 64, tables);
+      load_tables(ctx, tables_in, g + s, tables);
       for (int slot = 0; slot < 4; ++slot) {
         int8x16 prod;
         tbl_s8(ctx, prod, tables[slot], idx);
@@ -61,20 +83,25 @@ void micro_tbl_16x4(Ctx& ctx, const u8* idx_panel, const i8* table_panel,
 }
 
 void micro_tbl_32x4(Ctx& ctx, const u8* idx_panel0, const u8* idx_panel1,
-                    const i8* table_panel, i64 groups, int flush, i32* c) {
+                    const TblTables& tables_in, i64 groups, int flush,
+                    i32* c) {
   // Three-level accumulation: one TBL + ADD.16B per (slot, index vector)
   // and group step into byte lanes; every `flush` steps SADDW/SADDW2 widen
   // the bytes into i16 accumulators; every kTblSecondLevelRounds of those
   // (and at the end of the call) SADDW.4S widens the i16 sums into the i32
   // tile. Checked-execution contract: both flush cadences and the 8 TBL :
-  // 3 load CAL/LD ratio (2.67). Every register is declared once here, so
-  // the verifier counts exactly the plan: 2 idx + 4 tables + 1 product +
-  // 8 i8 + 16 i16 + 1 i32 = 32, no spills.
-  const VerifyScope vs(ctx, KernelSpec{.name = "micro_tbl_32x4",
-                                       .acc16_flush = kTblSecondLevelRounds,
-                                       .acc8_flush = flush,
-                                       .cal_ld_min = 2.2,
-                                       .cal_ld_max = 3.1});
+  // 3 load CAL/LD ratio (2.67; 8 : 6 = 1.33 reading the dictionary
+  // directly). Every register is declared once here, so the verifier
+  // counts exactly the plan: 2 idx + 4 tables + 1 product + 8 i8 + 16 i16
+  // + 1 i32 = 32, no spills.
+  const bool direct = tables_in.ids != nullptr;
+  const VerifyScope vs(
+      ctx, KernelSpec{.name = direct ? "micro_tbl_32x4_direct"
+                                     : "micro_tbl_32x4",
+                      .acc16_flush = kTblSecondLevelRounds,
+                      .acc8_flush = flush,
+                      .cal_ld_min = direct ? 1.1 : 2.2,
+                      .cal_ld_max = direct ? 1.6 : 3.1});
   const u8* idx_panel[2] = {idx_panel0, idx_panel1};
   uint8x16 idx[2];
   int8x16 tables[4];
@@ -130,7 +157,7 @@ void micro_tbl_32x4(Ctx& ctx, const u8* idx_panel0, const u8* idx_panel1,
     for (i64 s = 0; s < steps; ++s) {
       for (int h = 0; h < 2; ++h)
         ld1_u8(ctx, idx_panel[h] + (g + s) * 16, idx[h]);
-      ld1x4_s8(ctx, table_panel + (g + s) * 64, tables);
+      load_tables(ctx, tables_in, g + s, tables);
       for (int slot = 0; slot < 4; ++slot)
         for (int h = 0; h < 2; ++h) {
           tbl_s8(ctx, prod, tables[slot], idx[h]);

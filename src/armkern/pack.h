@@ -221,8 +221,9 @@ SdotBPanels pack_sdot_b_panels_from_conv(armsim::Ctx* ctx, const ConvShape& s,
 // orientation (TblOrientation): kActTables prepacks WEIGHT indices offline
 // and builds tables from activations online per B block; kWeightTables
 // takes WEIGHT tables from the mode's shared dictionary — copied out at
-// pack time (TblSource::kStored) or per column pass into an L1 panel
-// (kBuilt) — and encodes activation indices online. The mode (TblMode)
+// pack time (TblSource::kStored) or read at run time by id (kBuilt), per
+// column pass into an L1 panel or straight from the dictionary — and
+// encodes activation indices online. The mode (TblMode)
 // fixes how many depth values one index folds; every packer below encodes
 // and builds through schemes.h's one tbl_encode / tbl_decode rule.
 
@@ -300,7 +301,8 @@ PackedTblA pack_tbl_a(const i8* a, i64 m, i64 k, int bits,
 /// mode's dictionary into dst (16 bytes each, contiguous) — per table one
 /// LD1, one ST1 and the id load plus address math (2 scalar ops), and one
 /// loop tally per call (tally_tbl_table_copy). The blocked driver copies a
-/// row quad's tables for one K block before sweeping its column panels.
+/// row quad's tables for one K block before sweeping its column panels,
+/// unless its layout reads them directly (BlockedLayout::tbl_direct).
 void copy_tbl_tables(armsim::Ctx& ctx, TblMode mode, const u8* ids,
                      i64 tables, i8* dst);
 

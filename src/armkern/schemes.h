@@ -85,7 +85,9 @@ constexpr i64 kNr = 4;   // cols per B panel (one LD4R)
 //    a plan's tables come from it in one of two sources (TblSource):
 //    stored — one 16-byte table per (row, group) copied out at pack time,
 //    4-16 bytes per weight — or built — one dictionary id byte per (row,
-//    group), the tables copied into a per-worker L1 panel at run time.
+//    group), the tables copied into a per-worker L1 panel at run time or,
+//    where a column pass is too narrow to repay the copy, read straight
+//    from the dictionary by each micro call.
 // ---------------------------------------------------------------------------
 
 /// Which GEMM side supplies the product tables (see block comment above).

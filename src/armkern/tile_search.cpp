@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "armkern/conv_arm.h"
@@ -62,13 +63,26 @@ std::string geometry_key(const ConvShape& s) {
 
 
 // Instruction mix of ONE micro-kernel call at depth kc (the paired 32x4
-// tile for a paired TBL call), measured by running the emulated kernel on
-// dummy zeroed buffers with the cache model off (issue cost only; stalls
-// come from the replay). Both TBL orientations issue the identical
-// pattern; the mode sets the byte-lane flush cadence.
-Counters probe_micro(const MicroKernel& mk, i64 kc, bool paired) {
+// tile for a paired TBL call; `direct`: reading built weight tables from
+// the dictionary by id), measured by running the emulated kernel on dummy
+// zeroed buffers with the cache model off (issue cost only; stalls come
+// from the replay). Both TBL orientations issue the identical pattern; the
+// mode sets the byte-lane flush cadence. Memoized: a search prices the
+// same few calls for every candidate.
+using ProbeKey = std::tuple<int, int, int, size_t, i64, bool, bool>;
+std::map<ProbeKey, Counters> g_probes LBC_GUARDED_BY(g_mu);
+
+Counters probe_micro(const MicroKernel& mk, i64 kc, bool paired,
+                     bool direct = false) LBC_EXCLUDES(g_mu) {
   // Depth steps: SDOT pads K to 4; TBL steps one index group at a time.
   const bool tbl = mk.kernel == ArmKernel::kTblGemm;
+  const ProbeKey key{static_cast<int>(mk.kernel), mk.bits, mk.flush_override,
+                     tbl ? tbl_mode_slot(mk.tbl_mode) : 0, kc, paired, direct};
+  {
+    MutexLock lock(g_mu);
+    if (const auto it = g_probes.find(key); it != g_probes.end())
+      return it->second;
+  }
   const i64 steps = std::max<i64>(
       tbl ? ceil_div(kc, static_cast<i64>(tbl_group(mk.tbl_mode)))
           : round_up(kc, 4),
@@ -77,12 +91,20 @@ Counters probe_micro(const MicroKernel& mk, i64 kc, bool paired) {
   // A B panel, or four 16-entry tables per TBL group step.
   AlignedVector<i8> b(static_cast<size_t>(steps * (tbl ? 64 : kNr)));
   AlignedVector<u8> idx(static_cast<size_t>(tbl ? steps * 16 : 0));
+  // One row quad's ids per group step, all naming the dictionary's table 0.
+  AlignedVector<u8> ids(static_cast<size_t>(direct ? steps * 4 : 0));
   alignas(64) i32 tile[2 * kMr * kNr];
   Ctx ctx;
   ctx.model_cache = false;
-  const MicroOperands op{a.data(), b.data(), idx.data(),
-                         paired ? idx.data() : nullptr};
+  const MicroOperands op{a.data(),
+                         b.data(),
+                         idx.data(),
+                         paired ? idx.data() : nullptr,
+                         direct ? ids.data() : nullptr,
+                         direct ? tbl_dictionary(mk.tbl_mode) : nullptr};
   run_micro(ctx, mk, kc, op, tile);
+  MutexLock lock(g_mu);
+  g_probes.emplace(key, ctx.counts);
   return ctx.counts;
 }
 
@@ -160,19 +182,34 @@ struct ReplayBases {
 };
 
 // GEMMs of at most this many MACs replay every column block; larger ones
-// replay two and extrapolate. A small GEMM's misses are mostly first
-// touches of input and output lines, which follow the band's position in
-// the image rather than repeat: e.g. an 8x14x14 -> 8 3x3 conv at Nc = 32
-// misses 73, 12 and 4 lines in its first three blocks and 103 over all
-// seven, where block 1 extrapolated gives 145. Extrapolation misprices
-// large GEMMs too (the ResNet-50 256 -> 128 1x1 stride-2 conv at
-// {64, 256, 128} scores 5% over its full replay), but the cut-off is set by
-// the search's time: replaying every block of every conv made the
+// replay block 0 and one line period of blocks after it, and extrapolate.
+// A small GEMM's misses are mostly first touches of input and output
+// lines, which follow the band's position in the image rather than
+// repeat: e.g. an 8x14x14 -> 8 3x3 conv at Nc = 32 misses 73, 12 and 4
+// lines in its first three blocks and 103 over all seven, where block 1
+// extrapolated gives 145. Extrapolation misprices large GEMMs too (the
+// ResNet-50 256 -> 128 1x1 stride-2 conv at {64, 256, 128} scored 5% over
+// its full replay), but the cut-off is set by the search's time:
+// replaying every block of every conv made the
 // perfbench ResNet-50 2-bit compile take 1.84-2.13 s against 1.02-1.34 s
 // (three alternating runs on a 4-core x86-64 host), for a forward 1.5%
 // faster (71.38 against 72.44 a53_ms). No fig07, fig09 or perfbench conv
 // is at or below the cut-off.
 constexpr i64 kFullReplayMacs = i64{1} << 22;
+
+// Column blocks in one line period of a block's output rows: the least p
+// for which p * Nc columns fill whole 64-byte lines of the fused i8 output
+// (and so of the i32 C). A block narrower than a line shares its lines with
+// its neighbours, so consecutive blocks miss differently: at Nc = 32 the
+// odd blocks find the lines the even ones brought in, and the even ones go
+// to DRAM. Nc is a multiple of kNr = 4, so the period never exceeds 16
+// blocks.
+constexpr i64 kMaxReplayPeriod = 16;
+i64 replay_period(i64 nc) {
+  i64 p = 1;
+  while (p < kMaxReplayPeriod && (p * nc) % CacheSim::kLineBytes != 0) ++p;
+  return p;
+}
 
 // The replay visitor of walk_blocked: the cache lines each event touches,
 // in the driver's order, against the synthetic bases.
@@ -211,14 +248,19 @@ struct ReplayWalk {
     return Status();
   }
 
-  // The copy reads the quad's ids and the dictionary (its lines by id,
-  // which the replay cannot see: all of them) and writes the panel the
-  // kernels then read.
-  void copy_tables(const BlockStep& b, i64 p) {
+  // The quad's ids for the block's group steps and the dictionary (its
+  // lines by id, which the replay cannot see: all of them).
+  void touch_ids_and_dictionary(const BlockStep& b, i64 p) {
     r.touch(bases.a + static_cast<u64>(p * a_panel_stride + b.g0 * 4),
             static_cast<u64>(b.groups * 4));
     r.touch(dict_base(lay.tbl_mode),
             static_cast<u64>(tbl_dict_size(lay.tbl_mode) * 16));
+  }
+
+  // The copy reads the ids and the dictionary and writes the panel the
+  // kernels then read.
+  void copy_tables(const BlockStep& b, i64 p) {
+    touch_ids_and_dictionary(b, p);
     r.touch(bases.b, static_cast<u64>(b.groups * 64));
   }
 
@@ -239,8 +281,12 @@ struct ReplayWalk {
         idx = b_panel;
         idx_stride = static_cast<u64>(b.kstride * 16);
       }
+      // Direct reads take every group step's tables from the dictionary by
+      // the quad's ids instead of a table line per step.
+      if (lay.tbl_direct) touch_ids_and_dictionary(b, call.p);
       for (i64 gs = 0; gs < b.groups; ++gs) {
-        r.touch(tables + static_cast<u64>(gs * 64), CacheSim::kLineBytes);
+        if (!lay.tbl_direct)
+          r.touch(tables + static_cast<u64>(gs * 64), CacheSim::kLineBytes);
         if (gs % 4 == 0)
           for (i64 h = 0; h < call.pair; ++h)
             r.touch(idx + static_cast<u64>(h) * idx_stride +
@@ -279,42 +325,34 @@ struct ReplayWalk {
 };
 
 // Simulate the jc column blocks and sum their misses, or — past
-// kFullReplayMacs — the first one or two and extrapolate: block 0 carries
-// the cold misses, block 1 is the steady state repeated for every
-// remaining band. `r` may carry state from earlier layers (the chained
-// graph replay); the per-block deltas are measured against it.
+// kFullReplayMacs — block 0 and the `period` blocks after it, and
+// extrapolate: block 0 carries the cold misses, and block j of the period
+// stands for every later block in its phase (j, j + period, ...). Blocks
+// one line period apart miss alike, where neighbours need not (block 1
+// alone counted 0 L2 misses for the perfbench ResNet-50 n3 at
+// {64, 64, 32}, block 2 counted 320). `r` may carry state from earlier
+// layers (the chained graph replay); the per-block deltas are measured
+// against it.
 ReplayMisses replay_schedule_at(Replay& r, const ConvShape& s,
                                 const BlockedLayout& lay,
                                 const ReplayBases& bases,
                                 BlockedSchedule schedule) {
   ReplayWalk walk(r, s, lay, bases, schedule);
   const bool full = lay.m * lay.k * lay.n <= kFullReplayMacs;
-  const i64 sim_blocks = full ? lay.n_blocks : std::min<i64>(2, lay.n_blocks);
-  u64 l1_per_block[2] = {0, 0};
-  u64 l2_per_block[2] = {0, 0};
-  const u64 l1_start = r.sim.stats().l1_misses;
-  const u64 l2_start = r.sim.stats().l2_misses;
+  const i64 period = full ? std::max<i64>(lay.n_blocks - 1, 1)
+                          : replay_period(lay.blk.nc);
+  const i64 sim_blocks = std::min(lay.n_blocks, period + 1);
+  ReplayMisses misses;
   for (i64 jc = 0; jc < sim_blocks; ++jc) {
     const u64 l1_before = r.sim.stats().l1_misses;
     const u64 l2_before = r.sim.stats().l2_misses;
     walk_blocked(lay, jc, jc + 1, walk);
-    if (jc < 2) {
-      l1_per_block[jc] = r.sim.stats().l1_misses - l1_before;
-      l2_per_block[jc] = r.sim.stats().l2_misses - l2_before;
-    }
-  }
-  ReplayMisses misses;
-  if (full) {
-    misses.l1 = r.sim.stats().l1_misses - l1_start;
-    misses.l2 = r.sim.stats().l2_misses - l2_start;
-  } else if (lay.n_blocks <= 1) {
-    misses.l1 = l1_per_block[0];
-    misses.l2 = l2_per_block[0];
-  } else {
-    misses.l1 =
-        l1_per_block[0] + l1_per_block[1] * static_cast<u64>(lay.n_blocks - 1);
-    misses.l2 =
-        l2_per_block[0] + l2_per_block[1] * static_cast<u64>(lay.n_blocks - 1);
+    // The blocks in jc's phase: jc itself, then every period-th after it.
+    const u64 times =
+        jc == 0 ? 1
+                : static_cast<u64>((lay.n_blocks - jc + period - 1) / period);
+    misses.l1 += (r.sim.stats().l1_misses - l1_before) * times;
+    misses.l2 += (r.sim.stats().l2_misses - l2_before) * times;
   }
   return misses;
 }
@@ -333,9 +371,10 @@ ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
     os << (lay.tbl_orient == TblOrientation::kActTables ? "|tblA" : "|tblB")
        << lay.tbl_group;
   // The built source reads its mode's dictionary, whose size (and so its
-  // lines) the group alone does not fix.
+  // lines) the group alone does not fix, by copy or directly.
   if (lay.tbl_built())
-    os << "|built" << static_cast<int>(lay.tbl_mode.fold) << lay.tbl_mode.bits;
+    os << "|built" << static_cast<int>(lay.tbl_mode.fold) << lay.tbl_mode.bits
+       << (lay.tbl_direct ? "direct" : "");
   if (fused) os << "|fused";
   const std::string key = os.str();
   {
@@ -403,7 +442,7 @@ struct Tally {
 // from a (cold or chained) replay. `fused_epilogue` adds the blocked
 // driver's in-cache requantize hook.
 Counters issue_counts(int bits, ArmKernel kernel, const BlockedLayout& lay,
-                      bool fused_epilogue) {
+                      bool fused_epilogue) LBC_EXCLUDES(g_mu) {
   Tally full(lay, fused_epilogue), last(lay, fused_epilogue);
   const u64 full_blocks = static_cast<u64>(lay.n_blocks - 1);
   if (full_blocks > 0) walk_blocked(lay, 0, 1, full);
@@ -417,8 +456,9 @@ Counters issue_counts(int bits, ArmKernel kernel, const BlockedLayout& lay,
       const u64 calls = full.calls[tail][paired] * full_blocks +
                         last.calls[tail][paired];
       if (calls == 0) continue;
-      const Counters per_call = probe_micro(
-          mk, tail ? lay.kc_eff(lay.k_blocks - 1) : lay.blk.kc, paired == 1);
+      const Counters per_call =
+          probe_micro(mk, tail ? lay.kc_eff(lay.k_blocks - 1) : lay.blk.kc,
+                      paired == 1, lay.tbl_direct);
       for (size_t i = 0; i < kNumOps; ++i) counts.n[i] += per_call.n[i] * calls;
     }
   return counts;
@@ -553,7 +593,35 @@ double tbl_pair_step_cycles(TblMode mode) {
   return steps[tbl_mode_slot(mode)];
 }
 
+// The built source's read mode per (GEMM, blocking, mode): the walk's
+// issue counts decide it, so it is the same on every call.
+using DirectKey = std::tuple<i64, i64, i64, i64, i64, i64, size_t>;
+std::map<DirectKey, bool> g_direct LBC_GUARDED_BY(g_mu);
+
 }  // namespace
+
+bool tbl_direct_reads_pay(const BlockedLayout& lay) {
+  const DirectKey key{lay.m,      lay.n,      lay.k,
+                      lay.blk.mc, lay.blk.kc, lay.blk.nc,
+                      tbl_mode_slot(lay.tbl_mode)};
+  {
+    MutexLock lock(g_mu);
+    if (const auto it = g_direct.find(key); it != g_direct.end())
+      return it->second;
+  }
+  const CostModel cm = CostModel::cortex_a53();
+  const auto cycles = [&](bool direct) {
+    BlockedLayout l = lay;
+    l.tbl_direct = direct;
+    return cm.cycles_for(issue_counts(lay.tbl_mode.bits, ArmKernel::kTblGemm,
+                                      l, /*fused_epilogue=*/false),
+                         /*interleaved=*/true);
+  };
+  const bool pays = cycles(true) < cycles(false);
+  MutexLock lock(g_mu);
+  g_direct.emplace(key, pays);
+  return pays;
+}
 
 int blocking_scheme_id(ArmKernel kernel, int bits, InputRange input,
                        TblSource source) {
@@ -667,6 +735,15 @@ std::vector<GemmBlocking> blocking_candidates(const ConvShape& s, int bits,
     for (const i64 mc : {64, 128})
       for (const i64 kc : {std::min<i64>(k, 4096), i64{384}, i64{512}})
         for (const i64 nc : {4, 8, 16, 32, 64}) add(mc, kc, nc);
+    // Deep Kc with wide Nc, TBL only (the other schemes' winners stay put):
+    // a weight-tables conv streams its row quads' tables once per column
+    // pass, so it wants the wide band of the TBL extensions above, and at
+    // Kc = K it runs one K block and keeps no C band at all.
+    if (tblg != 0)
+      for (const i64 mc : {64, 128})
+        for (const i64 kc : {std::min<i64>(k, 4096), i64{512}})
+          for (const i64 nc : {i64{128}, i64{256}, i64{512}, n})
+            add(mc, kc, nc);
   }
   return candidates;
 }
@@ -825,8 +902,10 @@ u64 graph_blocking_hash(const std::vector<GraphSearchLayer>& layers) {
   // Revision of the fused schedule the joint rows are priced for: 2 since
   // the driver keeps per-worker C bands (or none) instead of the m x n C,
   // 3 since TBL pairs panels into the 32x4 tile, 4 since the TBL
-  // orientation rule prices the fold and the table build.
-  constexpr i64 kFusedScheduleRevision = 4;
+  // orientation rule prices the fold and the table build, 5 since built
+  // weight tables may be read straight from the dictionary and the fused
+  // TBL grid has deep-Kc x wide-Nc candidates.
+  constexpr i64 kFusedScheduleRevision = 5;
   mix(kFusedScheduleRevision);
   mix(static_cast<i64>(layers.size()));
   for (const GraphSearchLayer& gl : layers) {

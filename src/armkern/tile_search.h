@@ -35,9 +35,12 @@ namespace lbc::armkern {
 // values per index (schemes.h tbl_mode_for), which changes the layout, the
 // flush cadence and the instruction mix. A weight-tables TBL price also
 // takes the table source (TblSource): the built source adds the per-pass
-// copy of each row quad's tables from the dictionary into an L1 panel and
-// replaces the stream of offline tables with the ids, the dictionary and
-// the panel. Other kernels (and act tables) ignore both.
+// copy of each row quad's tables from the dictionary into an L1 panel —
+// or, where the walk's issue counts price it lower (tbl_direct_reads_pay,
+// blocking.h), each micro call's reads of them straight from the
+// dictionary — and replaces the stream of offline tables with the ids, the
+// dictionary and the panel, if any. Other kernels (and act tables) ignore
+// both.
 
 /// Modeled total cycles of one clamped blocking candidate for the
 /// fused-pack conv GEMM under `schedule`, replayed against a cold cache
@@ -63,7 +66,8 @@ armsim::Counters blocking_issue_counts(
 /// The fixed candidate grid search_blocking scores, clamped to the shape's
 /// GEMM view and de-duplicated, in tie-break order: default_blocking
 /// geometry first, then the shared grid, the TBL extensions (kTblGemm
-/// only) and the fused deep-Kc / narrow-Nc extensions (kFused only).
+/// only), the fused deep-Kc / narrow-Nc extensions (kFused only) and the
+/// fused deep-Kc / wide-Nc ones (kFused and kTblGemm).
 std::vector<GemmBlocking> blocking_candidates(
     const ConvShape& s, int bits, ArmKernel kernel,
     BlockedSchedule schedule = BlockedSchedule::kStandalone,

@@ -86,10 +86,13 @@ std::vector<Combo> combos_for_bits(int bits) {
   // Both again on a non-negative input (a ReLU'd producer), where the
   // weight-tables orientation folds tbl_nonneg_group(bits) activations
   // into each index.
-  // A third run per input packs weight tables from the built source, so
-  // every weight-tables mode (2-bit pairs and 4-value fold, 3-bit values
-  // and 2-value fold) copies its tables from the dictionary at run time
-  // under the verifier; Kc = 64 is a multiple of every group.
+  // A third and a fourth run per input pack weight tables from the built
+  // source, so every weight-tables mode (2-bit pairs and 4-value fold,
+  // 3-bit values and 2-value fold) reaches its tables in the dictionary at
+  // run time under the verifier: at Nc = 32 each column pass is one paired
+  // call, which reads them straight from the dictionary; at Nc = n the
+  // block3x3 shape's nine panels per pass copy them into the panel first.
+  // Kc = 64 is a multiple of every group.
   if (tbl_eligible_for(bits))
     for (const InputRange in :
          {InputRange::kSigned, InputRange::kNonNegative}) {
@@ -97,9 +100,10 @@ std::vector<Combo> combos_for_bits(int bits) {
                     BlockingPolicy::kAuto, GemmBlocking{}, in});
       cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
                     BlockingPolicy::kExplicit, GemmBlocking{32, 64, 32}, in});
-      cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
-                    BlockingPolicy::kExplicit, GemmBlocking{32, 64, 32}, in,
-                    /*tbl_built=*/true});
+      for (const i64 nc : {i64{32}, i64{1} << 20})
+        cs.push_back({ArmKernel::kTblGemm, ConvAlgo::kGemm,
+                      BlockingPolicy::kExplicit, GemmBlocking{32, 64, nc}, in,
+                      /*tbl_built=*/true});
     }
   return cs;
 }

@@ -198,9 +198,27 @@ void prove_tbl(ProofResult& r, const SchemeModel& m) {
   add(r, "tbl.id-in-dictionary", ids_ok,
       ids_ok ? ineq(top_id, m.tbl_dict_entries - 1, "largest weight-group id",
                     m.tbl_source == armkern::TblSource::kBuilt
-                        ? "dictionary, built per column pass"
+                        ? "dictionary, read at run time"
                         : "dictionary, copied at pack time")
              : idd.str());
+  // The built source reads the table an id byte names at dict + id * 16,
+  // whether it copies it into the panel or a micro call loads it directly.
+  // For any byte the ids could hold — not only the ids the pack emits —
+  // that read must stay inside the dictionary's storage, and every table
+  // past the dictionary must be all zeros, so a stray id adds nothing
+  // rather than reading a neighbour's memory.
+  if (m.tbl_source == armkern::TblSource::kBuilt) {
+    const i64 reach = 256 * 16;
+    bool zeros = m.tbl_dict != nullptr;
+    for (i64 b = static_cast<i64>(m.tbl_dict_entries) * 16;
+         zeros && b < std::min(reach, m.tbl_dict_storage_bytes); ++b)
+      zeros = m.tbl_dict[b] == 0;
+    add(r, "tbl.direct-read-in-storage",
+        zeros && reach <= m.tbl_dict_storage_bytes,
+        zeros ? ineq(reach, m.tbl_dict_storage_bytes,
+                     "end of the table id 255 names", "dictionary storage")
+              : "a table past the dictionary holds a nonzero entry");
+  }
   // Two-level accumulation: ADD.16B folds one table entry per group step
   // into a byte lane, so the declared i8 flush interval must both fit the
   // lane (flush * entry <= 127) and cover the kernel's real cadence
@@ -443,6 +461,7 @@ SchemeModel shipping_model(ProofScheme scheme, int bits, i64 depth) {
       m.tbl_build = &armkern::tbl_build_table;
       m.tbl_dict = armkern::tbl_dictionary(mode);
       m.tbl_dict_entries = armkern::tbl_dict_size(mode);
+      m.tbl_dict_storage_bytes = static_cast<i64>(armkern::kTblDictBytes);
       break;
     }
     case ProofScheme::kNativeLut:
@@ -465,6 +484,7 @@ SchemeModel shipping_tbl_model(armkern::TblMode mode, i64 depth,
   m.acc8_flush = armkern::tbl_flush_interval(mode);
   m.tbl_dict = armkern::tbl_dictionary(mode);
   m.tbl_dict_entries = armkern::tbl_dict_size(mode);
+  m.tbl_dict_storage_bytes = static_cast<i64>(armkern::kTblDictBytes);
   m.tbl_source = source;
   return m;
 }

@@ -27,9 +27,11 @@
 //    window and decodes back to the values it encodes, i8 lanes hold
 //    through the declared flush, the 32x4 tile's i16 lanes hold across
 //    kTblSecondLevelRounds flushes, every weight group's dictionary id
-//    lies inside the mode's dictionary and decodes back to it, and the
+//    lies inside the mode's dictionary and decodes back to it, the
 //    shipping table builder and the dictionary hold exactly the decoded
-//    products (checked exhaustively, every id).
+//    products (checked exhaustively, every id), and for built tables the
+//    read of the table any id byte names stays inside the dictionary's
+//    storage, past the dictionary reading zeros.
 //  * AVX2 LUT (2-4 bit): products fit the signed-byte pshufb table, i16
 //    lanes cannot overflow before the 256-step flush, every table index
 //    stays in [0, 15], and the N%32 zero-pad tail always indexes the w*0
@@ -108,8 +110,14 @@ struct SchemeModel {
   /// its weight group's products.
   const i8* tbl_dict = nullptr;
   int tbl_dict_entries = 0;
+  /// ARM TBL: bytes the dictionary's storage spans from tbl_dict
+  /// (shipping: armkern::kTblDictBytes, all 256 byte ids). The built
+  /// source's reads of dict + id * 16 must stay inside it for every id
+  /// byte.
+  i64 tbl_dict_storage_bytes = 0;
   /// ARM TBL: where a weight-tables plan's tables come from — copied out
-  /// of the dictionary at pack time, or at run time into an L1 panel. Both
+  /// of the dictionary at pack time, or read from it at run time (copied
+  /// into an L1 panel per column pass, or loaded by each micro call). Both
   /// index the dictionary with the weight groups' ids.
   armkern::TblSource tbl_source = armkern::TblSource::kStored;
 };

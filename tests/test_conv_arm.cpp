@@ -3,10 +3,15 @@
 // (Fig. 13 accounting), and cost-model plumbing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "armkern/conv_arm.h"
+#include "armkern/gemm_lowbit.h"
 #include "common/rng.h"
+#include "common/workspace.h"
 #include "nets/nets.h"
 #include "refconv/conv_ref.h"
+#include "refconv/im2col.h"
 #include "refconv/winograd_ref.h"
 
 namespace lbc::armkern {
@@ -161,6 +166,44 @@ TEST(ConvArm, PackOverheadIsOneWhenAligned) {
   const Tensor<i8> w = random_qtensor(Shape4{32, 16, 1, 1}, 8, 18);
   const ArmConvResult r = conv2d_s32(s, in, w, ArmConvOptions{}).value();
   EXPECT_DOUBLE_EQ(r.space.pack_overhead(), 1.0);
+}
+
+TEST(ConvArm, MaterializedCountsHoldTheBPackOnce) {
+  // The unblocked (materialized) path's counts are its im2col tally plus
+  // what gemm_s8s32_prepacked counts for the same im2col matrix, whose
+  // counts already include the B pack pre-pass. The pre-pass used to be
+  // counted a second time: 10,800 LD1 here instead of 9,900.
+  const ConvShape s = shape(16, 10, 32, 3, 1, 1);
+  const Tensor<i8> in = random_qtensor(Shape4{1, 16, 10, 10}, 4, 21);
+  const Tensor<i8> w = random_qtensor(Shape4{32, 16, 3, 3}, 4, 22);
+  ArmConvOptions opt;
+  opt.bits = 4;
+  opt.blocking = BlockingPolicy::kOff;
+  const ArmConvPlan plan = plan_conv(s, w, opt).value();
+  ASSERT_FALSE(plan.blocking.enabled());
+  Workspace ws;
+  const ArmConvResult r = execute_conv(plan, in, ws).value();
+
+  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
+  std::vector<i8> bmat(static_cast<size_t>(k * n));
+  ref::im2col_into(s, in, bmat.data());
+  std::vector<i32> c(static_cast<size_t>(m * n));
+  GemmOptions g;
+  g.bits = 4;
+  g.kernel = plan.kernel;
+  const GemmStats gs = gemm_s8s32_prepacked(plan.gemm_a.view(), bmat.data(),
+                                            c.data(), m, n, k, g);
+  // The im2col tally moves 8 bytes per LD1/ST1 pair.
+  const u64 im2col_moves = static_cast<u64>(ceil_div(k * n, i64{8}));
+  EXPECT_EQ(r.counts[armsim::Op::kLd1], gs.counts[armsim::Op::kLd1] +
+                                            im2col_moves);
+  EXPECT_EQ(r.counts[armsim::Op::kLd1], 9900u);
+  EXPECT_EQ(r.counts[armsim::Op::kSt1], gs.counts[armsim::Op::kSt1] +
+                                            im2col_moves);
+  for (const armsim::Op op : {armsim::Op::kLd4r, armsim::Op::kSmlal8,
+                              armsim::Op::kSaddw16, armsim::Op::kMovVX})
+    EXPECT_EQ(r.counts[op], gs.counts[op]) << armsim::op_name(op);
+  EXPECT_TRUE(r.out == ref::conv2d_s32(s, in, w));
 }
 
 TEST(ConvArm, ShrunkenResNetLayersAllBitsExact) {

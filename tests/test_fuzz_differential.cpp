@@ -9,7 +9,9 @@
 
 #include "armkern/bitserial.h"
 #include "armkern/conv_arm.h"
+#include "armkern/pack.h"
 #include "armkern/winograd23.h"
+#include "common/workspace.h"
 #include "core/engine.h"
 #include "refconv/winograd_ref.h"
 #include "common/rng.h"
@@ -35,11 +37,74 @@ ConvShape random_conv_shape(Rng& rng) {
   return s;
 }
 
+// A TBL conv in the weight-tables orientation (few output channels) with
+// its tables built from the dictionary, under the verifier, at a blocking
+// whose column passes span two to four 16-column index panels — one or two
+// paired calls, so the tables are read straight from the dictionary — over
+// an N that leaves 1-15 columns in the last index panel, and a Kc that
+// often leaves a K tail. Memcmp-checked against the reference.
+void fuzz_built_weight_tables(Rng& rng) {
+  ConvShape s;
+  s.name = "fuzz-built";
+  s.batch = 1;
+  s.kernel = rng.uniform(0, 1) ? 1 : 3;
+  s.stride = 1;
+  s.pad = s.kernel / 2;
+  s.in_c = rng.uniform(1, 24);
+  s.out_c = rng.uniform(1, 12);
+  do {
+    s.in_h = s.in_w = rng.uniform(5, 14);
+  } while (s.gemm_n() % 16 == 0);
+  const int bits = rng.uniform(2, 3);
+  const bool nonneg = rng.uniform(0, 1) == 1;
+  Tensor<i8> in = extreme_qtensor(Shape4{1, s.in_c, s.in_h, s.in_w}, bits,
+                                  rng.next_u64());
+  if (nonneg)
+    for (i8& v : in.span()) v = static_cast<i8>(v < 0 ? -v : v);
+  const Tensor<i8> w = random_qtensor(
+      Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, rng.next_u64());
+
+  armkern::ArmConvOptions opt;
+  opt.bits = bits;
+  opt.kernel = armkern::ArmKernel::kTblGemm;
+  opt.blocking = armkern::BlockingPolicy::kExplicit;
+  opt.explicit_blocking = armkern::GemmBlocking{
+      rng.uniform(1, 64), rng.uniform(1, static_cast<i32>(s.gemm_k())),
+      rng.uniform(17, 64)};
+  opt.input_range = nonneg ? armkern::InputRange::kNonNegative
+                           : armkern::InputRange::kSigned;
+  opt.verify = true;
+  armkern::ArmConvPlan plan = armkern::plan_conv(s, w, opt).value();
+  const std::string where = describe(s) + " bits=" + std::to_string(bits) +
+                            " nonneg=" + std::to_string(nonneg) + " {" +
+                            std::to_string(plan.blocking.mc) + "," +
+                            std::to_string(plan.blocking.kc) + "," +
+                            std::to_string(plan.blocking.nc) + "}";
+  ASSERT_EQ(plan.tbl_a.orient, armkern::TblOrientation::kWeightTables)
+      << where;
+  plan.tbl_a = armkern::pack_tbl_a(w.data(), s.gemm_m(), s.gemm_k(), bits,
+                                   plan.tbl_a.orient, opt.input_range,
+                                   armkern::TblSource::kBuilt);
+  ASSERT_TRUE(plan.executed_layout(1).tbl_direct) << where;
+  Workspace ws;
+  const StatusOr<armkern::ArmConvResult> r =
+      armkern::execute_conv(plan, in, ws);
+  ASSERT_TRUE(r.ok()) << where << ": " << r.status().to_string();
+  ASSERT_EQ(count_mismatches(ref::conv2d_s32(s, in, w), r.value().out), 0)
+      << where;
+}
+
 class FuzzArmGemmConv : public ::testing::TestWithParam<u64> {};
 
 TEST_P(FuzzArmGemmConv, RandomShapesAllKernels) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 25; ++iter) {
+    // Every other TBL turn: built weight tables read from the dictionary.
+    if (iter % 8 == 7) {
+      fuzz_built_weight_tables(rng);
+      if (HasFatalFailure()) return;
+      continue;
+    }
     const ConvShape s = random_conv_shape(rng);
     if (!s.valid()) continue;
     const int bits = rng.uniform(2, 8);

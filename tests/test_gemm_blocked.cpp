@@ -14,6 +14,7 @@
 #include "armkern/gemm_lowbit.h"
 #include "armkern/pack.h"
 #include "armkern/tile_search.h"
+#include "common/align.h"
 #include "common/rng.h"
 #include "common/workspace.h"
 #include "refconv/conv_ref.h"
@@ -425,7 +426,9 @@ TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
   // the pack, table-copy, C-reload and epilogue tallies) must equal what
   // the driver executes, instruction for instruction; only the cache
   // misses come from the replay. Every kernel; TBL in both orientations,
-  // with stored and built weight tables, on signed and folded inputs, with
+  // with stored and built weight tables — the built ones both copied per
+  // pass (Nc = n, nine panels) and read straight from the dictionary (Nc
+  // of 40 and 48, two calls a pass) — on signed and folded inputs, with
   // pairs plus an odd panel, pairs only and nothing paired; a 3x3, a
   // stride-2 3x3 and a 5x5; Kc = K and a split K with a tail; Nc % 16 != 0;
   // both schedules; one worker and three.
@@ -467,10 +470,12 @@ TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
       {shape(9, 12, 8, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kNonNeg,
        kStored, {{16, i64{1} << 20, 40}, {16, 30, 48}}},
       {shape(9, 12, 8, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kSigned,
-       kBuilt, {{16, i64{1} << 20, 40}, {16, 24, 48}}},
+       kBuilt, {{16, i64{1} << 20, 40}, {16, 24, 48}, {16, 24, 144}}},
       {shape(9, 12, 8, 3, 1, 1), ArmKernel::kTblGemm, {2, 3}, kNonNeg,
-       kBuilt, {{16, i64{1} << 20, 40}, {16, 24, 48}}},
+       kBuilt, {{16, i64{1} << 20, 40}, {16, 24, 48}, {16, 24, 144}}},
   };
+  // The built source's read modes the rows ran: [copy, direct].
+  bool built_modes[2] = {false, false};
   const auto expect_same_issue = [](const armsim::Counters& priced,
                                     const armsim::Counters& ran,
                                     const std::string& where) {
@@ -515,6 +520,8 @@ TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
                         row.input == kNonNeg);
             }
           }
+          const BlockedLayout lay = plan.executed_layout(1);
+          if (lay.tbl_built()) built_modes[lay.tbl_direct ? 1 : 0] = true;
           const std::string where =
               "m " + std::to_string(m) + " scheme " +
               std::to_string(blocking_scheme_id(row.kernel, bits, row.input,
@@ -522,6 +529,7 @@ TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
               (tbl && plan.tbl_a.orient == TblOrientation::kActTables
                    ? " act"
                    : "") +
+              (lay.tbl_built() ? (lay.tbl_direct ? " direct" : " copy") : "") +
               " bits " + std::to_string(bits) + " blocking {" +
               std::to_string(plan.blocking.mc) + "," +
               std::to_string(plan.blocking.kc) + "," +
@@ -555,6 +563,8 @@ TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
                                     row.source),
               fused.value().counts, where + " fused");
         }
+  EXPECT_TRUE(built_modes[0]) << "no built row copied its tables";
+  EXPECT_TRUE(built_modes[1]) << "no built row read the dictionary directly";
 }
 
 // ---------------------------------------------------------------------------
@@ -564,10 +574,12 @@ TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
 // The search-vs-exhaustive tests (TileSearchPruning.*, KernelChoicePruning.*)
 // compare two passes under the same replay, so a changed walk or replay
 // passes them. These exact values pin the prices themselves: every kernel,
-// both TBL orientations, both table sources and input ranges, both
-// schedules, a split K with a tail and Kc = K, on a GEMM replayed in full
-// (at most kFullReplayMacs MACs) and on one extrapolated from two column
-// blocks.
+// both TBL orientations, both table sources (the built one reading its
+// tables straight from the dictionary at these blockings) and input
+// ranges, both schedules, a split K with a tail and Kc = K, on a GEMM
+// replayed in full (at most kFullReplayMacs MACs) and on one extrapolated
+// from block 0 and one line period of column blocks (one block at
+// Nc = 64, eight at Nc = 40).
 struct PricedKernel {
   ArmKernel kernel;
   int bits;
@@ -640,58 +652,58 @@ TEST(TileSearchPrices, ScoresOfAFixedCandidateSetArePinned) {
       212352.20000000001,  // m32 kernel 5 bits 2 kc 64 fused 1
       168266,  // m32 kernel 5 bits 2 kc 1048576 fused 0
       158806.39999999999,  // m32 kernel 5 bits 2 kc 1048576 fused 1
-      248042.20000000001,  // m32 kernel 7 bits 2 kc 64 fused 0
-      243342.20000000001,  // m32 kernel 7 bits 2 kc 64 fused 1
-      190752.39999999999,  // m32 kernel 7 bits 2 kc 1048576 fused 0
-      180948.39999999999,  // m32 kernel 7 bits 2 kc 1048576 fused 1
+      214386.20000000001,  // m32 kernel 7 bits 2 kc 64 fused 0
+      209686.20000000001,  // m32 kernel 7 bits 2 kc 64 fused 1
+      156064.39999999999,  // m32 kernel 7 bits 2 kc 1048576 fused 0
+      146500.39999999999,  // m32 kernel 7 bits 2 kc 1048576 fused 1
       142044.20000000001,  // m32 kernel 6 bits 2 kc 64 fused 0
       132464.20000000001,  // m32 kernel 6 bits 2 kc 64 fused 1
       103375.2,  // m32 kernel 6 bits 2 kc 1048576 fused 0
       90771.199999999997,  // m32 kernel 6 bits 2 kc 1048576 fused 1
-      252542.60000000001,  // m32 kernel 8 bits 3 kc 64 fused 0
-      247842.60000000001,  // m32 kernel 8 bits 3 kc 64 fused 1
-      193938.07999999999,  // m32 kernel 8 bits 3 kc 1048576 fused 0
-      184134.07999999999,  // m32 kernel 8 bits 3 kc 1048576 fused 1
-      1320329.6000000001,  // m64 kernel 1 bits 2 kc 64 fused 0
-      1315785.6000000001,  // m64 kernel 1 bits 2 kc 64 fused 1
+      218886.60000000001,  // m32 kernel 8 bits 3 kc 64 fused 0
+      214186.60000000001,  // m32 kernel 8 bits 3 kc 64 fused 1
+      159258.08000000002,  // m32 kernel 8 bits 3 kc 1048576 fused 0
+      149686.08000000002,  // m32 kernel 8 bits 3 kc 1048576 fused 1
+      1368137.6000000001,  // m64 kernel 1 bits 2 kc 64 fused 0
+      1337385.6000000001,  // m64 kernel 1 bits 2 kc 64 fused 1
       1281564.04,  // m64 kernel 1 bits 2 kc 1048576 fused 0
       1231996.04,  // m64 kernel 1 bits 2 kc 1048576 fused 1
-      1353586.8799999999,  // m64 kernel 1 bits 3 kc 64 fused 0
-      1349042.8799999999,  // m64 kernel 1 bits 3 kc 64 fused 1
+      1401394.8799999999,  // m64 kernel 1 bits 3 kc 64 fused 0
+      1370642.8799999999,  // m64 kernel 1 bits 3 kc 64 fused 1
       1318553.1599999999,  // m64 kernel 1 bits 3 kc 1048576 fused 0
       1268985.1599999999,  // m64 kernel 1 bits 3 kc 1048576 fused 1
-      1465996.7999999998,  // m64 kernel 0 bits 4 kc 64 fused 0
-      1452076.1599999999,  // m64 kernel 0 bits 4 kc 64 fused 1
+      1513804.7999999998,  // m64 kernel 0 bits 4 kc 64 fused 0
+      1473676.1599999999,  // m64 kernel 0 bits 4 kc 64 fused 1
       1471323.3999999999,  // m64 kernel 0 bits 4 kc 1048576 fused 0
       1397294.6000000001,  // m64 kernel 0 bits 4 kc 1048576 fused 1
-      2152780.7999999998,  // m64 kernel 0 bits 8 kc 64 fused 0
-      2123776,  // m64 kernel 0 bits 8 kc 64 fused 1
+      2200588.7999999998,  // m64 kernel 0 bits 8 kc 64 fused 0
+      2145376,  // m64 kernel 0 bits 8 kc 64 fused 1
       2158107.4000000004,  // m64 kernel 0 bits 8 kc 1048576 fused 0
       2084078.6000000001,  // m64 kernel 0 bits 8 kc 1048576 fused 1
-      2084416,  // m64 kernel 2 bits 8 kc 64 fused 0
-      2055411.2,  // m64 kernel 2 bits 8 kc 64 fused 1
+      2132224,  // m64 kernel 2 bits 8 kc 64 fused 0
+      2077011.2,  // m64 kernel 2 bits 8 kc 64 fused 1
       2091310.6000000001,  // m64 kernel 2 bits 8 kc 1048576 fused 0
       2017281.8,  // m64 kernel 2 bits 8 kc 1048576 fused 1
-      977094.40000000002,  // m64 kernel 3 bits 8 kc 64 fused 0
-      972550.40000000002,  // m64 kernel 3 bits 8 kc 64 fused 1
+      1024902.4,  // m64 kernel 3 bits 8 kc 64 fused 0
+      994150.40000000002,  // m64 kernel 3 bits 8 kc 64 fused 1
       945259.40000000002,  // m64 kernel 3 bits 8 kc 1048576 fused 0
       895691.40000000002,  // m64 kernel 3 bits 8 kc 1048576 fused 1
-      1320431.04,  // m64 kernel 5 bits 2 kc 64 fused 0
-      1299055.04,  // m64 kernel 5 bits 2 kc 64 fused 1
+      1363631.04,  // m64 kernel 5 bits 2 kc 64 fused 0
+      1320655.04,  // m64 kernel 5 bits 2 kc 64 fused 1
       1039027.3999999999,  // m64 kernel 5 bits 2 kc 1048576 fused 0
       955120.19999999995,  // m64 kernel 5 bits 2 kc 1048576 fused 1
-      1654493.04,  // m64 kernel 7 bits 2 kc 64 fused 0
-      1623645.04,  // m64 kernel 7 bits 2 kc 64 fused 1
-      1238292.1200000001,  // m64 kernel 7 bits 2 kc 1048576 fused 0
-      1160500.1200000001,  // m64 kernel 7 bits 2 kc 1048576 fused 1
-      917200.64000000001,  // m64 kernel 6 bits 2 kc 64 fused 0
-      895824.64000000001,  // m64 kernel 6 bits 2 kc 64 fused 1
+      1455101.04,  // m64 kernel 7 bits 2 kc 64 fused 0
+      1408765.04,  // m64 kernel 7 bits 2 kc 64 fused 1
+      1079236.1200000001,  // m64 kernel 7 bits 2 kc 1048576 fused 0
+      981476.12,  // m64 kernel 7 bits 2 kc 1048576 fused 1
+      960400.64000000001,  // m64 kernel 6 bits 2 kc 64 fused 0
+      917424.64000000001,  // m64 kernel 6 bits 2 kc 64 fused 1
       706287.71999999997,  // m64 kernel 6 bits 2 kc 1048576 fused 0
       628495.71999999997,  // m64 kernel 6 bits 2 kc 1048576 fused 1
-      1682205.2,  // m64 kernel 8 bits 3 kc 64 fused 0
-      1651357.2,  // m64 kernel 8 bits 3 kc 64 fused 1
-      1255162.6799999999,  // m64 kernel 8 bits 3 kc 1048576 fused 0
-      1177370.6799999999,  // m64 kernel 8 bits 3 kc 1048576 fused 1
+      1483421.2,  // m64 kernel 8 bits 3 kc 64 fused 0
+      1436477.2,  // m64 kernel 8 bits 3 kc 64 fused 1
+      1096106.6799999999,  // m64 kernel 8 bits 3 kc 1048576 fused 0
+      998346.67999999993,  // m64 kernel 8 bits 3 kc 1048576 fused 1
       720018,  // m48 kernel 5 bits 3 kc 64 fused 0
       724418.80000000005,  // m48 kernel 5 bits 3 kc 64 fused 1
       1974070.3999999999,  // m48 kernel 5 bits 3 kc 1048576 fused 0
@@ -733,7 +745,55 @@ TEST(TileSearchPrices, ChainedGraphScoreIsPinned) {
   const std::vector<GemmBlocking> blocking = {
       {32, 64, 40}, {64, i64{1} << 20, 64}, {32, 32, 96}};
   EXPECT_EQ(score_graph_blocking(layers, blocking, BlockedSchedule::kFused),
-            389617.31999999995);
+            386695.31999999995);
+}
+
+TEST(TileSearchPrices, ReplayRanksNarrowBandsAsExecutionDoes) {
+  // The perfbench ResNet-50 n3: 64 -> 256, 1x1 at 56x56, ReLU-fed, 2 bit,
+  // fused. At Nc = 32 a column block writes half a line of each i8 output
+  // row, so the odd blocks find their lines already in L2 and the even ones
+  // go to DRAM. With the stored tables n3 runs, a replay extrapolated from
+  // block 1 alone scored {64,64,32} under {64,64,512} (4.660 M against
+  // 4.701 M cycles), which execute in about 5.5 M and 4.6 M; extrapolated
+  // over one line period of blocks, the scores rank the two as execution
+  // does.
+  const ConvShape s = shape(64, 56, 256, 1, 1, 0);
+  const Tensor<i8> w = random_qtensor(Shape4{256, 64, 1, 1}, 2, 141);
+  const Tensor<i8> in = nonneg_qtensor(Shape4{1, 64, 56, 56}, 2, 142);
+  const i64 m = s.gemm_m(), n = s.gemm_n(), k = s.gemm_k();
+  double score[2] = {}, ran[2] = {};
+  const GemmBlocking blockings[2] = {{64, 64, 32}, {64, 64, 512}};
+  for (int i = 0; i < 2; ++i) {
+    ArmConvOptions opt;
+    opt.bits = 2;
+    opt.kernel = ArmKernel::kTblGemm;
+    opt.blocking = BlockingPolicy::kExplicit;
+    opt.explicit_blocking = blockings[i];
+    opt.input_range = InputRange::kNonNegative;
+    ArmConvPlan plan = plan_conv(s, w, opt, BlockedSchedule::kFused).value();
+    ASSERT_EQ(plan.blocking, blockings[i]);
+    ASSERT_EQ(plan.tbl_a.orient, TblOrientation::kWeightTables);
+    plan.tbl_a = pack_tbl_a(w.data(), m, k, 2, TblOrientation::kWeightTables,
+                            InputRange::kNonNegative, TblSource::kStored);
+    ASSERT_EQ(plan.fused_band_elems(), 0);
+    score[i] = score_blocking(s, 2, ArmKernel::kTblGemm, plan.blocking,
+                              BlockedSchedule::kFused,
+                              InputRange::kNonNegative, TblSource::kStored);
+    // Line-aligned, so the executed misses do not depend on where the
+    // allocator puts the output.
+    AlignedVector<i8> out(static_cast<size_t>(m * n));
+    TileEpilogue epi;
+    epi.fn = [](i64, i64, i64, const i32*) {};
+    epi.out_base = out.data();
+    epi.row_stride = n;
+    epi.out_rows = m;
+    Workspace ws;
+    ran[i] = execute_conv_fused(plan, in.data(), nullptr, 0, epi, ws)
+                 .value()
+                 .cycles;
+  }
+  EXPECT_GT(ran[0], ran[1]);
+  EXPECT_GT(score[0], score[1]) << score[0] << " against " << score[1];
 }
 
 TEST(GemmBlocked, WorkspaceHighWaterMatchesPlanEstimate) {

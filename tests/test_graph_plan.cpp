@@ -151,7 +151,7 @@ ConvShape conv_shape(i64 in_c, i64 hw, i64 out_c, int kernel) {
 }
 
 TEST(GraphPlan, IncrementalJointSearchIsBitIdenticalToFullScoring) {
-  // A 2-bit TBL bottleneck chain at 7x7 (512 -> 32 -> 32 -> 512, plus a
+  // A 2-bit TBL bottleneck chain at 7x7 (512 -> 16 -> 16 -> 512, plus a
   // 512 -> 512 projection), its inner convs ReLU-fed and each conv's table
   // source priced as GraphPlan prices it, on which trials' cache states
   // rejoin the current assignment's at a later layer boundary, so the
@@ -161,10 +161,10 @@ TEST(GraphPlan, IncrementalJointSearchIsBitIdenticalToFullScoring) {
   using armkern::ArmKernel;
   using armkern::InputRange;
   std::vector<armkern::GraphSearchLayer> layers = {
-      {conv_shape(512, 7, 32, 1), 2, ArmKernel::kTblGemm, InputRange::kSigned},
-      {conv_shape(32, 7, 32, 3), 2, ArmKernel::kTblGemm,
+      {conv_shape(512, 7, 16, 1), 2, ArmKernel::kTblGemm, InputRange::kSigned},
+      {conv_shape(16, 7, 16, 3), 2, ArmKernel::kTblGemm,
        InputRange::kNonNegative},
-      {conv_shape(32, 7, 512, 1), 2, ArmKernel::kTblGemm,
+      {conv_shape(16, 7, 512, 1), 2, ArmKernel::kTblGemm,
        InputRange::kNonNegative},
       {conv_shape(512, 7, 512, 1), 2, ArmKernel::kTblGemm, InputRange::kSigned},
   };
@@ -305,7 +305,9 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
   // output, so at 3 bit its weight tables fold two activations per index
   // and price below MLA; node 1 reads the signed input. Node 5 reads a 2x2
   // max pool of node 3's ReLU'd add — a max of values >= 0 — so it is
-  // planned non-negative too.
+  // planned non-negative too, and at 3 bit its 49 columns leave each row
+  // quad's tables too few calls per pass to copy them, so reading them
+  // straight from the dictionary prices TBL below MLA there as well.
   struct Case {
     int bits;
     ArmKernel kernel[3];
@@ -314,7 +316,7 @@ TEST(GraphPlan, FusedBandsMatchUnfusedAndReference) {
       {16, 8, 12}, {16, 4096, 12}, {16, 40, 8}};
   const i64 conv_nodes[] = {1, 2, 5};
   constexpr ArmKernel kMla = ArmKernel::kOursGemm, kTbl = ArmKernel::kTblGemm;
-  for (const Case c : {Case{8, {kMla, kMla, kMla}}, Case{3, {kMla, kTbl, kMla}},
+  for (const Case c : {Case{8, {kMla, kMla, kMla}}, Case{3, {kMla, kTbl, kTbl}},
                        Case{2, {kTbl, kTbl, kTbl}}}) {
     const QnnGraph g = band_graph(c.bits, x);
     GraphPlanOptions opt = fused_options();

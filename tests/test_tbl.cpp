@@ -297,8 +297,9 @@ TEST(TblPairedTile, EqualsTwoUnpairedTilesUnderItsKernelSpec) {
 
   alignas(64) i32 want[2 * kMr * kNr];
   armsim::Ctx plain;
-  micro_tbl_16x4(plain, idx0.data(), tables.data(), groups, flush, want);
-  micro_tbl_16x4(plain, idx1.data(), tables.data(), groups, flush,
+  micro_tbl_16x4(plain, idx0.data(), TblTables{tables.data()}, groups, flush,
+                 want);
+  micro_tbl_16x4(plain, idx1.data(), TblTables{tables.data()}, groups, flush,
                  want + kMr * kNr);
 
   armsim::Verifier v;
@@ -310,8 +311,8 @@ TEST(TblPairedTile, EqualsTwoUnpairedTilesUnderItsKernelSpec) {
   v.add_region(tile, sizeof(tile), "tile", -tile_bound, tile_bound);
   armsim::Ctx ctx;
   ctx.verifier = &v;
-  micro_tbl_32x4(ctx, idx0.data(), idx1.data(), tables.data(), groups, flush,
-                 tile);
+  micro_tbl_32x4(ctx, idx0.data(), idx1.data(), TblTables{tables.data()},
+                 groups, flush, tile);
   EXPECT_TRUE(v.ok()) << v.to_status().to_string();
   EXPECT_EQ(v.max_live_regs(), 32);
   EXPECT_TRUE(std::equal(tile, tile + 2 * kMr * kNr, want));
@@ -325,7 +326,8 @@ TEST(TblPairedTile, SearchPricesTheExecutedInstructionMix) {
   // call counts, pack, accumulate and epilogue tallies) must equal what the
   // driver executes, instruction for instruction; only the cache misses
   // come from the replay. Blockings: pairs plus an odd panel, pairs only,
-  // and nothing paired, under both orientations and both schedules.
+  // and nothing paired, under both orientations and both schedules, each
+  // priced in the table source its plan packed.
   struct Case {
     ConvShape s;
     TblOrientation orient;
@@ -374,7 +376,9 @@ TEST(TblPairedTile, SearchPricesTheExecutedInstructionMix) {
                                 std::to_string(c.blk.nc);
       Workspace ws;
       expect_same_issue(
-          blocking_issue_counts(s, bits, ArmKernel::kTblGemm, plan.blocking),
+          blocking_issue_counts(s, bits, ArmKernel::kTblGemm, plan.blocking,
+                                BlockedSchedule::kStandalone,
+                                InputRange::kSigned, plan.tbl_a.source),
           execute_conv(plan, in, ws).value().counts, where + " standalone");
 
       const i64 m = s.gemm_m(), n = s.gemm_n();
@@ -391,7 +395,8 @@ TEST(TblPairedTile, SearchPricesTheExecutedInstructionMix) {
               .value();
       expect_same_issue(
           blocking_issue_counts(s, bits, ArmKernel::kTblGemm, plan.blocking,
-                                BlockedSchedule::kFused),
+                                BlockedSchedule::kFused, InputRange::kSigned,
+                                plan.tbl_a.source),
           fused.counts, where + " fused");
     }
 }
@@ -793,11 +798,11 @@ TEST(TblVerify, SweepCoversTblAndMatchesDerivedCount) {
   int tbl_rows = 0;
   for (const KernelVerifyEntry& e : rep.entries)
     if (e.kernel == ArmKernel::kTblGemm) ++tbl_rows;
-  // bits 2-3, three blocked combos (searched, an explicit blocking that
-  // pairs panels into the 32x4 tile, and the same with weight tables built
-  // from the dictionary) on a signed and a non-negative input, three shapes
-  // each.
-  EXPECT_EQ(tbl_rows, 2 * 6 * 3);
+  // bits 2-3, four blocked combos (searched, an explicit blocking that
+  // pairs panels into the 32x4 tile, the same with weight tables built
+  // from the dictionary, and built ones at Nc = n) on a signed and a
+  // non-negative input, three shapes each.
+  EXPECT_EQ(tbl_rows, 2 * 8 * 3);
 }
 
 
@@ -947,9 +952,9 @@ TEST(TblNonNeg, FoldedPlansMatchReferenceUnderChecks) {
 TEST(TblNonNeg, FoldHalvesTheLookupsAndTheTables) {
   // 2 bit, 64 -> 16 channels, K = 64: the signed plan folds pairs, the
   // non-negative one four values. TBL, ADD.16B, index loads (LD1) and
-  // table loads (LD1x4) halve, and so do the packed weights: in either
-  // table source the folded pack holds half the tables (stored) or ids
-  // (built) of the signed one.
+  // table loads (LD1x4, both plans run from stored tables) halve, and so
+  // do the packed weights: in either table source the folded pack holds
+  // half the tables (stored) or ids (built) of the signed one.
   const ConvShape s = conv_shape(64, 12, 16, 1, 1, 0);
   const Tensor<i8> w = random_qtensor(Shape4{16, 64, 1, 1}, 2, 151);
   const Tensor<i8> in = nonneg_qtensor(Shape4{1, 64, 12, 12}, 2, 152);
@@ -987,9 +992,18 @@ TEST(TblNonNeg, FoldHalvesTheLookupsAndTheTables) {
       EXPECT_EQ(fp.bytes(), folded.packed_weight_bytes) << name;
     }
   }
+  // Whichever source each plan priced, run both from stored tables, so
+  // every group step loads its tables with one LD1x4 on either side.
+  ArmConvPlan signed_stored = signed_plan, folded_stored = folded;
+  signed_stored.tbl_a =
+      pack_tbl_a(w.data(), 16, 64, 2, TblOrientation::kWeightTables,
+                 InputRange::kSigned, TblSource::kStored);
+  folded_stored.tbl_a =
+      pack_tbl_a(w.data(), 16, 64, 2, TblOrientation::kWeightTables,
+                 InputRange::kNonNegative, TblSource::kStored);
   Workspace ws;
-  const ArmConvResult a = execute_conv(signed_plan, in, ws).value();
-  const ArmConvResult b = execute_conv(folded, in, ws).value();
+  const ArmConvResult a = execute_conv(signed_stored, in, ws).value();
+  const ArmConvResult b = execute_conv(folded_stored, in, ws).value();
   EXPECT_TRUE(a.out == b.out);
   for (const armsim::Op op : {armsim::Op::kTbl, armsim::Op::kLd1x4})
     EXPECT_EQ(2 * b.counts[op], a.counts[op]) << armsim::op_name(op);

@@ -594,6 +594,13 @@ TEST(TblBuiltProver, EveryModesDictionaryIsProvedEntryExact) {
                     "= " + std::to_string(tbl_dict_size(m) - 1) + " <="),
                 std::string::npos)
           << ids->statement;
+      // Built tables are read at dict + id * 16 for any id byte.
+      const check::Obligation* reads =
+          obligation(r, "tbl.direct-read-in-storage");
+      ASSERT_EQ(reads != nullptr, src == TblSource::kBuilt);
+      if (reads != nullptr) {
+        EXPECT_TRUE(reads->proved) << reads->statement;
+      }
       EXPECT_TRUE(check::prove_tbl_mode(m, 8192, src).ok());
     }
   EXPECT_TRUE(check::prove_arm_kernel(ArmKernel::kTblGemm, 2, 8192).ok());
@@ -606,8 +613,8 @@ TEST(TblBuiltProver, EveryModesDictionaryIsProvedEntryExact) {
 
 TEST(TblBuiltMutation, CorruptedDictionaryEntryFailsAtTableEntriesExact) {
   for (const TblMode m : {kTbl2NonNeg, kTbl3Value}) {
-    std::vector<i8> dict(tbl_dictionary(m),
-                         tbl_dictionary(m) + tbl_dict_size(m) * 16);
+    // The whole storage: the model declares all kTblDictBytes of it.
+    std::vector<i8> dict(tbl_dictionary(m), tbl_dictionary(m) + kTblDictBytes);
     dict[static_cast<size_t>((tbl_dict_size(m) / 2) * 16 + 5)] += 1;
     check::SchemeModel model =
         check::shipping_tbl_model(m, 576, TblSource::kBuilt);
@@ -625,7 +632,9 @@ TEST(TblBuiltMutation, CorruptedDictionaryEntryFailsAtTableEntriesExact) {
 TEST(TblBuiltMutation, IdOnePastTheDictionaryFailsAtIdInDictionary) {
   // Statically: a dictionary declared one table short of the ids the pack
   // emits. Dynamically: one packed id one past the dictionary makes the
-  // checked copy read outside the registered dictionary.
+  // checked run read outside the registered dictionary, whether a micro
+  // call reads the table directly (Nc = 32) or the per-pass copy does
+  // (Nc = n).
   for (const TblMode m : {kTbl2Pair, kTbl2NonNeg, kTbl3Value, kTbl3NonNeg}) {
     check::SchemeModel model =
         check::shipping_tbl_model(m, 576, TblSource::kBuilt);
@@ -641,17 +650,45 @@ TEST(TblBuiltMutation, IdOnePastTheDictionaryFailsAtIdInDictionary) {
       random_qtensor(Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, 2, 121);
   const Tensor<i8> in =
       nonneg_qtensor(Shape4{1, s.in_c, s.in_h, s.in_w}, 2, 122);
-  ArmConvPlan plan =
-      built_plan(s, w, md, GemmBlocking{16, i64{1} << 20, 32}, 1, true);
-  Workspace ws;
-  ASSERT_TRUE(execute_conv(plan, in, ws).ok());
-  plan.tbl_a.ids[7] = static_cast<u8>(tbl_dict_size(md.mode));
-  const StatusOr<ArmConvResult> r = execute_conv(plan, in, ws);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvariantViolation);
-  EXPECT_NE(r.status().to_string().find("TBL table dictionary"),
-            std::string::npos)
-      << r.status().to_string();
+  for (const i64 nc : {i64{32}, s.gemm_n()}) {
+    ArmConvPlan plan =
+        built_plan(s, w, md, GemmBlocking{16, i64{1} << 20, nc}, 1, true);
+    ASSERT_EQ(plan.executed_layout(1).tbl_direct, nc == 32);
+    Workspace ws;
+    ASSERT_TRUE(execute_conv(plan, in, ws).ok());
+    plan.tbl_a.ids[7] = static_cast<u8>(tbl_dict_size(md.mode));
+    const StatusOr<ArmConvResult> r = execute_conv(plan, in, ws);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvariantViolation);
+    EXPECT_NE(r.status().to_string().find("TBL table dictionary"),
+              std::string::npos)
+        << r.status().to_string();
+  }
+}
+
+TEST(TblBuiltMutation, StorageOneTableShortFailsAtDirectReadInStorage) {
+  // The built source reads the table an id byte names at dict + id * 16:
+  // dictionary storage declared one table short of the 256 byte ids, or a
+  // nonzero entry past the dictionary, fails the named obligation.
+  for (const TblMode m : {kTbl2Pair, kTbl2NonNeg, kTbl3Value, kTbl3NonNeg}) {
+    check::SchemeModel model =
+        check::shipping_tbl_model(m, 576, TblSource::kBuilt);
+    model.tbl_dict_storage_bytes -= 16;
+    const check::ProofResult r = check::prove(model);
+    ASSERT_NE(r.first_failed(), nullptr);
+    EXPECT_EQ(r.first_failed()->name, "tbl.direct-read-in-storage") << m.bits;
+
+    std::vector<i8> storage(tbl_dictionary(m),
+                            tbl_dictionary(m) + kTblDictBytes);
+    storage[static_cast<size_t>(tbl_dict_size(m) * 16 + 3)] = 1;
+    check::SchemeModel stray =
+        check::shipping_tbl_model(m, 576, TblSource::kBuilt);
+    stray.tbl_dict = storage.data();
+    const check::ProofResult rs = check::prove(stray);
+    ASSERT_NE(rs.first_failed(), nullptr);
+    EXPECT_EQ(rs.first_failed()->name, "tbl.direct-read-in-storage")
+        << m.bits;
+  }
 }
 
 TEST(TblBuiltMutation, PanelCopyOneTableShortFailsAtUninitRead) {
@@ -685,7 +722,7 @@ TEST(TblBuiltMutation, PanelCopyOneTableShortFailsAtUninitRead) {
     armsim::Ctx ctx;
     ctx.verifier = &v;
     copy_tbl_tables(ctx, mode, ids.data(), copied, panel.data());
-    micro_tbl_16x4(ctx, idx.data(), panel.data(), groups,
+    micro_tbl_16x4(ctx, idx.data(), TblTables{panel.data()}, groups,
                    tbl_flush_interval(mode), tile);
     if (copied == tables) {
       EXPECT_TRUE(v.ok()) << v.to_status().to_string();

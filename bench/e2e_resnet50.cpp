@@ -16,9 +16,10 @@
 //     never be worse than the per-layer-greedy seed under the chained
 //     cache-replay objective, and the aggregate margin is reported.
 //   * exact regression gate — every modeled quantity is deterministic, so
-//     each row (fused/unfused seconds, fusion counts, joint/greedy cycles)
-//     must match the committed bench/baselines/BENCH_e2e.json exactly, as
-//     printed there. Refresh after a deliberate change with:
+//     each row (fused/unfused seconds, fusion counts, the fused plan's
+//     arena and packed-weight bytes, joint/greedy cycles) must match the
+//     committed bench/baselines/BENCH_e2e.json exactly, as printed there.
+//     Refresh after a deliberate change with:
 //       LBC_BENCH_JSON=bench/baselines/BENCH_e2e.json build/bench/e2e_resnet50
 #include <cmath>
 #include <cstdio>
@@ -44,6 +45,8 @@ struct E2eRecord {
   double unfused_s = 0;  ///< modeled seconds, per-layer path (kOff)
   int fused_convs = 0;
   int fused_adds = 0;
+  i64 arena_bytes = 0;   ///< fused plan's arena_reserve_bytes()
+  i64 packed_bytes = 0;  ///< fused plan's packed_weight_bytes()
   double joint_cycles = 0;   ///< whole-net chained-replay objective (joint)
   double greedy_cycles = 0;  ///< same objective, per-layer-greedy blocking
   bool bitexact = false;
@@ -91,11 +94,15 @@ std::string record_json(const E2eRecord& r) {
                 "{\"graph\": \"%s\", \"bits\": %d, "
                 "\"fused_seconds\": %.9f, \"unfused_seconds\": %.9f, "
                 "\"fused_convs\": %d, \"fused_adds\": %d, "
+                "\"arena_reserve_bytes\": %lld, "
+                "\"packed_weight_bytes\": %lld, "
                 "\"joint_cycles\": %.1f, \"greedy_cycles\": %.1f, "
                 "\"bitexact\": %s}",
                 r.graph.c_str(), r.bits, r.fused_s, r.unfused_s,
-                r.fused_convs, r.fused_adds, r.joint_cycles, r.greedy_cycles,
-                r.bitexact ? "true" : "false");
+                r.fused_convs, r.fused_adds,
+                static_cast<long long>(r.arena_bytes),
+                static_cast<long long>(r.packed_bytes), r.joint_cycles,
+                r.greedy_cycles, r.bitexact ? "true" : "false");
   return buf;
 }
 
@@ -228,6 +235,8 @@ int main() {
       rec.unfused_s = ru.seconds;
       rec.fused_convs = fused.fused_convs();
       rec.fused_adds = fused.fused_adds();
+      rec.arena_bytes = fused.arena_reserve_bytes();
+      rec.packed_bytes = fused.packed_weight_bytes();
       rec.joint_cycles = fused.joint_cycles();
       rec.greedy_cycles = fused.greedy_cycles();
       rec.bitexact =

@@ -1,6 +1,7 @@
 #include "armkern/conv_arm.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 
@@ -91,18 +92,20 @@ struct BlockedRun {
 // The blocked rung's GEMM over the conv input at geometry `sb`, shared by
 // execute_conv and execute_conv_fused: sets the GemmOptions, runs the
 // driver on the plan's packed weights into `c` (the m x n C matrix, or the
-// C bands under an epilogue), and folds the per-worker counts into cycles
+// C bands under an epilogue) with its block buffers drawn from `ws` or
+// carved at `block_buffers`, and folds the per-worker counts into cycles
 // and the block buffers and padding into `space` (Fig. 13 / 15: what the
 // fused path holds instead of the k x n im2col matrix).
 BlockedRun run_blocked_gemm(const ArmConvPlan& plan, const ConvShape& sb,
                             const i8* input, i32* c, const TileEpilogue* epi,
-                            Workspace& ws, Verifier* verifier,
-                            SpaceReport& space) {
+                            Workspace* ws, i8* block_buffers,
+                            Verifier* verifier, SpaceReport& space) {
   GemmOptions gopt;
   gopt.bits = plan.requested.bits;
   gopt.kernel = plan.kernel;
   gopt.threads = plan.requested.threads;
-  gopt.workspace = &ws;
+  gopt.workspace = ws;
+  gopt.block_buffers = block_buffers;
   gopt.verifier = verifier;  // forces threads = 1 when set
   gopt.blocking = plan.blocking;
   gopt.epilogue = epi;
@@ -207,6 +210,18 @@ i64 ArmConvPlan::fused_band_elems() const {
          lay.fused_band_elems();
 }
 
+i64 ArmConvPlan::fused_scratch_bytes() const {
+  if (!blocking.enabled() || algo != ConvAlgo::kGemm ||
+      kernel == ArmKernel::kTraditional)
+    return 0;
+  const BlockedLayout lay = executed_layout(shape.batch);
+  const i64 workers =
+      blocked_threads(lay, requested.threads, requested.verify);
+  return workspace_rounded(fused_band_elems() *
+                           static_cast<i64>(sizeof(i32))) +
+         workers * workspace_rounded(lay.block_elems());
+}
+
 ConvRung resolve_conv_rung(const ConvShape& s, const ArmConvOptions& opt) {
   ConvRung r;
   ConvAlgo algo = opt.algo;
@@ -268,10 +283,12 @@ ConvRung resolve_conv_rung(const ConvShape& s, const ArmConvOptions& opt) {
   return r;
 }
 
-StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
-                                const ArmConvOptions& opt,
-                                BlockedSchedule schedule) {
-  // Boundary validation: survives release builds, rejects instead of UB.
+namespace {
+
+// Boundary validation of a plan request: survives release builds, rejects
+// instead of UB.
+Status validate_plan_request(const ConvShape& s, const Tensor<i8>& weight,
+                             const ArmConvOptions& opt) {
   LBC_VALIDATE(s.valid(), kInvalidArgument,
                "invalid conv shape: " << describe(s));
   LBC_VALIDATE(opt.bits >= 2 && opt.bits <= 8, kInvalidArgument,
@@ -283,7 +300,45 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
                "weight tensor is " << shape4_str(weight.shape())
                                    << " but the shape needs "
                                    << shape4_str(want_w));
+  return Status();
+}
 
+}  // namespace
+
+ArmConvPlan fault_degraded_plan(const ConvShape& s, const Tensor<i8>& weight,
+                                const ArmConvOptions& opt) {
+  ArmConvPlan plan;
+  plan.shape = s;
+  plan.requested = opt;
+  plan.weight = weight;
+  const ConvRung rung = resolve_conv_rung(s, opt);
+  plan.kernel = rung.kernel;
+  plan.planned_fallback = rung.fallback;
+  plan.planned_fallback.record(algo_name(rung.algo), "reference",
+                               "conv plan compilation failed: weight "
+                               "prepack resources exhausted (injected "
+                               "fault)");
+  plan.algo = ConvAlgo::kReference;
+  plan.fault_degraded = true;
+  return plan;
+}
+
+StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
+                                const ArmConvOptions& opt,
+                                BlockedSchedule schedule) {
+  LBC_RETURN_IF_ERROR(validate_plan_request(s, weight, opt));
+  // A failed compile degrades to the ladder's floor, which needs no
+  // compiled state; the site is consulted before any search.
+  if (FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail))
+    return fault_degraded_plan(s, weight, opt);
+  return plan_conv_unfaulted(s, weight, opt, schedule);
+}
+
+StatusOr<ArmConvPlan> plan_conv_unfaulted(const ConvShape& s,
+                                          const Tensor<i8>& weight,
+                                          const ArmConvOptions& opt,
+                                          BlockedSchedule schedule) {
+  LBC_RETURN_IF_ERROR(validate_plan_request(s, weight, opt));
   ArmConvPlan plan;
   plan.shape = s;
   plan.requested = opt;
@@ -361,19 +416,6 @@ StatusOr<ArmConvPlan> plan_conv(const ConvShape& s, const Tensor<i8>& weight,
             GemmBlocking{plan.blocking.mc, plan.blocking.kc, per}, m, n, k,
             sdot, tbl_grp);
     }
-  }
-
-  // A failed compile degrades to the ladder's floor, which needs no
-  // compiled state: the reference rung, unblocked, with nothing prepacked.
-  if (FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail)) {
-    plan.planned_fallback.record(algo_name(algo), "reference",
-                                 "conv plan compilation failed: weight "
-                                 "prepack resources exhausted (injected "
-                                 "fault)");
-    plan.algo = ConvAlgo::kReference;
-    plan.blocking = GemmBlocking{};
-    plan.fault_degraded = true;
-    return plan;
   }
 
   // Weight prepack in the executing kernel's layout. pctx records what the
@@ -534,7 +576,7 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
       degraded = true;
     } else {
       BlockedRun run = run_blocked_gemm(plan, sb, input.data(), cptr,
-                                        nullptr, ws, verifier.get(),
+                                        nullptr, &ws, nullptr, verifier.get(),
                                         res.space);
       LBC_RETURN_IF_ERROR(run.status.with_context("conv execute"));
       res.counts.merge(run.counts);
@@ -640,10 +682,9 @@ StatusOr<ArmConvResult> execute_conv(const ArmConvPlan& plan,
 }
 
 StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
-                                             const i8* input, i32* c,
-                                             i64 c_elems,
-                                             const TileEpilogue& epi,
-                                             Workspace& ws) {
+                                             const i8* input,
+                                             std::span<std::byte> scratch,
+                                             const TileEpilogue& epi) {
   LBC_VALIDATE(input != nullptr && epi.fn != nullptr, kInvalidArgument,
                "execute_conv_fused: null operand");
   LBC_VALIDATE(plan.shape.batch == 1, kFailedPrecondition,
@@ -655,12 +696,25 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
                "plan's resolved rung (" << algo_name(plan.algo) << "/"
                    << (plan.blocking.enabled() ? "blocked" : "unblocked")
                    << ") is not the blocked fused-pack GEMM");
-  const i64 band = plan.fused_band_elems();
-  LBC_VALIDATE(c_elems >= band && (band == 0 || c != nullptr),
+  const i64 need = plan.fused_scratch_bytes();
+  LBC_VALIDATE(static_cast<i64>(scratch.size()) >= need, kInvalidArgument,
+               "execute_conv_fused: scratch holds " << scratch.size()
+                   << " bytes, the plan needs " << need);
+  const auto on_line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % kCacheLineBytes == 0;
+  };
+  LBC_VALIDATE(on_line(scratch.data()), kInvalidArgument,
+               "execute_conv_fused: scratch does not start on a "
+                   << kCacheLineBytes << "-byte line");
+  LBC_VALIDATE(epi.out_base == nullptr || on_line(epi.out_base),
                kInvalidArgument,
-               "execute_conv_fused: C band holds "
-                   << (c == nullptr ? 0 : c_elems)
-                   << " i32 elements, the plan needs " << band);
+               "execute_conv_fused: epilogue output does not start on a "
+                   << kCacheLineBytes << "-byte line");
+  // Carved as the plan sizes it: the C bands, then the block buffers.
+  const i64 band_bytes = workspace_rounded(plan.fused_band_elems() *
+                                           static_cast<i64>(sizeof(i32)));
+  i32* c = band_bytes > 0 ? reinterpret_cast<i32*>(scratch.data()) : nullptr;
+  i8* block_buffers = reinterpret_cast<i8*>(scratch.data() + band_bytes);
 
   const ConvShape& sb = plan.shape;
   const int bits = plan.requested.bits;
@@ -679,8 +733,8 @@ StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
                          /*overread_slack=*/16);
   }
 
-  BlockedRun run = run_blocked_gemm(plan, sb, input, c, &epi, ws,
-                                    verifier.get(), res.space);
+  BlockedRun run = run_blocked_gemm(plan, sb, input, c, &epi, nullptr,
+                                    block_buffers, verifier.get(), res.space);
   LBC_RETURN_IF_ERROR(run.status.with_context("fused conv execute"));
   res.counts = run.counts;
   res.cycles =

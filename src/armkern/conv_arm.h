@@ -18,6 +18,9 @@
 // (weights are packed offline in deployment).
 #pragma once
 
+#include <cstddef>
+#include <span>
+
 #include "armkern/bitserial.h"
 #include "armkern/gemm_lowbit.h"
 #include "armkern/winograd23.h"
@@ -174,11 +177,15 @@ struct ArmConvPlan {
   /// The blocked driver's geometry at batch `batch` — what an execute
   /// runs; its blk equals `blocking` for every plan on the blocked rung.
   BlockedLayout executed_layout(i64 batch) const;
-  /// i32 elements of the C band storage execute_conv_fused needs: one
+  /// i32 elements of the C bands in execute_conv_fused's scratch: one
   /// gemm_m x Nc band per modeled worker, or 0 when one K block covers K
   /// (the epilogue reads the micro tiles directly). 0 for plans that are
   /// not on the blocked GEMM rung.
   i64 fused_band_elems() const;
+  /// Bytes of the scratch execute_conv_fused carves: the line-rounded C
+  /// bands, then each worker's line-rounded B-block buffer. 0 for plans
+  /// that are not on the blocked GEMM rung.
+  i64 fused_scratch_bytes() const;
 };
 
 /// Resolve the ladder and prepack the weights. `schedule` is the blocked
@@ -186,14 +193,27 @@ struct ArmConvPlan {
 /// execute_conv_fused): the per-conv priced choices — a kAuto blocking and
 /// a weight-tables TBL plan's table source (choose_tbl_source, or
 /// tbl_source_at an explicit blocking) — are made for it. A failed compile
-/// (the plan.compile_fail fault site) is not an error: the plan degrades
-/// to the reference rung, unblocked and with nothing prepacked, records
-/// why in planned_fallback and sets fault_degraded. Errors:
-/// kInvalidArgument — invalid shape, bits outside [2, 8], weight dims
-/// that do not match the shape, or threads outside [1, 64].
+/// (the plan.compile_fail fault site, consulted once, after validation and
+/// before any search) is not an error: the plan is fault_degraded_plan's.
+/// Errors: kInvalidArgument — invalid shape, bits outside [2, 8], weight
+/// dims that do not match the shape, or threads outside [1, 64].
 StatusOr<ArmConvPlan> plan_conv(
     const ConvShape& s, const Tensor<i8>& weight, const ArmConvOptions& opt,
     BlockedSchedule schedule = BlockedSchedule::kStandalone);
+
+/// plan_conv without the fault site, for a caller that has consulted it
+/// for this conv itself (GraphPlan::compile does, once per conv in node
+/// order, before its searches). Same plan, same errors.
+StatusOr<ArmConvPlan> plan_conv_unfaulted(
+    const ConvShape& s, const Tensor<i8>& weight, const ArmConvOptions& opt,
+    BlockedSchedule schedule = BlockedSchedule::kStandalone);
+
+/// What a failed compile degrades a request to: the reference rung,
+/// unblocked, with nothing prepacked, the reason recorded in
+/// planned_fallback and fault_degraded set. Runs no search and does not
+/// validate.
+ArmConvPlan fault_degraded_plan(const ConvShape& s, const Tensor<i8>& weight,
+                                const ArmConvOptions& opt);
 
 /// Execute the plan against `input`, whose batch may differ from the
 /// planned batch (weights pack identically for any batch; only the GEMM N
@@ -217,26 +237,27 @@ struct FusedConvResult {
 /// Graph-fusion execute: run a blocked-GEMM plan against a raw NCHW i8
 /// activation buffer with `epi` applied to every C row segment right after
 /// its final Kc accumulation (requantize/ReLU/residual-add while the rows
-/// are cache-resident). No gemm_m x gemm_n i32 tensor exists: `c` is
-/// caller-provided scratch of `c_elems` i32 elements holding the partial-K
-/// C bands, of which the plan needs fused_band_elems() (0 when one K block
-/// covers K; `c` may then be null). Its contents after the call are
-/// unspecified. Unlike execute_conv, the Workspace is NOT reset: the graph
-/// runner owns the arena layout (liveness-planned activation slots below,
-/// per-node scratch above — released by Workspace::rewind). With
-/// plan.requested.verify the run is checked: input, C band, epilogue
-/// output and micro tile are registered with one verifier.
-/// Errors: kInvalidArgument for a null operand or a band smaller than
-/// fused_band_elems(); kFailedPrecondition when the plan's resolved rung is
-/// not the blocked fused-pack GEMM (winograd/bitserial/direct/reference/
-/// unblocked plans execute unfused via execute_conv), or when the planned
-/// batch != 1 (graph forward is batch-1); kInvariantViolation when checked
-/// execution finds a violation.
+/// are cache-resident). No gemm_m x gemm_n i32 tensor exists, and nothing
+/// is allocated: `scratch` is caller-owned storage of at least
+/// plan.fused_scratch_bytes() bytes, carved into the C bands
+/// (fused_band_elems() i32 elements, none when one K block covers K) and
+/// then one B-block buffer per worker, each starting on a cache line. Its
+/// contents after the call are unspecified. A graph runner passes an arena
+/// slot live only at this conv. With plan.requested.verify the run is
+/// checked: input, C band, epilogue output and micro tile are registered
+/// with one verifier.
+/// Errors: kInvalidArgument for a null operand, a scratch span shorter
+/// than fused_scratch_bytes(), or an epilogue output or scratch that does
+/// not start on a 64-byte line (the cache model keys on host lines, so an
+/// unaligned buffer would move the modeled cycles); kFailedPrecondition
+/// when the plan's resolved rung is not the blocked fused-pack GEMM
+/// (winograd/bitserial/direct/reference/unblocked plans execute unfused
+/// via execute_conv), or when the planned batch != 1 (graph forward is
+/// batch-1); kInvariantViolation when checked execution finds a violation.
 StatusOr<FusedConvResult> execute_conv_fused(const ArmConvPlan& plan,
-                                             const i8* input, i32* c,
-                                             i64 c_elems,
-                                             const TileEpilogue& epi,
-                                             Workspace& ws);
+                                             const i8* input,
+                                             std::span<std::byte> scratch,
+                                             const TileEpilogue& epi);
 
 /// Quantized convolution to 32-bit accumulators. Bit-exact with
 /// ref::conv2d_s32 for GEMM/bitserial algos and with

@@ -347,13 +347,17 @@ GemmStats gemm_s8s32_conv_blocked(const KernelAPanels& a, const ConvShape& s,
 
   const int threads =
       blocked_threads(lay, opt.threads, opt.verifier != nullptr);
-  // Per-thread B-block scratch, drawn from the arena up front (a Workspace
-  // is single-owner, so all draws happen before the workers start).
+  // Per-thread B-block scratch: the caller's carved buffers, or drawn from
+  // the arena up front (a Workspace is single-owner, so all draws happen
+  // before the workers start).
   std::vector<AlignedVector<i8>> own(static_cast<size_t>(threads));
   std::vector<i8*> bufs(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t)
     bufs[static_cast<size_t>(t)] =
-        gemm_scratch(opt, own[static_cast<size_t>(t)], lay.block_elems());
+        opt.block_buffers != nullptr
+            ? opt.block_buffers + t * workspace_rounded(lay.block_elems())
+            : gemm_scratch(opt, own[static_cast<size_t>(t)],
+                           lay.block_elems());
 
   if (threads == 1) {
     Ctx ctx;

@@ -84,6 +84,11 @@ struct GemmOptions {
   /// instead of fresh heap allocations. The arena must outlive the call;
   /// the caller resets it between executions.
   Workspace* workspace = nullptr;
+  /// gemm_s8s32_conv_blocked only: caller-carved B-block buffers,
+  /// blocked_threads() consecutive buffers of
+  /// workspace_rounded(BlockedLayout::block_elems()) bytes, one per worker.
+  /// When set, `workspace` is not drawn from.
+  i8* block_buffers = nullptr;
   /// Checked execution (armsim/verifier.h): every Ctx this call creates
   /// carries the verifier, operand regions are registered with the value
   /// ranges below, and the panel loop is forced to threads = 1 so reported

@@ -370,6 +370,9 @@ ReplayMisses replay_memoized(const ConvShape& s, const BlockedLayout& lay,
   if (lay.tbl())
     os << (lay.tbl_orient == TblOrientation::kActTables ? "|tblA" : "|tblB")
        << lay.tbl_group;
+  // Act tables pair row panels inside each Mc block, so there the touch
+  // sequence depends on Mc too.
+  if (lay.tbl() && !lay.tbl_weight_tables()) os << "|mc" << lay.blk.mc;
   // The built source reads its mode's dictionary, whose size (and so its
   // lines) the group alone does not fix, by copy or directly.
   if (lay.tbl_built())

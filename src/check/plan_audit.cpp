@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/align.h"
+
 namespace lbc::check {
 namespace {
 
@@ -38,14 +40,23 @@ AuditReport audit_plan(const PlanAuditInput& in) {
   AuditReport rep;
 
   // Slot containment + pairwise liveness/extent overlap. The planner's
-  // first-fit packing is exactly the claim "lifetimes overlap => byte
-  // ranges disjoint"; re-check it from the placed result.
+  // packing is exactly the claim "lifetimes overlap => byte ranges
+  // disjoint" (in-place pairs aside); re-check it from the placed result.
+  const auto kind = [](const SlotInterval& s) {
+    return s.scratch ? "scratch" : "slot";
+  };
   for (const SlotInterval& s : in.slots) {
-    if (s.off < 0 || s.bytes <= 0 || s.off + s.bytes > in.activation_bytes) {
+    if (s.off < 0 || s.bytes <= 0 || s.off + s.bytes > in.arena_bytes) {
       std::ostringstream os;
-      os << "node " << s.node << " slot [" << s.off << ", "
-         << s.off + s.bytes << ") outside arena of " << in.activation_bytes
+      os << "node " << s.node << " " << kind(s) << " [" << s.off << ", "
+         << s.off + s.bytes << ") outside arena of " << in.arena_bytes
          << " bytes";
+      add(rep, "audit.slot-in-arena", os.str());
+    }
+    if (s.off % static_cast<i64>(kCacheLineBytes) != 0) {
+      std::ostringstream os;
+      os << "node " << s.node << " " << kind(s) << " offset " << s.off
+         << " does not start on a " << kCacheLineBytes << "-byte line";
       add(rep, "audit.slot-in-arena", os.str());
     }
     if (s.def > s.last) {
@@ -55,17 +66,56 @@ AuditReport audit_plan(const PlanAuditInput& in) {
       add(rep, "audit.slot-in-arena", os.str());
     }
   }
+  // An in-place pair shares bytes by design; it is judged by its own
+  // invariant instead of the overlap check.
+  const auto activation_slot = [&in](int node) -> const SlotInterval* {
+    for (const SlotInterval& s : in.slots)
+      if (s.node == node && !s.scratch) return &s;
+    return nullptr;
+  };
+  const auto declared_pair = [&in](const SlotInterval& a,
+                                   const SlotInterval& b) {
+    if (a.scratch || b.scratch) return false;
+    for (const InPlaceWrite& w : in.in_place)
+      if ((w.add == a.node && w.operand == b.node) ||
+          (w.add == b.node && w.operand == a.node))
+        return true;
+    return false;
+  };
+  for (const InPlaceWrite& w : in.in_place) {
+    const SlotInterval* op = activation_slot(w.operand);
+    const SlotInterval* sum = activation_slot(w.add);
+    std::ostringstream os;
+    os << "add node " << w.add << " writes over node " << w.operand;
+    if (op == nullptr || sum == nullptr) {
+      os << " but one of the two has no slot";
+    } else if (op->off != sum->off || op->bytes != sum->bytes) {
+      os << " but their slots [" << op->off << ", " << op->off + op->bytes
+         << ") and [" << sum->off << ", " << sum->off + sum->bytes
+         << ") are not the same bytes";
+    } else if (op->last > sum->def) {
+      os << " at node " << sum->def << ", which is still read at node "
+         << op->last;
+    } else if (w.operand == w.conv_input) {
+      os << ", the input its fused conv node " << sum->def
+         << " gathers while the epilogue writes";
+    } else {
+      continue;
+    }
+    add(rep, "audit.in-place-last-reader", os.str());
+  }
   for (size_t i = 0; i < in.slots.size(); ++i)
     for (size_t j = i + 1; j < in.slots.size(); ++j) {
       const SlotInterval& a = in.slots[i];
       const SlotInterval& b = in.slots[j];
       const bool live_together = a.def <= b.last && b.def <= a.last;
-      if (live_together && ranges_overlap(a.off, a.bytes, b.off, b.bytes)) {
+      if (live_together && ranges_overlap(a.off, a.bytes, b.off, b.bytes) &&
+          !declared_pair(a, b)) {
         std::ostringstream os;
-        os << "nodes " << a.node << " and " << b.node
-           << " are live together (defs " << a.def << "/" << b.def
-           << ", lasts " << a.last << "/" << b.last
-           << ") but slots overlap: [" << a.off << ", " << a.off + a.bytes
+        os << "node " << a.node << " " << kind(a) << " and node " << b.node
+           << " " << kind(b) << " are live together (defs " << a.def << "/"
+           << b.def << ", lasts " << a.last << "/" << b.last
+           << ") but overlap: [" << a.off << ", " << a.off + a.bytes
            << ") vs [" << b.off << ", " << b.off + b.bytes << ")";
         add(rep, "audit.slot-overlap", os.str());
       }

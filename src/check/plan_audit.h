@@ -1,17 +1,23 @@
 // Post-compile auditor for compiled plans (ConvPlan / GraphPlan).
 //
-// GraphPlan::compile performs liveness analysis, first-fit arena packing,
-// epilogue fusion, and TuningCache blocking resolution — four places where
-// a planning bug silently corrupts activations at execute time (an
+// GraphPlan::compile performs liveness analysis, in-place adds, arena
+// packing, epilogue fusion, and TuningCache blocking resolution — places
+// where a planning bug silently corrupts activations at execute time (an
 // overlapping slot assignment reads a clobbered tensor; a fused epilogue
 // writing past its slot tramples a neighbour). The auditor re-checks the
-// *output* of planning against four invariants, from plain data the
-// planner hands over, so a mutation in any of the four shows up as a named
+// *output* of planning against these invariants, from plain data the
+// planner hands over, so a mutation in any of them shows up as a named
 // rejection instead of wrong inference results:
 //
-//   audit.slot-overlap          simultaneously-live slots occupy disjoint
-//                               byte ranges of the activation arena
+//   audit.slot-overlap          simultaneously-live slots (activations
+//                               and fused-conv scratch) occupy disjoint
+//                               byte ranges of the arena, except a
+//                               declared in-place pair
 //   audit.slot-in-arena         every slot lies inside [0, arena bytes)
+//                               and starts on a cache line
+//   audit.in-place-last-reader  an add writes over an operand's bytes only
+//                               as that operand's last reader, and a fused
+//                               add never over its conv's own input
 //   audit.epilogue-containment  fused writeback extents stay inside the
 //                               declared destination slot
 //   audit.packed-weight-bounds  declared prepacked-weight bytes match the
@@ -40,14 +46,28 @@
 
 namespace lbc::check {
 
-/// One activation-arena slot with its liveness interval: written first at
-/// node `def`, read last at node `last` (inclusive, in execution order).
+/// One arena slot with its liveness interval: written first at node
+/// `def`, read last at node `last` (inclusive, in execution order). A
+/// scratch slot holds a fused conv's C bands and block buffers and is live
+/// at that conv alone.
 struct SlotInterval {
   int node = 0;  ///< node the slot belongs to (for findings)
   i64 off = 0;
   i64 bytes = 0;
   int def = 0;
   int last = 0;
+  bool scratch = false;
+};
+
+/// An add that writes over an operand's slot — the same bytes, element j
+/// read then written: legal only when the add is the operand's last reader
+/// (the operand's slot is last read no later than the add's is first
+/// written) and, for an add fused into a conv's epilogue, when the operand
+/// is not that conv's input.
+struct InPlaceWrite {
+  int add = 0;
+  int operand = 0;
+  int conv_input = -1;  ///< the fused conv's input node; -1 when unfused
 };
 
 /// One fused-epilogue writeback: the byte extent the epilogue can touch
@@ -91,8 +111,9 @@ struct InputRangeRecord {
 /// Everything the auditor sees — plain data, so GraphPlan::compile fills
 /// it from real plan state and mutation tests corrupt it field by field.
 struct PlanAuditInput {
-  i64 activation_bytes = 0;  ///< arena extent the slots must fit in
+  i64 arena_bytes = 0;  ///< arena extent the slots must fit in
   std::vector<SlotInterval> slots;
+  std::vector<InPlaceWrite> in_place;
   std::vector<EpilogueWrite> epilogues;
   std::vector<PackedRegion> packed;
   std::vector<BlockingRecord> blockings;

@@ -52,26 +52,6 @@ void Workspace::reset() {
   used_ = 0;
 }
 
-Workspace::Mark Workspace::mark() const {
-  Mark m;
-  m.blocks = blocks_.size();
-  m.used_in_last = blocks_.empty() ? 0 : blocks_.back().used;
-  m.used_total = used_;
-  return m;
-}
-
-void Workspace::rewind(const Mark& m) {
-  LBC_CHECK_MSG(blocks_.size() >= m.blocks && used_ >= m.used_total,
-                "Workspace::rewind: arena was reset past the mark");
-  blocks_.resize(m.blocks);
-  if (!blocks_.empty()) {
-    LBC_CHECK_MSG(blocks_.back().used >= m.used_in_last,
-                  "Workspace::rewind: arena was rewound past the mark");
-    blocks_.back().used = m.used_in_last;
-  }
-  used_ = m.used_total;
-}
-
 void Workspace::reserve(i64 bytes) {
   LBC_CHECK_MSG(bytes >= 0, "Workspace::reserve: negative size");
   LBC_CHECK_MSG(used_ == 0, "Workspace::reserve: arena is in use");

@@ -58,23 +58,6 @@ class Workspace {
   /// handed out before the reset are invalidated.
   void reset();
 
-  /// Cursor snapshot for scoped scratch: allocations made after mark() are
-  /// released by rewind(mark) while everything below the mark stays valid.
-  /// This is what lets a graph runner hold liveness-planned activation
-  /// slots at the arena base and recycle per-node conv scratch above them
-  /// without a full reset().
-  struct Mark {
-    size_t blocks = 0;      ///< block count at mark time
-    i64 used_in_last = 0;   ///< cursor within the last block
-    i64 used_total = 0;     ///< bytes_used() at mark time
-  };
-  Mark mark() const;
-  /// Release every allocation made since `m` was taken. Pointers handed out
-  /// before the mark remain valid (no consolidation happens here; overflow
-  /// blocks grown after the mark are freed). Fatal if the arena was reset
-  /// or rewound past `m` in the meantime.
-  void rewind(const Mark& m);
-
   /// Ensure the primary block holds at least `bytes` without growing later.
   void reserve(i64 bytes);
 

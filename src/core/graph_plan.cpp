@@ -1,12 +1,15 @@
 #include "core/graph_plan.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "armsim/cost_model.h"
 #include "check/plan_audit.h"
+#include "common/fault_injection.h"
 #include "common/status.h"
 #include "core/conv_plan.h"
 #include "serve/thread_pool.h"
@@ -85,11 +88,11 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
 
   // ---- per-node plans ----------------------------------------------------
   // Every conv is planned — its weights packed — exactly once. First each
-  // conv's rung and input range are resolved (resolve_conv_rung: no pack,
-  // no search). Then the kernel and blocking searches of the convs that
-  // need one run concurrently, and the joint search over the fused chain
-  // runs on their winners. Last, each conv is planned in node order with
-  // what was found.
+  // conv's compile-fault site is consulted and its rung and input range
+  // are resolved (resolve_conv_rung: no pack, no search). Then the kernel
+  // and blocking searches of the convs that need one run concurrently,
+  // and the joint search over the fused chain runs on their winners. Last,
+  // each conv is planned in node order with what was found.
   const bool fusion = opt.fusion == FusionMode::kOn;
   constexpr armkern::BlockedSchedule kFused = armkern::BlockedSchedule::kFused;
   // A conv on the blocked GEMM rung: its kernel (TBL against MLA, at <= 3
@@ -145,6 +148,9 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
                                    n.relu);
         p.gemm_m = n.conv.gemm_m();
         p.gemm_n = n.conv.gemm_n();
+        LBC_ASSIGN_OR_RETURN(
+            p.bias_q, quant::quantize_bias(n.bias_f, n.conv.out_c, src.scheme,
+                                           n.weight_scheme, n.conv.gemm_k()));
         ConvSearch cs;
         cs.node = i;
         cs.opt.bits = n.bits;
@@ -157,6 +163,15 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
         // Under fusion a blocked GEMM conv takes its blocking from the
         // fused-schedule search, pinned as an explicit blocking.
         if (fusion) cs.opt.blocking = armkern::BlockingPolicy::kExplicit;
+        // A failed compile degrades the conv here, once per conv in node
+        // order, before any search: it joins no search, no joint chain and
+        // no fusion.
+        if (FaultInjector::instance().should_fire(
+                FaultSite::kPlanCompileFail)) {
+          p.conv = std::make_shared<const armkern::ArmConvPlan>(
+              armkern::fault_degraded_plan(n.conv, n.weight_q, cs.opt));
+          break;
+        }
         cs.rung = armkern::resolve_conv_rung(n.conv, cs.opt);
         cs.fused = fusion && cs.rung.blocked && n.conv.batch == 1;
         convs.push_back(cs);
@@ -280,19 +295,16 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     if (cs.tbl) copt.kernel = armkern::ArmKernel::kTblGemm;
     if (cs.fused) copt.explicit_blocking = cs.blocking;
     // A fused conv's explicit blocking packs the table source the joint
-    // search priced at it (armkern::tbl_source_at).
-    LBC_ASSIGN_OR_RETURN(
-        armkern::ArmConvPlan cp,
-        armkern::plan_conv(n.conv, n.weight_q, copt, cs.schedule()));
+    // search priced at it (armkern::tbl_source_at). The compile-fault site
+    // was consulted for this conv above.
+    LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan cp,
+                         armkern::plan_conv_unfaulted(n.conv, n.weight_q, copt,
+                                                      cs.schedule()));
     p.conv = std::make_shared<const armkern::ArmConvPlan>(std::move(cp));
     // Same static proof gate as core::plan_arm_conv, on the kernel and
     // mode that will execute.
     LBC_RETURN_IF_ERROR(prove_arm_plan(*p.conv).with_context(
         "GraphPlan::compile conv node " + std::to_string(cs.node)));
-    const QnnGraph::Node& src = g.nodes_[static_cast<size_t>(n.src0)];
-    LBC_ASSIGN_OR_RETURN(
-        p.bias_q, quant::quantize_bias(n.bias_f, n.conv.out_c, src.scheme,
-                                       n.weight_scheme, n.conv.gemm_k()));
   }
 
   // ---- epilogue fusion pairing ------------------------------------------
@@ -321,59 +333,116 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     }
   }
 
-  // ---- liveness analysis + first-fit slot assignment --------------------
-  // def[i] = when the slot is first written (the producing conv for a
-  // fused add); last[i] = the last node that reads it. First-fit packs
-  // slots whose lifetimes overlap into disjoint offsets.
+  // ---- liveness ----------------------------------------------------------
+  // def[i] = when node i's output is written (the producing conv for a
+  // fused add); last[i] = when it is last read, at least node i itself. A
+  // fused add reads its operands in its conv's epilogue, so at def.
   std::vector<int> def(n_nodes), last(n_nodes);
   for (size_t i = 0; i < n_nodes; ++i) {
     const NodePlan& p = plan.nodes_[i];
     def[i] = p.fused_into >= 0 ? p.fused_into : static_cast<int>(i);
-    last[i] = static_cast<int>(i);
-    for (int c : consumers[i]) last[i] = std::max(last[i], c);
   }
-  struct Placed {
-    i64 off, bytes;
-    int def, last;
-    int node;
-  };
-  std::vector<Placed> placed;
   for (size_t i = 0; i < n_nodes; ++i) {
-    NodePlan& p = plan.nodes_[i];
-    if (p.kind == NodeKind::kConv && p.fused_add >= 0) continue;  // no slot
-    const i64 bytes = workspace_rounded(p.out_shape.elems());
-    std::vector<const Placed*> live;
-    for (const Placed& q : placed)
-      if (def[i] <= q.last && q.def <= last[i]) live.push_back(&q);
-    std::sort(live.begin(), live.end(),
-              [](const Placed* a, const Placed* b) { return a->off < b->off; });
-    i64 off = 0;
-    for (const Placed* q : live) {
-      if (off + bytes <= q->off) break;
-      off = std::max(off, q->off + q->bytes);
-    }
-    p.out_offset = off;
-    p.out_bytes = bytes;
-    placed.push_back(Placed{off, bytes, def[i], last[i],
-                            static_cast<int>(i)});
-    plan.activation_bytes_ =
-        std::max(plan.activation_bytes_, off + bytes);
+    last[i] = static_cast<int>(i);
+    for (int c : consumers[i])
+      last[i] = std::max(last[i], def[static_cast<size_t>(c)]);
   }
 
-  // A fused conv's scratch: its C bands (none when one K block covers K),
-  // then the driver's pack-block buffers — allocated in forward's order.
-  i64 peak_scratch = 0;
-  for (const NodePlan& p : plan.nodes_)
-    if (p.kind == NodeKind::kConv && p.fused)
-      peak_scratch = std::max(
-          peak_scratch,
-          workspace_rounded(p.conv->fused_band_elems() *
-                            static_cast<i64>(sizeof(i32))) +
-              p.conv->workspace_bytes(1));
-  plan.arena_reserve_bytes_ = plan.activation_bytes_ + peak_scratch;
-  for (const NodePlan& p : plan.nodes_)
+  // ---- in-place adds -----------------------------------------------------
+  // An add writes over an operand when it is that operand's last reader:
+  // the unfused loop and the fused epilogue both read element j of the
+  // operand and then write element j. The one exception is a fused add's
+  // operand that is also its conv's input, which the conv still gathers
+  // while the epilogue writes. slot_of[i] is the node whose slot holds
+  // node i's output (-1: none — a conv writing its fused add's slot).
+  std::vector<int> slot_of(n_nodes, -1), in_place(n_nodes, -1);
+  const auto conv_input = [&plan](const NodePlan& add) {
+    return add.fused_into >= 0
+               ? plan.nodes_[static_cast<size_t>(add.fused_into)].src0
+               : -1;
+  };
+  for (size_t i = 0; i < n_nodes; ++i) {
+    const NodePlan& p = plan.nodes_[i];
+    if (p.kind == NodeKind::kConv && p.fused_add >= 0) continue;
+    slot_of[i] = static_cast<int>(i);
+    if (p.kind != NodeKind::kAdd) continue;
+    for (const int o : {p.src0, p.src1}) {
+      const size_t oi = static_cast<size_t>(o);
+      if (slot_of[oi] < 0 || last[oi] != def[i] || o == conv_input(p) ||
+          plan.nodes_[oi].out_shape.elems() != p.out_shape.elems())
+        continue;
+      slot_of[i] = slot_of[oi];
+      in_place[i] = o;
+      break;
+    }
+  }
+
+  // ---- one arena ---------------------------------------------------------
+  // Every slot is live over [def, last]: an activation slot from its first
+  // write to its last member's last read, a fused conv's scratch (C bands,
+  // then its workers' block buffers) at its own node only. Largest first
+  // (ties in node order), each slot takes the lowest line-aligned offset
+  // that clears every placed slot it is live beside.
+  struct Slot {
+    i64 bytes = 0;
+    int def = 0, last = 0;
+    i64 off = -1;
+  };
+  std::vector<Slot> slots;
+  std::vector<size_t> slot_index(n_nodes), scratch_index(n_nodes);
+  for (size_t i = 0; i < n_nodes; ++i) {
+    const NodePlan& p = plan.nodes_[i];
+    if (slot_of[i] == static_cast<int>(i)) {
+      slot_index[i] = slots.size();
+      slots.push_back(Slot{workspace_rounded(p.out_shape.elems()), def[i],
+                           last[i]});
+    } else if (slot_of[i] >= 0) {
+      slot_index[i] = slot_index[static_cast<size_t>(slot_of[i])];
+      Slot& owner = slots[slot_index[i]];
+      owner.last = std::max(owner.last, last[i]);
+    }
+    if (p.kind == NodeKind::kConv && p.fused) {
+      scratch_index[i] = slots.size();
+      slots.push_back(Slot{p.conv->fused_scratch_bytes(),
+                           static_cast<int>(i), static_cast<int>(i)});
+    }
+  }
+  std::vector<size_t> order(slots.size());
+  for (size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::stable_sort(order.begin(), order.end(), [&slots](size_t a, size_t b) {
+    return slots[a].bytes > slots[b].bytes;
+  });
+  std::vector<const Slot*> placed;
+  for (const size_t k : order) {
+    Slot& s = slots[k];
+    std::vector<const Slot*> live;
+    for (const Slot* q : placed)
+      if (s.def <= q->last && q->def <= s.last) live.push_back(q);
+    std::sort(live.begin(), live.end(),
+              [](const Slot* a, const Slot* b) { return a->off < b->off; });
+    i64 off = 0;
+    for (const Slot* q : live) {
+      if (off + s.bytes <= q->off) break;
+      off = std::max(off, q->off + q->bytes);
+    }
+    s.off = off;
+    placed.push_back(&s);
+    plan.arena_reserve_bytes_ =
+        std::max(plan.arena_reserve_bytes_, off + s.bytes);
+  }
+  for (size_t i = 0; i < n_nodes; ++i) {
+    NodePlan& p = plan.nodes_[i];
+    if (slot_of[i] >= 0) {
+      p.out_offset = slots[slot_index[i]].off;
+      p.out_bytes = slots[slot_index[i]].bytes;
+    }
+    if (p.kind == NodeKind::kConv && p.fused) {
+      p.scratch_offset = slots[scratch_index[i]].off;
+      p.scratch_bytes = slots[scratch_index[i]].bytes;
+    }
     if (p.kind == NodeKind::kConv)
       plan.packed_weight_bytes_ += p.conv->packed_weight_bytes;
+  }
 
   // ---- post-compile audit ------------------------------------------------
   // Re-derive what the planner just decided — slot placement, epilogue
@@ -382,10 +451,21 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
   // checks it now: a finding fails the compile with the invariant named
   // rather than corrupting activations at execute time.
   check::PlanAuditInput& audit = plan.audit_input_;
-  audit.activation_bytes = plan.activation_bytes_;
-  for (const Placed& q : placed)
-    audit.slots.push_back(
-        check::SlotInterval{q.node, q.off, q.bytes, q.def, q.last});
+  audit.arena_bytes = plan.arena_reserve_bytes_;
+  for (size_t i = 0; i < n_nodes; ++i) {
+    const NodePlan& p = plan.nodes_[i];
+    const int node = static_cast<int>(i);
+    if (slot_of[i] >= 0)
+      audit.slots.push_back(check::SlotInterval{node, p.out_offset,
+                                                p.out_bytes, def[i], last[i]});
+    if (in_place[i] >= 0)
+      audit.in_place.push_back(
+          check::InPlaceWrite{node, in_place[i], conv_input(p)});
+    if (p.kind == NodeKind::kConv && p.fused)
+      audit.slots.push_back(check::SlotInterval{
+          node, p.scratch_offset, p.scratch_bytes, node, node,
+          /*scratch=*/true});
+  }
   for (size_t i = 0; i < n_nodes; ++i) {
     const NodePlan& p = plan.nodes_[i];
     if (p.kind != NodeKind::kConv) continue;
@@ -448,7 +528,7 @@ StatusOr<QnnGraph::RunResult> GraphPlan::forward(const Tensor<float>& x,
   res.node_seconds.resize(nodes_.size(), 0.0);
   arena.reset();
   arena.reserve(arena_reserve_bytes_);
-  i8* base = static_cast<i8*>(arena.alloc(activation_bytes_));
+  i8* base = static_cast<i8*>(arena.alloc(arena_reserve_bytes_));
 
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const NodePlan& n = nodes_[i];
@@ -465,9 +545,6 @@ StatusOr<QnnGraph::RunResult> GraphPlan::forward(const Tensor<float>& x,
         const NodePlan& src = nodes_[static_cast<size_t>(n.src0)];
         const i8* in = base + src.out_offset;
         if (n.fused) {
-          const Workspace::Mark m = arena.mark();
-          const i64 band = n.conv->fused_band_elems();
-          i32* c = band > 0 ? arena.alloc_n<i32>(band) : nullptr;
           i8* dst = out;
           const i8* other = nullptr;
           quant::FixedPointMultiplier m_self{}, m_other{};
@@ -511,12 +588,14 @@ StatusOr<QnnGraph::RunResult> GraphPlan::forward(const Tensor<float>& x,
               }
             };
           }
+          const std::span<std::byte> slot(
+              reinterpret_cast<std::byte*>(base + n.scratch_offset),
+              static_cast<size_t>(n.scratch_bytes));
           LBC_ASSIGN_OR_RETURN(
               const armkern::FusedConvResult r,
-              armkern::execute_conv_fused(*n.conv, in, c, band, epi, arena));
+              armkern::execute_conv_fused(*n.conv, in, slot, epi));
           res.node_seconds[i] = r.seconds;
           res.seconds += r.seconds;
-          arena.rewind(m);
         } else {
           // Non-fuseable rung (winograd / bitserial / unblocked / fusion
           // off): per-layer execute against the separate scratch arena

@@ -35,11 +35,13 @@
 //    of the fused schedule (seeded from the fused per-layer winners,
 //    persisted as TuningCache v4 "graph" rows keyed by
 //    graph_blocking_hash).
-//  * One arena — every activation slot gets a liveness-assigned offset in
-//    a single lbc::Workspace (first-fit over [def, last-use] intervals);
-//    per-node conv scratch (C bands, pack blocks) is taken above a
-//    Workspace mark and released by rewind, so activations chain between
-//    layers with no Tensor copies.
+//  * One liveness-sized arena — every activation slot and every fused
+//    conv's scratch (its C bands and its workers' pack blocks, live only
+//    at its node) gets an offset in a single lbc::Workspace, placed
+//    largest first, first-fit over [def, last-read] intervals. A residual
+//    add writes over an operand whose last reader it is (not over its
+//    fused conv's own input), so activations chain between layers with no
+//    Tensor copies and a fused forward allocates nothing else.
 //
 // Non-fuseable rungs (winograd, bitserial, direct, reference, unblocked
 // GEMM) still execute through the per-layer driver; their separate requant
@@ -76,10 +78,11 @@ struct GraphPlanOptions {
   /// v4 "graph" rows keyed by graph_blocking_hash).
   gpukern::TuningCache* tuning = nullptr;
   /// Opt-in post-compile audit (check::audit_plan): re-checks slot
-  /// liveness disjointness, fused-epilogue containment, packed-weight
-  /// accounting, blocking clamp bounds and every conv's declared input
-  /// range over the compiled plan (audit_input()); compile fails with
-  /// kInvariantViolation naming the invariant.
+  /// liveness disjointness and alignment, in-place adds, fused-epilogue
+  /// containment, packed-weight accounting, blocking clamp bounds and
+  /// every conv's declared input range over the compiled plan
+  /// (audit_input()); compile fails with kInvariantViolation naming the
+  /// invariant.
   bool audit = false;
 };
 
@@ -87,22 +90,24 @@ class GraphPlan {
  public:
   /// Compile the whole graph: resolve every conv's plan (prepacked
   /// weights), run the joint blocking search, pair fusable epilogues, and
-  /// lay out the activation arena by liveness. The graph must be
-  /// calibrated. The plan snapshots the graph — later push()/calibrate()
-  /// calls on `g` do not affect a compiled plan. A conv whose compile
-  /// faults (plan.compile_fail) inherits plan_conv's reference-rung plan
-  /// and runs unfused. Errors: kInvalidArgument / kFailedPrecondition for
-  /// a bad graph or options, kInvariantViolation naming the obligation
-  /// when a conv's resolved kernel fails the static proof gate, and any
-  /// plan_conv error.
+  /// lay out the arena by liveness. The graph must be calibrated. The plan
+  /// snapshots the graph — later push()/calibrate() calls on `g` do not
+  /// affect a compiled plan. The plan.compile_fail site is consulted once
+  /// per conv, in node order, before any search: a conv whose compile
+  /// faults takes armkern::fault_degraded_plan's reference-rung plan,
+  /// joins no search and runs unfused. Errors: kInvalidArgument /
+  /// kFailedPrecondition for a bad graph or options, kInvariantViolation
+  /// naming the obligation when a conv's resolved kernel fails the static
+  /// proof gate, and any plan_conv error.
   static StatusOr<GraphPlan> compile(const QnnGraph& g,
                                      const GraphPlanOptions& opt = {});
 
   /// Integer-only forward pass. `arena` holds the liveness-planned
-  /// activation slots plus fused-conv scratch (reset on entry); `scratch`
-  /// serves the unfused per-layer executes (which reset it per node). Both
-  /// grow to steady-state capacity on the first call. Errors:
-  /// kInvalidArgument when `x` does not match the input node's shape.
+  /// activation and fused-conv scratch slots: it is reset on entry and
+  /// takes one arena_reserve_bytes() allocation. `scratch` serves the
+  /// unfused per-layer executes (which reset it per node). Both reach
+  /// steady-state capacity on the first call. Errors: kInvalidArgument
+  /// when `x` does not match the input node's shape.
   StatusOr<QnnGraph::RunResult> forward(const Tensor<float>& x,
                                         Workspace& arena,
                                         Workspace& scratch) const;
@@ -111,12 +116,9 @@ class GraphPlan {
   /// The resolved plan conv node `node` executes (kernel, blocking,
   /// prepacked weights); null for a non-conv node or an id out of range.
   const armkern::ArmConvPlan* conv_plan(i64 node) const;
-  /// Liveness-planned bytes of the activation slot region (the arena's
-  /// base allocation; scratch grows above it per node).
-  i64 activation_bytes() const { return activation_bytes_; }
-  /// Total arena reservation, and the arena's exact high water after a
-  /// forward: activation slots + the peak per-node fused scratch (C bands
-  /// + pack buffers).
+  /// The arena's one allocation, and its exact high water after a
+  /// forward: the extent of the placed activation and fused-conv scratch
+  /// slots.
   i64 arena_reserve_bytes() const { return arena_reserve_bytes_; }
   /// armkern::graph_blocking_hash over the fused conv chain (0 when the
   /// chain is empty) — the TuningCache v4 key of the joint search.
@@ -167,15 +169,18 @@ class GraphPlan {
     quant::FixedPointMultiplier gap_m{};
 
     // liveness-assigned arena slot (conv with fused_add >= 0 writes the
-    // add node's slot instead and has none of its own)
+    // add node's slot instead and has none of its own; an in-place add
+    // shares its operand's)
     i64 out_offset = -1;
     i64 out_bytes = 0;
+    // fused conv only: its scratch slot, live at this node alone
+    i64 scratch_offset = -1;
+    i64 scratch_bytes = 0;
   };
 
   GraphPlan() = default;
 
   std::vector<NodePlan> nodes_;
-  i64 activation_bytes_ = 0;
   i64 arena_reserve_bytes_ = 0;
   u64 graph_hash_ = 0;
   i64 packed_weight_bytes_ = 0;

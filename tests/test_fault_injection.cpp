@@ -4,6 +4,7 @@
 // degradation in the run report.
 #include <gtest/gtest.h>
 
+#include "armkern/tile_search.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/workspace.h"
@@ -201,8 +202,12 @@ TEST(FaultRecovery, PlanCompileFailDegradesOneShotToReference) {
   opt.algo = ConvAlgo::kGemm;
 
   ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+  const armkern::TileSearchStats before = armkern::tile_search_stats();
   const auto r = armkern::conv2d_s32(s, d.in, d.w, opt);
   ASSERT_TRUE(r.ok()) << r.status().to_string();
+  // The site is consulted before the blocking search, so none ran.
+  EXPECT_EQ(armkern::tile_search_stats().searches, before.searches);
+  EXPECT_EQ(armkern::tile_search_stats().memo_hits, before.memo_hits);
   EXPECT_EQ(count_mismatches(d.ref, r.value().out), 0);
   EXPECT_EQ(r.value().executed_algo, "reference");
   EXPECT_TRUE(r.value().fallback.fell_back);

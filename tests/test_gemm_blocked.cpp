@@ -257,11 +257,11 @@ struct FusedRun {
 };
 
 FusedRun run_fused(const ArmConvPlan& plan, const Tensor<i8>& in,
-                   i64 band_elems) {
+                   i64 scratch_bytes) {
   const i64 m = plan.shape.gemm_m(), n = plan.shape.gemm_n();
   FusedRun r;
   r.acc.assign(static_cast<size_t>(m * n), -7);
-  std::vector<i8> out(static_cast<size_t>(m * n));
+  AlignedVector<i8> out(static_cast<size_t>(m * n));
   TileEpilogue epi;
   epi.fn = [&r, &out, n](i64 row, i64 col0, i64 cols, const i32* acc) {
     for (i64 j = 0; j < cols; ++j) {
@@ -273,12 +273,8 @@ FusedRun run_fused(const ArmConvPlan& plan, const Tensor<i8>& in,
   epi.out_base = out.data();
   epi.row_stride = n;
   epi.out_rows = m;
-  std::vector<i32> band(static_cast<size_t>(band_elems));
-  Workspace ws;
-  r.status = execute_conv_fused(plan, in.data(),
-                                band.empty() ? nullptr : band.data(),
-                                band_elems, epi, ws)
-                 .status();
+  AlignedVector<std::byte> scratch(static_cast<size_t>(scratch_bytes));
+  r.status = execute_conv_fused(plan, in.data(), scratch, epi).status();
   return r;
 }
 
@@ -327,7 +323,7 @@ TEST(GemmBlocked, FusedExecuteMatchesReferenceForEveryKernel) {
         EXPECT_EQ(plan.fused_band_elems(),
                   direct ? 0 : threads * s.gemm_m() * 12)
             << fc.name;
-        const FusedRun r = run_fused(plan, in, plan.fused_band_elems());
+        const FusedRun r = run_fused(plan, in, plan.fused_scratch_bytes());
         ASSERT_TRUE(r.status.ok()) << fc.name << ": " << r.status.to_string();
         EXPECT_TRUE(std::equal(r.acc.begin(), r.acc.end(), ref.data()))
             << fc.name << (direct ? " direct tile" : " banded")
@@ -387,7 +383,7 @@ TEST(GemmBlocked, PairedTblTileMatchesReferenceAtEveryPanelEdge) {
                                       << alone.status().to_string();
               EXPECT_TRUE(alone.value().out == ref) << where << " standalone";
               const FusedRun fused = run_fused(plan, in,
-                                               plan.fused_band_elems());
+                                               plan.fused_scratch_bytes());
               ASSERT_TRUE(fused.status.ok()) << where << ": "
                                              << fused.status.to_string();
               EXPECT_TRUE(std::equal(fused.acc.begin(), fused.acc.end(),
@@ -398,16 +394,57 @@ TEST(GemmBlocked, PairedTblTileMatchesReferenceAtEveryPanelEdge) {
 }
 
 TEST(GemmBlocked, FusedExecuteRejectsAShortBand) {
+  // The scratch holds the line-rounded C band, then the block buffer: one
+  // byte short of that is refused.
   const FusedCase fc = fused_cases()[0];
   const Tensor<i8> w = random_qtensor(Shape4{24, 16, 3, 3}, 8, 81);
   const Tensor<i8> in = random_qtensor(Shape4{1, 16, 12, 12}, 8, 82);
   const ArmConvPlan plan = fused_plan(fc, w, kBanded, 1, false);
+  const BlockedLayout lay = plan.executed_layout(1);
   ASSERT_GT(plan.fused_band_elems(), 0);
-  EXPECT_EQ(run_fused(plan, in, plan.fused_band_elems() - 1).status.code(),
+  EXPECT_EQ(plan.fused_scratch_bytes(),
+            workspace_rounded(plan.fused_band_elems() * 4) +
+                workspace_rounded(lay.block_elems()));
+  EXPECT_EQ(run_fused(plan, in, plan.fused_scratch_bytes() - 1).status.code(),
             StatusCode::kInvalidArgument);
-  // A plan with one K block needs no band at all: a null one is accepted.
+  // A plan with one K block needs no band, only the block buffer.
   const ArmConvPlan direct = fused_plan(fc, w, kDirectTile, 1, false);
-  EXPECT_TRUE(run_fused(direct, in, 0).status.ok());
+  ASSERT_EQ(direct.fused_band_elems(), 0);
+  EXPECT_EQ(direct.fused_scratch_bytes(),
+            workspace_rounded(direct.executed_layout(1).block_elems()));
+  EXPECT_TRUE(run_fused(direct, in, direct.fused_scratch_bytes()).status.ok());
+}
+
+TEST(GemmBlocked, FusedExecuteRejectsAnUnalignedOutputOrScratch) {
+  // The cache model keys on host lines, so an output or scratch that does
+  // not start on one would move the modeled cycles: both are refused.
+  const FusedCase fc = fused_cases()[0];
+  const Tensor<i8> w = random_qtensor(Shape4{24, 16, 3, 3}, 8, 83);
+  const Tensor<i8> in = random_qtensor(Shape4{1, 16, 12, 12}, 8, 84);
+  const ArmConvPlan plan = fused_plan(fc, w, kBanded, 1, false);
+  const i64 n = plan.shape.gemm_n();
+  AlignedVector<i8> out(static_cast<size_t>(plan.shape.gemm_m() * n + 64));
+  AlignedVector<std::byte> scratch(
+      static_cast<size_t>(plan.fused_scratch_bytes() + 64));
+  TileEpilogue epi;
+  epi.fn = [](i64, i64, i64, const i32*) {};
+  epi.row_stride = n;
+  epi.out_rows = plan.shape.gemm_m();
+  const std::span<std::byte> whole(scratch.data(), scratch.size());
+  for (const i64 shift : {0, 16}) {
+    epi.out_base = out.data() + shift;
+    const Status st =
+        execute_conv_fused(plan, in.data(), whole, epi).status();
+    EXPECT_EQ(st.code(),
+              shift == 0 ? StatusCode::kOk : StatusCode::kInvalidArgument)
+        << st.to_string();
+  }
+  epi.out_base = out.data();
+  const Status st =
+      execute_conv_fused(plan, in.data(), whole.subspan(8), epi).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
+  EXPECT_NE(st.to_string().find("scratch"), std::string::npos)
+      << st.to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -545,16 +582,16 @@ TEST(BlockedWalk, TallyEqualsTheExecutedCountsForEveryKernel) {
                                     row.source),
               alone.value().counts, where + " standalone");
 
-          std::vector<i8> out(static_cast<size_t>(m * n));
+          AlignedVector<i8> out(static_cast<size_t>(m * n));
           TileEpilogue epi;
           epi.fn = [](i64, i64, i64, const i32*) {};
           epi.out_base = out.data();
           epi.row_stride = n;
           epi.out_rows = m;
-          std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
-          const StatusOr<FusedConvResult> fused = execute_conv_fused(
-              plan, in.data(), band.empty() ? nullptr : band.data(),
-              plan.fused_band_elems(), epi, ws);
+          AlignedVector<std::byte> scratch(
+              static_cast<size_t>(plan.fused_scratch_bytes()));
+          const StatusOr<FusedConvResult> fused =
+              execute_conv_fused(plan, in.data(), scratch, epi);
           ASSERT_TRUE(fused.ok()) << where << ": "
                                   << fused.status().to_string();
           expect_same_issue(
@@ -732,6 +769,22 @@ TEST(TileSearchPrices, ScoresOfAFixedCandidateSetArePinned) {
   EXPECT_EQ(i, std::size(pinned));
 }
 
+TEST(TileSearchPrices, ActTableScoresDoNotDependOnReplayOrder) {
+  // Under act tables the walk pairs row panels inside each Mc block, so two
+  // Mcs of one (Kc, Nc) replay different touch sequences: each candidate
+  // reads its own cold replay, whichever was scored first (a replay keyed
+  // without Mc read 611,734.8 then 587,089.2 in this order, and 611,966.8
+  // then 587,321.2 in the reverse one).
+  const ConvShape act = shape(128, 5, 48, 3, 1, 1);
+  const auto score = [&act](const GemmBlocking& blk) {
+    return score_blocking(act, 3, ArmKernel::kTblGemm, blk,
+                          BlockedSchedule::kStandalone, InputRange::kSigned,
+                          TblSource::kStored);
+  };
+  EXPECT_EQ(score(GemmBlocking{16, 96, 8}), 611734.80000000005);
+  EXPECT_EQ(score(GemmBlocking{64, 96, 8}), 587321.19999999995);
+}
+
 TEST(TileSearchPrices, ChainedGraphScoreIsPinned) {
   // Three fused layers, each reading what the previous one wrote: a 2-bit
   // TBL weight-tables 3x3 with built tables, a folded (ReLU-fed) 2-bit TBL
@@ -787,10 +840,9 @@ TEST(TileSearchPrices, ReplayRanksNarrowBandsAsExecutionDoes) {
     epi.out_base = out.data();
     epi.row_stride = n;
     epi.out_rows = m;
-    Workspace ws;
-    ran[i] = execute_conv_fused(plan, in.data(), nullptr, 0, epi, ws)
-                 .value()
-                 .cycles;
+    AlignedVector<std::byte> scratch(
+        static_cast<size_t>(plan.fused_scratch_bytes()));
+    ran[i] = execute_conv_fused(plan, in.data(), scratch, epi).value().cycles;
   }
   EXPECT_GT(ran[0], ran[1]);
   EXPECT_GT(score[0], score[1]) << score[0] << " against " << score[1];

@@ -7,6 +7,7 @@
 // eviction, ModelServer submit_graph contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <future>
@@ -17,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "check/plan_audit.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/workspace.h"
@@ -396,16 +398,103 @@ TEST(GraphPlan, ArenaReachesSteadyStateAfterFirstForward) {
   ASSERT_TRUE(g.calibrate(x).ok());
 
   const GraphPlan plan = GraphPlan::compile(g, fused_options()).value();
-  EXPECT_GT(plan.activation_bytes(), 0);
-  EXPECT_GE(plan.arena_reserve_bytes(), plan.activation_bytes());
+  EXPECT_GT(plan.arena_reserve_bytes(), 0);
 
+  // The arena takes its one reservation and never grows; the unfused
+  // executes' scratch reaches steady state on the first forward.
   Workspace arena, scratch;
   const auto r1 = plan.forward(x, arena, scratch).value();
-  const i64 grows_after_first = arena.grow_count() + scratch.grow_count();
+  EXPECT_EQ(arena.high_water(), plan.arena_reserve_bytes());
+  EXPECT_EQ(arena.grow_count(), 0);
+  const i64 grows_after_first = scratch.grow_count();
   const auto r2 = plan.forward(x, arena, scratch).value();
-  EXPECT_EQ(arena.grow_count() + scratch.grow_count(), grows_after_first)
+  EXPECT_EQ(arena.high_water(), plan.arena_reserve_bytes());
+  EXPECT_EQ(arena.grow_count(), 0);
+  EXPECT_EQ(scratch.grow_count(), grows_after_first)
       << "steady-state forward re-grew its arenas";
   EXPECT_TRUE(same_bits(r1.out, r2.out));
+}
+
+// The largest sum of slot bytes live at one node — activations and fused
+// conv scratch, an in-place add and the operand it writes over counted
+// once: no placement of the plan's slots fits in fewer bytes.
+i64 liveness_bound(const GraphPlan& plan) {
+  const check::PlanAuditInput& audit = plan.audit_input();
+  const auto live = [](const check::SlotInterval& s, i64 t) {
+    return s.def <= t && t <= s.last;
+  };
+  const auto slot = [&audit](int node) -> const check::SlotInterval& {
+    for (const check::SlotInterval& s : audit.slots)
+      if (s.node == node && !s.scratch) return s;
+    ADD_FAILURE() << "node " << node << " has no slot";
+    return audit.slots.front();
+  };
+  i64 bound = 0;
+  for (i64 t = 0; t < plan.node_count(); ++t) {
+    i64 bytes = 0;
+    for (const check::SlotInterval& s : audit.slots)
+      if (live(s, t)) bytes += s.bytes;
+    for (const check::InPlaceWrite& w : audit.in_place)
+      if (live(slot(w.operand), t) && live(slot(w.add), t))
+        bytes -= slot(w.operand).bytes;
+    bound = std::max(bound, bytes);
+  }
+  return bound;
+}
+
+TEST(GraphPlan, ArenaReachesTheLivenessBoundOnThePerfbenchNets) {
+  // The perfbench topologies at their true sizes: a ResNet-50 bottleneck
+  // per stage at 2 bit, and a DenseNet-121 block-2 stage at 8 bit. Every
+  // residual add writes over its operand, and largest-first placement
+  // packs activations and conv scratch into exactly the bound.
+  QnnGraph resnet;
+  {
+    auto n = resnet.add_input(64, 56);
+    n = add_bottleneck_block(resnet, n, 64, 64, 256, 1, 2, 11);
+    n = add_bottleneck_block(resnet, n, 256, 128, 512, 2, 2, 12);
+    n = add_bottleneck_block(resnet, n, 512, 256, 1024, 2, 2, 13);
+    n = add_bottleneck_block(resnet, n, 1024, 512, 2048, 2, 2, 14);
+    resnet.add_global_avgpool(n);
+    ASSERT_TRUE(resnet.calibrate(random_ftensor(Shape4{1, 64, 56, 56}, -1, 1,
+                                                15))
+                    .ok());
+  }
+  QnnGraph densenet;
+  {
+    auto s = densenet.add_input(128, 28);
+    for (int l = 0; l < 4; ++l) {
+      const auto w = [l](i64 oc, i64 ic, i64 k, u64 seed) {
+        return random_ftensor(Shape4{oc, ic, k, k}, -0.25f, 0.25f,
+                              seed + 2 * static_cast<u64>(l));
+      };
+      const auto c1 =
+          densenet.add_conv(s, 128, 1, 1, 0, 8, w(128, 128, 1, 21), {}, true);
+      const auto c2 =
+          densenet.add_conv(c1, 128, 3, 1, 1, 8, w(128, 128, 3, 22), {}, true);
+      s = densenet.add_add(s, c2);
+    }
+    densenet.add_global_avgpool(s);
+    ASSERT_TRUE(densenet
+                    .calibrate(random_ftensor(Shape4{1, 128, 28, 28}, -1, 1,
+                                              23))
+                    .ok());
+  }
+  const struct {
+    const char* name;
+    const QnnGraph& g;
+    i64 arena;
+    int adds;
+  } nets[] = {{"resnet", resnet, 1'331'712, 4},
+              {"densenet", densenet, 229'376, 4}};
+  for (const auto& net : nets) {
+    GraphPlanOptions opt;
+    opt.audit = true;
+    const GraphPlan plan = GraphPlan::compile(net.g, opt).value();
+    EXPECT_EQ(static_cast<int>(plan.audit_input().in_place.size()), net.adds)
+        << net.name;
+    EXPECT_EQ(plan.arena_reserve_bytes(), liveness_bound(plan)) << net.name;
+    EXPECT_EQ(plan.arena_reserve_bytes(), net.arena) << net.name;
+  }
 }
 
 TEST(GraphPlan, TuningCachePersistsJointPlanAcrossCompiles) {
@@ -771,10 +860,10 @@ TEST(GraphPlan, EachConvIsPlannedOnce) {
 }
 
 TEST(GraphPlan, PersistentCompileFaultRunsEveryConvUnfusedOnReference) {
-  // Every conv's compile faults: the graph still compiles (audited), each
-  // conv runs unfused on the reference rung with the fault recorded, and
-  // the forward memcmp-matches the kReference plan and the healthy fused
-  // plan.
+  // Every conv's compile faults: the graph still compiles (audited) without
+  // a kernel, blocking or joint search, each conv runs unfused on the
+  // reference rung with the fault recorded, and the forward memcmp-matches
+  // the kReference plan and the healthy fused plan.
   const Tensor<float> x = random_ftensor(Shape4{1, 16, 8, 8}, -1, 1, 411);
   const QnnGraph g = sized_bottleneck(2, 16, 8, x);
   const GraphPlan healthy = GraphPlan::compile(g, audited()).value();
@@ -783,8 +872,15 @@ TEST(GraphPlan, PersistentCompileFaultRunsEveryConvUnfusedOnReference) {
   const Tensor<float> want = healthy.forward(x, a1, s1).value().out;
 
   ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+  const armkern::TileSearchStats before = armkern::tile_search_stats();
   const StatusOr<GraphPlan> plan = GraphPlan::compile(g, audited());
+  const armkern::TileSearchStats after = armkern::tile_search_stats();
   ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(after.searches, before.searches);
+  EXPECT_EQ(after.memo_hits, before.memo_hits);
+  EXPECT_EQ(after.joint_early_exits, before.joint_early_exits);
+  EXPECT_EQ(after.replays_skipped, before.replays_skipped);
+  EXPECT_EQ(plan->joint_cycles(), 0);
   EXPECT_EQ(plan->fused_convs(), 0);
   EXPECT_EQ(plan->fused_adds(), 0);
   EXPECT_EQ(plan->packed_weight_bytes(), 0);

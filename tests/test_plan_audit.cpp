@@ -1,10 +1,9 @@
 // Post-compile plan auditor (check/plan_audit.h) tests.
 //
-// A clean hand-built PlanAuditInput passes; then each of the six
+// A clean hand-built PlanAuditInput passes; then each of the eight
 // invariants is corrupted in isolation and the audit must surface the
-// EXACT named finding (the mutation suite from the issue). Finally the
-// auditor runs end-to-end behind GraphPlanOptions::audit on a real
-// compiled bottleneck graph.
+// EXACT named finding. Finally the auditor runs end-to-end behind
+// GraphPlanOptions::audit on real compiled graphs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -34,18 +33,25 @@ bool has_finding(const AuditReport& rep, const std::string& invariant) {
 }
 
 /// A small well-formed plan shape: two slots that are never live together
-/// sharing bytes (legal reuse), one contained epilogue, exact packed
-/// accounting, one clamped blocking.
+/// sharing bytes (legal reuse), an add written over its operand as its
+/// last reader, a fused conv's scratch beside the slots live at its node,
+/// one contained epilogue, exact packed accounting, one clamped blocking.
 PlanAuditInput clean_input() {
   PlanAuditInput in;
-  in.activation_bytes = 1024;
+  in.arena_bytes = 1024;
   in.slots = {
       {/*node=*/0, /*off=*/0, /*bytes=*/256, /*def=*/0, /*last=*/1},
       {/*node=*/1, /*off=*/256, /*bytes=*/256, /*def=*/1, /*last=*/2},
       // Reuses node 0's bytes: legal, the lifetimes [0,1] and [3,4] are
       // disjoint.
       {/*node=*/3, /*off=*/0, /*bytes=*/128, /*def=*/3, /*last=*/4},
+      // Add node 2 reads node 1 last, and writes over it.
+      {/*node=*/2, /*off=*/256, /*bytes=*/256, /*def=*/2, /*last=*/3},
+      // Node 1's scratch, live at node 1 alone.
+      {/*node=*/1, /*off=*/512, /*bytes=*/128, /*def=*/1, /*last=*/1,
+       /*scratch=*/true},
   };
+  in.in_place = {{/*add=*/2, /*operand=*/1, /*conv_input=*/-1}};
   in.epilogues = {{/*node=*/1, /*slot_off=*/256, /*slot_bytes=*/256,
                    /*write_off=*/256, /*write_bytes=*/256}};
   in.packed = {{/*node=*/0, /*declared_bytes=*/512, /*backing_bytes=*/512}};
@@ -82,6 +88,77 @@ TEST(PlanAuditMutation, OverlappingLiveSlotsFlagged) {
   EXPECT_EQ(s.code(), StatusCode::kInvariantViolation);
   EXPECT_NE(s.message().find("audit.slot-overlap"), std::string::npos)
       << s.message();
+}
+
+TEST(PlanAuditMutation, UndeclaredSharedBytesFlagged) {
+  // Without its in-place declaration, the add's slot overlaps its operand's
+  // at the node where both are live.
+  PlanAuditInput in = clean_input();
+  in.in_place.clear();
+  const AuditReport rep = check::audit_plan(in);
+  EXPECT_TRUE(has_finding(rep, "audit.slot-overlap")) << rep.summary();
+}
+
+TEST(PlanAuditMutation, OperandWithALaterReaderFlagged) {
+  // Node 1 is still read at node 3, after the add wrote over it at node 2.
+  PlanAuditInput in = clean_input();
+  in.slots[1].last = 3;
+  const AuditReport rep = check::audit_plan(in);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.findings.front().invariant, "audit.in-place-last-reader")
+      << rep.summary();
+  EXPECT_NE(rep.to_status().message().find("still read at node 3"),
+            std::string::npos)
+      << rep.summary();
+}
+
+TEST(PlanAuditMutation, FusedConvsOwnInputWrittenOverFlagged) {
+  // The add is fused into a conv that gathers node 1 while its epilogue
+  // writes node 1's bytes.
+  PlanAuditInput in = clean_input();
+  in.in_place[0].conv_input = 1;
+  const AuditReport rep = check::audit_plan(in);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.findings.front().invariant, "audit.in-place-last-reader")
+      << rep.summary();
+}
+
+TEST(PlanAuditMutation, InPlacePairOnShiftedBytesFlagged) {
+  // An add writing element j over its operand's element j + 64 would
+  // clobber what it has yet to read.
+  PlanAuditInput in = clean_input();
+  in.slots[3].off = 320;
+  in.arena_bytes = 1024 + 64;
+  const AuditReport rep = check::audit_plan(in);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.findings.front().invariant, "audit.in-place-last-reader")
+      << rep.summary();
+}
+
+TEST(PlanAuditMutation, ScratchOverlappingALiveSlotFlagged) {
+  // Node 1's scratch moved onto node 1's own output.
+  PlanAuditInput in = clean_input();
+  ASSERT_TRUE(in.slots[4].scratch);
+  in.slots[4].off = 256;
+  const AuditReport rep = check::audit_plan(in);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.findings.front().invariant, "audit.slot-overlap")
+      << rep.summary();
+  EXPECT_NE(rep.summary().find("scratch"), std::string::npos)
+      << rep.summary();
+}
+
+TEST(PlanAuditMutation, UnalignedOffsetFlagged) {
+  // Inside the arena and overlapping nothing live, but off a cache line.
+  PlanAuditInput in = clean_input();
+  in.slots[2].off = 8;
+  const AuditReport rep = check::audit_plan(in);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.findings.front().invariant, "audit.slot-in-arena")
+      << rep.summary();
+  EXPECT_NE(rep.summary().find("does not start on a 64-byte line"),
+            std::string::npos)
+      << rep.summary();
 }
 
 TEST(PlanAuditMutation, SlotPastArenaEndFlagged) {

@@ -382,17 +382,16 @@ TEST(TblPairedTile, SearchPricesTheExecutedInstructionMix) {
           execute_conv(plan, in, ws).value().counts, where + " standalone");
 
       const i64 m = s.gemm_m(), n = s.gemm_n();
-      std::vector<i8> out(static_cast<size_t>(m * n));
+      AlignedVector<i8> out(static_cast<size_t>(m * n));
       TileEpilogue epi;
       epi.fn = [](i64, i64, i64, const i32*) {};
       epi.out_base = out.data();
       epi.row_stride = n;
       epi.out_rows = m;
-      std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
+      AlignedVector<std::byte> scratch(
+          static_cast<size_t>(plan.fused_scratch_bytes()));
       const FusedConvResult fused =
-          execute_conv_fused(plan, in.data(), band.data(),
-                             plan.fused_band_elems(), epi, ws)
-              .value();
+          execute_conv_fused(plan, in.data(), scratch, epi).value();
       expect_same_issue(
           blocking_issue_counts(s, bits, ArmKernel::kTblGemm, plan.blocking,
                                 BlockedSchedule::kFused, InputRange::kSigned,
@@ -836,7 +835,7 @@ StatusOr<std::vector<i32>> fused_acc(const ArmConvPlan& plan,
                                      const Tensor<i8>& in) {
   const i64 m = plan.shape.gemm_m(), n = plan.shape.gemm_n();
   std::vector<i32> acc(static_cast<size_t>(m * n), -7);
-  std::vector<i8> out(static_cast<size_t>(m * n));
+  AlignedVector<i8> out(static_cast<size_t>(m * n));
   TileEpilogue epi;
   epi.fn = [&acc, n](i64 row, i64 col0, i64 cols, const i32* a) {
     for (i64 j = 0; j < cols; ++j)
@@ -845,12 +844,10 @@ StatusOr<std::vector<i32>> fused_acc(const ArmConvPlan& plan,
   epi.out_base = out.data();
   epi.row_stride = n;
   epi.out_rows = m;
-  std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
-  Workspace ws;
+  AlignedVector<std::byte> scratch(
+      static_cast<size_t>(plan.fused_scratch_bytes()));
   LBC_RETURN_IF_ERROR(
-      execute_conv_fused(plan, in.data(), band.empty() ? nullptr : band.data(),
-                         plan.fused_band_elems(), epi, ws)
-          .status());
+      execute_conv_fused(plan, in.data(), scratch, epi).status());
   return acc;
 }
 

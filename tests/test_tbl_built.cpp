@@ -93,7 +93,7 @@ StatusOr<std::vector<i32>> fused_acc(const ArmConvPlan& plan,
                                      const Tensor<i8>& in) {
   const i64 m = plan.shape.gemm_m(), n = plan.shape.gemm_n();
   std::vector<i32> acc(static_cast<size_t>(m * n), -7);
-  std::vector<i8> out(static_cast<size_t>(m * n));
+  AlignedVector<i8> out(static_cast<size_t>(m * n));
   TileEpilogue epi;
   epi.fn = [&acc, n](i64 row, i64 col0, i64 cols, const i32* a) {
     for (i64 j = 0; j < cols; ++j)
@@ -102,12 +102,10 @@ StatusOr<std::vector<i32>> fused_acc(const ArmConvPlan& plan,
   epi.out_base = out.data();
   epi.row_stride = n;
   epi.out_rows = m;
-  std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
-  Workspace ws;
+  AlignedVector<std::byte> scratch(
+      static_cast<size_t>(plan.fused_scratch_bytes()));
   LBC_RETURN_IF_ERROR(
-      execute_conv_fused(plan, in.data(), band.empty() ? nullptr : band.data(),
-                         plan.fused_band_elems(), epi, ws)
-          .status());
+      execute_conv_fused(plan, in.data(), scratch, epi).status());
   return acc;
 }
 
@@ -251,18 +249,16 @@ TEST(TblBuilt, SearchPricesTheExecutedInstructionMix) {
       const ArmConvPlan plan = built_plan(s, w, md, blk, 1, false);
       Workspace ws;
       const armsim::Counters alone = execute_conv(plan, in, ws).value().counts;
-      std::vector<i8> out(static_cast<size_t>(s.gemm_m() * s.gemm_n()));
+      AlignedVector<i8> out(static_cast<size_t>(s.gemm_m() * s.gemm_n()));
       TileEpilogue epi;
       epi.fn = [](i64, i64, i64, const i32*) {};
       epi.out_base = out.data();
       epi.row_stride = s.gemm_n();
       epi.out_rows = s.gemm_m();
-      std::vector<i32> band(static_cast<size_t>(plan.fused_band_elems()));
+      AlignedVector<std::byte> scratch(
+          static_cast<size_t>(plan.fused_scratch_bytes()));
       const armsim::Counters fused =
-          execute_conv_fused(plan, in.data(), band.data(),
-                             plan.fused_band_elems(), epi, ws)
-              .value()
-              .counts;
+          execute_conv_fused(plan, in.data(), scratch, epi).value().counts;
       for (const auto& [sched, ran] :
            {std::pair{BlockedSchedule::kStandalone, alone},
             std::pair{BlockedSchedule::kFused, fused}}) {

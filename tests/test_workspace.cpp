@@ -106,47 +106,6 @@ TEST(Workspace, MoveTransfersTheArena) {
   EXPECT_EQ(p[4095], 7);  // the block survived the move
 }
 
-TEST(Workspace, MarkRewindRecyclesScratchAboveActivations) {
-  // The graph-runner pattern: activation slots at the arena base, per-node
-  // conv scratch above a mark, released by rewind between nodes.
-  Workspace ws;
-  i8* act = ws.alloc_n<i8>(2048);
-  std::memset(act, 3, 2048);
-  const Workspace::Mark m = ws.mark();
-  const i64 used_at_mark = ws.bytes_used();
-
-  i8* scratch1 = ws.alloc_n<i8>(512);
-  std::memset(scratch1, 9, 512);
-  ws.rewind(m);
-  EXPECT_EQ(ws.bytes_used(), used_at_mark);
-  // The base allocation below the mark survived the rewind untouched.
-  EXPECT_EQ(act[0], 3);
-  EXPECT_EQ(act[2047], 3);
-  // The next scoped scratch reuses the cursor position released above.
-  i8* scratch2 = ws.alloc_n<i8>(512);
-  EXPECT_EQ(scratch1, scratch2);
-}
-
-TEST(Workspace, RewindFreesOverflowBlocksGrownAfterMark) {
-  Workspace ws;
-  ws.reserve(256);
-  ws.alloc(128);
-  const Workspace::Mark m = ws.mark();
-  // Overflow the primary block several times past the mark.
-  for (int i = 0; i < 4; ++i) ws.alloc(32 * 1024);
-  EXPECT_GT(ws.grow_count(), 0);
-
-  ws.rewind(m);
-  EXPECT_EQ(ws.bytes_used(), m.used_total);
-  // Repeating the same scratch epoch is stable: rewind-alloc-rewind loops
-  // (one per graph node) never leak cursor position.
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 4; ++i) ws.alloc(32 * 1024);
-    ws.rewind(m);
-    EXPECT_EQ(ws.bytes_used(), m.used_total);
-  }
-}
-
 TEST(Workspace, RoundedHelperMatchesLineGranularity) {
   EXPECT_EQ(workspace_rounded(0), 0);
   EXPECT_EQ(workspace_rounded(1), 64);

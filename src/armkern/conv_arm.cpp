@@ -283,10 +283,6 @@ ConvRung resolve_conv_rung(const ConvShape& s, const ArmConvOptions& opt) {
   return r;
 }
 
-namespace {
-
-// Boundary validation of a plan request: survives release builds, rejects
-// instead of UB.
 Status validate_plan_request(const ConvShape& s, const Tensor<i8>& weight,
                              const ArmConvOptions& opt) {
   LBC_VALIDATE(s.valid(), kInvalidArgument,
@@ -302,8 +298,6 @@ Status validate_plan_request(const ConvShape& s, const Tensor<i8>& weight,
                                    << shape4_str(want_w));
   return Status();
 }
-
-}  // namespace
 
 ArmConvPlan fault_degraded_plan(const ConvShape& s, const Tensor<i8>& weight,
                                 const ArmConvOptions& opt) {

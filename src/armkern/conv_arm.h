@@ -188,6 +188,12 @@ struct ArmConvPlan {
   i64 fused_scratch_bytes() const;
 };
 
+/// Boundary validation of a plan request, the first step of every
+/// planner: kInvalidArgument for an invalid shape, bits outside [2, 8],
+/// threads outside [1, 64], or weight dims that do not match the shape.
+Status validate_plan_request(const ConvShape& s, const Tensor<i8>& weight,
+                             const ArmConvOptions& opt);
+
 /// Resolve the ladder and prepack the weights. `schedule` is the blocked
 /// schedule the plan will run (kFused when it executes through
 /// execute_conv_fused): the per-conv priced choices — a kAuto blocking and

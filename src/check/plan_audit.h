@@ -32,9 +32,9 @@
 //                               has lo >= 0 (a conv or add with ReLU),
 //                               directly or through 2x2 max pools
 //
-// Wired into GraphPlan::compile behind the opt-in GraphPlanOptions::audit
-// flag; the mutation suite (tests/test_plan_audit.cpp) corrupts each
-// invariant on hand-built inputs and asserts the named finding.
+// Every GraphPlan::compile runs it; the mutation suite
+// (tests/test_plan_audit.cpp) corrupts each invariant on hand-built inputs
+// and asserts the named finding.
 #pragma once
 
 #include <string>
@@ -130,8 +130,7 @@ struct AuditReport {
 
   bool ok() const { return findings.empty(); }
   /// OK when clean; kInvariantViolation naming the first finding's
-  /// invariant otherwise — the Status GraphPlan::compile surfaces when
-  /// GraphPlanOptions::audit is set.
+  /// invariant otherwise — the Status GraphPlan::compile surfaces.
   Status to_status() const;
   std::string summary() const;
 };

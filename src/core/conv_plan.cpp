@@ -56,13 +56,13 @@ armkern::ArmConvOptions arm_conv_options(int bits, ArmImpl impl,
   return opt;
 }
 
-StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
-                                 int bits, ArmImpl impl,
-                                 armkern::ConvAlgo algo, int threads,
-                                 bool verify, gpukern::TuningCache* tuning,
-                                 const armkern::GemmBlocking* blocking) {
-  armkern::ArmConvOptions opt =
-      arm_conv_options(bits, impl, algo, threads, verify);
+namespace {
+
+// plan_arm_conv past its fault consult: the blocking (pinned, from the
+// TuningCache, or searched), the plan and its proof.
+StatusOr<armkern::ArmConvPlan> plan_arm_unfaulted(
+    const ConvShape& s, const Tensor<i8>& weight, armkern::ArmConvOptions opt,
+    gpukern::TuningCache* tuning, const armkern::GemmBlocking* blocking) {
   if (blocking != nullptr &&
       opt.blocking == armkern::BlockingPolicy::kAuto &&
       opt.algo != armkern::ConvAlgo::kBitserial &&
@@ -119,9 +119,28 @@ StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
     opt.explicit_blocking = blk;
   }
   LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan plan,
-                       armkern::plan_conv(s, weight, opt));
+                       armkern::plan_conv_unfaulted(s, weight, opt));
   // A failed proof rejects the configuration before anything executes.
   LBC_RETURN_IF_ERROR(prove_arm_plan(plan));
+  return plan;
+}
+
+}  // namespace
+
+StatusOr<ConvPlan> plan_arm_conv(const ConvShape& s, const Tensor<i8>& weight,
+                                 int bits, ArmImpl impl,
+                                 armkern::ConvAlgo algo, int threads,
+                                 bool verify, gpukern::TuningCache* tuning,
+                                 const armkern::GemmBlocking* blocking) {
+  const armkern::ArmConvOptions opt =
+      arm_conv_options(bits, impl, algo, threads, verify);
+  LBC_RETURN_IF_ERROR(armkern::validate_plan_request(s, weight, opt));
+  // One consult of the plan.compile_fail site, before any search: a failed
+  // compile degrades to the reference rung, and no TuningCache row is kept.
+  if (FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail))
+    return ConvPlan(impl, armkern::fault_degraded_plan(s, weight, opt));
+  LBC_ASSIGN_OR_RETURN(armkern::ArmConvPlan plan,
+                       plan_arm_unfaulted(s, weight, opt, tuning, blocking));
   return ConvPlan(impl, std::move(plan));
 }
 
@@ -142,21 +161,26 @@ StatusOr<ConvPlan> plan_native_conv(const ConvShape& s,
                                     gpukern::TuningCache* tuning) {
   LBC_VALIDATE(threads >= 1 && threads <= 64, kInvalidArgument,
                "threads must be in [1, 64], got " << threads);
-  // The native ladder's floor is the emulated plan: a compile fault, or a
-  // host with no usable native backend, degrades to it and records why.
+  // The native ladder's floor is the emulated GEMM plan: a compile fault,
+  // or a host with no usable native backend, degrades to it and records
+  // why. The site is consulted once, below, before any search; the floor
+  // does not consult it again, and a faulted floor is marked so that no
+  // cache keeps it.
   const auto emulated = [&](const char* why,
                             bool faulted) -> StatusOr<ConvPlan> {
-    LBC_ASSIGN_OR_RETURN(ConvPlan p,
-                         plan_arm_conv(s, weight, bits, ArmImpl::kOurs,
-                                       armkern::ConvAlgo::kGemm, threads));
-    armkern::ArmConvPlan& arm = p.plan_;
+    LBC_ASSIGN_OR_RETURN(
+        armkern::ArmConvPlan arm,
+        plan_arm_unfaulted(s, weight,
+                           arm_conv_options(bits, ArmImpl::kOurs,
+                                            armkern::ConvAlgo::kGemm, threads),
+                           nullptr, nullptr));
     FallbackRecord fb;
     fb.record("native", armkern::algo_name(arm.algo), why);
     if (arm.planned_fallback.fell_back)
       fb.reason += "; " + arm.planned_fallback.reason;
     arm.planned_fallback = std::move(fb);
-    arm.fault_degraded = arm.fault_degraded || faulted;
-    return p;
+    arm.fault_degraded = faulted;
+    return ConvPlan(ArmImpl::kOurs, std::move(arm));
   };
   if (FaultInjector::instance().should_fire(FaultSite::kPlanCompileFail))
     return emulated(

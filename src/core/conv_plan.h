@@ -103,9 +103,11 @@ class ConvPlan {
 /// shape" (Sec. 5.1) across process runs, same as the GPU tilings. A
 /// weight-tables TBL conv keeps one row per table source and runs the row
 /// that scores less in its source, so a cache holding both runs no search.
-/// A compile fault (the plan.compile_fail site) yields armkern::plan_conv's
-/// reference-rung plan. Errors: kInvalidArgument (bad shape/bits/dims/
-/// threads) or kInvariantViolation (the proof gate below).
+/// A compile fault (the plan.compile_fail site, consulted once, after
+/// validation and before any search or TuningCache access) yields
+/// armkern::fault_degraded_plan's reference-rung plan. Errors:
+/// kInvalidArgument (bad shape/bits/dims/threads) or kInvariantViolation
+/// (the proof gate below).
 /// A non-null `blocking` pins the blocked-GEMM {Mc, Kc, Nc} instead of the
 /// per-layer auto search (clamped to the shape) — how the whole-net joint
 /// search (armkern::search_graph_blocking) drives per-layer plans. Ignored
@@ -135,9 +137,11 @@ Status prove_arm_plan(const armkern::ArmConvPlan& plan);
 /// `tuning` cache is given.
 /// Executes through the same execute_arm_conv/execute_arm_conv_batched
 /// entry points, which dispatch on ConvPlan::backend(). A compile fault
-/// (plan.compile_fail), or a host with no usable native backend
-/// (LBC_HAL_DISABLE=native), degrades to the emulated plan_arm_conv plan,
-/// recorded in planned_fallback(). Errors: kInvalidArgument.
+/// (plan.compile_fail, consulted once, before any search), or a host with
+/// no usable native backend (LBC_HAL_DISABLE=native), degrades to the
+/// emulated GEMM plan, recorded in planned_fallback(); compiling that floor
+/// does not consult the site again, and a faulted one is fault_degraded.
+/// Errors: kInvalidArgument.
 StatusOr<ConvPlan> plan_native_conv(const ConvShape& s,
                                     const Tensor<i8>& weight, int bits,
                                     int threads = 1,

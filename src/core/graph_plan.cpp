@@ -447,9 +447,9 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
   // ---- post-compile audit ------------------------------------------------
   // Re-derive what the planner just decided — slot placement, epilogue
   // write extents, packed-weight accounting, resolved blockings, input
-  // ranges — as plain data, kept on the plan. With opt.audit the auditor
-  // checks it now: a finding fails the compile with the invariant named
-  // rather than corrupting activations at execute time.
+  // ranges — as plain data, kept on the plan — and audit it: a finding
+  // fails the compile with the invariant named rather than corrupting
+  // activations at execute time.
   check::PlanAuditInput& audit = plan.audit_input_;
   audit.arena_bytes = plan.arena_reserve_bytes_;
   for (size_t i = 0; i < n_nodes; ++i) {
@@ -509,9 +509,8 @@ StatusOr<GraphPlan> GraphPlan::compile(const QnnGraph& g,
     }
     audit.input_ranges.push_back(r);
   }
-  if (opt.audit)
-    LBC_RETURN_IF_ERROR(check::audit_plan(audit).to_status().with_context(
-        "GraphPlan::compile audit"));
+  LBC_RETURN_IF_ERROR(check::audit_plan(audit).to_status().with_context(
+      "GraphPlan::compile audit"));
   return plan;
 }
 

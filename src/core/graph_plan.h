@@ -77,13 +77,6 @@ struct GraphPlanOptions {
   /// Optional persistent store for the joint search's winners (TuningCache
   /// v4 "graph" rows keyed by graph_blocking_hash).
   gpukern::TuningCache* tuning = nullptr;
-  /// Opt-in post-compile audit (check::audit_plan): re-checks slot
-  /// liveness disjointness and alignment, in-place adds, fused-epilogue
-  /// containment, packed-weight accounting, blocking clamp bounds and
-  /// every conv's declared input range over the compiled plan
-  /// (audit_input()); compile fails with kInvariantViolation naming the
-  /// invariant.
-  bool audit = false;
 };
 
 class GraphPlan {
@@ -136,8 +129,8 @@ class GraphPlan {
   /// run). greedy - joint is the modeled margin graph-level planning buys.
   double joint_cycles() const { return joint_cycles_; }
   double greedy_cycles() const { return greedy_cycles_; }
-  /// What compile decided, as the plain data check::audit_plan checks —
-  /// built on every compile, audited when GraphPlanOptions::audit is set.
+  /// What compile decided, as the plain data check::audit_plan checks on
+  /// every compile.
   const check::PlanAuditInput& audit_input() const { return audit_input_; }
 
  private:

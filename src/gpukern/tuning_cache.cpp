@@ -43,6 +43,54 @@ Status validate_x86_blocking(const X86Blocking& b) {
   return Status();
 }
 
+namespace {
+
+// What the kTuningCacheCorrupt site does to the first row a lookup reads:
+// a poisoned entry (bit rot in a shipped cache file, a bad merge) that must
+// surface at lookup time.
+void poison_row(Tiling& t) { t.mtile = -7; }
+void poison_row(ArmBlocking& b) { b.mc = -7; }
+void poison_row(X86Blocking& b) { b.rb = -7; }
+
+Status valid_row(const Tiling& t) { return validate_tiling(t); }
+Status valid_row(const ArmBlocking& b) { return validate_arm_blocking(b); }
+Status valid_row(const X86Blocking& b) { return validate_x86_blocking(b); }
+
+}  // namespace
+
+template <class Key, class Row>
+std::optional<std::vector<Row>> TuningCache::cached_locked(
+    std::map<Key, Row>& rows, const std::vector<Key>& keys) {
+  std::vector<Row> hit;
+  bool corrupt = false;
+  for (const Key& key : keys) {
+    const auto it = rows.find(key);
+    if (it == rows.end()) break;
+    Row row = it->second;
+    if (hit.empty() &&
+        FaultInjector::instance().should_fire(FaultSite::kTuningCacheCorrupt))
+      poison_row(row);
+    if (!valid_row(row).ok()) {
+      corrupt = true;
+      break;
+    }
+    hit.push_back(row);
+  }
+  if (hit.size() == keys.size()) {
+    ++hits_;
+    return hit;
+  }
+  // A corrupt set is evicted whole and re-searched: the cache self-heals
+  // instead of handing the kernel a bogus partition (and a joint plan is
+  // only usable complete).
+  if (corrupt) {
+    for (const Key& key : keys) rows.erase(key);
+    ++corrupt_evictions_;
+  }
+  ++misses_;
+  return std::nullopt;
+}
+
 std::optional<Tiling> TuningCache::lookup(const TuningKey& key) const {
   MutexLock lock(mu_);
   const auto it = entries_.find(key);
@@ -55,30 +103,11 @@ Tiling TuningCache::get_or_search(const gpusim::DeviceSpec& dev,
   const TuningKey key{s.gemm_m(), s.gemm_n(), s.gemm_k(), bits, use_tc};
   {
     MutexLock lock(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      Tiling hit = it->second;
-      // kTuningCacheCorrupt: simulate a poisoned entry (bit rot in a
-      // shipped cache file, a bad merge) surfacing at lookup time.
-      if (FaultInjector::instance().should_fire(
-              FaultSite::kTuningCacheCorrupt))
-        hit.mtile = -7;
-      if (validate_tiling(hit).ok()) {
-        ++hits_;
-        return hit;
-      }
-      // Corrupt hit: evict and fall through to a fresh search. The cache
-      // self-heals instead of handing the kernel a bogus partition.
-      entries_.erase(it);
-      ++corrupt_evictions_;
-      ++misses_;
-    } else {
-      ++misses_;
-    }
+    if (auto hit = cached_locked(entries_, {key})) return hit->front();
   }
-  const AutotuneResult r = autotune_tiling(dev, s, bits, use_tc);
-  put(key, r.best);
-  return r.best;
+  const Tiling t = autotune_tiling(dev, s, bits, use_tc).best;
+  put(key, t);
+  return t;
 }
 
 void TuningCache::put(const TuningKey& key, const Tiling& t) {
@@ -98,24 +127,7 @@ ArmBlocking TuningCache::get_or_search_arm(
     const ArmTuningKey& key, const std::function<ArmBlocking()>& search) {
   {
     MutexLock lock(mu_);
-    const auto it = arm_entries_.find(key);
-    if (it != arm_entries_.end()) {
-      ArmBlocking hit = it->second;
-      // kTuningCacheCorrupt: a poisoned ARM entry surfaces at lookup time,
-      // same recovery as the GPU side.
-      if (FaultInjector::instance().should_fire(
-              FaultSite::kTuningCacheCorrupt))
-        hit.mc = -7;
-      if (validate_arm_blocking(hit).ok()) {
-        ++hits_;
-        return hit;
-      }
-      arm_entries_.erase(it);
-      ++corrupt_evictions_;
-      ++misses_;
-    } else {
-      ++misses_;
-    }
+    if (auto hit = cached_locked(arm_entries_, {key})) return hit->front();
   }
   const ArmBlocking b = search();
   put_arm(key, b);
@@ -139,24 +151,7 @@ X86Blocking TuningCache::get_or_search_x86(
     const X86TuningKey& key, const std::function<X86Blocking()>& search) {
   {
     MutexLock lock(mu_);
-    const auto it = x86_entries_.find(key);
-    if (it != x86_entries_.end()) {
-      X86Blocking hit = it->second;
-      // kTuningCacheCorrupt: a poisoned native entry surfaces at lookup
-      // time, same recovery as the other backends.
-      if (FaultInjector::instance().should_fire(
-              FaultSite::kTuningCacheCorrupt))
-        hit.rb = -7;
-      if (validate_x86_blocking(hit).ok()) {
-        ++hits_;
-        return hit;
-      }
-      x86_entries_.erase(it);
-      ++corrupt_evictions_;
-      ++misses_;
-    } else {
-      ++misses_;
-    }
+    if (auto hit = cached_locked(x86_entries_, {key})) return hit->front();
   }
   const X86Blocking b = search();
   put_x86(key, b);
@@ -186,40 +181,11 @@ std::vector<ArmBlocking> TuningCache::get_or_search_graph(
     u64 graph_hash, int n_layers,
     const std::function<std::vector<ArmBlocking>()>& search) {
   if (n_layers > 0) {
+    std::vector<GraphTuningKey> keys;
+    for (int layer = 0; layer < n_layers; ++layer)
+      keys.push_back(GraphTuningKey{graph_hash, layer});
     MutexLock lock(mu_);
-    std::vector<ArmBlocking> plan;
-    plan.reserve(static_cast<size_t>(n_layers));
-    bool complete = true;
-    bool corrupt = false;
-    for (int layer = 0; layer < n_layers && complete && !corrupt; ++layer) {
-      const auto it = graph_entries_.find(GraphTuningKey{graph_hash, layer});
-      if (it == graph_entries_.end()) {
-        complete = false;
-        break;
-      }
-      ArmBlocking hit = it->second;
-      // kTuningCacheCorrupt: a poisoned graph row surfaces at lookup
-      // time, same recovery as the per-shape backends — but a joint plan
-      // is all-or-nothing, so one bad row re-searches the whole graph.
-      if (layer == 0 && FaultInjector::instance().should_fire(
-                            FaultSite::kTuningCacheCorrupt))
-        hit.mc = -7;
-      if (!validate_arm_blocking(hit).ok()) {
-        corrupt = true;
-        break;
-      }
-      plan.push_back(hit);
-    }
-    if (complete && !corrupt) {
-      ++hits_;
-      return plan;
-    }
-    if (corrupt) {
-      for (int layer = 0; layer < n_layers; ++layer)
-        graph_entries_.erase(GraphTuningKey{graph_hash, layer});
-      ++corrupt_evictions_;
-    }
-    ++misses_;
+    if (auto hit = cached_locked(graph_entries_, keys)) return *hit;
   }
   const std::vector<ArmBlocking> plan = search();
   put_graph(graph_hash, plan);
@@ -292,6 +258,30 @@ std::string TuningCache::serialize() const {
   return out.str();
 }
 
+namespace {
+
+// The checks every entry line shares: each field parsed, none trailing,
+// and for a GEMM-keyed row positive dimensions and bits in [2, 8].
+template <class Key>
+Status check_entry(std::istringstream& ls, bool parsed, const Key& k,
+                   int lineno) {
+  LBC_VALIDATE(parsed, kDataLoss,
+               "line " << lineno << ": truncated or garbage entry");
+  std::string trailing;
+  LBC_VALIDATE(!(ls >> trailing), kDataLoss,
+               "line " << lineno << ": trailing fields after entry");
+  if constexpr (requires { k.bits; }) {
+    LBC_VALIDATE(k.m > 0 && k.n > 0 && k.k > 0, kDataLoss,
+                 "line " << lineno << ": non-positive GEMM dimension");
+    LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
+                 "line " << lineno << ": bits " << k.bits
+                         << " outside [2, 8]");
+  }
+  return Status();
+}
+
+}  // namespace
+
 StatusOr<int> TuningCache::deserialize(const std::string& text) {
   std::istringstream in(text);
   std::string line;
@@ -320,99 +310,60 @@ StatusOr<int> TuningCache::deserialize(const std::string& text) {
           kDataLoss,
           "line " << lineno << ": unknown entry tag \"" << tag << "\"");
     }
+    const std::string where = "line " + std::to_string(lineno);
     if (tag == "graph") {
       GraphTuningKey k;
       ArmBlocking b;
-      LBC_VALIDATE(
-          static_cast<bool>(ls >> k.graph_hash >> k.layer >> b.mc >> b.kc >>
-                            b.nc),
-          kDataLoss, "line " << lineno << ": truncated or garbage entry");
-      std::string trailing;
-      LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                   "line " << lineno << ": trailing fields after entry");
+      const bool ok = static_cast<bool>(ls >> k.graph_hash >> k.layer >>
+                                        b.mc >> b.kc >> b.nc);
+      LBC_RETURN_IF_ERROR(check_entry(ls, ok, k, lineno));
       LBC_VALIDATE(k.layer >= 0 && k.layer < 4096, kDataLoss,
                    "line " << lineno << ": layer index " << k.layer
                            << " outside [0, 4096)");
-      if (Status bs = validate_arm_blocking(b); !bs.ok())
-        return bs.with_context("line " + std::to_string(lineno));
+      LBC_RETURN_IF_ERROR(validate_arm_blocking(b).with_context(where));
       parsed_graph.emplace_back(k, b);
-      continue;
-    }
-    if (tag == "x86") {
+    } else if (tag == "x86") {
       X86TuningKey k;
       X86Blocking b;
-      LBC_VALIDATE(static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >>
-                                     k.scheme >> b.rb >> b.cb),
-                   kDataLoss,
-                   "line " << lineno << ": truncated or garbage entry");
-      std::string trailing;
-      LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                   "line " << lineno << ": trailing fields after entry");
-      LBC_VALIDATE(k.m > 0 && k.n > 0 && k.k > 0, kDataLoss,
-                   "line " << lineno << ": non-positive GEMM dimension");
-      LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
-                   "line " << lineno << ": bits " << k.bits
-                           << " outside [2, 8]");
+      const bool ok = static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >>
+                                        k.scheme >> b.rb >> b.cb);
+      LBC_RETURN_IF_ERROR(check_entry(ls, ok, k, lineno));
       LBC_VALIDATE(k.scheme == 0 || k.scheme == 1, kDataLoss,
                    "line " << lineno << ": native scheme " << k.scheme
                            << " outside [0, 1]");
-      if (Status bs = validate_x86_blocking(b); !bs.ok())
-        return bs.with_context("line " + std::to_string(lineno));
+      LBC_RETURN_IF_ERROR(validate_x86_blocking(b).with_context(where));
       parsed_x86.emplace_back(k, b);
-      continue;
-    }
-    if (tag == "arm") {
+    } else if (tag == "arm") {
       ArmTuningKey k;
       ArmBlocking b;
-      LBC_VALIDATE(
-          static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >> k.scheme >>
-                            b.mc >> b.kc >> b.nc),
-          kDataLoss, "line " << lineno << ": truncated or garbage entry");
-      std::string trailing;
-      LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                   "line " << lineno << ": trailing fields after entry");
-      LBC_VALIDATE(k.m > 0 && k.n > 0 && k.k > 0, kDataLoss,
-                   "line " << lineno << ": non-positive GEMM dimension");
-      LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
-                   "line " << lineno << ": bits " << k.bits
-                           << " outside [2, 8]");
+      const bool ok = static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >>
+                                        k.scheme >> b.mc >> b.kc >> b.nc);
+      LBC_RETURN_IF_ERROR(check_entry(ls, ok, k, lineno));
       LBC_VALIDATE(k.scheme >= 0 && k.scheme <= 8, kDataLoss,
                    "line " << lineno << ": scheme " << k.scheme
                            << " outside [0, 8]");
-      if (Status bs = validate_arm_blocking(b); !bs.ok())
-        return bs.with_context("line " + std::to_string(lineno));
+      LBC_RETURN_IF_ERROR(validate_arm_blocking(b).with_context(where));
       parsed_arm.emplace_back(k, b);
-      continue;
+    } else {
+      TuningKey k;
+      Tiling t;
+      int tc = 1;
+      const bool ok = static_cast<bool>(
+          ls >> k.m >> k.n >> k.k >> k.bits >> tc >> t.mtile >> t.ntile >>
+          t.ktile >> t.kstep >> t.warp_rows >> t.warp_cols);
+      LBC_RETURN_IF_ERROR(check_entry(ls, ok, k, lineno));
+      LBC_VALIDATE(tc == 0 || tc == 1, kDataLoss,
+                   "line " << lineno << ": use_tc must be 0 or 1, got " << tc);
+      k.use_tc = (tc != 0);
+      LBC_RETURN_IF_ERROR(validate_tiling(t).with_context(where));
+      parsed.emplace_back(k, t);
     }
-    TuningKey k;
-    Tiling t;
-    int tc = 1;
-    LBC_VALIDATE(static_cast<bool>(ls >> k.m >> k.n >> k.k >> k.bits >> tc >>
-                                   t.mtile >> t.ntile >> t.ktile >> t.kstep >>
-                                   t.warp_rows >> t.warp_cols),
-                 kDataLoss, "line " << lineno << ": truncated or garbage entry");
-    std::string trailing;
-    LBC_VALIDATE(!(ls >> trailing), kDataLoss,
-                 "line " << lineno << ": trailing fields after entry");
-    LBC_VALIDATE(k.m > 0 && k.n > 0 && k.k > 0, kDataLoss,
-                 "line " << lineno << ": non-positive GEMM dimension");
-    LBC_VALIDATE(k.bits >= 2 && k.bits <= 8, kDataLoss,
-                 "line " << lineno << ": bits " << k.bits
-                         << " outside [2, 8]");
-    LBC_VALIDATE(tc == 0 || tc == 1, kDataLoss,
-                 "line " << lineno << ": use_tc must be 0 or 1, got " << tc);
-    k.use_tc = (tc != 0);
-    if (Status ts = validate_tiling(t); !ts.ok())
-      return ts.with_context("line " + std::to_string(lineno));
-    parsed.emplace_back(k, t);
   }
-  for (const auto& [k, t] : parsed) put(k, t);
-  for (const auto& [k, b] : parsed_arm) put_arm(k, b);
-  for (const auto& [k, b] : parsed_x86) put_x86(k, b);
-  {
-    MutexLock lock(mu_);
-    for (const auto& [k, b] : parsed_graph) graph_entries_[k] = b;
-  }
+  MutexLock lock(mu_);
+  for (const auto& [k, t] : parsed) entries_[k] = t;
+  for (const auto& [k, b] : parsed_arm) arm_entries_[k] = b;
+  for (const auto& [k, b] : parsed_x86) x86_entries_[k] = b;
+  for (const auto& [k, b] : parsed_graph) graph_entries_[k] = b;
   return static_cast<int>(parsed.size() + parsed_arm.size() +
                           parsed_x86.size() + parsed_graph.size());
 }

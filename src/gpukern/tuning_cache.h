@@ -196,6 +196,17 @@ class TuningCache {
   StatusOr<int> deserialize(const std::string& text);
 
  private:
+  /// The lookup-and-recover sequence behind every get_or_search_*: the
+  /// rows under `keys` (one, or one per layer of a joint plan), when every
+  /// one is cached and valid. The first row read passes the
+  /// kTuningCacheCorrupt site. A set with an invalid row is evicted whole
+  /// and counted in corrupt_evictions; a hit counts in hits, anything else
+  /// in misses, and the caller then searches and stores.
+  template <class Key, class Row>
+  std::optional<std::vector<Row>> cached_locked(std::map<Key, Row>& rows,
+                                                const std::vector<Key>& keys)
+      LBC_REQUIRES(mu_);
+
   mutable Mutex mu_;
   std::map<TuningKey, Tiling> entries_ LBC_GUARDED_BY(mu_);
   std::map<ArmTuningKey, ArmBlocking> arm_entries_ LBC_GUARDED_BY(mu_);

@@ -1,11 +1,12 @@
 #include "serve/model_registry.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace lbc::serve {
 
 namespace {
+
+using AnySpec = std::variant<ModelSpec, GraphModelSpec>;
 
 // Whether a compile fault degraded any of the plan's convs: such a plan
 // answers the acquire but is not kept, so the next acquire compiles again.
@@ -17,16 +18,20 @@ bool fault_degraded(const core::GraphPlan& plan) {
   return false;
 }
 
-// Whether two specs compile to one PlanCache entry: the cache keys a plan
-// by geometry, bits, impl, algo, threads, backend and weights (the layer
-// name is not part of it).
-bool same_plan(const ModelSpec& a, const ModelSpec& b) {
-  const ConvShape &x = a.shape, &y = b.shape;
+// Whether two specs compile to one PlanCache entry: both are conv models
+// and the cache keys a plan by geometry, bits, impl, algo, threads, backend
+// and weights (the layer name is not part of it). Graph plans never share.
+bool same_plan(const AnySpec& va, const AnySpec& vb) {
+  const ModelSpec* a = std::get_if<ModelSpec>(&va);
+  const ModelSpec* b = std::get_if<ModelSpec>(&vb);
+  if (a == nullptr || b == nullptr) return false;
+  const ConvShape &x = a->shape, &y = b->shape;
   return x.batch == y.batch && x.in_c == y.in_c && x.in_h == y.in_h &&
          x.in_w == y.in_w && x.out_c == y.out_c && x.kernel == y.kernel &&
-         x.stride == y.stride && x.pad == y.pad && a.bits == b.bits &&
-         a.impl == b.impl && a.algo == b.algo && a.threads == b.threads &&
-         a.backend == b.backend && a.weight == b.weight;
+         x.stride == y.stride && x.pad == y.pad && a->bits == b->bits &&
+         a->impl == b->impl && a->algo == b->algo &&
+         a->threads == b->threads && a->backend == b->backend &&
+         a->weight == b->weight;
 }
 
 }  // namespace
@@ -36,8 +41,6 @@ ModelRegistry::ModelRegistry(const RegistryOptions& opt) : opt_(opt) {
 }
 
 Status ModelRegistry::register_model(const std::string& name, ModelSpec spec) {
-  LBC_VALIDATE(!name.empty(), kInvalidArgument,
-               "model name must be non-empty");
   LBC_VALIDATE(spec.shape.valid(), kInvalidArgument,
                "model '" << name
                          << "' has an invalid conv shape: "
@@ -56,58 +59,11 @@ Status ModelRegistry::register_model(const std::string& name, ModelSpec spec) {
   LBC_VALIDATE(spec.threads >= 1 && spec.threads <= 64, kInvalidArgument,
                "model '" << name << "' threads must be in [1, 64], got "
                          << spec.threads);
-
-  MutexLock lock(mu_);
-  LBC_VALIDATE(!name_taken_locked(name), kInvalidArgument,
-               "model '" << name << "' is already registered");
-  auto entry = std::make_unique<Entry>();
-  entry->spec = std::move(spec);
-  entry->order = next_order_++;
-  models_.emplace(name, std::move(entry));
-  return Status();
-}
-
-Status ModelRegistry::unregister_model(const std::string& name) {
-  MutexLock lock(mu_);
-  auto it = models_.find(name);
-  LBC_VALIDATE(it != models_.end(), kNotFound,
-               "model '" << name << "' is not registered");
-  const ModelSpec& s = it->second->spec;
-  cache_.evict(s.shape, s.weight, s.bits, s.impl, s.algo, s.threads,
-               s.backend);
-  models_.erase(it);
-  return Status();
-}
-
-StatusOr<std::shared_ptr<const core::ConvPlan>> ModelRegistry::acquire_plan(
-    const std::string& name) {
-  Entry* entry = nullptr;
-  {
-    MutexLock lock(mu_);
-    auto it = models_.find(name);
-    LBC_VALIDATE(it != models_.end(), kNotFound,
-                 "model '" << name << "' is not registered");
-    entry = it->second.get();
-  }
-  // Compile (or hit) outside mu_ — a slow compile of one model must not
-  // block lookups of another. `entry` stays valid: unregister_model is the
-  // only eraser and callers must not race it with acquires of the same name.
-  const ModelSpec& s = entry->spec;
-  LBC_ASSIGN_OR_RETURN(
-      std::shared_ptr<const core::ConvPlan> plan,
-      cache_.get_or_compile(s.shape, s.weight, s.bits, s.impl, s.algo,
-                            s.threads, s.backend));
-  MutexLock lock(mu_);
-  entry->last_used = ++tick_;
-  ++acquires_;
-  enforce_budget_locked(entry, nullptr);
-  return plan;
+  return insert(name, std::move(spec));
 }
 
 Status ModelRegistry::register_graph_model(const std::string& name,
                                            GraphModelSpec spec) {
-  LBC_VALIDATE(!name.empty(), kInvalidArgument,
-               "graph model name must be non-empty");
   LBC_VALIDATE(spec.graph != nullptr, kInvalidArgument,
                "graph model '" << name << "' has a null graph");
   LBC_VALIDATE(spec.graph->node_count() > 0, kInvalidArgument,
@@ -120,175 +76,161 @@ Status ModelRegistry::register_graph_model(const std::string& name,
                                      << name << "' threads must be in "
                                      << "[1, 64], got "
                                      << spec.options.threads);
+  return insert(name, std::move(spec));
+}
 
+Status ModelRegistry::insert(const std::string& name, AnySpec spec) {
+  LBC_VALIDATE(!name.empty(), kInvalidArgument,
+               "model name must be non-empty");
   MutexLock lock(mu_);
-  LBC_VALIDATE(!name_taken_locked(name), kInvalidArgument,
+  LBC_VALIDATE(!entries_.contains(name), kInvalidArgument,
                "model '" << name << "' is already registered");
-  auto entry = std::make_unique<GraphEntry>();
+  auto entry = std::make_unique<Entry>();
   entry->spec = std::move(spec);
-  graph_models_.emplace(name, std::move(entry));
+  entries_.emplace(name, std::move(entry));
   return Status();
 }
 
-Status ModelRegistry::unregister_graph_model(const std::string& name) {
+Status ModelRegistry::unregister_model(const std::string& name) {
   MutexLock lock(mu_);
-  auto it = graph_models_.find(name);
-  LBC_VALIDATE(it != graph_models_.end(), kNotFound,
-               "graph model '" << name << "' is not registered");
-  if (it->second->plan != nullptr) ++graph_evictions_;
-  graph_models_.erase(it);
+  auto it = entries_.find(name);
+  LBC_VALIDATE(it != entries_.end(), kNotFound,
+               "model '" << name << "' is not registered");
+  evict_locked(*it->second);
+  entries_.erase(it);
   return Status();
+}
+
+StatusOr<ModelRegistry::Entry*> ModelRegistry::find_locked(
+    const std::string& name, bool graph) {
+  auto it = entries_.find(name);
+  LBC_VALIDATE(it != entries_.end() &&
+                   std::holds_alternative<GraphModelSpec>(it->second->spec) ==
+                       graph,
+               kNotFound,
+               (graph ? "graph model '" : "model '")
+                   << name << "' is not registered");
+  return it->second.get();
+}
+
+StatusOr<std::shared_ptr<const core::ConvPlan>> ModelRegistry::acquire_plan(
+    const std::string& name) {
+  Entry* entry = nullptr;
+  {
+    MutexLock lock(mu_);
+    LBC_ASSIGN_OR_RETURN(entry, find_locked(name, /*graph=*/false));
+  }
+  // Compile (or hit) outside mu_ — a slow compile of one model must not
+  // block lookups of another. `entry` stays valid: unregister_model is the
+  // only eraser and callers must not race it with acquires of the same name.
+  const ModelSpec& s = std::get<ModelSpec>(entry->spec);
+  LBC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const core::ConvPlan> plan,
+      cache_.get_or_compile(s.shape, s.weight, s.bits, s.impl, s.algo,
+                            s.threads, s.backend));
+  MutexLock lock(mu_);
+  ++acquires_;
+  touch_locked(*entry);
+  return plan;
 }
 
 StatusOr<std::shared_ptr<const core::GraphPlan>>
 ModelRegistry::acquire_graph_plan(const std::string& name) {
-  GraphEntry* entry = nullptr;
+  Entry* entry = nullptr;
   {
     MutexLock lock(mu_);
-    auto it = graph_models_.find(name);
-    LBC_VALIDATE(it != graph_models_.end(), kNotFound,
-                 "graph model '" << name << "' is not registered");
-    entry = it->second.get();
-    if (entry->plan != nullptr) {
-      std::shared_ptr<const core::GraphPlan> plan = entry->plan;
-      entry->last_used = ++tick_;
+    LBC_ASSIGN_OR_RETURN(entry, find_locked(name, /*graph=*/true));
+    if (entry->graph_plan != nullptr) {
+      std::shared_ptr<const core::GraphPlan> plan = entry->graph_plan;
       ++graph_acquires_;
-      enforce_budget_locked(nullptr, entry);
+      touch_locked(*entry);
       return plan;
     }
   }
   // Compile outside mu_ — the whole-net compile (joint search + weight
   // prepack across every layer) is the slowest thing the registry does and
-  // must not block lookups. Same validity contract as acquire_plan: callers
-  // must not race unregister_graph_model of the same name.
-  const GraphModelSpec& s = entry->spec;
+  // must not block lookups. Same validity contract as acquire_plan.
+  const GraphModelSpec& s = std::get<GraphModelSpec>(entry->spec);
   LBC_ASSIGN_OR_RETURN(core::GraphPlan compiled,
                        core::GraphPlan::compile(*s.graph, s.options));
   auto plan = std::make_shared<const core::GraphPlan>(std::move(compiled));
 
   MutexLock lock(mu_);
-  if (entry->plan != nullptr)
-    plan = entry->plan;  // lost a compile race: serve the resident plan
-  else if (!fault_degraded(*plan))
-    entry->plan = plan;
-  entry->last_used = ++tick_;
+  if (entry->graph_plan != nullptr) {
+    plan = entry->graph_plan;  // lost a compile race: serve the resident plan
+  } else if (!fault_degraded(*plan)) {
+    entry->graph_plan = plan;
+    graph_bytes_ += plan->packed_weight_bytes();
+  }
   ++graph_acquires_;
-  enforce_budget_locked(nullptr, entry);
+  touch_locked(*entry);
   return plan;
 }
 
-void ModelRegistry::enforce_budget_locked(const Entry* keep,
-                                          const GraphEntry* keep_graph) {
-  if (opt_.plan_budget_bytes <= 0) return;
-  while (cache_.resident_packed_bytes() + resident_graph_bytes_locked() >
-         opt_.plan_budget_bytes) {
-    // Least-recently-used model — conv or graph — other than the keeps,
-    // whose plan is still resident. Never-acquired entries (last_used == 0)
-    // evict first. A twin of the kept conv model shares its cache entry,
-    // so evicting the twin would evict the plan just acquired.
-    Entry* victim = nullptr;
-    GraphEntry* graph_victim = nullptr;
-    for (auto& [vname, ventry] : models_) {
-      if (keep != nullptr && same_plan(ventry->spec, keep->spec)) continue;
-      const ModelSpec& vs = ventry->spec;
-      if (!cache_.resident(vs.shape, vs.weight, vs.bits, vs.impl, vs.algo,
-                           vs.threads, vs.backend))
-        continue;
-      if (victim == nullptr || ventry->last_used < victim->last_used)
-        victim = ventry.get();
-    }
-    for (auto& [vname, ventry] : graph_models_) {
-      if (ventry.get() == keep_graph || ventry->plan == nullptr) continue;
-      if (graph_victim == nullptr ||
-          ventry->last_used < graph_victim->last_used)
-        graph_victim = ventry.get();
-    }
-    // Nothing evictable: only the keeps' plans remain — a single
-    // over-budget plan is allowed to stand.
-    if (victim == nullptr && graph_victim == nullptr) return;
-    const bool evict_graph =
-        victim == nullptr ||
-        (graph_victim != nullptr && graph_victim->last_used < victim->last_used);
-    if (evict_graph) {
-      graph_victim->plan.reset();
-      ++graph_evictions_;
-    } else {
-      const ModelSpec& vs = victim->spec;
-      cache_.evict(vs.shape, vs.weight, vs.bits, vs.impl, vs.algo, vs.threads,
-                   vs.backend);
-    }
+bool ModelRegistry::resident_locked(const Entry& e) const {
+  if (const ModelSpec* s = std::get_if<ModelSpec>(&e.spec))
+    return cache_.resident(s->shape, s->weight, s->bits, s->impl, s->algo,
+                           s->threads, s->backend);
+  return e.graph_plan != nullptr;
+}
+
+void ModelRegistry::evict_locked(Entry& e) {
+  if (const ModelSpec* s = std::get_if<ModelSpec>(&e.spec)) {
+    cache_.evict(s->shape, s->weight, s->bits, s->impl, s->algo, s->threads,
+                 s->backend);
+  } else if (e.graph_plan != nullptr) {
+    graph_bytes_ -= e.graph_plan->packed_weight_bytes();
+    e.graph_plan.reset();
+    ++graph_evictions_;
   }
 }
 
-i64 ModelRegistry::resident_graph_bytes_locked() const {
-  i64 bytes = 0;
-  for (const auto& [name, entry] : graph_models_)
-    if (entry->plan != nullptr) bytes += entry->plan->packed_weight_bytes();
-  return bytes;
-}
-
-bool ModelRegistry::name_taken_locked(const std::string& name) const {
-  return models_.contains(name) || graph_models_.contains(name);
-}
-
-StatusOr<const ModelSpec*> ModelRegistry::find(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = models_.find(name);
-  LBC_VALIDATE(it != models_.end(), kNotFound,
-               "model '" << name << "' is not registered");
-  const ModelSpec* spec = &it->second->spec;
-  return spec;
+void ModelRegistry::touch_locked(Entry& keep) {
+  keep.last_used = ++tick_;
+  if (opt_.plan_budget_bytes <= 0) return;
+  while (cache_.resident_packed_bytes() + graph_bytes_ >
+         opt_.plan_budget_bytes) {
+    // The least-recently-used entry of either kind other than `keep` whose
+    // plan is still resident; never-acquired entries (last_used == 0) go
+    // first, ties by name. A twin of a kept conv model shares its cache
+    // entry, so evicting the twin would evict the plan just acquired.
+    Entry* victim = nullptr;
+    for (auto& [vname, e] : entries_) {
+      if (e.get() == &keep || same_plan(e->spec, keep.spec) ||
+          !resident_locked(*e))
+        continue;
+      if (victim == nullptr || e->last_used < victim->last_used)
+        victim = e.get();
+    }
+    // Nothing evictable: only the kept plan remains — a single over-budget
+    // plan is allowed to stand.
+    if (victim == nullptr) return;
+    evict_locked(*victim);
+  }
 }
 
 bool ModelRegistry::contains(const std::string& name) const {
   MutexLock lock(mu_);
-  return models_.find(name) != models_.end();
-}
-
-std::vector<std::string> ModelRegistry::model_names() const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<u64, std::string>> ordered;
-  ordered.reserve(models_.size());
-  for (const auto& [name, entry] : models_)
-    ordered.emplace_back(entry->order, name);
-  std::sort(ordered.begin(), ordered.end());
-  std::vector<std::string> names;
-  names.reserve(ordered.size());
-  for (auto& [order, name] : ordered) names.push_back(std::move(name));
-  return names;
+  return entries_.contains(name);
 }
 
 bool ModelRegistry::plan_resident(const std::string& name) const {
   MutexLock lock(mu_);
-  auto it = models_.find(name);
-  if (it == models_.end()) return false;
-  const ModelSpec& s = it->second->spec;
-  return cache_.resident(s.shape, s.weight, s.bits, s.impl, s.algo, s.threads,
-                         s.backend);
-}
-
-bool ModelRegistry::contains_graph(const std::string& name) const {
-  MutexLock lock(mu_);
-  return graph_models_.find(name) != graph_models_.end();
-}
-
-bool ModelRegistry::graph_plan_resident(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = graph_models_.find(name);
-  return it != graph_models_.end() && it->second->plan != nullptr;
+  auto it = entries_.find(name);
+  return it != entries_.end() && resident_locked(*it->second);
 }
 
 RegistryStats ModelRegistry::stats() const {
   MutexLock lock(mu_);
   RegistryStats s;
-  s.models = static_cast<int>(models_.size());
-  s.graph_models = static_cast<int>(graph_models_.size());
+  for (const auto& [name, e] : entries_)
+    ++(std::holds_alternative<ModelSpec>(e->spec) ? s.models : s.graph_models);
   s.acquires = acquires_;
   s.graph_acquires = graph_acquires_;
   s.plan_evictions = cache_.evictions();
   s.graph_evictions = graph_evictions_;
   s.resident_plan_bytes = cache_.resident_packed_bytes();
-  s.resident_graph_bytes = resident_graph_bytes_locked();
+  s.resident_graph_bytes = graph_bytes_;
   s.budget_bytes = opt_.plan_budget_bytes;
   return s;
 }

@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -17,23 +16,39 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
 }  // namespace
 
 ModelServer::ModelServer(const ServerOptions& opt)
-    : opt_(opt),
-      pool_(opt.pool != nullptr ? opt.pool : &ThreadPool::global()),
+    : pool_(opt.pool != nullptr ? opt.pool : &ThreadPool::global()),
       registry_(opt.registry) {}
 
 ModelServer::~ModelServer() { shutdown(); }
 
+Status ModelServer::check_open() const {
+  MutexLock lock(mu_);
+  LBC_VALIDATE(!stopping_, kFailedPrecondition,
+               "cannot add a model to a shut-down server");
+  return Status();
+}
+
+Status ModelServer::commit(std::unique_ptr<Model> model, Status built) {
+  if (built.ok()) {
+    MutexLock lock(mu_);
+    if (!stopping_) {
+      const std::string name = model->name;
+      models_.emplace(name, std::move(model));
+      return Status();
+    }
+    built = Status::failed_precondition(
+        "server shut down while adding model '" + model->name + "'");
+  }
+  (void)registry_.unregister_model(model->name);
+  return built;
+}
+
 Status ModelServer::add_model(const std::string& name, const ConvShape& shape,
                               Tensor<i8> weight, const ModelOptions& opt) {
-  {
-    MutexLock lock(mu_);
-    LBC_VALIDATE(!stopping_, kFailedPrecondition,
-                 "cannot add model '" << name << "' to a shut-down server");
-  }
-
+  LBC_RETURN_IF_ERROR(check_open());
   ModelSpec spec;
   spec.shape = shape;
-  spec.weight = weight;  // registry pins a copy for fallback + recompiles
+  spec.weight = weight;  // the registry pins a copy for recompiles
   spec.bits = opt.sched.bits;
   spec.backend = opt.sched.backend;
   spec.impl = opt.sched.impl;
@@ -43,10 +58,9 @@ Status ModelServer::add_model(const std::string& name, const ConvShape& shape,
 
   auto model = std::make_unique<Model>();
   model->name = name;
+  model->backend = opt.sched.backend;
   model->mode = opt.breaker_mode;
   model->breaker = std::make_unique<CircuitBreaker>(opt.breaker);
-  LBC_ASSIGN_OR_RETURN(const ModelSpec* pinned, registry_.find(name));
-  model->spec = pinned;
 
   SchedulerOptions sched_opt = opt.sched;
   sched_opt.plan_source = [this, name] { return registry_.acquire_plan(name); };
@@ -55,23 +69,26 @@ Status ModelServer::add_model(const std::string& name, const ConvShape& shape,
   sched_opt.on_complete = [breaker,
                            user_hook = std::move(user_hook)](
                               const InferResponse& resp) {
-    feed_breaker(*breaker, resp);
+    feed_breaker(*breaker, resp.status, resp.probe);
     if (user_hook) user_hook(resp);
   };
-
-  StatusOr<std::unique_ptr<BatchScheduler>> sched =
-      BatchScheduler::create(shape, std::move(weight), sched_opt, pool_);
-  if (!sched.ok()) {
-    (void)registry_.unregister_model(name);
-    return sched.status();
-  }
-  model->sched = std::move(sched).value();
-
-  MutexLock lock(mu_);
-  LBC_VALIDATE(!stopping_, kFailedPrecondition,
-               "server shut down while adding model '" << name << "'");
-  models_.emplace(name, std::move(model));
-  return Status();
+  Status built = [&]() -> Status {
+    if (opt.breaker_mode == BreakerMode::kReferenceFallback) {
+      // The always-works rung: no prepacked weights, no specialized kernel.
+      LBC_ASSIGN_OR_RETURN(
+          core::ConvPlan plan,
+          core::plan_arm_conv(shape, weight, opt.sched.bits, opt.sched.impl,
+                              armkern::ConvAlgo::kReference,
+                              opt.sched.conv_threads));
+      model->conv_fallback =
+          std::make_shared<const core::ConvPlan>(std::move(plan));
+    }
+    LBC_ASSIGN_OR_RETURN(model->sched,
+                         BatchScheduler::create(shape, std::move(weight),
+                                                sched_opt, pool_));
+    return Status();
+  }();
+  return commit(std::move(model), std::move(built));
 }
 
 Status ModelServer::add_graph_model(const std::string& name,
@@ -82,60 +99,41 @@ Status ModelServer::add_graph_model(const std::string& name,
                                      << name
                                      << "' max_inflight must be in [1, 1024]"
                                      << ", got " << opt.max_inflight);
-  {
-    MutexLock lock(mu_);
-    LBC_VALIDATE(!stopping_, kFailedPrecondition,
-                 "cannot add graph model '" << name
-                                            << "' to a shut-down server");
-  }
-
+  LBC_RETURN_IF_ERROR(check_open());
   GraphModelSpec spec;
   spec.graph = graph;  // registry validates null/empty/uncalibrated
   spec.options = opt.plan;
   LBC_RETURN_IF_ERROR(registry_.register_graph_model(name, std::move(spec)));
 
-  auto model = std::make_unique<GraphModel>();
+  auto model = std::make_unique<Model>();
   model->name = name;
   model->mode = opt.breaker_mode;
-  model->max_inflight = opt.max_inflight;
   model->breaker = std::make_unique<CircuitBreaker>(opt.breaker);
-
-  // Eager compile: registration surfaces plan errors and the first request
-  // never pays the whole-net compile (joint search + weight prepack).
-  StatusOr<std::shared_ptr<const core::GraphPlan>> warm =
-      registry_.acquire_graph_plan(name);
-  if (!warm.ok()) {
-    (void)registry_.unregister_graph_model(name);
-    return warm.status();
-  }
-
-  if (opt.breaker_mode == BreakerMode::kReferenceFallback) {
-    // The degraded path must survive budget eviction: pin an unfused plan
-    // in the model itself (same arithmetic, per-layer execution).
-    core::GraphPlanOptions fb = opt.plan;
-    fb.fusion = core::FusionMode::kOff;
-    fb.joint_search = false;
-    fb.tuning = nullptr;
-    StatusOr<core::GraphPlan> p = core::GraphPlan::compile(*graph, fb);
-    if (!p.ok()) {
-      (void)registry_.unregister_graph_model(name);
-      return p.status();
+  model->max_inflight = opt.max_inflight;
+  Status built = [&]() -> Status {
+    // Eager compile: registration surfaces plan errors and the first request
+    // never pays the whole-net compile (joint search + weight prepack).
+    LBC_RETURN_IF_ERROR(registry_.acquire_graph_plan(name).status());
+    if (opt.breaker_mode == BreakerMode::kReferenceFallback) {
+      // Same arithmetic, per-layer execution.
+      core::GraphPlanOptions fb = opt.plan;
+      fb.fusion = core::FusionMode::kOff;
+      fb.joint_search = false;
+      fb.tuning = nullptr;
+      LBC_ASSIGN_OR_RETURN(core::GraphPlan plan,
+                           core::GraphPlan::compile(*graph, fb));
+      model->graph_fallback =
+          std::make_shared<const core::GraphPlan>(std::move(plan));
     }
-    model->fallback_plan =
-        std::make_shared<const core::GraphPlan>(std::move(p).value());
-  }
-
-  MutexLock lock(mu_);
-  LBC_VALIDATE(!stopping_, kFailedPrecondition,
-               "server shut down while adding graph model '" << name << "'");
-  graph_models_.emplace(name, std::move(model));
-  return Status();
+    return Status();
+  }();
+  return commit(std::move(model), std::move(built));
 }
 
-void ModelServer::feed_breaker(CircuitBreaker& breaker,
-                               const InferResponse& resp) {
+void ModelServer::feed_breaker(CircuitBreaker& breaker, const Status& status,
+                               bool probe) {
   std::optional<CircuitBreaker::Outcome> outcome;
-  switch (resp.status.code()) {
+  switch (status.code()) {
     case StatusCode::kOk:
       outcome = CircuitBreaker::Outcome::kSuccess;
       break;
@@ -152,7 +150,7 @@ void ModelServer::feed_breaker(CircuitBreaker& breaker,
       outcome = CircuitBreaker::Outcome::kFailure;
       break;
   }
-  if (resp.probe) {
+  if (probe) {
     if (outcome.has_value())
       breaker.record_probe(*outcome);
     else
@@ -162,365 +160,229 @@ void ModelServer::feed_breaker(CircuitBreaker& breaker,
   }
 }
 
-ModelServer::Model* ModelServer::find_model(const std::string& name) {
+StatusOr<ModelServer::Model*> ModelServer::serving(const std::string& name,
+                                                   bool graph) {
+  MutexLock lock(mu_);
+  LBC_VALIDATE(!stopping_, kFailedPrecondition,
+               "server is shut down; no new submissions");
   auto it = models_.find(name);
-  return it == models_.end() ? nullptr : it->second.get();
+  LBC_VALIDATE(it != models_.end() && it->second->graph() == graph, kNotFound,
+               (graph ? "graph model '" : "model '") << name
+                                                     << "' is not served");
+  return it->second.get();
 }
 
-ModelServer::GraphModel* ModelServer::find_graph_model(
-    const std::string& name) {
-  auto it = graph_models_.find(name);
-  return it == graph_models_.end() ? nullptr : it->second.get();
-}
-
-StatusOr<std::future<GraphInferResponse>> ModelServer::submit_graph(
-    const std::string& name, Tensor<float> input, const SubmitOptions& sub) {
-  GraphModel* m = nullptr;
-  {
-    MutexLock lock(mu_);
-    LBC_VALIDATE(!stopping_, kFailedPrecondition,
-                 "server is shut down; no new submissions");
-    m = find_graph_model(name);
-    LBC_VALIDATE(m != nullptr, kNotFound,
-                 "graph model '" << name << "' is not served");
+template <class Response, class Route>
+StatusOr<std::future<Response>> ModelServer::gate(Model& m,
+                                                  const SubmitOptions& sub,
+                                                  Route route) {
+  using Decision = CircuitBreaker::Decision;
+  const Decision d = m.breaker->admit(Clock::now());
+  if (d == Decision::kProbe &&
+      FaultInjector::instance().should_fire(FaultSite::kServeProbeFail)) {
+    // Recovery-flapping fault: the probe dies before reaching the model,
+    // which re-opens the breaker (cooldown restarts).
+    m.breaker->record_probe(CircuitBreaker::Outcome::kFailure);
+    m.metrics().record_shed(ShedReason::kBreakerOpen, sub.priority);
+    return Status::unavailable("model '" + m.name +
+                               "' half-open probe failed (serve.probe_fail)");
   }
-
-  // The graph path's admission bound: there is no coalescing queue, so the
-  // in-flight cap is where overload backs up (arrivals past it shed).
-  const auto try_admit = [this, m] {
-    MutexLock lock(mu_);
-    if (m->inflight >= m->max_inflight) return false;
-    ++m->inflight;
-    return true;
-  };
-  const auto shed_overloaded = [m, &name, &sub] {
-    m->metrics.record_shed(ShedReason::kQueueFull, sub.priority);
-    return Status::overloaded("graph model '" + name + "' is at its " +
-                              "in-flight cap");
-  };
-
-  switch (m->breaker->admit(Clock::now())) {
-    case CircuitBreaker::Decision::kAllow: {
-      if (!try_admit()) return shed_overloaded();
-      SubmitOptions s = sub;
-      s.probe = false;  // probe marking is the server's, not the caller's
-      m->metrics.record_admitted(Clock::now());
-      return run_graph(*m, std::move(input), s, /*fallback=*/false);
-    }
-    case CircuitBreaker::Decision::kProbe: {
-      if (FaultInjector::instance().should_fire(FaultSite::kServeProbeFail)) {
-        m->breaker->record_probe(CircuitBreaker::Outcome::kFailure);
-        m->metrics.record_shed(ShedReason::kBreakerOpen, sub.priority);
-        return Status::unavailable("graph model '" + name +
-                                   "' half-open probe failed "
-                                   "(serve.probe_fail)");
-      }
-      if (!try_admit()) {
-        // The probe never executed: free its slot so the next arrival can
-        // probe instead of waiting on a lost outcome.
-        m->breaker->cancel_probe();
-        return shed_overloaded();
-      }
-      SubmitOptions s = sub;
-      s.probe = true;
-      m->metrics.record_admitted(Clock::now());
-      return run_graph(*m, std::move(input), s, /*fallback=*/false);
-    }
-    case CircuitBreaker::Decision::kReject:
-      if (m->mode == BreakerMode::kFastFail) {
-        m->metrics.record_shed(ShedReason::kBreakerOpen, sub.priority);
-        return Status::unavailable("graph model '" + name +
-                                   "' is unavailable (" +
-                                   m->breaker->describe() + ")");
-      }
-      if (!try_admit()) return shed_overloaded();
-      {
-        SubmitOptions s = sub;
-        s.probe = false;
-        m->metrics.record_admitted(Clock::now());
-        return run_graph(*m, std::move(input), s, /*fallback=*/true);
-      }
+  if (d == Decision::kReject && m.mode == BreakerMode::kFastFail) {
+    m.metrics().record_shed(ShedReason::kBreakerOpen, sub.priority);
+    return Status::unavailable("model '" + m.name + "' is unavailable (" +
+                               m.breaker->describe() + ")");
   }
-  return Status::internal("unreachable breaker decision");
+  SubmitOptions s = sub;
+  s.probe = d == Decision::kProbe;  // probe marking is the server's
+  StatusOr<std::future<Response>> r = route(s, d == Decision::kReject);
+  // A probe shed at admission never executed: release its slot so the next
+  // arrival can probe instead of waiting on a lost outcome.
+  if (s.probe && !r.ok()) m.breaker->cancel_probe();
+  return r;
 }
 
-std::future<GraphInferResponse> ModelServer::run_graph(GraphModel& m,
-                                                       Tensor<float> input,
-                                                       SubmitOptions sub,
-                                                       bool fallback) {
-  auto promise = std::make_shared<std::promise<GraphInferResponse>>();
-  std::future<GraphInferResponse> fut = promise->get_future();
+template <class Response, class Exec>
+StatusOr<std::future<Response>> ModelServer::run_on_pool(
+    Model& m, const SubmitOptions& sub, bool fallback, Exec exec) {
+  bool has_slot = false;
   {
-    MutexLock lock(fallback_mu_);
-    ++fallback_inflight_;
+    MutexLock lock(m.mu);
+    has_slot = m.inflight < m.max_inflight;
+    if (has_slot) ++m.inflight;
+  }
+  if (!has_slot) {
+    m.metrics().record_shed(ShedReason::kQueueFull, sub.priority);
+    return Status::overloaded("model '" + m.name +
+                              "' is at its in-flight cap");
+  }
+  {
+    MutexLock lock(pool_mu_);
+    ++pool_tasks_;
   }
   const Clock::time_point admitted = Clock::now();
-  GraphModel* gm = &m;
-  pool_->submit([this, promise, gm, sub, admitted, fallback,
-                 input = std::move(input)]() mutable {
-    GraphInferResponse resp;
+  m.metrics().record_admitted(admitted);
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> fut = promise->get_future();
+  Model* model = &m;
+  pool_->submit([this, model, promise, sub, fallback, admitted,
+                 exec = std::move(exec)]() mutable {
+    Response resp;
     resp.tenant = sub.tenant;
     resp.priority = sub.priority;
     resp.probe = sub.probe;
+    ServeMetrics& metrics = model->metrics();
     const Clock::time_point start = Clock::now();
     if (sub.deadline != kNoDeadline && start >= sub.deadline) {
-      resp.status =
-          Status::deadline_exceeded("expired before graph execution");
-      gm->metrics.record_expired(sub.priority);
+      resp.status = Status::deadline_exceeded("expired before execution");
+      resp.latency_s = seconds_between(admitted, start);
+      metrics.record_expired(sub.priority);
     } else {
-      std::shared_ptr<const core::GraphPlan> plan;
-      if (fallback) {
-        plan = gm->fallback_plan;
-      } else {
-        // Acquire here, not at submit: a budget-evicted plan recompiles on
-        // the pool worker instead of stalling the submitting thread.
-        StatusOr<std::shared_ptr<const core::GraphPlan>> p =
-            registry_.acquire_graph_plan(gm->name);
-        if (p.ok())
-          plan = std::move(p).value();
-        else
-          resp.status = p.status();
-      }
-      if (plan != nullptr && resp.status.ok()) {
-        // One arena pair per pool worker: the pool runs one task at a time
-        // per thread, so thread_local reuse keeps the single-owner
-        // contract with zero steady-state allocations.
-        thread_local Workspace arena;
-        thread_local Workspace scratch;
-        StatusOr<core::QnnGraph::RunResult> r =
-            plan->forward(input, arena, scratch);
-        if (r.ok()) {
-          resp.output = std::move(r->out);
-          resp.model_seconds = r->seconds;
-          resp.batch_size = 1;
-          resp.fused_convs = plan->fused_convs();
-          for (i64 n = 0; n < plan->node_count(); ++n) {
-            const armkern::ArmConvPlan* conv = plan->conv_plan(n);
-            if (conv != nullptr && conv->planned_fallback.fell_back)
-              resp.fallback.record(conv->planned_fallback.requested,
-                                   conv->planned_fallback.executed,
-                                   conv->planned_fallback.reason);
-          }
-          if (fallback) gm->metrics.record_fallback_served();
-        } else {
-          resp.status = r.status();
-        }
+      // One workspace pair per pool worker: the pool runs one task at a
+      // time per thread, so thread_local reuse keeps the single-owner
+      // contract with zero steady-state allocations.
+      thread_local Workspace arena;
+      thread_local Workspace scratch;
+      resp.status = exec(resp, arena, scratch);
+      if (resp.status.ok()) {
+        resp.batch_size = 1;
+        if (fallback) metrics.record_fallback_served();
       }
       const Clock::time_point done = Clock::now();
       resp.latency_s = seconds_between(admitted, done);
-      gm->metrics.record_completion(0.0, resp.latency_s, resp.status.ok(),
-                                    done, sub.priority);
+      metrics.record_completion(0.0, resp.latency_s, resp.status.ok(), done,
+                                sub.priority);
     }
-    if (resp.latency_s == 0)
-      resp.latency_s = seconds_between(admitted, Clock::now());
-    if (!fallback) {
-      // Reuse the conv path's Status -> breaker-outcome mapping; fallback
-      // executions never feed the breaker (recovery is earned by the
-      // primary path only).
-      InferResponse outcome;
-      outcome.status = resp.status;
-      outcome.probe = sub.probe;
-      feed_breaker(*gm->breaker, outcome);
-    }
+    if (!fallback) feed_breaker(*model->breaker, resp.status, sub.probe);
     {
-      MutexLock lock(mu_);
-      --gm->inflight;
+      MutexLock lock(model->mu);
+      --model->inflight;
     }
     promise->set_value(std::move(resp));
-    MutexLock lock(fallback_mu_);
-    --fallback_inflight_;
-    fallback_cv_.notify_all();
+    MutexLock lock(pool_mu_);
+    --pool_tasks_;
+    pool_idle_.notify_all();
   });
   return fut;
 }
 
 StatusOr<std::future<InferResponse>> ModelServer::submit(
     const std::string& name, Tensor<i8> input, const SubmitOptions& sub) {
-  Model* m = nullptr;
-  {
-    MutexLock lock(mu_);
-    LBC_VALIDATE(!stopping_, kFailedPrecondition,
-                 "server is shut down; no new submissions");
-    m = find_model(name);
-    LBC_VALIDATE(m != nullptr, kNotFound,
-                 "model '" << name << "' is not served");
-  }
-
-  switch (m->breaker->admit(Clock::now())) {
-    case CircuitBreaker::Decision::kAllow: {
-      SubmitOptions s = sub;
-      s.probe = false;  // probe marking is the server's, not the caller's
-      return m->sched->submit(std::move(input), s);
-    }
-    case CircuitBreaker::Decision::kProbe: {
-      if (FaultInjector::instance().should_fire(FaultSite::kServeProbeFail)) {
-        // Recovery-flapping fault: the probe dies before reaching the
-        // scheduler, which re-opens the breaker (cooldown restarts).
-        m->breaker->record_probe(CircuitBreaker::Outcome::kFailure);
-        m->sched->metrics().record_shed(ShedReason::kBreakerOpen,
-                                        sub.priority);
-        return Status::unavailable("model '" + name +
-                                   "' half-open probe failed "
-                                   "(serve.probe_fail)");
-      }
-      SubmitOptions s = sub;
-      s.probe = true;
-      StatusOr<std::future<InferResponse>> r =
-          m->sched->submit(std::move(input), s);
-      // A probe rejected at admission never executed: release its slot so
-      // the next arrival can probe instead of waiting on a lost outcome.
-      if (!r.ok()) m->breaker->cancel_probe();
-      return r;
-    }
-    case CircuitBreaker::Decision::kReject:
-      if (m->mode == BreakerMode::kFastFail) {
-        m->sched->metrics().record_shed(ShedReason::kBreakerOpen,
-                                        sub.priority);
-        return Status::unavailable("model '" + name + "' is unavailable (" +
-                                   m->breaker->describe() + ")");
-      }
-      return submit_fallback(*m, std::move(input), sub);
-  }
-  return Status::internal("unreachable breaker decision");
+  LBC_ASSIGN_OR_RETURN(Model* m, serving(name, /*graph=*/false));
+  return gate<InferResponse>(
+      *m, sub,
+      [&](const SubmitOptions& s,
+          bool fallback) -> StatusOr<std::future<InferResponse>> {
+        if (!fallback) return m->sched->submit(std::move(input), s);
+        return run_on_pool<InferResponse>(
+            *m, s, /*fallback=*/true,
+            [plan = m->conv_fallback, input = std::move(input)](
+                InferResponse& resp, Workspace& ws, Workspace&) -> Status {
+              LBC_ASSIGN_OR_RETURN(core::ArmLayerResult r,
+                                   core::execute_arm_conv(*plan, input, ws));
+              resp.output = std::move(r.out);
+              resp.model_seconds = r.seconds;
+              resp.executed_algo = std::move(r.executed_algo);
+              resp.fallback = std::move(r.fallback);
+              return Status();
+            });
+      });
 }
 
-StatusOr<std::future<InferResponse>> ModelServer::submit_fallback(
-    Model& m, Tensor<i8> input, const SubmitOptions& sub) {
-  auto promise = std::make_shared<std::promise<InferResponse>>();
-  std::future<InferResponse> fut = promise->get_future();
-  {
-    MutexLock lock(fallback_mu_);
-    ++fallback_inflight_;
-  }
-  const Clock::time_point admitted = Clock::now();
-  const ModelSpec* spec = m.spec;
-  ServeMetrics* metrics = &m.sched->metrics();
-  pool_->submit([this, promise, spec, metrics, sub, admitted,
-                 input = std::move(input)]() mutable {
-    InferResponse resp;
-    resp.tenant = sub.tenant;
-    resp.priority = sub.priority;
-    const Clock::time_point start = Clock::now();
-    if (sub.deadline != kNoDeadline && start >= sub.deadline) {
-      resp.status =
-          Status::deadline_exceeded("expired before fallback execution");
-      metrics->record_expired(sub.priority);
-    } else {
-      // The always-works rung: no prepacked plan, no specialized kernel —
-      // the reference path the PR-1 fallback ladder bottoms out on.
-      StatusOr<core::ArmLayerResult> r = core::run_arm_conv(
-          spec->shape, input, spec->weight, spec->bits, spec->impl,
-          armkern::ConvAlgo::kReference, spec->threads);
-      const Clock::time_point done = Clock::now();
-      if (r.ok()) {
-        core::ArmLayerResult res = std::move(r).value();
-        resp.output = std::move(res.out);
-        resp.model_seconds = res.seconds;
-        resp.batch_size = 1;
-        resp.executed_algo = res.executed_algo;
-        resp.fallback = std::move(res.fallback);
-        metrics->record_fallback_served();
-      } else {
-        resp.status = r.status();
-      }
-      resp.latency_s = seconds_between(admitted, done);
-      metrics->record_completion(0.0, resp.latency_s, resp.status.ok(), done,
-                                 sub.priority);
-    }
-    if (resp.latency_s == 0)
-      resp.latency_s = seconds_between(admitted, Clock::now());
-    promise->set_value(std::move(resp));
-    MutexLock lock(fallback_mu_);
-    --fallback_inflight_;
-    fallback_cv_.notify_all();
-  });
-  return fut;
+StatusOr<std::future<GraphInferResponse>> ModelServer::submit_graph(
+    const std::string& name, Tensor<float> input, const SubmitOptions& sub) {
+  LBC_ASSIGN_OR_RETURN(Model* m, serving(name, /*graph=*/true));
+  return gate<GraphInferResponse>(
+      *m, sub,
+      [&](const SubmitOptions& s,
+          bool fallback) -> StatusOr<std::future<GraphInferResponse>> {
+        return run_on_pool<GraphInferResponse>(
+            *m, s, fallback,
+            [this, m, fallback, input = std::move(input)](
+                GraphInferResponse& resp, Workspace& arena,
+                Workspace& scratch) -> Status {
+              std::shared_ptr<const core::GraphPlan> plan = m->graph_fallback;
+              // Acquire here, not at submit: a budget-evicted plan
+              // recompiles on the pool worker instead of stalling the
+              // submitting thread.
+              if (!fallback) {
+                LBC_ASSIGN_OR_RETURN(plan,
+                                     registry_.acquire_graph_plan(m->name));
+              }
+              LBC_ASSIGN_OR_RETURN(core::QnnGraph::RunResult r,
+                                   plan->forward(input, arena, scratch));
+              resp.output = std::move(r.out);
+              resp.model_seconds = r.seconds;
+              resp.fused_convs = plan->fused_convs();
+              for (i64 n = 0; n < plan->node_count(); ++n) {
+                const armkern::ArmConvPlan* conv = plan->conv_plan(n);
+                if (conv != nullptr && conv->planned_fallback.fell_back)
+                  resp.fallback.record(conv->planned_fallback.requested,
+                                       conv->planned_fallback.executed,
+                                       conv->planned_fallback.reason);
+              }
+              return Status();
+            });
+      });
 }
 
 void ModelServer::shutdown() {
-  std::vector<Model*> models;
   {
     MutexLock lock(mu_);
     stopping_ = true;
-    models.reserve(models_.size());
-    for (auto& [name, model] : models_) models.push_back(model.get());
   }
   // Scheduler shutdown is idempotent and asserts its own liveness contract
   // (no admitted request left unresolved).
-  for (Model* m : models) m->sched->shutdown();
-  MutexLock lock(fallback_mu_);
-  while (fallback_inflight_ != 0) fallback_cv_.wait(fallback_mu_);
+  for (Model* m : all_models())
+    if (!m->graph()) m->sched->shutdown();
+  MutexLock lock(pool_mu_);
+  while (pool_tasks_ != 0) pool_idle_.wait(pool_mu_);
 }
 
-std::vector<std::string> ModelServer::model_names() const {
+ModelServer::Model* ModelServer::find(const std::string& name) const {
   MutexLock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(models_.size());
-  for (const auto& [name, model] : models_) names.push_back(name);
-  return names;
+  auto it = models_.find(name);
+  return it == models_.end() ? nullptr : it->second.get();
+}
+
+std::vector<ModelServer::Model*> ModelServer::all_models() const {
+  MutexLock lock(mu_);
+  std::vector<Model*> models;
+  models.reserve(models_.size());
+  for (const auto& [name, model] : models_) models.push_back(model.get());
+  return models;
 }
 
 CircuitBreaker* ModelServer::breaker(const std::string& name) {
-  MutexLock lock(mu_);
-  Model* m = find_model(name);
-  if (m != nullptr) return m->breaker.get();
-  GraphModel* g = find_graph_model(name);
-  return g == nullptr ? nullptr : g->breaker.get();
-}
-
-ServeMetrics* ModelServer::graph_metrics(const std::string& name) {
-  MutexLock lock(mu_);
-  GraphModel* g = find_graph_model(name);
-  return g == nullptr ? nullptr : &g->metrics;
+  Model* m = find(name);
+  return m == nullptr ? nullptr : m->breaker.get();
 }
 
 BatchScheduler* ModelServer::scheduler(const std::string& name) {
-  MutexLock lock(mu_);
-  Model* m = find_model(name);
+  Model* m = find(name);
   return m == nullptr ? nullptr : m->sched.get();
 }
 
+ServeMetrics* ModelServer::metrics(const std::string& name) {
+  Model* m = find(name);
+  return m == nullptr ? nullptr : &m->metrics();
+}
+
 std::vector<ModelHealth> ModelServer::health_snapshot() const {
-  // Collect the component pointers under mu_, then snapshot each component
-  // outside it: breaker and metrics take their own locks, and holding mu_
-  // across them would order it against every per-request lock for no gain.
-  // Pointers stay valid — models are never removed while the server lives.
-  std::vector<const Model*> models;
-  std::vector<const GraphModel*> gmodels;
-  {
-    MutexLock lock(mu_);
-    models.reserve(models_.size());
-    for (const auto& [name, model] : models_) models.push_back(model.get());
-    gmodels.reserve(graph_models_.size());
-    for (const auto& [name, model] : graph_models_)
-      gmodels.push_back(model.get());
-  }
+  // Snapshot each component outside mu_: breaker and metrics take their own
+  // locks, and holding mu_ across them would order it against every
+  // per-request lock for no gain. Pointers stay valid — models are never
+  // removed while the server lives — and models_ is name-sorted.
   std::vector<ModelHealth> out;
-  out.reserve(models.size() + gmodels.size());
-  for (const Model* m : models) {
+  for (Model* m : all_models()) {
     ModelHealth h;
     h.name = m->name;
-    h.backend = m->spec->backend;
+    h.backend = m->backend;
     h.breaker_state = m->breaker->state();
     h.breaker_trips = m->breaker->trips();
     h.last_transition = m->breaker->last_transition();
-    h.metrics = m->sched->metrics().snapshot();
+    h.metrics = m->metrics().snapshot();
     out.push_back(std::move(h));
   }
-  for (const GraphModel* m : gmodels) {
-    ModelHealth h;
-    h.name = m->name;
-    h.backend = core::Backend::kArmCortexA53;  // graph runtime = emulated ARM
-    h.breaker_state = m->breaker->state();
-    h.breaker_trips = m->breaker->trips();
-    h.last_transition = m->breaker->last_transition();
-    h.metrics = m->metrics.snapshot();
-    out.push_back(std::move(h));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ModelHealth& a, const ModelHealth& b) {
-              return a.name < b.name;
-            });
   return out;
 }
 

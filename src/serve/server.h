@@ -1,36 +1,42 @@
 // ModelServer: the overload-hardened front end of the serving tier. One
-// server owns a memory-budgeted ModelRegistry (all models compile into one
-// shared PlanCache), and per model a micro-batching BatchScheduler plus a
-// CircuitBreaker.
+// server owns a memory-budgeted ModelRegistry and one record per served
+// model, of either kind, each with a CircuitBreaker:
+//  * a conv model — one quantized layer, executed by a micro-batching
+//    BatchScheduler over the registry's shared PlanCache;
+//  * a graph model — a whole quantized net, executed as its registry-held
+//    GraphPlan on the pool, at most GraphModelOptions::max_inflight at once.
 //
-// The submit path per request:
+// Both kinds pass one gate per request:
 //
-//   breaker.admit() ──kAllow──> scheduler (WFQ admission, micro-batching)
-//                 └──kProbe──> scheduler, marked probe; its outcome drives
-//                              half-open recovery (a probe the scheduler
-//                              sheds releases the probe slot instead)
+//   breaker.admit() ──kAllow──> primary path (the scheduler's WFQ admission
+//                 │             and micro-batching, or the in-flight cap)
+//                 └──kProbe──> primary path, marked probe; its outcome
+//                 │            drives half-open recovery (a probe the path
+//                 │            sheds releases the probe slot instead)
 //                 └──kReject─> BreakerMode::kFastFail: kUnavailable now,
 //                              counted shed (breaker_open);
 //                              BreakerMode::kReferenceFallback: execute on
-//                              the pool via the reference kernel rung
-//                              against the registry-pinned weights —
-//                              degraded but correct service
+//                              the pool the plan pinned at add time — a conv
+//                              model's reference rung, a graph model's
+//                              unfused plan — degraded but correct service
 //
 // Breakers learn exclusively from requests that reached the model: the
-// scheduler's on_complete hook maps each response Status to a breaker
-// outcome (OK -> success, kDeadlineExceeded -> deadline miss, execution
-// errors -> failure) and ignores admission-control statuses (kOverloaded /
-// kShuttingDown / kUnavailable never touched the model). Fallback
-// executions do not feed the breaker either — recovery is earned by probes
-// through the primary path only.
+// scheduler's on_complete hook, and the pool task of a graph request, map
+// each response Status to a breaker outcome (OK -> success,
+// kDeadlineExceeded -> deadline miss, execution errors -> failure) and
+// ignore admission-control statuses (kOverloaded / kShuttingDown /
+// kUnavailable never touched the model). Fallback executions do not feed
+// the breaker either — recovery is earned by probes through the primary
+// path only.
 //
 // Liveness contract (the soak harness gates on this): every submission
 // either returns an error Status from submit() (kNotFound, kOverloaded,
 // kUnavailable, kFailedPrecondition) or yields a future that IS resolved —
 // by the scheduler (which asserts admitted == resolved at shutdown) or by
-// the fallback task (shutdown() waits for in-flight fallbacks).
+// its pool task (shutdown() waits for in-flight pool executions).
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -84,14 +90,14 @@ struct GraphInferResponse {
 
 struct ServerOptions {
   RegistryOptions registry;
-  /// Pool for batch execution and fallback serving; defaults to
-  /// ThreadPool::global().
+  /// Pool for batch execution, fallback serving and graph executions;
+  /// defaults to ThreadPool::global().
   ThreadPool* pool = nullptr;
 };
 
 /// One model's health as seen by an operator: which backend it serves on,
-/// where its breaker stands (and when it last moved), and the scheduler's
-/// full metrics snapshot. Produced by ModelServer::health_snapshot().
+/// where its breaker stands (and when it last moved), and the model's full
+/// metrics snapshot. Produced by ModelServer::health_snapshot().
 struct ModelHealth {
   std::string name;
   core::Backend backend = core::Backend::kArmCortexA53;
@@ -110,15 +116,16 @@ class ModelServer {
   ModelServer(const ModelServer&) = delete;
   ModelServer& operator=(const ModelServer&) = delete;
 
-  /// Register a model and spin up its scheduler + breaker. Errors:
-  /// kInvalidArgument (bad spec/options, or a name a conv or graph model
-  /// already holds), kFailedPrecondition after shutdown().
+  /// Register a conv model and spin up its scheduler + breaker; a
+  /// kReferenceFallback model also pins its reference-rung plan here.
+  /// Errors: kInvalidArgument (bad spec/options, or a name a conv or graph
+  /// model already holds), kFailedPrecondition after shutdown().
   Status add_model(const std::string& name, const ConvShape& shape,
                    Tensor<i8> weight,
                    const ModelOptions& opt = ModelOptions{});
 
   /// Route one request through the model's breaker and scheduler (or the
-  /// fallback path). Errors: kNotFound (unknown model), kUnavailable
+  /// fallback path). Errors: kNotFound (unknown conv model), kUnavailable
   /// (breaker open, fast-fail mode — also when a half-open probe is forced
   /// down by the serve.probe_fail fault), kOverloaded (scheduler admission),
   /// kFailedPrecondition (after shutdown), kInvalidArgument (bad input).
@@ -129,16 +136,17 @@ class ModelServer {
   /// Register a whole-net graph model: the registry holds its compiled
   /// GraphPlan (charged against the plan budget) and the server fronts it
   /// with a breaker + in-flight cap. The plan compiles eagerly here so
-  /// registration surfaces compile errors. Errors: kInvalidArgument (bad
-  /// spec, or a name a conv or graph model already holds), the compile
-  /// error, or kFailedPrecondition after shutdown().
+  /// registration surfaces compile errors; a kReferenceFallback model also
+  /// pins its unfused plan here. Errors: kInvalidArgument (bad spec, or a
+  /// name a conv or graph model already holds), the compile error, or
+  /// kFailedPrecondition after shutdown().
   Status add_graph_model(const std::string& name,
                          std::shared_ptr<const core::QnnGraph> graph,
                          const GraphModelOptions& opt = GraphModelOptions{});
 
   /// Route one whole-net request through the model's breaker and in-flight
   /// cap, then execute the fused GraphPlan on the pool. Same overload
-  /// contract as submit(): kNotFound (unknown model), kUnavailable
+  /// contract as submit(): kNotFound (unknown graph model), kUnavailable
   /// (breaker open, fast-fail mode), kOverloaded (in-flight cap),
   /// kFailedPrecondition (after shutdown). Every returned future IS
   /// resolved.
@@ -147,83 +155,93 @@ class ModelServer {
       const SubmitOptions& sub = SubmitOptions{});
 
   /// Stop all schedulers (draining per their shutdown_policy) and wait for
-  /// in-flight fallback and graph executions. Idempotent.
+  /// in-flight pool executions (fallbacks and graph forwards). Idempotent.
   void shutdown();
 
   ModelRegistry& registry() { return registry_; }
   const ModelRegistry& registry() const { return registry_; }
-  std::vector<std::string> model_names() const;
 
   /// Per-model components, for tests and the bench report. nullptr when the
   /// name is unknown. Pointers stay valid until the server is destroyed
-  /// (models cannot be removed while serving). breaker() resolves conv AND
-  /// graph models; scheduler() is conv-only, graph_metrics() graph-only.
+  /// (models cannot be removed while serving). breaker() and metrics()
+  /// answer for either kind; scheduler() is conv-only.
   CircuitBreaker* breaker(const std::string& name);
   BatchScheduler* scheduler(const std::string& name);
-  ServeMetrics* graph_metrics(const std::string& name);
+  ServeMetrics* metrics(const std::string& name);
 
   /// Health of every served model, sorted by name: breaker state +
-  /// last-transition tick and the scheduler's metrics snapshot. Safe to call
+  /// last-transition tick and the model's metrics snapshot. Safe to call
   /// concurrently with serving (each component snapshots under its own
   /// lock); usable after shutdown() for a final report.
   std::vector<ModelHealth> health_snapshot() const;
 
  private:
+  /// One served model of either kind. A conv model executes through its
+  /// BatchScheduler (which owns its metrics); a graph model through its
+  /// registry-cached GraphPlan on the pool. Each kReferenceFallback model
+  /// pins the plan its degraded path runs: no re-plan per request, and no
+  /// dependence on the budgeted registry.
   struct Model {
     std::string name;
-    const ModelSpec* spec = nullptr;  ///< registry-pinned (weights for
-                                      ///< fallback + recompiles)
-    std::unique_ptr<CircuitBreaker> breaker;
-    std::unique_ptr<BatchScheduler> sched;
+    core::Backend backend = core::Backend::kArmCortexA53;
     BreakerMode mode = BreakerMode::kFastFail;
+    std::unique_ptr<CircuitBreaker> breaker;
+    std::unique_ptr<BatchScheduler> sched;  ///< null for a graph model
+    ServeMetrics own_metrics;  ///< a graph model's metrics
+    std::shared_ptr<const core::ConvPlan> conv_fallback;
+    std::shared_ptr<const core::GraphPlan> graph_fallback;
+    /// Cap on pool executions in flight: a graph model's max_inflight; a
+    /// conv model's fallbacks are uncapped (its scheduler bounds the rest).
+    int max_inflight = std::numeric_limits<int>::max();
+    Mutex mu;
+    int inflight LBC_GUARDED_BY(mu) = 0;
+
+    bool graph() const { return sched == nullptr; }
+    ServeMetrics& metrics() {
+      return sched != nullptr ? sched->metrics() : own_metrics;
+    }
   };
 
-  struct GraphModel {
-    std::string name;
-    std::unique_ptr<CircuitBreaker> breaker;
-    ServeMetrics metrics;
-    BreakerMode mode = BreakerMode::kFastFail;
-    int max_inflight = 4;
-    /// Admission bound of the graph path. Guarded by the owning server's
-    /// mu_ (a nested struct cannot name the outer member in GUARDED_BY).
-    i64 inflight = 0;
-    /// Pinned unfused plan for kReferenceFallback mode (compiled at add
-    /// time, never evicted — the degraded path must not depend on the
-    /// budgeted cache).
-    std::shared_ptr<const core::GraphPlan> fallback_plan;
-  };
+  /// Fails with kFailedPrecondition once shutdown() has begun.
+  Status check_open() const;
+  /// Serve a built model, or unregister its name when building it failed
+  /// or the server shut down meanwhile.
+  Status commit(std::unique_ptr<Model> model, Status built);
+  /// The served model of the given kind, for a submission.
+  StatusOr<Model*> serving(const std::string& name, bool graph);
+  Model* find(const std::string& name) const;
+  std::vector<Model*> all_models() const;
 
-  Model* find_model(const std::string& name) LBC_REQUIRES(mu_);
-  GraphModel* find_graph_model(const std::string& name) LBC_REQUIRES(mu_);
-  /// Execute the graph on the pool: the registry's cached plan (primary
-  /// path, feeds the breaker) or the pinned unfused plan (`fallback`,
-  /// which does not). sub.probe is already stamped by the caller.
-  std::future<GraphInferResponse> run_graph(GraphModel& m,
-                                            Tensor<float> input,
-                                            SubmitOptions sub, bool fallback);
-  /// Degraded service for a tripped kReferenceFallback model: execute the
-  /// reference rung on the pool against the pinned weights.
-  StatusOr<std::future<InferResponse>> submit_fallback(Model& m,
-                                                       Tensor<i8> input,
-                                                       const SubmitOptions& sub);
-  /// on_complete hook body: map the response Status to a breaker outcome.
-  static void feed_breaker(CircuitBreaker& breaker, const InferResponse& resp);
+  /// The one breaker gate: kAllow routes to the primary path, kProbe to the
+  /// primary path marked probe (serve.probe_fail may fail it first; a probe
+  /// the route sheds releases its slot), kReject to kUnavailable
+  /// (kFastFail) or to the fallback path. `route(sub, fallback)` submits.
+  template <class Response, class Route>
+  StatusOr<std::future<Response>> gate(Model& m, const SubmitOptions& sub,
+                                       Route route);
+  /// Execute one admitted request on the pool, under the model's in-flight
+  /// cap: deadline expiry, latency and completion metrics, the breaker feed
+  /// (primary path only), the promise and the shutdown drain count.
+  /// `exec(resp, arena, scratch)` fills the response's output.
+  template <class Response, class Exec>
+  StatusOr<std::future<Response>> run_on_pool(Model& m,
+                                              const SubmitOptions& sub,
+                                              bool fallback, Exec exec);
+  /// Map a response Status to a breaker outcome.
+  static void feed_breaker(CircuitBreaker& breaker, const Status& status,
+                           bool probe);
 
-  ServerOptions opt_;
   ThreadPool* pool_;
   ModelRegistry registry_;
 
-  /// Guards models_, graph_models_, stopping_, and GraphModel::inflight.
+  /// Guards models_ and stopping_.
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Model>> models_ LBC_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<GraphModel>> graph_models_
-      LBC_GUARDED_BY(mu_);
   bool stopping_ LBC_GUARDED_BY(mu_) = false;
 
-  Mutex fallback_mu_;
-  CondVar fallback_cv_;
-  /// Counts breaker fallbacks AND graph executions.
-  i64 fallback_inflight_ LBC_GUARDED_BY(fallback_mu_) = 0;
+  Mutex pool_mu_;
+  CondVar pool_idle_;
+  i64 pool_tasks_ LBC_GUARDED_BY(pool_mu_) = 0;
 };
 
 }  // namespace lbc::serve

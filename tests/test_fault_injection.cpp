@@ -243,6 +243,31 @@ TEST(FaultRecovery, PlanCompileFailPlansTheReferenceRung) {
   EXPECT_TRUE(r->fallback.fell_back);
 }
 
+// The site is consulted once, before the TuningCache-backed search: a
+// faulted plan runs no tile search and stores no cache row.
+TEST(FaultRecovery, PlanCompileFailRunsNoSearchAndStoresNoTuningRow) {
+  ConvShape s = small_shape();
+  s.in_c = 24;
+  s.in_h = 9;
+  s.in_w = 9;
+  s.out_c = 40;
+  const ConvData d(s, 4, 408);
+  gpukern::TuningCache cache;
+  ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+  const armkern::TileSearchStats before = armkern::tile_search_stats();
+  const auto plan = core::plan_arm_conv(s, d.w, 4, core::ArmImpl::kOurs,
+                                        ConvAlgo::kGemm, /*threads=*/1,
+                                        /*verify=*/false, &cache);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->planned_algo(), ConvAlgo::kReference);
+  EXPECT_EQ(FaultInjector::instance().consults(FaultSite::kPlanCompileFail),
+            1);
+  EXPECT_EQ(armkern::tile_search_stats().searches, before.searches);
+  EXPECT_EQ(armkern::tile_search_stats().memo_hits, before.memo_hits);
+  EXPECT_EQ(cache.arm_size(), 0u) << "a degraded plan writes no cache row";
+  EXPECT_EQ(cache.misses(), 0);
+}
+
 // A one-shot compile fault answers that one request from the reference
 // rung (there is no retry); the next request compiles the GEMM rung.
 TEST(FaultRecovery, PlanCompileFailOneShotAnswersFromReference) {
@@ -366,7 +391,9 @@ TEST(FaultRecovery, PlanCompileFailQuantizedConv2dDegradesOnEveryBackend) {
 }
 
 // run_model under a persistent compile fault: every layer runs, verified
-// bit-exact against the reference conv, and reports the degradation.
+// bit-exact against the reference conv, and reports the degradation. The
+// emulated ladder's floor is the reference rung; the native ladder's is the
+// emulated GEMM plan, compiled without a second consult of the site.
 TEST(FaultRecovery, PlanCompileFailModelRunnerAnswersBitExact) {
   const auto layers = nets::shrink_for_tests(nets::resnet50_layers(), 6, 8);
   for (const core::Backend backend :
@@ -383,7 +410,10 @@ TEST(FaultRecovery, PlanCompileFailModelRunnerAnswersBitExact) {
     EXPECT_EQ(rep->fallback_layers, static_cast<int>(layers.size()));
     for (const core::LayerRun& l : rep->layers) {
       EXPECT_TRUE(l.verified) << l.name;
-      EXPECT_EQ(l.executed_algo, "reference") << l.name;
+      EXPECT_EQ(l.executed_algo, backend == core::Backend::kNativeHost
+                                     ? "gemm"
+                                     : "reference")
+          << l.name;
     }
   }
 }

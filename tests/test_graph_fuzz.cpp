@@ -212,7 +212,6 @@ TEST(GraphFuzz, RandomResidualGraphsMatchTheReferencePlan) {
         GraphPlanOptions opt;
         opt.fusion = fusion;
         opt.threads = threads;
-        opt.audit = true;
         gpukern::TuningCache cache;
         opt.tuning = &cache;
         const StatusOr<GraphPlan> plan = GraphPlan::compile(fg.g, opt);

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <latch>
 #include <memory>
 #include <map>
 #include <string>
@@ -204,11 +206,11 @@ QnnGraph sized_bottleneck(int bits, i64 c, i64 hw, const Tensor<float>& x) {
   return g;
 }
 
-// Default options plus the post-compile audit, which checks each plan's
-// declared packed-weight bytes against its containers (TBL's included).
+// Default options. Every compile runs the post-compile audit, which checks
+// each plan's declared packed-weight bytes against its containers (TBL's
+// included).
 GraphPlanOptions audited() {
   GraphPlanOptions o;
-  o.audit = true;
   return o;
 }
 
@@ -488,7 +490,6 @@ TEST(GraphPlan, ArenaReachesTheLivenessBoundOnThePerfbenchNets) {
               {"densenet", densenet, 229'376, 4}};
   for (const auto& net : nets) {
     GraphPlanOptions opt;
-    opt.audit = true;
     const GraphPlan plan = GraphPlan::compile(net.g, opt).value();
     EXPECT_EQ(static_cast<int>(plan.audit_input().in_place.size()), net.adds)
         << net.name;
@@ -791,7 +792,6 @@ TEST(GraphPlan, ReluFedConvsFoldAndMatchReference) {
         GraphPlanOptions opt;
         opt.fusion = fusion;
         opt.threads = threads;
-        opt.audit = true;
         gpukern::TuningCache cache;
         opt.tuning = &cache;
         const GraphPlan plan = GraphPlan::compile(g, opt).value();
@@ -1076,8 +1076,9 @@ TEST(RegistryGraphModels, RegisterValidatesAndAcquireHits) {
   ASSERT_TRUE(reg.register_graph_model("g", make_graph_spec(4)).ok());
   EXPECT_EQ(reg.register_graph_model("g", make_graph_spec(4)).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_TRUE(reg.contains_graph("g"));
-  EXPECT_FALSE(reg.contains("g")) << "graph models live in their own space";
+  EXPECT_TRUE(reg.contains("g"));
+  EXPECT_EQ(reg.acquire_plan("g").status().code(), StatusCode::kNotFound)
+      << "g is a graph model, not a conv model";
 
   auto p1 = reg.acquire_graph_plan("g");
   ASSERT_TRUE(p1.ok()) << p1.status().to_string();
@@ -1085,7 +1086,7 @@ TEST(RegistryGraphModels, RegisterValidatesAndAcquireHits) {
   auto p2 = reg.acquire_graph_plan("g");
   ASSERT_TRUE(p2.ok());
   EXPECT_EQ(p1.value().get(), p2.value().get()) << "second acquire must hit";
-  EXPECT_TRUE(reg.graph_plan_resident("g"));
+  EXPECT_TRUE(reg.plan_resident("g"));
 
   const RegistryStats st = reg.stats();
   EXPECT_EQ(st.graph_models, 1);
@@ -1094,9 +1095,9 @@ TEST(RegistryGraphModels, RegisterValidatesAndAcquireHits) {
 
   EXPECT_EQ(reg.acquire_graph_plan("ghost").status().code(),
             StatusCode::kNotFound);
-  ASSERT_TRUE(reg.unregister_graph_model("g").ok());
+  ASSERT_TRUE(reg.unregister_model("g").ok());
   EXPECT_EQ(reg.stats().resident_graph_bytes, 0);
-  EXPECT_EQ(reg.unregister_graph_model("g").code(), StatusCode::kNotFound);
+  EXPECT_EQ(reg.unregister_model("g").code(), StatusCode::kNotFound);
 }
 
 // Two threads acquire one graph model at once: the loser of the compile
@@ -1124,7 +1125,7 @@ TEST(RegistryGraphModels, ConcurrentAcquiresKeepOneResidentPlan) {
   ASSERT_NE(got[0], nullptr);
   ASSERT_NE(got[1], nullptr);
   EXPECT_EQ(got[0].get(), got[1].get());
-  EXPECT_TRUE(reg.graph_plan_resident("g"));
+  EXPECT_TRUE(reg.plan_resident("g"));
   EXPECT_EQ(reg.stats().graph_acquires, 2);
   EXPECT_EQ(reg.stats().resident_graph_bytes, got[0]->packed_weight_bytes());
 
@@ -1184,16 +1185,16 @@ TEST(RegistryGraphModels, BudgetEvictsAcrossConvAndGraphPlans) {
   ASSERT_TRUE(reg.register_model("c", conv).ok());
 
   ASSERT_TRUE(reg.acquire_graph_plan("g").ok());
-  EXPECT_TRUE(reg.graph_plan_resident("g"));
+  EXPECT_TRUE(reg.plan_resident("g"));
   ASSERT_TRUE(reg.acquire_plan("c").ok());
   EXPECT_TRUE(reg.plan_resident("c"));
-  EXPECT_FALSE(reg.graph_plan_resident("g"))
+  EXPECT_FALSE(reg.plan_resident("g"))
       << "older graph plan must yield to the budget";
   EXPECT_GE(reg.stats().graph_evictions, 1);
 
   // The evicted model recompiles on demand (weights stayed pinned).
   ASSERT_TRUE(reg.acquire_graph_plan("g").ok());
-  EXPECT_TRUE(reg.graph_plan_resident("g"));
+  EXPECT_TRUE(reg.plan_resident("g"));
 }
 
 TEST(ServerGraphModels, SubmitGraphServesBitExact) {
@@ -1225,8 +1226,8 @@ TEST(ServerGraphModels, SubmitGraphServesBitExact) {
                         static_cast<size_t>(want.out.elems()) * sizeof(float)),
             0);
 
-  ASSERT_NE(server.graph_metrics("net"), nullptr);
-  const MetricsSnapshot ms = server.graph_metrics("net")->snapshot();
+  ASSERT_NE(server.metrics("net"), nullptr);
+  const MetricsSnapshot ms = server.metrics("net")->snapshot();
   EXPECT_EQ(ms.completed, 1);
   const auto health = server.health_snapshot();
   bool found = false;
@@ -1304,7 +1305,7 @@ TEST(ServerGraphModels, CompileFaultServesReferenceAndKeepsNoPlan) {
   {
     ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
     ASSERT_TRUE(server.add_graph_model("net", graph, GraphModelOptions{}).ok());
-    EXPECT_FALSE(server.registry().graph_plan_resident("net"));
+    EXPECT_FALSE(server.registry().plan_resident("net"));
     auto fut = server.submit_graph("net", x);
     ASSERT_TRUE(fut.ok()) << fut.status().to_string();
     const GraphInferResponse resp = std::move(fut).value().get();
@@ -1312,13 +1313,13 @@ TEST(ServerGraphModels, CompileFaultServesReferenceAndKeepsNoPlan) {
     EXPECT_TRUE(same_as_want(resp.output));
     EXPECT_EQ(resp.fused_convs, 0);
     EXPECT_TRUE(resp.fallback.fell_back);
-    EXPECT_FALSE(server.registry().graph_plan_resident("net"));
+    EXPECT_FALSE(server.registry().plan_resident("net"));
     EXPECT_EQ(server.breaker("net")->state(), BreakerState::kClosed);
   }
   const auto healed = server.registry().acquire_graph_plan("net");
   ASSERT_TRUE(healed.ok()) << healed.status().to_string();
   EXPECT_GT((*healed)->fused_convs(), 0);
-  EXPECT_TRUE(server.registry().graph_plan_resident("net"));
+  EXPECT_TRUE(server.registry().plan_resident("net"));
   auto fut = server.submit_graph("net", x);
   ASSERT_TRUE(fut.ok());
   const GraphInferResponse resp = std::move(fut).value().get();
@@ -1344,13 +1345,143 @@ TEST(ServerGraphModels, OpenBreakerFastFailsAndShutdownRejects) {
   const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
   EXPECT_EQ(server.submit_graph("net", x).status().code(),
             StatusCode::kUnavailable);
-  EXPECT_GE(server.graph_metrics("net")->snapshot().unavailable, 1);
+  EXPECT_GE(server.metrics("net")->snapshot().unavailable, 1);
 
   server.shutdown();
   EXPECT_EQ(server.submit_graph("net", x).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(server.add_graph_model("late", make_graph(4), opt).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// A server on a one-worker pool whose worker is held by a latch task until
+// release(), so a graph execution submitted meanwhile stays in flight. The
+// constructor waits until the worker runs the latch task (a worker pops its
+// newest task first), and the destructor releases the worker before the
+// server shuts down, since shutdown waits for the held executions.
+struct HeldPoolServer {
+  std::latch running{1};
+  std::latch hold{1};
+  ThreadPool pool{1};
+  ModelServer server{ServerOptions{.registry = {}, .pool = &pool}};
+  bool released = false;
+
+  HeldPoolServer() {
+    pool.submit([this] {
+      running.count_down();
+      hold.wait();
+    });
+    running.wait();
+  }
+  ~HeldPoolServer() { release(); }
+  void release() {
+    if (!released) hold.count_down();
+    released = true;
+  }
+};
+
+GraphModelOptions capped_options() {
+  GraphModelOptions opt;
+  opt.plan.algo = armkern::ConvAlgo::kGemm;
+  opt.max_inflight = 1;
+  opt.breaker.consecutive_failures = 3;
+  opt.breaker.cooldown = std::chrono::milliseconds(20);
+  opt.breaker.probe_successes = 1;
+  return opt;
+}
+
+TEST(ServerGraphModels, InflightCapShedsOverloadedAndCountsQueueFull) {
+  HeldPoolServer held;
+  ModelServer& server = held.server;
+  ASSERT_TRUE(server.add_graph_model("net", make_graph(4), capped_options())
+                  .ok());
+  const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
+
+  auto first = server.submit_graph("net", x);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  EXPECT_EQ(server.submit_graph("net", x).status().code(),
+            StatusCode::kOverloaded);
+  const MetricsSnapshot ms = server.metrics("net")->snapshot();
+  EXPECT_EQ(ms.sheds[static_cast<size_t>(ShedReason::kQueueFull)], 1);
+  EXPECT_EQ(ms.rejected, 1);
+
+  held.release();
+  EXPECT_TRUE(std::move(first).value().get().status.ok());
+  auto next = server.submit_graph("net", x);
+  ASSERT_TRUE(next.ok()) << "the completed execution freed its slot";
+  EXPECT_TRUE(std::move(next).value().get().status.ok());
+  EXPECT_EQ(server.breaker("net")->state(), BreakerState::kClosed)
+      << "a shed request is not a breaker failure";
+}
+
+TEST(ServerGraphModels, ProbeShedAtTheCapReleasesItsSlot) {
+  HeldPoolServer held;
+  ModelServer& server = held.server;
+  ASSERT_TRUE(server.add_graph_model("net", make_graph(4), capped_options())
+                  .ok());
+  const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
+
+  // One execution holds the cap; then the breaker opens and cools down.
+  auto first = server.submit_graph("net", x);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  CircuitBreaker* breaker = server.breaker("net");
+  for (int i = 0; i < 3; ++i)
+    breaker->record(CircuitBreaker::Outcome::kFailure);
+  ASSERT_EQ(breaker->state(), BreakerState::kOpen);
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+
+  // A half-open probe at the cap is shed, and frees its probe slot: the
+  // next arrival probes too (a lost slot would fast-fail it kUnavailable).
+  EXPECT_EQ(server.submit_graph("net", x).status().code(),
+            StatusCode::kOverloaded);
+  EXPECT_EQ(server.submit_graph("net", x).status().code(),
+            StatusCode::kOverloaded);
+  EXPECT_EQ(breaker->probes(), 2);
+
+  held.release();
+  EXPECT_TRUE(std::move(first).value().get().status.ok());
+  auto probe = server.submit_graph("net", x);
+  ASSERT_TRUE(probe.ok()) << probe.status().to_string();
+  const GraphInferResponse resp = std::move(probe).value().get();
+  EXPECT_TRUE(resp.status.ok()) << resp.status.to_string();
+  EXPECT_TRUE(resp.probe);
+  EXPECT_EQ(breaker->state(), BreakerState::kClosed);
+}
+
+TEST(ServerGraphModels, ReferenceFallbackServesThePinnedPlanWhileOpen) {
+  ModelServer server;
+  const auto graph = make_graph(4);
+  GraphModelOptions opt;
+  opt.plan.algo = armkern::ConvAlgo::kGemm;
+  opt.breaker.consecutive_failures = 3;
+  opt.breaker.cooldown = std::chrono::seconds(10);  // stays open
+  opt.breaker_mode = BreakerMode::kReferenceFallback;
+  ASSERT_TRUE(server.add_graph_model("net", graph, opt).ok());
+  CircuitBreaker* breaker = server.breaker("net");
+  for (int i = 0; i < 3; ++i)
+    breaker->record(CircuitBreaker::Outcome::kFailure);
+  ASSERT_EQ(breaker->state(), BreakerState::kOpen);
+
+  const Tensor<float> x = random_ftensor(Shape4{1, 8, 8, 8}, -1.0f, 1.0f, 7);
+  auto fut = server.submit_graph("net", x);
+  ASSERT_TRUE(fut.ok()) << fut.status().to_string();
+  const GraphInferResponse resp = std::move(fut).value().get();
+  ASSERT_TRUE(resp.status.ok()) << resp.status.to_string();
+  EXPECT_EQ(resp.fused_convs, 0) << "the fallback plan is unfused";
+
+  Workspace arena, scratch;
+  const Tensor<float> want = GraphPlan::compile(*graph, opt.plan)
+                                 .value()
+                                 .forward(x, arena, scratch)
+                                 .value()
+                                 .out;
+  ASSERT_EQ(resp.output.elems(), want.elems());
+  EXPECT_EQ(std::memcmp(resp.output.data(), want.data(),
+                        static_cast<size_t>(want.elems()) * sizeof(float)),
+            0);
+  EXPECT_EQ(server.metrics("net")->snapshot().fallback_served, 1);
+  EXPECT_EQ(breaker->state(), BreakerState::kOpen)
+      << "fallback service must not close the breaker";
 }
 
 }  // namespace

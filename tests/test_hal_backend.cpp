@@ -438,8 +438,8 @@ TEST(NativeConv, CorePlanResolvesBlockingThroughTuningCache) {
   EXPECT_EQ(p1->native_plan()->blocking, p2->native_plan()->blocking);
 }
 
-// A one-shot compile fault degrades the native plan to the emulated GEMM
-// plan, bit-exact and marked as fault-degraded; the next plan is native.
+// A compile fault degrades the native plan to the emulated GEMM plan,
+// bit-exact and marked as fault-degraded; the next plan is native.
 TEST(NativeConv, CompileFaultDegradesToEmulatedPlan) {
   const ConvShape s = sweep_shapes()[2];
   const Tensor<i8> w = random_qtensor(
@@ -460,6 +460,18 @@ TEST(NativeConv, CompileFaultDegradesToEmulatedPlan) {
     ASSERT_TRUE(r.ok()) << r.status().to_string();
     EXPECT_EQ(count_mismatches(ref::conv2d_s32(s, in, w), r->out), 0);
     EXPECT_TRUE(r->fallback.fell_back);
+  }
+  {
+    // A persistent fault is consulted once: the floor compiles without a
+    // second consult, so it is the emulated GEMM plan, not the reference
+    // rung a second fault would give.
+    ScopedFault fault(FaultSite::kPlanCompileFail);  // persistent
+    const StatusOr<core::ConvPlan> p = core::plan_native_conv(s, w, 8);
+    ASSERT_TRUE(p.ok()) << p.status().to_string();
+    EXPECT_EQ(FaultInjector::instance().consults(FaultSite::kPlanCompileFail),
+              1);
+    EXPECT_EQ(p->planned_algo(), armkern::ConvAlgo::kGemm);
+    EXPECT_TRUE(p->impl_plan().fault_degraded);
   }
   if (native_backend_name() == nullptr) {
     expect_native_disabled_degrade(s, in, w, 8);

@@ -88,9 +88,10 @@ TEST(ModelRegistry, ConvAndGraphModelsShareOneNamespace) {
   EXPECT_EQ(reg.register_model("graph", make_spec(6)).code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(reg.contains("conv"));
-  EXPECT_FALSE(reg.contains_graph("conv"));
-  EXPECT_TRUE(reg.contains_graph("graph"));
-  EXPECT_FALSE(reg.contains("graph"));
+  EXPECT_EQ(reg.acquire_graph_plan("conv").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(reg.contains("graph"));
+  EXPECT_EQ(reg.acquire_plan("graph").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(reg.stats().models, 1);
   EXPECT_EQ(reg.stats().graph_models, 1);
 
@@ -144,7 +145,7 @@ TEST(ModelRegistry, UnregisterEvictsThePlan) {
   EXPECT_FALSE(reg.contains("m"));
   EXPECT_EQ(reg.stats().resident_plan_bytes, 0);
   EXPECT_EQ(reg.unregister_model("m").code(), StatusCode::kNotFound);
-  EXPECT_EQ(reg.find("m").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(reg.acquire_plan("m").status().code(), StatusCode::kNotFound);
 }
 
 TEST(ModelRegistry, BudgetEvictsLeastRecentlyUsedPlan) {

@@ -2,8 +2,8 @@
 //
 // A clean hand-built PlanAuditInput passes; then each of the eight
 // invariants is corrupted in isolation and the audit must surface the
-// EXACT named finding. Finally the auditor runs end-to-end behind
-// GraphPlanOptions::audit on real compiled graphs.
+// EXACT named finding. Finally the auditor runs end-to-end, inside every
+// GraphPlan::compile, on real compiled graphs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -238,7 +238,6 @@ TEST(PlanAudit, CompiledBottleneckGraphAuditsClean) {
     core::GraphPlanOptions opt;
     opt.fusion = core::FusionMode::kOn;
     opt.algo = armkern::ConvAlgo::kGemm;
-    opt.audit = true;
     const auto plan = core::GraphPlan::compile(g, opt);
     ASSERT_TRUE(plan.ok()) << plan.status().message();
 
@@ -294,7 +293,6 @@ TEST(PlanAuditMutation, FactForcedOntoConvFedByTheInputFailsTheAudit) {
   ASSERT_TRUE(
       g.calibrate(random_ftensor(Shape4{1, 16, 10, 10}, -1, 1, 6)).ok());
   core::GraphPlanOptions opt;
-  opt.audit = true;
   const core::GraphPlan plan = core::GraphPlan::compile(g, opt).value();
   PlanAuditInput audit = plan.audit_input();
   ASSERT_TRUE(check::audit_plan(audit).ok());
@@ -327,7 +325,6 @@ TEST(PlanAuditMutation, PoolPassesItsProducersRangeAndTheAuditWalksIt) {
   ASSERT_TRUE(
       g.calibrate(random_ftensor(Shape4{1, 8, 12, 12}, -1, 1, 66)).ok());
   core::GraphPlanOptions opt;
-  opt.audit = true;
   const core::GraphPlan plan = core::GraphPlan::compile(g, opt).value();
   EXPECT_EQ(plan.conv_plan(3)->requested.input_range,
             armkern::InputRange::kNonNegative);

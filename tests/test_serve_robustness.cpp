@@ -135,6 +135,42 @@ TEST(ServeRobustness, ReferenceFallbackServesWhileBreakerOpen) {
       << "fallback service must not close the breaker";
 }
 
+// The fallback runs the reference-rung plan pinned at add_model: K
+// fallback requests plan nothing, so they never reach plan.compile_fail
+// (armed with fire_count = 0, the site only counts its consults).
+TEST(ServeRobustness, ReferenceFallbackRunsThePlanPinnedAtAdd) {
+  ModelServer server;
+  ModelOptions mo = serial_model_options();
+  mo.breaker_mode = BreakerMode::kReferenceFallback;
+  mo.breaker.cooldown = std::chrono::seconds(10);  // stays open for the test
+  const Tensor<i8> w = robust_weight(6);
+  ASSERT_TRUE(server.add_model("m", robust_shape(), w, mo).ok());
+  CircuitBreaker* breaker = server.breaker("m");
+  for (int i = 0; i < 3; ++i)
+    breaker->record(CircuitBreaker::Outcome::kFailure);
+  ASSERT_EQ(breaker->state(), BreakerState::kOpen);
+
+  ScopedFault count(FaultSite::kPlanCompileFail, /*fire_count=*/0);
+  constexpr int kRequests = 4;
+  for (u64 k = 0; k < kRequests; ++k) {
+    const Tensor<i8> input = robust_input(80 + k);
+    auto r = server.submit("m", input);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    const InferResponse resp = std::move(r).value().get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.to_string();
+    EXPECT_EQ(count_mismatches(ref::conv2d_s32(robust_shape(), input, w),
+                               resp.output),
+              0);
+    EXPECT_EQ(resp.executed_algo, "reference");
+  }
+  EXPECT_EQ(FaultInjector::instance().consults(FaultSite::kPlanCompileFail),
+            0)
+      << "a fallback request planned its conv again";
+  EXPECT_EQ(server.scheduler("m")->metrics().snapshot().fallback_served,
+            kRequests);
+  EXPECT_EQ(breaker->state(), BreakerState::kOpen);
+}
+
 TEST(ServeRobustness, ProbeFailFaultReopensAndRecoveryRetries) {
   ModelServer server;
   ModelOptions mo = serial_model_options();

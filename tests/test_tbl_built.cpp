@@ -527,7 +527,6 @@ TEST(TblBuilt, GraphPlanBuildsWhereItPricesAndMatchesReference) {
        {core::FusionMode::kOn, core::FusionMode::kOff}) {
     core::GraphPlanOptions opt;
     opt.fusion = fusion;
-    opt.audit = true;
     const core::GraphPlan plan = core::GraphPlan::compile(g, opt).value();
     const ArmConvPlan& cp = *plan.conv_plan(2);
     ASSERT_EQ(cp.kernel, ArmKernel::kTblGemm);

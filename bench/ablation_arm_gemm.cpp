@@ -7,10 +7,9 @@
 //  5. convolution algorithms;
 //  6. Mc/Kc/Nc cache blocking + fused im2col packing vs the legacy
 //     materialized unblocked sweep (DESIGN.md Sec. 11) — also emitted as
-//     BENCH_arm_gemm_ablation.json (env LBC_BENCH_ABLATION_JSON overrides
-//     the path).
+//     BENCH_arm_gemm_ablation.json where env LBC_BENCH_JSON points, and
+//     gated exactly against env LBC_BENCH_BASELINE when set.
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "armkern/gemm_lowbit.h"
@@ -143,7 +142,7 @@ void ablate_algorithms() {
       "eligible.\n");
 }
 
-void ablate_blocking(std::vector<bench::ArmGemmRecord>* records) {
+void ablate_blocking(std::vector<bench::ArmGemmRecord>& records) {
   std::printf(
       "\n-- ablation 6: Mc/Kc/Nc blocking + fused im2col pack vs "
       "materialized unblocked sweep --\n");
@@ -182,9 +181,8 @@ void ablate_blocking(std::vector<bench::ArmGemmRecord>* records) {
         if (blocked)
           std::printf("%62s %.2fx blocked/unblocked\n", "",
                       off.cycles / on.cycles);
-        if (records != nullptr)
-          records->push_back(bench::make_arm_gemm_record(
-              s.name, bits, blocked ? "ours" : "ours-unblocked", *r));
+        records.push_back(bench::make_arm_gemm_record(
+            s.name, bits, blocked ? "ours" : "ours-unblocked", *r));
       }
     }
   }
@@ -201,11 +199,9 @@ int main() {
   ablate_unrolling();
   ablate_algorithms();
   std::vector<bench::ArmGemmRecord> records;
-  ablate_blocking(&records);
-  const char* json_path = std::getenv("LBC_BENCH_ABLATION_JSON");
-  bench::write_arm_gemm_json(json_path != nullptr && json_path[0] != '\0'
-                                 ? json_path
-                                 : "BENCH_arm_gemm_ablation.json",
-                             "ablation_arm_gemm", records);
-  return 0;
+  ablate_blocking(records);
+  return bench::publish(
+      bench::arm_gemm_document("ablation_arm_gemm", records),
+      "LBC_BENCH_JSON=bench/baselines/BENCH_arm_gemm_ablation.json "
+      "build/bench/ablation_arm_gemm");
 }

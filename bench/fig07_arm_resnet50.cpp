@@ -6,13 +6,11 @@
 // beat ncnn in 17/17/16/15/15/14/2 of 19 layers; average speedups among
 // winning layers 1.60/1.54/1.38/1.38/1.34/1.27/1.03.
 //
-// Also emits BENCH_arm_gemm.json (path override: env LBC_BENCH_JSON) with
+// Also emits BENCH_arm_gemm.json (where env LBC_BENCH_JSON points) with
 // modeled cycles, the cost-model stall breakdown, and cache miss rates per
-// (layer, bits, impl), and — when env LBC_BENCH_BASELINE names a committed
-// baseline JSON — gates the run: exit 1 unless the blocked GEMM's total
-// modeled cycles match the baseline exactly.
-#include <cstdlib>
-
+// (layer, bits, impl), and, when env LBC_BENCH_BASELINE names a committed
+// baseline JSON, gates the run: exit 1 unless every record and total
+// prints exactly as in the baseline (bench/json_out.h).
 #include "bench_common.h"
 
 int main() {
@@ -21,18 +19,8 @@ int main() {
   bench::run_arm_bits_figure(
       "Fig. 7 - ARM 2~8-bit conv vs ncnn 8-bit, ResNet-50, batch 1",
       nets::resnet50_layers(), &records);
-
-  const char* json_path = std::getenv("LBC_BENCH_JSON");
-  bench::write_arm_gemm_json(
-      json_path != nullptr && json_path[0] != '\0' ? json_path
-                                                   : "BENCH_arm_gemm.json",
-      "fig07_arm_resnet50", records);
-
-  double total_blocked = 0;
-  for (const bench::ArmGemmRecord& r : records)
-    if (r.impl == "ours") total_blocked += r.cycles;
-  return bench::run_cycle_gate(
-      total_blocked,
+  return bench::publish(
+      bench::arm_gemm_document("fig07_arm_resnet50", records),
       "LBC_BENCH_JSON=bench/baselines/BENCH_arm_gemm.json "
       "build/bench/fig07_arm_resnet50");
 }

@@ -7,13 +7,11 @@
 //
 // TBL ablation: the run asserts that at EVERY layer the 2-bit TBL kernel's
 // modeled cycles are <= both the MLA path and the TVM popcount baseline
-// (exit 1 otherwise), emits BENCH_tbl.json (path override: env
-// LBC_BENCH_JSON) with the per-layer cycle/stall/miss records for all
-// three impls, and — when env LBC_BENCH_BASELINE names the committed
-// bench/baselines/BENCH_tbl.json — exits nonzero unless the TBL total
-// modeled cycles match the baseline exactly.
-#include <cstdlib>
-
+// (exit 1 otherwise), emits BENCH_tbl.json (where env LBC_BENCH_JSON
+// points) with the per-layer cycle/stall/miss records for all three impls,
+// and, when env LBC_BENCH_BASELINE names the committed
+// bench/baselines/BENCH_tbl.json, exits nonzero unless every record (TVM,
+// MLA and TBL) and both totals print exactly as in the baseline.
 #include "bench_common.h"
 
 int main() {
@@ -44,8 +42,7 @@ int main() {
     records.push_back(
         bench::make_arm_gemm_record(s.name, 2, "tvm-popcount", tvm));
     records.push_back(bench::make_arm_gemm_record(s.name, 2, "mla", mla));
-    // "ours" is the gated impl tag: write_arm_gemm_json sums it into
-    // total_blocked_cycles, the scalar the bench-smoke baseline compares.
+    // "ours" is the impl tag arm_gemm_document sums into the totals.
     records.push_back(bench::make_arm_gemm_record(s.name, 2, "ours", tbl));
     if (tbl.cycles > mla.cycles || tbl.cycles > tvm.cycles) {
       ++tbl_losses;
@@ -57,23 +54,15 @@ int main() {
   }
   tab.print();
 
-  const char* json_path = std::getenv("LBC_BENCH_JSON");
-  bench::write_arm_gemm_json(json_path != nullptr && json_path[0] != '\0'
-                                 ? json_path
-                                 : "BENCH_tbl.json",
-                             "fig09_arm_bitserial", records);
-
+  const int gate_rc = bench::publish(
+      bench::arm_gemm_document("fig09_arm_bitserial", records),
+      "LBC_BENCH_JSON=bench/baselines/BENCH_tbl.json "
+      "build/bench/fig09_arm_bitserial");
   if (tbl_losses > 0) {
     std::fprintf(stderr,
                  "TBL ablation: %d layer(s) where TBL is not fastest\n",
                  tbl_losses);
     return 1;
   }
-  double total_tbl = 0;
-  for (const bench::ArmGemmRecord& r : records)
-    if (r.impl == "ours") total_tbl += r.cycles;
-  return bench::run_cycle_gate(
-      total_tbl,
-      "LBC_BENCH_JSON=bench/baselines/BENCH_tbl.json "
-      "build/bench/fig09_arm_bitserial");
+  return gate_rc;
 }

@@ -1,18 +1,42 @@
-// Machine-readable bench output (BENCH_arm_gemm.json) so the modeled-cycle
-// trajectory of the blocked ARM GEMM is tracked across PRs, plus the
-// bench-smoke regression gate that compares a fresh run against the
-// committed baseline.
+// Machine-readable bench documents (BENCH_*.json) and the bench-smoke gate
+// that checks a run against its committed baseline in bench/baselines/.
 //
-// Deliberately dependency-free: the schema is one flat record array plus a
-// totals object, so both the writer and the single-key baseline reader are
-// a few lines of stdio.
+// Every document shares one envelope, one flat record per line:
+//
+//   {
+//     "bench": "<name>",
+//     "unit": "<unit>",
+//     "note": "<text>",                  <- only when the bench has one
+//     "records": [
+//       {"key": value, ...},
+//       ...
+//     ],
+//     "totals": {"key": value, ...}
+//   }
+//
+// Each field is exact (modeled, so deterministic) or measured (wall clock).
+// A bench ends with publish(), which writes the document only where env
+// LBC_BENCH_JSON points and, when env LBC_BENCH_BASELINE names a baseline,
+// gates it by two rules:
+//   * exact: every exact field of every record, and every exact total,
+//     prints exactly as in the baseline, with the same records in the same
+//     order. A mismatch prints each differing record beside its baseline
+//     line, then the refresh command;
+//   * ratio: each measured total the bench names stays within its factor
+//     of the baseline's.
+// Deliberately dependency-free: the writer is a few lines of stdio and the
+// reader parses only this envelope.
 #pragma once
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <fstream>
 #include <optional>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,34 +45,263 @@
 
 namespace lbc::bench {
 
-/// One (layer, bits, impl) measurement: modeled cycles, the Cortex-A53
-/// cost-model breakdown, and the cache-model miss profile.
-struct ArmGemmRecord {
-  std::string layer;
-  int bits = 0;
-  std::string impl;
-  double cycles = 0;
-  double seconds = 0;
-  double mem_cycles = 0;
-  double alu_cycles = 0;
-  double scalar_cycles = 0;
-  double stall_cycles = 0;
-  u64 l1_misses = 0;
-  u64 l2_misses = 0;
-  u64 mem_accesses = 0;  ///< vector loads + stores (instruction-counted)
+/// One field as the document prints it: `text` is the JSON value (a
+/// number, a quoted string, true or false).
+struct Field {
+  std::string key;
+  std::string text;
+  bool exact = true;  ///< false for a measured (wall-clock) value
+};
+using Fields = std::vector<Field>;
 
-  double l1_miss_rate() const {
-    return mem_accesses == 0
-               ? 0.0
-               : static_cast<double>(l1_misses) /
-                     static_cast<double>(mem_accesses);
+// Field constructors, one per printed form; exact = false marks a measured
+// value, which only a ratio rule on a total ever reads.
+inline Field fixed(std::string key, double v, int decimals,
+                   bool exact = true) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  return {std::move(key), buf, exact};
+}
+inline Field integer(std::string key, long long v, bool exact = true) {
+  return {std::move(key), std::to_string(v), exact};
+}
+inline Field quoted(std::string key, const std::string& s,
+                    bool exact = true) {
+  return {std::move(key), "\"" + s + "\"", exact};
+}
+inline Field boolean(std::string key, bool v) {
+  return {std::move(key), v ? "true" : "false"};
+}
+
+/// One BENCH_*.json; `note` is left out of the file when empty.
+struct Document {
+  std::string bench, unit, note;
+  std::vector<Fields> records;
+  Fields totals;
+};
+
+/// `{"key": value, ...}`: a record line or the totals, as written.
+inline std::string object_text(const Fields& fields) {
+  std::string s = "{";
+  for (const Field& f : fields)
+    s += (s.size() > 1 ? ", \"" : "\"") + f.key + "\": " + f.text;
+  return s + "}";
+}
+
+inline bool write_document(const std::string& path, const Document& doc) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "json: cannot open %s for writing\n", path.c_str());
+    return false;
   }
-  double l2_miss_rate() const {
-    return mem_accesses == 0
-               ? 0.0
-               : static_cast<double>(l2_misses) /
-                     static_cast<double>(mem_accesses);
+  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"unit\": \"%s\",\n",
+               doc.bench.c_str(), doc.unit.c_str());
+  if (!doc.note.empty())
+    std::fprintf(f, "  \"note\": \"%s\",\n", doc.note.c_str());
+  std::fprintf(f, "  \"records\": [\n");
+  for (size_t i = 0; i < doc.records.size(); ++i)
+    std::fprintf(f, "    %s%s\n", object_text(doc.records[i]).c_str(),
+                 i + 1 < doc.records.size() ? "," : "");
+  std::fprintf(f, "  ],\n  \"totals\": %s\n}\n",
+               object_text(doc.totals).c_str());
+  std::fclose(f);
+  std::fprintf(stderr, "wrote %s (%zu records)\n", path.c_str(),
+               doc.records.size());
+  return true;
+}
+
+namespace detail {
+
+struct Reader {
+  const std::string& s;
+  size_t i = 0;
+
+  void skip() {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])))
+      ++i;
   }
+  bool eat(char c) {
+    skip();
+    if (i == s.size() || s[i] != c) return false;
+    ++i;
+    return true;
+  }
+  /// A quoted string (quotes kept; the writer escapes nothing) or a bare
+  /// number/true/false; empty when there is none.
+  std::string value() {
+    skip();
+    const size_t b = i;
+    const size_t e = i < s.size() && s[i] == '"'
+                         ? s.find('"', i + 1)
+                         : s.find_first_of(",}] \t\r\n", i);
+    if (e == std::string::npos) return {};
+    i = s[b] == '"' ? e + 1 : e;
+    return s.substr(b, i - b);
+  }
+  /// `"key":`, unquoted; empty on a parse error.
+  std::string key() {
+    const std::string k = value();
+    return !k.empty() && k[0] == '"' && eat(':') ? k.substr(1, k.size() - 2)
+                                                 : std::string();
+  }
+  std::optional<Fields> object() {
+    Fields out;
+    if (!eat('{')) return std::nullopt;
+    if (eat('}')) return out;
+    do {
+      std::string k = key();
+      std::string v = value();
+      if (k.empty() || v.empty()) return std::nullopt;
+      out.push_back({std::move(k), std::move(v)});
+    } while (eat(','));
+    if (!eat('}')) return std::nullopt;
+    return out;
+  }
+};
+
+inline const Field* find(const Fields& fields, const std::string& key) {
+  for (const Field& f : fields)
+    if (f.key == key) return &f;
+  return nullptr;
+}
+
+/// True when every exact field of `run` prints as in `base`.
+inline bool exact_match(const Fields& run, const Fields& base) {
+  return std::all_of(run.begin(), run.end(), [&](const Field& f) {
+    const Field* b = find(base, f.key);
+    return !f.exact || (b != nullptr && b->text == f.text);
+  });
+}
+
+}  // namespace detail
+
+/// The records and totals of a written document (every field's text
+/// verbatim), or std::nullopt when the file cannot be read or parsed.
+inline std::optional<Document> read_document(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  std::stringstream file;
+  file << in.rdbuf();
+  const std::string text = file.str();
+  detail::Reader r{text};
+  Document doc;
+  if (!r.eat('{')) return std::nullopt;
+  do {
+    const std::string k = r.key();
+    if (k == "records") {
+      if (!r.eat('[')) return std::nullopt;
+      if (r.eat(']')) continue;
+      do {
+        std::optional<Fields> rec = r.object();
+        if (!rec) return std::nullopt;
+        doc.records.push_back(std::move(*rec));
+      } while (r.eat(','));
+      if (!r.eat(']')) return std::nullopt;
+    } else if (k == "totals") {
+      std::optional<Fields> totals = r.object();
+      if (!totals) return std::nullopt;
+      doc.totals = std::move(*totals);
+    } else if (k.empty() || r.value().empty()) {
+      return std::nullopt;
+    }
+  } while (r.eat(','));
+  if (!r.eat('}')) return std::nullopt;
+  return doc;
+}
+
+/// A measured total the ratio rule bounds: this run's value must not
+/// exceed `factor` times the baseline's.
+struct RatioRule {
+  const char* key;
+  double factor;
+};
+
+/// The bench-smoke gate: checks `run` against the document at
+/// `baseline_path` by the exact rule and `ratios`, printing the verdict to
+/// stderr. Records are compared position by position when any record field
+/// is exact.
+inline bool gate_document(const Document& run,
+                          const std::string& baseline_path,
+                          std::span<const RatioRule> ratios,
+                          const std::string& refresh) {
+  const std::optional<Document> base = read_document(baseline_path);
+  if (!base) {
+    std::fprintf(stderr, "gate FAIL: cannot read the baseline %s\n",
+                 baseline_path.c_str());
+    return false;
+  }
+  bool exact_records = false;
+  for (const Fields& r : run.records)
+    for (const Field& f : r) exact_records = exact_records || f.exact;
+  const size_t n =
+      exact_records ? std::max(run.records.size(), base->records.size()) : 0;
+  int differ = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const bool have = i < run.records.size(), want = i < base->records.size();
+    if (have && want && detail::exact_match(run.records[i], base->records[i]))
+      continue;
+    ++differ;
+    std::fprintf(stderr,
+                 "gate: record %zu differs\n  baseline %s\n  this run %s\n", i,
+                 want ? object_text(base->records[i]).c_str() : "(none)",
+                 have ? object_text(run.records[i]).c_str() : "(none)");
+  }
+  if (!detail::exact_match(run.totals, base->totals)) {
+    ++differ;
+    std::fprintf(stderr, "gate: totals differ\n  baseline %s\n  this run %s\n",
+                 object_text(base->totals).c_str(),
+                 object_text(run.totals).c_str());
+  }
+  bool ok = differ == 0;
+  std::fprintf(stderr,
+               "gate %s: exact rule, %d line(s) of %zu records and the totals "
+               "differ from %s\n",
+               ok ? "PASS" : "FAIL", differ, run.records.size(),
+               baseline_path.c_str());
+  for (const RatioRule& rule : ratios) {
+    const Field* have = detail::find(run.totals, rule.key);
+    const Field* want = detail::find(base->totals, rule.key);
+    if (have == nullptr || want == nullptr) {
+      std::fprintf(stderr, "gate FAIL: no total %s in %s\n", rule.key,
+                   have == nullptr ? "this run" : baseline_path.c_str());
+      ok = false;
+      continue;
+    }
+    const double cur = std::strtod(have->text.c_str(), nullptr);
+    const double limit = std::strtod(want->text.c_str(), nullptr);
+    const bool within = cur <= limit * rule.factor;
+    std::fprintf(stderr, "gate %s: %s %s vs baseline %s (%.3fx %s %.2fx)\n",
+                 within ? "PASS" : "FAIL", rule.key, have->text.c_str(),
+                 want->text.c_str(), cur / limit, within ? "<=" : ">",
+                 rule.factor);
+    ok = ok && within;
+  }
+  if (!ok)
+    std::fprintf(stderr, "After a deliberate change refresh the baseline:\n"
+                 "  %s\n", refresh.c_str());
+  return ok;
+}
+
+/// A bench's last step: write `doc` where env LBC_BENCH_JSON points
+/// (nowhere when it is unset) and, when env LBC_BENCH_BASELINE is set,
+/// gate it. Returns the exit code, 0 or 1.
+inline int publish(const Document& doc, const std::string& refresh,
+                   std::span<const RatioRule> ratios = {}) {
+  const char* json = std::getenv("LBC_BENCH_JSON");
+  if (json != nullptr && json[0] != '\0' && !write_document(json, doc))
+    return 1;
+  const char* baseline = std::getenv("LBC_BENCH_BASELINE");
+  if (baseline == nullptr || baseline[0] == '\0') return 0;
+  return gate_document(doc, baseline, ratios, refresh) ? 0 : 1;
+}
+
+/// One (layer, bits, impl) record of the fig07 / fig09 / ablation
+/// documents: modeled cycles, the Cortex-A53 cost-model breakdown and the
+/// cache-model miss profile, every field exact.
+struct ArmGemmRecord {
+  bool ours = false;  ///< summed into the totals
+  double cycles = 0, stall_cycles = 0;
+  Fields fields;
 };
 
 /// Works for both core::ArmLayerResult and armkern::ArmConvResult (same
@@ -63,134 +316,50 @@ ArmGemmRecord make_arm_gemm_record(const std::string& layer, int bits,
   const armsim::CostModel::Breakdown bi = cm.breakdown(r.counts, true);
   const armsim::CostModel::Breakdown bs = cm.breakdown(r.counts, false);
   const armsim::CostModel::Breakdown& b =
-      std::fabs(bi.total_cycles - r.cycles) <= std::fabs(bs.total_cycles - r.cycles)
+      std::fabs(bi.total_cycles - r.cycles) <=
+              std::fabs(bs.total_cycles - r.cycles)
           ? bi
           : bs;
-  ArmGemmRecord rec;
-  rec.layer = layer;
-  rec.bits = bits;
-  rec.impl = impl;
-  rec.cycles = r.cycles;
-  rec.seconds = r.seconds;
-  rec.mem_cycles = b.mem_cycles;
-  rec.alu_cycles = b.alu_cycles;
-  rec.scalar_cycles = b.scalar_cycles;
-  rec.stall_cycles = b.stall_cycles;
-  rec.l1_misses = r.counts[armsim::Op::kL1Miss];
-  rec.l2_misses = r.counts[armsim::Op::kL2Miss];
-  rec.mem_accesses = r.counts.loads() + r.counts[armsim::Op::kSt1];
-  return rec;
+  const u64 l1 = r.counts[armsim::Op::kL1Miss];
+  const u64 l2 = r.counts[armsim::Op::kL2Miss];
+  // Vector loads + stores (instruction-counted).
+  const u64 accesses = r.counts.loads() + r.counts[armsim::Op::kSt1];
+  const auto rate = [&](u64 misses) {
+    return accesses == 0 ? 0.0
+                         : static_cast<double>(misses) /
+                               static_cast<double>(accesses);
+  };
+  return {impl == "ours", r.cycles, b.stall_cycles,
+          {quoted("layer", layer), integer("bits", bits),
+           quoted("impl", impl), fixed("cycles", r.cycles, 1),
+           fixed("seconds", r.seconds, 9),
+           fixed("mem_cycles", b.mem_cycles, 1),
+           fixed("alu_cycles", b.alu_cycles, 1),
+           fixed("scalar_cycles", b.scalar_cycles, 1),
+           fixed("stall_cycles", b.stall_cycles, 1),
+           integer("l1_misses", static_cast<long long>(l1)),
+           integer("l2_misses", static_cast<long long>(l2)),
+           integer("mem_accesses", static_cast<long long>(accesses)),
+           fixed("l1_miss_rate", rate(l1), 6),
+           fixed("l2_miss_rate", rate(l2), 6)}};
 }
 
-/// Write the record set as one JSON document. `total_blocked_cycles` is the
-/// regression-gate scalar: the summed modeled cycles of the blocked
-/// (impl == "ours") records.
-inline bool write_arm_gemm_json(const std::string& path,
-                                const std::string& bench,
-                                const std::vector<ArmGemmRecord>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "json: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  double total_blocked = 0, total_stall = 0;
+/// The fig07 / fig09 / ablation document; the totals sum the impl "ours"
+/// records (the blocked GEMM, or fig09's TBL).
+inline Document arm_gemm_document(const std::string& bench,
+                                  const std::vector<ArmGemmRecord>& records) {
+  Document doc{bench, "modeled-cycles", "", {}, {}};
+  double total = 0, total_stall = 0;
   for (const ArmGemmRecord& r : records) {
-    if (r.impl == "ours") {
-      total_blocked += r.cycles;
+    if (r.ours) {
+      total += r.cycles;
       total_stall += r.stall_cycles;
     }
+    doc.records.push_back(r.fields);
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"unit\": \"modeled-cycles\",\n",
-               bench.c_str());
-  std::fprintf(f, "  \"records\": [\n");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const ArmGemmRecord& r = records[i];
-    std::fprintf(
-        f,
-        "    {\"layer\": \"%s\", \"bits\": %d, \"impl\": \"%s\", "
-        "\"cycles\": %.1f, \"seconds\": %.9f, "
-        "\"mem_cycles\": %.1f, \"alu_cycles\": %.1f, "
-        "\"scalar_cycles\": %.1f, \"stall_cycles\": %.1f, "
-        "\"l1_misses\": %llu, \"l2_misses\": %llu, "
-        "\"mem_accesses\": %llu, "
-        "\"l1_miss_rate\": %.6f, \"l2_miss_rate\": %.6f}%s\n",
-        r.layer.c_str(), r.bits, r.impl.c_str(), r.cycles, r.seconds,
-        r.mem_cycles, r.alu_cycles, r.scalar_cycles, r.stall_cycles,
-        static_cast<unsigned long long>(r.l1_misses),
-        static_cast<unsigned long long>(r.l2_misses),
-        static_cast<unsigned long long>(r.mem_accesses), r.l1_miss_rate(),
-        r.l2_miss_rate(), i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n  \"totals\": {\"total_blocked_cycles\": %.1f, "
-               "\"total_blocked_stall_cycles\": %.1f}\n}\n",
-               total_blocked, total_stall);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s (%zu records)\n", path.c_str(),
-               records.size());
-  return true;
-}
-
-/// Whole contents of a text file, or std::nullopt when it cannot be opened.
-inline std::optional<std::string> read_text_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return std::nullopt;
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
-  return text;
-}
-
-/// Scan a JSON file for `"key": <number>` and return the number, or a
-/// negative value when the file or key is missing. Good enough for the flat
-/// documents this header writes.
-inline double read_json_number_field(const std::string& path,
-                                     const std::string& key) {
-  const std::optional<std::string> file = read_text_file(path);
-  if (!file) return -1.0;
-  const std::string& text = *file;
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
-/// Bench-smoke regression gate. When env `LBC_BENCH_BASELINE` names a
-/// committed baseline written by write_arm_gemm_json, fail (return nonzero)
-/// unless this run's total_blocked_cycles prints exactly as the baseline's.
-/// Modeled cycles are deterministic, so any difference is a behaviour
-/// change: a regression, or a deliberate change whose baseline needs
-/// `refresh_command`, which a mismatch prints.
-inline int run_cycle_gate(double current_total_blocked_cycles,
-                          const char* refresh_command) {
-  const char* baseline_path = std::getenv("LBC_BENCH_BASELINE");
-  if (baseline_path == nullptr || baseline_path[0] == '\0') return 0;
-  const double baseline =
-      read_json_number_field(baseline_path, "total_blocked_cycles");
-  if (baseline <= 0) {
-    std::fprintf(stderr, "cycle gate: no total_blocked_cycles in %s\n",
-                 baseline_path);
-    return 1;
-  }
-  // Compared as written: the JSON stores the total with one decimal.
-  char have[64], want[64];
-  std::snprintf(have, sizeof have, "%.1f", current_total_blocked_cycles);
-  std::snprintf(want, sizeof want, "%.1f", baseline);
-  if (std::strcmp(have, want) != 0) {
-    std::fprintf(stderr,
-                 "cycle gate FAIL: %s modeled cycles vs baseline %s in %s "
-                 "(%.6fx; the gate requires an exact match). After a "
-                 "deliberate change refresh the baseline: %s\n",
-                 have, want, baseline_path,
-                 current_total_blocked_cycles / baseline, refresh_command);
-    return 1;
-  }
-  std::fprintf(stderr,
-               "cycle gate PASS: %s modeled cycles, baseline %s (exact)\n",
-               have, want);
-  return 0;
+  doc.totals = {fixed("total_blocked_cycles", total, 1),
+                fixed("total_blocked_stall_cycles", total_stall, 1)};
+  return doc;
 }
 
 }  // namespace lbc::bench

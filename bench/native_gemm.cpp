@@ -10,19 +10,22 @@
 //                 kernels (hal::force_cpu_features), the in-process
 //                 calibration reference.
 //
-// The regression gate works in calibrated units so it tracks vectorization
+// The regression gate (bench/json_out.h) has two parts. The modeled
+// columns (layer, bits, scheme, modeled_cycles, modeled_ms) must print
+// exactly as in the committed BENCH_native.json on every host. The
+// wall-clock part works in calibrated units so it tracks vectorization
 // quality, not machine speed: norm = avx2_ns / scalar_ns per row (both
-// measured back-to-back on the same box), and the committed
-// BENCH_native.json carries native_norm_total = sum(norm). The gate fails
-// when a fresh run's total exceeds 1.25x the baseline — generous headroom
-// because wall-clock on a busy 1-core CI box is noisy, while a real
-// vectorization regression (e.g. the LUT kernel silently falling to
-// scalar) moves the ratio by ~5-10x. Refresh deliberately with:
+// measured back-to-back on the same box), and the baseline carries
+// native_norm_total = sum(norm). It fails when a fresh run's total exceeds
+// 1.25x the baseline — generous headroom because wall-clock on a busy
+// 1-core CI box is noisy, while a real vectorization regression (e.g. the
+// LUT kernel silently falling to scalar) moves the ratio by ~5-10x.
+// Refresh deliberately with:
 //   LBC_BENCH_JSON=bench/baselines/BENCH_native.json build/bench/native_gemm
-// On a machine without AVX2 the bench reports scalar-only and the gate is
-// skipped (there is no ratio to compare).
+// On a machine without AVX2 the bench reports scalar-only and the ratio
+// part is skipped (there is no ratio to compare).
 #include <cstdio>
-#include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,17 +38,8 @@ using namespace lbc;
 
 namespace {
 
-struct NativeRecord {
-  std::string layer;
-  int bits = 0;
-  std::string scheme;
-  std::string kernel;       ///< executed_algo of the avx2 run (or scalar)
-  double modeled_cycles = 0;
-  double modeled_ms = 0;
-  double avx2_us = 0;       ///< 0 when the machine has no AVX2
-  double scalar_us = 0;
-  double norm = 0;          ///< avx2 / scalar wall time; 0 when no AVX2
-};
+constexpr const char* kRefreshCommand =
+    "LBC_BENCH_JSON=bench/baselines/BENCH_native.json build/bench/native_gemm";
 
 /// Best-of-3 native execution (plan is fixed; only the clock varies).
 StatusOr<core::ArmLayerResult> run_native_best(const core::ConvPlan& plan,
@@ -58,44 +52,6 @@ StatusOr<core::ArmLayerResult> run_native_best(const core::ConvPlan& plan,
     if (r.ok() && r->measured_ns < best->measured_ns) best = std::move(r);
   }
   return best;
-}
-
-bool write_native_json(const std::string& path,
-                       const std::vector<NativeRecord>& records,
-                       double norm_total) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "json: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"native_gemm\",\n"
-               "  \"unit\": \"calibrated-avx2-over-scalar\",\n"
-               "  \"note\": \"norm = avx2_us / scalar_us measured "
-               "back-to-back in-process, so the gate tracks vectorization "
-               "quality, not machine speed. Gate: native_norm_total <= "
-               "1.25x baseline (wall-clock headroom; a real kernel "
-               "regression moves it 5-10x). Refresh: "
-               "LBC_BENCH_JSON=bench/baselines/BENCH_native.json "
-               "build/bench/native_gemm\",\n");
-  std::fprintf(f, "  \"records\": [\n");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const NativeRecord& r = records[i];
-    std::fprintf(f,
-                 "    {\"layer\": \"%s\", \"bits\": %d, \"scheme\": \"%s\", "
-                 "\"kernel\": \"%s\", \"modeled_cycles\": %.1f, "
-                 "\"modeled_ms\": %.4f, \"avx2_us\": %.2f, "
-                 "\"scalar_us\": %.2f, \"norm\": %.4f}%s\n",
-                 r.layer.c_str(), r.bits, r.scheme.c_str(), r.kernel.c_str(),
-                 r.modeled_cycles, r.modeled_ms, r.avx2_us, r.scalar_us,
-                 r.norm, i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"totals\": {\"native_norm_total\": %.4f}\n}\n",
-               norm_total);
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s (%zu records)\n", path.c_str(),
-               records.size());
-  return true;
 }
 
 ConvShape make_square_3x3(const std::string& name, i64 channels, i64 hw) {
@@ -163,38 +119,6 @@ int run_tail_section() {
   return rc;
 }
 
-int run_norm_gate(double norm_total, bool have_avx2) {
-  const char* baseline_path = std::getenv("LBC_BENCH_BASELINE");
-  if (baseline_path == nullptr || baseline_path[0] == '\0') return 0;
-  if (!have_avx2) {
-    std::fprintf(stderr,
-                 "native norm gate SKIP: no AVX2 on this machine, no "
-                 "avx2/scalar ratio to compare\n");
-    return 0;
-  }
-  const double baseline =
-      bench::read_json_number_field(baseline_path, "native_norm_total");
-  if (baseline <= 0) {
-    std::fprintf(stderr, "native norm gate: no native_norm_total in %s\n",
-                 baseline_path);
-    return 1;
-  }
-  const double limit = baseline * 1.25;
-  const double ratio = norm_total / baseline;
-  if (norm_total > limit) {
-    std::fprintf(stderr,
-                 "native norm gate FAIL: %.4f calibrated units vs baseline "
-                 "%.4f (%.3fx > 1.25x allowed)\n",
-                 norm_total, baseline, ratio);
-    return 1;
-  }
-  std::fprintf(stderr,
-               "native norm gate PASS: %.4f calibrated units vs baseline "
-               "%.4f (%.3fx <= 1.25x)\n",
-               norm_total, baseline, ratio);
-  return 0;
-}
-
 }  // namespace
 
 int main() {
@@ -214,29 +138,28 @@ int main() {
   std::printf("%-10s %4s %6s %12s %11s %11s %11s %8s\n", "layer", "bits",
               "scheme", "modeled Mcyc", "modeled ms", "avx2 us", "scalar us",
               "norm");
-  std::vector<NativeRecord> records;
+  bench::Document doc{
+      "native_gemm", "calibrated-avx2-over-scalar",
+      "norm = avx2_us / scalar_us measured back-to-back in-process, so the "
+      "gate tracks vectorization quality, not machine speed. Gate: "
+      "native_norm_total <= 1.25x baseline (wall-clock headroom; a real "
+      "kernel regression moves it 5-10x). Refresh: " +
+          std::string(kRefreshCommand),
+      {}, {}};
   double norm_total = 0;
   for (const ConvShape& s : layers) {
-    const Tensor<i8> in = random_qtensor(
-        Shape4{s.batch, s.in_c, s.in_h, s.in_w}, 8, 7);
     for (const int bits : bit_sweep) {
       const Tensor<i8> w = random_qtensor(
           Shape4{s.out_c, s.in_c, s.kernel, s.kernel}, bits, 11);
       const Tensor<i8> inq = random_qtensor(
           Shape4{s.batch, s.in_c, s.in_h, s.in_w}, bits, 13);
-
-      NativeRecord rec;
-      rec.layer = s.name;
-      rec.bits = bits;
-      rec.scheme =
+      const char* scheme =
           hal::native_scheme_for(bits) == hal::NativeScheme::kLut ? "lut"
                                                                   : "dot";
 
       // Modeled reference: the emulated ARM path on the same layer.
       const core::ArmLayerResult modeled =
           bench::arm_layer_run(s, bits, core::ArmImpl::kOurs);
-      rec.modeled_cycles = modeled.cycles;
-      rec.modeled_ms = modeled.seconds * 1e3;
 
       StatusOr<core::ConvPlan> plan = core::plan_native_conv(s, w, bits);
       if (!plan.ok()) {
@@ -245,40 +168,48 @@ int main() {
         return 1;
       }
       Workspace ws;
+      std::string kernel;   // executed_algo of the avx2 run (or scalar)
+      double avx2_us = 0;   // 0 when the machine has no AVX2
       if (have_avx2) {
         const core::ArmLayerResult r =
             run_native_best(*plan, inq, ws).value();
-        rec.avx2_us = r.measured_ns * 1e-3;
-        rec.kernel = r.executed_algo;
+        avx2_us = r.measured_ns * 1e-3;
+        kernel = r.executed_algo;
       }
       hal::CpuFeatures scalar_only = hal::cpu_features();
       scalar_only.avx2 = false;
       hal::force_cpu_features(scalar_only);
       const core::ArmLayerResult rs = run_native_best(*plan, inq, ws).value();
       hal::clear_cpu_feature_override();
-      rec.scalar_us = rs.measured_ns * 1e-3;
-      if (!have_avx2) rec.kernel = rs.executed_algo;
-      if (have_avx2 && rec.scalar_us > 0) {
-        rec.norm = rec.avx2_us / rec.scalar_us;
-        norm_total += rec.norm;
-      }
+      const double scalar_us = rs.measured_ns * 1e-3;
+      if (!have_avx2) kernel = rs.executed_algo;
+      // avx2 / scalar wall time; 0 when the machine has no AVX2.
+      const double norm =
+          have_avx2 && scalar_us > 0 ? avx2_us / scalar_us : 0.0;
+      norm_total += norm;
 
       std::printf("%-10s %4d %6s %12.2f %11.3f %11.2f %11.2f %8.3f\n",
-                  s.name.c_str(), bits, rec.scheme.c_str(),
-                  rec.modeled_cycles / 1e6, rec.modeled_ms, rec.avx2_us,
-                  rec.scalar_us, rec.norm);
-      records.push_back(std::move(rec));
+                  s.name.c_str(), bits, scheme, modeled.cycles / 1e6,
+                  modeled.seconds * 1e3, avx2_us, scalar_us, norm);
+      doc.records.push_back(
+          {bench::quoted("layer", s.name), bench::integer("bits", bits),
+           bench::quoted("scheme", scheme),
+           bench::quoted("kernel", kernel, /*exact=*/false),
+           bench::fixed("modeled_cycles", modeled.cycles, 1),
+           bench::fixed("modeled_ms", modeled.seconds * 1e3, 4),
+           bench::fixed("avx2_us", avx2_us, 2, false),
+           bench::fixed("scalar_us", scalar_us, 2, false),
+           bench::fixed("norm", norm, 4, false)});
     }
   }
   std::printf("\nnative_norm_total (sum avx2/scalar): %.4f%s\n", norm_total,
-              have_avx2 ? "" : "  [no AVX2: scalar only, gate skipped]");
+              have_avx2 ? "" : "  [no AVX2: scalar only, ratio gate skipped]");
+  doc.totals = {bench::fixed("native_norm_total", norm_total, 4, false)};
 
-  const char* json_path = std::getenv("LBC_BENCH_JSON");
-  if (json_path != nullptr && json_path[0] != '\0' &&
-      !write_native_json(json_path, records, norm_total))
-    return 1;
-  int rc = 0;
-  if (have_avx2) rc = run_tail_section();
-  const int gate_rc = run_norm_gate(norm_total, have_avx2);
+  const int rc = have_avx2 ? run_tail_section() : 0;
+  // Without AVX2 there is no ratio to bound; the exact rule still runs.
+  const bench::RatioRule norm_rule[] = {{"native_norm_total", 1.25}};
+  const int gate_rc = bench::publish(doc, kRefreshCommand,
+                                     std::span(norm_rule).first(have_avx2 ? 1 : 0));
   return rc != 0 ? rc : gate_rc;
 }

@@ -13,7 +13,8 @@
 //     liveness contract — every submission resolves with a status from
 //     the serving vocabulary, breakers trip during the incident and
 //     recover through half-open probes afterwards, low-priority work is
-//     shed while high-priority p99 holds — and emits BENCH_serve.json.
+//     shed while high-priority p99 holds — and emits BENCH_serve.json where
+//     LBC_BENCH_JSON points (bench/json_out.h; every field is measured).
 //     When LBC_BENCH_BASELINE is set, interactive p99 (normalized by the
 //     calibrated per-request service time, so the gate tracks queueing
 //     structure rather than machine speed) and the client-visible shed
@@ -247,81 +248,6 @@ double calibrate_unit_s(serve::ModelServer& server,
   return std::min(std::max(worst_mean, 200e-6), 5e-3);
 }
 
-bool write_serve_json(const std::string& path, const SoakTally& tally,
-                      double p99_norm, double p50_norm, double miss_frac,
-                      double shed_rate, i64 trips,
-                      int models_tripped, i64 fallback_served,
-                      i64 low_priority_shed) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "json: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"serve_soak\",\n"
-               "  \"unit\": \"calibrated-service-units\",\n  \"records\": [\n");
-  for (int p = 0; p <= kNumPhases; ++p) {
-    const char* name = p < kNumPhases ? kPhases[p].name : "recovery-drive";
-    std::fprintf(f, "    {\"phase\": \"%s\", \"shed\": %lld}%s\n", name,
-                 static_cast<long long>(tally.by_phase_shed[p]),
-                 p < kNumPhases ? "," : "");
-  }
-  std::fprintf(
-      f,
-      "  ],\n  \"totals\": {\"submitted\": %lld, \"ok\": %lld, "
-      "\"deadline_exceeded\": %lld, \"overloaded\": %lld, "
-      "\"unavailable\": %lld, \"internal_faults\": %lld, "
-      "\"unresolved\": %lld, \"malformed\": %lld, "
-      "\"interactive_p99_norm\": %.3f, \"interactive_p50_norm\": %.3f, "
-      "\"interactive_miss_fraction\": %.6f, \"shed_rate\": %.6f, "
-      "\"breaker_trips\": %lld, \"models_tripped\": %d, "
-      "\"fallback_served\": %lld, "
-      "\"low_priority_shed\": %lld}\n}\n",
-      static_cast<long long>(tally.submitted),
-      static_cast<long long>(tally.code(StatusCode::kOk)),
-      static_cast<long long>(tally.code(StatusCode::kDeadlineExceeded)),
-      static_cast<long long>(tally.code(StatusCode::kOverloaded)),
-      static_cast<long long>(tally.code(StatusCode::kUnavailable)),
-      static_cast<long long>(tally.code(StatusCode::kInternal)),
-      static_cast<long long>(tally.unresolved),
-      static_cast<long long>(tally.malformed), p99_norm, p50_norm, miss_frac,
-      shed_rate,
-      static_cast<long long>(trips), models_tripped,
-      static_cast<long long>(fallback_served),
-      static_cast<long long>(low_priority_shed));
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-  return true;
-}
-
-/// 1.05x regression gate against the committed BENCH_serve.json (same
-/// pattern as the fig07 modeled-cycle gate). Both metrics are "must not
-/// grow": normalized interactive p99 and client-visible shed rate.
-int run_serve_gate(double p99_norm, double shed_rate) {
-  const char* baseline_path = std::getenv("LBC_BENCH_BASELINE");
-  if (baseline_path == nullptr || baseline_path[0] == '\0') return 0;
-  int rc = 0;
-  const struct {
-    const char* key;
-    double current;
-  } gates[] = {{"interactive_p99_norm", p99_norm}, {"shed_rate", shed_rate}};
-  for (const auto& g : gates) {
-    const double baseline = bench::read_json_number_field(baseline_path, g.key);
-    if (baseline <= 0) {
-      std::fprintf(stderr, "serve gate: no %s in %s\n", g.key, baseline_path);
-      rc = 1;
-      continue;
-    }
-    const double limit = baseline * 1.05;
-    const bool ok = g.current <= limit;
-    std::fprintf(stderr, "serve gate %s: %s %.3f vs baseline %.3f (%.3fx %s "
-                 "1.05x allowed)\n",
-                 ok ? "PASS" : "FAIL", g.key, g.current, baseline,
-                 g.current / baseline, ok ? "<=" : ">");
-    if (!ok) rc = 1;
-  }
-  return rc;
-}
-
 bool run_soak(const ConvShape& shape) {
   using namespace std::chrono;
   std::printf("\n== Part 2: bursty multi-model soak with fault incident ==\n");
@@ -529,13 +455,33 @@ bool run_soak(const ConvShape& shape) {
   };
   core::print_metric_table("soak totals", rows);
 
-  const char* json_env = std::getenv("LBC_BENCH_JSON");
-  const std::string json_path =
-      json_env != nullptr && json_env[0] != '\0' ? json_env : "BENCH_serve.json";
-  if (!write_serve_json(json_path, tally, p99_norm, p50_norm, miss_frac,
-                        shed_rate, trips, models_tripped, fallback_served,
-                        low_priority_shed))
-    return false;
+  const auto count = [](const char* key, i64 v) {
+    return bench::integer(key, v, /*exact=*/false);
+  };
+  bench::Document doc{"serve_soak", "calibrated-service-units", "", {}, {}};
+  for (int p = 0; p <= kNumPhases; ++p)
+    doc.records.push_back(
+        {bench::quoted("phase",
+                       p < kNumPhases ? kPhases[p].name : "recovery-drive",
+                       false),
+         count("shed", tally.by_phase_shed[p])});
+  doc.totals = {
+      count("submitted", tally.submitted),
+      count("ok", tally.code(StatusCode::kOk)),
+      count("deadline_exceeded", tally.code(StatusCode::kDeadlineExceeded)),
+      count("overloaded", tally.code(StatusCode::kOverloaded)),
+      count("unavailable", tally.code(StatusCode::kUnavailable)),
+      count("internal_faults", tally.code(StatusCode::kInternal)),
+      count("unresolved", tally.unresolved),
+      count("malformed", tally.malformed),
+      bench::fixed("interactive_p99_norm", p99_norm, 3, false),
+      bench::fixed("interactive_p50_norm", p50_norm, 3, false),
+      bench::fixed("interactive_miss_fraction", miss_frac, 6, false),
+      bench::fixed("shed_rate", shed_rate, 6, false),
+      count("breaker_trips", trips),
+      count("models_tripped", models_tripped),
+      count("fallback_served", fallback_served),
+      count("low_priority_shed", low_priority_shed)};
 
   // Structural gates: the liveness/degradation contract, machine
   // independent.
@@ -567,7 +513,15 @@ bool run_soak(const ConvShape& shape) {
                 static_cast<long long>(tally.submitted), models_tripped,
                 names.size(), p99_norm, shed_rate * 100.0);
 
-  return ok && run_serve_gate(p99_norm, shed_rate) == 0;
+  // The SLO gate: both totals "must not grow" past 1.05x the baseline.
+  static constexpr bench::RatioRule kSloRules[] = {
+      {"interactive_p99_norm", 1.05}, {"shed_rate", 1.05}};
+  const bool gated =
+      bench::publish(doc,
+                     "LBC_BENCH_JSON=bench/baselines/BENCH_serve.json "
+                     "build/bench/serve_throughput (then re-add headroom)",
+                     kSloRules) == 0;
+  return ok && gated;
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ void micro_mla_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
 void micro_ncnn_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
                      i64 kc, i32* c);
 
-/// ARMv8.2 extension: SDOT kernel over pack_sdot panels (a: [k/4][16][4],
+/// ARMv8.2 extension: SDOT kernel over pack_sdot_a / pack_sdot_b panels (a: [k/4][16][4],
 /// b: [k/4][4][4], k_pad a multiple of 4).
 void micro_sdot_16x4(armsim::Ctx& ctx, const i8* a_panel, const i8* b_panel,
                      i64 k_pad, i32* c);

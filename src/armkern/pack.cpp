@@ -107,16 +107,6 @@ PackedA pack_a(armsim::Ctx* ctx, const i8* a, i64 m, i64 k) {
   return pa;
 }
 
-PackedB pack_b(armsim::Ctx* ctx, const i8* b, i64 k, i64 n) {
-  PackedB pb;
-  pb.k = k;
-  pb.n = n;
-  pb.n_pad = round_up(n, kNr);
-  pb.data.resize(static_cast<size_t>(pb.n_pad * k));
-  pack_b_into(ctx, b, k, n, pb.data.data());
-  return pb;
-}
-
 i64 packed_sdot_b_bytes(i64 k, i64 n) {
   return round_up(n, kNr) * round_up(k, 4);
 }
@@ -175,22 +165,6 @@ SdotBPanels pack_sdot_b_into(armsim::Ctx* ctx, const i8* b, i64 k, i64 n,
     ctx->mem_range(dst, static_cast<u64>(n_pad * k_pad));
   }
   return SdotBPanels{dst, n, k, n_pad, k_pad};
-}
-
-PackedSdot pack_sdot(armsim::Ctx* ctx, const i8* a, const i8* b, i64 m, i64 n,
-                     i64 k) {
-  PackedSdot ps;
-  ps.m = m;
-  ps.n = n;
-  ps.k = k;
-  ps.m_pad = round_up(m, kMr);
-  ps.n_pad = round_up(n, kNr);
-  ps.k_pad = round_up(k, 4);
-  // A pack is offline (weights); B pack is tallied by pack_sdot_b_into.
-  ps.a = std::move(pack_sdot_a(a, m, k).data);
-  ps.b.resize(static_cast<size_t>(ps.n_pad * ps.k_pad));
-  pack_sdot_b_into(ctx, b, k, n, ps.b.data());
-  return ps;
 }
 
 namespace {
@@ -507,20 +481,6 @@ Status pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, TblMode mode,
     ctx->mem_range(dst, static_cast<u64>(nc_pad * groups_c));
   }
   return Status();
-}
-
-AlignedVector<i8> pack_b_colmajor(armsim::Ctx* ctx, const i8* b, i64 k, i64 n) {
-  AlignedVector<i8> out(static_cast<size_t>(k * n));
-  for (i64 j = 0; j < n; ++j)
-    for (i64 kk = 0; kk < k; ++kk) out[j * k + kk] = b[kk * n + j];
-  tally_pack_gather(ctx, k * n);  // strided gather, same cost class as A pack
-  if (ctx) {
-    ensure_pack_regions(ctx, b, k * n, "pack B source", out.data(),
-                        static_cast<i64>(out.size()), "B column-major copy");
-    ctx->mem_range(b, static_cast<u64>(k * n));
-    ctx->mem_range(out.data(), out.size());
-  }
-  return out;
 }
 
 }  // namespace lbc::armkern

@@ -10,8 +10,8 @@
 // products.
 //
 // Two layers of API:
-//  * Owning PackedA/PackedB/PackedSdot* — allocate and pack in one call.
-//    Plans prepack weights through these once per layer.
+//  * Owning PackedA/PackedSdotA/PackedTblA — allocate and pack in one
+//    call. Plans prepack weights through these once per layer.
 //  * Non-owning APanels/BPanels/Sdot*Panels views + pack_*_into functions
 //    that fill caller-provided memory — the per-execute activation packs
 //    write into a Workspace arena instead of fresh heap blocks.
@@ -65,17 +65,6 @@ struct PackedA {
   APanels view() const { return APanels{data.data(), m, k, m_pad}; }
 };
 
-struct PackedB {
-  AlignedVector<i8> data;  ///< [panels][K][kNr]
-  i64 k = 0, n = 0;
-  i64 n_pad = 0;  ///< n rounded up to kNr
-
-  i64 panels() const { return n_pad / kNr; }
-  const i8* panel(i64 q) const { return data.data() + q * k * kNr; }
-  i64 extra_elems() const { return static_cast<i64>(data.size()) - k * n; }
-  BPanels view() const { return BPanels{data.data(), k, n, n_pad}; }
-};
-
 /// Packed buffer sizes in bytes (i8 elements), for workspace sizing.
 i64 packed_a_bytes(i64 m, i64 k);
 i64 packed_b_bytes(i64 k, i64 n);
@@ -84,17 +73,12 @@ i64 packed_b_bytes(i64 k, i64 n);
 /// activations; for weights it is done once at plan compile — callers
 /// choose whether to pass a tallying ctx).
 PackedA pack_a(armsim::Ctx* ctx, const i8* a, i64 m, i64 k);
-PackedB pack_b(armsim::Ctx* ctx, const i8* b, i64 k, i64 n);
 
 /// Pack into caller memory (packed_a_bytes/packed_b_bytes big, cache-line
 /// aligned). Every destination byte is written, padding included, so stale
 /// workspace contents cannot leak into the panels.
 APanels pack_a_into(armsim::Ctx* ctx, const i8* a, i64 m, i64 k, i8* dst);
 BPanels pack_b_into(armsim::Ctx* ctx, const i8* b, i64 k, i64 n, i8* dst);
-
-/// Column-major copy of B (N x K panels of contiguous columns), used by the
-/// traditional-GEMM ablation where each output needs a contiguous B column.
-AlignedVector<i8> pack_b_colmajor(armsim::Ctx* ctx, const i8* b, i64 k, i64 n);
 
 // ---- cache-blocked packing (blocking.h) ------------------------------
 //
@@ -335,20 +319,5 @@ Status pack_tbl_b_idx_from_conv(armsim::Ctx* ctx, TblMode mode,
 /// broadcasts, two vector adds, one ST1 plus operand/address math each) —
 /// exported so tile_search can price TBL candidates without executing.
 void tally_pack_tbl_tables(armsim::Ctx* ctx, i64 tables);
-
-/// Legacy one-shot packing of both operands (ablation benches and tests).
-struct PackedSdot {
-  AlignedVector<i8> a, b;
-  i64 m = 0, n = 0, k = 0;
-  i64 m_pad = 0, n_pad = 0, k_pad = 0;
-
-  i64 a_panels() const { return m_pad / kMr; }
-  i64 b_panels() const { return n_pad / kNr; }
-  const i8* a_panel(i64 p) const { return a.data() + p * k_pad * kMr; }
-  const i8* b_panel(i64 q) const { return b.data() + q * k_pad * kNr; }
-};
-
-PackedSdot pack_sdot(armsim::Ctx* ctx, const i8* a, const i8* b, i64 m, i64 n,
-                     i64 k);
 
 }  // namespace lbc::armkern

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "common/status.h"
 
@@ -18,12 +19,8 @@ int clamp_threads(int threads, int lo, int hi) {
 
 ThreadPool::ThreadPool(int threads) {
   const int n = clamp_threads(threads, 1, 64);
-  queues_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i)
-    workers_.emplace_back([this, i] { worker_main(i); });
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_main(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -37,68 +34,34 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> fn) {
   LBC_CHECK_MSG(static_cast<bool>(fn), "ThreadPool::submit of empty task");
-  const size_t idx =
-      rr_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    MutexLock lock(queues_[idx]->mu);
-    queues_[idx]->q.push_back(std::move(fn));
-  }
   {
     MutexLock lock(wake_mu_);
-    ++queued_;
+    queue_.push_back(std::move(fn));
     ++unfinished_;
   }
   wake_cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(int idx, std::function<void()>& out) {
-  WorkerQueue& wq = *queues_[static_cast<size_t>(idx)];
-  MutexLock lock(wq.mu);
-  if (wq.q.empty()) return false;
-  out = std::move(wq.q.back());  // LIFO on the own deque: cache-warm
-  wq.q.pop_back();
-  return true;
-}
-
-bool ThreadPool::try_steal(int idx, std::function<void()>& out) {
-  const int n = static_cast<int>(queues_.size());
-  for (int d = 1; d < n; ++d) {
-    WorkerQueue& victim = *queues_[static_cast<size_t>((idx + d) % n)];
-    MutexLock lock(victim.mu);
-    if (victim.q.empty()) continue;
-    out = std::move(victim.q.front());  // FIFO steal: oldest, least warm
-    victim.q.pop_front();
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_main(int idx) {
+void ThreadPool::worker_main() {
   for (;;) {
     std::function<void()> task;
-    if (try_pop(idx, task) || try_steal(idx, task)) {
-      {
-        MutexLock lock(wake_mu_);
-        --queued_;
-      }
-      // A submitted task owns its error reporting; an escaped exception must
-      // not take the worker (and with it the pool) down.
-      try {
-        task();
-      } catch (...) {
-        task_exceptions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      executed_.fetch_add(1, std::memory_order_relaxed);
+    {
       MutexLock lock(wake_mu_);
-      if (--unfinished_ == 0) idle_cv_.notify_all();
-      continue;
+      while (!stop_ && queue_.empty()) wake_cv_.wait(wake_mu_);
+      if (queue_.empty()) return;  // stopping, and every task has run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    // queued_ is incremented under wake_mu_ *before* the notify, so waiting
-    // on `queued_ > 0` cannot miss a task pushed after our deque scan.
+    // A submitted task owns its error reporting; an escaped exception must
+    // not take the worker (and with it the pool) down.
+    try {
+      task();
+    } catch (...) {
+      task_exceptions_.fetch_add(1, std::memory_order_relaxed);
+    }
+    executed_.fetch_add(1, std::memory_order_relaxed);
     MutexLock lock(wake_mu_);
-    while (!stop_ && queued_ == 0) wake_cv_.wait(wake_mu_);
-    if (stop_ && queued_ == 0) return;
+    if (--unfinished_ == 0) idle_cv_.notify_all();
   }
 }
 

@@ -1,4 +1,4 @@
-// Persistent work-stealing thread pool — the single threading substrate for
+// Persistent FIFO thread pool — the single threading substrate for
 // the repository. Kernels (armkern's row-panel loop), the micro-batching
 // scheduler, and the benches all share one set of long-lived workers instead
 // of spawning std::thread per call: under serving load the fork/join cost of
@@ -6,10 +6,10 @@
 // concurrent batches and intra-batch panel parallelism coexist without
 // oversubscribing the machine.
 //
-// Structure: one deque per worker. submit() distributes tasks round-robin;
-// a worker pops from the back of its own deque (LIFO, cache-warm) and, when
-// empty, steals from the front of a sibling's (FIFO, oldest first). steals()
-// counts successful steals for tests and the bench banner.
+// Structure: one queue, guarded by one mutex. Workers take tasks in
+// submission order (FIFO), so under overload the oldest queued work (a
+// served graph request, a fallback) runs first rather than expiring behind
+// newer arrivals.
 //
 // parallel_for() is the data-parallel primitive. It splits [begin, end) into
 // grain-sized chunks claimed off a shared atomic cursor; the *calling* thread
@@ -27,7 +27,6 @@
 #include <atomic>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -48,9 +47,10 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueue an asynchronous task. A task that throws is swallowed by the
-  /// worker loop (counted in task_exceptions()); tasks that must report
-  /// failure do so through their own channel (promise/Status).
+  /// Enqueue an asynchronous task; workers start tasks in the order they
+  /// were submitted. A task that throws is swallowed by the worker loop
+  /// (counted in task_exceptions()); tasks that must report failure do so
+  /// through their own channel (promise/Status).
   void submit(std::function<void()> fn) LBC_EXCLUDES(wake_mu_);
 
   /// Blocking data-parallel loop over [begin, end): the range is split into
@@ -65,7 +65,6 @@ class ThreadPool {
   /// Blocks until every task submitted so far has finished (tests/shutdown).
   void wait_idle() LBC_EXCLUDES(wake_mu_);
 
-  i64 steals() const { return steals_.load(std::memory_order_relaxed); }
   i64 tasks_executed() const {
     return executed_.load(std::memory_order_relaxed);
   }
@@ -79,29 +78,18 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct WorkerQueue {
-    Mutex mu;
-    std::deque<std::function<void()>> q LBC_GUARDED_BY(mu);
-  };
+  void worker_main() LBC_EXCLUDES(wake_mu_);
 
-  void worker_main(int idx) LBC_EXCLUDES(wake_mu_);
-  bool try_pop(int idx, std::function<void()>& out);
-  bool try_steal(int idx, std::function<void()>& out);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
 
   Mutex wake_mu_;
   CondVar wake_cv_;
   CondVar idle_cv_;
+  std::deque<std::function<void()>> queue_ LBC_GUARDED_BY(wake_mu_);
   bool stop_ LBC_GUARDED_BY(wake_mu_) = false;
-  /// Tasks pushed but not yet popped.
-  i64 queued_ LBC_GUARDED_BY(wake_mu_) = 0;
-  /// Submitted tasks not yet completed.
+  /// Submitted tasks not yet completed (queued or running).
   i64 unfinished_ LBC_GUARDED_BY(wake_mu_) = 0;
 
-  std::atomic<u64> rr_{0};  ///< round-robin push cursor
-  std::atomic<i64> steals_{0};
   std::atomic<i64> executed_{0};
   std::atomic<i64> task_exceptions_{0};
 };

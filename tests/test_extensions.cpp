@@ -47,10 +47,15 @@ TEST(Sdot, PackLayout) {
   // 2x6 A, 6x2 B: one panel each, K padded to 8.
   const i8 a[12] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
   const i8 b[12] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
-  const armkern::PackedSdot ps = armkern::pack_sdot(nullptr, a, b, 2, 2, 6);
-  EXPECT_EQ(ps.k_pad, 8);
+  const armkern::PackedSdotA pa = armkern::pack_sdot_a(a, 2, 6);
+  AlignedVector<i8> bbuf(
+      static_cast<size_t>(armkern::packed_sdot_b_bytes(6, 2)));
+  const armkern::SdotBPanels pb =
+      armkern::pack_sdot_b_into(nullptr, b, 6, 2, bbuf.data());
+  EXPECT_EQ(pa.k_pad, 8);
+  EXPECT_EQ(pb.k_pad, 8);
   // A panel: kstep 0, row 0, depths 0..3 = {1,2,3,4}; row 1 = {7,8,9,10}.
-  const i8* ap = ps.a_panel(0);
+  const i8* ap = pa.panel(0);
   EXPECT_EQ(ap[0], 1);
   EXPECT_EQ(ap[3], 4);
   EXPECT_EQ(ap[4], 7);  // row 1's first depth group
@@ -58,7 +63,7 @@ TEST(Sdot, PackLayout) {
   EXPECT_EQ(ap[(1 * armkern::kMr + 0) * 4 + 0], 5);
   EXPECT_EQ(ap[(1 * armkern::kMr + 0) * 4 + 2], 0);
   // B panel: kstep 0, col 0, depths 0..3 = B[0..3][0] = {1,3,5,7}.
-  const i8* bp = ps.b_panel(0);
+  const i8* bp = pb.panel(0);
   EXPECT_EQ(bp[0], 1);
   EXPECT_EQ(bp[1], 3);
   EXPECT_EQ(bp[3], 7);

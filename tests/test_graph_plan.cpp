@@ -1356,9 +1356,9 @@ TEST(ServerGraphModels, OpenBreakerFastFailsAndShutdownRejects) {
 
 // A server on a one-worker pool whose worker is held by a latch task until
 // release(), so a graph execution submitted meanwhile stays in flight. The
-// constructor waits until the worker runs the latch task (a worker pops its
-// newest task first), and the destructor releases the worker before the
-// server shuts down, since shutdown waits for the held executions.
+// constructor waits until the worker runs the latch task, and the
+// destructor releases the worker before the server shuts down, since
+// shutdown waits for the held executions.
 struct HeldPoolServer {
   std::latch running{1};
   std::latch hold{1};

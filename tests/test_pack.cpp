@@ -69,7 +69,8 @@ TEST(PackB, PanelLayoutRowMajor) {
   // B is 2x5 row-major (K=2, N=5): panel q holds per depth the 4 column
   // values, with column 5..7 zero-padded in panel 1.
   const i8 b[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const PackedB pb = pack_b(nullptr, b, 2, 5);
+  AlignedVector<i8> buf(static_cast<size_t>(packed_b_bytes(2, 5)));
+  const BPanels pb = pack_b_into(nullptr, b, 2, 5, buf.data());
   EXPECT_EQ(pb.n_pad, 8);
   EXPECT_EQ(pb.panels(), 2);
   const i8* p0 = pb.panel(0);
@@ -85,28 +86,20 @@ TEST(PackB, PanelLayoutRowMajor) {
 
 TEST(PackB, ExactMultipleHasNoPadding) {
   std::vector<i8> b(static_cast<size_t>(3 * 8), 1);
-  const PackedB pb = pack_b(nullptr, b.data(), 3, 8);
+  AlignedVector<i8> buf(static_cast<size_t>(packed_b_bytes(3, 8)));
+  const BPanels pb = pack_b_into(nullptr, b.data(), 3, 8, buf.data());
   EXPECT_EQ(pb.extra_elems(), 0);
 }
 
 TEST(Pack, TallyCountsLoadsAndStores) {
   std::vector<i8> b(static_cast<size_t>(64 * 64), 1);
+  AlignedVector<i8> buf(static_cast<size_t>(packed_b_bytes(64, 64)));
   armsim::Ctx ctx;
-  pack_b(&ctx, b.data(), 64, 64);
+  pack_b_into(&ctx, b.data(), 64, 64, buf.data());
   EXPECT_GT(ctx.counts[armsim::Op::kLd1], 0u);
   EXPECT_GT(ctx.counts[armsim::Op::kSt1], 0u);
   // one vector load per 16 packed bytes
   EXPECT_EQ(ctx.counts[armsim::Op::kLd1], static_cast<u64>(64 * 64 / 16));
-}
-
-TEST(PackBColMajor, TransposesCorrectly) {
-  const i8 b[6] = {1, 2, 3, 4, 5, 6};  // 2x3 row-major
-  const AlignedVector<i8> cm = pack_b_colmajor(nullptr, b, 2, 3);
-  // column j stored contiguously: col 0 = {1,4}, col 1 = {2,5}, col 2 = {3,6}
-  EXPECT_EQ(cm[0], 1);
-  EXPECT_EQ(cm[1], 4);
-  EXPECT_EQ(cm[2], 2);
-  EXPECT_EQ(cm[5], 6);
 }
 
 }  // namespace

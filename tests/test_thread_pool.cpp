@@ -1,8 +1,11 @@
 // Shared thread pool: parallel_for coverage/partitioning, nested calls,
-// exception containment, submit/wait_idle, cross-thread concurrency.
+// exception containment, submit/wait_idle, FIFO task order, cross-thread
+// concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -96,6 +99,34 @@ TEST(ThreadPool, SubmittedTasksRunAndExceptionsAreContained) {
   pool.submit([&] { ran.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 17);
+}
+
+TEST(ThreadPool, QueuedTasksRunInSubmissionOrder) {
+  // One worker, held by a latch task while four more queue behind it:
+  // released, it must run them oldest first.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false, release = false;
+  pool.submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  std::vector<int> order;  // written by the one worker only
+  for (int i = 0; i < 4; ++i) pool.submit([&order, i] { order.push_back(i); });
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPool, ConcurrentParallelForsFromManyThreads) {
